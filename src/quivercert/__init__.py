@@ -33,7 +33,6 @@ from .chow import (
     RingInconsistencyError,
     ch_of,
     chi,
-    chow_mul,
     integral,
     parse_chow_poly,
     tangent_chern,

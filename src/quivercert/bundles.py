@@ -6,10 +6,12 @@ Picard group, normalized so that O(-1) = det U1 = det U2), closed under
 dual, tensor, direct sum, det, traceless endomorphisms sl, Sym^2 and
 Wedge^2, and twisting by O(n).
 
-Two evaluation semantics live elsewhere: one-parameter-subgroup weight
-multisets (strata module) and Chern characters (chow module).  Here we
-provide the trees, a parser, ranks, and the weight calculus given base
-weights for U1 and U2 on a stratum.
+Every semantics of an expression is a lambda-ring homomorphism, and
+``evaluate`` is the one recursion over the operators: ranks (here),
+characters of a stratum's one-parameter subgroup as weight ->
+multiplicity maps (here, used by the strata module), and Chern
+characters (chow module).  The module also holds the trees and their
+parser.
 """
 
 from __future__ import annotations
@@ -84,31 +86,66 @@ def twist(e: BundleExpr, n: int) -> BundleExpr:
     return tensor(e, O(n))
 
 
-def rank_of(e: BundleExpr) -> int:
-    if e.op == "U1":
-        return 2
-    if e.op == "U2":
-        return 3
-    if e.op == "O":
-        return 1
-    if e.op == "dual":
-        return rank_of(e.args[0])
-    if e.op == "tensor":
-        return rank_of(e.args[0]) * rank_of(e.args[1])
-    if e.op == "sum":
-        return rank_of(e.args[0]) + rank_of(e.args[1])
-    if e.op == "det":
-        return 1
-    if e.op == "sl":
-        r = rank_of(e.args[0])
-        return r * r - 1
-    if e.op == "sym2":
-        r = rank_of(e.args[0])
-        return r * (r + 1) // 2
-    if e.op == "wedge2":
-        r = rank_of(e.args[0])
-        return r * (r - 1) // 2
-    raise ValueError(f"unknown operator {e.op!r}")
+def evaluate(e: BundleExpr, leaf, value):
+    """Evaluate ``e`` under a lambda-ring homomorphism, given the values
+    ``leaf`` of U1, U2 and O(n) and a function ``value`` for the arguments.
+    Values have ``+ - *`` and the methods ``dual``, ``det``, ``psi2`` (the
+    second Adams operation) and ``half``."""
+    op = e.op
+    if op in ("U1", "U2", "O"):
+        return leaf(e)
+    x = value(e.args[0])
+    if op == "dual":
+        return x.dual()
+    if op == "tensor":
+        return x * value(e.args[1])
+    if op == "sum":
+        return x + value(e.args[1])
+    if op == "det":
+        return x.det()
+    if op == "sl":
+        return x * x.dual() - value(O(0))
+    if op == "sym2":
+        return (x * x + x.psi2()).half()
+    if op == "wedge2":
+        return (x * x - x.psi2()).half()
+    raise ValueError(f"unknown operator {op!r}")
+
+
+class Character(dict):
+    """A character of a one-parameter subgroup: weight -> nonzero
+    multiplicity.  The ring operations act on these maps, so a weight
+    multiset is never expanded."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = Character(self)
+        for w, m in other.items():
+            out[w] = out.get(w, 0) + m
+        return Character({w: m for w, m in out.items() if m})
+
+    def __sub__(self, other):
+        return self + Character({w: -m for w, m in other.items()})
+
+    def __mul__(self, other):
+        out = Character()
+        for a, m in self.items():
+            for b, n in other.items():
+                out[a + b] = out.get(a + b, 0) + m * n
+        return out
+
+    def dual(self):
+        return Character({-w: m for w, m in self.items()})
+
+    def det(self):
+        return Character({sum(w * m for w, m in self.items()): 1})
+
+    def psi2(self):
+        return Character({2 * w: m for w, m in self.items()})
+
+    def half(self):
+        return Character({w: m // 2 for w, m in self.items() if m // 2})
 
 
 @dataclass(frozen=True)
@@ -121,56 +158,43 @@ class StratumWeights:
     u1: tuple[int, ...]
     u2: tuple[int, ...]
 
-    @property
-    def o1(self) -> int:
-        return -sum(self.u1)
+    def __post_init__(self):
+        leaves = {op: Character({w: ws.count(w) for w in ws})
+                  for op, ws in (("U1", self.u1), ("U2", self.u2))}
+        object.__setattr__(self, "_leaves", leaves)
+
+    def _leaf(self, e: BundleExpr) -> Character:
+        if e.op == "O":
+            return Character({-e.args[0] * sum(self.u1): 1})
+        return self._leaves[e.op]
+
+    def character(self, e: BundleExpr) -> Character:
+        """The weights of ``e`` on this stratum with multiplicities (may be
+        shared with other results, so do not mutate it)."""
+        return evaluate(e, self._leaf, self.character)
+
+
+_ZERO_WEIGHTS = StratumWeights((0, 0), (0, 0, 0))
+
+
+def rank_of(e: BundleExpr) -> int:
+    """Rank: the total multiplicity of the character on zero weights."""
+    return sum(_ZERO_WEIGHTS.character(e).values())
 
 
 def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
-    """Weight multiset of an expression, sorted descending.
-
-    dual negates, tensor adds pairwise, sum unions, det totals;
-    sl(e) with weights {w_i} gives {w_i - w_j : i != j} plus rank-1
-    zeros; sym2 / wedge2 give {w_i + w_j} over i <= j / i < j.
-    """
-    ws = _weights(e, base)
+    """Weight multiset of an expression, sorted descending."""
+    ws = [w for w, m in base.character(e).items() for _ in range(m)]
     return tuple(sorted(ws, reverse=True))
-
-
-def _weights(e: BundleExpr, base: StratumWeights) -> list[int]:
-    if e.op == "U1":
-        return list(base.u1)
-    if e.op == "U2":
-        return list(base.u2)
-    if e.op == "O":
-        return [e.args[0] * base.o1]
-    if e.op == "dual":
-        return [-w for w in _weights(e.args[0], base)]
-    if e.op == "tensor":
-        left = _weights(e.args[0], base)
-        right = _weights(e.args[1], base)
-        return [a + b for a in left for b in right]
-    if e.op == "sum":
-        return _weights(e.args[0], base) + _weights(e.args[1], base)
-    if e.op == "det":
-        return [sum(_weights(e.args[0], base))]
-    if e.op == "sl":
-        ws = _weights(e.args[0], base)
-        out = [a - b for i, a in enumerate(ws) for j, b in enumerate(ws) if i != j]
-        out.extend([0] * (len(ws) - 1))
-        return out
-    if e.op == "sym2":
-        ws = _weights(e.args[0], base)
-        return [ws[i] + ws[j] for i in range(len(ws)) for j in range(i, len(ws))]
-    if e.op == "wedge2":
-        ws = _weights(e.args[0], base)
-        return [ws[i] + ws[j] for i in range(len(ws)) for j in range(i + 1, len(ws))]
-    raise ValueError(f"unknown operator {e.op!r}")
 
 
 # -- parser -------------------------------------------------------------------
 
-_FUNCTIONS = {"dual", "tensor", "sum", "det", "sl", "sym2", "wedge2", "twist"}
+#: Largest tree depth (leaves count 1) and call nesting that the parsers accept.
+MAX_DEPTH = 100
+
+_UNARY = {"dual", "det", "sl", "sym2", "wedge2"}
+_FUNCTIONS = _UNARY | {"tensor", "sum", "twist"}
 
 
 class ExprSyntaxError(ValueError):
@@ -179,7 +203,9 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-class _Parser:
+class Scanner:
+    """A cursor over input text, shared by the hand-written parsers."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -188,81 +214,92 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self):
+    def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def take(self, accept) -> str:
+        """Skip whitespace, then consume the longest run of characters
+        that ``accept`` accepts."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and accept(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+class _Parser(Scanner):
     def expect(self, ch: str):
         if self.peek() != ch:
             raise ExprSyntaxError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
     def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
+        ident = self.take(lambda ch: ch.isalnum() or ch == "_")
+        if not ident:
             raise ExprSyntaxError("expected identifier", self.pos)
-        return self.text[start:self.pos]
+        return ident
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
         if self.peek() in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        token = self.text[start:self.pos]
+        self.take(str.isdigit)
         try:
-            return int(token)
+            return int(self.text[start:self.pos])
         except ValueError:
             raise ExprSyntaxError("expected integer", start) from None
 
-    def expr(self) -> BundleExpr:
+    def expr(self, level: int = 1) -> tuple[BundleExpr, int]:
+        """The expression at the cursor, nested ``level`` calls deep, and its
+        tree depth; both are bounded so evaluation stays within the recursion limit."""
         start = self.pos
+        if level > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
         ident = self.name()
-        if ident == "U1":
-            return U1
-        if ident == "U2":
-            return U2
+        if ident in ("U1", "U2"):
+            return BundleExpr(ident), 1
         if ident == "O":
             self.expect("(")
             n = self.integer()
             self.expect(")")
-            return O(n)
+            return O(n), 1
         if ident not in _FUNCTIONS:
             raise ExprSyntaxError(f"unknown identifier {ident!r}", start)
         self.expect("(")
-        first = self.expr()
-        rest = []
+        first, depth = self.expr(level + 1)
+        args = [first]
         while self.peek() == ",":
             self.pos += 1
-            if ident == "twist" and not rest:
-                rest.append(self.integer())
+            if ident == "twist" and len(args) == 1:
+                arg, arg_depth = self.integer(), 1
             else:
-                rest.append(self.expr())
+                arg, arg_depth = self.expr(level + 1)
+            args.append(arg)
+            depth = max(depth, arg_depth) + 1  # the left fold adds a level per argument
         self.expect(")")
-        args = [first] + rest
-        if ident in ("dual", "det", "sl", "sym2", "wedge2"):
+        if len(args) == 1:
+            depth += 1
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
+        if ident in _UNARY:
             if len(args) != 1:
                 raise ExprSyntaxError(f"{ident} takes one argument", start)
-            return BundleExpr(ident, tuple(args))
+            return BundleExpr(ident, tuple(args)), depth
         if ident == "twist":
             if len(args) != 2 or not isinstance(args[1], int):
                 raise ExprSyntaxError("twist takes an expression and an integer", start)
-            return twist(args[0], args[1])
+            return twist(args[0], args[1]), depth
         if len(args) < 2:
             raise ExprSyntaxError(f"{ident} takes at least two arguments", start)
-        return _fold(ident, args)
+        return _fold(ident, args), depth
 
 
 def parse_expr(text: str) -> BundleExpr:
     """Parse the function-style grammar, e.g. ``tensor(dual(U1),U2)``."""
     p = _Parser(text)
-    e = p.expr()
+    e, _ = p.expr()
     p.skip_ws()
     if p.pos != len(text):
         raise ExprSyntaxError("trailing input", p.pos)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .bundles import BundleExpr
+from .bundles import MAX_DEPTH, BundleExpr, Scanner, evaluate
 
 F = Fraction
 
@@ -216,10 +216,30 @@ class ChowElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = ChowElement.unit()
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return ChowElement.unit()
+        if n > 6 and self.coords[0] == 0:
+            return ChowElement.zero()  # nilpotent: products vanish past degree 6
+        root = self ** (n // 2)
+        return root * root * self if n % 2 else root * root
+
+    def dual(self) -> "ChowElement":
+        """Chern character of the dual: negate odd-degree parts."""
+        return ChowElement(
+            [-c if DEGREES[i] % 2 else c for i, c in enumerate(self.coords)]
+        )
+
+    def psi2(self) -> "ChowElement":
+        """Second Adams operation on Chern characters: scale the degree-k
+        part by 2^k."""
+        return ChowElement([c * (2 ** DEGREES[i]) for i, c in enumerate(self.coords)])
+
+    def det(self) -> "ChowElement":
+        """Chern character of the determinant: exp of the degree-1 part."""
+        return _exp(self.degree_part(1))
+
+    def half(self) -> "ChowElement":
+        return F(1, 2) * self
 
     def __eq__(self, other):
         return isinstance(other, ChowElement) and self.coords == other.coords
@@ -235,10 +255,6 @@ class ChowElement:
 
     def to_json_dict(self) -> dict:
         return {label: render_fraction(c) for label, c in zip(BASIS, self.coords)}
-
-
-def chow_mul(x: ChowElement, y: ChowElement) -> ChowElement:
-    return x * y
 
 
 def integral(x: ChowElement) -> Fraction:
@@ -305,19 +321,6 @@ def _exp(x: ChowElement) -> ChowElement:
     return out
 
 
-def _psi2(x: ChowElement) -> ChowElement:
-    """Second Adams operation on Chern characters: scale the degree-k
-    part by 2^k."""
-    return ChowElement([c * (2 ** DEGREES[i]) for i, c in enumerate(x.coords)])
-
-
-def _dual_ch(x: ChowElement) -> ChowElement:
-    """Chern character of the dual: negate odd-degree parts."""
-    return ChowElement(
-        [-c if DEGREES[i] % 2 else c for i, c in enumerate(x.coords)]
-    )
-
-
 def _ch_from_chern(rank: int, chern: tuple[ChowElement, ...]) -> ChowElement:
     """Chern character from Chern classes via Newton's identities on
     power sums of the Chern roots."""
@@ -338,43 +341,19 @@ def _ch_from_chern(rank: int, chern: tuple[ChowElement, ...]) -> ChowElement:
     return out
 
 
-@lru_cache(maxsize=1)
-def _ch_u2_star() -> ChowElement:
-    return _ch_from_chern(3, (_C1, _C2, _C3))
-
-
-@lru_cache(maxsize=1)
-def _ch_u1_star() -> ChowElement:
-    return _ch_from_chern(2, (_C1, _D2))
+def _ch_leaf(e: BundleExpr) -> ChowElement:
+    """Leaf values, which ch_of caches."""
+    if e.op == "O":
+        return _exp(e.args[0] * _C1)
+    if e.op == "U1":
+        return _ch_from_chern(2, (_C1, _D2)).dual()
+    return _ch_from_chern(3, (_C1, _C2, _C3)).dual()
 
 
 @lru_cache(maxsize=None)
 def ch_of(e: BundleExpr) -> ChowElement:
     """Chern character of a bundle expression, evaluated compositionally."""
-    if e.op == "U1":
-        return _dual_ch(_ch_u1_star())
-    if e.op == "U2":
-        return _dual_ch(_ch_u2_star())
-    if e.op == "O":
-        return _exp(e.args[0] * _C1)
-    if e.op == "dual":
-        return _dual_ch(ch_of(e.args[0]))
-    if e.op == "tensor":
-        return ch_of(e.args[0]) * ch_of(e.args[1])
-    if e.op == "sum":
-        return ch_of(e.args[0]) + ch_of(e.args[1])
-    if e.op == "det":
-        return _exp(ch_of(e.args[0]).degree_part(1))
-    if e.op == "sl":
-        inner = ch_of(e.args[0])
-        return inner * _dual_ch(inner) - ChowElement.unit()
-    if e.op == "sym2":
-        inner = ch_of(e.args[0])
-        return F(1, 2) * (inner * inner + _psi2(inner))
-    if e.op == "wedge2":
-        inner = ch_of(e.args[0])
-        return F(1, 2) * (inner * inner - _psi2(inner))
-    raise ValueError(f"unknown operator {e.op!r}")
+    return evaluate(e, _ch_leaf, ch_of)
 
 
 class RingInconsistencyError(ArithmeticError):
@@ -397,7 +376,7 @@ class ChowSyntaxError(ValueError):
     pass
 
 
-class _PolyParser:
+class _PolyParser(Scanner):
     """Integer-coefficient polynomials in c1, c2, c3, d1, d2 with + - * ^
     and parentheses; d1 is identified with c1 on input."""
 
@@ -409,17 +388,7 @@ class _PolyParser:
         "d2": _D2,
     }
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    depth = 0  # parentheses open at the cursor
 
     def fail(self, message):
         raise ChowSyntaxError(f"{message} (at position {self.pos})")
@@ -431,20 +400,18 @@ class _PolyParser:
             self.fail("trailing input")
         return out
 
-    def sum_expr(self) -> ChowElement:
+    def sign(self) -> int:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.peek() == "-":
                 sign = -sign
             self.pos += 1
-        out = sign * self.term()
+        return sign
+
+    def sum_expr(self) -> ChowElement:
+        out = self.sign() * self.term()
         while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.peek() == "-":
-                    sign = -sign
-                self.pos += 1
-            out = out + sign * self.term()
+            out = out + self.sign() * self.term()
         return out
 
     def term(self) -> ChowElement:
@@ -464,29 +431,27 @@ class _PolyParser:
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
+            digits = self.take(str.isdigit)
+            if not digits:
                 self.fail("expected exponent")
-            return base ** int(self.text[start:self.pos])
+            return base ** int(digits)
         return base
 
     def atom(self) -> ChowElement:
         ch = self.peek()
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
             self.pos += 1
             out = self.sum_expr()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return out
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return int(self.text[start:self.pos]) * ChowElement.unit()
+            return int(self.take(str.isdigit)) * ChowElement.unit()
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isalnum():

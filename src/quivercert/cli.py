@@ -211,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ledger_check)
 
     for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true",
-                        help="compact JSON output (the default)")
         sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
     return parser
@@ -223,10 +221,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.func(args)
+        _print(doc, args.pretty)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         _print({"error": str(exc)}, getattr(args, "pretty", False))
         return 2
-    _print(doc, args.pretty)
     return code
 
 

@@ -83,7 +83,13 @@ class Quiver:
         if text.startswith("kronecker:"):
             return cls.kronecker(int(text.split(":", 1)[1]))
         data = json.loads(text)
-        return cls(int(data["vertices"]), tuple((a[0], a[1]) for a in data["arrows"]))
+        for key in ("vertices", "arrows"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"quiver JSON needs a {key!r} key")
+        try:
+            return cls(int(data["vertices"]), tuple((i, j) for i, j in data["arrows"]))
+        except TypeError:
+            raise ValueError("quiver JSON needs an integer vertex count and arrow pairs") from None
 
     def to_json_dict(self) -> dict:
         return {"vertices": self.vertex_count, "arrows": [list(a) for a in self.arrows]}
@@ -210,6 +216,8 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     type (d,) exactly when d itself admits a semistable representation.
     """
     d = quiver.check_dim(d)
+    if not any(d):
+        raise ValueError("dimension vector must be nonzero")
     theta = tuple(int(t) for t in theta)
     if len(theta) != quiver.vertex_count:
         raise ValueError("theta has wrong length")

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from quivercert.bundles import O, U1, U2, BundleExpr, rank_of
-from quivercert.chow import ChowElement, tangent_chern
+from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights
+from quivercert.chow import DEGREES, ChowElement, _ch_from_chern, _exp, tangent_chern
 from quivercert.quiver import Quiver, slope
 from quivercert.repgeom import LinearFormMatrix, matrix
 
@@ -329,6 +329,98 @@ def todd_from_chern_roots() -> ChowElement:
     return out
 
 
+# -- one recursion per semantics, one branch per operator ---------------------
+#
+# These are the routes that bundles.evaluate replaced: ranks, expanded weight
+# lists and Chern characters, each written out operator by operator.
+
+def rank_by_ops(e: BundleExpr) -> int:
+    if e.op == "U1":
+        return 2
+    if e.op == "U2":
+        return 3
+    if e.op in ("O", "det"):
+        return 1
+    if e.op == "dual":
+        return rank_by_ops(e.args[0])
+    if e.op == "tensor":
+        return rank_by_ops(e.args[0]) * rank_by_ops(e.args[1])
+    if e.op == "sum":
+        return rank_by_ops(e.args[0]) + rank_by_ops(e.args[1])
+    r = rank_by_ops(e.args[0])
+    if e.op == "sl":
+        return r * r - 1
+    if e.op == "sym2":
+        return r * (r + 1) // 2
+    if e.op == "wedge2":
+        return r * (r - 1) // 2
+    raise ValueError(f"unknown operator {e.op!r}")
+
+
+def weights_by_lists(e: BundleExpr, base: StratumWeights) -> list[int]:
+    """The weight multiset of an expression as an expanded list."""
+    if e.op == "U1":
+        return list(base.u1)
+    if e.op == "U2":
+        return list(base.u2)
+    if e.op == "O":
+        return [-e.args[0] * sum(base.u1)]
+    if e.op == "tensor":
+        left = weights_by_lists(e.args[0], base)
+        right = weights_by_lists(e.args[1], base)
+        return [a + b for a in left for b in right]
+    if e.op == "sum":
+        return weights_by_lists(e.args[0], base) + weights_by_lists(e.args[1], base)
+    ws = weights_by_lists(e.args[0], base)
+    if e.op == "dual":
+        return [-w for w in ws]
+    if e.op == "det":
+        return [sum(ws)]
+    if e.op == "sl":
+        out = [a - b for i, a in enumerate(ws) for j, b in enumerate(ws) if i != j]
+        return out + [0] * (len(ws) - 1)
+    if e.op == "sym2":
+        return [ws[i] + ws[j] for i in range(len(ws)) for j in range(i, len(ws))]
+    if e.op == "wedge2":
+        return [ws[i] + ws[j] for i in range(len(ws)) for j in range(i + 1, len(ws))]
+    raise ValueError(f"unknown operator {e.op!r}")
+
+
+def _dual_ch(x: ChowElement) -> ChowElement:
+    return ChowElement([-c if DEGREES[i] % 2 else c for i, c in enumerate(x.coords)])
+
+
+def _psi2_ch(x: ChowElement) -> ChowElement:
+    return ChowElement([c * 2 ** DEGREES[i] for i, c in enumerate(x.coords)])
+
+
+def ch_by_ops(e: BundleExpr) -> ChowElement:
+    """The Chern character of an expression, without a cache."""
+    c1, c2, c3, d2 = (ChowElement.basis(label) for label in ("c1", "c2", "c3", "d2"))
+    if e.op == "U1":
+        return _dual_ch(_ch_from_chern(2, (c1, d2)))
+    if e.op == "U2":
+        return _dual_ch(_ch_from_chern(3, (c1, c2, c3)))
+    if e.op == "O":
+        return _exp(e.args[0] * c1)
+    if e.op == "tensor":
+        return ch_by_ops(e.args[0]) * ch_by_ops(e.args[1])
+    if e.op == "sum":
+        return ch_by_ops(e.args[0]) + ch_by_ops(e.args[1])
+    inner = ch_by_ops(e.args[0])
+    if e.op == "dual":
+        return _dual_ch(inner)
+    if e.op == "det":
+        return _exp(inner.degree_part(1))
+    if e.op == "sl":
+        return inner * _dual_ch(inner) - ChowElement.unit()
+    if e.op == "sym2":
+        return F(1, 2) * (inner * inner + _psi2_ch(inner))
+    if e.op == "wedge2":
+        return F(1, 2) * (inner * inner - _psi2_ch(inner))
+    raise ValueError(f"unknown operator {e.op!r}")
+
+
 # -- random generators ---------------------------------------------------------
 
 _LEAVES = [U1, U2]
@@ -342,7 +434,7 @@ def random_expr(rng: random.Random, depth: int = 3, max_rank: int = 48) -> Bundl
         return rng.choice(_LEAVES)
     op = rng.choice(["dual", "tensor", "sum", "det", "sl", "sym2", "wedge2", "twist"])
     child = random_expr(rng, depth - 1, max_rank)
-    if op == "sl" and rank_of(child) < 1:
+    if op == "sl" and rank_by_ops(child) < 1:
         op = "dual"
     if op == "dual":
         out = BundleExpr("dual", (child,))
@@ -355,7 +447,7 @@ def random_expr(rng: random.Random, depth: int = 3, max_rank: int = 48) -> Bundl
     else:
         other = random_expr(rng, depth - 1, max_rank)
         out = BundleExpr(op, (child, other))
-    if rank_of(out) > max_rank or rank_of(out) == 0:
+    if rank_by_ops(out) > max_rank or rank_by_ops(out) == 0:
         return rng.choice(_LEAVES)
     return out
 

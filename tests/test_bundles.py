@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_expr
+from oracles import random_expr, rank_by_ops, weights_by_lists
 from quivercert.bundles import (
     O,
     U1,
@@ -131,3 +131,28 @@ class TestWeights:
         assert weights_of(dual(e), BASE) == tuple(
             sorted((-w for w in weights_of(e, BASE)), reverse=True)
         )
+
+
+def _all_bases():
+    """The base weights of every unstable stratum, of the central subgroup,
+    and BASE."""
+    from quivercert.strata import Moduli, OnePS, universal_weights, unstable_strata
+
+    moduli = Moduli.kronecker23()
+    ones = OnePS(tuple(((1, n),) for n in moduli.dim))
+    central = StratumWeights(*universal_weights(ones, moduli.twist))
+    return [s.base() for s in unstable_strata(moduli)] + [central, BASE]
+
+
+class TestEvaluatorMatchesOracles:
+    @given(exprs())
+    def test_character_expands_to_weight_list(self, e):
+        for base in _all_bases():
+            character = base.character(e)
+            assert all(m > 0 for m in character.values())
+            expanded = sorted(w for w, m in character.items() for _ in range(m))
+            assert expanded == sorted(weights_by_lists(e, base))
+
+    @given(exprs())
+    def test_rank(self, e):
+        assert rank_of(e) == rank_by_ops(e)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
-from oracles import random_expr, todd_from_chern_roots
+from oracles import ch_by_ops, random_expr, todd_from_chern_roots
 from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
 from quivercert.chow import (
     BASIS,
@@ -69,6 +69,19 @@ class TestRingStructure:
 
     def test_high_degree_vanishes(self):
         assert (C3 * C3 * C1).is_zero()
+
+    def test_powers_match_repeated_products(self):
+        rng = random.Random(5)
+        for constant in (0, 0, 1, -2):
+            x = ChowElement([constant] + [F(rng.randint(-3, 3), rng.randint(1, 3))
+                                          for _ in BASIS[1:]])
+            product = ChowElement.unit()
+            for n in range(10):
+                assert x ** n == product, (x, n)
+                product = product * x
+
+    def test_nilpotent_power_is_zero_without_multiplying(self):
+        assert (C1 + C2) ** 10**12 == ChowElement.zero()
 
 
 class TestIntegral:
@@ -159,6 +172,10 @@ class TestChernCharacters:
     @given(exprs(depth=2))
     def test_rank_is_degree0(self, e):
         assert ch_of(e).coefficient("[Y]") == rank_of(e)
+
+    @given(exprs())
+    def test_matches_per_operator_recursion(self, e):
+        assert ch_of(e) == ch_by_ops(e)
 
     @given(exprs(depth=2))
     def test_sym_plus_wedge(self, e):

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from quivercert.bundles import MAX_DEPTH
 from quivercert.cli import main
+
+TESTS = Path(__file__).parent
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +33,16 @@ class TestHnTypes:
         code, doc = run_cli(capsys, "hn-types", "--theta", "1,-1")
         assert code == 2
         assert "error" in doc
+
+    def test_zero_dimension_vector_is_input_error(self, capsys):
+        code, doc = run_cli(capsys, "hn-types", "--dim", "0,0", "--theta", "0,0")
+        assert code == 2
+        assert "nonzero" in doc["error"]
+
+    def test_incomplete_quiver_json_names_the_key(self, capsys):
+        code, doc = run_cli(capsys, "hn-types", "--quiver", '{"vertices":2}')
+        assert code == 2
+        assert "quiver" in doc["error"] and "'arrows'" in doc["error"]
 
 
 class TestChi:
@@ -57,6 +71,18 @@ class TestChowEval:
         assert code == 0
         assert doc["integral"] == 57
         assert doc["coordinates"]["c3^2"] == 57
+
+    def test_huge_nilpotent_power(self, capsys):
+        code, doc = run_cli(capsys, "chow-eval", "--expr", "c1^100000000")
+        assert code == 0
+        assert doc["integral"] == 0
+        assert all(v == 0 for v in doc["coordinates"].values())
+
+    def test_unprintable_result_is_input_error(self, capsys):
+        # 2^20000 has more digits than int-to-str conversion allows
+        code, doc = run_cli(capsys, "chow-eval", "--expr", "2^20000")
+        assert code == 2
+        assert "error" in doc
 
     def test_d1_alias(self, capsys):
         _, doc = run_cli(capsys, "chow-eval", "--expr", "d1^3")
@@ -169,3 +195,54 @@ class TestDeterminism:
     def test_pretty_flag(self, capsys):
         code, _ = run_cli(capsys, "chi", "--expr", "O(0)", "--pretty")
         assert code == 0
+
+
+def _nested(depth: int) -> str:
+    """dual(dual(...(U1)...)) with a tree of the given depth."""
+    return "dual(" * (depth - 1) + "U1" + ")" * (depth - 1)
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--expr", _nested(3001)],
+        ["chi", "--expr", "sum(" + ",".join(["U1"] * 3000) + ")"],
+        ["chow-eval", "--expr", "(" * 3000 + "c1" + ")" * 3000],
+        ["chi", "--expr", _nested(MAX_DEPTH + 1)],
+        ["chi", "--expr", "sum(" + ",".join(["U1"] * (MAX_DEPTH + 1)) + ")"],
+        ["chow-eval", "--expr", "(" * (MAX_DEPTH + 1) + "c1" + ")" * (MAX_DEPTH + 1)],
+    ])
+    def test_too_deep_is_input_error(self, capsys, argv):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert "deeper than" in doc["error"]
+
+    @pytest.mark.parametrize("command", ["chi", "ch", "teleman"])
+    @pytest.mark.parametrize("text", [
+        _nested(MAX_DEPTH),
+        "sum(" + ",".join(["U1"] * MAX_DEPTH) + ")",
+    ])
+    def test_at_the_limit_evaluates(self, capsys, command, text):
+        code, doc = run_cli(capsys, command, "--expr", text)
+        assert code in (0, 1)
+        assert "error" not in doc
+
+    def test_parentheses_at_the_limit(self, capsys):
+        text = "(" * MAX_DEPTH + "c1" + ")" * MAX_DEPTH
+        code, doc = run_cli(capsys, "chow-eval", "--expr", text)
+        assert code == 0
+        assert doc["coordinates"]["c1"] == 1
+
+
+class TestGoldenTranscript:
+    """Exit codes and stdout recorded from the per-operator implementation
+    that the lambda-ring evaluator replaced; they must stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "record",
+        json.loads((TESTS / "cli_transcript.json").read_text(encoding="utf-8")),
+        ids=lambda record: " ".join(record["argv"])[:60],
+    )
+    def test_byte_identical(self, capsys, monkeypatch, record):
+        monkeypatch.chdir(TESTS.parent)
+        code = main(record["argv"])
+        assert (code, capsys.readouterr().out) == (record["code"], record["stdout"])

@@ -46,6 +46,16 @@ class TestQuiver:
 
         assert Quiver.from_spec(json.dumps(q.to_json_dict())) == q
 
+    @pytest.mark.parametrize("spec,key", [
+        ('{"vertices": 2}', "arrows"),
+        ('{"arrows": [[0, 1]]}', "vertices"),
+        ("[2]", "vertices"),
+        ('{"vertices": 2, "arrows": [5]}', "arrow pairs"),
+    ])
+    def test_incomplete_json_names_the_key(self, spec, key):
+        with pytest.raises(ValueError, match=key):
+            Quiver.from_spec(spec)
+
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="acyclic"):
             Quiver(2, ((0, 1), (1, 0)))
@@ -188,6 +198,10 @@ class TestEnumerateHnTypes:
     def test_theta_d_nonzero_rejected(self):
         with pytest.raises(ValueError, match="theta . d"):
             enumerate_hn_types(KRONECKER3, (2, 3), (1, -1))
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            enumerate_hn_types(KRONECKER3, (0, 0), (0, 0))
 
     def test_a2_21(self):
         types = enumerate_hn_types(A2, (2, 1), (1, -2))

@@ -4,7 +4,7 @@ import pytest
 
 from golden import STRATUM_TABLE
 from oracles import random_expr
-from quivercert.bundles import O, U1, U2, dual, sl, tensor, weights_of
+from quivercert.bundles import O, U1, U2, dual, rank_of, sl, sym2, tensor, weights_of
 from quivercert.quiver import KRONECKER3, hn_stratum_codim
 from quivercert.strata import (
     Moduli,
@@ -156,3 +156,11 @@ class TestTelemanCertify:
         report = teleman_certify(O(-3), Y23)
         for row in report.strata:
             assert row.passed == (row.margin >= 1)
+
+    def test_huge_rank_is_never_expanded(self):
+        inner = tensor(sl(U2), sl(U2))
+        e = sym2(sym2(sym2(inner)))
+        assert rank_of(e) == 2_341_968_470_920
+        big, small = teleman_certify(e, Y23), teleman_certify(inner, Y23)
+        for row, inner_row in zip(big.strata, small.strata):
+            assert row.max_weight == 8 * inner_row.max_weight

@@ -1,4 +1,5 @@
-"""Small exact linear algebra and polynomial helpers over the rationals."""
+"""Small exact linear algebra over the rationals, and dense polynomials in
+one variable with integer or rational coefficients."""
 
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def poly_sub(p, q):
 def poly_mul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -125,7 +126,3 @@ def poly_gcd(p, q):
         p = tuple(a / lead for a in p)
     return p
 
-
-def poly_pow_x(n):
-    """The monomial x**n."""
-    return tuple([Fraction(0)] * n + [Fraction(1)])

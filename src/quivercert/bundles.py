@@ -19,14 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+#: Largest rank of an expression and of each of its subexpressions.
+MAX_RANK = 2 ** 64
+
+_LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
+
+
+@dataclass(frozen=True, slots=True)
 class BundleExpr:
     op: str
     args: tuple = field(default_factory=tuple)
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.op == "sl" and rank_of(self.args[0]) < 1:
-            raise ValueError("sl needs an argument of rank at least 1")
+        # Each node's rank comes from its arguments' ranks, so an expression
+        # is refused at the first node above MAX_RANK, before its rank (which
+        # grows doubly exponentially with nesting) or anything else is large.
+        rank = _LEAF_RANKS.get(self.op)
+        if rank is None:
+            if self.op == "sl" and self.args[0].rank < 1:
+                raise ValueError("sl needs an argument of rank at least 1")
+            rank = sum(evaluate(self, _rank_character, _rank_character).values())
+            if rank > MAX_RANK:
+                raise ValueError(f"expression {self.op}(...) has rank above {MAX_RANK}")
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self) -> str:
         if self.op in ("U1", "U2"):
@@ -174,12 +190,14 @@ class StratumWeights:
         return evaluate(e, self._leaf, self.character)
 
 
-_ZERO_WEIGHTS = StratumWeights((0, 0), (0, 0, 0))
+def _rank_character(e: BundleExpr) -> Character:
+    """The character of ``e`` on zero weights, read off its stored rank."""
+    return Character({0: e.rank}) if e.rank else Character()
 
 
 def rank_of(e: BundleExpr) -> int:
     """Rank: the total multiplicity of the character on zero weights."""
-    return sum(_ZERO_WEIGHTS.character(e).values())
+    return e.rank
 
 
 def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:

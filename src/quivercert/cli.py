@@ -155,8 +155,15 @@ def _cmd_ledger_check(args) -> tuple[dict, int]:
     return doc, 0 if doc["pass"] else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors, so that they reach the caller as JSON errors."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quivercert",
         description=(
             "Exact certificates for the 3-Kronecker (2,3) quiver moduli space: "
@@ -217,13 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         doc, code = args.func(args)
         _print(doc, args.pretty)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        _print({"error": str(exc)}, getattr(args, "pretty", False))
+        message = str(exc)
+        if "integer string conversion" in message:
+            # Python's own message advises raising the limit from inside Python
+            message = (f"an integer exceeds the {sys.get_int_max_str_digits()}-digit limit"
+                       " for reading and printing integers")
+        _print({"error": message}, getattr(args, "pretty", False))
         return 2
     return code
 

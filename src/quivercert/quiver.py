@@ -6,11 +6,12 @@ Harder-Narasimhan types.  The built-in instance of interest is the
 3-Kronecker quiver (two vertices, three parallel arrows).
 
 Existence of semistable representations is decided by a counting
-recursion over the field of rational functions in a formal variable q:
-the stacky point count of the representation space splits over
-Harder-Narasimhan strata, which determines the semistable count from
-the counts of smaller dimension vectors.  The semistable locus is
-nonempty exactly when its counting function is nonzero.
+recursion over Z[q]: the representations of a dimension vector over a
+field with q elements split by their first Harder-Narasimhan part, which
+determines the number of semistable ones, a polynomial in q with integer
+coefficients, from the counts of smaller dimension vectors.  The
+semistable locus is nonempty exactly when its counting polynomial is
+nonzero.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import poly_gcd, poly_divmod, poly_mul, poly_pow_x, poly_sub, poly_trim
+from ._linalg import poly_add, poly_mul, poly_sub
 
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
@@ -130,68 +131,62 @@ def _subvectors(e):
 
 # -- counting recursion for semistable existence -----------------------------
 
-def _gl_order(e):
-    """Point count of GL(e) over a field with q elements, as a polynomial in q."""
-    out = (Fraction(1),)
-    for n in e:
-        for k in range(n):
-            out = poly_mul(out, poly_sub(poly_pow_x(n), poly_pow_x(k)))
-    return out
-
-
-def _proper_slope_chains(e, theta, bound=None):
-    """Ordered decompositions of e into >=2 nonzero parts of strictly
-    decreasing slope (parts below ``bound`` when given)."""
-    for f in _subvectors(e):
-        mu = slope(theta, f)
-        if bound is not None and mu >= bound:
-            continue
-        rest = tuple(a - b for a, b in zip(e, f))
-        if not any(rest):
-            if bound is not None:
-                yield (f,)
-            continue
-        for tail in _proper_slope_chains(rest, theta, mu):
-            yield (f,) + tail
+@lru_cache(maxsize=None)
+def _q_binomial(n: int, k: int) -> tuple:
+    """The Gaussian binomial coefficient [n choose k] as a polynomial in q."""
+    if k in (0, n):
+        return (1,)
+    return poly_add(_q_binomial(n - 1, k - 1), (0,) * k + _q_binomial(n - 1, k))
 
 
 @lru_cache(maxsize=None)
-def _sst_mass(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
-    """Stacky point count of the semistable locus of dimension vector e,
-    as a reduced rational function (numerator, denominator) in q.
+def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
+    """Number of theta-semistable representations of dimension vector e
+    over a field with q elements, as a polynomial in q with integer
+    coefficients (Reineke's recursion).
 
-    Recursion: the count of all representations equals the sum over
-    Harder-Narasimhan types (d^1, ..., d^l) of
-    q^(-sum_{k<l} <d^l, d^k>) * prod_s sst_mass(d^s).
+    Sorting the representations of dimension g by the dimension vector f
+    of their first Harder-Narasimhan part, those with first part f number
+
+        |R_f^sst| * prod_i [g_i choose f_i]_q * q^(sum_{a: i->j} (g-f)_i f_j)
+                  * T(g - f, slope f),
+
+    where T(h, mu) counts the representations of dimension h whose
+    Harder-Narasimhan parts all have slope below mu (T(0, mu) = 1) and is
+    the sum of the same terms over the f <= h of slope below mu.  The group
+    order ratio |G_g| / (|G_f| |G_{g-f}|) contributes the binomials and a
+    power of q that cancels against q^(-<g-f, f>), leaving the arrow
+    exponent.  All q^(dim R_e) representations of dimension e sum over all
+    f; the term f = e is the semistable count.
     """
-    dim_r = sum(e[i] * e[j] for i, j in quiver.arrows)
-    num, den = poly_pow_x(dim_r), _gl_order(e)
-    for chain in _proper_slope_chains(e, theta):
-        # exponent of q correcting for the stratum fibration
-        exp = -sum(
-            euler_form(quiver, chain[l], chain[k])
-            for k in range(len(chain))
-            for l in range(k + 1, len(chain))
-        )
-        tnum, tden = (Fraction(1),), (Fraction(1),)
-        for part in chain:
-            pnum, pden = _sst_mass(quiver, part, theta)
-            tnum, tden = poly_mul(tnum, pnum), poly_mul(tden, pden)
-        if exp >= 0:
-            tnum = poly_mul(tnum, poly_pow_x(exp))
-        else:
-            tden = poly_mul(tden, poly_pow_x(-exp))
-        # num/den -= tnum/tden
-        num = poly_sub(poly_mul(num, tden), poly_mul(tnum, den))
-        den = poly_mul(den, tden)
-    num = poly_trim(num)
-    if not num:
-        return (), (Fraction(1),)
-    g = poly_gcd(num, den)
-    if len(g) > 1:
-        num = poly_divmod(num, g)[0]
-        den = poly_divmod(den, g)[0]
-    return num, den
+    # Tail counts live for this call only: recomputing them is cheap, while
+    # keeping every (h, bound) state for the life of the process is not.
+    tails = {}
+
+    def first_part(g, f):
+        rest = tuple(a - b for a, b in zip(g, f))
+        out = _sst_count(quiver, f, theta)
+        for n, k in zip(g, f):
+            out = poly_mul(out, _q_binomial(n, k))
+        shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
+        return poly_mul((0,) * shift + out, tail(rest, slope(theta, f)))
+
+    def tail(h, bound):
+        if not any(h):
+            return (1,)
+        if (h, bound) not in tails:
+            total = ()
+            for f in _subvectors(h):
+                if slope(theta, f) < bound:
+                    total = poly_add(total, first_part(h, f))
+            tails[h, bound] = total
+        return tails[h, bound]
+
+    total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
+    for f in _subvectors(e):
+        if f != e:
+            total = poly_sub(total, first_part(e, f))
+    return total
 
 
 def has_semistable(quiver: Quiver, e, theta) -> bool:
@@ -202,8 +197,7 @@ def has_semistable(quiver: Quiver, e, theta) -> bool:
     theta = tuple(int(t) for t in theta)
     if len(theta) != quiver.vertex_count:
         raise ValueError("theta has wrong length")
-    num, _ = _sst_mass(quiver, e, theta)
-    return bool(num)
+    return bool(_sst_count(quiver, e, theta))
 
 
 def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:

@@ -344,9 +344,10 @@ def quadric_span_basis(quadrics):
 
 # -- parsing and rendering -----------------------------------------------------
 
-def render_linear_form(form: LinearForm) -> str:
+def _render_form(coeffs, monomials, times: str) -> str:
+    """A linear combination of monomials, e.g. ``x - 2y`` or ``xy + 2*z^2``."""
     parts = []
-    for coeff, name in zip(form, VARS):
+    for coeff, name in zip(coeffs, monomials):
         if coeff == 0:
             continue
         if coeff == 1:
@@ -354,7 +355,7 @@ def render_linear_form(form: LinearForm) -> str:
         elif coeff == -1:
             term = f"-{name}"
         else:
-            term = f"{coeff}{name}"
+            term = f"{coeff}{times}{name}"
         parts.append(term)
     if not parts:
         return "0"
@@ -362,26 +363,14 @@ def render_linear_form(form: LinearForm) -> str:
     for term in parts[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
+
+
+def render_linear_form(form: LinearForm) -> str:
+    return _render_form(form, VARS, "")
 
 
 def render_quadratic_form(q: QuadraticForm) -> str:
-    parts = []
-    for coeff, name in zip(q, QUAD_MONOMIALS):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            term = name
-        elif coeff == -1:
-            term = f"-{name}"
-        else:
-            term = f"{coeff}*{name}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return _render_form(q, QUAD_MONOMIALS, "*")
 
 
 def parse_linear_form(text: str) -> LinearForm:

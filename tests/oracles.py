@@ -1,8 +1,9 @@
 """Independent oracles and random generators used by the test suite.
 
 Nothing here imports the code paths it is meant to check: semistability
-and Harder-Narasimhan types are brute-forced over small finite fields,
-and the Todd class is rebuilt from Chern roots via power sums.
+and Harder-Narasimhan types are brute-forced over small finite fields and
+also decided by the rational-function route over all slope chains, and
+the Todd class is rebuilt from Chern roots via power sums.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from functools import lru_cache
 
 from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights
 from quivercert.chow import DEGREES, ChowElement, _ch_from_chern, _exp, tangent_chern
-from quivercert.quiver import Quiver, slope
+from quivercert._linalg import poly_divmod, poly_gcd, poly_mul, poly_sub
+from quivercert.quiver import Quiver, euler_form, slope
 from quivercert.repgeom import LinearFormMatrix, matrix
 
 F = Fraction
@@ -270,6 +272,81 @@ def hn_type_brute(field: GF, rep: BruteRep, theta):
     if f == rep.dims:
         return (f,)
     return (f,) + hn_type_brute(field, _quotient_rep(field, rep, witness), theta)
+
+
+# -- semistable existence by slope chains ---------------------------------------
+
+def _monomial(n):
+    return (F(0),) * n + (F(1),)
+
+
+def gl_order(e):
+    """Point count of GL(e) over a field with q elements, as a polynomial in q."""
+    out = (F(1),)
+    for n in e:
+        for k in range(n):
+            out = poly_mul(out, poly_sub(_monomial(n), _monomial(k)))
+    return out
+
+
+def slope_chains(e, theta, bound=None):
+    """Ordered decompositions of e into >=2 nonzero parts of strictly
+    decreasing slope (parts below ``bound`` when given)."""
+    for f in itertools.product(*(range(x + 1) for x in e)):
+        if not any(f):
+            continue
+        mu = slope(theta, f)
+        if bound is not None and mu >= bound:
+            continue
+        rest = tuple(a - b for a, b in zip(e, f))
+        if not any(rest):
+            if bound is not None:
+                yield (f,)
+            continue
+        for tail in slope_chains(rest, theta, mu):
+            yield (f,) + tail
+
+
+@lru_cache(maxsize=None)
+def sst_mass_by_chains(quiver: Quiver, e, theta) -> tuple:
+    """Stacky point count of the semistable locus of dimension vector e,
+    as a reduced rational function (numerator, denominator) in q: the
+    count of all representations minus, over every Harder-Narasimhan type
+    (d^1, ..., d^l) with l >= 2, q^(-sum_{k<l} <d^l, d^k>) * prod_s mass(d^s)."""
+    num, den = _monomial(sum(e[i] * e[j] for i, j in quiver.arrows)), gl_order(e)
+    for chain in slope_chains(e, theta):
+        exp = -sum(
+            euler_form(quiver, chain[l], chain[k])
+            for k in range(len(chain))
+            for l in range(k + 1, len(chain))
+        )
+        tnum, tden = (F(1),), (F(1),)
+        for part in chain:
+            pnum, pden = sst_mass_by_chains(quiver, part, theta)
+            tnum, tden = poly_mul(tnum, pnum), poly_mul(tden, pden)
+        if exp >= 0:
+            tnum = poly_mul(tnum, _monomial(exp))
+        else:
+            tden = poly_mul(tden, _monomial(-exp))
+        num = poly_sub(poly_mul(num, tden), poly_mul(tnum, den))
+        den = poly_mul(den, tden)
+    if not num:
+        return (), (F(1),)
+    g = poly_gcd(num, den)
+    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+
+
+def has_semistable_by_chains(quiver: Quiver, e, theta) -> bool:
+    return bool(sst_mass_by_chains(quiver, tuple(e), tuple(theta))[0])
+
+
+def hn_types_by_chains(quiver: Quiver, d, theta):
+    """Every slope chain of d, and d itself, whose parts all admit
+    semistable representations, sorted like ``enumerate_hn_types``."""
+    d, theta = tuple(d), tuple(theta)
+    chains = [(d,)] + list(slope_chains(d, theta))
+    types = [c for c in chains if all(has_semistable_by_chains(quiver, p, theta) for p in c)]
+    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
 
 
 # -- Todd class from Chern roots ----------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import random_expr, rank_by_ops, weights_by_lists
 from quivercert.bundles import (
+    MAX_RANK,
     O,
     U1,
     U2,
@@ -30,6 +31,16 @@ BASE = StratumWeights(u1=(5, 0), u2=(5, 0, 0))
 
 def exprs(depth=3):
     return st.builds(lambda seed: random_expr(random.Random(seed), depth), st.integers(0, 10**6))
+
+
+class TestRankLimit:
+    def test_limit_is_checked_node_by_node(self):
+        two = direct_sum(O(0), O(0))
+        assert rank_of(tensor(*[two] * 64)) == MAX_RANK
+        with pytest.raises(ValueError, match="rank above"):
+            tensor(*[two] * 65)
+        with pytest.raises(ValueError, match="rank above"):
+            parse_expr("sym2(" * 7 + "U2" + ")" * 7)
 
 
 class TestParse:

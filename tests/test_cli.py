@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quivercert.bundles import MAX_DEPTH
+from quivercert.bundles import MAX_DEPTH, MAX_RANK
 from quivercert.cli import main
 
 TESTS = Path(__file__).parent
@@ -82,7 +87,8 @@ class TestChowEval:
         # 2^20000 has more digits than int-to-str conversion allows
         code, doc = run_cli(capsys, "chow-eval", "--expr", "2^20000")
         assert code == 2
-        assert "error" in doc
+        assert "4300-digit limit" in doc["error"]
+        assert "set_int_max_str_digits" not in doc["error"]
 
     def test_d1_alias(self, capsys):
         _, doc = run_cli(capsys, "chow-eval", "--expr", "d1^3")
@@ -231,6 +237,96 @@ class TestDepthLimit:
         code, doc = run_cli(capsys, "chow-eval", "--expr", text)
         assert code == 0
         assert doc["coordinates"]["c1"] == 1
+
+
+class TestHostileSizes:
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--expr", "sl(" * 25 + "U1" + ")" * 25],
+        ["teleman", "--expr", "sym2(" * 20 + "U2" + ")" * 20],
+    ])
+    def test_rank_above_the_limit_is_input_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert f"rank above {MAX_RANK}" in doc["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["chi"],
+        ["chi", "--expr"],
+        ["chi", "--expr", "U1", "--json"],
+        ["hn-types", "--t", "1,-1"],
+        [],
+    ])
+    def test_usage_error_is_json(self, capsys, argv):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error" in doc
+
+
+MODULI_FLAGS = ("--quiver", "--dim", "--theta", "--twist")
+FLAGS = {
+    "hn-types": MODULI_FLAGS,
+    "teleman": MODULI_FLAGS + ("--expr",),
+    "chi": ("--expr",),
+    "ch": ("--expr",),
+    "chow-eval": ("--expr",),
+    "stability": ("--matrix",),
+    "syzygies": ("--matrix",),
+    "verify-collection": MODULI_FLAGS + ("--file",),
+    "ledger-check": (),
+}
+SAMPLES = {
+    "--quiver": ("kronecker:3", '{"vertices":3,"arrows":[[0,1],[1,2],[0,2]]}'),
+    "--dim": ("2,3", "1,1,1"),
+    "--theta": ("3,-2", "1,0,-1"),
+    "--twist": ("1,-1",),
+    "--expr": ("tensor(sym2(dual(U1)),wedge2(U2),O(-2))", "sum(sl(U2),twist(det(U1),3))",
+               "c1^6 + 2c2*d2*c1^2 - (c1+c3)^2"),
+    "--matrix": ("x,y,0;0,y,z", "x,2y-z,0;1/2x,0,y"),
+    "--file": ("tests/golden_collection.json",),
+}
+VECTOR_FLAGS = ("--dim", "--theta", "--twist")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand with some of its flags, each value a sample, a prefix
+    of a sample or random text; then possibly cut short."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command] + ("--pretty",)), max_size=4)):
+        if flag == "--pretty":
+            argv.append(flag)
+            continue
+        samples = st.sampled_from(SAMPLES[flag])
+        choices = [samples, samples.flatmap(lambda v: st.integers(0, len(v)).map(lambda n: v[:n]))]
+        if flag in VECTOR_FLAGS:
+            # entries stay small: large dimension vectors are slow by nature
+            choices.append(st.lists(st.integers(-6, 6), max_size=4).map(
+                lambda xs: ",".join(map(str, xs))))
+        else:
+            choices.append(st.text("UOc123^*+-,;()xyz/{}[]:", max_size=12))
+        argv.append(f"{flag}={draw(st.one_of(choices))}")
+    return argv[:draw(st.integers(1, len(argv)))] if draw(st.booleans()) else argv
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(fuzzed_argv())
+    @example(["chi", "--expr", "sl(" * 25 + "U1" + ")" * 25])
+    @example(["teleman", "--expr", "sym2(" * 20 + "U2" + ")" * 20])
+    @example(["chow-eval", "--expr", "2^20000"])
+    def test_every_outcome_is_one_json_document(self, argv):
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert time.perf_counter() - start < 10
+        assert code in (0, 1, 2)
+        text = out.getvalue()
+        assert text.endswith("\n")
+        json.loads(text)
 
 
 class TestGoldenTranscript:

@@ -2,14 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import HN_TYPES_23
-from oracles import GF, all_reps, exists_semistable_brute, hn_type_brute, is_semistable_brute
+from oracles import (
+    GF,
+    all_reps,
+    exists_semistable_brute,
+    gl_order,
+    has_semistable_by_chains,
+    hn_type_brute,
+    hn_types_by_chains,
+    is_semistable_brute,
+)
+from quivercert._linalg import poly_mul
+from quivercert.chow import DEGREES
 from quivercert.quiver import (
     KRONECKER3,
     Quiver,
+    _sst_count,
     enumerate_hn_types,
     euler_form,
     has_semistable,
@@ -25,12 +37,20 @@ def _poly_at(p, q):
     return sum(c * q ** i for i, c in enumerate(p))
 
 
-def _gl_count(dims, q):
-    out = 1
-    for n in dims:
-        for k in range(n):
-            out *= q ** n - q ** k
-    return out
+@st.composite
+def quiver_dim_theta(draw, balanced=False):
+    """An acyclic quiver on up to 3 vertices, a nonzero dimension vector of
+    total at most 6 and a stability parameter, with theta . e = 0 when
+    ``balanced``."""
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    arrows = tuple(p for p in pairs for _ in range(draw(st.integers(0, 3))))
+    e = draw(st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: any(e) and sum(e) <= 6))
+    theta = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    if balanced:
+        dot = sum(t * x for t, x in zip(theta, e))
+        theta = tuple(t * sum(e) - dot for t in theta)
+    return Quiver(n, arrows), e, theta
 
 
 class TestQuiver:
@@ -172,18 +192,28 @@ class TestHasSemistable:
         ],
     )
     def test_counting_recursion_matches_point_counts(self, q, quiver, e, theta):
-        # the decision procedure's counting function, evaluated at a prime
-        # power and cleared of the gauge-group order, is the literal number
-        # of semistable representations over that field
-        from quivercert.quiver import _sst_mass
-
+        # the decision procedure's counting polynomial, evaluated at a prime
+        # power, is the literal number of semistable representations over
+        # that field
         field = GF(q)
         count = sum(
             1 for rep in all_reps(field, quiver, e) if is_semistable_brute(field, rep, theta)
         )
-        num, den = _sst_mass(quiver, e, tuple(theta))
-        mass = Fraction(_poly_at(num, q), _poly_at(den, q))
-        assert mass * _gl_count(e, q) == count
+        assert _poly_at(_sst_count(quiver, e, tuple(theta)), q) == count
+
+    def test_poincare_polynomial_of_y(self):
+        # (q-1)|R^sst_(2,3)|/|G_(2,3)| is the point count of Y, whose
+        # coefficients are the Betti numbers, i.e. the Chow ranks per degree
+        betti = (1, 1, 3, 3, 3, 1, 1)
+        sst = _sst_count(KRONECKER3, (2, 3), (3, -2))
+        assert poly_mul((-1, 1), sst) == poly_mul(betti, gl_order((2, 3)))
+        assert betti == tuple(DEGREES.count(k) for k in range(7))
+
+    @settings(max_examples=60, deadline=None)
+    @given(quiver_dim_theta())
+    def test_equals_chain_oracle(self, case):
+        quiver, e, theta = case
+        assert has_semistable(quiver, e, theta) == has_semistable_by_chains(quiver, e, theta)
 
 
 class TestEnumerateHnTypes:
@@ -221,6 +251,17 @@ class TestEnumerateHnTypes:
             for rep in all_reps(field, KRONECKER3, (1, 2))
         }
         assert seen == set(enumerate_hn_types(KRONECKER3, (1, 2), theta))
+
+    @pytest.mark.parametrize("d", [(2, 3), (3, 4), (3, 5)])
+    def test_kronecker_ladder_equals_chain_oracle(self, d):
+        theta = (d[1], -d[0])
+        assert enumerate_hn_types(KRONECKER3, d, theta) == hn_types_by_chains(KRONECKER3, d, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_equals_chain_oracle(self, case):
+        quiver, d, theta = case
+        assert enumerate_hn_types(quiver, d, theta) == hn_types_by_chains(quiver, d, theta)
 
     def test_defining_conditions(self):
         for tau in enumerate_hn_types(KRONECKER3, (2, 3), (3, -2)):

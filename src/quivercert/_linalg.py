@@ -46,25 +46,6 @@ def row_space_basis(rows):
     return tuple(tuple(m[i]) for i in range(len(pivots)))
 
 
-def solve_in_span(columns, target):
-    """Coefficients writing ``target`` as a combination of ``columns``, or None.
-
-    Free coordinates, if any, are set to zero.
-    """
-    n = len(target)
-    if any(len(col) != n for col in columns):
-        raise ValueError("column length mismatch")
-    aug = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(n)]
-    m, pivots = rref(aug)
-    k = len(columns)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for row, c in zip(m, pivots):
-        coeffs[c] = row[k]
-    return tuple(coeffs)
-
-
 # -- dense polynomials in one variable, coefficients ascending ---------------
 
 def poly_trim(p):

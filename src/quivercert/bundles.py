@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 #: Largest rank of an expression and of each of its subexpressions.
 MAX_RANK = 2 ** 64
 
+#: Largest number of weight pairs that one product of characters combines.
+MAX_TERMS = 2 ** 16
+
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
 
 
@@ -145,6 +148,11 @@ class Character(dict):
         return self + Character({w: -m for w, m in other.items()})
 
     def __mul__(self, other):
+        # A character can carry about as many weights as its rank, and
+        # MAX_RANK alone allows products far too large to compute.
+        if len(self) * len(other) > MAX_TERMS:
+            raise ValueError(f"product of characters with {len(self)} and {len(other)}"
+                             f" weights exceeds {MAX_TERMS} terms")
         out = Character()
         for a, m in self.items():
             for b, n in other.items():

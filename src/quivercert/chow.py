@@ -17,9 +17,11 @@ integral of ch(F) * Todd(Y).  All coefficients are exact rationals.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 from .bundles import MAX_DEPTH, BundleExpr, Scanner, evaluate
 
@@ -101,45 +103,23 @@ _EXTRA_REDUCTIONS: dict[tuple[int, int, int, int], dict[str, Fraction]] = {
 }
 
 
-def _build_monomial_table():
-    table = {}
-    for i, mono in enumerate(_BASIS_MONOMIALS):
-        coords = [F(0)] * len(BASIS)
-        coords[i] = F(1)
-        table[mono] = tuple(coords)
-    for mono, data in _EXTRA_REDUCTIONS.items():
-        coords = [F(0)] * len(BASIS)
-        for label, coeff in data.items():
-            coords[_INDEX[label]] = F(coeff)
-        table[mono] = tuple(coords)
+def _build_products():
+    """``[i][j]``: the nonzero ``(k, c)`` with basis_i * basis_j = sum of
+    c * basis_k."""
+    reductions = {m: ((i, F(1)),) for i, m in enumerate(_BASIS_MONOMIALS)}
+    for m, data in _EXTRA_REDUCTIONS.items():
+        reductions[m] = tuple((_INDEX[label], F(c)) for label, c in data.items())
     # every monomial of degree <= 6 must be covered
-    for a in range(7):
-        for b in range(4):
-            for e in range(4):
-                for f in range(3):
-                    m = (a, b, e, f)
-                    if _monomial_degree(m) <= 6 and m not in table:
-                        raise AssertionError(f"monomial {m} missing from reduction table")
-    return table
+    for m in itertools.product(range(7), range(4), range(4), range(3)):
+        if _monomial_degree(m) <= 6 and m not in reductions:
+            raise AssertionError(f"monomial {m} missing from reduction table")
+    return tuple(
+        tuple(reductions.get(tuple(map(add, mi, mj)), ()) for mj in _BASIS_MONOMIALS)
+        for mi in _BASIS_MONOMIALS
+    )
 
 
-_MONOMIAL_COORDS = _build_monomial_table()
-
-
-def _build_product_table():
-    """coords of basis_i * basis_j, indexed [i][j]."""
-    n = len(BASIS)
-    zero = tuple([F(0)] * n)
-    table = [[zero] * n for _ in range(n)]
-    for i, mi in enumerate(_BASIS_MONOMIALS):
-        for j, mj in enumerate(_BASIS_MONOMIALS):
-            m = tuple(x + y for x, y in zip(mi, mj))
-            if _monomial_degree(m) <= 6:
-                table[i][j] = _MONOMIAL_COORDS[m]
-    return table
-
-
-_PRODUCTS = _build_product_table()
+_PRODUCTS = _build_products()
 
 
 class ChowElement:
@@ -204,11 +184,9 @@ class ChowElement:
             for j, b in enumerate(other.coords):
                 if b == 0:
                     continue
-                prod = _PRODUCTS[i][j]
                 ab = a * b
-                for k, c in enumerate(prod):
-                    if c != 0:
-                        out[k] += ab * c
+                for k, c in _PRODUCTS[i][j]:
+                    out[k] += ab * c
         return ChowElement(out)
 
     __rmul__ = __mul__

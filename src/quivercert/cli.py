@@ -4,13 +4,16 @@ Every subcommand prints a single JSON document on stdout.  Exit codes:
 0 on success, 1 on a verification failure (a failed certificate or a
 broken identity), 2 on malformed input.  Rational numbers render as
 "p/q" strings, integers as JSON integers; output is byte-deterministic
-for a fixed invocation (sorted keys, no locale dependence).
+for a fixed invocation (sorted keys, no locale dependence).  When the
+reader closes stdout early, the command ends quietly with status 141
+(128 + SIGPIPE), as a shell pipeline expects.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import repgeom
@@ -135,8 +138,12 @@ def _cmd_syzygies(args) -> tuple[dict, int]:
 
 def _cmd_verify_collection(args) -> tuple[dict, int]:
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            spec = CollectionSpec.from_json(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
+        spec = CollectionSpec.from_json(text)
     else:
         spec = standard_collection()
     moduli = _moduli_from_args(args)
@@ -229,7 +236,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         doc, code = args.func(args)
         _print(doc, args.pretty)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         message = str(exc)
         if "integer string conversion" in message:
             # Python's own message advises raising the limit from inside Python
@@ -241,7 +248,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: nothing more can be said there, and the
+        # flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

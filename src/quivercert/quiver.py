@@ -24,6 +24,9 @@ from functools import lru_cache
 
 from ._linalg import poly_add, poly_mul, poly_sub
 
+#: Largest arrow count of ``Quiver.kronecker``, which builds one entry per arrow.
+MAX_ARROWS = 10 ** 4
+
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
 
@@ -74,6 +77,8 @@ class Quiver:
         """The m-Kronecker quiver: m parallel arrows from vertex 0 to vertex 1."""
         if m < 1:
             raise ValueError("arrow count must be positive")
+        if m > MAX_ARROWS:
+            raise ValueError(f"arrow count above {MAX_ARROWS}")
         return cls(2, ((0, 1),) * m)
 
     @classmethod

@@ -17,42 +17,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from ._linalg import poly_gcd, poly_trim, rank, row_space_basis, solve_in_span
+from ._linalg import poly_gcd, poly_trim, rank, row_space_basis
 
 F = Fraction
 
 VARS = ("x", "y", "z")
 
-#: Monomial basis of Sym^2 W.
-QUAD_MONOMIALS = ("x^2", "y^2", "z^2", "xy", "xz", "yz")
-
-_QUAD_INDEX = {m: i for i, m in enumerate(QUAD_MONOMIALS)}
-
-#: Monomial basis of Sym^3 W.
-CUBIC_MONOMIALS = (
-    "x^3", "y^3", "z^3",
-    "x^2y", "x^2z", "xy^2", "y^2z", "xz^2", "yz^2",
-    "xyz",
+# Exponent vectors over (x, y, z) of the monomial bases of W, Sym^2 W and
+# Sym^3 W; a product of monomials adds exponents.
+_LINEAR_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_QUAD_EXPONENTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_CUBIC_EXPONENTS = (
+    (3, 0, 0), (0, 3, 0), (0, 0, 3),
+    (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2),
+    (1, 1, 1),
 )
 
-_CUBIC_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
 
-# product of a quadratic monomial with a variable, by variable multiset
-_QUAD_LETTERS = {"x^2": "xx", "y^2": "yy", "z^2": "zz", "xy": "xy", "xz": "xz", "yz": "yz"}
+def _monomial_name(exponents) -> str:
+    return "".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, exponents) if e)
 
-_CUBIC_BY_LETTERS = {
-    "xxx": "x^3", "yyy": "y^3", "zzz": "z^3",
-    "xxy": "x^2y", "xxz": "x^2z", "xyy": "xy^2",
-    "yyz": "y^2z", "xzz": "xz^2", "yzz": "yz^2",
-    "xyz": "xyz",
-}
 
-_QUAD_TIMES_VAR = {
-    (_qm, _v): _CUBIC_INDEX[_CUBIC_BY_LETTERS["".join(sorted(_QUAD_LETTERS[_qm] + _v))]]
-    for _qm in QUAD_MONOMIALS
-    for _v in VARS
-}
+def _product_indices(left, right, basis):
+    """``[i][j]``: the index in ``basis`` of left[i] * right[j]."""
+    index = {m: k for k, m in enumerate(basis)}
+    return tuple(tuple(index[tuple(map(add, m, n))] for n in right) for m in left)
+
+
+#: Monomial basis of Sym^2 W.
+QUAD_MONOMIALS = tuple(map(_monomial_name, _QUAD_EXPONENTS))
+
+#: Monomial basis of Sym^3 W.
+CUBIC_MONOMIALS = tuple(map(_monomial_name, _CUBIC_EXPONENTS))
+
+_QUAD_OF_VARS = _product_indices(_LINEAR_EXPONENTS, _LINEAR_EXPONENTS, _QUAD_EXPONENTS)
+_CUBIC_OF_QUAD_VAR = _product_indices(_QUAD_EXPONENTS, _LINEAR_EXPONENTS, _CUBIC_EXPONENTS)
 
 LinearForm = tuple[Fraction, Fraction, Fraction]
 QuadraticForm = tuple[Fraction, ...]  # length 6 over QUAD_MONOMIALS
@@ -71,12 +72,9 @@ ZERO_FORM = linear_form()
 def lf_mul(u: LinearForm, v: LinearForm) -> QuadraticForm:
     """Product of two linear forms in the quadratic monomial basis."""
     q = [F(0)] * 6
-    q[_QUAD_INDEX["x^2"]] = u[0] * v[0]
-    q[_QUAD_INDEX["y^2"]] = u[1] * v[1]
-    q[_QUAD_INDEX["z^2"]] = u[2] * v[2]
-    q[_QUAD_INDEX["xy"]] = u[0] * v[1] + u[1] * v[0]
-    q[_QUAD_INDEX["xz"]] = u[0] * v[2] + u[2] * v[0]
-    q[_QUAD_INDEX["yz"]] = u[1] * v[2] + u[2] * v[1]
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            q[_QUAD_OF_VARS[i][j]] += a * b
     return tuple(q)
 
 
@@ -175,61 +173,16 @@ def is_stable(r: LinearFormMatrix) -> bool:
 # Tensors in Sym^2 W (x) W are stored as 18-tuples indexed by
 # (quadratic monomial, variable).
 
-def _tensor_index(qm: str, v: str) -> int:
-    return _QUAD_INDEX[qm] * 3 + VARS.index(v)
-
-
-def _tensor_from_terms(terms) -> tuple[Fraction, ...]:
-    t = [F(0)] * 18
-    for qm, v, coeff in terms:
-        t[_tensor_index(qm, v)] += F(coeff)
-    return tuple(t)
-
-
 def tensor_to_cubic(t) -> tuple[Fraction, ...]:
     """Image under the multiplication map Sym^2 W (x) W -> Sym^3 W."""
     out = [F(0)] * len(CUBIC_MONOMIALS)
-    for qi, qm in enumerate(QUAD_MONOMIALS):
-        for vi, v in enumerate(VARS):
-            c = t[qi * 3 + vi]
-            if c != 0:
-                out[_QUAD_TIMES_VAR[(qm, v)]] += c
+    for qi, row in enumerate(_CUBIC_OF_QUAD_VAR):
+        for vi, k in enumerate(row):
+            out[k] += t[qi * 3 + vi]
     return tuple(out)
 
 
-# the identification of the kernel summand with traceless matrices; unit
-# matrix positions are (row, column), 1-based
-_SL3_DICTIONARY = (
-    ((1, 3), _tensor_from_terms([("x^2", "y", 1), ("xy", "x", -1)])),
-    ((1, 2), _tensor_from_terms([("x^2", "z", -1), ("xz", "x", 1)])),
-    ((2, 3), _tensor_from_terms([("y^2", "x", -1), ("xy", "y", 1)])),
-    ((3, 1), _tensor_from_terms([("z^2", "y", -1), ("yz", "z", 1)])),
-    ((2, 1), _tensor_from_terms([("y^2", "z", 1), ("yz", "y", -1)])),
-    ((3, 2), _tensor_from_terms([("z^2", "x", 1), ("xz", "z", -1)])),
-    # diagonal part: E22 - E11 and E33 - E22
-    ("h1", _tensor_from_terms([("yz", "x", 1), ("xz", "y", 1), ("xy", "z", -2)])),
-    ("h2", _tensor_from_terms([("xz", "y", 1), ("xy", "z", 1), ("yz", "x", -2)])),
-)
-
 Sl3Element = tuple[tuple[Fraction, ...], ...]
-
-
-def _unit_matrix(i: int, j: int) -> list[list[Fraction]]:
-    m = [[F(0)] * 3 for _ in range(3)]
-    m[i - 1][j - 1] = F(1)
-    return m
-
-
-def _dictionary_matrix(key) -> list[list[Fraction]]:
-    if key == "h1":
-        m = _unit_matrix(2, 2)
-        m[0][0] -= 1
-        return m
-    if key == "h2":
-        m = _unit_matrix(3, 3)
-        m[1][1] -= 1
-        return m
-    return _unit_matrix(*key)
 
 
 @dataclass(frozen=True)
@@ -266,17 +219,32 @@ def syzygies(r: LinearFormMatrix) -> SyzygyPair:
 
 
 def to_sl3(t) -> Sl3Element:
-    """Write a kernel tensor in the traceless-matrix dictionary."""
-    columns = [vec for _, vec in _SL3_DICTIONARY]
-    coeffs = solve_in_span(columns, t)
-    if coeffs is None:
+    """The traceless 3x3 matrix of a kernel tensor.
+
+    With t[m (x) v] the entry of t at quadratic monomial m and variable
+    v, and eps(i,k,j) the sign of the permutation (i,k,j), the
+    identification of the kernel of Sym^2 W (x) W -> Sym^3 W with sl3 is:
+
+    - E_ij (i != j, k the third index) is eps(i,k,j) * (x_i^2 (x) x_k -
+      x_i x_k (x) x_i), so A_ij = eps(i,k,j) * t[x_i^2 (x) x_k];
+    - diag(a,b,c) is (b-c)*yz (x) x + (c-a)*xz (x) y + (a-b)*xy (x) z, so
+      a = (t[xy (x) z] - t[xz (x) y])/3, and b and c follow cyclically.
+
+    These eight tensors are a basis of the kernel (18 - 10 = 8), so a
+    tensor lies in their span exactly when it multiplies to zero.
+    """
+    if any(tensor_to_cubic(t)):
         raise ValueError("tensor outside the span of the dictionary")
+
+    def at(i, j, k):  # t[x_i x_j (x) x_k]
+        return F(t[_QUAD_OF_VARS[i][j] * 3 + k])
+
     out = [[F(0)] * 3 for _ in range(3)]
-    for (key, _), coeff in zip(_SL3_DICTIONARY, coeffs):
-        m = _dictionary_matrix(key)
-        for i in range(3):
-            for j in range(3):
-                out[i][j] += coeff * m[i][j]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3  # (i, j, k) is cyclic
+        out[i][i] = (at(i, j, k) - at(i, k, j)) / 3
+        out[i][k] = at(i, i, j)
+        out[i][j] = -at(i, i, k)
     return tuple(tuple(row) for row in out)
 
 

@@ -3,7 +3,8 @@
 Nothing here imports the code paths it is meant to check: semistability
 and Harder-Narasimhan types are brute-forced over small finite fields and
 also decided by the rational-function route over all slope chains, and
-the Todd class is rebuilt from Chern roots via power sums.
+the Todd class is rebuilt from Chern roots via power sums.  Routes that
+a faster one replaced stay here as references.
 """
 
 from __future__ import annotations
@@ -14,10 +15,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights
-from quivercert.chow import DEGREES, ChowElement, _ch_from_chern, _exp, tangent_chern
-from quivercert._linalg import poly_divmod, poly_gcd, poly_mul, poly_sub
+from quivercert.chow import (
+    BASIS,
+    DEGREES,
+    ChowElement,
+    _BASIS_MONOMIALS,
+    _EXTRA_REDUCTIONS,
+    _ch_from_chern,
+    _exp,
+    _monomial_degree,
+    tangent_chern,
+)
+from quivercert._linalg import poly_divmod, poly_gcd, poly_mul, poly_sub, rref
 from quivercert.quiver import Quiver, euler_form, slope
-from quivercert.repgeom import LinearFormMatrix, matrix
+from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, matrix
 
 F = Fraction
 
@@ -496,6 +507,97 @@ def ch_by_ops(e: BundleExpr) -> ChowElement:
     if e.op == "wedge2":
         return F(1, 2) * (inner * inner - _psi2_ch(inner))
     raise ValueError(f"unknown operator {e.op!r}")
+
+
+# -- dense Chow products and the sl3 dictionary by row reduction -------------
+#
+# The routes that the sparse product table and the closed-form sl3
+# coordinates replaced.
+
+@lru_cache(maxsize=1)
+def _dense_products():
+    """Dense coordinates of basis_i * basis_j, indexed [i][j]."""
+    n = len(BASIS)
+    coords = {}
+    for i, mono in enumerate(_BASIS_MONOMIALS):
+        coords[mono] = tuple(F(int(k == i)) for k in range(n))
+    for mono, data in _EXTRA_REDUCTIONS.items():
+        coords[mono] = tuple(F(data.get(label, 0)) for label in BASIS)
+    zero = (F(0),) * n
+    table = [[zero] * n for _ in range(n)]
+    for i, mi in enumerate(_BASIS_MONOMIALS):
+        for j, mj in enumerate(_BASIS_MONOMIALS):
+            m = tuple(x + y for x, y in zip(mi, mj))
+            if _monomial_degree(m) <= 6:
+                table[i][j] = coords[m]
+    return table
+
+
+def chow_mul_dense(x: ChowElement, y: ChowElement) -> ChowElement:
+    """The product by a scan of the dense 13 x 13 table of 13-tuples."""
+    table = _dense_products()
+    out = [F(0)] * len(BASIS)
+    for i, a in enumerate(x.coords):
+        if a == 0:
+            continue
+        for j, b in enumerate(y.coords):
+            if b == 0:
+                continue
+            for k, c in enumerate(table[i][j]):
+                if c != 0:
+                    out[k] += a * b * c
+    return ChowElement(out)
+
+
+def _tensor(terms):
+    """An 18-tuple over (quadratic monomial, variable) from (m, v, c) terms."""
+    t = [F(0)] * 18
+    for qm, v, coeff in terms:
+        t[QUAD_MONOMIALS.index(qm) * 3 + VARS.index(v)] += coeff
+    return tuple(t)
+
+
+def _unit_matrix(i, j):
+    m = [[F(0)] * 3 for _ in range(3)]
+    m[i - 1][j - 1] = F(1)
+    return m
+
+
+def _diagonal(*entries):
+    return [[F(entries[i]) if i == j else F(0) for j in range(3)] for i in range(3)]
+
+
+#: Kernel tensors of Sym^2 W (x) W -> Sym^3 W and their traceless matrices;
+#: unit matrix positions are (row, column), 1-based.
+SL3_DICTIONARY = (
+    (_unit_matrix(1, 3), _tensor([("x^2", "y", 1), ("xy", "x", -1)])),
+    (_unit_matrix(1, 2), _tensor([("x^2", "z", -1), ("xz", "x", 1)])),
+    (_unit_matrix(2, 3), _tensor([("y^2", "x", -1), ("xy", "y", 1)])),
+    (_unit_matrix(3, 1), _tensor([("z^2", "y", -1), ("yz", "z", 1)])),
+    (_unit_matrix(2, 1), _tensor([("y^2", "z", 1), ("yz", "y", -1)])),
+    (_unit_matrix(3, 2), _tensor([("z^2", "x", 1), ("xz", "z", -1)])),
+    (_diagonal(-1, 1, 0), _tensor([("yz", "x", 1), ("xz", "y", 1), ("xy", "z", -2)])),
+    (_diagonal(0, -1, 1), _tensor([("xz", "y", 1), ("xy", "z", 1), ("yz", "x", -2)])),
+)
+
+
+def sl3_by_dictionary(t):
+    """The traceless matrix of a kernel tensor, by solving for its
+    coordinates over the dictionary with an 18 x 9 row reduction."""
+    k = len(SL3_DICTIONARY)
+    aug = [[vec[i] for _, vec in SL3_DICTIONARY] + [F(t[i])] for i in range(18)]
+    m, pivots = rref(aug)
+    if k in pivots:
+        raise ValueError("tensor outside the span of the dictionary")
+    coeffs = [F(0)] * k
+    for row, c in zip(m, pivots):
+        coeffs[c] = row[k]
+    out = [[F(0)] * 3 for _ in range(3)]
+    for (unit, _), coeff in zip(SL3_DICTIONARY, coeffs):
+        for i in range(3):
+            for j in range(3):
+                out[i][j] += coeff * unit[i][j]
+    return tuple(tuple(row) for row in out)
 
 
 # -- random generators ---------------------------------------------------------

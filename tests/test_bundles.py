@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from oracles import random_expr, rank_by_ops, weights_by_lists
 from quivercert.bundles import (
     MAX_RANK,
+    MAX_TERMS,
     O,
     U1,
     U2,
+    Character,
     ExprSyntaxError,
     StratumWeights,
     det,
@@ -41,6 +43,15 @@ class TestRankLimit:
             tensor(*[two] * 65)
         with pytest.raises(ValueError, match="rank above"):
             parse_expr("sym2(" * 7 + "U2" + ")" * 7)
+
+
+class TestTermLimit:
+    def test_product_size_is_bounded(self):
+        side = int(MAX_TERMS ** 0.5)
+        square = Character({w: 1 for w in range(side)})
+        assert len(square * square) == 2 * side - 1
+        with pytest.raises(ValueError, match=f"exceeds {MAX_TERMS} terms"):
+            square * Character({w: 1 for w in range(side + 1)})
 
 
 class TestParse:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
-from oracles import ch_by_ops, random_expr, todd_from_chern_roots
+from oracles import ch_by_ops, chow_mul_dense, random_expr, todd_from_chern_roots
 from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
 from quivercert.chow import (
     BASIS,
@@ -66,6 +66,16 @@ class TestRingStructure:
             assert x * y == y * x
         for x, y, z in itertools.product(classes, repeat=3):
             assert (x * y) * z == x * (y * z)
+
+    def test_product_equals_dense_table_oracle(self):
+        rng = random.Random(1729)
+        for _ in range(200):
+            x, y = (
+                ChowElement([F(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7
+                             else 0 for _ in BASIS])
+                for _ in range(2)
+            )
+            assert x * y == chow_mul_dense(x, y)
 
     def test_high_degree_vanishes(self):
         assert (C3 * C3 * C1).is_zero()

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quivercert.bundles import MAX_DEPTH, MAX_RANK
+from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS
 from quivercert.cli import main
+from quivercert.quiver import MAX_ARROWS
 
 TESTS = Path(__file__).parent
 
@@ -168,6 +169,11 @@ class TestVerifyCollection:
         assert code == 1
         assert doc["accepted"] is False
 
+    def test_unreadable_file_is_input_error(self, capsys, tmp_path):
+        code, doc = run_cli(capsys, "verify-collection", "--file", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert "No such file" in doc["error"]
+
 
 class TestLedgerCheck:
     def test_passes(self, capsys):
@@ -188,6 +194,22 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["chi"] == 6
+
+    def test_closed_stdout_ends_quietly(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quivercert", "hn-types", "--quiver", "kronecker:2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        try:
+            stderr = proc.communicate(timeout=30)[1]
+        finally:
+            proc.kill()
+        assert (proc.returncode, stderr) == (141, b"")
 
 
 class TestDeterminism:
@@ -250,6 +272,21 @@ class TestHostileSizes:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert f"rank above {MAX_RANK}" in doc["error"]
+
+    @pytest.mark.parametrize("argv,message", [
+        # rank 2^40, and 2^40 distinct weights on a stratum
+        (["teleman", "--expr",
+          "tensor(" + ",".join(f"sum(O(0),O({2 ** k}))" for k in range(40)) + ")"],
+         f"exceeds {MAX_TERMS} terms"),
+        (["hn-types", "--quiver", "kronecker:100000000", "--dim", "1,1", "--theta", "1,-1"],
+         f"arrow count above {MAX_ARROWS}"),
+    ])
+    def test_work_above_the_limit_is_input_error(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert message in doc["error"]
 
     @pytest.mark.parametrize("argv", [
         ["chi"],
@@ -330,8 +367,9 @@ class TestFuzz:
 
 
 class TestGoldenTranscript:
-    """Exit codes and stdout recorded from the per-operator implementation
-    that the lambda-ring evaluator replaced; they must stay byte-identical."""
+    """Exit codes and stdout recorded from the routes that later changes
+    replaced (the per-operator recursions, the dense Chow product table and
+    the sl3 dictionary solve); they must stay byte-identical."""
 
     @pytest.mark.parametrize(
         "record",

@@ -20,6 +20,7 @@ from quivercert._linalg import poly_mul
 from quivercert.chow import DEGREES
 from quivercert.quiver import (
     KRONECKER3,
+    MAX_ARROWS,
     Quiver,
     _sst_count,
     enumerate_hn_types,
@@ -59,6 +60,11 @@ class TestQuiver:
         assert q == KRONECKER3
         assert q.vertex_count == 2
         assert q.arrows == ((0, 1),) * 3
+
+    def test_arrow_count_is_bounded(self):
+        assert len(Quiver.kronecker(MAX_ARROWS).arrows) == MAX_ARROWS
+        with pytest.raises(ValueError, match=f"above {MAX_ARROWS}"):
+            Quiver.from_spec(f"kronecker:{MAX_ARROWS + 1}")
 
     def test_json_roundtrip(self):
         q = Quiver(3, ((0, 1), (1, 2), (0, 2)))

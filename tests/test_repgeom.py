@@ -3,7 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import random_invertible, random_matrix, random_stable_matrix
+from oracles import (
+    SL3_DICTIONARY,
+    random_invertible,
+    random_matrix,
+    random_stable_matrix,
+    sl3_by_dictionary,
+)
+from quivercert._linalg import rank
 from quivercert.repgeom import (
     LinearFormMatrix,
     X,
@@ -218,6 +225,48 @@ class TestSl3Plane:
         bad[0] = F(1)
         with pytest.raises(ValueError, match="outside the span"):
             to_sl3(tuple(bad))
+
+
+class TestSl3DictionaryOracle:
+    def test_dictionary_is_a_basis_of_the_kernel(self):
+        # rank 8 = 18 - 10, the dimension of the kernel: so a tensor is in
+        # the span exactly when it multiplies to zero
+        tensors = [t for _, t in SL3_DICTIONARY]
+        assert rank(tensors) == 8
+        for t in tensors:
+            assert not any(tensor_to_cubic(t))
+
+    def test_dictionary_tensors_map_to_their_matrices(self):
+        for unit, t in SL3_DICTIONARY:
+            assert [list(row) for row in to_sl3(t)] == unit
+
+    def test_equals_row_reduction_on_syzygy_tensors(self):
+        # coefficients zero with probability 0.6, so about half are unstable
+        rng = random.Random(2718)
+        stable = unstable = 0
+        for _ in range(300):
+            r = matrix([
+                tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() > 0.6
+                            else F(0) for _ in range(3)) for _ in range(3))
+                for _ in range(2)
+            ])
+            pair = syzygies(r)
+            if pair.degenerate:
+                unstable += 1
+            else:
+                stable += 1
+            for t, m in zip(pair.tensors, pair.sl3):
+                assert m == sl3_by_dictionary(t)
+        assert stable >= 100 and unstable >= 100
+
+    def test_both_routes_reject_non_kernel_tensors(self):
+        rng = random.Random(31)
+        for _ in range(50):
+            t = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(18))
+            assert any(tensor_to_cubic(t))
+            for route in (to_sl3, sl3_by_dictionary):
+                with pytest.raises(ValueError, match="outside the span"):
+                    route(t)
 
 
 class TestCommutes:

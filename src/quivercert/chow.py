@@ -121,6 +121,11 @@ def _build_products():
 
 _PRODUCTS = _build_products()
 
+#: ``(i, j, c)`` for the nonzero integrals c of basis_i * basis_j, all with
+#: complementary degrees.
+_PAIRING = tuple((i, j, c) for i, row in enumerate(_PRODUCTS) for j, terms in enumerate(row)
+                 for k, c in terms if k == _INDEX["c3^2"])
+
 
 class ChowElement:
     """An element of the Chow ring, stored as exact rational coordinates
@@ -240,6 +245,12 @@ def integral(x: ChowElement) -> Fraction:
     return x.coefficient("c3^2")
 
 
+def pairing(x: ChowElement, y: ChowElement) -> Fraction:
+    """The integral of x * y, without forming the product."""
+    xs, ys = x.coords, y.coords
+    return sum(xs[i] * ys[j] * c for i, j, c in _PAIRING)
+
+
 _C1 = ChowElement.basis("c1")
 _C2 = ChowElement.basis("c2")
 _C3 = ChowElement.basis("c3")
@@ -338,14 +349,16 @@ class RingInconsistencyError(ArithmeticError):
     """A Riemann-Roch integral that must be an integer failed to be one."""
 
 
+def integer(value: Fraction, what: str) -> int:
+    """A Riemann-Roch integral ``what``, which must be an integer."""
+    if value.denominator != 1:
+        raise RingInconsistencyError(f"ring inconsistency: {what} = {value} is not an integer")
+    return int(value)
+
+
 def chi(e: BundleExpr) -> int:
     """Euler characteristic chi(Y, e) = integral of ch(e) * Todd(Y)."""
-    value = integral(ch_of(e) * todd_y())
-    if value.denominator != 1:
-        raise RingInconsistencyError(
-            f"ring inconsistency: chi({e}) = {value} is not an integer"
-        )
-    return int(value)
+    return integer(pairing(ch_of(e), todd_y()), f"chi({e})")
 
 
 # -- polynomial input for the command line ------------------------------------

@@ -27,6 +27,9 @@ from ._linalg import poly_add, poly_mul, poly_sub
 #: Largest arrow count of ``Quiver.kronecker``, which builds one entry per arrow.
 MAX_ARROWS = 10 ** 4
 
+#: Largest vertex count of a quiver, which builds one entry per vertex.
+MAX_VERTICES = 10 ** 4
+
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
 
@@ -45,6 +48,8 @@ class Quiver:
     def __post_init__(self):
         if self.vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
+        if self.vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex count above {MAX_VERTICES}")
         arrows = tuple((int(i), int(j)) for i, j in self.arrows)
         object.__setattr__(self, "arrows", arrows)
         for i, j in arrows:
@@ -54,23 +59,22 @@ class Quiver:
             raise ValueError("quiver must be acyclic")
 
     def _has_cycle(self) -> bool:
-        succ = {i: [] for i in range(self.vertex_count)}
+        """Whether removing sources one at a time leaves some vertex (without
+        recursion, so a long path cannot exhaust the stack)."""
+        succ = [[] for _ in range(self.vertex_count)]
+        indegree = [0] * self.vertex_count
         for i, j in self.arrows:
             succ[i].append(j)
-        state = {}  # 1 = on stack, 2 = done
-
-        def visit(v):
-            state[v] = 1
-            for w in succ[v]:
-                s = state.get(w)
-                if s == 1:
-                    return True
-                if s is None and visit(w):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(visit(v) for v in range(self.vertex_count) if v not in state)
+            indegree[j] += 1
+        sources = [v for v, n in enumerate(indegree) if n == 0]
+        removed = 0
+        while sources:
+            removed += 1
+            for w in succ[sources.pop()]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    sources.append(w)
+        return removed < self.vertex_count
 
     @classmethod
     def kronecker(cls, m: int) -> "Quiver":

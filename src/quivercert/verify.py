@@ -4,11 +4,14 @@ bookkeeping.
 Per ordered pair (E_i, E_j) of a candidate collection we combine two
 one-sided tools: a Teleman vanishing certificate for the higher
 cohomology of dual(E_i) (x) E_j, and its Riemann-Roch Euler
-characteristic.  A certificate plus chi = 1 on the diagonal certifies
-exceptionality; below the diagonal (i < j) a certificate pins the
-morphism space to degree 0 of dimension chi; above the diagonal a
-certificate plus chi = 0 certifies orthogonality.  Anything else is
-reported as undetermined, never as a disproof.
+characteristic.  Both come from data of single objects: on each stratum
+the largest weight of dual(E_i) (x) E_j is max w(E_j) - min w(E_i), and
+chi is the integral of dual(ch(E_i)) * ch(E_j) * Todd(Y).  A certificate
+plus chi = 1 on the diagonal certifies exceptionality; below the
+diagonal (i < j) a certificate pins the morphism space to degree 0 of
+dimension chi; above the diagonal a certificate plus chi = 0 certifies
+orthogonality.  Anything else is reported as undetermined, never as a
+disproof.
 
 Fullness of a collection is out of reach of these certificates and is
 never claimed.
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 from . import bundles
 from .bundles import BundleExpr, O, dual, parse_expr, sl, tensor, twist
-from .chow import ChowElement, ch_of, chi
-from .strata import Moduli, TelemanReport, teleman_certify
+from .chow import ChowElement, ch_of, integer, pairing, todd_y
+from .strata import Moduli, stratum_checks, unstable_strata, weight_ranges
 
 EXCEPTIONAL = "exceptional-certified"
 STRONG_EXT = "strong-ext-certified"
@@ -121,7 +124,7 @@ def collection_variants() -> dict[str, CollectionSpec]:
 
 def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
     """K-theoretic Euler pairing chi(dual(e) (x) f)."""
-    return chi(tensor(dual(e), f))
+    return integer(pairing(ch_of(e).dual(), ch_of(f) * todd_y()), f"chi({e}, {f})")
 
 
 @dataclass(frozen=True)
@@ -220,31 +223,27 @@ def _pair_verdict(i: int, j: int, chi_value: int, passed: bool) -> str:
 def verify_collection(
     spec: CollectionSpec, moduli: Moduli | None = None
 ) -> VerificationMatrix:
-    """Run the pairwise certification over all ordered pairs."""
+    """Run the pairwise certification over all ordered pairs, from the
+    weight ranges and Chern characters of the objects."""
     if moduli is None:
         moduli = Moduli.kronecker23()
-    n = len(spec)
+    objects = [e for _, e in spec.objects]
+    ranges = [weight_ranges(e, moduli) for e in objects]
+    strata = unstable_strata(moduli)
+    names = [str(e) for e in objects]
+    duals = [ch_of(e).dual() for e in objects]
+    with_todd = [ch_of(e) * todd_y() for e in objects]
     grid = []
-    for i in range(n):
+    for i, low in enumerate(ranges):
         row = []
-        for j in range(n):
-            hom = tensor(dual(spec.objects[i][1]), spec.objects[j][1])
-            report: TelemanReport = teleman_certify(hom, moduli)
-            chi_value = chi(hom)
-            verdict = _pair_verdict(i, j, chi_value, report.passed)
-            blocking = tuple(
-                (row_.hn_type, row_.margin) for row_ in report.strata if not row_.passed
-            )
-            row.append(
-                PairStatus(
-                    i=i,
-                    j=j,
-                    chi=chi_value,
-                    teleman_pass=report.passed,
-                    verdict=verdict,
-                    blocking=blocking,
-                )
-            )
+        for j, high in enumerate(ranges):
+            checks = stratum_checks(strata, [None if a is None or b is None else b[1] - a[0]
+                                             for a, b in zip(low, high)])
+            chi_value = integer(pairing(duals[i], with_todd[j]), f"chi({names[i]}, {names[j]})")
+            passed = all(c.passed for c in checks)
+            blocking = tuple((c.hn_type, c.margin) for c in checks if not c.passed)
+            row.append(PairStatus(i, j, chi_value, passed,
+                                  _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(spec=spec, pairs=tuple(grid))
 

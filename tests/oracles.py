@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights
+from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, tensor
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -24,11 +24,16 @@ from quivercert.chow import (
     _ch_from_chern,
     _exp,
     _monomial_degree,
+    ch_of,
+    integral,
     tangent_chern,
+    todd_y,
 )
 from quivercert._linalg import poly_divmod, poly_gcd, poly_mul, poly_sub, rref
 from quivercert.quiver import Quiver, euler_form, slope
 from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, matrix
+from quivercert.strata import Moduli, teleman_certify
+from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
 F = Fraction
 
@@ -598,6 +603,30 @@ def sl3_by_dictionary(t):
             for j in range(3):
                 out[i][j] += coeff * unit[i][j]
     return tuple(tuple(row) for row in out)
+
+
+# -- collection verification by pair expressions ------------------------------
+#
+# The route that per-object weight ranges and Chern characters replaced.
+
+def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
+    """Certify each ordered pair from its own expression dual(E_i) (x) E_j:
+    the Teleman certificate of that expression, and its chi from the full
+    product ch * Todd(Y)."""
+    grid = []
+    for i, (_, ei) in enumerate(spec.objects):
+        row = []
+        for j, (_, ej) in enumerate(spec.objects):
+            hom = tensor(dual(ei), ej)
+            report = teleman_certify(hom, moduli)
+            value = integral(ch_of(hom) * todd_y())
+            assert value.denominator == 1, (str(hom), value)
+            chi_value = int(value)
+            blocking = tuple((r.hn_type, r.margin) for r in report.strata if not r.passed)
+            row.append(PairStatus(i, j, chi_value, report.passed,
+                                  _pair_verdict(i, j, chi_value, report.passed), blocking))
+        grid.append(tuple(row))
+    return VerificationMatrix(spec, tuple(grid))
 
 
 # -- random generators ---------------------------------------------------------

@@ -10,11 +10,14 @@ from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
 from oracles import ch_by_ops, chow_mul_dense, random_expr, todd_from_chern_roots
 from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
 from quivercert.chow import (
+    _PAIRING,
     BASIS,
+    DEGREES,
     ChowElement,
     ch_of,
     chi,
     integral,
+    pairing,
     parse_chow_poly,
     render_fraction,
     tangent_chern,
@@ -105,6 +108,21 @@ class TestIntegral:
     def test_lower_degree_is_zero(self):
         for label in BASIS[:-1]:
             assert integral(ChowElement.basis(label)) == 0
+
+
+fractions = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
+
+
+class TestPairing:
+    @given(st.lists(fractions, min_size=len(BASIS), max_size=len(BASIS)),
+           st.lists(fractions, min_size=len(BASIS), max_size=len(BASIS)))
+    def test_equals_integral_of_dense_product(self, xs, ys):
+        x, y = ChowElement(xs), ChowElement(ys)
+        assert pairing(x, y) == integral(chow_mul_dense(x, y))
+
+    def test_pairs_complementary_degrees_only(self):
+        assert len(_PAIRING) == 31
+        assert all(DEGREES[i] + DEGREES[j] == 6 and c != 0 for i, j, c in _PAIRING)
 
 
 class TestToddAndTangent:

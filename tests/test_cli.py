@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS
 from quivercert.cli import main
-from quivercert.quiver import MAX_ARROWS
+from quivercert.quiver import MAX_ARROWS, MAX_VERTICES
 
 TESTS = Path(__file__).parent
 
@@ -280,6 +280,9 @@ class TestHostileSizes:
          f"exceeds {MAX_TERMS} terms"),
         (["hn-types", "--quiver", "kronecker:100000000", "--dim", "1,1", "--theta", "1,-1"],
          f"arrow count above {MAX_ARROWS}"),
+        (["hn-types", "--quiver", '{"vertices":100000000,"arrows":[]}', "--dim", "1",
+          "--theta", "0"],
+         f"vertex count above {MAX_VERTICES}"),
     ])
     def test_work_above_the_limit_is_input_error(self, capsys, argv, message):
         start = time.perf_counter()
@@ -287,6 +290,19 @@ class TestHostileSizes:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert message in doc["error"]
+
+    def test_pair_ranks_are_not_refused(self, capsys, tmp_path):
+        # each object has rank 2^40 <= MAX_RANK; the pair tensors would have
+        # rank 2^80, but no pair expression is built
+        big = "tensor(" + ",".join(["sum(O(0),O(0))"] * 40) + ")"
+        path = tmp_path / "collection.json"
+        path.write_text(json.dumps({"objects": [{"expr": big}, {"expr": f"twist({big},1)"}]}),
+                        encoding="utf-8")
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "verify-collection", "--file", str(path))
+        assert time.perf_counter() - start < 1
+        assert code in (0, 1)
+        assert doc["pairs"][0][0]["chi"] == 2 ** 80
 
     @pytest.mark.parametrize("argv", [
         ["chi"],

@@ -21,6 +21,7 @@ from quivercert.chow import DEGREES
 from quivercert.quiver import (
     KRONECKER3,
     MAX_ARROWS,
+    MAX_VERTICES,
     Quiver,
     _sst_count,
     enumerate_hn_types,
@@ -65,6 +66,18 @@ class TestQuiver:
         assert len(Quiver.kronecker(MAX_ARROWS).arrows) == MAX_ARROWS
         with pytest.raises(ValueError, match=f"above {MAX_ARROWS}"):
             Quiver.from_spec(f"kronecker:{MAX_ARROWS + 1}")
+
+    def test_vertex_count_is_bounded(self):
+        assert Quiver(MAX_VERTICES, ()).vertex_count == MAX_VERTICES
+        with pytest.raises(ValueError, match=f"vertex count above {MAX_VERTICES}"):
+            Quiver(10 ** 12, ())
+
+    def test_long_path_is_acyclic_and_a_long_cycle_is_not(self):
+        n = MAX_VERTICES
+        path = tuple((i, i + 1) for i in range(n - 1))
+        assert Quiver(n, path).arrows == path
+        with pytest.raises(ValueError, match="acyclic"):
+            Quiver(n, path + ((n - 1, 0),))
 
     def test_json_roundtrip(self):
         q = Quiver(3, ((0, 1), (1, 2), (0, 2)))

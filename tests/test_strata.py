@@ -16,6 +16,7 @@ from quivercert.strata import (
     teleman_certify,
     universal_weights,
     unstable_strata,
+    weight_ranges,
 )
 
 Y23 = Moduli.kronecker23()
@@ -107,6 +108,23 @@ class TestUniversalWeights:
         for _ in range(25):
             e = random_expr(rng)
             assert all(w == 0 for w in weights_of(e, base))
+        # Moduli admits only twists with a . d = -1, and under each of them
+        # the central subgroup acts trivially on every leaf, hence on every
+        # expression: no bundle needs a descent check of its own.
+        rng = random.Random(8)
+        checked = 0
+        while checked < 60:
+            d = (rng.randint(0, 9), rng.randint(1, 9))
+            solutions = [(a, b) for a in range(-40, 41) for b in range(-40, 41)
+                         if a * d[0] + b * d[1] == -1]
+            if not solutions:
+                continue  # gcd(d) > 1: no twist descends
+            twist = rng.choice(solutions)
+            ones = OnePS(tuple(((1, n),) if n > 0 else () for n in d))
+            base = StratumWeights(*universal_weights(ones, twist))
+            for leaf in (U1, U2, O(rng.randint(-20, 20))):
+                assert set(base.character(leaf)) <= {0}, (d, twist, leaf)
+            checked += 1
 
     def test_scale_invariance(self, strata):
         rng = random.Random(11)
@@ -156,6 +174,21 @@ class TestTelemanCertify:
         report = teleman_certify(O(-3), Y23)
         for row in report.strata:
             assert row.passed == (row.margin >= 1)
+
+    def test_max_weight_is_the_top_of_the_weight_range(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            e = random_expr(rng, depth=2)
+            ranges = weight_ranges(e, Y23)
+            for row, stratum, r in zip(teleman_certify(e, Y23).strata, unstable_strata(Y23), ranges):
+                ws = weights_of(e, stratum.base())
+                assert r == (ws[-1], ws[0]) and row.max_weight == ws[0]
+
+    def test_zero_bundle_is_vacuously_certified(self):
+        assert weight_ranges(sl(O(1)), Y23) == (None,) * 7
+        report = teleman_certify(sl(O(1)), Y23)
+        assert report.passed
+        assert all(r.max_weight is None and r.margin is None for r in report.strata)
 
     def test_huge_rank_is_never_expanded(self):
         inner = tensor(sl(U2), sl(U2))

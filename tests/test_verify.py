@@ -1,11 +1,16 @@
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_expr
-from quivercert.bundles import O, U1, U2, dual, sl, tensor, twist
-from quivercert.chow import ch_of
-from quivercert.strata import Moduli
+from oracles import random_expr, verify_collection_by_pairs
+from quivercert import verify
+from quivercert.bundles import O, U1, U2, det, direct_sum, dual, sl, sym2, tensor, twist, wedge2
+from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, todd_y
+from quivercert.quiver import KRONECKER3, Quiver
+from quivercert.strata import Moduli, unstable_strata
 from quivercert.verify import (
     EXCEPTIONAL,
     ORTHOGONAL,
@@ -156,6 +161,50 @@ class TestVariants:
         # undetermined pairs are reported, never asserted empty
         for p in result.undetermined():
             assert p.verdict == UNDETERMINED
+
+
+POOL = (
+    O(0), O(1), O(-1), O(2), U1, U2, dual(U1), dual(U2), twist(U2, 1), twist(dual(U1), 1),
+    sl(U1), sl(O(1)), sl(O(0)), det(U2), sym2(dual(U1)), wedge2(U2),
+    direct_sum(dual(U1), O(1)), direct_sum(U2, O(-1), sl(O(2))),
+    tensor(dual(U1), twist(U2, 2)),
+)
+MODULI = (Y23, Moduli(KRONECKER3, (2, 3), (3, -2), (4, -3)),
+          Moduli(KRONECKER3, (1, 2), (2, -1), (1, -1)))
+
+
+class TestPerObjectRoute:
+    """verify_collection against the per-pair route it replaced."""
+
+    @pytest.mark.parametrize("name", ["standard"] + sorted(collection_variants()))
+    def test_builtin_collections(self, name):
+        spec = standard_collection() if name == "standard" else collection_variants()[name]
+        assert (verify_collection(spec, Y23).to_json_dict()
+                == verify_collection_by_pairs(spec, Y23).to_json_dict())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from(POOL), min_size=1, max_size=8), st.sampled_from(MODULI))
+    def test_random_collections(self, objects, moduli):
+        spec = CollectionSpec(tuple((str(e), e) for e in objects))
+        assert (verify_collection(spec, moduli).to_json_dict()
+                == verify_collection_by_pairs(spec, moduli).to_json_dict())
+
+    def test_fractional_pair_is_ring_inconsistency(self, monkeypatch):
+        # a Todd class with top coefficient 1/2: chi(O, O) would be 1/2
+        bent = todd_y() - F(1, 2) * ChowElement.basis("c3^2")
+        monkeypatch.setattr(verify, "todd_y", lambda: bent)
+        spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
+        with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
+            verify_collection(spec, Y23)
+        with pytest.raises(RingInconsistencyError):
+            euler_pairing(O(0), O(1))
+
+    def test_two_vertex_error_comes_first(self):
+        path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))
+        before = unstable_strata.cache_info()
+        with pytest.raises(ValueError, match="two-vertex quiver"):
+            verify_collection(standard_collection(), path)
+        assert unstable_strata.cache_info() == before
 
 
 class TestChIdentities:

@@ -25,6 +25,10 @@ MAX_RANK = 2 ** 64
 #: Largest number of weight pairs that one product of characters combines.
 MAX_TERMS = 2 ** 16
 
+#: Largest number of weight pairs that all the character products of one
+#: request combine, over all strata.
+MAX_WORK_TERMS = 2 ** 20
+
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
 
 
@@ -131,18 +135,38 @@ def evaluate(e: BundleExpr, leaf, value):
     raise ValueError(f"unknown operator {op!r}")
 
 
+class WorkBudget:
+    """The weight pairs that the character products of one request may
+    still combine."""
+
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = MAX_WORK_TERMS
+
+    def charge(self, terms: int):
+        self.left -= terms
+        if self.left < 0:
+            raise ValueError(f"character products exceed {MAX_WORK_TERMS} terms in one request")
+
+
 class Character(dict):
     """A character of a one-parameter subgroup: weight -> nonzero
     multiplicity.  The ring operations act on these maps, so a weight
-    multiset is never expanded."""
+    multiset is never expanded.  Products charge ``budget``, a WorkBudget
+    that results inherit, unless it is None."""
 
-    __slots__ = ()
+    __slots__ = ("budget",)
+
+    def __init__(self, weights=(), budget=None):
+        super().__init__(weights)
+        self.budget = budget
 
     def __add__(self, other):
-        out = Character(self)
+        out = dict(self)
         for w, m in other.items():
             out[w] = out.get(w, 0) + m
-        return Character({w: m for w, m in out.items() if m})
+        return Character({w: m for w, m in out.items() if m}, self.budget)
 
     def __sub__(self, other):
         return self + Character({w: -m for w, m in other.items()})
@@ -150,26 +174,29 @@ class Character(dict):
     def __mul__(self, other):
         # A character can carry about as many weights as its rank, and
         # MAX_RANK alone allows products far too large to compute.
-        if len(self) * len(other) > MAX_TERMS:
+        terms = len(self) * len(other)
+        if terms > MAX_TERMS:
             raise ValueError(f"product of characters with {len(self)} and {len(other)}"
                              f" weights exceeds {MAX_TERMS} terms")
-        out = Character()
+        if self.budget is not None:
+            self.budget.charge(terms)
+        out = Character((), self.budget)
         for a, m in self.items():
             for b, n in other.items():
                 out[a + b] = out.get(a + b, 0) + m * n
         return out
 
     def dual(self):
-        return Character({-w: m for w, m in self.items()})
+        return Character({-w: m for w, m in self.items()}, self.budget)
 
     def det(self):
-        return Character({sum(w * m for w, m in self.items()): 1})
+        return Character({sum(w * m for w, m in self.items()): 1}, self.budget)
 
     def psi2(self):
-        return Character({2 * w: m for w, m in self.items()})
+        return Character({2 * w: m for w, m in self.items()}, self.budget)
 
     def half(self):
-        return Character({w: m // 2 for w, m in self.items() if m // 2})
+        return Character({w: m // 2 for w, m in self.items() if m // 2}, self.budget)
 
 
 @dataclass(frozen=True)
@@ -183,19 +210,25 @@ class StratumWeights:
     u2: tuple[int, ...]
 
     def __post_init__(self):
-        leaves = {op: Character({w: ws.count(w) for w in ws})
-                  for op, ws in (("U1", self.u1), ("U2", self.u2))}
+        leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", self.u1), ("U2", self.u2))}
         object.__setattr__(self, "_leaves", leaves)
 
-    def _leaf(self, e: BundleExpr) -> Character:
-        if e.op == "O":
-            return Character({-e.args[0] * sum(self.u1): 1})
-        return self._leaves[e.op]
-
-    def character(self, e: BundleExpr) -> Character:
+    def character(self, e: BundleExpr, budget: WorkBudget | None = None) -> Character:
         """The weights of ``e`` on this stratum with multiplicities (may be
-        shared with other results, so do not mutate it)."""
-        return evaluate(e, self._leaf, self.character)
+        shared with other results, so do not mutate it).  Its products
+        charge ``budget``, by default a fresh one."""
+        if budget is None:
+            budget = WorkBudget()
+
+        def leaf(x):
+            if x.op == "O":
+                return Character({-x.args[0] * sum(self.u1): 1}, budget)
+            return Character(self._leaves[x.op], budget)
+
+        def value(x):
+            return evaluate(x, leaf, value)
+
+        return value(e)
 
 
 def _rank_character(e: BundleExpr) -> Character:

@@ -12,7 +12,9 @@ coordinates through a precomputed table, so multiplication is table
 lookup plus bilinearity.  Chern characters of bundle expressions are
 evaluated compositionally from the definitional Chern classes of the
 universal bundles via Newton's identities, and chi(F) is the degree-6
-integral of ch(F) * Todd(Y).  All coefficients are exact rationals.
+integral of ch(F) * Todd(Y).  All coefficients are exact rationals; the
+pairing also runs on integer vectors with a common denominator (``scaled``,
+``gram_row``), since its structure constants are integers.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from operator import add
+from math import factorial, lcm
+from operator import add, mul
 
 from .bundles import MAX_DEPTH, BundleExpr, Scanner, evaluate
 
@@ -122,8 +124,8 @@ def _build_products():
 _PRODUCTS = _build_products()
 
 #: ``(i, j, c)`` for the nonzero integrals c of basis_i * basis_j, all with
-#: complementary degrees.
-_PAIRING = tuple((i, j, c) for i, row in enumerate(_PRODUCTS) for j, terms in enumerate(row)
+#: complementary degrees, all integers.
+_PAIRING = tuple((i, j, int(c)) for i, row in enumerate(_PRODUCTS) for j, terms in enumerate(row)
                  for k, c in terms if k == _INDEX["c3^2"])
 
 
@@ -131,7 +133,7 @@ class ChowElement:
     """An element of the Chow ring, stored as exact rational coordinates
     over the 13-class basis."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords):
         coords = tuple(F(x) for x in coords)
@@ -228,7 +230,13 @@ class ChowElement:
         return isinstance(other, ChowElement) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # cached: hashing 13 fractions is slow, and the Todd class is hashed
+        # once per object in every certified collection
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coords)
+            return self._hash
 
     def __repr__(self):
         terms = [
@@ -249,6 +257,33 @@ def pairing(x: ChowElement, y: ChowElement) -> Fraction:
     """The integral of x * y, without forming the product."""
     xs, ys = x.coords, y.coords
     return sum(xs[i] * ys[j] * c for i, j, c in _PAIRING)
+
+
+def scaled(x: ChowElement) -> tuple[int, tuple[int, ...]]:
+    """``(D, v)``: D is the least common denominator of the coordinates of
+    x, and v holds the integer coordinates of D * x."""
+    d = lcm(*(c.denominator for c in x.coords))
+    return d, tuple(c.numerator * (d // c.denominator) for c in x.coords)
+
+
+def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
+    """``(D, r)`` with D as in ``scaled`` and r[b] the integral of D * x *
+    basis_b, so that the integral of x * y is r . y / D."""
+    d, xs = scaled(x)
+    row = [0] * len(BASIS)
+    for i, j, c in _PAIRING:
+        row[j] += xs[i] * c
+    return d, tuple(row)
+
+
+def scaled_pairing(row: tuple[int, tuple[int, ...]], column: tuple[int, tuple[int, ...]],
+                   what: str) -> int:
+    """The integral ``what`` of x * y from ``gram_row(x)`` and ``scaled(y)``,
+    which must be an integer."""
+    (d, r), (e, v) = row, column
+    total = sum(map(mul, r, v))
+    value, rest = divmod(total, d * e)
+    return integer(Fraction(total, d * e), what) if rest else value  # integer() raises
 
 
 _C1 = ChowElement.basis("c1")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .bundles import BundleExpr, StratumWeights
+from .bundles import BundleExpr, StratumWeights, WorkBudget
 from .quiver import HNType, Quiver, enumerate_hn_types, slope
 
 
@@ -186,10 +186,12 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
 
 def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | None, ...]:
     """The (min, max) weight of ``expr`` on each unstable stratum, or None
-    for the zero bundle, which has no weights."""
+    for the zero bundle, which has no weights.  The character products on
+    all strata share one WorkBudget."""
     if moduli.quiver.vertex_count != 2:
         raise ValueError("bundle expressions assume a two-vertex quiver")
-    characters = (s.base().character(expr) for s in unstable_strata(moduli))
+    budget = WorkBudget()
+    characters = (s.base().character(expr, budget) for s in unstable_strata(moduli))
     return tuple((min(c), max(c)) if c else None for c in characters)
 
 
@@ -211,13 +213,29 @@ class StratumCheck:
         }
 
 
+def _margins(strata, max_weights) -> list[int | None]:
+    """eta - max_weight on each stratum, from a bundle's largest weight
+    there; None for the zero bundle (max weight None)."""
+    return [None if w is None else s.eta - w for s, w in zip(strata, max_weights)]
+
+
+def _certified(margin: int | None) -> bool:
+    """The rule margin >= 1.  The zero bundle has no weights to bound and is
+    vacuously certified."""
+    return margin is None or margin >= 1
+
+
 def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
-    """One check per stratum from a bundle's largest weight there, by the
-    rule margin = eta - max_weight >= 1.  The zero bundle (max weight None)
-    has no weights to bound and is vacuously certified."""
-    margins = [None if w is None else s.eta - w for s, w in zip(strata, max_weights)]
-    return tuple(StratumCheck(s.hn_type, s.eta, w, m, m is None or m >= 1)
-                 for s, w, m in zip(strata, max_weights, margins))
+    """One check per stratum from a bundle's largest weight there."""
+    return tuple(StratumCheck(s.hn_type, s.eta, w, m, _certified(m))
+                 for s, w, m in zip(strata, max_weights, _margins(strata, max_weights)))
+
+
+def blocking_rows(strata, max_weights) -> tuple[tuple[HNType, int], ...]:
+    """``(hn_type, margin)`` of each stratum whose check ``stratum_checks``
+    would fail, without building the checks."""
+    return tuple((s.hn_type, m) for s, m in zip(strata, _margins(strata, max_weights))
+                 if not _certified(m))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ one-sided tools: a Teleman vanishing certificate for the higher
 cohomology of dual(E_i) (x) E_j, and its Riemann-Roch Euler
 characteristic.  Both come from data of single objects: on each stratum
 the largest weight of dual(E_i) (x) E_j is max w(E_j) - min w(E_i), and
-chi is the integral of dual(ch(E_i)) * ch(E_j) * Todd(Y).  A certificate
+chi is the integral of dual(ch(E_i)) * ch(E_j) * Todd(Y), an integer dot
+product of the Gram row of dual(ch(E_i)) with ch(E_j) * Todd(Y), both
+cleared of denominators once per object.  A certificate
 plus chi = 1 on the diagonal certifies exceptionality; below the
 diagonal (i < j) a certificate pins the morphism space to degree 0 of
 dimension chi; above the diagonal a certificate plus chi = 0 certifies
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bundles
 from .bundles import BundleExpr, O, dual, parse_expr, sl, tensor, twist
-from .chow import ChowElement, ch_of, integer, pairing, todd_y
-from .strata import Moduli, stratum_checks, unstable_strata, weight_ranges
+from .chow import ChowElement, ch_of, gram_row, scaled, scaled_pairing, todd_y
+from .strata import Moduli, blocking_rows, unstable_strata, weight_ranges
 
 EXCEPTIONAL = "exceptional-certified"
 STRONG_EXT = "strong-ext-certified"
@@ -122,9 +125,23 @@ def collection_variants() -> dict[str, CollectionSpec]:
     return {name: CollectionSpec(tuple(objs)) for name, objs in variants.items()}
 
 
+@lru_cache(maxsize=None)
+def _chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
+    """The Gram row of dual(ch(e)): the left factor of every chi(e, -)."""
+    return gram_row(ch_of(e).dual())
+
+
+@lru_cache(maxsize=None)
+def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]:
+    """ch(e) * todd scaled to integers: the right factor of every chi(-, e).
+    Keyed on the Todd class too, so that no column outlives the class it
+    was made with."""
+    return scaled(ch_of(e) * todd)
+
+
 def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
     """K-theoretic Euler pairing chi(dual(e) (x) f)."""
-    return integer(pairing(ch_of(e).dual(), ch_of(f) * todd_y()), f"chi({e}, {f})")
+    return scaled_pairing(_chi_row(e), _chi_column(f, todd_y()), f"chi({e}, {f})")
 
 
 @dataclass(frozen=True)
@@ -224,24 +241,25 @@ def verify_collection(
     spec: CollectionSpec, moduli: Moduli | None = None
 ) -> VerificationMatrix:
     """Run the pairwise certification over all ordered pairs, from the
-    weight ranges and Chern characters of the objects."""
+    weight ranges and the integer chi rows and columns of the objects."""
     if moduli is None:
         moduli = Moduli.kronecker23()
     objects = [e for _, e in spec.objects]
     ranges = [weight_ranges(e, moduli) for e in objects]
     strata = unstable_strata(moduli)
     names = [str(e) for e in objects]
-    duals = [ch_of(e).dual() for e in objects]
-    with_todd = [ch_of(e) * todd_y() for e in objects]
+    todd = todd_y()
+    chi_rows = [_chi_row(e) for e in objects]
+    chi_columns = [_chi_column(e, todd) for e in objects]
     grid = []
     for i, low in enumerate(ranges):
         row = []
         for j, high in enumerate(ranges):
-            checks = stratum_checks(strata, [None if a is None or b is None else b[1] - a[0]
-                                             for a, b in zip(low, high)])
-            chi_value = integer(pairing(duals[i], with_todd[j]), f"chi({names[i]}, {names[j]})")
-            passed = all(c.passed for c in checks)
-            blocking = tuple((c.hn_type, c.margin) for c in checks if not c.passed)
+            blocking = blocking_rows(strata, [None if a is None or b is None else b[1] - a[0]
+                                              for a, b in zip(low, high)])
+            chi_value = scaled_pairing(chi_rows[i], chi_columns[j],
+                                       f"chi({names[i]}, {names[j]})")
+            passed = not blocking
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))

@@ -25,14 +25,17 @@ from quivercert.chow import (
     _exp,
     _monomial_degree,
     ch_of,
+    integer,
     integral,
+    pairing,
     tangent_chern,
     todd_y,
 )
 from quivercert._linalg import poly_divmod, poly_gcd, poly_mul, poly_sub, rref
 from quivercert.quiver import Quiver, euler_form, slope
 from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, matrix
-from quivercert.strata import Moduli, teleman_certify
+from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
+                               weight_ranges)
 from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
 F = Fraction
@@ -625,6 +628,37 @@ def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> Verifica
             blocking = tuple((r.hn_type, r.margin) for r in report.strata if not r.passed)
             row.append(PairStatus(i, j, chi_value, report.passed,
                                   _pair_verdict(i, j, chi_value, report.passed), blocking))
+        grid.append(tuple(row))
+    return VerificationMatrix(spec, tuple(grid))
+
+
+# -- collection verification by rational pairings ----------------------------
+#
+# The route that integer Gram rows and blocking rows replaced: the same
+# per-object data, combined per pair in Fraction arithmetic and with one
+# StratumCheck per stratum.
+
+def euler_pairing_by_fractions(e: BundleExpr, f: BundleExpr) -> int:
+    """chi(dual(e) (x) f) as the 31-term rational pairing of dual(ch(e))
+    with ch(f) * Todd(Y)."""
+    return integer(pairing(ch_of(e).dual(), ch_of(f) * todd_y()), f"chi({e}, {f})")
+
+
+def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
+    objects = [e for _, e in spec.objects]
+    ranges = [weight_ranges(e, moduli) for e in objects]
+    strata = unstable_strata(moduli)
+    grid = []
+    for i, low in enumerate(ranges):
+        row = []
+        for j, high in enumerate(ranges):
+            checks = stratum_checks(strata, [None if a is None or b is None else b[1] - a[0]
+                                             for a, b in zip(low, high)])
+            chi_value = euler_pairing_by_fractions(objects[i], objects[j])
+            passed = all(c.passed for c in checks)
+            blocking = tuple((c.hn_type, c.margin) for c in checks if not c.passed)
+            row.append(PairStatus(i, j, chi_value, passed,
+                                  _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(spec, tuple(grid))
 

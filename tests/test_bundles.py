@@ -8,11 +8,13 @@ from oracles import random_expr, rank_by_ops, weights_by_lists
 from quivercert.bundles import (
     MAX_RANK,
     MAX_TERMS,
+    MAX_WORK_TERMS,
     O,
     U1,
     U2,
     Character,
     ExprSyntaxError,
+    WorkBudget,
     StratumWeights,
     det,
     direct_sum,
@@ -52,6 +54,19 @@ class TestTermLimit:
         assert len(square * square) == 2 * side - 1
         with pytest.raises(ValueError, match=f"exceeds {MAX_TERMS} terms"):
             square * Character({w: 1 for w in range(side + 1)})
+
+    def test_products_share_one_budget(self):
+        side = int(MAX_TERMS ** 0.5)
+        square = Character({w: 1 for w in range(side)}, WorkBudget())
+        products = [square * square for _ in range(MAX_WORK_TERMS // MAX_TERMS)]
+        assert products[-1].budget is square.budget
+        assert square.budget.left == 0
+        with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
+            square * Character({0: 1})
+        # characters without a budget, such as those of ranks, are not charged
+        plain = Character({w: 1 for w in range(side)})
+        for _ in range(MAX_WORK_TERMS // MAX_TERMS + 1):
+            plain * plain
 
 
 class TestParse:

@@ -8,11 +8,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS
+from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import main
 from quivercert.quiver import MAX_ARROWS, MAX_VERTICES
 
 TESTS = Path(__file__).parent
+
+#: sym2 of an 8-fold product of sum(O(0),O(2^k)): 256 weights on a stratum,
+#: so the sym2 combines 65,536 weight pairs, MAX_TERMS
+SYM2_AT_THE_TERM_LIMIT = ("sym2(tensor(" + ",".join(f"sum(O(0),O({2 ** k}))" for k in range(8))
+                          + "))")
+
+
+def balanced_sum(expr: str, copies: int) -> str:
+    """A balanced tree of sum(...) over ``copies`` (a power of 2) copies."""
+    items = [expr] * copies
+    while len(items) > 1:
+        items = [f"sum({a},{b})" for a, b in zip(items[::2], items[1::2])]
+    return items[0]
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +296,9 @@ class TestHostileSizes:
         (["hn-types", "--quiver", '{"vertices":100000000,"arrows":[]}', "--dim", "1",
           "--theta", "0"],
          f"vertex count above {MAX_VERTICES}"),
+        # 128 products at MAX_TERMS on each stratum
+        (["teleman", "--expr", balanced_sum(SYM2_AT_THE_TERM_LIMIT, 128)],
+         f"exceed {MAX_WORK_TERMS} terms"),
     ])
     def test_work_above_the_limit_is_input_error(self, capsys, argv, message):
         start = time.perf_counter()
@@ -290,6 +306,17 @@ class TestHostileSizes:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert message in doc["error"]
+
+    @pytest.mark.parametrize("expr", [
+        # 65,536 pairs in the last product, about 2^17 on each stratum
+        "tensor(" + ",".join(f"sum(O(0),O({2 ** k}))" for k in range(16)) + ")",
+        "sym2(sym2(sym2(tensor(sl(U2),sl(U2)))))",
+        SYM2_AT_THE_TERM_LIMIT,
+    ], ids=["16-fold-product", "triple-sym2", "sym2-at-the-term-limit"])
+    def test_work_within_the_budget_answers(self, capsys, expr):
+        code, doc = run_cli(capsys, "teleman", "--expr", expr)
+        assert code in (0, 1)
+        assert len(doc["strata"]) == 7
 
     def test_pair_ranks_are_not_refused(self, capsys, tmp_path):
         # each object has rank 2^40 <= MAX_RANK; the pair tensors would have

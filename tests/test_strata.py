@@ -4,7 +4,8 @@ import pytest
 
 from golden import STRATUM_TABLE
 from oracles import random_expr
-from quivercert.bundles import O, U1, U2, dual, rank_of, sl, sym2, tensor, weights_of
+from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, direct_sum, dual, rank_of, sl, sym2,
+                                tensor, weights_of)
 from quivercert.quiver import KRONECKER3, hn_stratum_codim
 from quivercert.strata import (
     Moduli,
@@ -189,6 +190,15 @@ class TestTelemanCertify:
         report = teleman_certify(sl(O(1)), Y23)
         assert report.passed
         assert all(r.max_weight is None and r.margin is None for r in report.strata)
+
+    def test_strata_share_one_work_budget(self):
+        # about 200,000 terms on each stratum, over MAX_WORK_TERMS on all seven
+        block = sym2(tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(8)]))
+        e = direct_sum(direct_sum(block, block), direct_sum(block, block))
+        for stratum in unstable_strata(Y23):
+            stratum.base().character(e)
+        with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
+            weight_ranges(e, Y23)
 
     def test_huge_rank_is_never_expanded(self):
         inner = tensor(sl(U2), sl(U2))

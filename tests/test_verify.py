@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_expr, verify_collection_by_pairs
+from oracles import (euler_pairing_by_fractions, random_expr, verify_collection_by_fractions,
+                     verify_collection_by_pairs)
 from quivercert import verify
-from quivercert.bundles import O, U1, U2, det, direct_sum, dual, sl, sym2, tensor, twist, wedge2
+from quivercert.bundles import (O, U1, U2, BundleExpr, det, direct_sum, dual, sl, sym2, tensor,
+                                twist, wedge2)
 from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, todd_y
 from quivercert.quiver import KRONECKER3, Quiver
 from quivercert.strata import Moduli, unstable_strata
@@ -173,21 +175,49 @@ MODULI = (Y23, Moduli(KRONECKER3, (2, 3), (3, -2), (4, -3)),
           Moduli(KRONECKER3, (1, 2), (2, -1), (1, -1)))
 
 
+def _unary(op, arg):
+    # sl of a rank-0 bundle is refused, so take its dual instead
+    return BundleExpr(op, (arg,)) if op != "sl" or arg.rank else dual(arg)
+
+
+_LEAVES = st.one_of(st.sampled_from([U1, U2]), st.integers(-2, 3).map(O),
+                    st.integers(-1, 2).map(lambda n: sl(O(n))))  # zero-rank objects
+EXPRS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.builds(_unary, st.sampled_from(["dual", "det", "sl", "sym2", "wedge2"]), inner),
+    st.builds(twist, inner, st.integers(-2, 3)),
+    st.builds(tensor, inner, inner),
+    st.builds(direct_sum, inner, inner),
+), max_leaves=4).filter(lambda e: e.rank <= 24)
+
+
+def _assert_both_routes(spec, moduli):
+    doc = verify_collection(spec, moduli).to_json_dict()
+    assert doc == verify_collection_by_fractions(spec, moduli).to_json_dict()
+    assert doc == verify_collection_by_pairs(spec, moduli).to_json_dict()
+
+
 class TestPerObjectRoute:
-    """verify_collection against the per-pair route it replaced."""
+    """verify_collection against the routes it replaced: per-pair
+    expressions, and per-object data combined in Fraction arithmetic."""
 
     @pytest.mark.parametrize("name", ["standard"] + sorted(collection_variants()))
     def test_builtin_collections(self, name):
         spec = standard_collection() if name == "standard" else collection_variants()[name]
-        assert (verify_collection(spec, Y23).to_json_dict()
-                == verify_collection_by_pairs(spec, Y23).to_json_dict())
+        _assert_both_routes(spec, Y23)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.sampled_from(POOL), min_size=1, max_size=8), st.sampled_from(MODULI))
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), min_size=1, max_size=6),
+           st.sampled_from(MODULI))
     def test_random_collections(self, objects, moduli):
-        spec = CollectionSpec(tuple((str(e), e) for e in objects))
-        assert (verify_collection(spec, moduli).to_json_dict()
-                == verify_collection_by_pairs(spec, moduli).to_json_dict())
+        _assert_both_routes(CollectionSpec(tuple((str(e), e) for e in objects)), moduli)
+
+    def test_euler_pairing_on_integer_rows(self):
+        denominators = set()
+        for e in POOL:
+            for f in POOL:
+                assert euler_pairing(e, f) == euler_pairing_by_fractions(e, f), (e, f)
+                denominators.add(verify._chi_row(e)[0] * verify._chi_column(f, todd_y())[0])
+        assert max(denominators) > 1  # the division is exercised
 
     def test_fractional_pair_is_ring_inconsistency(self, monkeypatch):
         # a Todd class with top coefficient 1/2: chi(O, O) would be 1/2
@@ -197,6 +227,19 @@ class TestPerObjectRoute:
         with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
             verify_collection(spec, Y23)
         with pytest.raises(RingInconsistencyError):
+            euler_pairing(O(0), O(1))
+
+    def test_fractional_pair_with_warm_caches(self, monkeypatch):
+        # the per-object chi columns cached under the true Todd class must
+        # not answer for another one
+        spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
+        verify_collection(spec, Y23)
+        assert euler_pairing(O(0), O(1)) == 20
+        bent = todd_y() - F(1, 2) * ChowElement.basis("c3^2")
+        monkeypatch.setattr(verify, "todd_y", lambda: bent)
+        with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
+            verify_collection(spec, Y23)
+        with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(1\)\) = 39/2"):
             euler_pairing(O(0), O(1))
 
     def test_two_vertex_error_comes_first(self):

@@ -206,7 +206,7 @@ class TestPerObjectRoute:
         _assert_both_routes(spec, Y23)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), min_size=1, max_size=6),
+    @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), min_size=1, max_size=8),
            st.sampled_from(MODULI))
     def test_random_collections(self, objects, moduli):
         _assert_both_routes(CollectionSpec(tuple((str(e), e) for e in objects)), moduli)

@@ -7,11 +7,15 @@ broken identity), 2 on malformed input.  Rational numbers render as
 for a fixed invocation (sorted keys, no locale dependence).  When the
 reader closes stdout early, the command ends quietly with status 141
 (128 + SIGPIPE), as a shell pipeline expects.
+
+The argument parser is built on the first call of ``main`` and then
+serves every later call in the process; parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,7 +173,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process;
+    ``build_parser.__wrapped__()`` builds a fresh one."""
     parser = _ArgumentParser(
         prog="quivercert",
         description=(

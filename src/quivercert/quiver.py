@@ -34,6 +34,10 @@ DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Quiver:
     """A finite acyclic directed graph, parallel arrows allowed.
@@ -92,14 +96,20 @@ class Quiver:
         text = text.strip()
         if text.startswith("kronecker:"):
             return cls.kronecker(int(text.split(":", 1)[1]))
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("quiver JSON nested too deeply") from None
         for key in ("vertices", "arrows"):
             if not isinstance(data, dict) or key not in data:
                 raise ValueError(f"quiver JSON needs a {key!r} key")
-        try:
-            return cls(int(data["vertices"]), tuple((i, j) for i, j in data["arrows"]))
-        except TypeError:
-            raise ValueError("quiver JSON needs an integer vertex count and arrow pairs") from None
+        vertices, arrows = data["vertices"], data["arrows"]
+        # JSON booleans are ints to Python, and int() would truncate 1.5
+        if not (_is_int(vertices) and isinstance(arrows, list)
+                and all(isinstance(a, list) and len(a) == 2 and all(map(_is_int, a))
+                        for a in arrows)):
+            raise ValueError("quiver JSON needs an integer vertex count and arrow pairs")
+        return cls(vertices, tuple(map(tuple, arrows)))
 
     def to_json_dict(self) -> dict:
         return {"vertices": self.vertex_count, "arrows": [list(a) for a in self.arrows]}

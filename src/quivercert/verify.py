@@ -30,6 +30,10 @@ from .bundles import BundleExpr, O, dual, parse_expr, sl, tensor, twist
 from .chow import ChowElement, ch_of, gram_row, scaled, scaled_pairing, todd_y
 from .strata import Moduli, blocking_rows, unstable_strata, weight_ranges
 
+#: Largest object count of a collection read from JSON: the work, memory and
+#: output of ``verify_collection`` grow with its square.
+MAX_OBJECTS = 128
+
 EXCEPTIONAL = "exceptional-certified"
 STRONG_EXT = "strong-ext-certified"
 ORTHOGONAL = "orthogonality-certified"
@@ -52,16 +56,32 @@ class CollectionSpec:
             raise ValueError("collection must be nonempty")
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CollectionSpec":
+    def from_json_dict(cls, data) -> "CollectionSpec":
+        """Read ``{"objects": [{"expr": ..., "label": ...}, ...]}``: a list of
+        at most ``MAX_OBJECTS`` objects, each with a string ``expr`` and an
+        optional string ``label`` (the expression by default)."""
+        items = data.get("objects") if isinstance(data, dict) else None
+        if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+            raise ValueError('collection JSON needs an "objects" list of objects')
+        if len(items) > MAX_OBJECTS:
+            raise ValueError(f"object count above {MAX_OBJECTS}")
         objects = []
-        for item in data["objects"]:
-            expr = parse_expr(item["expr"])
-            objects.append((item.get("label", str(expr)), expr))
+        for item in items:
+            text, label = item.get("expr"), item.get("label")
+            if not isinstance(text, str) or not isinstance(label, (str, type(None))):
+                raise ValueError('a collection object needs a string "expr", and its "label", '
+                                 'if given, must be a string')
+            expr = parse_expr(text)
+            objects.append((str(expr) if label is None else label, expr))
         return cls(tuple(objects))
 
     @classmethod
     def from_json(cls, text: str) -> "CollectionSpec":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("collection JSON nested too deeply") from None
+        return cls.from_json_dict(data)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.objects)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -9,10 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
-from quivercert.cli import main
+from quivercert.cli import _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_VERTICES
+from quivercert.verify import MAX_OBJECTS
 
 TESTS = Path(__file__).parent
+TRANSCRIPT = json.loads((TESTS / "cli_transcript.json").read_text(encoding="utf-8"))
 
 #: sym2 of an 8-fold product of sum(O(0),O(2^k)): 256 weights on a stratum,
 #: so the sym2 combines 65,536 weight pairs, MAX_TERMS
@@ -62,6 +67,16 @@ class TestHnTypes:
         code, doc = run_cli(capsys, "hn-types", "--quiver", '{"vertices":2}')
         assert code == 2
         assert "quiver" in doc["error"] and "'arrows'" in doc["error"]
+
+    @pytest.mark.parametrize("quiver,message", [
+        ('{"vertices":2,"arrows":[[0,1.5]]}', "integer vertex count"),
+        ("[" * 100000, "nested too deeply"),
+    ], ids=["fractional-arrow-end", "deep-nesting"])
+    def test_malformed_quiver_json_is_input_error(self, capsys, quiver, message):
+        code, doc = run_cli(capsys, "hn-types", "--quiver", quiver, "--dim", "1,1",
+                            "--theta", "1,-1")
+        assert code == 2
+        assert message in doc["error"]
 
 
 class TestChi:
@@ -182,6 +197,22 @@ class TestVerifyCollection:
         assert code == 1
         assert doc["accepted"] is False
 
+    @pytest.mark.parametrize("body", [
+        "[]",
+        '{"objects":"ab"}',
+        '{"objects":[1]}',
+        '{"objects":[{"expr":5}]}',
+        '{"objects":[{"expr":"U1","label":7}]}',
+        '{"expr":"U1"}',
+        "[" * 100000,
+    ], ids=lambda body: body[:40])
+    def test_malformed_file_is_input_error(self, capsys, tmp_path, body):
+        path = tmp_path / "collection.json"
+        path.write_text(body, encoding="utf-8")
+        code, doc = run_cli(capsys, "verify-collection", "--file", str(path))
+        assert code == 2
+        assert "collection" in doc["error"]
+
     def test_unreadable_file_is_input_error(self, capsys, tmp_path):
         code, doc = run_cli(capsys, "verify-collection", "--file", str(tmp_path / "missing.json"))
         assert code == 2
@@ -236,6 +267,64 @@ class TestDeterminism:
     def test_pretty_flag(self, capsys):
         code, _ = run_cli(capsys, "chi", "--expr", "O(0)", "--pretty")
         assert code == 0
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, from the cached
+    ``build_parser``; ``build_parser.__wrapped__`` builds a fresh one."""
+
+    def test_calls_in_one_process_print_what_they_print_alone(self, capsys):
+        argvs = [
+            ["chi", "--expr"],
+            ["chi", "--expr", "O(1)", "--pretty"],
+            ["teleman", "--expr", "U1", "--theta", "6,-4"],
+            ["teleman", "--expr", "U1"],
+        ]
+        together = []
+        for argv in argvs:
+            main(argv)
+            together.append(capsys.readouterr().out)
+        alone = [subprocess.run([sys.executable, "-m", "quivercert", *argv],
+                                capture_output=True, text=True).stdout for argv in argvs]
+        assert together == alone
+
+    def test_parses_the_transcript_as_a_fresh_parser(self):
+        for record in TRANSCRIPT:
+            shared = vars(build_parser().parse_args(record["argv"]))
+            fresh = vars(build_parser.__wrapped__().parse_args(record["argv"]))
+            assert shared.pop("func") is fresh.pop("func")
+            assert shared == fresh
+
+    def test_help_twice(self, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "verify-collection" in outputs[0]
+
+    def test_built_on_the_first_call_only(self, capsys, monkeypatch):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from quivercert.cli import build_parser; print(build_parser.cache_info().currsize)"],
+            capture_output=True, text=True)
+        assert proc.stdout == "0\n"
+        built = []
+        init = _ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(_ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        main(["chi", "--expr", "U1"])
+        assert len(built) == 10  # the parser and its nine subcommands
+        main(["hn-types"])
+        assert len(built) == 10
+        capsys.readouterr()
 
 
 def _nested(depth: int) -> str:
@@ -299,8 +388,15 @@ class TestHostileSizes:
         # 128 products at MAX_TERMS on each stratum
         (["teleman", "--expr", balanced_sum(SYM2_AT_THE_TERM_LIMIT, 128)],
          f"exceed {MAX_WORK_TERMS} terms"),
+        # the count is checked before any expression is parsed
+        (["verify-collection", "--file", "129-objects.json"],
+         f"object count above {MAX_OBJECTS}"),
     ])
-    def test_work_above_the_limit_is_input_error(self, capsys, argv, message):
+    def test_work_above_the_limit_is_input_error(self, capsys, tmp_path, monkeypatch, argv,
+                                                 message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "129-objects.json").write_text(
+            json.dumps({"objects": [{"expr": "nope"}] * (MAX_OBJECTS + 1)}), encoding="utf-8")
         start = time.perf_counter()
         code, doc = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -391,6 +487,35 @@ def fuzzed_argv(draw):
     return argv[:draw(st.integers(1, len(argv)))] if draw(st.booleans()) else argv
 
 
+#: Bundle expressions for collection files.
+OBJECTS = SAMPLES["--expr"][:2] + ("U1", "O(-3)", "sl(U2)")
+#: Any JSON document, its objects often with the keys of a collection file.
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(OBJECTS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(("objects", "expr", "label")) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+#: Collection files: a list of up to five objects, each with a sample or
+#: random text as expression and any label.
+collection_documents = st.fixed_dictionaries({"objects": st.lists(st.fixed_dictionaries(
+    {"expr": st.sampled_from(OBJECTS) | st.text("UOdualsym2(),-1", max_size=12)},
+    optional={"label": json_documents}), max_size=5)})
+
+
+def assert_one_json_document(argv):
+    """Exit 0, 1 or 2 within 10 s, with one JSON document on stdout."""
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2)
+    text = out.getvalue()
+    assert text.endswith("\n")
+    json.loads(text)
+
+
 class TestFuzz:
     @settings(max_examples=100, deadline=None)
     @given(fuzzed_argv())
@@ -398,15 +523,19 @@ class TestFuzz:
     @example(["teleman", "--expr", "sym2(" * 20 + "U2" + ")" * 20])
     @example(["chow-eval", "--expr", "2^20000"])
     def test_every_outcome_is_one_json_document(self, argv):
-        out = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        assert time.perf_counter() - start < 10
-        assert code in (0, 1, 2)
-        text = out.getvalue()
-        assert text.endswith("\n")
-        json.loads(text)
+        assert_one_json_document(argv)
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_documents | collection_documents)
+    @example([])
+    @example({"objects": "ab"})
+    @example({"objects": [1]})
+    @example({"objects": [{"expr": 5}]})
+    def test_every_collection_file_gives_one_json_document(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "collection.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert_one_json_document(["verify-collection", "--file", str(path)])
 
 
 class TestGoldenTranscript:
@@ -415,9 +544,7 @@ class TestGoldenTranscript:
     the sl3 dictionary solve); they must stay byte-identical."""
 
     @pytest.mark.parametrize(
-        "record",
-        json.loads((TESTS / "cli_transcript.json").read_text(encoding="utf-8")),
-        ids=lambda record: " ".join(record["argv"])[:60],
+        "record", TRANSCRIPT, ids=lambda record: " ".join(record["argv"])[:60],
     )
     def test_byte_identical(self, capsys, monkeypatch, record):
         monkeypatch.chdir(TESTS.parent)

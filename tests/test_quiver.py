@@ -95,6 +95,19 @@ class TestQuiver:
         with pytest.raises(ValueError, match=key):
             Quiver.from_spec(spec)
 
+    @pytest.mark.parametrize("spec", [
+        '{"vertices": 2, "arrows": [[0, 1.5]]}',
+        '{"vertices": 2, "arrows": [[0, true]]}',
+        '{"vertices": true, "arrows": []}',
+        '{"vertices": 2.0, "arrows": [[0, 1]]}',
+        '{"vertices": "2", "arrows": [[0, 1]]}',
+        '{"vertices": 2, "arrows": [[0, 1, 1]]}',
+        '{"vertices": 2, "arrows": {"0": 1}}',
+    ])
+    def test_json_non_integers_are_refused(self, spec):
+        with pytest.raises(ValueError, match="integer vertex count and arrow pairs"):
+            Quiver.from_spec(spec)
+
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="acyclic"):
             Quiver(2, ((0, 1), (1, 0)))

@@ -15,6 +15,7 @@ from quivercert.quiver import KRONECKER3, Quiver
 from quivercert.strata import Moduli, unstable_strata
 from quivercert.verify import (
     EXCEPTIONAL,
+    MAX_OBJECTS,
     ORTHOGONAL,
     STRONG_EXT,
     UNDETERMINED,
@@ -137,6 +138,15 @@ class TestSmallCollections:
         assert result.status(1, 0).chi == 0
         assert result.status(0, 1).teleman_pass
         assert result.status(1, 0).teleman_pass
+
+    def test_json_labels_and_object_count(self):
+        spec = CollectionSpec.from_json_dict(
+            {"objects": [{"expr": "twist(U1, 1)"}, {"expr": "O(0)", "label": "O"}]})
+        assert spec.labels() == ("tensor(U1,O(1))", "O")
+        at_limit = CollectionSpec.from_json_dict({"objects": [{"expr": "O(0)"}] * MAX_OBJECTS})
+        assert len(at_limit) == MAX_OBJECTS
+        with pytest.raises(ValueError, match=f"object count above {MAX_OBJECTS}"):
+            CollectionSpec.from_json_dict({"objects": [{"expr": "O(0)"}] * (MAX_OBJECTS + 1)})
 
     def test_verdict_table(self):
         from quivercert.verify import _pair_verdict

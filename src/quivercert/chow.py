@@ -12,9 +12,9 @@ coordinates through a precomputed table, so multiplication is table
 lookup plus bilinearity.  Chern characters of bundle expressions are
 evaluated compositionally from the definitional Chern classes of the
 universal bundles via Newton's identities, and chi(F) is the degree-6
-integral of ch(F) * Todd(Y).  All coefficients are exact rationals; the
-pairing also runs on integer vectors with a common denominator (``scaled``,
-``gram_row``), since its structure constants are integers.
+integral of ch(F) * Todd(Y).  Coordinates are exact rationals, stored as
+integers over one common denominator; three times every structure constant
+is an integer, so all ring arithmetic and the pairing run on integers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .bundles import MAX_DEPTH, BundleExpr, Scanner, evaluate
@@ -115,6 +115,9 @@ def _build_products():
     for m in itertools.product(range(7), range(4), range(4), range(3)):
         if _monomial_degree(m) <= 6 and m not in reductions:
             raise AssertionError(f"monomial {m} missing from reduction table")
+    for m, terms in reductions.items():
+        if any((3 * c).denominator != 1 for _, c in terms):
+            raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
     return tuple(
         tuple(reductions.get(tuple(map(add, mi, mj)), ()) for mj in _BASIS_MONOMIALS)
         for mi in _BASIS_MONOMIALS
@@ -123,78 +126,99 @@ def _build_products():
 
 _PRODUCTS = _build_products()
 
+#: ``_TRIPLED[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j.
+_TRIPLED = tuple(tuple((j, tuple((k, int(3 * c)) for k, c in terms))
+                       for j, terms in enumerate(row) if terms) for row in _PRODUCTS)
+
 #: ``(i, j, c)`` for the nonzero integrals c of basis_i * basis_j, all with
 #: complementary degrees, all integers.
 _PAIRING = tuple((i, j, int(c)) for i, row in enumerate(_PRODUCTS) for j, terms in enumerate(row)
                  for k, c in terms if k == _INDEX["c3^2"])
 
 
-class ChowElement:
-    """An element of the Chow ring, stored as exact rational coordinates
-    over the 13-class basis."""
+def _element(nums, den: int) -> "ChowElement":
+    """The element with coordinates ``nums[i] / den``, den > 0, in lowest terms."""
+    g = gcd(den, *nums)
+    x = object.__new__(ChowElement)
+    x.nums, x.den = (tuple(nums), den) if g == 1 else (tuple(n // g for n in nums), den // g)
+    return x
 
-    __slots__ = ("coords", "_hash")
+
+class ChowElement:
+    """An element of the Chow ring with coordinates ``nums[i] / den`` over the
+    13-class basis, in lowest terms: ``den > 0`` and ``gcd(den, *nums) == 1``,
+    so equal elements store equal integers, and zero has ``den == 1``."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coords):
         coords = tuple(F(x) for x in coords)
         if len(coords) != len(BASIS):
             raise ValueError("expected one coordinate per basis class")
-        self.coords = coords
+        # over the lcm of reduced denominators, nums and den are coprime
+        self.den = lcm(*(c.denominator for c in coords))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coords)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The exact rational coordinates."""
+        return tuple(F(n, self.den) for n in self.nums)
 
     @classmethod
     def zero(cls) -> "ChowElement":
-        return cls([0] * len(BASIS))
+        return _element([0] * len(BASIS), 1)
 
     @classmethod
     def unit(cls) -> "ChowElement":
-        return cls([1] + [0] * (len(BASIS) - 1))
+        return cls.basis("[Y]")
 
     @classmethod
     def basis(cls, label: str) -> "ChowElement":
-        coords = [F(0)] * len(BASIS)
-        coords[_INDEX[label]] = F(1)
-        return cls(coords)
+        nums = [0] * len(BASIS)
+        nums[_INDEX[label]] = 1
+        return _element(nums, 1)
 
     def coefficient(self, label: str) -> Fraction:
-        return self.coords[_INDEX[label]]
+        return F(self.nums[_INDEX[label]], self.den)
 
     def degree_part(self, k: int) -> "ChowElement":
-        return ChowElement(
-            [c if DEGREES[i] == k else F(0) for i, c in enumerate(self.coords)]
-        )
+        return _element([n if DEGREES[i] == k else 0 for i, n in enumerate(self.nums)], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __add__(self, other):
         if not isinstance(other, ChowElement):
             return NotImplemented
-        return ChowElement([a + b for a, b in zip(self.coords, other.coords)])
+        m = lcm(self.den, other.den)
+        p, q = m // self.den, m // other.den
+        return _element([a * p + b * q for a, b in zip(self.nums, other.nums)], m)
 
     def __sub__(self, other):
         if not isinstance(other, ChowElement):
             return NotImplemented
-        return ChowElement([a - b for a, b in zip(self.coords, other.coords)])
+        return self + -other
 
     def __neg__(self):
-        return ChowElement([-a for a in self.coords])
+        return _element([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ChowElement([a * other for a in self.coords])
+            return _element([a * other.numerator for a in self.nums],
+                            self.den * other.denominator)
         if not isinstance(other, ChowElement):
             return NotImplemented
-        out = [F(0)] * len(BASIS)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                ab = a * b
-                for k, c in _PRODUCTS[i][j]:
-                    out[k] += ab * c
-        return ChowElement(out)
+        out = [0] * len(BASIS)
+        ys = other.nums
+        for a, row in zip(self.nums, _TRIPLED):
+            if a:
+                for j, terms in row:
+                    b = ys[j]
+                    if b:
+                        ab = a * b
+                        for k, c in terms:
+                            out[k] += ab * c
+        return _element(out, 3 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -203,40 +227,32 @@ class ChowElement:
             raise ValueError("negative powers are not defined")
         if n == 0:
             return ChowElement.unit()
-        if n > 6 and self.coords[0] == 0:
+        if n > 6 and self.nums[0] == 0:
             return ChowElement.zero()  # nilpotent: products vanish past degree 6
         root = self ** (n // 2)
         return root * root * self if n % 2 else root * root
 
     def dual(self) -> "ChowElement":
         """Chern character of the dual: negate odd-degree parts."""
-        return ChowElement(
-            [-c if DEGREES[i] % 2 else c for i, c in enumerate(self.coords)]
-        )
+        return _element([-n if DEGREES[i] % 2 else n for i, n in enumerate(self.nums)], self.den)
 
     def psi2(self) -> "ChowElement":
         """Second Adams operation on Chern characters: scale the degree-k
         part by 2^k."""
-        return ChowElement([c * (2 ** DEGREES[i]) for i, c in enumerate(self.coords)])
+        return _element([n * 2 ** DEGREES[i] for i, n in enumerate(self.nums)], self.den)
 
     def det(self) -> "ChowElement":
         """Chern character of the determinant: exp of the degree-1 part."""
         return _exp(self.degree_part(1))
 
     def half(self) -> "ChowElement":
-        return F(1, 2) * self
+        return _element(self.nums, 2 * self.den)
 
     def __eq__(self, other):
-        return isinstance(other, ChowElement) and self.coords == other.coords
+        return isinstance(other, ChowElement) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        # cached: hashing 13 fractions is slow, and the Todd class is hashed
-        # once per object in every certified collection
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self.coords)
-            return self._hash
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         terms = [
@@ -255,31 +271,22 @@ def integral(x: ChowElement) -> Fraction:
 
 def pairing(x: ChowElement, y: ChowElement) -> Fraction:
     """The integral of x * y, without forming the product."""
-    xs, ys = x.coords, y.coords
-    return sum(xs[i] * ys[j] * c for i, j, c in _PAIRING)
-
-
-def scaled(x: ChowElement) -> tuple[int, tuple[int, ...]]:
-    """``(D, v)``: D is the least common denominator of the coordinates of
-    x, and v holds the integer coordinates of D * x."""
-    d = lcm(*(c.denominator for c in x.coords))
-    return d, tuple(c.numerator * (d // c.denominator) for c in x.coords)
+    xs, ys = x.nums, y.nums
+    return F(sum(xs[i] * ys[j] * c for i, j, c in _PAIRING), x.den * y.den)
 
 
 def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
-    """``(D, r)`` with D as in ``scaled`` and r[b] the integral of D * x *
-    basis_b, so that the integral of x * y is r . y / D."""
-    d, xs = scaled(x)
+    """``(D, r)`` with D = ``x.den`` and r[b] the integral of D * x *
+    basis_b, so that the integral of x * y is r . y.nums / (D * y.den)."""
     row = [0] * len(BASIS)
     for i, j, c in _PAIRING:
-        row[j] += xs[i] * c
-    return d, tuple(row)
+        row[j] += x.nums[i] * c
+    return x.den, tuple(row)
 
 
 def scaled_pairing(row: tuple[int, tuple[int, ...]], column: tuple[int, tuple[int, ...]],
                    what: str) -> int:
-    """The integral ``what`` of x * y from ``gram_row(x)`` and ``scaled(y)``,
-    which must be an integer."""
+    """The integer integral ``what`` of x * y from ``gram_row(x)`` and ``(y.den, y.nums)``."""
     (d, r), (e, v) = row, column
     total = sum(map(mul, r, v))
     value, rest = divmod(total, d * e)
@@ -292,18 +299,11 @@ _C3 = ChowElement.basis("c3")
 _D2 = ChowElement.basis("d2")
 
 
-def _from_parts(*parts: ChowElement) -> ChowElement:
-    out = ChowElement.zero()
-    for p in parts:
-        out = out + p
-    return out
-
-
 @lru_cache(maxsize=1)
 def tangent_chern() -> ChowElement:
     """Total Chern class of the tangent bundle, graded pieces in basis
     coordinates."""
-    return _from_parts(
+    return sum((
         ChowElement.unit(),
         3 * _C1,
         3 * ChowElement.basis("c1^2") + 5 * _D2,
@@ -312,14 +312,14 @@ def tangent_chern() -> ChowElement:
         + 4 * ChowElement.basis("d2^2"),
         17 * ChowElement.basis("c2*c3"),
         13 * ChowElement.basis("c3^2"),
-    )
+    ), ChowElement.zero())
 
 
 @lru_cache(maxsize=1)
 def todd_y() -> ChowElement:
     """Todd class of Y; the degree-3 piece is stated with c1^3 already
     reduced to basis coordinates."""
-    return _from_parts(
+    return sum((
         ChowElement.unit(),
         F(3, 2) * _C1,
         ChowElement.basis("c1^2") + F(5, 12) * _D2,
@@ -328,7 +328,7 @@ def todd_y() -> ChowElement:
         + F(553, 360) * ChowElement.basis("d2^2"),
         F(77, 60) * ChowElement.basis("c2*c3"),
         ChowElement.basis("c3^2"),
-    )
+    ), ChowElement.zero())
 
 
 def _exp(x: ChowElement) -> ChowElement:
@@ -345,10 +345,9 @@ def _exp(x: ChowElement) -> ChowElement:
     return out
 
 
-def _ch_from_chern(rank: int, chern: tuple[ChowElement, ...]) -> ChowElement:
-    """Chern character from Chern classes via Newton's identities on
+def _ch_from_chern(rank: int, e: tuple[ChowElement, ...]) -> ChowElement:
+    """Chern character from the Chern classes e via Newton's identities on
     power sums of the Chern roots."""
-    e = list(chern)
     p: list[ChowElement] = []
     for k in range(1, 7):
         term = ChowElement.zero()

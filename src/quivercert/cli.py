@@ -140,14 +140,20 @@ def _cmd_syzygies(args) -> tuple[dict, int]:
     return doc, 0
 
 
+#: Largest collection file read, far above what ``MAX_OBJECTS`` objects need.
+MAX_FILE_BYTES = 2 ** 20
+
+
 def _cmd_verify_collection(args) -> tuple[dict, int]:
     if args.file:
         try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.file, "rb") as fh:
+                data = fh.read(MAX_FILE_BYTES + 1)
         except OSError as exc:
             raise ValueError(str(exc)) from exc
-        spec = CollectionSpec.from_json(text)
+        if len(data) > MAX_FILE_BYTES:
+            raise ValueError(f"collection file above {MAX_FILE_BYTES} bytes")
+        spec = CollectionSpec.from_json(data.decode("utf-8"))
     else:
         spec = standard_collection()
     moduli = _moduli_from_args(args)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from ._linalg import poly_add, poly_mul, poly_sub
 
-#: Largest arrow count of ``Quiver.kronecker``, which builds one entry per arrow.
+#: Largest arrow count of a quiver, which builds one entry per arrow.
 MAX_ARROWS = 10 ** 4
 
 #: Largest vertex count of a quiver, which builds one entry per vertex.
@@ -55,6 +55,8 @@ class Quiver:
         if self.vertex_count > MAX_VERTICES:
             raise ValueError(f"vertex count above {MAX_VERTICES}")
         arrows = tuple((int(i), int(j)) for i, j in self.arrows)
+        if len(arrows) > MAX_ARROWS:
+            raise ValueError(f"arrow count above {MAX_ARROWS}")
         object.__setattr__(self, "arrows", arrows)
         for i, j in arrows:
             if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import bundles
 from .bundles import BundleExpr, O, dual, parse_expr, sl, tensor, twist
-from .chow import ChowElement, ch_of, gram_row, scaled, scaled_pairing, todd_y
+from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
 from .strata import Moduli, blocking_rows, unstable_strata, weight_ranges
 
 #: Largest object count of a collection read from JSON: the work, memory and
@@ -153,10 +153,11 @@ def _chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]:
-    """ch(e) * todd scaled to integers: the right factor of every chi(-, e).
+    """ch(e) * todd as ``(den, nums)``: the right factor of every chi(-, e).
     Keyed on the Todd class too, so that no column outlives the class it
     was made with."""
-    return scaled(ch_of(e) * todd)
+    x = ch_of(e) * todd
+    return x.den, x.nums
 
 
 def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:

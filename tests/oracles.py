@@ -13,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
 from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, tensor
 from quivercert.chow import (
@@ -21,6 +22,9 @@ from quivercert.chow import (
     ChowElement,
     _BASIS_MONOMIALS,
     _EXTRA_REDUCTIONS,
+    _INDEX,
+    _PAIRING,
+    _PRODUCTS,
     _ch_from_chern,
     _exp,
     _monomial_degree,
@@ -28,6 +32,7 @@ from quivercert.chow import (
     integer,
     integral,
     pairing,
+    render_fraction,
     tangent_chern,
     todd_y,
 )
@@ -515,6 +520,168 @@ def ch_by_ops(e: BundleExpr) -> ChowElement:
     if e.op == "wedge2":
         return F(1, 2) * (inner * inner - _psi2_ch(inner))
     raise ValueError(f"unknown operator {e.op!r}")
+
+
+# -- the Chow ring in Fraction coordinates ------------------------------------
+#
+# The route that integer coordinates over one common denominator replaced:
+# ChowElement, exp, the pairing and the Gram row as they were, with
+# coordinates stored as a tuple of Fractions.
+
+class FractionChowElement:
+    """An element of the Chow ring, stored as exact rational coordinates
+    over the 13-class basis."""
+
+    __slots__ = ("coords", "_hash")
+
+    def __init__(self, coords):
+        coords = tuple(F(x) for x in coords)
+        if len(coords) != len(BASIS):
+            raise ValueError("expected one coordinate per basis class")
+        self.coords = coords
+
+    @classmethod
+    def zero(cls) -> "FractionChowElement":
+        return cls([0] * len(BASIS))
+
+    @classmethod
+    def unit(cls) -> "FractionChowElement":
+        return cls([1] + [0] * (len(BASIS) - 1))
+
+    @classmethod
+    def basis(cls, label: str) -> "FractionChowElement":
+        coords = [F(0)] * len(BASIS)
+        coords[_INDEX[label]] = F(1)
+        return cls(coords)
+
+    def coefficient(self, label: str) -> Fraction:
+        return self.coords[_INDEX[label]]
+
+    def degree_part(self, k: int) -> "FractionChowElement":
+        return FractionChowElement(
+            [c if DEGREES[i] == k else F(0) for i, c in enumerate(self.coords)]
+        )
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+    def __add__(self, other):
+        if not isinstance(other, FractionChowElement):
+            return NotImplemented
+        return FractionChowElement([a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        if not isinstance(other, FractionChowElement):
+            return NotImplemented
+        return FractionChowElement([a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return FractionChowElement([-a for a in self.coords])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionChowElement([a * other for a in self.coords])
+        if not isinstance(other, FractionChowElement):
+            return NotImplemented
+        out = [F(0)] * len(BASIS)
+        for i, a in enumerate(self.coords):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coords):
+                if b == 0:
+                    continue
+                ab = a * b
+                for k, c in _PRODUCTS[i][j]:
+                    out[k] += ab * c
+        return FractionChowElement(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        if n == 0:
+            return FractionChowElement.unit()
+        if n > 6 and self.coords[0] == 0:
+            return FractionChowElement.zero()  # nilpotent: products vanish past degree 6
+        root = self ** (n // 2)
+        return root * root * self if n % 2 else root * root
+
+    def dual(self) -> "FractionChowElement":
+        """Chern character of the dual: negate odd-degree parts."""
+        return FractionChowElement(
+            [-c if DEGREES[i] % 2 else c for i, c in enumerate(self.coords)]
+        )
+
+    def psi2(self) -> "FractionChowElement":
+        """Second Adams operation on Chern characters: scale the degree-k
+        part by 2^k."""
+        return FractionChowElement([c * (2 ** DEGREES[i]) for i, c in enumerate(self.coords)])
+
+    def det(self) -> "FractionChowElement":
+        """Chern character of the determinant: exp of the degree-1 part."""
+        return _exp_by_fractions(self.degree_part(1))
+
+    def half(self) -> "FractionChowElement":
+        return F(1, 2) * self
+
+    def __eq__(self, other):
+        return isinstance(other, FractionChowElement) and self.coords == other.coords
+
+    def __hash__(self):
+        # cached: hashing 13 fractions is slow, and the Todd class is hashed
+        # once per object in every certified collection
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coords)
+            return self._hash
+
+    def __repr__(self):
+        terms = [
+            f"{c}*{BASIS[i]}" for i, c in enumerate(self.coords) if c != 0
+        ]
+        return " + ".join(terms) if terms else "0"
+
+    def to_json_dict(self) -> dict:
+        return {label: render_fraction(c) for label, c in zip(BASIS, self.coords)}
+
+
+def _exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
+    """exp of an element with zero degree-0 part, truncated in degree 6."""
+    if not x.degree_part(0).is_zero():
+        raise ValueError("exp needs vanishing degree-0 part")
+    out = FractionChowElement.unit()
+    power = FractionChowElement.unit()
+    for k in range(1, 7):
+        power = power * x
+        if power.is_zero():
+            break
+        out = out + F(1, factorial(k)) * power
+    return out
+
+
+def pairing_by_fractions(x: FractionChowElement, y: FractionChowElement) -> Fraction:
+    """The integral of x * y, without forming the product."""
+    xs, ys = x.coords, y.coords
+    return sum(xs[i] * ys[j] * c for i, j, c in _PAIRING)
+
+
+def scaled_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]:
+    """``(D, v)``: D is the least common denominator of the coordinates of
+    x, and v holds the integer coordinates of D * x."""
+    d = lcm(*(c.denominator for c in x.coords))
+    return d, tuple(c.numerator * (d // c.denominator) for c in x.coords)
+
+
+def gram_row_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]:
+    """``(D, r)`` with D as in ``scaled`` and r[b] the integral of D * x *
+    basis_b, so that the integral of x * y is r . y / D."""
+    d, xs = scaled_by_fractions(x)
+    row = [0] * len(BASIS)
+    for i, j, c in _PAIRING:
+        row[j] += xs[i] * c
+    return d, tuple(row)
 
 
 # -- dense Chow products and the sl3 dictionary by row reduction -------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
-from oracles import ch_by_ops, chow_mul_dense, random_expr, todd_from_chern_roots
+from oracles import (
+    FractionChowElement,
+    ch_by_ops,
+    chow_mul_dense,
+    gram_row_by_fractions,
+    pairing_by_fractions,
+    random_expr,
+    todd_from_chern_roots,
+)
 from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
 from quivercert.chow import (
     _PAIRING,
@@ -16,6 +25,7 @@ from quivercert.chow import (
     ChowElement,
     ch_of,
     chi,
+    gram_row,
     integral,
     pairing,
     parse_chow_poly,
@@ -123,6 +133,72 @@ class TestPairing:
     def test_pairs_complementary_degrees_only(self):
         assert len(_PAIRING) == 31
         assert all(DEGREES[i] + DEGREES[j] == 6 and c != 0 for i, j, c in _PAIRING)
+
+
+coordinates = st.lists(st.one_of(st.just(F(0)), fractions),
+                       min_size=len(BASIS), max_size=len(BASIS))
+scalars = st.one_of(st.integers(-20, 20), fractions)
+
+
+def assert_same(x: ChowElement, oracle: FractionChowElement):
+    assert x.coords == oracle.coords, (x, oracle)
+
+
+class TestIntegerCoordinates:
+    """ChowElement against the Fraction route it replaced, and its lowest
+    terms."""
+
+    @given(coordinates, coordinates, scalars)
+    def test_operations_match_fraction_route(self, xs, ys, s):
+        x, y = ChowElement(xs), ChowElement(ys)
+        fx, fy = FractionChowElement(xs), FractionChowElement(ys)
+        assert_same(x, fx)
+        assert_same(x + y, fx + fy)
+        assert_same(x - y, fx - fy)
+        assert_same(-x, -fx)
+        assert_same(x * s, fx * s)
+        assert_same(s * x, s * fx)
+        assert_same(x * y, fx * fy)
+        assert_same(x.dual(), fx.dual())
+        assert_same(x.psi2(), fx.psi2())
+        assert_same(x.half(), fx.half())
+        assert_same(x.det(), fx.det())
+        for k in range(7):
+            assert_same(x.degree_part(k), fx.degree_part(k))
+            assert x.degree_part(k).is_zero() == fx.degree_part(k).is_zero()
+        assert x.is_zero() == fx.is_zero()
+        assert (x - x).is_zero() and (fx - fx).is_zero()
+        assert pairing(x, y) == pairing_by_fractions(fx, fy)
+        assert gram_row(x) == gram_row_by_fractions(fx)
+        assert x.to_json_dict() == fx.to_json_dict()
+        assert repr(x) == repr(fx)
+        for label in BASIS:
+            assert x.coefficient(label) == fx.coefficient(label)
+
+    @given(coordinates, st.integers(0, 9))
+    def test_powers_match_fraction_route(self, xs, n):
+        assert_same(ChowElement(xs) ** n, FractionChowElement(xs) ** n)
+
+    @given(coordinates)
+    def test_lowest_terms(self, xs):
+        x = ChowElement(xs)
+        routes = [x, ChowElement(x.coords), (x + x).half(), x * 6 * F(1, 6), -(-x),
+                  x * 2 - x, x * ChowElement.unit(), ChowElement([2 * c for c in xs]) * F(2, 4)]
+        for y in routes:
+            assert y == x and hash(y) == hash(x)
+            assert y.den > 0 and math.gcd(y.den, *y.nums) == 1
+            assert (y.nums, y.den) == (x.nums, x.den)
+        for zero in (x - x, x * 0, x.degree_part(7), ChowElement.zero()):
+            assert zero == ChowElement.zero() and zero.den == 1 and not any(zero.nums)
+
+    def test_lowest_terms_examples(self):
+        half = ChowElement([F(2, 4)] + [0] * (len(BASIS) - 1))
+        assert half == ChowElement.unit().half() == F(1, 2) * ChowElement.unit()
+        assert hash(half) == hash(ChowElement.unit().half())
+        assert (half.den, half.nums[0]) == (2, 1)
+        # degree-5 products carry the factor 3 of the table into the denominator
+        assert (C1 ** 2 * C3).nums[BASIS.index("c2*c3")] == 5 and (C1 ** 2 * C3).den == 3
+        assert (C3 * D2).coefficient("c2*c3") == F(2, 3)
 
 
 class TestToddAndTangent:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
-from quivercert.cli import _ArgumentParser, build_parser, main
+from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
 
@@ -391,6 +391,10 @@ class TestHostileSizes:
         # the count is checked before any expression is parsed
         (["verify-collection", "--file", "129-objects.json"],
          f"object count above {MAX_OBJECTS}"),
+        (["hn-types", "--quiver",
+          json.dumps({"vertices": 2, "arrows": [[0, 1]] * (MAX_ARROWS + 1)}),
+          "--dim", "1,1", "--theta", "1,-1"],
+         f"arrow count above {MAX_ARROWS}"),
     ])
     def test_work_above_the_limit_is_input_error(self, capsys, tmp_path, monkeypatch, argv,
                                                  message):
@@ -402,6 +406,26 @@ class TestHostileSizes:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert message in doc["error"]
+
+    def test_collection_file_at_the_size_limit_is_read(self, capsys, tmp_path):
+        body = json.dumps({"objects": [{"expr": "O(0)"}]}).encode()
+        path = tmp_path / "at-limit.json"
+        path.write_bytes(body + b" " * (MAX_FILE_BYTES - len(body)))
+        code, doc = run_cli(capsys, "verify-collection", "--file", str(path))
+        assert code == 0 and doc["accepted"]
+
+    @pytest.mark.parametrize("name", [
+        "above-limit.json",
+        pytest.param("/dev/zero", marks=pytest.mark.skipif(not Path("/dev/zero").exists(),
+                                                           reason="no /dev/zero")),
+    ])
+    def test_collection_file_above_the_size_limit_is_input_error(self, capsys, tmp_path, name):
+        body = json.dumps({"objects": [{"expr": "O(0)"}]}).encode()
+        (tmp_path / "above-limit.json").write_bytes(body + b" " * (MAX_FILE_BYTES + 1 - len(body)))
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "verify-collection", "--file", str(tmp_path / name))
+        assert time.perf_counter() - start < 1
+        assert (code, doc) == (2, {"error": f"collection file above {MAX_FILE_BYTES} bytes"})
 
     @pytest.mark.parametrize("expr", [
         # 65,536 pairs in the last product, about 2^17 on each stratum

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -66,6 +67,15 @@ class TestQuiver:
         assert len(Quiver.kronecker(MAX_ARROWS).arrows) == MAX_ARROWS
         with pytest.raises(ValueError, match=f"above {MAX_ARROWS}"):
             Quiver.from_spec(f"kronecker:{MAX_ARROWS + 1}")
+
+    def test_arrow_count_is_bounded_on_every_route(self):
+        spec = {"vertices": 2, "arrows": [[0, 1]] * MAX_ARROWS}
+        assert len(Quiver.from_spec(json.dumps(spec)).arrows) == MAX_ARROWS
+        spec["arrows"].append([0, 1])
+        with pytest.raises(ValueError, match=f"^arrow count above {MAX_ARROWS}$"):
+            Quiver.from_spec(json.dumps(spec))
+        with pytest.raises(ValueError, match=f"^arrow count above {MAX_ARROWS}$"):
+            Quiver(3, ((0, 1), (1, 2)) * (MAX_ARROWS // 2) + ((0, 2),))
 
     def test_vertex_count_is_bounded(self):
         assert Quiver(MAX_VERTICES, ()).vertex_count == MAX_VERTICES

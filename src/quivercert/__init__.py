@@ -57,10 +57,8 @@ from .repgeom import (
     commutes,
     is_stable,
     minors,
-    minors_independent,
     parse_matrix,
     syzygies,
-    to_sl3_plane,
 )
 from .strata import (
     Moduli,

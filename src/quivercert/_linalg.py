@@ -1,5 +1,6 @@
-"""Small exact linear algebra over the rationals, and dense polynomials in
-one variable with integer or rational coefficients."""
+"""Small exact linear algebra over the rationals (row reduction and rank),
+and the ring operations on dense polynomials in one variable with integer
+or rational coefficients."""
 
 from __future__ import annotations
 
@@ -40,12 +41,6 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def row_space_basis(rows):
-    """Canonical basis of the row space, usable for comparing spans."""
-    m, pivots = rref(rows)
-    return tuple(tuple(m[i]) for i in range(len(pivots)))
-
-
 # -- dense polynomials in one variable, coefficients ascending ---------------
 
 def poly_trim(p):
@@ -80,30 +75,3 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    p = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(p) >= len(q) and poly_trim(p):
-        shift = len(p) - len(q)
-        f = p[-1] / lead
-        quot[shift] = f
-        for i, b in enumerate(q):
-            p[shift + i] -= f * b
-        p = list(poly_trim(p))
-    return poly_trim(quot), poly_trim(p)
-
-
-def poly_gcd(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = tuple(a / lead for a in p)
-    return p
-

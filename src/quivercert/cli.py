@@ -107,19 +107,15 @@ def _cmd_chow_eval(args) -> tuple[dict, int]:
 
 def _cmd_stability(args) -> tuple[dict, int]:
     r = repgeom.parse_matrix(args.matrix)
-    stable = repgeom.is_stable(r)
-    quadrics = repgeom.minors(r)
-    doc = {
+    pair = repgeom.syzygies(r)
+    stable = not pair.degenerate
+    return {
         "matrix": str(r),
         "stable": stable,
-        "minors": [repgeom.render_quadratic_form(q) for q in quadrics],
-        "minors_independent": repgeom.minors_independent(r),
-    }
-    if stable:
-        doc["abelian_plane"] = repgeom.commutes(repgeom.to_sl3_plane(r))
-    else:
-        doc["abelian_plane"] = None
-    return doc, 0
+        "minors": [repgeom.render_quadratic_form(q) for q in pair.minors],
+        "minors_independent": stable,
+        "abelian_plane": repgeom.commutes(pair.sl3) if stable else None,
+    }, 0
 
 
 def _cmd_syzygies(args) -> tuple[dict, int]:

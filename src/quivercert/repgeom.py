@@ -1,10 +1,9 @@
 """Stability and syzygies of 2x3 matrices of linear forms.
 
 A point of the moduli space Y is an orbit of 2x3 matrices with entries
-in W = <x, y, z>.  Stability is equivalent both to linear independence
-of the three maximal 2x2 minors inside Sym^2 W and to a rank condition
-on the adjoint map; we implement the rank condition exactly and keep
-the minor criterion as an independent oracle for tests.
+in W = <x, y, z>.  Stability is linear independence of the three maximal
+2x2 minors inside Sym^2 W: they span the net of conics that embeds Y in
+Gr(3, Sym^2 W), and ``is_stable`` is a rank test on them.
 
 A stable matrix determines a canonical pair of syzygy tensors in
 Sym^2 W (x) W that lie in the kernel of the multiplication map to
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from ._linalg import poly_gcd, poly_trim, rank, row_space_basis
+from ._linalg import rank
 
 F = Fraction
 
@@ -94,10 +93,6 @@ class LinearFormMatrix:
         if any(len(entry) != 3 for row in rows for entry in row):
             raise ValueError("entries must be linear forms in x, y, z")
 
-    def coefficient_matrix(self, var_index: int):
-        """The 2x3 rational matrix of a single variable's coefficients."""
-        return [[entry[var_index] for entry in row] for row in self.rows]
-
     def __str__(self) -> str:
         return ";".join(
             ",".join(render_linear_form(entry) for entry in row) for row in self.rows
@@ -117,55 +112,25 @@ def minors(r: LinearFormMatrix) -> tuple[QuadraticForm, QuadraticForm, Quadratic
     return (m1, m2, m3)
 
 
-def minors_independent(r: LinearFormMatrix) -> bool:
-    """Linear independence of the three maximal minors inside Sym^2 W."""
-    return rank(list(minors(r))) == 3
-
-
-def _binary_quadratic_common_zero(forms) -> bool:
-    """Whether binary quadratics alpha*s^2 + beta*s*t + gamma*t^2 share a
-    projective zero; decided via gcd degree, no enumeration."""
-    nonzero = [f for f in forms if any(c != 0 for c in f)]
-    if not nonzero:
-        return True
-    if all(f[0] == 0 for f in nonzero):
-        return True  # common zero at (1 : 0)
-    g = None
-    for alpha, beta, gamma in nonzero:
-        p = poly_trim((gamma, beta, alpha))  # dehomogenize at t = 1
-        g = p if g is None else poly_gcd(g, p)
-        if len(g) == 1:
-            return False
-    return len(g) != 1
-
-
 def is_stable(r: LinearFormMatrix) -> bool:
-    """GIT stability of the representation given by the matrix.
+    """GIT stability of the representation given by the matrix: its three
+    maximal minors m1, m2, m3 are linearly independent in Sym^2 W.  Row and
+    column operations act on the minors by invertible linear maps, so both
+    conditions are invariant under them.
 
-    Surjectivity of the adjoint map plus, for every nonzero v in C^2,
-    rank at least 2 of the three images of v; the second condition is
-    decided by the gcd of the nine 2x2-minor binary quadratics in v.
+    Unstable implies dependent: a (1,0) or (1,1) subrepresentation gives a
+    row (l, 0, 0), so m1 = 0; a (2,1) or (2,2) one gives a zero column, so
+    two minors vanish.
+
+    Dependent implies unstable: a relation c1 m1 + c2 m2 + c3 m3 = 0 is the
+    identically vanishing determinant of the 3x3 matrix with constant top
+    row (c1, -c2, c3) above r.  A column operation moves that row to
+    (1, 0, 0) and leaves a 2x2 matrix of linear forms with zero determinant,
+    so its span consists of matrices of rank at most 1.  Those share a
+    kernel, which gives a zero column, or an image, which gives a row
+    (l, 0, 0).
     """
-    coeff = [r.coefficient_matrix(k) for k in range(3)]
-    stacked = [row for m in coeff for row in m]
-    if rank(stacked) != 3:
-        return False
-    # M(v)[k][j] = alpha*s + beta*t with v = (s, t)
-    alpha = [[coeff[k][0][j] for j in range(3)] for k in range(3)]
-    beta = [[coeff[k][1][j] for j in range(3)] for k in range(3)]
-    quadratics = []
-    for p in range(3):
-        for q in range(p + 1, 3):
-            for u in range(3):
-                for v in range(u + 1, 3):
-                    a2 = alpha[p][u] * alpha[q][v] - alpha[p][v] * alpha[q][u]
-                    c2 = beta[p][u] * beta[q][v] - beta[p][v] * beta[q][u]
-                    b2 = (
-                        alpha[p][u] * beta[q][v] + beta[p][u] * alpha[q][v]
-                        - alpha[p][v] * beta[q][u] - beta[p][v] * alpha[q][u]
-                    )
-                    quadratics.append((a2, b2, c2))
-    return not _binary_quadratic_common_zero(quadratics)
+    return rank(list(minors(r))) == 3
 
 
 # -- syzygies and the traceless-matrix identification -------------------------
@@ -187,9 +152,10 @@ Sl3Element = tuple[tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class SyzygyPair:
-    """The two canonical syzygy tensors of a matrix, their images as
+    """The minors of a matrix, its two canonical syzygy tensors, their
     traceless 3x3 matrices, and a degeneracy flag for unstable input."""
 
+    minors: tuple[QuadraticForm, QuadraticForm, QuadraticForm]
     tensors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     sl3: tuple[Sl3Element, Sl3Element]
     degenerate: bool
@@ -200,7 +166,7 @@ def syzygies(r: LinearFormMatrix) -> SyzygyPair:
     s1 = A(x)(BF-CE) - B(x)(AF-CD) + C(x)(AE-BD) and the same with the
     second row, both in the kernel of multiplication to Sym^3 W."""
     (a, b, c), (d, e, f) = r.rows
-    m1, m2, m3 = minors(r)
+    m1, m2, m3 = quadrics = minors(r)
 
     def build(u1, u2, u3):
         t = [F(0)] * 18
@@ -214,8 +180,8 @@ def syzygies(r: LinearFormMatrix) -> SyzygyPair:
 
     t1 = build(a, b, c)
     t2 = build(d, e, f)
-    p = (to_sl3(t1), to_sl3(t2))
-    return SyzygyPair(tensors=(t1, t2), sl3=p, degenerate=not is_stable(r))
+    return SyzygyPair(minors=quadrics, tensors=(t1, t2), sl3=(to_sl3(t1), to_sl3(t2)),
+                      degenerate=rank(list(quadrics)) != 3)  # not is_stable(r)
 
 
 def to_sl3(t) -> Sl3Element:
@@ -246,10 +212,6 @@ def to_sl3(t) -> Sl3Element:
         out[i][k] = at(i, i, j)
         out[i][j] = -at(i, i, k)
     return tuple(tuple(row) for row in out)
-
-
-def to_sl3_plane(r: LinearFormMatrix) -> tuple[Sl3Element, Sl3Element]:
-    return syzygies(r).sl3
 
 
 def commutes(p) -> bool:
@@ -304,12 +266,6 @@ def blp2_point(a, b, c, direction=None) -> LinearFormMatrix:
     ])
 
 
-def quadric_span_basis(quadrics):
-    """Canonical basis of the span of quadratic forms, for comparing
-    minor spaces."""
-    return row_space_basis(list(quadrics))
-
-
 # -- parsing and rendering -----------------------------------------------------
 
 def _render_form(coeffs, monomials, times: str) -> str:
@@ -360,13 +316,15 @@ def parse_linear_form(text: str) -> LinearForm:
         number = s[start:i]
         if i < len(s) and s[i] == "*":
             i += 1
+        try:
+            coeff = F(number) if number else None
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in linear form {text!r}") from None
         if i < len(s) and s[i] in "xyz":
-            coeff = F(number) if number else F(1)
-            coeffs[VARS.index(s[i])] += sign * coeff
+            coeffs[VARS.index(s[i])] += sign * (F(1) if coeff is None else coeff)
             i += 1
-        else:
-            if number == "" or F(number) != 0:
-                raise ValueError(f"cannot parse linear form {text!r}")
+        elif coeff is None or coeff != 0:
+            raise ValueError(f"cannot parse linear form {text!r}")
     return tuple(coeffs)
 
 

@@ -4,7 +4,7 @@ Nothing here imports the code paths it is meant to check: semistability
 and Harder-Narasimhan types are brute-forced over small finite fields and
 also decided by the rational-function route over all slope chains, and
 the Todd class is rebuilt from Chern roots via power sums.  Routes that
-a faster one replaced stay here as references.
+a faster or simpler one replaced stay here as references.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, tensor
+from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -31,14 +31,13 @@ from quivercert.chow import (
     ch_of,
     integer,
     integral,
-    pairing,
     render_fraction,
     tangent_chern,
     todd_y,
 )
-from quivercert._linalg import poly_divmod, poly_gcd, poly_mul, poly_sub, rref
+from quivercert._linalg import poly_mul, poly_sub, poly_trim, rank, rref
 from quivercert.quiver import Quiver, euler_form, slope
-from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, matrix
+from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, is_stable, matrix
 from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
                                weight_ranges)
 from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
@@ -300,6 +299,35 @@ def hn_type_brute(field: GF, rep: BruteRep, theta):
 
 # -- semistable existence by slope chains ---------------------------------------
 
+def poly_divmod(p, q):
+    """Quotient and remainder of dense polynomials with rational
+    coefficients, coefficients ascending."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    p = list(p)
+    quot = [F(0)] * max(0, len(p) - len(q) + 1)
+    lead = q[-1]
+    while len(p) >= len(q) and poly_trim(p):
+        shift = len(p) - len(q)
+        f = p[-1] / lead
+        quot[shift] = f
+        for i, b in enumerate(q):
+            p[shift + i] -= f * b
+        p = list(poly_trim(p))
+    return poly_trim(quot), poly_trim(p)
+
+
+def poly_gcd(p, q):
+    """The monic greatest common divisor; () when both are zero."""
+    p, q = poly_trim(p), poly_trim(q)
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    if p:
+        lead = p[-1]
+        p = tuple(a / lead for a in p)
+    return p
+
+
 def _monomial(n):
     return (F(0),) * n + (F(1),)
 
@@ -399,29 +427,33 @@ def _series_log(q, order=7):
     return out
 
 
-def todd_from_chern_roots() -> ChowElement:
-    """Todd class rebuilt from the tangent Chern classes: power sums via
-    Newton's identities, then exp of sum_m a_m p_m where a_m are the
-    series coefficients of log(t / (1 - exp(-t)))."""
-    total = tangent_chern()
-    e = [total.degree_part(k) for k in range(7)]
-    p: list[ChowElement] = []
+def power_sums(e, cls):
+    """Power sums p_1, ..., p_6 of the Chern roots, from the Chern classes
+    e = (e_1, e_2, ...) via Newton's identities, in the element class cls."""
+    p = []
     for k in range(1, 7):
-        term = ChowElement.zero()
-        for i in range(1, k + 1):
+        term = cls.zero()
+        for i in range(1, min(k, len(e)) + 1):
             sign = 1 if i % 2 == 1 else -1
-            if i == k:
-                term = term + sign * k * e[i]
-            else:
-                term = term + sign * (e[i] * p[k - i - 1])
+            term = term + sign * (k * e[i - 1] if i == k else e[i - 1] * p[k - i - 1])
         p.append(term)
+    return p
+
+
+def todd_from_chern_roots(cls=ChowElement):
+    """Todd class rebuilt from the coordinates of the tangent Chern classes:
+    power sums via Newton's identities, then exp of sum_m a_m p_m where a_m
+    are the series coefficients of log(t / (1 - exp(-t))); the arithmetic
+    runs in the element class cls."""
+    total = cls(tangent_chern().coords)
+    p = power_sums([total.degree_part(k) for k in range(1, 7)], cls)
     q_series = [F(1), F(1, 2), F(1, 12), F(0), F(-1, 720), F(0), F(1, 30240)]
     a = _series_log(q_series)
-    arg = ChowElement.zero()
+    arg = cls.zero()
     for m in range(1, 7):
         arg = arg + a[m] * p[m - 1]
-    out = ChowElement.unit()
-    power = ChowElement.unit()
+    out = cls.unit()
+    power = cls.unit()
     fact = 1
     for k in range(1, 7):
         power = power * arg
@@ -803,12 +835,37 @@ def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> Verifica
 #
 # The route that integer Gram rows and blocking rows replaced: the same
 # per-object data, combined per pair in Fraction arithmetic and with one
-# StratumCheck per stratum.
+# StratumCheck per stratum.  Chern characters and the Todd class are
+# evaluated in FractionChowElement, so no integer ChowElement is involved.
+
+def _ch_leaf_by_fractions(e: BundleExpr) -> FractionChowElement:
+    c1, c2, c3, d2 = (FractionChowElement.basis(label) for label in ("c1", "c2", "c3", "d2"))
+    if e.op == "O":
+        return _exp_by_fractions(e.args[0] * c1)
+    chern, n = ((c1, d2), 2) if e.op == "U1" else ((c1, c2, c3), 3)
+    out = n * FractionChowElement.unit()
+    for k, pk in enumerate(power_sums(chern, FractionChowElement), start=1):
+        out = out + F(1, factorial(k)) * pk
+    return out.dual()
+
+
+@lru_cache(maxsize=None)
+def ch_by_fractions(e: BundleExpr) -> FractionChowElement:
+    """The Chern character of an expression in Fraction coordinates."""
+    return evaluate(e, _ch_leaf_by_fractions, ch_by_fractions)
+
+
+@lru_cache(maxsize=1)
+def todd_by_fractions() -> FractionChowElement:
+    return todd_from_chern_roots(FractionChowElement)
+
 
 def euler_pairing_by_fractions(e: BundleExpr, f: BundleExpr) -> int:
     """chi(dual(e) (x) f) as the 31-term rational pairing of dual(ch(e))
-    with ch(f) * Todd(Y)."""
-    return integer(pairing(ch_of(e).dual(), ch_of(f) * todd_y()), f"chi({e}, {f})")
+    with ch(f) * Todd(Y), all in Fraction coordinates."""
+    value = pairing_by_fractions(ch_by_fractions(e).dual(),
+                                 ch_by_fractions(f) * todd_by_fractions())
+    return integer(value, f"chi({e}, {f})")
 
 
 def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
@@ -828,6 +885,61 @@ def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> Veri
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(spec, tuple(grid))
+
+
+# -- stability by a rank test and a gcd --------------------------------------
+#
+# The route that the rank of the minors replaced.
+
+def row_space_basis(rows):
+    """Canonical basis of the row space, usable for comparing spans."""
+    m, pivots = rref(rows)
+    return tuple(tuple(m[i]) for i in range(len(pivots)))
+
+
+def _binary_quadratic_common_zero(forms) -> bool:
+    """Whether binary quadratics alpha*s^2 + beta*s*t + gamma*t^2 share a
+    projective zero; decided via gcd degree, no enumeration."""
+    nonzero = [f for f in forms if any(c != 0 for c in f)]
+    if not nonzero:
+        return True
+    if all(f[0] == 0 for f in nonzero):
+        return True  # common zero at (1 : 0)
+    g = None
+    for alpha, beta, gamma in nonzero:
+        p = poly_trim((gamma, beta, alpha))  # dehomogenize at t = 1
+        g = p if g is None else poly_gcd(g, p)
+        if len(g) == 1:
+            return False
+    return len(g) != 1
+
+
+def is_stable_by_gcd(r: LinearFormMatrix) -> bool:
+    """GIT stability as surjectivity of the adjoint map plus, for every
+    nonzero v in C^2, rank at least 2 of the three images of v; the second
+    condition is decided by the gcd of the nine 2x2-minor binary quadratics
+    in v."""
+    # coeff[k]: the 2x3 rational matrix of the coefficients of variable k
+    coeff = [[[entry[k] for entry in row] for row in r.rows] for k in range(3)]
+    stacked = [row for m in coeff for row in m]
+    if rank(stacked) != 3:
+        return False
+    # M(v)[k][j] = alpha*s + beta*t with v = (s, t)
+    alpha = [[coeff[k][0][j] for j in range(3)] for k in range(3)]
+    beta = [[coeff[k][1][j] for j in range(3)] for k in range(3)]
+    quadratics = []
+    for p in range(3):
+        for q in range(p + 1, 3):
+            for u in range(3):
+                for v in range(u + 1, 3):
+                    a2 = alpha[p][u] * alpha[q][v] - alpha[p][v] * alpha[q][u]
+                    c2 = beta[p][u] * beta[q][v] - beta[p][v] * beta[q][u]
+                    b2 = (
+                        alpha[p][u] * beta[q][v] + beta[p][u] * alpha[q][v]
+                        - alpha[p][v] * beta[q][u] - beta[p][v] * alpha[q][u]
+                    )
+                    quadratics.append((a2, b2, c2))
+    return not _binary_quadratic_common_zero(quadratics)
 
 
 # -- random generators ---------------------------------------------------------
@@ -873,8 +985,6 @@ def random_matrix(rng: random.Random) -> LinearFormMatrix:
 
 
 def random_stable_matrix(rng: random.Random) -> LinearFormMatrix:
-    from quivercert.repgeom import is_stable
-
     while True:
         r = random_matrix(rng)
         if is_stable(r):
@@ -882,8 +992,6 @@ def random_stable_matrix(rng: random.Random) -> LinearFormMatrix:
 
 
 def random_invertible(rng: random.Random, n: int):
-    from quivercert._linalg import rank
-
     while True:
         m = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         if rank(m) == n:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from golden import CH_ROWS, CHI_VALUES, HN_TYPES_23, INTERSECTION_NUMBERS, STRATUM_TABLE
-from oracles import random_expr, random_matrix, random_stable_matrix
+from oracles import is_stable_by_gcd, random_expr, random_matrix, random_stable_matrix
 from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
 from quivercert.chow import (
     BASIS,
@@ -26,7 +26,6 @@ from quivercert.quiver import KRONECKER3, enumerate_hn_types
 from quivercert.repgeom import (
     commutes,
     is_stable,
-    minors_independent,
     parse_matrix,
     syzygies,
     tensor_to_cubic,
@@ -169,14 +168,14 @@ def test_09_property_suites():
             assert x * y == y * x
         for x, y, z in itertools.product(classes, repeat=3):
             assert (x * y) * z == x * (y * z)
-        # stability against the independent minor oracle
+        # stability against the independent gcd oracle
         rng = random.Random(2024)
         for _ in range(1000):
             r = random_matrix(rng)
-            assert is_stable(r) == minors_independent(r)
+            assert is_stable(r) == is_stable_by_gcd(r)
         for text in ORBIT_REPRESENTATIVES:
             r = parse_matrix(text)
-            assert is_stable(r) and minors_independent(r)
+            assert is_stable(r) and is_stable_by_gcd(r)
         # syzygy kernel membership and commutation
         rng = random.Random(77)
         for _ in range(100):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
 from oracles import (
     FractionChowElement,
+    ch_by_fractions,
     ch_by_ops,
     chow_mul_dense,
     gram_row_by_fractions,
     pairing_by_fractions,
     random_expr,
+    todd_by_fractions,
     todd_from_chern_roots,
 )
 from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
@@ -217,6 +219,7 @@ class TestToddAndTangent:
 
     def test_todd_matches_chern_root_expansion(self):
         assert todd_y() == todd_from_chern_roots()
+        assert todd_y().coords == todd_by_fractions().coords
 
     def test_tangent_degree1(self):
         assert tangent_chern().degree_part(1) == 3 * C1
@@ -244,6 +247,7 @@ class TestChernCharacters:
     )
     def test_golden_rows(self, expr, row):
         assert ch_of(expr).coords == tuple(F(x) for x in CH_ROWS[row])
+        assert ch_by_fractions(expr).coords == tuple(F(x) for x in CH_ROWS[row])
 
     def test_o1_is_exponential(self):
         expected = ChowElement.unit()

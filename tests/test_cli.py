@@ -172,6 +172,15 @@ class TestSyzygies:
         assert "degenerate" in doc["warning"]
 
 
+class TestMatrixInput:
+    @pytest.mark.parametrize("command", ["stability", "syzygies"])
+    @pytest.mark.parametrize("text", ["1/0x,y,z;x,y,z", "0/0,y,z;x,y,z", "x,y,z;x,y,1/00"])
+    def test_zero_denominator_is_input_error(self, capsys, command, text):
+        code, doc = run_cli(capsys, command, "--matrix", text)
+        assert code == 2
+        assert doc["error"].startswith("zero denominator in linear form")
+
+
 class TestVerifyCollection:
     def test_builtin_accepts(self, capsys):
         code, doc = run_cli(capsys, "verify-collection")
@@ -506,7 +515,7 @@ def fuzzed_argv(draw):
             choices.append(st.lists(st.integers(-6, 6), max_size=4).map(
                 lambda xs: ",".join(map(str, xs))))
         else:
-            choices.append(st.text("UOc123^*+-,;()xyz/{}[]:", max_size=12))
+            choices.append(st.text("UOc0123^*+-,;()xyz/{}[]:", max_size=12))
         argv.append(f"{flag}={draw(st.one_of(choices))}")
     return argv[:draw(st.integers(1, len(argv)))] if draw(st.booleans()) else argv
 

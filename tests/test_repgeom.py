@@ -2,12 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     SL3_DICTIONARY,
+    is_stable_by_gcd,
     random_invertible,
     random_matrix,
     random_stable_matrix,
+    row_space_basis,
     sl3_by_dictionary,
 )
 from quivercert._linalg import rank
@@ -23,14 +27,11 @@ from quivercert.repgeom import (
     linear_form,
     matrix,
     minors,
-    minors_independent,
     parse_matrix,
-    quadric_span_basis,
     render_quadratic_form,
     syzygies,
     tensor_to_cubic,
     to_sl3,
-    to_sl3_plane,
 )
 
 OPEN_ORBIT = parse_matrix("x,y,0;0,y,z")
@@ -45,6 +46,53 @@ ORBIT_REPRESENTATIVES = [
 ]
 
 
+def act(g, r, h):
+    """The matrix g * r * h for constant invertible g (2x2) and h (3x3)."""
+    return matrix([
+        [
+            tuple(
+                sum(g[i][k] * r.rows[k][l][v] * h[l][j] for k in range(2) for l in range(3))
+                for v in range(3)
+            )
+            for j in range(3)
+        ]
+        for i in range(2)
+    ])
+
+
+coefficients = st.integers(-3, 3).map(F) | st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+forms = st.tuples(coefficients, coefficients, coefficients)
+
+
+def invertible(n):
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return st.lists(entries, min_size=n, max_size=n).filter(lambda m: rank(m) == n)
+
+
+#: Entries that each unstable pattern sets to zero, by (row, column):
+#: a zero row, a row (l, 0, 0), a zero column and two zero columns.
+UNSTABLE_PATTERNS = (
+    {(0, 0), (0, 1), (0, 2)},
+    {(0, 1), (0, 2)},
+    {(0, 0), (1, 0)},
+    {(0, 0), (1, 0), (0, 1), (1, 1)},
+)
+
+
+@st.composite
+def stability_cases(draw):
+    """``(r, unstable)``: a generic matrix, or one of the unstable patterns
+    moved by random invertible row and column operations."""
+    entries = draw(st.lists(forms, min_size=6, max_size=6))
+    r = matrix([entries[:3], entries[3:]])
+    if draw(st.booleans()):
+        return r, False
+    zeros = draw(st.sampled_from(UNSTABLE_PATTERNS))
+    r = matrix([[ZERO_FORM if (i, j) in zeros else r.rows[i][j] for j in range(3)]
+                for i in range(2)])
+    return act(draw(invertible(2)), r, draw(invertible(3))), True
+
+
 class TestMinors:
     def test_open_orbit(self):
         q = minors(OPEN_ORBIT)
@@ -53,8 +101,8 @@ class TestMinors:
     def test_rational_family(self):
         a, b, c = F(2), F(3), F(5)
         r = blp2_point(a, b, c)
-        got = quadric_span_basis(minors(r))
-        expected = quadric_span_basis(
+        got = row_space_basis(minors(r))
+        expected = row_space_basis(
             [
                 # b z^2 - c xy, c x^2 - a yz, b xz - a y^2
                 (0, 0, b, -c, 0, 0),
@@ -68,7 +116,7 @@ class TestMinors:
         r = parse_matrix("x,0,0;0,y,0")
         q = minors(r)
         assert [render_quadratic_form(f) for f in q] == ["0", "0", "xy"]
-        assert not minors_independent(r)
+        assert not is_stable(r)
 
 
 class TestOrbitData:
@@ -100,8 +148,8 @@ class TestOrbitData:
             return tuple(coeffs)
 
         for text, span in self.SPANS.items():
-            got = quadric_span_basis(minors(parse_matrix(text)))
-            expected = quadric_span_basis([quadric(s) for s in span])
+            got = row_space_basis(minors(parse_matrix(text)))
+            expected = row_space_basis([quadric(s) for s in span])
             assert got == expected, text
 
 
@@ -120,13 +168,13 @@ class TestStability:
         # images of (1,0) span only a line
         assert not is_stable(parse_matrix("x,0,0;0,y,z"))
 
-    def test_minor_oracle_agreement_bulk(self):
+    def test_gcd_oracle_agreement_bulk(self):
         rng = random.Random(2024)
         both = {True: 0, False: 0}
         for _ in range(1000):
             r = random_matrix(rng)
             stable = is_stable(r)
-            assert stable == minors_independent(r)
+            assert stable == is_stable_by_gcd(r)
             both[stable] += 1
         # the sample must exercise both branches
         assert both[True] > 0 and both[False] > 0
@@ -135,25 +183,20 @@ class TestStability:
         rng = random.Random(5)
         for _ in range(25):
             r = random_stable_matrix(rng)
-            g = random_invertible(rng, 2)
-            h = random_invertible(rng, 3)
-            rows = [
-                [
-                    tuple(
-                        sum(
-                            g[i][k] * r.rows[k][l][v] * h[l][j]
-                            for k in range(2)
-                            for l in range(3)
-                        )
-                        for v in range(3)
-                    )
-                    for j in range(3)
-                ]
-                for i in range(2)
-            ]
-            moved = matrix(rows)
+            moved = act(random_invertible(rng, 2), r, random_invertible(rng, 3))
             assert is_stable(moved)
-            assert quadric_span_basis(minors(moved)) == quadric_span_basis(minors(r))
+            assert row_space_basis(minors(moved)) == row_space_basis(minors(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stability_cases())
+    def test_gcd_oracle_agreement(self, case):
+        r, unstable = case
+        stable = is_stable(r)
+        assert stable == is_stable_by_gcd(r)
+        if unstable:
+            assert not stable
+        pair = syzygies(r)
+        assert pair.degenerate != stable and pair.minors == minors(r)
 
 
 class TestSyzygies:
@@ -192,21 +235,19 @@ class TestSyzygies:
 
 class TestSl3Plane:
     def test_open_orbit_is_diagonal_plane(self):
-        m1, m2 = to_sl3_plane(OPEN_ORBIT)
+        m1, m2 = syzygies(OPEN_ORBIT).sl3
         for m in (m1, m2):
             # diagonal and traceless
             assert all(m[i][j] == 0 for i in range(3) for j in range(3) if i != j)
             assert sum(m[i][i] for i in range(3)) == 0
         # spans <E22 - E11, E33 - E22>
-        from quivercert._linalg import row_space_basis
-
         got = row_space_basis([[m[i][i] for i in range(3)] for m in (m1, m2)])
         expected = row_space_basis([[-1, 1, 0], [0, -1, 1]])
         assert got == expected
 
     def test_family_formulas(self):
         a, b, c = F(2), F(3), F(5)
-        s1, s2 = to_sl3_plane(blp2_point(a, b, c))
+        s1, s2 = syzygies(blp2_point(a, b, c)).sl3
         expected1 = [[0, 0, -c], [-a, 0, 0], [0, -b, 0]]
         expected2 = [[0, b * c, 0], [0, 0, a * c], [a * b, 0, 0]]
         assert [list(row) for row in s1] == expected1
@@ -215,7 +256,7 @@ class TestSl3Plane:
     def test_traceless(self):
         rng = random.Random(13)
         for _ in range(20):
-            m1, m2 = to_sl3_plane(random_stable_matrix(rng))
+            m1, m2 = syzygies(random_stable_matrix(rng)).sl3
             assert sum(m1[i][i] for i in range(3)) == 0
             assert sum(m2[i][i] for i in range(3)) == 0
 
@@ -279,7 +320,7 @@ class TestCommutes:
         rng = random.Random(99)
         for _ in range(20):
             a, b, c = (F(rng.randint(1, 9)) for _ in range(3))
-            assert commutes(to_sl3_plane(blp2_point(a, b, c)))
+            assert commutes(syzygies(blp2_point(a, b, c)).sl3)
 
     def test_unit_matrices_do_not_commute(self):
         e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
@@ -320,10 +361,8 @@ class TestBlp2Family:
             blp2_point(1, 0, 0, direction=(0, 0))
 
     def test_scaling_preserves_plane(self):
-        base = to_sl3_plane(blp2_point(2, 3, 5))
-        scaled = to_sl3_plane(blp2_point(4, 6, 10))
-        from quivercert._linalg import row_space_basis
-
+        base = syzygies(blp2_point(2, 3, 5)).sl3
+        scaled = syzygies(blp2_point(4, 6, 10)).sl3
         flat = lambda pair: row_space_basis(
             [[m[i][j] for i in range(3) for j in range(3)] for m in pair]
         )

@@ -7,25 +7,27 @@ is free of total rank 13 with generators c_i = c_i(U2*) and
 d_i = c_i(U1*), subject to c_1 = d_1 and one relation table per degree;
 the point class is c3^2.
 
-Every monomial in c1, c2, c3, d2 of degree at most 6 reduces to basis
-coordinates through a precomputed table, so multiplication is table
-lookup plus bilinearity.  Chern characters of bundle expressions are
-evaluated compositionally from the definitional Chern classes of the
-universal bundles via Newton's identities, and chi(F) is the degree-6
-integral of ch(F) * Todd(Y).  Coordinates are exact rationals, stored as
+The 14 intersection numbers (degree-6 integrals of monomials) fix the
+product table, since the pairing of complementary degrees is perfect: it
+is solved at import, and multiplication is lookup plus bilinearity.
+Chern characters of bundle expressions are evaluated compositionally
+from the Chern classes of the universal bundles via Newton's identities;
+c(T_Y) and td(Y) come from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O
+of the tangent bundle, and chi(F) is the integral of ch(F) * td(Y).  Coordinates are exact rationals, stored as
 integers over one common denominator; three times every structure constant
 is an integer, so all ring arithmetic and the pairing run on integers.
 """
 
 from __future__ import annotations
 
-import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import add, mul
+from operator import mul
 
-from .bundles import MAX_DEPTH, BundleExpr, Scanner, evaluate
+from ._linalg import rref
+from .bundles import MAX_DEPTH, U1, U2, BundleExpr, Scanner, dual, evaluate, tensor
 
 F = Fraction
 
@@ -65,63 +67,45 @@ _BASIS_MONOMIALS = (
 )
 
 
-def _monomial_degree(m) -> int:
-    a, b, e, f = m
-    return a + 2 * b + 2 * e + 3 * f
-
-
-# Reductions of non-basis monomials into basis coordinates.
-_EXTRA_REDUCTIONS: dict[tuple[int, int, int, int], dict[str, Fraction]] = {
-    # degree 3
-    (3, 0, 0, 0): {"c1*d2": F(4), "c3": F(-3)},
-    # degree 4
-    (4, 0, 0, 0): {"c2^2": F(-3), "c2*d2": F(9), "d2^2": F(3)},
-    (2, 1, 0, 0): {"c2*d2": F(1), "d2^2": F(3)},
-    (2, 0, 1, 0): {"d2^2": F(3)},
-    (1, 0, 0, 1): {"c2^2": F(1), "c2*d2": F(-3), "d2^2": F(3)},
-    # degree 5, all proportional to c2*c3
-    (5, 0, 0, 0): {"c2*c3": F(19)},
-    (3, 1, 0, 0): {"c2*c3": F(9)},
-    (3, 0, 1, 0): {"c2*c3": F(6)},
-    (2, 0, 0, 1): {"c2*c3": F(5, 3)},
-    (1, 2, 0, 0): {"c2*c3": F(14, 3)},
-    (1, 1, 1, 0): {"c2*c3": F(3)},
-    (1, 0, 2, 0): {"c2*c3": F(2)},
-    (0, 0, 1, 1): {"c2*c3": F(2, 3)},
-    # degree 6, all proportional to the point class c3^2
-    (6, 0, 0, 0): {"c3^2": F(57)},
-    (4, 1, 0, 0): {"c3^2": F(27)},
-    (4, 0, 1, 0): {"c3^2": F(18)},
-    (3, 0, 0, 1): {"c3^2": F(5)},
-    (2, 2, 0, 0): {"c3^2": F(14)},
-    (2, 1, 1, 0): {"c3^2": F(9)},
-    (2, 0, 2, 0): {"c3^2": F(6)},
-    (1, 1, 0, 1): {"c3^2": F(3)},
-    (1, 0, 1, 1): {"c3^2": F(2)},
-    (0, 3, 0, 0): {"c3^2": F(9)},
-    (0, 2, 1, 0): {"c3^2": F(5)},
-    (0, 1, 2, 0): {"c3^2": F(3)},
-    (0, 0, 3, 0): {"c3^2": F(2)},
+#: The intersection numbers of Y: the degree-6 integrals of the monomials
+#: c1^a c2^b d2^e c3^f, keyed by (a, b, e, f).
+_INTEGRALS = {
+    (6, 0, 0, 0): 57, (4, 1, 0, 0): 27, (4, 0, 1, 0): 18, (3, 0, 0, 1): 5,
+    (2, 2, 0, 0): 14, (2, 1, 1, 0): 9, (2, 0, 2, 0): 6, (1, 1, 0, 1): 3,
+    (1, 0, 1, 1): 2, (0, 3, 0, 0): 9, (0, 2, 1, 0): 5, (0, 1, 2, 0): 3,
+    (0, 0, 3, 0): 2, (0, 0, 0, 2): 1,
 }
 
 
 def _build_products():
     """``[i][j]``: the nonzero ``(k, c)`` with basis_i * basis_j = sum of
-    c * basis_k."""
-    reductions = {m: ((i, F(1)),) for i, m in enumerate(_BASIS_MONOMIALS)}
-    for m, data in _EXTRA_REDUCTIONS.items():
-        reductions[m] = tuple((_INDEX[label], F(c)) for label, c in data.items())
-    # every monomial of degree <= 6 must be covered
-    for m in itertools.product(range(7), range(4), range(4), range(3)):
-        if _monomial_degree(m) <= 6 and m not in reductions:
-            raise AssertionError(f"monomial {m} missing from reduction table")
-    for m, terms in reductions.items():
-        if any((3 * c).denominator != 1 for _, c in terms):
-            raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
-    return tuple(
-        tuple(reductions.get(tuple(map(add, mi, mj)), ()) for mj in _BASIS_MONOMIALS)
-        for mi in _BASIS_MONOMIALS
-    )
+    c * basis_k.
+
+    The pairing of complementary degrees is perfect, so the coordinates x
+    of a monomial m of degree k solve sum_i x_i * integral(basis_i *
+    basis'_j) = integral(m * basis'_j), with basis_i over the degree-k and
+    basis'_j over the degree-(6 - k) basis classes."""
+    def product(*monomials):
+        return tuple(map(sum, zip(*monomials)))
+
+    graded = tuple(zip(_BASIS_MONOMIALS, DEGREES))
+    coords = {}
+    for k in range(7):
+        basis = [m for m, d in graded if d == k]
+        dual = [m for m, d in graded if d == 6 - k]
+        monomials = sorted({product(mi, mj) for mi, di in graded for mj, dj in graded
+                            if di + dj == k})
+        echelon, pivots = rref([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
+                                for mj in dual])
+        if pivots[:len(basis)] != list(range(len(basis))):
+            raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
+        for column, m in enumerate(monomials, start=len(basis)):
+            coords[m] = tuple((DEGREES.index(k) + r, echelon[r][column])
+                              for r in range(len(basis)) if echelon[r][column])
+            if any((3 * c).denominator != 1 for _, c in coords[m]):
+                raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
+    return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
+                 for mi in _BASIS_MONOMIALS)
 
 
 _PRODUCTS = _build_products()
@@ -299,36 +283,31 @@ _C3 = ChowElement.basis("c3")
 _D2 = ChowElement.basis("d2")
 
 
+def _tangent_ch() -> ChowElement:
+    """Chern character of the tangent bundle, from its class
+    3 Hom(U1, U2) - End U1 - End U2 + O in K-theory."""
+    return (3 * ch_of(tensor(dual(U1), U2)) - ch_of(tensor(dual(U1), U1))
+            - ch_of(tensor(dual(U2), U2)) + ChowElement.unit())
+
+
 @lru_cache(maxsize=1)
 def tangent_chern() -> ChowElement:
-    """Total Chern class of the tangent bundle, graded pieces in basis
-    coordinates."""
-    return sum((
-        ChowElement.unit(),
-        3 * _C1,
-        3 * ChowElement.basis("c1^2") + 5 * _D2,
-        16 * ChowElement.basis("c1*d2") - 9 * _C3,
-        -9 * ChowElement.basis("c2^2") + 27 * ChowElement.basis("c2*d2")
-        + 4 * ChowElement.basis("d2^2"),
-        17 * ChowElement.basis("c2*c3"),
-        13 * ChowElement.basis("c3^2"),
-    ), ChowElement.zero())
+    """Total Chern class of the tangent bundle: exp of the sum over Chern
+    roots of log(1 + x), whose degree-k part is (-1)^(k-1) (k-1)! ch_k."""
+    ch = _tangent_ch()
+    return _exp(sum(((-1) ** (k - 1) * factorial(k - 1) * ch.degree_part(k) for k in range(1, 7)),
+                    ChowElement.zero()))
 
 
 @lru_cache(maxsize=1)
 def todd_y() -> ChowElement:
-    """Todd class of Y; the degree-3 piece is stated with c1^3 already
-    reduced to basis coordinates."""
-    return sum((
-        ChowElement.unit(),
-        F(3, 2) * _C1,
-        ChowElement.basis("c1^2") + F(5, 12) * _D2,
-        F(17, 8) * ChowElement.basis("c1*d2") - F(9, 8) * _C3,
-        -F(1, 4) * ChowElement.basis("c2^2") + F(3, 4) * ChowElement.basis("c2*d2")
-        + F(553, 360) * ChowElement.basis("d2^2"),
-        F(77, 60) * ChowElement.basis("c2*c3"),
-        ChowElement.basis("c3^2"),
-    ), ChowElement.zero())
+    """Todd class of Y: exp of the sum over Chern roots of
+    log(x / (1 - e^-x)) = x/2 - x^2/24 + x^4/2880 - x^6/181440 + ..., whose
+    degree-k part is its x^k coefficient times k! ch_k."""
+    ch = _tangent_ch()
+    return _exp(sum((c * ch.degree_part(k)
+                     for k, c in ((1, F(1, 2)), (2, F(-1, 12)), (4, F(1, 120)), (6, F(-1, 252)))),
+                    ChowElement.zero()))
 
 
 def _exp(x: ChowElement) -> ChowElement:
@@ -459,7 +438,17 @@ class _PolyParser(Scanner):
             digits = self.take(str.isdigit)
             if not digits:
                 self.fail("expected exponent")
-            return base ** int(digits)
+            n, a = int(digits), base.coefficient("[Y]")
+            # the degree-0 coordinate of the power has a numerator or denominator
+            # of at least 2^(n * bits), over 0.3 * n * bits digits: refuse it
+            # before squaring rather than when printing (the CLI reports both
+            # in the words of its digit limit)
+            bits = max(abs(a.numerator), a.denominator).bit_length() - 1
+            limit = sys.get_int_max_str_digits()
+            if limit and 3 * n * bits >= 10 * limit:
+                raise ValueError(f"the power exceeds the limit ({limit} digits)"
+                                 f" for integer string conversion (at position {self.pos})")
+            return base ** n
         return base
 
     def atom(self) -> ChowElement:

@@ -90,19 +90,23 @@ class CollectionSpec:
         return len(self.objects)
 
 
+def _block(k: int) -> list[tuple[str, BundleExpr]]:
+    """The four objects O(k), U2*(k), U1*(k), U2(k+1), labelled."""
+    U1, U2 = bundles.U1, bundles.U2
+    return [
+        (f"O({k})", O(k)),
+        (f"U2*({k})", twist(dual(U2), k)),
+        (f"U1*({k})", twist(dual(U1), k)),
+        (f"U2({k + 1})", twist(U2, k + 1)),
+    ]
+
+
 def standard_collection() -> CollectionSpec:
     """The built-in 13-object strong exceptional collection on Y."""
     U1, U2 = bundles.U1, bundles.U2
     objects = [("sl(U1)", sl(U1)), ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)),
                ("U2(1)", twist(U2, 1))]
-    for k in (1, 2):
-        objects += [
-            (f"O({k})", O(k)),
-            (f"U2*({k})", twist(dual(U2), k)),
-            (f"U1*({k})", twist(dual(U1), k)),
-            (f"U2({k + 1})", twist(U2, k + 1)),
-        ]
-    return CollectionSpec(tuple(objects))
+    return CollectionSpec(tuple(objects + _block(1) + _block(2)))
 
 
 def collection_variants() -> dict[str, CollectionSpec]:
@@ -111,16 +115,7 @@ def collection_variants() -> dict[str, CollectionSpec]:
     trading one object for a rank-6 tensor product."""
     U1, U2 = bundles.U1, bundles.U2
     slv = sl(dual(U1))
-
-    def block(k):
-        return [
-            (f"O({k})", O(k)),
-            (f"U2*({k})", twist(dual(U2), k)),
-            (f"U1*({k})", twist(dual(U1), k)),
-            (f"U2({k + 1})", twist(U2, k + 1)),
-        ]
-
-    a0, a1, a2 = block(0), block(1), block(2)
+    a0, a1, a2 = _block(0), _block(1), _block(2)
     variants = {
         "sl_after_block0": a0 + [("sl(U1*)(1)", twist(slv, 1))] + a1 + a2,
         "sl_after_block1": a0 + a1 + [("sl(U1*)(2)", twist(slv, 2))] + a2,

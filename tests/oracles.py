@@ -2,15 +2,18 @@
 
 Nothing here imports the code paths it is meant to check: semistability
 and Harder-Narasimhan types are brute-forced over small finite fields and
-also decided by the rational-function route over all slope chains, and
-the Todd class is rebuilt from Chern roots via power sums.  Routes that
-a faster or simpler one replaced stay here as references.
+also decided by the rational-function route over all slope chains, the
+Todd class is rebuilt from Chern roots via power sums, and the
+intersection numbers are integrated by torus localization.  Routes and
+hand-typed tables that a faster or simpler one replaced stay here as
+references.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -21,22 +24,19 @@ from quivercert.chow import (
     DEGREES,
     ChowElement,
     _BASIS_MONOMIALS,
-    _EXTRA_REDUCTIONS,
     _INDEX,
     _PAIRING,
     _PRODUCTS,
     _ch_from_chern,
     _exp,
-    _monomial_degree,
     ch_of,
     integer,
     integral,
     render_fraction,
-    tangent_chern,
     todd_y,
 )
 from quivercert._linalg import poly_mul, poly_sub, poly_trim, rank, rref
-from quivercert.quiver import Quiver, euler_form, slope
+from quivercert.quiver import Quiver, euler_form, has_semistable, slope
 from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, is_stable, matrix
 from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
                                weight_ranges)
@@ -445,7 +445,7 @@ def todd_from_chern_roots(cls=ChowElement):
     power sums via Newton's identities, then exp of sum_m a_m p_m where a_m
     are the series coefficients of log(t / (1 - exp(-t))); the arithmetic
     runs in the element class cls."""
-    total = cls(tangent_chern().coords)
+    total = cls(tangent_chern_by_hand().coords)
     p = power_sums([total.degree_part(k) for k in range(1, 7)], cls)
     q_series = [F(1), F(1, 2), F(1, 12), F(0), F(-1, 720), F(0), F(1, 30240)]
     a = _series_log(q_series)
@@ -716,6 +716,185 @@ def gram_row_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]
     return d, tuple(row)
 
 
+# -- the hand-typed Chow ring data ---------------------------------------------
+#
+# The tables that chow now derives from the 14 intersection numbers and the
+# K-class of the tangent bundle.
+
+# Reductions of non-basis monomials into basis coordinates.
+_EXTRA_REDUCTIONS: dict[tuple[int, int, int, int], dict[str, Fraction]] = {
+    # degree 3
+    (3, 0, 0, 0): {"c1*d2": F(4), "c3": F(-3)},
+    # degree 4
+    (4, 0, 0, 0): {"c2^2": F(-3), "c2*d2": F(9), "d2^2": F(3)},
+    (2, 1, 0, 0): {"c2*d2": F(1), "d2^2": F(3)},
+    (2, 0, 1, 0): {"d2^2": F(3)},
+    (1, 0, 0, 1): {"c2^2": F(1), "c2*d2": F(-3), "d2^2": F(3)},
+    # degree 5, all proportional to c2*c3
+    (5, 0, 0, 0): {"c2*c3": F(19)},
+    (3, 1, 0, 0): {"c2*c3": F(9)},
+    (3, 0, 1, 0): {"c2*c3": F(6)},
+    (2, 0, 0, 1): {"c2*c3": F(5, 3)},
+    (1, 2, 0, 0): {"c2*c3": F(14, 3)},
+    (1, 1, 1, 0): {"c2*c3": F(3)},
+    (1, 0, 2, 0): {"c2*c3": F(2)},
+    (0, 0, 1, 1): {"c2*c3": F(2, 3)},
+    # degree 6, all proportional to the point class c3^2
+    (6, 0, 0, 0): {"c3^2": F(57)},
+    (4, 1, 0, 0): {"c3^2": F(27)},
+    (4, 0, 1, 0): {"c3^2": F(18)},
+    (3, 0, 0, 1): {"c3^2": F(5)},
+    (2, 2, 0, 0): {"c3^2": F(14)},
+    (2, 1, 1, 0): {"c3^2": F(9)},
+    (2, 0, 2, 0): {"c3^2": F(6)},
+    (1, 1, 0, 1): {"c3^2": F(3)},
+    (1, 0, 1, 1): {"c3^2": F(2)},
+    (0, 3, 0, 0): {"c3^2": F(9)},
+    (0, 2, 1, 0): {"c3^2": F(5)},
+    (0, 1, 2, 0): {"c3^2": F(3)},
+    (0, 0, 3, 0): {"c3^2": F(2)},
+}
+
+
+def _from_labels(terms) -> ChowElement:
+    return sum((F(c) * ChowElement.basis(label) for label, c in terms), ChowElement.zero())
+
+
+def tangent_chern_by_hand() -> ChowElement:
+    """Total Chern class of the tangent bundle, graded pieces in basis
+    coordinates."""
+    return _from_labels([
+        ("[Y]", 1), ("c1", 3), ("c1^2", 3), ("d2", 5), ("c1*d2", 16), ("c3", -9),
+        ("c2^2", -9), ("c2*d2", 27), ("d2^2", 4), ("c2*c3", 17), ("c3^2", 13),
+    ])
+
+
+def todd_by_hand() -> ChowElement:
+    """Todd class of Y; the degree-3 piece is stated with c1^3 already
+    reduced to basis coordinates."""
+    return _from_labels([
+        ("[Y]", 1), ("c1", F(3, 2)), ("c1^2", 1), ("d2", F(5, 12)), ("c1*d2", F(17, 8)),
+        ("c3", F(-9, 8)), ("c2^2", F(-1, 4)), ("c2*d2", F(3, 4)), ("d2^2", F(553, 360)),
+        ("c2*c3", F(77, 60)), ("c3^2", 1),
+    ])
+
+
+# -- the intersection numbers by torus localization -------------------------
+#
+# T = (C*)^3 scales the three arrows.  Its fixed points on Y are the stable
+# lifts of (2,3) to the covering quiver with vertices (i, w), w in Z^3, and
+# an arrow (1, w) -> (2, w + e_k) for each k, one isolated point each; then
+# the integral of a class f over Y is the sum of f(p) / e(T_p Y) over the
+# fixed points p (Atiyah-Bott, Topology 23, 1984; Weist, Represent. Theory
+# 17, 2013).  Weights are read as integers by their dot product with the
+# generic vector EPSILON.
+
+EPSILON = (1, 7, 31)
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _plus(*weights):
+    return tuple(map(sum, zip(*weights)))
+
+
+def _minus(w, v):
+    return tuple(a - b for a, b in zip(w, v))
+
+
+def _at_epsilon(w) -> int:
+    return sum(a * b for a, b in zip(w, EPSILON))
+
+
+@lru_cache(maxsize=1)
+def localization_fixed_points() -> tuple:
+    """The T-fixed points of Y, one per translation class, as pairs (V1, V2)
+    of weight tuples: V1 = (0, a) with a in [-2, 2]^3 lexicographically at
+    least 0, since (0, a) and (0, -a) differ by a translation, and V2 three
+    weights u + e_k with u in V1.  A lift is a fixed point when its moduli
+    space on the covering quiver is one point: 1 - <d, d> = 0 and a
+    representation semistable for theta = 3 on V1 and -2 on V2 exists
+    ((2,3) is coprime, so it is stable)."""
+    points = []
+    for a in itertools.product(range(-2, 3), repeat=3):
+        if a < (0, 0, 0):
+            continue
+        v1 = ((0, 0, 0), a)
+        targets = sorted({_plus(u, e) for u in v1 for e in _UNITS})
+        for v2 in itertools.combinations_with_replacement(targets, 3):
+            first, second = sorted(set(v1)), sorted(set(v2))
+            quiver = Quiver(len(first) + len(second), tuple(
+                (i, len(first) + second.index(_plus(u, e)))
+                for i, u in enumerate(first) for e in _UNITS if _plus(u, e) in second))
+            dim = tuple(v1.count(u) for u in first) + tuple(v2.count(v) for v in second)
+            theta = (3,) * len(first) + (-2,) * len(second)
+            if euler_form(quiver, dim, dim) == 1 and has_semistable(quiver, dim, theta):
+                points.append((v1, v2))
+    return tuple(points)
+
+
+def tangent_weights(v1, v2) -> list:
+    """The six weights of T_p Y = sum_k Hom(V1, V2 (x) t_k^-1) - End V1 -
+    End V2 + 1 at the fixed point (V1, V2)."""
+    weights = Counter(_minus(_minus(v, u), e) for u in v1 for v in v2 for e in _UNITS)
+    weights.subtract(_minus(x, y) for x in v1 for y in v1)
+    weights.subtract(_minus(x, y) for x in v2 for y in v2)
+    weights[(0, 0, 0)] += 1
+    assert min(weights.values()) >= 0 and weights[(0, 0, 0)] == 0, (v1, v2)
+    return list(weights.elements())
+
+
+def _elementary(roots) -> list:
+    """(1, e_1, e_2, ...): the elementary symmetric functions of the roots."""
+    e = [1]
+    for r in roots:
+        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+@lru_cache(maxsize=1)
+def _localization_data() -> tuple:
+    """Per fixed point, the Chern classes (1, c_1, ...) of U2*, U1* and T_Y
+    at EPSILON.  The roots of U_i* are -(w + s) over the weights w of V_i,
+    with s = sum w(V1) - sum w(V2) from the twist (1, -1)."""
+    out = []
+    for v1, v2 in localization_fixed_points():
+        s = _minus(_plus(*v1), _plus(*v2))
+        c, d = (_elementary([-_at_epsilon(_plus(w, s)) for w in v]) for v in (v2, v1))
+        assert c[1] == d[1]  # c_1(U2*) = c_1(U1*)
+        out.append((c, d, _elementary(map(_at_epsilon, tangent_weights(v1, v2)))))
+    return tuple(out)
+
+
+def localization_integral(f) -> Fraction:
+    """The integral over Y of the degree-6 class f(c, d, t), where c, d and
+    t are the lists (1, c_1, ...) of Chern classes of U2*, U1* and T_Y."""
+    return sum((F(f(c, d, t), t[6]) for c, d, t in _localization_data()), F(0))
+
+
+def monomial_degree(m) -> int:
+    a, b, e, f = m
+    return a + 2 * b + 2 * e + 3 * f
+
+
+def monomials_of_degree(k: int) -> list:
+    """The exponent vectors (a, b, e, f) of c1^a c2^b d2^e c3^f of degree k."""
+    return [m for m in itertools.product(range(7), range(4), range(4), range(3))
+            if monomial_degree(m) == k]
+
+
+def monomial_at(m, c, d):
+    """c1^a c2^b d2^e c3^f from the Chern classes c of U2* and d of U1*."""
+    a, b, e, f = m
+    return c[1] ** a * c[2] ** b * d[2] ** e * c[3] ** f
+
+
+def integrals_by_localization() -> dict:
+    """The 14 intersection numbers of Y, keyed by (a, b, e, f) as
+    ``chow._INTEGRALS``."""
+    return {m: localization_integral(lambda c, d, t, m=m: monomial_at(m, c, d))
+            for m in monomials_of_degree(6)}
+
+
 # -- dense Chow products and the sl3 dictionary by row reduction -------------
 #
 # The routes that the sparse product table and the closed-form sl3
@@ -735,7 +914,7 @@ def _dense_products():
     for i, mi in enumerate(_BASIS_MONOMIALS):
         for j, mj in enumerate(_BASIS_MONOMIALS):
             m = tuple(x + y for x, y in zip(mi, mj))
-            if _monomial_degree(m) <= 6:
+            if monomial_degree(m) <= 6:
                 table[i][j] = coords[m]
     return table
 

@@ -10,18 +10,28 @@ from hypothesis import strategies as st
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
 from oracles import (
     FractionChowElement,
+    _dense_products,
     ch_by_fractions,
     ch_by_ops,
     chow_mul_dense,
     gram_row_by_fractions,
+    integrals_by_localization,
+    localization_fixed_points,
+    localization_integral,
+    monomial_at,
+    monomials_of_degree,
     pairing_by_fractions,
     random_expr,
+    tangent_chern_by_hand,
     todd_by_fractions,
+    todd_by_hand,
     todd_from_chern_roots,
 )
 from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
 from quivercert.chow import (
+    _INTEGRALS,
     _PAIRING,
+    _PRODUCTS,
     BASIS,
     DEGREES,
     ChowElement,
@@ -107,6 +117,54 @@ class TestRingStructure:
 
     def test_nilpotent_power_is_zero_without_multiplying(self):
         assert (C1 + C2) ** 10**12 == ChowElement.zero()
+
+
+class TestDerivedTables:
+    """The product table, c(T_Y) and td(Y) that chow derives against the
+    hand-typed ones."""
+
+    def test_products_equal_hand_typed_reductions(self):
+        dense = _dense_products()
+        for i, row in enumerate(_PRODUCTS):
+            for j, terms in enumerate(row):
+                assert terms == tuple((k, c) for k, c in enumerate(dense[i][j]) if c), (i, j)
+
+    def test_tangent_chern_equals_hand_typed(self):
+        assert tangent_chern() == tangent_chern_by_hand()
+
+    def test_todd_equals_hand_typed(self):
+        assert todd_y() == todd_by_hand()
+
+
+def monomial(m) -> ChowElement:
+    a, b, e, f = m
+    return C1 ** a * C2 ** b * D2 ** e * C3 ** f
+
+
+class TestLocalization:
+    """Torus localization on the fixed points of the covering quiver, which
+    uses neither the product table nor the tangent class of chow."""
+
+    def test_fixed_points_are_the_betti_sum(self):
+        assert len(localization_fixed_points()) == 13 == len(BASIS)
+
+    def test_intersection_numbers(self):
+        integrals = integrals_by_localization()
+        assert integrals == _INTEGRALS
+        names = {"c1": 0, "c2": 1, "d2": 2, "c3": 3}
+        for name, value in INTERSECTION_NUMBERS.items():
+            m = [0, 0, 0, 0]
+            for factor in name.split("*"):
+                base, _, power = factor.partition("^")
+                m[names[base]] += int(power or 1)
+            assert integrals[tuple(m)] == value, name
+
+    def test_tangent_chern_pairings(self):
+        pairs = [(k, m) for k in range(7) for m in monomials_of_degree(6 - k)]
+        assert len(pairs) == 39
+        for k, m in pairs:
+            expected = localization_integral(lambda c, d, t: t[k] * monomial_at(m, c, d))
+            assert integral(tangent_chern().degree_part(k) * monomial(m)) == expected, (k, m)
 
 
 class TestIntegral:

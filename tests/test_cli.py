@@ -119,6 +119,14 @@ class TestChowEval:
         assert "4300-digit limit" in doc["error"]
         assert "set_int_max_str_digits" not in doc["error"]
 
+    def test_unprintable_power_is_refused_before_multiplying(self, capsys):
+        # 2^9999999999 would be squared until memory runs out
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "chow-eval", "--expr", "2^9999999999")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "4300-digit limit" in doc["error"]
+
     def test_d1_alias(self, capsys):
         _, doc = run_cli(capsys, "chow-eval", "--expr", "d1^3")
         assert doc["coordinates"]["c1*d2"] == 4
@@ -496,6 +504,10 @@ SAMPLES = {
     "--file": ("tests/golden_collection.json",),
 }
 VECTOR_FLAGS = ("--dim", "--theta", "--twist")
+ALPHABET = "UOc0123^*+-,;()xyz/{}[]:"
+FREE_TEXT = st.text(ALPHABET, max_size=12)
+#: a matrix entry: free text without the row and entry separators
+ENTRY_TEXT = st.text(ALPHABET.replace(",", "").replace(";", ""), max_size=6)
 
 
 @st.composite
@@ -514,8 +526,12 @@ def fuzzed_argv(draw):
             # entries stay small: large dimension vectors are slow by nature
             choices.append(st.lists(st.integers(-6, 6), max_size=4).map(
                 lambda xs: ",".join(map(str, xs))))
+        elif flag == "--matrix":
+            # two rows of three entries, so that parse_matrix reaches its entry parser
+            choices.append(st.lists(st.lists(ENTRY_TEXT, min_size=3, max_size=3).map(",".join),
+                                    min_size=2, max_size=2).map(";".join))
         else:
-            choices.append(st.text("UOc0123^*+-,;()xyz/{}[]:", max_size=12))
+            choices.append(FREE_TEXT)
         argv.append(f"{flag}={draw(st.one_of(choices))}")
     return argv[:draw(st.integers(1, len(argv)))] if draw(st.booleans()) else argv
 
@@ -555,6 +571,7 @@ class TestFuzz:
     @example(["chi", "--expr", "sl(" * 25 + "U1" + ")" * 25])
     @example(["teleman", "--expr", "sym2(" * 20 + "U2" + ")" * 20])
     @example(["chow-eval", "--expr", "2^20000"])
+    @example(["chow-eval", "--expr", "2^9999999999"])
     def test_every_outcome_is_one_json_document(self, argv):
         assert_one_json_document(argv)
 

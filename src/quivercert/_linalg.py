@@ -1,6 +1,5 @@
-"""Small exact linear algebra over the rationals (row reduction and rank),
-and the ring operations on dense polynomials in one variable with integer
-or rational coefficients."""
+"""Row reduction over the rationals, and the ring operations on dense
+polynomials in one variable with integer or rational coefficients."""
 
 from __future__ import annotations
 
@@ -33,12 +32,6 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
 
 
 # -- dense polynomials in one variable, coefficients ascending ---------------

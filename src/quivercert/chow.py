@@ -404,6 +404,14 @@ class _PolyParser(Scanner):
             self.fail("trailing input")
         return out
 
+    def refuse_digits(self, bits: int, what: str) -> None:
+        """Refuse a numerator or denominator of at least 2^bits, over 0.3 * bits
+        digits, that Python cannot print; the CLI reports it as its digit limit."""
+        limit = sys.get_int_max_str_digits()
+        if limit and 3 * bits >= 10 * limit:
+            raise ValueError(f"the {what} exceeds the limit ({limit} digits)"
+                             f" for integer string conversion (at position {self.pos})")
+
     def sign(self) -> int:
         sign = 1
         while self.peek() in ("+", "-"):
@@ -424,12 +432,12 @@ class _PolyParser(Scanner):
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                out = out * self.power()
-            elif ch.isalnum() or ch == "(":
-                # implicit multiplication, e.g. "3c1" or "c1c2"
-                out = out * self.power()
-            else:
+            elif not (ch.isalnum() or ch == "("):  # else implicit, as in "3c1" or "c1c2"
                 return out
+            out = out * self.power()
+            # an unprintable numerator, at least |n| // den, only grows, ever
+            # slower, in further products (denominators here divide 3)
+            self.refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product")
 
     def power(self) -> ChowElement:
         base = self.atom()
@@ -438,16 +446,9 @@ class _PolyParser(Scanner):
             digits = self.take(str.isdigit)
             if not digits:
                 self.fail("expected exponent")
-            n, a = int(digits), base.coefficient("[Y]")
-            # the degree-0 coordinate of the power has a numerator or denominator
-            # of at least 2^(n * bits), over 0.3 * n * bits digits: refuse it
-            # before squaring rather than when printing (the CLI reports both
-            # in the words of its digit limit)
-            bits = max(abs(a.numerator), a.denominator).bit_length() - 1
-            limit = sys.get_int_max_str_digits()
-            if limit and 3 * n * bits >= 10 * limit:
-                raise ValueError(f"the power exceeds the limit ({limit} digits)"
-                                 f" for integer string conversion (at position {self.pos})")
+            n, a = int(digits), abs(base.coefficient("[Y]"))
+            # refuse before squaring: the degree-0 coordinate grows n-fold in bits
+            self.refuse_digits(n * (max(a.numerator, a.denominator).bit_length() - 1), "power")
             return base ** n
         return base
 

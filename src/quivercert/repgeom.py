@@ -3,7 +3,9 @@
 A point of the moduli space Y is an orbit of 2x3 matrices with entries
 in W = <x, y, z>.  Stability is linear independence of the three maximal
 2x2 minors inside Sym^2 W: they span the net of conics that embeds Y in
-Gr(3, Sym^2 W), and ``is_stable`` is a rank test on them.
+Gr(3, Sym^2 W), and ``is_stable`` is a rank test on them.  All of this is
+polynomial in the entries, so each row is cleared of denominators once
+and the work runs on integers.
 
 A stable matrix determines a canonical pair of syzygy tensors in
 Sym^2 W (x) W that lie in the kernel of the multiplication map to
@@ -16,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-
-from ._linalg import rank
+from math import lcm
+from operator import add, sub
 
 F = Fraction
 
@@ -70,7 +71,7 @@ ZERO_FORM = linear_form()
 
 def lf_mul(u: LinearForm, v: LinearForm) -> QuadraticForm:
     """Product of two linear forms in the quadratic monomial basis."""
-    q = [F(0)] * 6
+    q = [0] * 6
     for i, a in enumerate(u):
         for j, b in enumerate(v):
             q[_QUAD_OF_VARS[i][j]] += a * b
@@ -103,20 +104,54 @@ def matrix(rows) -> LinearFormMatrix:
     return LinearFormMatrix(tuple(tuple(row) for row in rows))
 
 
+def _cleared(m):
+    """Rationals m[i][j] times the lcm d of their denominators, as integers; and d."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _minors(top, bottom):
+    """The maximal minors (BF - CE, AF - CD, AE - BD) of rows (A, B, C), (D, E, F)."""
+    (a, b, c), (d, e, f) = top, bottom
+    return tuple(tuple(map(sub, lf_mul(p, q), lf_mul(u, v)))
+                 for p, q, u, v in ((b, f, c, e), (a, f, c, d), (a, e, b, d)))
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): after k steps each entry below the pivot rows is
+    a (k+1)-minor of the input (Sylvester's identity), so the division by
+    the previous pivot is exact."""
+    m = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p, top = m[rank][c], m[rank]
+        for i in range(rank + 1, len(m)):
+            q = m[i][c]
+            m[i] = [(p * x - q * y) // previous for x, y in zip(m[i], top)]
+        previous, rank = p, rank + 1
+        if rank == len(m):
+            break
+    return rank
+
+
 def minors(r: LinearFormMatrix) -> tuple[QuadraticForm, QuadraticForm, QuadraticForm]:
     """The maximal minors (BF - CE, AF - CD, AE - BD) as quadratic forms."""
-    (a, b, c), (d, e, f) = r.rows
-    m1 = tuple(p - q for p, q in zip(lf_mul(b, f), lf_mul(c, e)))
-    m2 = tuple(p - q for p, q in zip(lf_mul(a, f), lf_mul(c, d)))
-    m3 = tuple(p - q for p, q in zip(lf_mul(a, e), lf_mul(b, d)))
-    return (m1, m2, m3)
+    (top, da), (bottom, db) = map(_cleared, r.rows)
+    return tuple(tuple(F(n, da * db) for n in q) for q in _minors(top, bottom))
 
 
 def is_stable(r: LinearFormMatrix) -> bool:
     """GIT stability of the representation given by the matrix: its three
     maximal minors m1, m2, m3 are linearly independent in Sym^2 W.  Row and
     column operations act on the minors by invertible linear maps, so both
-    conditions are invariant under them.
+    conditions are invariant under them.  Scaling a row by d multiplies
+    every minor by d and leaves the rank unchanged, so the rank is taken
+    on the integer minors of the rows cleared of denominators.
 
     Unstable implies dependent: a (1,0) or (1,1) subrepresentation gives a
     row (l, 0, 0), so m1 = 0; a (2,1) or (2,2) one gives a zero column, so
@@ -130,7 +165,8 @@ def is_stable(r: LinearFormMatrix) -> bool:
     kernel, which gives a zero column, or an image, which gives a row
     (l, 0, 0).
     """
-    return rank(list(minors(r))) == 3
+    (top, _), (bottom, _) = map(_cleared, r.rows)
+    return _rank(_minors(top, bottom)) == 3
 
 
 # -- syzygies and the traceless-matrix identification -------------------------
@@ -140,7 +176,7 @@ def is_stable(r: LinearFormMatrix) -> bool:
 
 def tensor_to_cubic(t) -> tuple[Fraction, ...]:
     """Image under the multiplication map Sym^2 W (x) W -> Sym^3 W."""
-    out = [F(0)] * len(CUBIC_MONOMIALS)
+    out = [0] * len(CUBIC_MONOMIALS)
     for qi, row in enumerate(_CUBIC_OF_QUAD_VAR):
         for vi, k in enumerate(row):
             out[k] += t[qi * 3 + vi]
@@ -161,31 +197,37 @@ class SyzygyPair:
     degenerate: bool
 
 
+def _syzygy(row, m):
+    """u1 (x) m1 - u2 (x) m2 + u3 (x) m3 for the row (u1, u2, u3)."""
+    t = [0] * 18
+    for form, sign, mi in zip(row, (1, -1, 1), m):
+        for vi, c in enumerate(form):
+            if c:
+                for qi, q in enumerate(mi):
+                    t[qi * 3 + vi] += sign * c * q
+    return t
+
+
 def syzygies(r: LinearFormMatrix) -> SyzygyPair:
     """Canonical syzygy tensors, reordered into Sym^2 W (x) W:
     s1 = A(x)(BF-CE) - B(x)(AF-CD) + C(x)(AE-BD) and the same with the
-    second row, both in the kernel of multiplication to Sym^3 W."""
-    (a, b, c), (d, e, f) = r.rows
-    m1, m2, m3 = quadrics = minors(r)
+    second row, both in the kernel of multiplication to Sym^3 W.
 
-    def build(u1, u2, u3):
-        t = [F(0)] * 18
-        for form, sign, mi in ((u1, 1, m1), (u2, -1, m2), (u3, 1, m3)):
-            for vi in range(3):
-                if form[vi] == 0:
-                    continue
-                for qi in range(6):
-                    t[qi * 3 + vi] += sign * form[vi] * mi[qi]
-        return tuple(t)
-
-    t1 = build(a, b, c)
-    t2 = build(d, e, f)
-    return SyzygyPair(minors=quadrics, tensors=(t1, t2), sl3=(to_sl3(t1), to_sl3(t2)),
-                      degenerate=rank(list(quadrics)) != 3)  # not is_stable(r)
+    On the rows cleared of denominators da and db, the integer minors are
+    da * db times the true ones, and s1 and s2 are da^2 * db and da * db^2
+    times the true tensors."""
+    (top, da), (bottom, db) = map(_cleared, r.rows)
+    m = _minors(top, bottom)
+    t1, d1 = _syzygy(top, m), da * da * db
+    t2, d2 = _syzygy(bottom, m), da * db * db
+    return SyzygyPair(minors=tuple(tuple(F(n, da * db) for n in q) for q in m),
+                      tensors=(tuple(F(n, d1) for n in t1), tuple(F(n, d2) for n in t2)),
+                      sl3=(to_sl3(t1, d1), to_sl3(t2, d2)),
+                      degenerate=_rank(m) != 3)  # not is_stable(r)
 
 
-def to_sl3(t) -> Sl3Element:
-    """The traceless 3x3 matrix of a kernel tensor.
+def to_sl3(t, scale=1) -> Sl3Element:
+    """The traceless 3x3 matrix of the kernel tensor t / scale.
 
     With t[m (x) v] the entry of t at quadratic monomial m and variable
     v, and eps(i,k,j) the sign of the permutation (i,k,j), the
@@ -203,20 +245,21 @@ def to_sl3(t) -> Sl3Element:
         raise ValueError("tensor outside the span of the dictionary")
 
     def at(i, j, k):  # t[x_i x_j (x) x_k]
-        return F(t[_QUAD_OF_VARS[i][j] * 3 + k])
+        return t[_QUAD_OF_VARS[i][j] * 3 + k]
 
-    out = [[F(0)] * 3 for _ in range(3)]
+    out = [[None] * 3 for _ in range(3)]
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3  # (i, j, k) is cyclic
-        out[i][i] = (at(i, j, k) - at(i, k, j)) / 3
-        out[i][k] = at(i, i, j)
-        out[i][j] = -at(i, i, k)
+        out[i][i] = F(at(i, j, k) - at(i, k, j), 3 * scale)
+        out[i][k] = F(at(i, i, j), scale)
+        out[i][j] = F(-at(i, i, k), scale)
     return tuple(tuple(row) for row in out)
 
 
 def commutes(p) -> bool:
-    """Whether two 3x3 matrices commute."""
-    a, b = p
+    """Whether two 3x3 matrices commute, decided on integer multiples of
+    them: (da A)(db B) - (db B)(da A) = da db (AB - BA)."""
+    (a, _), (b, _) = map(_cleared, p)
 
     def mul(m, n):
         return [

@@ -35,14 +35,20 @@ from quivercert.chow import (
     render_fraction,
     todd_y,
 )
-from quivercert._linalg import poly_mul, poly_sub, poly_trim, rank, rref
+from quivercert._linalg import poly_mul, poly_sub, poly_trim, rref
 from quivercert.quiver import Quiver, euler_form, has_semistable, slope
-from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, is_stable, matrix
+from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
+                                is_stable, matrix)
 from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
                                weight_ranges)
 from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
 F = Fraction
+
+
+def rank(rows) -> int:
+    """Rank of a rational matrix by row reduction."""
+    return len(rref(rows)[1]) if rows else 0
 
 
 # -- tiny finite fields --------------------------------------------------------
@@ -1121,6 +1127,62 @@ def is_stable_by_gcd(r: LinearFormMatrix) -> bool:
     return not _binary_quadratic_common_zero(quadratics)
 
 
+# -- syzygies in Fraction arithmetic ------------------------------------------
+#
+# The route that integer minors, tensors and the Bareiss rank replaced:
+# every product and sum in Fraction arithmetic, and the rank by row
+# reduction.
+
+#: ``_QUAD_INDEX[i][j]``: the index in QUAD_MONOMIALS of x_i * x_j.
+_QUAD_INDEX = [[QUAD_MONOMIALS.index(f"{VARS[i]}^2" if i == j else VARS[min(i, j)]
+                                     + VARS[max(i, j)]) for j in range(3)] for i in range(3)]
+
+
+def _lf_mul_by_fractions(u, v):
+    q = [F(0)] * 6
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            q[_QUAD_INDEX[i][j]] += a * b
+    return tuple(q)
+
+
+def _sl3_by_fractions(t):
+    """The traceless matrix of a kernel tensor by the formulas of
+    ``repgeom.to_sl3``, entry by entry in Fraction arithmetic."""
+    def at(i, j, k):
+        return F(t[_QUAD_INDEX[i][j] * 3 + k])
+
+    out = [[F(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out[i][i] = (at(i, j, k) - at(i, k, j)) / 3
+        out[i][k] = at(i, i, j)
+        out[i][j] = -at(i, i, k)
+    return tuple(tuple(row) for row in out)
+
+
+def syzygies_by_fractions(r: LinearFormMatrix) -> SyzygyPair:
+    """The minors, syzygy tensors, sl3 plane and degeneracy of a matrix,
+    all in Fraction arithmetic."""
+    (a, b, c), (d, e, f) = r.rows
+    quadrics = tuple(
+        tuple(p - q for p, q in zip(_lf_mul_by_fractions(u, v), _lf_mul_by_fractions(w, z)))
+        for u, v, w, z in ((b, f, c, e), (a, f, c, d), (a, e, b, d)))
+
+    def build(row):
+        t = [F(0)] * 18
+        for form, sign, mi in zip(row, (1, -1, 1), quadrics):
+            for vi in range(3):
+                for qi in range(6):
+                    t[qi * 3 + vi] += sign * form[vi] * mi[qi]
+        return tuple(t)
+
+    tensors = (build((a, b, c)), build((d, e, f)))
+    return SyzygyPair(minors=quadrics, tensors=tensors,
+                      sl3=tuple(_sl3_by_fractions(t) for t in tensors),
+                      degenerate=rank(list(quadrics)) != 3)
+
+
 # -- random generators ---------------------------------------------------------
 
 _LEAVES = [U1, U2]
@@ -1161,6 +1223,17 @@ def random_matrix(rng: random.Random) -> LinearFormMatrix:
         tuple(random_linear_form(rng) for _ in range(3)),
         tuple(random_linear_form(rng) for _ in range(3)),
     ])
+
+
+def random_rational_matrix(rng: random.Random) -> LinearFormMatrix:
+    """A matrix with coefficients p/q, q in 1..12, distinct denominators
+    within each row, and about a third of them zero."""
+    rows = []
+    for _ in range(2):
+        dens = rng.sample(range(1, 13), 9)
+        coeffs = [F(rng.randint(-5, 5), q) if rng.random() > 0.3 else F(0) for q in dens]
+        rows.append(tuple(tuple(coeffs[3 * j:3 * j + 3]) for j in range(3)))
+    return matrix(rows)
 
 
 def random_stable_matrix(rng: random.Random) -> LinearFormMatrix:

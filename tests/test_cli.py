@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import syzygies_by_fractions
+from quivercert import repgeom
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_VERTICES
@@ -23,6 +26,11 @@ TRANSCRIPT = json.loads((TESTS / "cli_transcript.json").read_text(encoding="utf-
 #: so the sym2 combines 65,536 weight pairs, MAX_TERMS
 SYM2_AT_THE_TERM_LIMIT = ("sym2(tensor(" + ",".join(f"sum(O(0),O({2 ** k}))" for k in range(8))
                           + "))")
+
+
+#: What the CLI prints for an integer it cannot read or print.
+DIGIT_LIMIT_STDOUT = ('{"error":"an integer exceeds the 4300-digit limit'
+                      ' for reading and printing integers"}\n')
 
 
 def balanced_sum(expr: str, copies: int) -> str:
@@ -127,6 +135,13 @@ class TestChowEval:
         assert code == 2
         assert "4300-digit limit" in doc["error"]
 
+    def test_unprintable_product_is_refused_before_multiplying_again(self, capsys):
+        # each of 1000 factors would multiply an ever larger coordinate
+        start = time.perf_counter()
+        code = main(["chow-eval", "--expr", "*".join(["2^14000"] * 1000)])
+        assert time.perf_counter() - start < 1
+        assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
     def test_d1_alias(self, capsys):
         _, doc = run_cli(capsys, "chow-eval", "--expr", "d1^3")
         assert doc["coordinates"]["c1*d2"] == 4
@@ -187,6 +202,33 @@ class TestMatrixInput:
         code, doc = run_cli(capsys, command, "--matrix", text)
         assert code == 2
         assert doc["error"].startswith("zero denominator in linear form")
+
+    @pytest.mark.parametrize("command", ["stability", "syzygies"])
+    def test_distinct_huge_denominators_are_refused_in_time(self, capsys, command):
+        # 18 distinct 1400-digit denominators: each row clears to about 12,600 digits
+        rng = random.Random(1400)
+        dens = []
+        while len(dens) < 18:
+            q = rng.randrange(10 ** 1399, 10 ** 1400)
+            if q not in dens:
+                dens.append(q)
+        entries = ["+".join(f"{rng.choice((1, -2, 3))}/{q}{v}"
+                            for q, v in zip(dens[i:i + 3], "xyz")) for i in range(0, 18, 3)]
+        start = time.perf_counter()
+        code = main([command, "--matrix", ",".join(entries[:3]) + ";" + ",".join(entries[3:])])
+        assert time.perf_counter() - start < 3
+        assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
+    @pytest.mark.parametrize("command", ["stability", "syzygies"])
+    def test_one_huge_denominator_prints_what_the_fraction_route_prints(
+            self, capsys, monkeypatch, command):
+        q = random.Random(4000).randrange(10 ** 3999, 10 ** 4000)
+        argv = [command, "--matrix", f"1/{q}x+y,y-z,2x;z,x+y,-y"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(repgeom, "syzygies", syzygies_by_fractions)
+        assert (code, out) == (main(argv), capsys.readouterr().out)
+        assert code == 0 and str(q) in out
 
 
 class TestVerifyCollection:
@@ -508,6 +550,9 @@ ALPHABET = "UOc0123^*+-,;()xyz/{}[]:"
 FREE_TEXT = st.text(ALPHABET, max_size=12)
 #: a matrix entry: free text without the row and entry separators
 ENTRY_TEXT = st.text(ALPHABET.replace(",", "").replace(";", ""), max_size=6)
+#: a matrix entry of rational coefficients p/q, zero denominators included
+RATIONAL_ENTRY = st.lists(st.builds("{}/{}{}".format, st.integers(-9, 9), st.integers(0, 12),
+                                    st.sampled_from("xyz")), min_size=1, max_size=3).map("+".join)
 
 
 @st.composite
@@ -527,9 +572,11 @@ def fuzzed_argv(draw):
             choices.append(st.lists(st.integers(-6, 6), max_size=4).map(
                 lambda xs: ",".join(map(str, xs))))
         elif flag == "--matrix":
-            # two rows of three entries, so that parse_matrix reaches its entry parser
-            choices.append(st.lists(st.lists(ENTRY_TEXT, min_size=3, max_size=3).map(",".join),
-                                    min_size=2, max_size=2).map(";".join))
+            # two rows of three entries, so that parse_matrix reaches its entry
+            # parser, and rational ones, so that rows are cleared of denominators
+            for entry in (ENTRY_TEXT, RATIONAL_ENTRY):
+                choices.append(st.lists(st.lists(entry, min_size=3, max_size=3).map(",".join),
+                                        min_size=2, max_size=2).map(";".join))
         else:
             choices.append(FREE_TEXT)
         argv.append(f"{flag}={draw(st.one_of(choices))}")
@@ -552,8 +599,9 @@ collection_documents = st.fixed_dictionaries({"objects": st.lists(st.fixed_dicti
     optional={"label": json_documents}), max_size=5)})
 
 
-def assert_one_json_document(argv):
-    """Exit 0, 1 or 2 within 10 s, with one JSON document on stdout."""
+def assert_one_json_document(argv) -> int:
+    """Exit 0, 1 or 2 within 10 s, with one JSON document on stdout;
+    returns the exit code."""
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -563,6 +611,7 @@ def assert_one_json_document(argv):
     text = out.getvalue()
     assert text.endswith("\n")
     json.loads(text)
+    return code
 
 
 class TestFuzz:
@@ -572,8 +621,12 @@ class TestFuzz:
     @example(["teleman", "--expr", "sym2(" * 20 + "U2" + ")" * 20])
     @example(["chow-eval", "--expr", "2^20000"])
     @example(["chow-eval", "--expr", "2^9999999999"])
+    @example(["syzygies", "--matrix", "1/2x+3/0y,y,z;x,y,z"])
+    @example(["stability", "--matrix", "1/2x+1/3y,-5/7z,0/1x;2/9y,x,1/11z+1/12x"])
     def test_every_outcome_is_one_json_document(self, argv):
-        assert_one_json_document(argv)
+        code = assert_one_json_document(argv)
+        if argv[0] in ("stability", "syzygies"):
+            assert code in (0, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(json_documents | collection_documents)

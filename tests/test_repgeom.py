@@ -10,13 +10,16 @@ from oracles import (
     is_stable_by_gcd,
     random_invertible,
     random_matrix,
+    random_rational_matrix,
     random_stable_matrix,
+    rank,
     row_space_basis,
     sl3_by_dictionary,
+    syzygies_by_fractions,
 )
-from quivercert._linalg import rank
 from quivercert.repgeom import (
     LinearFormMatrix,
+    _rank,
     X,
     Y,
     Z,
@@ -91,6 +94,12 @@ def stability_cases(draw):
     r = matrix([[ZERO_FORM if (i, j) in zeros else r.rows[i][j] for j in range(3)]
                 for i in range(2)])
     return act(draw(invertible(2)), r, draw(invertible(3))), True
+
+
+#: (generator, count): the seeded samples on which the integer route is
+#: compared with the oracles, integer matrices and rational ones with
+#: distinct denominators in each row.
+SEEDED_SAMPLES = ((random_matrix, 2000), (random_rational_matrix, 500))
 
 
 class TestMinors:
@@ -169,15 +178,29 @@ class TestStability:
         assert not is_stable(parse_matrix("x,0,0;0,y,z"))
 
     def test_gcd_oracle_agreement_bulk(self):
-        rng = random.Random(2024)
-        both = {True: 0, False: 0}
-        for _ in range(1000):
-            r = random_matrix(rng)
-            stable = is_stable(r)
-            assert stable == is_stable_by_gcd(r)
-            both[stable] += 1
-        # the sample must exercise both branches
-        assert both[True] > 0 and both[False] > 0
+        for generator, count in SEEDED_SAMPLES:
+            rng = random.Random(2024)
+            both = {True: 0, False: 0}
+            for _ in range(count):
+                r = generator(rng)
+                stable = is_stable(r)
+                assert stable == (not syzygies(r).degenerate) == is_stable_by_gcd(r)
+                both[stable] += 1
+            # the sample must exercise both branches
+            assert both[True] > 0 and both[False] > 0, generator.__name__
+
+    def test_bareiss_rank_equals_row_reduction(self):
+        # products of 3 x k and k x 6 integer matrices, k = 0..3, with zero
+        # columns: every rank deficiency, and pivot columns skipped
+        rng = random.Random(1968)
+        for _ in range(500):
+            k = rng.randint(0, 3)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(3)]
+            right = [[rng.randint(-3, 3) if rng.random() > 0.3 else 0 for _ in range(6)]
+                     for _ in range(k)]
+            m = [[sum(left[i][l] * right[l][j] for l in range(k)) for j in range(6)]
+                 for i in range(3)]
+            assert _rank(m) == rank(m), m
 
     def test_gl_action_invariance(self):
         rng = random.Random(5)
@@ -197,6 +220,7 @@ class TestStability:
             assert not stable
         pair = syzygies(r)
         assert pair.degenerate != stable and pair.minors == minors(r)
+        assert pair == syzygies_by_fractions(r)
 
 
 class TestSyzygies:
@@ -227,6 +251,20 @@ class TestSyzygies:
         # first-row tensor picks up the row factor and the minors' factor
         assert q.tensors[0] == tuple(9 * c for c in p.tensors[0])
         assert q.tensors[1] == tuple(3 * c for c in p.tensors[1])
+
+    def test_equals_the_fraction_route(self):
+        for generator, count in SEEDED_SAMPLES:
+            rng = random.Random(2024)
+            degenerate = 0
+            for _ in range(count):
+                r = generator(rng)
+                pair = syzygies(r)
+                assert pair == syzygies_by_fractions(r), str(r)
+                values = [x for q in pair.minors for x in q] + [x for t in pair.tensors for x in t]
+                values += [x for m in pair.sl3 for row in m for x in row]
+                assert all(type(x) is F for x in values)
+                degenerate += pair.degenerate
+            assert 0 < degenerate < count, generator.__name__
 
     def test_unstable_flagged_degenerate(self):
         pair = syzygies(parse_matrix("x,0,0;0,y,0"))

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from ._linalg import poly_add, poly_mul, poly_sub
 
@@ -29,6 +30,11 @@ MAX_ARROWS = 10 ** 4
 
 #: Largest vertex count of a quiver, which builds one entry per vertex.
 MAX_VERTICES = 10 ** 4
+
+#: Largest count prod(d_i + 1) of subvectors 0 <= f <= d of a dimension vector
+#: whose semistable counts are computed: the counting recursion visits every
+#: subvector of every subvector, so its work grows faster than this count.
+MAX_SUBVECTORS = 64
 
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
@@ -160,6 +166,14 @@ def _q_binomial(n: int, k: int) -> tuple:
     return poly_add(_q_binomial(n - 1, k - 1), (0,) * k + _q_binomial(n - 1, k))
 
 
+def _reduced_slope(theta, f) -> tuple[int, int]:
+    """The slope (theta . f) / |f| of a nonzero f as a pair (a, b) of
+    coprime integers with b > 0, compared by cross-multiplying."""
+    a, b = sum(t * x for t, x in zip(theta, f)), sum(f)
+    g = gcd(a, b)
+    return a // g, b // g
+
+
 @lru_cache(maxsize=None)
 def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
     """Number of theta-semistable representations of dimension vector e
@@ -179,9 +193,14 @@ def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
     power of q that cancels against q^(-<g-f, f>), leaving the arrow
     exponent.  All q^(dim R_e) representations of dimension e sum over all
     f; the term f = e is the semistable count.
+
+    Slopes are reduced integer pairs (a, b), b > 0, one per subvector of e,
+    so that slope f < a / b is the integer test a_f * b < a * b_f.
     """
-    # Tail counts live for this call only: recomputing them is cheap, while
-    # keeping every (h, bound) state for the life of the process is not.
+    slopes = {f: _reduced_slope(theta, f) for f in _subvectors(e)}
+    # Tail counts live for this call only, keyed by (h, a, b) for the bound
+    # a / b in lowest terms: recomputing them is cheap, while keeping every
+    # (h, bound) state for the life of the process is not.
     tails = {}
 
     def first_part(g, f):
@@ -190,18 +209,20 @@ def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
         for n, k in zip(g, f):
             out = poly_mul(out, _q_binomial(n, k))
         shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
-        return poly_mul((0,) * shift + out, tail(rest, slope(theta, f)))
+        return poly_mul((0,) * shift + out, tail(rest, *slopes[f]))
 
-    def tail(h, bound):
+    def tail(h, a, b):
         if not any(h):
             return (1,)
-        if (h, bound) not in tails:
+        key = h, a, b
+        if key not in tails:
             total = ()
             for f in _subvectors(h):
-                if slope(theta, f) < bound:
+                af, bf = slopes[f]
+                if af * b < a * bf:
                     total = poly_add(total, first_part(h, f))
-            tails[h, bound] = total
-        return tails[h, bound]
+            tails[key] = total
+        return tails[key]
 
     total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
     for f in _subvectors(e):
@@ -210,14 +231,33 @@ def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
     return total
 
 
-def has_semistable(quiver: Quiver, e, theta) -> bool:
-    """Whether a theta-semistable representation of dimension vector e exists."""
+def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
+    """``(e, theta)`` as integer tuples, refused unless e is a nonzero
+    dimension vector within ``MAX_SUBVECTORS`` and theta has one entry per
+    vertex."""
     e = quiver.check_dim(e)
     if not any(e):
         raise ValueError("dimension vector must be nonzero")
     theta = tuple(int(t) for t in theta)
     if len(theta) != quiver.vertex_count:
         raise ValueError("theta has wrong length")
+    _check_subvector_count(e)
+    return e, theta
+
+
+def _check_subvector_count(e: DimVector) -> None:
+    """Refuse e with more than ``MAX_SUBVECTORS`` subvectors, without
+    multiplying past the limit."""
+    box = 1
+    for x in e:
+        box *= x + 1
+        if box > MAX_SUBVECTORS:
+            raise ValueError(f"subvector count above {MAX_SUBVECTORS}")
+
+
+def has_semistable(quiver: Quiver, e, theta) -> bool:
+    """Whether a theta-semistable representation of dimension vector e exists."""
+    e, theta = _check_counting_input(quiver, e, theta)
     return bool(_sst_count(quiver, e, theta))
 
 
@@ -230,12 +270,7 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     lexicographically on the flattened parts and includes the trivial
     type (d,) exactly when d itself admits a semistable representation.
     """
-    d = quiver.check_dim(d)
-    if not any(d):
-        raise ValueError("dimension vector must be nonzero")
-    theta = tuple(int(t) for t in theta)
-    if len(theta) != quiver.vertex_count:
-        raise ValueError("theta has wrong length")
+    d, theta = _check_counting_input(quiver, d, theta)
     if sum(t * x for t, x in zip(theta, d)) != 0:
         raise ValueError("theta . d must be zero")
 
@@ -246,12 +281,12 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
             types.append(tuple(prefix))
             return
         for f in _subvectors(remaining):
-            mu = slope(theta, f)
-            if bound is not None and mu >= bound:
+            a, b = mu = _reduced_slope(theta, f)
+            if bound is not None and a * bound[1] >= bound[0] * b:
                 continue
-            if not has_semistable(quiver, f, theta):
+            if not _sst_count(quiver, f, theta):
                 continue
-            extend(tuple(a - b for a, b in zip(remaining, f)), mu, prefix + [f])
+            extend(tuple(x - y for x, y in zip(remaining, f)), mu, prefix + [f])
 
     extend(d, None, [])
     types.sort(key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
@@ -274,8 +309,10 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     parts = [quiver.check_dim(p) for p in tau]
     if not parts or any(not any(p) for p in parts):
         return False
+    d = quiver.check_dim(d)
+    _check_subvector_count(d)
     total = tuple(sum(col) for col in zip(*parts))
-    if total != quiver.check_dim(d):
+    if total != d:
         return False
     slopes = [slope(theta, p) for p in parts]
     if any(a <= b for a, b in zip(slopes, slopes[1:])):

@@ -184,10 +184,12 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | None, ...]:
     """The (min, max) weight of ``expr`` on each unstable stratum, or None
     for the zero bundle, which has no weights.  The character products on
-    all strata share one WorkBudget."""
+    all strata share one WorkBudget; an expression over it raises on every
+    call, since exceptions are not cached."""
     if moduli.quiver.vertex_count != 2:
         raise ValueError("bundle expressions assume a two-vertex quiver")
     budget = WorkBudget()

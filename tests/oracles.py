@@ -35,8 +35,9 @@ from quivercert.chow import (
     render_fraction,
     todd_y,
 )
-from quivercert._linalg import poly_mul, poly_sub, poly_trim, rref
-from quivercert.quiver import Quiver, euler_form, has_semistable, slope
+from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim, rref
+from quivercert.quiver import (DimVector, Quiver, _q_binomial, _subvectors, euler_form,
+                               has_semistable, slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
 from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
@@ -405,6 +406,57 @@ def hn_types_by_chains(quiver: Quiver, d, theta):
     chains = [(d,)] + list(slope_chains(d, theta))
     types = [c for c in chains if all(has_semistable_by_chains(quiver, p, theta) for p in c)]
     return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
+
+
+@lru_cache(maxsize=None)
+def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
+    """Number of theta-semistable representations of dimension vector e
+    over a field with q elements, as a polynomial in q with integer
+    coefficients (Reineke's recursion), with every slope a Fraction: the
+    route that ``quiver._sst_count`` replaced with reduced integer slopes.
+
+    Sorting the representations of dimension g by the dimension vector f
+    of their first Harder-Narasimhan part, those with first part f number
+
+        |R_f^sst| * prod_i [g_i choose f_i]_q * q^(sum_{a: i->j} (g-f)_i f_j)
+                  * T(g - f, slope f),
+
+    where T(h, mu) counts the representations of dimension h whose
+    Harder-Narasimhan parts all have slope below mu (T(0, mu) = 1) and is
+    the sum of the same terms over the f <= h of slope below mu.  The group
+    order ratio |G_g| / (|G_f| |G_{g-f}|) contributes the binomials and a
+    power of q that cancels against q^(-<g-f, f>), leaving the arrow
+    exponent.  All q^(dim R_e) representations of dimension e sum over all
+    f; the term f = e is the semistable count.
+    """
+    # Tail counts live for this call only: recomputing them is cheap, while
+    # keeping every (h, bound) state for the life of the process is not.
+    tails = {}
+
+    def first_part(g, f):
+        rest = tuple(a - b for a, b in zip(g, f))
+        out = sst_count_by_fraction_slopes(quiver, f, theta)
+        for n, k in zip(g, f):
+            out = poly_mul(out, _q_binomial(n, k))
+        shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
+        return poly_mul((0,) * shift + out, tail(rest, slope(theta, f)))
+
+    def tail(h, bound):
+        if not any(h):
+            return (1,)
+        if (h, bound) not in tails:
+            total = ()
+            for f in _subvectors(h):
+                if slope(theta, f) < bound:
+                    total = poly_add(total, first_part(h, f))
+            tails[h, bound] = total
+        return tails[h, bound]
+
+    total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
+    for f in _subvectors(e):
+        if f != e:
+            total = poly_sub(total, first_part(e, f))
+    return total
 
 
 # -- Todd class from Chern roots ----------------------------------------------

@@ -16,7 +16,7 @@ from oracles import syzygies_by_fractions
 from quivercert import repgeom
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
-from quivercert.quiver import MAX_ARROWS, MAX_VERTICES
+from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
 
 TESTS = Path(__file__).parent
@@ -193,6 +193,13 @@ class TestSyzygies:
         code, doc = run_cli(capsys, "syzygies", "--matrix", "x,0,0;0,y,0")
         assert code == 0
         assert "degenerate" in doc["warning"]
+
+    def test_kernel_check_failure_is_input_error(self, capsys, monkeypatch):
+        # kernel_ok is read from the check inside syzygies, which raises
+        monkeypatch.setattr(repgeom, "tensor_to_cubic", lambda t: (1,))
+        code, doc = run_cli(capsys, "syzygies", "--matrix", "x,y,0;0,y,z")
+        assert code == 2
+        assert "outside the span" in doc["error"]
 
 
 class TestMatrixInput:
@@ -454,6 +461,10 @@ class TestHostileSizes:
           json.dumps({"vertices": 2, "arrows": [[0, 1]] * (MAX_ARROWS + 1)}),
           "--dim", "1,1", "--theta", "1,-1"],
          f"arrow count above {MAX_ARROWS}"),
+        # 2^24 subvectors
+        (["hn-types", "--quiver", '{"vertices":24,"arrows":[]}', "--dim", ",".join(["1"] * 24),
+          "--theta", ",".join(["0"] * 24)],
+         f"subvector count above {MAX_SUBVECTORS}"),
     ])
     def test_work_above_the_limit_is_input_error(self, capsys, tmp_path, monkeypatch, argv,
                                                  message):

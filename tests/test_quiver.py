@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,12 +17,15 @@ from oracles import (
     hn_type_brute,
     hn_types_by_chains,
     is_semistable_brute,
+    sst_count_by_fraction_slopes,
 )
+from quivercert import quiver as quiver_module
 from quivercert._linalg import poly_mul
 from quivercert.chow import DEGREES
 from quivercert.quiver import (
     KRONECKER3,
     MAX_ARROWS,
+    MAX_SUBVECTORS,
     MAX_VERTICES,
     Quiver,
     _sst_count,
@@ -34,6 +38,9 @@ from quivercert.quiver import (
 )
 
 A2 = Quiver(2, ((0, 1),))
+
+#: The 3-Kronecker ladder with theta = (d_1, -d_0).
+LADDER = ((2, 3), (3, 4), (3, 5), (4, 5), (4, 7))
 
 
 def _poly_at(p, q):
@@ -257,6 +264,20 @@ class TestHasSemistable:
         quiver, e, theta = case
         assert has_semistable(quiver, e, theta) == has_semistable_by_chains(quiver, e, theta)
 
+    @settings(max_examples=60, deadline=None)
+    @given(quiver_dim_theta())
+    def test_count_equals_fraction_slope_oracle(self, case):
+        quiver, e, theta = case
+        assert _sst_count(quiver, e, theta) == sst_count_by_fraction_slopes(quiver, e, theta)
+
+    @pytest.mark.parametrize("d", LADDER)
+    def test_ladder_counts_equal_fraction_slope_oracle(self, d):
+        theta = (d[1], -d[0])
+        for e in itertools.product(range(d[0] + 1), range(d[1] + 1)):
+            if any(e):
+                assert _sst_count(KRONECKER3, e, theta) == sst_count_by_fraction_slopes(
+                    KRONECKER3, e, theta)
+
 
 class TestEnumerateHnTypes:
     def test_kronecker23(self):
@@ -305,12 +326,44 @@ class TestEnumerateHnTypes:
         quiver, d, theta = case
         assert enumerate_hn_types(quiver, d, theta) == hn_types_by_chains(quiver, d, theta)
 
+    def test_no_fraction_on_the_path(self, monkeypatch):
+        expected = hn_types_by_chains(KRONECKER3, (3, 5), (5, -3))
+
+        def refuse(*args):
+            raise AssertionError("Fraction built on the HN path")
+
+        _sst_count.cache_clear()
+        monkeypatch.setattr(quiver_module, "slope", refuse)
+        monkeypatch.setattr(quiver_module, "Fraction", refuse)
+        assert enumerate_hn_types(KRONECKER3, (3, 5), (5, -3)) == expected
+
     def test_defining_conditions(self):
         for tau in enumerate_hn_types(KRONECKER3, (2, 3), (3, -2)):
             assert is_hn_type(KRONECKER3, (2, 3), (3, -2), tau)
             slopes = [slope((3, -2), p) for p in tau]
             assert all(a > b for a, b in zip(slopes, slopes[1:]))
             assert tuple(map(sum, zip(*tau))) == (2, 3)
+
+
+class TestSubvectorLimit:
+    # 2^6 = MAX_SUBVECTORS subvectors on six vertices, 2^7 on seven
+    @pytest.mark.parametrize("n,allowed", [(6, True), (7, False)])
+    def test_every_route_is_bounded(self, n, allowed):
+        assert 2 ** 6 == MAX_SUBVECTORS
+        q, d = Quiver(n, ()), (1,) * n
+        theta = (0,) * n
+        routes = [lambda: has_semistable(q, d, theta), lambda: enumerate_hn_types(q, d, theta),
+                  lambda: is_hn_type(q, d, theta, (d,))]
+        for route in routes:
+            if allowed:
+                assert route()
+            else:
+                with pytest.raises(ValueError, match=f"^subvector count above {MAX_SUBVECTORS}$"):
+                    route()
+
+    def test_huge_entries_are_refused_at_once(self):
+        with pytest.raises(ValueError, match="subvector count above"):
+            enumerate_hn_types(KRONECKER3, (10 ** 100, 10 ** 100), (1, -1))
 
 
 class TestStratumCodim:

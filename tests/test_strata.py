@@ -197,8 +197,16 @@ class TestTelemanCertify:
         e = direct_sum(direct_sum(block, block), direct_sum(block, block))
         for stratum in unstable_strata(Y23):
             stratum.base().character(e)
-        with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
-            weight_ranges(e, Y23)
+        for _ in range(2):  # exceptions are not cached
+            with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
+                weight_ranges(e, Y23)
+
+    def test_cached_ranges_equal_uncached(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            e = random_expr(rng, depth=2)
+            assert weight_ranges(e, Y23) == weight_ranges.__wrapped__(e, Y23)
+            assert weight_ranges(e, Y23) is weight_ranges(e, Y23)
 
     def test_huge_rank_is_never_expanded(self):
         inner = tensor(sl(U2), sl(U2))

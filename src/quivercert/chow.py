@@ -40,20 +40,6 @@ def render_fraction(x: Fraction | int):
         return int(x)
     return f"{x.numerator}/{x.denominator}"
 
-#: Basis labels in order, grouped by codimension 0..6.
-BASIS = (
-    "[Y]",
-    "c1",
-    "c1^2", "c2", "d2",
-    "c1*c2", "c1*d2", "c3",
-    "c2^2", "c2*d2", "d2^2",
-    "c2*c3",
-    "c3^2",
-)
-
-DEGREES = (0, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 6)
-
-_INDEX = {label: i for i, label in enumerate(BASIS)}
 
 # Exponent vectors (a, b, e, f) for c1^a c2^b d2^e c3^f.
 _BASIS_MONOMIALS = (
@@ -65,6 +51,21 @@ _BASIS_MONOMIALS = (
     (0, 1, 0, 1),
     (0, 0, 0, 2),
 )
+
+
+def _label(monomial) -> str:
+    """``c1^a*c2^b*d2^e*c3^f``, writing ``^k`` only for k > 1 and ``[Y]``
+    for the unit."""
+    return "*".join(name if k == 1 else f"{name}^{k}"
+                    for name, k in zip(("c1", "c2", "d2", "c3"), monomial) if k) or "[Y]"
+
+
+#: Basis labels in order, grouped by codimension 0..6.
+BASIS = tuple(map(_label, _BASIS_MONOMIALS))
+
+DEGREES = tuple(a + 2 * b + 2 * e + 3 * f for a, b, e, f in _BASIS_MONOMIALS)
+
+_INDEX = {label: i for i, label in enumerate(BASIS)}
 
 
 #: The intersection numbers of Y: the degree-6 integrals of the monomials
@@ -253,12 +254,6 @@ def integral(x: ChowElement) -> Fraction:
     return x.coefficient("c3^2")
 
 
-def pairing(x: ChowElement, y: ChowElement) -> Fraction:
-    """The integral of x * y, without forming the product."""
-    xs, ys = x.nums, y.nums
-    return F(sum(xs[i] * ys[j] * c for i, j, c in _PAIRING), x.den * y.den)
-
-
 def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
     """``(D, r)`` with D = ``x.den`` and r[b] the integral of D * x *
     basis_b, so that the integral of x * y is r . y.nums / (D * y.den)."""
@@ -371,7 +366,8 @@ def integer(value: Fraction, what: str) -> int:
 
 def chi(e: BundleExpr) -> int:
     """Euler characteristic chi(Y, e) = integral of ch(e) * Todd(Y)."""
-    return integer(pairing(ch_of(e), todd_y()), f"chi({e})")
+    x = ch_of(e)
+    return scaled_pairing(gram_row(todd_y()), (x.den, x.nums), f"chi({e})")
 
 
 # -- polynomial input for the command line ------------------------------------

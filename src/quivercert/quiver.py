@@ -36,6 +36,12 @@ MAX_VERTICES = 10 ** 4
 #: subvector of every subvector, so its work grows faster than this count.
 MAX_SUBVECTORS = 64
 
+#: Largest estimate prod(d_i + 1)^3 * (sum_{a: i->j} d_i d_j + 200) of the work
+#: of the counting recursion for d, about a second: it multiplies polynomials
+#: about a tenth of the cube of the subvector count times, each product costing
+#: a fixed part and a part that grows with the degree sum_{a: i->j} d_i d_j.
+MAX_COUNTING_WORK = 15 * 10 ** 7
+
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
 
@@ -233,26 +239,23 @@ def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
 
 def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
     """``(e, theta)`` as integer tuples, refused unless e is a nonzero
-    dimension vector within ``MAX_SUBVECTORS`` and theta has one entry per
-    vertex."""
+    dimension vector within ``MAX_SUBVECTORS`` and ``MAX_COUNTING_WORK`` and
+    theta has one entry per vertex."""
     e = quiver.check_dim(e)
     if not any(e):
         raise ValueError("dimension vector must be nonzero")
     theta = tuple(int(t) for t in theta)
     if len(theta) != quiver.vertex_count:
         raise ValueError("theta has wrong length")
-    _check_subvector_count(e)
-    return e, theta
-
-
-def _check_subvector_count(e: DimVector) -> None:
-    """Refuse e with more than ``MAX_SUBVECTORS`` subvectors, without
-    multiplying past the limit."""
     box = 1
-    for x in e:
+    for x in e:  # stop before multiplying past the limit
         box *= x + 1
         if box > MAX_SUBVECTORS:
             raise ValueError(f"subvector count above {MAX_SUBVECTORS}")
+    degree = sum(e[i] * e[j] for i, j in quiver.arrows)
+    if box ** 3 * (degree + 200) > MAX_COUNTING_WORK:
+        raise ValueError(f"counting work above {MAX_COUNTING_WORK}")
+    return e, theta
 
 
 def has_semistable(quiver: Quiver, e, theta) -> bool:
@@ -309,15 +312,13 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     parts = [quiver.check_dim(p) for p in tau]
     if not parts or any(not any(p) for p in parts):
         return False
-    d = quiver.check_dim(d)
-    _check_subvector_count(d)
-    total = tuple(sum(col) for col in zip(*parts))
-    if total != d:
+    d, theta = _check_counting_input(quiver, d, theta)
+    if tuple(map(sum, zip(*parts))) != d:
         return False
-    slopes = [slope(theta, p) for p in parts]
-    if any(a <= b for a, b in zip(slopes, slopes[1:])):
+    slopes = [_reduced_slope(theta, p) for p in parts]
+    if any(a * e <= c * b for (a, b), (c, e) in zip(slopes, slopes[1:])):
         return False
-    return all(has_semistable(quiver, p, theta) for p in parts)
+    return all(_sst_count(quiver, p, theta) for p in parts)
 
 
 KRONECKER3 = Quiver.kronecker(3)

@@ -49,9 +49,6 @@ def _product_indices(left, right, basis):
 #: Monomial basis of Sym^2 W.
 QUAD_MONOMIALS = tuple(map(_monomial_name, _QUAD_EXPONENTS))
 
-#: Monomial basis of Sym^3 W.
-CUBIC_MONOMIALS = tuple(map(_monomial_name, _CUBIC_EXPONENTS))
-
 _QUAD_OF_VARS = _product_indices(_LINEAR_EXPONENTS, _LINEAR_EXPONENTS, _QUAD_EXPONENTS)
 _CUBIC_OF_QUAD_VAR = _product_indices(_QUAD_EXPONENTS, _LINEAR_EXPONENTS, _CUBIC_EXPONENTS)
 
@@ -176,7 +173,7 @@ def is_stable(r: LinearFormMatrix) -> bool:
 
 def tensor_to_cubic(t) -> tuple[Fraction, ...]:
     """Image under the multiplication map Sym^2 W (x) W -> Sym^3 W."""
-    out = [0] * len(CUBIC_MONOMIALS)
+    out = [0] * len(_CUBIC_EXPONENTS)
     for qi, row in enumerate(_CUBIC_OF_QUAD_VAR):
         for vi, k in enumerate(row):
             out[k] += t[qi * 3 + vi]

@@ -25,8 +25,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import bundles
-from .bundles import BundleExpr, O, dual, parse_expr, sl, tensor, twist
+from .bundles import U1, U2, BundleExpr, O, dual, parse_expr, sl, tensor, twist
 from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
 from .strata import Moduli, blocking_rows, unstable_strata, weight_ranges
 
@@ -92,7 +91,6 @@ class CollectionSpec:
 
 def _block(k: int) -> list[tuple[str, BundleExpr]]:
     """The four objects O(k), U2*(k), U1*(k), U2(k+1), labelled."""
-    U1, U2 = bundles.U1, bundles.U2
     return [
         (f"O({k})", O(k)),
         (f"U2*({k})", twist(dual(U2), k)),
@@ -103,7 +101,6 @@ def _block(k: int) -> list[tuple[str, BundleExpr]]:
 
 def standard_collection() -> CollectionSpec:
     """The built-in 13-object strong exceptional collection on Y."""
-    U1, U2 = bundles.U1, bundles.U2
     objects = [("sl(U1)", sl(U1)), ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)),
                ("U2(1)", twist(U2, 1))]
     return CollectionSpec(tuple(objects + _block(1) + _block(2)))
@@ -113,7 +110,6 @@ def collection_variants() -> dict[str, CollectionSpec]:
     """Mutated variants of the standard collection: the three positions of
     the twisted traceless-endomorphism bundle, and the two collections
     trading one object for a rank-6 tensor product."""
-    U1, U2 = bundles.U1, bundles.U2
     slv = sl(dual(U1))
     a0, a1, a2 = _block(0), _block(1), _block(2)
     variants = {
@@ -313,36 +309,31 @@ class IdentityReport:
 def check_ch_identities() -> IdentityReport:
     """Exact Chern-character identities among the collection's objects,
     coming from the mutation exact sequences."""
-    U1, U2 = bundles.U1, bundles.U2
     slv = sl(dual(U1))
-
-    def c(e):
-        return ch_of(e)
-
     checks = []
 
-    lhs = c(slv)
-    rhs = c(twist(slv, 1)) + 3 * c(dual(U2)) - 3 * c(twist(U2, 1))
+    lhs = ch_of(slv)
+    rhs = ch_of(twist(slv, 1)) + 3 * ch_of(dual(U2)) - 3 * ch_of(twist(U2, 1))
     checks.append(IdentityCheck("sl_twist_exchange", lhs == rhs))
 
-    lhs = c(tensor(dual(U1), twist(U2, 1)))
+    lhs = ch_of(tensor(dual(U1), twist(U2, 1)))
     rhs = (
-        -c(U2) + 6 * c(O(0)) + 3 * c(dual(U2)) - 9 * c(dual(U1))
-        + 3 * c(twist(slv, 1)) + 3 * c(O(1))
+        -ch_of(U2) + 6 * ch_of(O(0)) + 3 * ch_of(dual(U2)) - 9 * ch_of(dual(U1))
+        + 3 * ch_of(twist(slv, 1)) + 3 * ch_of(O(1))
     )
     checks.append(IdentityCheck("rank6_tensor_twist1", lhs == rhs))
 
-    lhs = c(tensor(dual(U1), twist(U2, 2)))
+    lhs = ch_of(tensor(dual(U1), twist(U2, 2)))
     rhs = (
-        -c(twist(U2, 1)) + 6 * c(O(1)) + 3 * c(twist(dual(U2), 1))
-        - 9 * c(twist(dual(U1), 1)) + 3 * c(twist(slv, 2)) + 3 * c(O(2))
+        -ch_of(twist(U2, 1)) + 6 * ch_of(O(1)) + 3 * ch_of(twist(dual(U2), 1))
+        - 9 * ch_of(twist(dual(U1), 1)) + 3 * ch_of(twist(slv, 2)) + 3 * ch_of(O(2))
     )
     checks.append(IdentityCheck("rank6_tensor_twist2", lhs == rhs))
 
-    lhs = c(tensor(dual(U1), twist(U2, 1)))
+    lhs = ch_of(tensor(dual(U1), twist(U2, 1)))
     rhs = (
-        -c(U2) + 3 * c(slv) + 6 * c(O(0)) - 6 * c(dual(U2)) - 9 * c(dual(U1))
-        + 9 * c(twist(U2, 1)) + 3 * c(O(1))
+        -ch_of(U2) + 3 * ch_of(slv) + 6 * ch_of(O(0)) - 6 * ch_of(dual(U2))
+        - 9 * ch_of(dual(U1)) + 9 * ch_of(twist(U2, 1)) + 3 * ch_of(O(1))
     )
     checks.append(IdentityCheck("rank6_tensor_expanded", lhs == rhs))
 
@@ -362,7 +353,6 @@ class MutationLedger:
 
 
 def mutation_ledger() -> MutationLedger:
-    U1, U2 = bundles.U1, bundles.U2
     l6 = ch_of(twist(U2, 1))
     l5 = 6 * ch_of(O(1)) - l6
     l4 = l5 + 3 * ch_of(twist(dual(U2), 1))
@@ -389,7 +379,7 @@ def mutation_ledger_check() -> IdentityReport:
         IdentityCheck(
             "l5_degree1_part",
             ledger.l5.degree_part(1)
-            == 6 * ch_of(O(1)).degree_part(1) - ch_of(twist(bundles.U2, 1)).degree_part(1),
+            == 6 * ch_of(O(1)).degree_part(1) - ch_of(twist(U2, 1)).degree_part(1),
         ),
     ]
     return IdentityReport(tuple(checks))

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor
 from quivercert.chow import (
@@ -36,8 +36,8 @@ from quivercert.chow import (
     todd_y,
 )
 from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim, rref
-from quivercert.quiver import (DimVector, Quiver, _q_binomial, _subvectors, euler_form,
-                               has_semistable, slope)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, Quiver, _q_binomial, _subvectors,
+                               euler_form, has_semistable, slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
 from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
@@ -459,6 +459,25 @@ def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> 
     return total
 
 
+def is_hn_type_by_fraction_slopes(quiver: Quiver, d, theta, tau) -> bool:
+    """The defining conditions of a Harder-Narasimhan type, with Fraction
+    slopes and one ``has_semistable`` call per part: the route that
+    ``quiver.is_hn_type`` replaced, its subvector check written out."""
+    parts = [quiver.check_dim(p) for p in tau]
+    if not parts or any(not any(p) for p in parts):
+        return False
+    d = quiver.check_dim(d)
+    if prod(x + 1 for x in d) > MAX_SUBVECTORS:
+        raise ValueError(f"subvector count above {MAX_SUBVECTORS}")
+    total = tuple(sum(col) for col in zip(*parts))
+    if total != d:
+        return False
+    slopes = [slope(theta, p) for p in parts]
+    if any(a <= b for a, b in zip(slopes, slopes[1:])):
+        return False
+    return all(has_semistable(quiver, p, theta) for p in parts)
+
+
 # -- Todd class from Chern roots ----------------------------------------------
 
 def _series_mul(a, b, order=7):
@@ -751,6 +770,14 @@ def _exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
     return out
 
 
+def pairing(x: ChowElement, y: ChowElement) -> Fraction:
+    """The integral of x * y, without forming the product, as one Fraction:
+    the route that ``chow.chi`` replaced with ``gram_row`` and
+    ``scaled_pairing``."""
+    xs, ys = x.nums, y.nums
+    return F(sum(xs[i] * ys[j] * c for i, j, c in _PAIRING), x.den * y.den)
+
+
 def pairing_by_fractions(x: FractionChowElement, y: FractionChowElement) -> Fraction:
     """The integral of x * y, without forming the product."""
     xs, ys = x.coords, y.coords
@@ -776,8 +803,21 @@ def gram_row_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]
 
 # -- the hand-typed Chow ring data ---------------------------------------------
 #
-# The tables that chow now derives from the 14 intersection numbers and the
-# K-class of the tangent bundle.
+# The tables that chow now derives from its basis monomials, the 14
+# intersection numbers and the K-class of the tangent bundle.
+
+#: Basis labels in order, grouped by codimension 0..6.
+BASIS_BY_HAND = (
+    "[Y]",
+    "c1",
+    "c1^2", "c2", "d2",
+    "c1*c2", "c1*d2", "c3",
+    "c2^2", "c2*d2", "d2^2",
+    "c2*c3",
+    "c3^2",
+)
+
+DEGREES_BY_HAND = (0, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 6)
 
 # Reductions of non-basis monomials into basis coordinates.
 _EXTRA_REDUCTIONS: dict[tuple[int, int, int, int], dict[str, Fraction]] = {

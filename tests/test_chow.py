@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
 from oracles import (
+    BASIS_BY_HAND,
+    DEGREES_BY_HAND,
     FractionChowElement,
     _dense_products,
     ch_by_fractions,
@@ -20,6 +22,7 @@ from oracles import (
     localization_integral,
     monomial_at,
     monomials_of_degree,
+    pairing,
     pairing_by_fractions,
     random_expr,
     tangent_chern_by_hand,
@@ -39,7 +42,6 @@ from quivercert.chow import (
     chi,
     gram_row,
     integral,
-    pairing,
     parse_chow_poly,
     render_fraction,
     tangent_chern,
@@ -122,6 +124,10 @@ class TestRingStructure:
 class TestDerivedTables:
     """The product table, c(T_Y) and td(Y) that chow derives against the
     hand-typed ones."""
+
+    def test_basis_equals_hand_typed(self):
+        assert BASIS == BASIS_BY_HAND
+        assert DEGREES == DEGREES_BY_HAND
 
     def test_products_equal_hand_typed_reductions(self):
         dense = _dense_products()
@@ -358,6 +364,10 @@ class TestChi:
     def test_line_bundle_sections(self):
         # the ample generator embeds Y in P^19
         assert chi(O(1)) == 20
+
+    @given(exprs())
+    def test_equals_integral_of_product(self, e):
+        assert chi(e) == integral(ch_of(e) * todd_y()) == pairing(ch_of(e), todd_y())
 
     @given(exprs(depth=2))
     def test_serre_duality(self, e):

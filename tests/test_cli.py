@@ -16,7 +16,7 @@ from oracles import syzygies_by_fractions
 from quivercert import repgeom
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
-from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS, MAX_VERTICES
+from quivercert.quiver import MAX_ARROWS, MAX_COUNTING_WORK, MAX_SUBVECTORS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
 
 TESTS = Path(__file__).parent
@@ -461,6 +461,9 @@ class TestHostileSizes:
           json.dumps({"vertices": 2, "arrows": [[0, 1]] * (MAX_ARROWS + 1)}),
           "--dim", "1,1", "--theta", "1,-1"],
          f"arrow count above {MAX_ARROWS}"),
+        # 64 subvectors, and counting polynomials of degree 49000
+        (["hn-types", "--quiver", "kronecker:1000", "--dim", "7,7", "--theta", "1,-1"],
+         f"counting work above {MAX_COUNTING_WORK}"),
         # 2^24 subvectors
         (["hn-types", "--quiver", '{"vertices":24,"arrows":[]}', "--dim", ",".join(["1"] * 24),
           "--theta", ",".join(["0"] * 24)],

@@ -16,6 +16,7 @@ from oracles import (
     has_semistable_by_chains,
     hn_type_brute,
     hn_types_by_chains,
+    is_hn_type_by_fraction_slopes,
     is_semistable_brute,
     sst_count_by_fraction_slopes,
 )
@@ -25,9 +26,11 @@ from quivercert.chow import DEGREES
 from quivercert.quiver import (
     KRONECKER3,
     MAX_ARROWS,
+    MAX_COUNTING_WORK,
     MAX_SUBVECTORS,
     MAX_VERTICES,
     Quiver,
+    _check_counting_input,
     _sst_count,
     enumerate_hn_types,
     euler_form,
@@ -61,6 +64,27 @@ def quiver_dim_theta(draw, balanced=False):
         dot = sum(t * x for t, x in zip(theta, e))
         theta = tuple(t * sum(e) - dot for t in theta)
     return Quiver(n, arrows), e, theta
+
+
+@st.composite
+def hn_candidates(draw, balanced=False):
+    """``quiver_dim_theta`` with a candidate chain tau: parts that sum to d,
+    parts drawn below d, zero parts and parts of the wrong shape included,
+    or, for balanced theta, one of the enumerated types."""
+    quiver, d, theta = draw(quiver_dim_theta(balanced=balanced))
+    kinds = ["split", "random"] + ["enumerated"] * balanced
+    kind = draw(st.sampled_from(kinds))
+    if kind == "enumerated":
+        return quiver, d, theta, draw(st.sampled_from(enumerate_hn_types(quiver, d, theta)))
+    if kind == "split":
+        tau, rest = (), d
+        for _ in range(draw(st.integers(0, 3))):
+            part = draw(st.tuples(*[st.integers(0, x) for x in rest]))
+            tau, rest = tau + (part,), tuple(a - b for a, b in zip(rest, part))
+        return quiver, d, theta, tau + ((rest,) if any(rest) else ())
+    part = st.one_of(st.tuples(*[st.integers(0, x) for x in d]),
+                     st.lists(st.integers(-1, 3), max_size=4).map(tuple))
+    return quiver, d, theta, draw(st.lists(part, max_size=4).map(tuple))
 
 
 class TestQuiver:
@@ -335,9 +359,43 @@ class TestEnumerateHnTypes:
         _sst_count.cache_clear()
         monkeypatch.setattr(quiver_module, "slope", refuse)
         monkeypatch.setattr(quiver_module, "Fraction", refuse)
+        monkeypatch.setattr(quiver_module, "has_semistable", refuse)
         assert enumerate_hn_types(KRONECKER3, (3, 5), (5, -3)) == expected
+        assert all(is_hn_type(KRONECKER3, (3, 5), (5, -3), tau) for tau in expected)
+        assert not is_hn_type(KRONECKER3, (3, 5), (5, -3), expected[0][::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(hn_candidates(), hn_candidates(balanced=True)))
+    def test_is_hn_type_equals_fraction_slope_oracle(self, case):
+        quiver, d, theta, tau = case
+        try:
+            expected = is_hn_type_by_fraction_slopes(quiver, d, theta, tau)
+        except ValueError:
+            with pytest.raises(ValueError):
+                is_hn_type(quiver, d, theta, tau)
+        else:
+            assert is_hn_type(quiver, d, theta, tau) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(hn_candidates(balanced=True))
+    def test_is_hn_type_holds_exactly_for_enumerated_types(self, case):
+        quiver, d, theta, tau = case
+        try:
+            verdict = is_hn_type(quiver, d, theta, tau)
+        except ValueError:  # a part of the wrong shape
+            assert any(len(p) != len(d) or min(p, default=0) < 0 for p in tau)
+        else:
+            assert verdict == (tau in enumerate_hn_types(quiver, d, theta))
+
+    def test_is_hn_type_refuses_theta_of_the_wrong_length(self):
+        # the counting gate runs before the total is compared
+        for tau in (((2, 3),), ((1, 0), (1, 1))):
+            with pytest.raises(ValueError, match="^theta has wrong length$"):
+                is_hn_type(KRONECKER3, (2, 3), (3, -2, 0), tau)
 
     def test_defining_conditions(self):
+        # semistable parts of equal slope summing to d
+        assert not is_hn_type(KRONECKER3, (2, 2), (1, -1), ((1, 1), (1, 1)))
         for tau in enumerate_hn_types(KRONECKER3, (2, 3), (3, -2)):
             assert is_hn_type(KRONECKER3, (2, 3), (3, -2), tau)
             slopes = [slope((3, -2), p) for p in tau]
@@ -360,6 +418,21 @@ class TestSubvectorLimit:
             else:
                 with pytest.raises(ValueError, match=f"^subvector count above {MAX_SUBVECTORS}$"):
                     route()
+
+    @pytest.mark.parametrize("m,d,theta", [(1000, (7, 7), (1, -1)), (30, (1, 31), (31, -1)),
+                                           (3000, (2, 20), (10, -1))])
+    def test_every_route_is_bounded_in_counting_work(self, m, d, theta):
+        q = Quiver.kronecker(m)
+        routes = [lambda: has_semistable(q, d, theta), lambda: enumerate_hn_types(q, d, theta),
+                  lambda: is_hn_type(q, d, theta, (d,))]
+        for route in routes:
+            with pytest.raises(ValueError, match=f"^counting work above {MAX_COUNTING_WORK}$"):
+                route()
+
+    @pytest.mark.parametrize("m,d", [(2000, (2, 3)), (MAX_ARROWS, (3, 2)), (3, (7, 7)),
+                                     (3, (4, 7))])
+    def test_cheap_shapes_are_admitted(self, m, d):
+        assert _check_counting_input(Quiver.kronecker(m), d, (d[1], -d[0]))
 
     def test_huge_entries_are_refused_at_once(self):
         with pytest.raises(ValueError, match="subvector count above"):

@@ -19,7 +19,6 @@ from .bundles import (
     direct_sum,
     dual,
     parse_expr,
-    rank_of,
     sl,
     sym2,
     tensor,

@@ -1,35 +1,32 @@
-"""Row reduction over the rationals, and the ring operations on dense
-polynomials in one variable with integer or rational coefficients."""
+"""Fraction-free row echelon form over the integers, and the ring
+operations on dense polynomials in one variable with integer or rational
+coefficients."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 
-
-def rref(rows):
-    """Reduced row echelon form of a matrix of Fractions.
-
-    Returns (echelon, pivot_columns).  The input is not modified.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+def echelon(rows):
+    """(rows, pivot_columns): a row echelon form of an integer matrix, by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  The rows
+    span the row space of the input, which is not modified, and those past
+    the rank are zero.  After k steps each entry below the k pivot rows is
+    a (k+1)-minor of the input (Sylvester's identity), so the division by
+    the previous pivot is exact and every entry stays an integer."""
+    m = [list(row) for row in rows]
+    pivots, previous = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        p, top = m[r][c], m[r]
+        for i in range(r + 1, len(m)):
+            q = m[i][c]
+            m[i] = [(p * x - q * y) // previous for x, y in zip(m[i], top)]
+        previous = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(m):
             break
     return m, pivots
 

@@ -236,11 +236,6 @@ def _rank_character(e: BundleExpr) -> Character:
     return Character({0: e.rank}) if e.rank else Character()
 
 
-def rank_of(e: BundleExpr) -> int:
-    """Rank: the total multiplicity of the character on zero weights."""
-    return e.rank
-
-
 def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
     """Weight multiset of an expression, sorted descending."""
     ws = [w for w, m in base.character(e).items() for _ in range(m)]

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
-from ._linalg import rref
+from ._linalg import echelon
 from .bundles import MAX_DEPTH, U1, U2, BundleExpr, Scanner, dual, evaluate, tensor
 
 F = Fraction
@@ -85,7 +85,9 @@ def _build_products():
     The pairing of complementary degrees is perfect, so the coordinates x
     of a monomial m of degree k solve sum_i x_i * integral(basis_i *
     basis'_j) = integral(m * basis'_j), with basis_i over the degree-k and
-    basis'_j over the degree-(6 - k) basis classes."""
+    basis'_j over the degree-(6 - k) basis classes.  The fraction-free
+    ``echelon`` triangulates the integer system [Gram | monomial columns]
+    of each degree, and back-substitution solves it in rationals."""
     def product(*monomials):
         return tuple(map(sum, zip(*monomials)))
 
@@ -96,13 +98,17 @@ def _build_products():
         dual = [m for m, d in graded if d == 6 - k]
         monomials = sorted({product(mi, mj) for mi, di in graded for mj, dj in graded
                             if di + dj == k})
-        echelon, pivots = rref([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
+        rows, pivots = echelon([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
                                 for mj in dual])
-        if pivots[:len(basis)] != list(range(len(basis))):
+        n = len(basis)
+        if pivots[:n] != list(range(n)):
             raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
-        for column, m in enumerate(monomials, start=len(basis)):
-            coords[m] = tuple((DEGREES.index(k) + r, echelon[r][column])
-                              for r in range(len(basis)) if echelon[r][column])
+        for column, m in enumerate(monomials, start=n):
+            x = [F(0)] * n
+            for r in reversed(range(n)):
+                x[r] = F(rows[r][column] - sum(rows[r][s] * x[s] for s in range(r + 1, n)),
+                         rows[r][r])
+            coords[m] = tuple((DEGREES.index(k) + r, c) for r, c in enumerate(x) if c)
             if any((3 * c).denominator != 1 for _, c in coords[m]):
                 raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
     return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)

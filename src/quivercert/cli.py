@@ -152,8 +152,8 @@ def _cmd_verify_collection(args) -> tuple[dict, int]:
     else:
         spec = standard_collection()
     moduli = _moduli_from_args(args)
-    result = verify_collection(spec, moduli)
-    return result.to_json_dict(), 0 if result.accepted else 1
+    doc = verify_collection(spec, moduli).to_json_dict()
+    return doc, 0 if doc["accepted"] else 1
 
 
 def _cmd_ledger_check(args) -> tuple[dict, int]:

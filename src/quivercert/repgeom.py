@@ -3,9 +3,10 @@
 A point of the moduli space Y is an orbit of 2x3 matrices with entries
 in W = <x, y, z>.  Stability is linear independence of the three maximal
 2x2 minors inside Sym^2 W: they span the net of conics that embeds Y in
-Gr(3, Sym^2 W), and ``is_stable`` is a rank test on them.  All of this is
-polynomial in the entries, so each row is cleared of denominators once
-and the work runs on integers.
+Gr(3, Sym^2 W), and ``is_stable`` is a rank test on them, by the
+fraction-free elimination ``_linalg.echelon``.  All of this is polynomial
+in the entries, so each row is cleared of denominators once and the work
+runs on integers.
 
 A stable matrix determines a canonical pair of syzygy tensors in
 Sym^2 W (x) W that lie in the kernel of the multiplication map to
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
+
+from ._linalg import echelon
 
 F = Fraction
 
@@ -114,28 +117,6 @@ def _minors(top, bottom):
                  for p, q, u, v in ((b, f, c, e), (a, f, c, d), (a, e, b, d)))
 
 
-def _rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968): after k steps each entry below the pivot rows is
-    a (k+1)-minor of the input (Sylvester's identity), so the division by
-    the previous pivot is exact."""
-    m = [list(row) for row in rows]
-    rank, previous = 0, 1
-    for c in range(len(m[0])):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p, top = m[rank][c], m[rank]
-        for i in range(rank + 1, len(m)):
-            q = m[i][c]
-            m[i] = [(p * x - q * y) // previous for x, y in zip(m[i], top)]
-        previous, rank = p, rank + 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def minors(r: LinearFormMatrix) -> tuple[QuadraticForm, QuadraticForm, QuadraticForm]:
     """The maximal minors (BF - CE, AF - CD, AE - BD) as quadratic forms."""
     (top, da), (bottom, db) = map(_cleared, r.rows)
@@ -163,7 +144,7 @@ def is_stable(r: LinearFormMatrix) -> bool:
     (l, 0, 0).
     """
     (top, _), (bottom, _) = map(_cleared, r.rows)
-    return _rank(_minors(top, bottom)) == 3
+    return len(echelon(_minors(top, bottom))[1]) == 3
 
 
 # -- syzygies and the traceless-matrix identification -------------------------
@@ -220,7 +201,7 @@ def syzygies(r: LinearFormMatrix) -> SyzygyPair:
     return SyzygyPair(minors=tuple(tuple(F(n, da * db) for n in q) for q in m),
                       tensors=(tuple(F(n, d1) for n in t1), tuple(F(n, d2) for n in t2)),
                       sl3=(to_sl3(t1, d1), to_sl3(t2, d2)),
-                      degenerate=_rank(m) != 3)  # not is_stable(r)
+                      degenerate=len(echelon(m)[1]) != 3)  # not is_stable(r)
 
 
 def to_sl3(t, scale=1) -> Sl3Element:

@@ -43,11 +43,6 @@ class OnePS:
     def trace(self, i: int) -> int:
         return sum(w * m for w, m in self.blocks[i])
 
-    def scaled(self, n: int) -> "OnePS":
-        if n <= 0:
-            raise ValueError("scale factor must be positive")
-        return OnePS(tuple(tuple((w * n, m) for w, m in v) for v in self.blocks))
-
 
 def one_ps_from_hn(tau: HNType, theta) -> OnePS:
     """The stratum's one-parameter subgroup: weights N * slope(part), with
@@ -163,10 +158,17 @@ class StratumData:
         return self._base
 
 
+def _check_two_vertices(moduli: Moduli) -> None:
+    if moduli.quiver.vertex_count != 2:
+        raise ValueError("bundle expressions assume a two-vertex quiver")
+
+
 @lru_cache(maxsize=None)
 def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     """Stratum data for every unstable Harder-Narasimhan type, in the
-    enumeration order of the types."""
+    enumeration order of the types.  The stratum weights are those of the
+    universal bundles U1 and U2, so the quiver must have two vertices."""
+    _check_two_vertices(moduli)
     out = []
     for tau in enumerate_hn_types(moduli.quiver, moduli.dim, moduli.theta):
         if len(tau) == 1:
@@ -190,8 +192,7 @@ def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | N
     for the zero bundle, which has no weights.  The character products on
     all strata share one WorkBudget; an expression over it raises on every
     call, since exceptions are not cached."""
-    if moduli.quiver.vertex_count != 2:
-        raise ValueError("bundle expressions assume a two-vertex quiver")
+    _check_two_vertices(moduli)
     budget = WorkBudget()
     characters = (s.base().character(expr, budget) for s in unstable_strata(moduli))
     return tuple((min(c), max(c)) if c else None for c in characters)

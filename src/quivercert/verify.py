@@ -222,21 +222,21 @@ class VerificationMatrix:
 
     @property
     def accepted(self) -> bool:
-        s = self.summary()
-        return (
-            s["diagonal_all_exceptional"]
-            and s["forward_all_strong"]
-            and s["backward_all_chi_zero"]
-            and s["undetermined_only_backward"]
-        )
+        return _accepted(self.summary())
 
     def to_json_dict(self) -> dict:
+        summary = self.summary()
         return {
             "labels": list(self.spec.labels()),
             "pairs": [[p.to_json_dict() for p in row] for row in self.pairs],
-            "summary": self.summary(),
-            "accepted": self.accepted,
+            "summary": summary,
+            "accepted": _accepted(summary),
         }
+
+
+def _accepted(summary: dict) -> bool:
+    return all(summary[key] for key in ("diagonal_all_exceptional", "forward_all_strong",
+                                        "backward_all_chi_zero", "undetermined_only_backward"))
 
 
 def _pair_verdict(i: int, j: int, chi_value: int, passed: bool) -> str:

@@ -25,6 +25,7 @@ from quivercert.chow import (
     ChowElement,
     _BASIS_MONOMIALS,
     _INDEX,
+    _INTEGRALS,
     _PAIRING,
     _PRODUCTS,
     _ch_from_chern,
@@ -35,7 +36,7 @@ from quivercert.chow import (
     render_fraction,
     todd_y,
 )
-from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim, rref
+from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, Quiver, _q_binomial, _subvectors,
                                euler_form, has_semistable, slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
@@ -45,6 +46,34 @@ from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable
 from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
 F = Fraction
+
+
+def rref(rows):
+    """Reduced row echelon form of a matrix of Fractions.
+
+    Returns (echelon, pivot_columns).  The input is not modified.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
 def rank(rows) -> int:
@@ -993,10 +1022,34 @@ def integrals_by_localization() -> dict:
             for m in monomials_of_degree(6)}
 
 
-# -- dense Chow products and the sl3 dictionary by row reduction -------------
+# -- Chow products and the sl3 dictionary by row reduction -------------------
 #
-# The routes that the sparse product table and the closed-form sl3
-# coordinates replaced.
+# The routes that the fraction-free product table, the sparse product
+# table and the closed-form sl3 coordinates replaced.
+
+def products_by_rref():
+    """``chow._PRODUCTS`` with each degree's Gram system solved by the
+    rational RREF: the solution columns are read off the reduced rows."""
+    def product(*monomials):
+        return tuple(map(sum, zip(*monomials)))
+
+    graded = tuple(zip(_BASIS_MONOMIALS, DEGREES))
+    coords = {}
+    for k in range(7):
+        basis = [m for m, d in graded if d == k]
+        dual = [m for m, d in graded if d == 6 - k]
+        monomials = sorted({product(mi, mj) for mi, di in graded for mj, dj in graded
+                            if di + dj == k})
+        echelon, pivots = rref([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
+                                for mj in dual])
+        if pivots[:len(basis)] != list(range(len(basis))):
+            raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
+        for column, m in enumerate(monomials, start=len(basis)):
+            coords[m] = tuple((DEGREES.index(k) + r, echelon[r][column])
+                              for r in range(len(basis)) if echelon[r][column])
+    return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
+                 for mi in _BASIS_MONOMIALS)
+
 
 @lru_cache(maxsize=1)
 def _dense_products():

@@ -20,7 +20,6 @@ from quivercert.bundles import (
     direct_sum,
     dual,
     parse_expr,
-    rank_of,
     sl,
     sym2,
     tensor,
@@ -40,7 +39,7 @@ def exprs(depth=3):
 class TestRankLimit:
     def test_limit_is_checked_node_by_node(self):
         two = direct_sum(O(0), O(0))
-        assert rank_of(tensor(*[two] * 64)) == MAX_RANK
+        assert tensor(*[two] * 64).rank == MAX_RANK
         with pytest.raises(ValueError, match="rank above"):
             tensor(*[two] * 65)
         with pytest.raises(ValueError, match="rank above"):
@@ -102,7 +101,7 @@ class TestParse:
             assert parse_expr(str(e)) == e
 
     def test_sl_needs_positive_rank(self):
-        assert rank_of(sl(O(1))) == 0  # sl of a line bundle is the zero bundle
+        assert sl(O(1)).rank == 0  # sl of a line bundle is the zero bundle
         with pytest.raises(ValueError, match="rank at least 1"):
             sl(sl(O(1)))
 
@@ -123,7 +122,7 @@ class TestRank:
         ],
     )
     def test_values(self, expr, expected):
-        assert rank_of(expr) == expected
+        assert expr.rank == expected
 
 
 class TestWeights:
@@ -145,7 +144,7 @@ class TestWeights:
 
     @given(exprs())
     def test_cardinality_is_rank(self, e):
-        assert len(weights_of(e, BASE)) == rank_of(e)
+        assert len(weights_of(e, BASE)) == e.rank
 
     @given(exprs())
     def test_double_dual(self, e):
@@ -192,4 +191,4 @@ class TestEvaluatorMatchesOracles:
 
     @given(exprs())
     def test_rank(self, e):
-        assert rank_of(e) == rank_by_ops(e)
+        assert e.rank == rank_by_ops(e)

@@ -24,13 +24,14 @@ from oracles import (
     monomials_of_degree,
     pairing,
     pairing_by_fractions,
+    products_by_rref,
     random_expr,
     tangent_chern_by_hand,
     todd_by_fractions,
     todd_by_hand,
     todd_from_chern_roots,
 )
-from quivercert.bundles import O, U1, U2, dual, parse_expr, rank_of, sl, tensor, twist
+from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
 from quivercert.chow import (
     _INTEGRALS,
     _PAIRING,
@@ -123,7 +124,8 @@ class TestRingStructure:
 
 class TestDerivedTables:
     """The product table, c(T_Y) and td(Y) that chow derives against the
-    hand-typed ones."""
+    hand-typed ones, and the product table against the rational RREF
+    route."""
 
     def test_basis_equals_hand_typed(self):
         assert BASIS == BASIS_BY_HAND
@@ -134,6 +136,9 @@ class TestDerivedTables:
         for i, row in enumerate(_PRODUCTS):
             for j, terms in enumerate(row):
                 assert terms == tuple((k, c) for k, c in enumerate(dense[i][j]) if c), (i, j)
+
+    def test_products_equal_rref_route(self):
+        assert products_by_rref() == _PRODUCTS
 
     def test_tangent_chern_equals_hand_typed(self):
         assert tangent_chern() == tangent_chern_by_hand()
@@ -343,7 +348,7 @@ class TestChernCharacters:
 
     @given(exprs(depth=2))
     def test_rank_is_degree0(self, e):
-        assert ch_of(e).coefficient("[Y]") == rank_of(e)
+        assert ch_of(e).coefficient("[Y]") == e.rank
 
     @given(exprs())
     def test_matches_per_operator_recursion(self, e):

@@ -14,12 +14,13 @@ from oracles import (
     random_stable_matrix,
     rank,
     row_space_basis,
+    rref,
     sl3_by_dictionary,
     syzygies_by_fractions,
 )
+from quivercert._linalg import echelon
 from quivercert.repgeom import (
     LinearFormMatrix,
-    _rank,
     X,
     Y,
     Z,
@@ -94,6 +95,23 @@ def stability_cases(draw):
     r = matrix([[ZERO_FORM if (i, j) in zeros else r.rows[i][j] for j in range(3)]
                 for i in range(2)])
     return act(draw(invertible(2)), r, draw(invertible(3))), True
+
+
+@st.composite
+def integer_matrices(draw):
+    """0-5 rows of 0-7 integers, mostly small or zero, some up to 10^6 in
+    size; a row may be an integer combination of two earlier ones."""
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
 
 
 #: (generator, count): the seeded samples on which the integer route is
@@ -200,7 +218,18 @@ class TestStability:
                      for _ in range(k)]
             m = [[sum(left[i][l] * right[l][j] for l in range(k)) for j in range(6)]
                  for i in range(3)]
-            assert _rank(m) == rank(m), m
+            assert len(echelon(m)[1]) == rank(m), m
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_echelon_agrees_with_rref(self, m):
+        before = [list(row) for row in m]
+        rows, pivots = echelon(m)
+        assert m == before
+        assert pivots == rref(m)[1]
+        assert len(rows) == len(m) and not any(map(any, rows[len(pivots):]))
+        assert rref(rows) == rref(m)  # the same row space
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_gl_action_invariance(self):
         rng = random.Random(5)

@@ -259,6 +259,11 @@ class TestPerObjectRoute:
             verify_collection(standard_collection(), path)
         assert unstable_strata.cache_info() == before
 
+    def test_unstable_strata_need_two_vertices(self):
+        path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))
+        with pytest.raises(ValueError, match="two-vertex quiver"):
+            unstable_strata(path)
+
 
 class TestChIdentities:
     def test_all_hold(self):

@@ -11,17 +11,22 @@ field with q elements split by their first Harder-Narasimhan part, which
 determines the number of semistable ones, a polynomial in q with integer
 coefficients, from the counts of smaller dimension vectors.  The
 semistable locus is nonempty exactly when its counting polynomial is
-nonzero.
+nonzero.  One table, built bottom up for a dimension vector d, holds the
+counts of all subvectors of d and the ranks of their slopes, and the
+existence test, the type enumeration and the type check all read it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import gcd
+from operator import index, itemgetter
 
 from ._linalg import poly_add, poly_mul, poly_sub
 
@@ -37,9 +42,11 @@ MAX_VERTICES = 10 ** 4
 MAX_SUBVECTORS = 64
 
 #: Largest estimate prod(d_i + 1)^3 * (sum_{a: i->j} d_i d_j + 200) of the work
-#: of the counting recursion for d, about a second: it multiplies polynomials
-#: about a tenth of the cube of the subvector count times, each product costing
-#: a fixed part and a part that grows with the degree sum_{a: i->j} d_i d_j.
+#: of the counting table for d.  The table multiplies polynomials at most
+#: (n + 1) * sum_{0 < h <= d} (prod(h_i + 1) - 2) times on n vertices, each
+#: product costing a fixed part and a part that grows with the degree
+#: sum_{a: i->j} d_i d_j, so the estimate is loose: the slowest admitted shape
+#: measured, (31, 1) on 12 arrows, takes about 0.2 s on a 2-vCPU host.
 MAX_COUNTING_WORK = 15 * 10 ** 7
 
 DimVector = tuple[int, ...]
@@ -48,6 +55,16 @@ HNType = tuple[DimVector, ...]
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_entries(values, what: str) -> tuple[int, ...]:
+    """The entries of values as ints, refusing any that is not an integer
+    (int() would truncate 1.5 to 1)."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} has a non-integer entry") from None
 
 
 @dataclass(frozen=True)
@@ -129,7 +146,7 @@ class Quiver:
         return {"vertices": self.vertex_count, "arrows": [list(a) for a in self.arrows]}
 
     def check_dim(self, e) -> DimVector:
-        e = tuple(int(x) for x in e)
+        e = _int_entries(e, "dimension vector")
         if len(e) != self.vertex_count:
             raise ValueError(f"dimension vector {e} has wrong length")
         if any(x < 0 for x in e):
@@ -181,10 +198,13 @@ def _reduced_slope(theta, f) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
-    """Number of theta-semistable representations of dimension vector e
-    over a field with q elements, as a polynomial in q with integer
-    coefficients (Reineke's recursion).
+def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict]:
+    """``(counts, rank)`` over the nonzero subvectors h <= d: ``counts[h]``
+    is the number of theta-semistable representations of dimension vector h
+    over a field with q elements, a polynomial in q with integer
+    coefficients (Reineke's recursion), and ``rank[h]`` the position of the
+    slope of h among the distinct slopes of the subvectors, so that slopes
+    compare as their ranks do.
 
     Sorting the representations of dimension g by the dimension vector f
     of their first Harder-Narasimhan part, those with first part f number
@@ -197,44 +217,57 @@ def _sst_count(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
     the sum of the same terms over the f <= h of slope below mu.  The group
     order ratio |G_g| / (|G_f| |G_{g-f}|) contributes the binomials and a
     power of q that cancels against q^(-<g-f, f>), leaving the arrow
-    exponent.  All q^(dim R_e) representations of dimension e sum over all
-    f; the term f = e is the semistable count.
+    exponent.  All q^(dim R_h) representations of dimension h sum over all
+    f; the term f = h is the semistable count.
 
-    Slopes are reduced integer pairs (a, b), b > 0, one per subvector of e,
-    so that slope f < a / b is the integer test a_f * b < a * b_f.
+    The table is built bottom up: every f <= h comes before h in product
+    order, so each term is built once, from counts and tails already known.
+    The terms of h, sorted by the rank of f, are kept as prefix sums, and
+    T(h, slope f) is the sum of those of rank below rank f.
     """
-    slopes = {f: _reduced_slope(theta, f) for f in _subvectors(e)}
-    # Tail counts live for this call only, keyed by (h, a, b) for the bound
-    # a / b in lowest terms: recomputing them is cheap, while keeping every
-    # (h, bound) state for the life of the process is not.
+    box = list(_subvectors(d))
+    slopes = {f: _reduced_slope(theta, f) for f in box}
+    order = sorted(set(slopes.values()), key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
+    position = {s: r for r, s in enumerate(order)}
+    rank = {f: position[slopes[f]] for f in box}
+    arrows = Counter(quiver.arrows).items()
+    counts = {}
+    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums)
     tails = {}
 
-    def first_part(g, f):
-        rest = tuple(a - b for a, b in zip(g, f))
-        out = _sst_count(quiver, f, theta)
-        for n, k in zip(g, f):
-            out = poly_mul(out, _q_binomial(n, k))
-        shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
-        return poly_mul((0,) * shift + out, tail(rest, *slopes[f]))
-
-    def tail(h, a, b):
+    def tail(h, r):
         if not any(h):
             return (1,)
-        key = h, a, b
-        if key not in tails:
-            total = ()
-            for f in _subvectors(h):
-                af, bf = slopes[f]
-                if af * b < a * bf:
-                    total = poly_add(total, first_part(h, f))
-            tails[key] = total
-        return tails[key]
+        ranks, sums = tails[h]
+        return sums[bisect_left(ranks, r)]
 
-    total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
-    for f in _subvectors(e):
-        if f != e:
-            total = poly_sub(total, first_part(e, f))
-    return total
+    for h in box:
+        terms = []
+        total = (0,) * sum(m * h[i] * h[j] for (i, j), m in arrows) + (1,)
+        for f in _subvectors(h):
+            if f == h or not counts[f]:
+                continue
+            rest = tuple(a - b for a, b in zip(h, f))
+            t = tail(rest, rank[f])
+            if not t:
+                continue
+            out = counts[f]
+            for n, k in zip(h, f):
+                if 0 < k < n:
+                    out = poly_mul(out, _q_binomial(n, k))
+            shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
+            term = (0,) * shift + poly_mul(out, t)
+            terms.append((rank[f], term))
+            total = poly_sub(total, term)
+        counts[h] = total
+        if total:
+            terms.append((rank[h], total))
+        terms.sort(key=itemgetter(0))
+        sums = [()]
+        for _, term in terms:
+            sums.append(poly_add(sums[-1], term))
+        tails[h] = [r for r, _ in terms], sums
+    return counts, rank
 
 
 def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
@@ -244,7 +277,7 @@ def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
     e = quiver.check_dim(e)
     if not any(e):
         raise ValueError("dimension vector must be nonzero")
-    theta = tuple(int(t) for t in theta)
+    theta = _int_entries(theta, "theta")
     if len(theta) != quiver.vertex_count:
         raise ValueError("theta has wrong length")
     box = 1
@@ -261,7 +294,7 @@ def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
 def has_semistable(quiver: Quiver, e, theta) -> bool:
     """Whether a theta-semistable representation of dimension vector e exists."""
     e, theta = _check_counting_input(quiver, e, theta)
-    return bool(_sst_count(quiver, e, theta))
+    return bool(_sst_table(quiver, e, theta)[0][e])
 
 
 def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
@@ -277,6 +310,7 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     if sum(t * x for t, x in zip(theta, d)) != 0:
         raise ValueError("theta . d must be zero")
 
+    counts, rank = _sst_table(quiver, d, theta)
     types: list[HNType] = []
 
     def extend(remaining, bound, prefix):
@@ -284,14 +318,10 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
             types.append(tuple(prefix))
             return
         for f in _subvectors(remaining):
-            a, b = mu = _reduced_slope(theta, f)
-            if bound is not None and a * bound[1] >= bound[0] * b:
-                continue
-            if not _sst_count(quiver, f, theta):
-                continue
-            extend(tuple(x - y for x, y in zip(remaining, f)), mu, prefix + [f])
+            if rank[f] < bound and counts[f]:
+                extend(tuple(x - y for x, y in zip(remaining, f)), rank[f], prefix + [f])
 
-    extend(d, None, [])
+    extend(d, len(rank), [])
     types.sort(key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
     return types
 
@@ -315,10 +345,10 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     d, theta = _check_counting_input(quiver, d, theta)
     if tuple(map(sum, zip(*parts))) != d:
         return False
-    slopes = [_reduced_slope(theta, p) for p in parts]
-    if any(a * e <= c * b for (a, b), (c, e) in zip(slopes, slopes[1:])):
+    counts, rank = _sst_table(quiver, d, theta)
+    if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
         return False
-    return all(_sst_count(quiver, p, theta) for p in parts)
+    return all(counts[p] for p in parts)
 
 
 KRONECKER3 = Quiver.kronecker(3)

@@ -37,8 +37,8 @@ from quivercert.chow import (
     todd_y,
 )
 from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, Quiver, _q_binomial, _subvectors,
-                               euler_form, has_semistable, slope)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, Quiver, _q_binomial, _reduced_slope,
+                               _subvectors, euler_form, has_semistable, slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
 from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
@@ -442,7 +442,7 @@ def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> 
     """Number of theta-semistable representations of dimension vector e
     over a field with q elements, as a polynomial in q with integer
     coefficients (Reineke's recursion), with every slope a Fraction: the
-    route that ``quiver._sst_count`` replaced with reduced integer slopes.
+    route that ``sst_count_by_tails`` replaced with reduced integer slopes.
 
     Sorting the representations of dimension g by the dimension vector f
     of their first Harder-Narasimhan part, those with first part f number
@@ -480,6 +480,52 @@ def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> 
                     total = poly_add(total, first_part(h, f))
             tails[h, bound] = total
         return tails[h, bound]
+
+    total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
+    for f in _subvectors(e):
+        if f != e:
+            total = poly_sub(total, first_part(e, f))
+    return total
+
+
+@lru_cache(maxsize=None)
+def sst_count_by_tails(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
+    """Number of theta-semistable representations of dimension vector e
+    over a field with q elements, as a polynomial in q with integer
+    coefficients (Reineke's recursion), top down with the tails of each e
+    kept for one call: the route that ``quiver._sst_table`` replaced with
+    one table built bottom up.  The recursion is that of
+    ``sst_count_by_fraction_slopes``.
+
+    Slopes are reduced integer pairs (a, b), b > 0, one per subvector of e,
+    so that slope f < a / b is the integer test a_f * b < a * b_f.
+    """
+    slopes = {f: _reduced_slope(theta, f) for f in _subvectors(e)}
+    # Tail counts live for this call only, keyed by (h, a, b) for the bound
+    # a / b in lowest terms: recomputing them is cheap, while keeping every
+    # (h, bound) state for the life of the process is not.
+    tails = {}
+
+    def first_part(g, f):
+        rest = tuple(a - b for a, b in zip(g, f))
+        out = sst_count_by_tails(quiver, f, theta)
+        for n, k in zip(g, f):
+            out = poly_mul(out, _q_binomial(n, k))
+        shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
+        return poly_mul((0,) * shift + out, tail(rest, *slopes[f]))
+
+    def tail(h, a, b):
+        if not any(h):
+            return (1,)
+        key = h, a, b
+        if key not in tails:
+            total = ()
+            for f in _subvectors(h):
+                af, bf = slopes[f]
+                if af * b < a * bf:
+                    total = poly_add(total, first_part(h, f))
+            tails[key] = total
+        return tails[key]
 
     total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
     for f in _subvectors(e):

@@ -19,6 +19,7 @@ from oracles import (
     is_hn_type_by_fraction_slopes,
     is_semistable_brute,
     sst_count_by_fraction_slopes,
+    sst_count_by_tails,
 )
 from quivercert import quiver as quiver_module
 from quivercert._linalg import poly_mul
@@ -31,7 +32,7 @@ from quivercert.quiver import (
     MAX_VERTICES,
     Quiver,
     _check_counting_input,
-    _sst_count,
+    _sst_table,
     enumerate_hn_types,
     euler_form,
     has_semistable,
@@ -148,6 +149,17 @@ class TestQuiver:
     def test_json_non_integers_are_refused(self, spec):
         with pytest.raises(ValueError, match="integer vertex count and arrow pairs"):
             Quiver.from_spec(spec)
+
+    @pytest.mark.parametrize("call,what", [
+        (lambda: enumerate_hn_types(KRONECKER3, (1.7, 1), (1, -1)), "dimension vector"),
+        (lambda: has_semistable(KRONECKER3, (1, 1), (0.9, -0.9)), "theta"),
+        (lambda: euler_form(KRONECKER3, (1.5, 1), (1, 1)), "dimension vector"),
+        (lambda: is_hn_type(KRONECKER3, (2, 3), (3, -2), ((2, 3.0),)), "dimension vector"),
+    ])
+    def test_non_integer_entries_are_refused(self, call, what):
+        # int() would truncate them to the nearest integer toward zero
+        with pytest.raises(ValueError, match=f"^{what} has a non-integer entry$"):
+            call()
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="acyclic"):
@@ -272,13 +284,13 @@ class TestHasSemistable:
         count = sum(
             1 for rep in all_reps(field, quiver, e) if is_semistable_brute(field, rep, theta)
         )
-        assert _poly_at(_sst_count(quiver, e, tuple(theta)), q) == count
+        assert _poly_at(_sst_table(quiver, e, tuple(theta))[0][e], q) == count
 
     def test_poincare_polynomial_of_y(self):
         # (q-1)|R^sst_(2,3)|/|G_(2,3)| is the point count of Y, whose
         # coefficients are the Betti numbers, i.e. the Chow ranks per degree
         betti = (1, 1, 3, 3, 3, 1, 1)
-        sst = _sst_count(KRONECKER3, (2, 3), (3, -2))
+        sst = _sst_table(KRONECKER3, (2, 3), (3, -2))[0][2, 3]
         assert poly_mul((-1, 1), sst) == poly_mul(betti, gl_order((2, 3)))
         assert betti == tuple(DEGREES.count(k) for k in range(7))
 
@@ -289,18 +301,51 @@ class TestHasSemistable:
         assert has_semistable(quiver, e, theta) == has_semistable_by_chains(quiver, e, theta)
 
     @settings(max_examples=60, deadline=None)
-    @given(quiver_dim_theta())
-    def test_count_equals_fraction_slope_oracle(self, case):
-        quiver, e, theta = case
-        assert _sst_count(quiver, e, theta) == sst_count_by_fraction_slopes(quiver, e, theta)
+    @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
+    def test_table_equals_replaced_routes(self, case):
+        quiver, d, theta = case
+        counts, _ = _sst_table(quiver, d, theta)
+        for e, count in counts.items():
+            assert count == sst_count_by_tails(quiver, e, theta)
+            assert count == sst_count_by_fraction_slopes(quiver, e, theta)
 
     @pytest.mark.parametrize("d", LADDER)
-    def test_ladder_counts_equal_fraction_slope_oracle(self, d):
+    def test_ladder_table_equals_replaced_routes(self, d):
         theta = (d[1], -d[0])
-        for e in itertools.product(range(d[0] + 1), range(d[1] + 1)):
-            if any(e):
-                assert _sst_count(KRONECKER3, e, theta) == sst_count_by_fraction_slopes(
-                    KRONECKER3, e, theta)
+        counts, _ = _sst_table(KRONECKER3, d, theta)
+        boxes = itertools.product(range(d[0] + 1), range(d[1] + 1))
+        assert sorted(counts) == [e for e in boxes if any(e)]
+        for e, count in counts.items():
+            assert count == sst_count_by_tails(KRONECKER3, e, theta)
+            assert count == sst_count_by_fraction_slopes(KRONECKER3, e, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
+    def test_rank_orders_like_fraction_slopes(self, case):
+        quiver, d, theta = case
+        _, rank = _sst_table(quiver, d, theta)
+        for f, g in itertools.product(rank, repeat=2):
+            assert (rank[f] < rank[g]) == (slope(theta, f) < slope(theta, g))
+            assert (rank[f] == rank[g]) == (slope(theta, f) == slope(theta, g))
+
+    @pytest.mark.parametrize("d,bound", [((3, 4), 333), ((4, 5), 768), ((4, 7), 1383)])
+    def test_each_first_part_term_is_built_once(self, monkeypatch, d, bound):
+        # a term of h multiplies by at most one binomial per vertex and the
+        # tail once, and h has prod(h_i + 1) - 2 proper nonzero parts
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return poly_mul(p, q)
+
+        terms = sum(
+            (h[0] + 1) * (h[1] + 1) - 2
+            for h in itertools.product(range(d[0] + 1), range(d[1] + 1)) if any(h))
+        assert 3 * terms == bound
+        _sst_table.cache_clear()
+        monkeypatch.setattr(quiver_module, "poly_mul", counted)
+        enumerate_hn_types(KRONECKER3, d, (d[1], -d[0]))
+        assert 0 < len(calls) <= bound
 
 
 class TestEnumerateHnTypes:
@@ -356,7 +401,7 @@ class TestEnumerateHnTypes:
         def refuse(*args):
             raise AssertionError("Fraction built on the HN path")
 
-        _sst_count.cache_clear()
+        _sst_table.cache_clear()
         monkeypatch.setattr(quiver_module, "slope", refuse)
         monkeypatch.setattr(quiver_module, "Fraction", refuse)
         monkeypatch.setattr(quiver_module, "has_semistable", refuse)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .quiver import _int_entries
 
 #: Largest rank of an expression and of each of its subexpressions.
 MAX_RANK = 2 ** 64
@@ -64,7 +65,7 @@ U2 = BundleExpr("U2")
 
 
 def O(n: int) -> BundleExpr:  # noqa: E743  (mathematical name)
-    return BundleExpr("O", (int(n),))
+    return BundleExpr("O", _int_entries((n,), "O(n)"))
 
 
 def _fold(op: str, factors):
@@ -234,12 +235,6 @@ class StratumWeights:
 def _rank_character(e: BundleExpr) -> Character:
     """The character of ``e`` on zero weights, read off its stored rank."""
     return Character({0: e.rank}) if e.rank else Character()
-
-
-def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
-    """Weight multiset of an expression, sorted descending."""
-    ws = [w for w, m in base.character(e).items() for _ in range(m)]
-    return tuple(sorted(ws, reverse=True))
 
 
 # -- parser -------------------------------------------------------------------

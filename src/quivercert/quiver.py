@@ -83,7 +83,7 @@ class Quiver:
             raise ValueError("vertex_count must be positive")
         if self.vertex_count > MAX_VERTICES:
             raise ValueError(f"vertex count above {MAX_VERTICES}")
-        arrows = tuple((int(i), int(j)) for i, j in self.arrows)
+        arrows = tuple(_int_entries(a, "arrow") for a in self.arrows)
         if len(arrows) > MAX_ARROWS:
             raise ValueError(f"arrow count above {MAX_ARROWS}")
         object.__setattr__(self, "arrows", arrows)
@@ -154,15 +154,19 @@ class Quiver:
         return e
 
 
-def slope(theta, e) -> Fraction:
-    """Slope of a nonzero dimension vector: (theta . e) / (total dimension)."""
-    e = tuple(int(x) for x in e)
+def reduced_slope(theta, e) -> tuple[int, int]:
+    """``_reduced_slope`` of a nonzero integer vector e, checked."""
+    e, theta = _int_entries(e, "dimension vector"), _int_entries(theta, "theta")
     if len(theta) != len(e):
         raise ValueError("length mismatch between theta and dimension vector")
-    total = sum(e)
-    if total == 0:
+    if sum(e) == 0:
         raise ValueError("undefined slope: zero dimension vector")
-    return Fraction(sum(t * x for t, x in zip(theta, e)), total)
+    return _reduced_slope(theta, e)
+
+
+def slope(theta, e) -> Fraction:
+    """Slope of a nonzero dimension vector: (theta . e) / (total dimension)."""
+    return Fraction(*reduced_slope(theta, e))
 
 
 def euler_form(quiver: Quiver, d, e) -> int:

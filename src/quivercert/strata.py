@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import lcm
 
 from .bundles import BundleExpr, StratumWeights, WorkBudget
-from .quiver import HNType, Quiver, enumerate_hn_types, slope
+from .quiver import HNType, Quiver, _int_entries, enumerate_hn_types, reduced_slope
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,11 @@ def one_ps_from_hn(tau: HNType, theta) -> OnePS:
     """The stratum's one-parameter subgroup: weights N * slope(part), with
     N the least positive integer clearing all slope denominators (no
     further gcd reduction); multiplicities are the part dimensions."""
-    slopes = [slope(theta, part) for part in tau]
-    scale = lcm(*(mu.denominator for mu in slopes)) if slopes else 1
-    weights = [int(mu * scale) for mu in slopes]
-    vertex_count = len(tau[0])
-    blocks = []
-    for i in range(vertex_count):
-        blocks.append(tuple((w, part[i]) for w, part in zip(weights, tau) if part[i] > 0))
-    return OnePS(tuple(blocks))
+    slopes = [reduced_slope(theta, part) for part in tau]
+    scale = lcm(*(b for _, b in slopes))
+    weights = [a * (scale // b) for a, b in slopes]
+    return OnePS(tuple(tuple((w, part[i]) for w, part in zip(weights, tau) if part[i] > 0)
+                       for i in range(len(tau[0]))))
 
 
 def _negative_directions(quiver: Quiver, s: OnePS):
@@ -129,8 +126,8 @@ class Moduli:
     def __post_init__(self):
         d = self.quiver.check_dim(self.dim)
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "theta", tuple(int(t) for t in self.theta))
-        object.__setattr__(self, "twist", tuple(int(a) for a in self.twist))
+        object.__setattr__(self, "theta", _int_entries(self.theta, "theta"))
+        object.__setattr__(self, "twist", _int_entries(self.twist, "twist"))
         if len(self.theta) != len(d) or len(self.twist) != len(d):
             raise ValueError("parameter length mismatch")
         if sum(t * x for t, x in zip(self.theta, d)) != 0:

@@ -37,11 +37,11 @@ from quivercert.chow import (
     todd_y,
 )
 from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, Quiver, _q_binomial, _reduced_slope,
-                               _subvectors, euler_form, has_semistable, slope)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _q_binomial,
+                               _reduced_slope, _subvectors, euler_form, has_semistable)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
-from quivercert.strata import (Moduli, stratum_checks, teleman_certify, unstable_strata,
+from quivercert.strata import (Moduli, OnePS, stratum_checks, teleman_certify, unstable_strata,
                                weight_ranges)
 from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
@@ -331,6 +331,33 @@ def hn_type_brute(field: GF, rep: BruteRep, theta):
     if f == rep.dims:
         return (f,)
     return (f,) + hn_type_brute(field, _quotient_rep(field, rep, witness), theta)
+
+
+# -- slopes as Fractions ---------------------------------------------------------
+
+def slope(theta, e) -> Fraction:
+    """The slope (theta . e) / sum(e) of a nonzero vector e as a Fraction,
+    computed without ``quiver._reduced_slope``, which ``quiver.slope`` reads."""
+    e = tuple(int(x) for x in e)
+    if len(theta) != len(e):
+        raise ValueError("length mismatch between theta and dimension vector")
+    if sum(e) == 0:
+        raise ValueError("undefined slope: zero dimension vector")
+    return Fraction(sum(t * x for t, x in zip(theta, e)), sum(e))
+
+
+def one_ps_by_fraction_slopes(tau: HNType, theta) -> OnePS:
+    """The one-parameter subgroup of a Harder-Narasimhan type from Fraction
+    slopes and the lcm of their denominators: the route that
+    ``strata.one_ps_from_hn`` replaced."""
+    slopes = [slope(theta, part) for part in tau]
+    scale = lcm(*(mu.denominator for mu in slopes)) if slopes else 1
+    weights = [int(mu * scale) for mu in slopes]
+    vertex_count = len(tau[0])
+    blocks = []
+    for i in range(vertex_count):
+        blocks.append(tuple((w, part[i]) for w, part in zip(weights, tau) if part[i] > 0))
+    return OnePS(tuple(blocks))
 
 
 # -- semistable existence by slope chains ---------------------------------------
@@ -669,6 +696,13 @@ def weights_by_lists(e: BundleExpr, base: StratumWeights) -> list[int]:
     if e.op == "wedge2":
         return [ws[i] + ws[j] for i in range(len(ws)) for j in range(i + 1, len(ws))]
     raise ValueError(f"unknown operator {e.op!r}")
+
+
+def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
+    """The weight multiset of an expression, sorted descending, from its
+    character: the helper ``bundles`` dropped when no route needed it."""
+    ws = [w for w, m in base.character(e).items() for _ in range(m)]
+    return tuple(sorted(ws, reverse=True))
 
 
 def _dual_ch(x: ChowElement) -> ChowElement:

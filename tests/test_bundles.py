@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_expr, rank_by_ops, weights_by_lists
+from oracles import random_expr, rank_by_ops, weights_by_lists, weights_of
 from quivercert.bundles import (
     MAX_RANK,
     MAX_TERMS,
@@ -25,7 +25,6 @@ from quivercert.bundles import (
     tensor,
     twist,
     wedge2,
-    weights_of,
 )
 
 # weight data of the rank-one wall stratum

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from golden import STRATUM_TABLE
-from oracles import random_expr
-from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, direct_sum, dual, sl, sym2,
-                                tensor, weights_of)
-from quivercert.quiver import KRONECKER3, hn_stratum_codim
+from oracles import one_ps_by_fraction_slopes, random_expr, weights_of
+from test_quiver import quiver_dim_theta
+from quivercert.bundles import MAX_WORK_TERMS, O, U1, U2, direct_sum, dual, sl, sym2, tensor
+from quivercert.quiver import (KRONECKER3, Quiver, _sst_table, enumerate_hn_types, hn_stratum_codim,
+                               slope)
 from quivercert.strata import (
     Moduli,
     OnePS,
@@ -45,6 +48,54 @@ class TestOnePS:
     def test_weights_strictly_decrease(self):
         with pytest.raises(ValueError):
             OnePS((((1, 1), (1, 2)), ()))
+
+    @pytest.mark.parametrize("d", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7)])
+    def test_equals_fraction_slope_oracle_on_the_ladder(self, d):
+        theta = (d[1], -d[0])
+        for tau in enumerate_hn_types(KRONECKER3, d, theta):
+            assert one_ps_from_hn(tau, theta).blocks == one_ps_by_fraction_slopes(tau, theta).blocks
+
+    @settings(max_examples=200, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_equals_fraction_slope_oracle(self, case):
+        quiver, d, theta = case
+        for tau in enumerate_hn_types(quiver, d, theta):
+            assert one_ps_from_hn(tau, theta).blocks == one_ps_by_fraction_slopes(tau, theta).blocks
+
+    @pytest.mark.parametrize("tau", [((2, 3), (0, 0)), ((0, 0), (2, 3)), ((1, 1), (1, 2, 0)),
+                                     ((1, 1, 0), (1, 2))])
+    def test_zero_or_misshapen_part_is_refused(self, tau):
+        with pytest.raises(ValueError):
+            one_ps_from_hn(tau, (3, -2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Quiver(2, ((0.5, 1),)),
+    lambda: slope((1, -1), (1.5, 1)),
+    lambda: slope((1.5, 1), (1, 1)),
+    lambda: Moduli(KRONECKER3, (2, 3), (3.7, -2.2), (1, -1)),
+    lambda: Moduli(KRONECKER3, (2, 3), (3, -2), (1.5, -1)),
+    lambda: O(1.5),
+    lambda: one_ps_from_hn(((1.5, 1), (0.5, 2)), (3, -2)),
+], ids=["quiver-arrow", "slope-dim", "slope-theta", "moduli-theta", "moduli-twist", "O(n)",
+        "one-ps-part"])
+def test_non_integer_input_is_refused(build):
+    # int() would truncate each of these to an integer and carry on
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_no_fraction_on_the_strata_path(monkeypatch):
+    expected = unstable_strata(Y23), teleman_certify(sl(U1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built on the strata path")
+
+    for cached in (_sst_table, unstable_strata, weight_ranges):
+        cached.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert unstable_strata(Moduli.kronecker23()) == expected[0]
+    assert teleman_certify(sl(U1)) == expected[1]
 
 
 class TestGoldenTable:

@@ -1,6 +1,4 @@
-"""Fraction-free row echelon form over the integers, and the ring
-operations on dense polynomials in one variable with integer or rational
-coefficients."""
+"""Fraction-free row echelon form over the integers."""
 
 from __future__ import annotations
 
@@ -29,39 +27,3 @@ def echelon(rows):
         if len(pivots) == len(m):
             break
     return m, pivots
-
-
-# -- dense polynomials in one variable, coefficients ascending ---------------
-
-def poly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    ])
-
-
-def poly_neg(p):
-    return tuple(-a for a in p)
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)

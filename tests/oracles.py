@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm, prod
+from functools import cmp_to_key, lru_cache
+from math import comb, factorial, lcm, prod
+from operator import itemgetter
 
 from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor
 from quivercert.chow import (
@@ -36,9 +38,8 @@ from quivercert.chow import (
     render_fraction,
     todd_y,
 )
-from quivercert._linalg import poly_add, poly_mul, poly_sub, poly_trim
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _q_binomial,
-                               _reduced_slope, _subvectors, euler_form, has_semistable)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _reduced_slope,
+                               _subvectors, euler_form, has_semistable)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
 from quivercert.strata import (Moduli, OnePS, stratum_checks, teleman_certify, unstable_strata,
@@ -362,6 +363,134 @@ def one_ps_by_fraction_slopes(tau: HNType, theta) -> OnePS:
 
 # -- semistable existence by slope chains ---------------------------------------
 
+# Dense polynomials in one variable, coefficients ascending: the ring
+# operations that ``quiver._sst_table`` replaced with packed integers.
+
+def poly_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim([
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
+    ])
+
+
+def poly_neg(p):
+    return tuple(-a for a in p)
+
+
+def poly_sub(p, q):
+    return poly_add(p, poly_neg(q))
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
+def coefficient_sum(p) -> int:
+    """N(p), the sum of the absolute values of the coefficients of p."""
+    return sum(map(abs, p))
+
+
+@lru_cache(maxsize=None)
+def coefficient_sum_bounds(n: int) -> tuple[int, int]:
+    """(m(n), t(n)): bounds on the coefficient sum of a semistable count and
+    of a sum of first-part terms of a dimension vector of total n, by
+    Reineke's recursion with N subadditive, submultiplicative and
+    N([n choose k]_q) = C(n, k), grouped by Vandermonde."""
+    if n == 0:
+        return 0, 1
+    below = sum(comb(n, k) * coefficient_sum_bounds(k)[0] * coefficient_sum_bounds(n - k)[1]
+                for k in range(1, n))
+    return 1 + below, 1 + 2 * below
+
+
+def unpack(value: int, bits: int) -> tuple:
+    """The dense polynomial whose value at q = 2^bits is value and whose
+    coefficients are below 2^(bits-1) in absolute value: the balanced
+    base-2^bits digits of value."""
+    base, half = 1 << bits, 1 << (bits - 1)
+    coefficients = []
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        coefficients.append(digit)
+        value = (value - digit) >> bits
+    return tuple(coefficients)
+
+
+@lru_cache(maxsize=None)
+def q_binomial(n: int, k: int) -> tuple:
+    """The Gaussian binomial coefficient [n choose k] as a polynomial in q."""
+    if k in (0, n):
+        return (1,)
+    return poly_add(q_binomial(n - 1, k - 1), (0,) * k + q_binomial(n - 1, k))
+
+
+def sst_table_by_tuples(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
+    """``(counts, rank, tails)``: the table of ``quiver._sst_table`` with
+    every polynomial a tuple of coefficients, the route that packed integers
+    replaced, and ``tails[h]`` the ranks of the nonzero terms of h in
+    ascending order with their prefix sums."""
+    box = list(_subvectors(d))
+    slopes = {f: _reduced_slope(theta, f) for f in box}
+    order = sorted(set(slopes.values()), key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
+    position = {s: r for r, s in enumerate(order)}
+    rank = {f: position[slopes[f]] for f in box}
+    arrows = Counter(quiver.arrows).items()
+    counts = {}
+    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums)
+    tails = {}
+
+    def tail(h, r):
+        if not any(h):
+            return (1,)
+        ranks, sums = tails[h]
+        return sums[bisect_left(ranks, r)]
+
+    for h in box:
+        terms = []
+        total = (0,) * sum(m * h[i] * h[j] for (i, j), m in arrows) + (1,)
+        for f in _subvectors(h):
+            if f == h or not counts[f]:
+                continue
+            rest = tuple(a - b for a, b in zip(h, f))
+            t = tail(rest, rank[f])
+            if not t:
+                continue
+            out = counts[f]
+            for n, k in zip(h, f):
+                if 0 < k < n:
+                    out = poly_mul(out, q_binomial(n, k))
+            shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
+            term = (0,) * shift + poly_mul(out, t)
+            terms.append((rank[f], term))
+            total = poly_sub(total, term)
+        counts[h] = total
+        if total:
+            terms.append((rank[h], total))
+        terms.sort(key=itemgetter(0))
+        sums = [()]
+        for _, term in terms:
+            sums.append(poly_add(sums[-1], term))
+        tails[h] = [r for r, _ in terms], sums
+    return counts, rank, tails
+
+
 def poly_divmod(p, q):
     """Quotient and remainder of dense polynomials with rational
     coefficients, coefficients ascending."""
@@ -493,7 +622,7 @@ def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> 
         rest = tuple(a - b for a, b in zip(g, f))
         out = sst_count_by_fraction_slopes(quiver, f, theta)
         for n, k in zip(g, f):
-            out = poly_mul(out, _q_binomial(n, k))
+            out = poly_mul(out, q_binomial(n, k))
         shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
         return poly_mul((0,) * shift + out, tail(rest, slope(theta, f)))
 
@@ -537,7 +666,7 @@ def sst_count_by_tails(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
         rest = tuple(a - b for a, b in zip(g, f))
         out = sst_count_by_tails(quiver, f, theta)
         for n, k in zip(g, f):
-            out = poly_mul(out, _q_binomial(n, k))
+            out = poly_mul(out, q_binomial(n, k))
         shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
         return poly_mul((0,) * shift + out, tail(rest, *slopes[f]))
 

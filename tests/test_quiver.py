@@ -11,6 +11,8 @@ from golden import HN_TYPES_23
 from oracles import (
     GF,
     all_reps,
+    coefficient_sum,
+    coefficient_sum_bounds,
     exists_semistable_brute,
     gl_order,
     has_semistable_by_chains,
@@ -18,11 +20,14 @@ from oracles import (
     hn_types_by_chains,
     is_hn_type_by_fraction_slopes,
     is_semistable_brute,
+    poly_mul,
     sst_count_by_fraction_slopes,
     sst_count_by_tails,
+    sst_table_by_tuples,
+    unpack,
 )
+from quivercert import _linalg
 from quivercert import quiver as quiver_module
-from quivercert._linalg import poly_mul
 from quivercert.chow import DEGREES
 from quivercert.quiver import (
     KRONECKER3,
@@ -32,6 +37,7 @@ from quivercert.quiver import (
     MAX_VERTICES,
     Quiver,
     _check_counting_input,
+    _coefficient_bits,
     _sst_table,
     enumerate_hn_types,
     euler_form,
@@ -49,6 +55,12 @@ LADDER = ((2, 3), (3, 4), (3, 5), (4, 5), (4, 7))
 
 def _poly_at(p, q):
     return sum(c * q ** i for i, c in enumerate(p))
+
+
+def _unpacked_counts(quiver, d, theta):
+    """The counts of ``_sst_table`` as coefficient tuples."""
+    bits = _coefficient_bits(sum(d))
+    return {h: unpack(count, bits) for h, count in _sst_table(quiver, d, theta)[0].items()}
 
 
 @st.composite
@@ -284,13 +296,13 @@ class TestHasSemistable:
         count = sum(
             1 for rep in all_reps(field, quiver, e) if is_semistable_brute(field, rep, theta)
         )
-        assert _poly_at(_sst_table(quiver, e, tuple(theta))[0][e], q) == count
+        assert _poly_at(_unpacked_counts(quiver, e, tuple(theta))[e], q) == count
 
     def test_poincare_polynomial_of_y(self):
         # (q-1)|R^sst_(2,3)|/|G_(2,3)| is the point count of Y, whose
         # coefficients are the Betti numbers, i.e. the Chow ranks per degree
         betti = (1, 1, 3, 3, 3, 1, 1)
-        sst = _sst_table(KRONECKER3, (2, 3), (3, -2))[0][2, 3]
+        sst = _unpacked_counts(KRONECKER3, (2, 3), (3, -2))[2, 3]
         assert poly_mul((-1, 1), sst) == poly_mul(betti, gl_order((2, 3)))
         assert betti == tuple(DEGREES.count(k) for k in range(7))
 
@@ -304,7 +316,7 @@ class TestHasSemistable:
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
     def test_table_equals_replaced_routes(self, case):
         quiver, d, theta = case
-        counts, _ = _sst_table(quiver, d, theta)
+        counts = _unpacked_counts(quiver, d, theta)
         for e, count in counts.items():
             assert count == sst_count_by_tails(quiver, e, theta)
             assert count == sst_count_by_fraction_slopes(quiver, e, theta)
@@ -312,12 +324,37 @@ class TestHasSemistable:
     @pytest.mark.parametrize("d", LADDER)
     def test_ladder_table_equals_replaced_routes(self, d):
         theta = (d[1], -d[0])
-        counts, _ = _sst_table(KRONECKER3, d, theta)
+        counts = _unpacked_counts(KRONECKER3, d, theta)
         boxes = itertools.product(range(d[0] + 1), range(d[1] + 1))
         assert sorted(counts) == [e for e in boxes if any(e)]
         for e, count in counts.items():
             assert count == sst_count_by_tails(KRONECKER3, e, theta)
             assert count == sst_count_by_fraction_slopes(KRONECKER3, e, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quiver_dim_theta())
+    def test_packed_table_equals_tuples_within_the_bound(self, case):
+        # every count and every prefix sum of terms obeys the coefficient-sum
+        # bound that the width of the packed values rests on
+        quiver, d, theta = case
+        counts, rank, tails = sst_table_by_tuples(quiver, d, theta)
+        assert _unpacked_counts(quiver, d, theta) == counts
+        assert _sst_table(quiver, d, theta)[1] == rank
+        for h, count in counts.items():
+            m, t = coefficient_sum_bounds(sum(h))
+            assert coefficient_sum(count) <= m
+            assert all(coefficient_sum(tail) <= t for tail in tails[h][1])
+
+    @pytest.mark.parametrize("n,bits", [(11, 48), (32, 194), (63, 447)])
+    def test_coefficient_bits(self, n, bits):
+        assert _coefficient_bits(n) == max(coefficient_sum_bounds(n)).bit_length() + 1 == bits
+
+    @pytest.mark.parametrize("m,d", [(2000, (2, 3)), (12, (1, 31))])
+    def test_shift_dominated_tables_equal_tuples(self, m, d):
+        # the shifts by K * s make up most of the length of these values
+        quiver, theta = Quiver.kronecker(m), (d[1], -d[0])
+        assert _check_counting_input(quiver, d, theta)
+        assert _unpacked_counts(quiver, d, theta) == sst_table_by_tuples(quiver, d, theta)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
@@ -336,14 +373,14 @@ class TestHasSemistable:
 
         def counted(p, q):
             calls.append(None)
-            return poly_mul(p, q)
+            return p * q
 
         terms = sum(
             (h[0] + 1) * (h[1] + 1) - 2
             for h in itertools.product(range(d[0] + 1), range(d[1] + 1)) if any(h))
         assert 3 * terms == bound
         _sst_table.cache_clear()
-        monkeypatch.setattr(quiver_module, "poly_mul", counted)
+        monkeypatch.setattr(quiver_module, "mul", counted)
         enumerate_hn_types(KRONECKER3, d, (d[1], -d[0]))
         assert 0 < len(calls) <= bound
 
@@ -408,6 +445,11 @@ class TestEnumerateHnTypes:
         assert enumerate_hn_types(KRONECKER3, (3, 5), (5, -3)) == expected
         assert all(is_hn_type(KRONECKER3, (3, 5), (5, -3), tau) for tau in expected)
         assert not is_hn_type(KRONECKER3, (3, 5), (5, -3), expected[0][::-1])
+        # the counts are packed integers, and no tuple polynomial is in reach
+        assert all(type(count) is int
+                   for count in _sst_table(KRONECKER3, (3, 5), (5, -3))[0].values())
+        assert not [name for name in vars(quiver_module) if name.startswith("poly_")]
+        assert not [name for name in vars(_linalg) if name.startswith("poly_")]
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(hn_candidates(), hn_candidates(balanced=True)))

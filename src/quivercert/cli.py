@@ -45,16 +45,6 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _moduli_from_args(args) -> Moduli:
-    quiver = Quiver.from_spec(args.quiver)
-    return Moduli(
-        quiver=quiver,
-        dim=_parse_int_tuple(args.dim),
-        theta=_parse_int_tuple(args.theta),
-        twist=_parse_int_tuple(args.twist),
-    )
-
-
 def _cmd_hn_types(args) -> tuple[dict, int]:
     quiver = Quiver.from_spec(args.quiver)
     d = _parse_int_tuple(args.dim)
@@ -80,7 +70,8 @@ def _cmd_hn_types(args) -> tuple[dict, int]:
 
 
 def _cmd_teleman(args) -> tuple[dict, int]:
-    moduli = _moduli_from_args(args)
+    moduli = Moduli(Quiver.from_spec(args.quiver), _parse_int_tuple(args.dim),
+                    _parse_int_tuple(args.theta), _parse_int_tuple(args.twist))
     expr = parse_expr(args.expr)
     report = teleman_certify(expr, moduli)
     return report.to_json_dict(), 0 if report.passed else 1
@@ -151,8 +142,7 @@ def _cmd_verify_collection(args) -> tuple[dict, int]:
         spec = CollectionSpec.from_json(data.decode("utf-8"))
     else:
         spec = standard_collection()
-    moduli = _moduli_from_args(args)
-    doc = verify_collection(spec, moduli).to_json_dict()
+    doc = verify_collection(spec).to_json_dict()
     return doc, 0 if doc["accepted"] else 1
 
 
@@ -224,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=_cmd_syzygies)
 
-    p = sub.add_parser("verify-collection", help="certify a candidate collection")
-    add_moduli_flags(p)
+    p = sub.add_parser("verify-collection", help="certify a candidate collection on Y")
     p.add_argument("--file", help="collection JSON; defaults to the built-in collection")
     p.set_defaults(func=_cmd_verify_collection)
 

@@ -12,8 +12,9 @@ determines the number of semistable ones, a polynomial in q with integer
 coefficients, from the counts of smaller dimension vectors.  The
 semistable locus is nonempty exactly when its counting polynomial is
 nonzero.  One table, built bottom up for a dimension vector d, holds the
-counts of all subvectors of d and the ranks of their slopes, and the
-existence test, the type enumeration and the type check all read it.
+counts of all subvectors of d, the ranks of their slopes and, for each
+subvector, the first parts its types can start with; the existence test,
+the type enumeration and the type check all read it.
 Each count is held as its value at q = 2^K, one integer (Kronecker
 substitution), with K large enough that the value is zero exactly when
 the polynomial is.
@@ -228,13 +229,14 @@ def _reduced_slope(theta, f) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict]:
-    """``(counts, rank)`` over the nonzero subvectors h <= d: ``counts[h]``
-    is the number of theta-semistable representations of dimension vector h
-    over a field with q elements, a polynomial in q with integer
-    coefficients (Reineke's recursion), and ``rank[h]`` the position of the
-    slope of h among the distinct slopes of the subvectors, so that slopes
-    compare as their ranks do.
+def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
+    """``(counts, rank, tails)`` over the nonzero subvectors h <= d:
+    ``counts[h]`` is the number of theta-semistable representations of
+    dimension vector h over a field with q elements, a polynomial in q with
+    integer coefficients (Reineke's recursion), ``rank[h]`` the position of
+    the slope of h among the distinct slopes of the subvectors, so that
+    slopes compare as their ranks do, and ``tails[h]`` the ranks, prefix
+    sums and first parts f of the nonzero terms of h below, in rank order.
 
     Sorting the representations of dimension g by the dimension vector f
     of their first Harder-Narasimhan part, those with first part f number
@@ -261,7 +263,8 @@ def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict]:
     The table is built bottom up: every f <= h comes before h in product
     order, so each term is built once, from counts and tails already known.
     The terms of h, sorted by the rank of f, are kept as prefix sums, and
-    T(h, slope f) is the sum of those of rank below rank f.
+    T(h, slope f) is the sum of those of rank below rank f.  The f of the
+    nonzero terms of h, h among them, are the first parts of its types.
     """
     box = list(_subvectors(d))
     slopes = {f: _reduced_slope(theta, f) for f in box}
@@ -271,13 +274,13 @@ def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict]:
     arrows = Counter(quiver.arrows).items()
     bits = _coefficient_bits(sum(d))
     counts = {}
-    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums)
+    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums, parts)
     tails = {}
 
     def tail(h, r):
         if not any(h):
             return 1
-        ranks, sums = tails[h]
+        ranks, sums, _ = tails[h]
         return sums[bisect_left(ranks, r)]
 
     for h in box:
@@ -296,17 +299,15 @@ def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict]:
                     out = mul(out, _q_binomial(n, k, bits))
             shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
             term = mul(out, t) << bits * shift
-            terms.append((rank[f], term))
+            terms.append((rank[f], term, f))
             total -= term
         counts[h] = total
         if total:
-            terms.append((rank[h], total))
+            terms.append((rank[h], total, h))
         terms.sort(key=itemgetter(0))
-        sums = [0]
-        for _, term in terms:
-            sums.append(sums[-1] + term)
-        tails[h] = [r for r, _ in terms], sums
-    return counts, rank
+        sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
+        tails[h] = [r for r, _, _ in terms], sums, [f for _, _, f in terms]
+    return counts, rank, tails
 
 
 def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
@@ -344,21 +345,24 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     representation.  Requires theta . d = 0; the output is sorted
     lexicographically on the flattened parts and includes the trivial
     type (d,) exactly when d itself admits a semistable representation.
+    The walk reads the first parts of each remainder from the table and
+    enters no dead end: a nonzero term of f leaves a rest with a type of
+    slopes all below that of f.
     """
     d, theta = _check_counting_input(quiver, d, theta)
     if sum(t * x for t, x in zip(theta, d)) != 0:
         raise ValueError("theta . d must be zero")
 
-    counts, rank = _sst_table(quiver, d, theta)
+    _, rank, tails = _sst_table(quiver, d, theta)
     types: list[HNType] = []
 
     def extend(remaining, bound, prefix):
         if not any(remaining):
             types.append(tuple(prefix))
             return
-        for f in _subvectors(remaining):
-            if rank[f] < bound and counts[f]:
-                extend(tuple(x - y for x, y in zip(remaining, f)), rank[f], prefix + [f])
+        ranks, _, parts = tails[remaining]
+        for f in parts[:bisect_left(ranks, bound)]:
+            extend(tuple(x - y for x, y in zip(remaining, f)), rank[f], prefix + [f])
 
     extend(d, len(rank), [])
     types.sort(key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
@@ -384,7 +388,7 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     d, theta = _check_counting_input(quiver, d, theta)
     if tuple(map(sum, zip(*parts))) != d:
         return False
-    counts, rank = _sst_table(quiver, d, theta)
+    counts, rank, _ = _sst_table(quiver, d, theta)
     if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
         return False
     return all(counts[p] for p in parts)

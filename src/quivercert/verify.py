@@ -253,9 +253,11 @@ def verify_collection(
     spec: CollectionSpec, moduli: Moduli | None = None
 ) -> VerificationMatrix:
     """Run the pairwise certification over all ordered pairs, from the
-    weight ranges and the integer chi rows and columns of the objects."""
-    if moduli is None:
-        moduli = Moduli.kronecker23()
+    weight ranges and the integer chi rows and columns of the objects.
+    Chi comes from the Chow ring of Y, so any moduli but Y's are refused."""
+    if moduli not in (None, Moduli.kronecker23()):
+        raise ValueError("collections are certified on Y only: moduli must be Moduli.kronecker23()")
+    moduli = Moduli.kronecker23()
     objects = [e for _, e in spec.objects]
     ranges = [weight_ranges(e, moduli) for e in objects]
     strata = unstable_strata(moduli)

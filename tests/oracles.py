@@ -39,7 +39,7 @@ from quivercert.chow import (
     todd_y,
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _reduced_slope,
-                               _subvectors, euler_form, has_semistable)
+                               _sst_table, _subvectors, euler_form, has_semistable)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
 from quivercert.strata import (Moduli, OnePS, stratum_checks, teleman_certify, unstable_strata,
@@ -590,6 +590,28 @@ def hn_types_by_chains(quiver: Quiver, d, theta):
     d, theta = tuple(d), tuple(theta)
     chains = [(d,)] + list(slope_chains(d, theta))
     types = [c for c in chains if all(has_semistable_by_chains(quiver, p, theta) for p in c)]
+    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
+
+
+def hn_types_by_subvectors(quiver: Quiver, d, theta):
+    """The Harder-Narasimhan types of d, found by walking every subvector of
+    each remainder and keeping those of slope below the last part with a
+    nonzero count in ``quiver._sst_table``: the walk that
+    ``enumerate_hn_types`` replaced with the table's lists of first parts.
+    It enters dead ends, remainders with no type below the bound."""
+    d, theta = tuple(d), tuple(theta)
+    counts, rank, _ = _sst_table(quiver, d, theta)
+    types = []
+
+    def extend(remaining, bound, prefix):
+        if not any(remaining):
+            types.append(tuple(prefix))
+            return
+        for f in _subvectors(remaining):
+            if rank[f] < bound and counts[f]:
+                extend(tuple(x - y for x, y in zip(remaining, f)), rank[f], prefix + [f])
+
+    extend(d, len(rank), [])
     return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -284,6 +285,21 @@ class TestVerifyCollection:
         assert code == 2
         assert "No such file" in doc["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-collection", "--dim", "1,2", "--theta", "2,-1"],
+        ["verify-collection", "--twist=4,-3"],
+        ["verify-collection", "--quiver", '{"vertices":3,"arrows":[[0,1],[1,2]]}', "--dim",
+         "1,1,1", "--theta", "1,0,-1", "--twist=-1,0,0"],
+        ["verify-collection", "--theta=0,0"],
+        ["verify-collection", "--quiver", "kronecker:4"],
+    ], ids=["dim-1,2", "twist-4,-3", "three-vertices", "theta-0,0", "kronecker-4"])
+    def test_moduli_flags_refused(self, capsys, argv):
+        # chi comes from the Chow ring of Y, so collections are certified on
+        # Y only, and no flag describes another space
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["error"].startswith("unrecognized arguments")
+
 
 class TestLedgerCheck:
     def test_passes(self, capsys):
@@ -546,7 +562,7 @@ FLAGS = {
     "chow-eval": ("--expr",),
     "stability": ("--matrix",),
     "syzygies": ("--matrix",),
-    "verify-collection": MODULI_FLAGS + ("--file",),
+    "verify-collection": ("--file",),
     "ledger-check": (),
 }
 SAMPLES = {
@@ -629,6 +645,15 @@ def assert_one_json_document(argv) -> int:
 
 
 class TestFuzz:
+    def test_flags_are_the_parser_options(self):
+        # a flag added to or removed from the CLI must reach the fuzzer
+        parser = build_parser.__wrapped__()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(FLAGS)
+        for command, sub in subparsers.choices.items():
+            options = {s for action in sub._actions for s in action.option_strings}
+            assert options - {"-h", "--help", "--pretty"} == set(FLAGS[command]), command
+
     @settings(max_examples=100, deadline=None)
     @given(fuzzed_argv())
     @example(["chi", "--expr", "sl(" * 25 + "U1" + ")" * 25])

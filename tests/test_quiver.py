@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     has_semistable_by_chains,
     hn_type_brute,
     hn_types_by_chains,
+    hn_types_by_subvectors,
     is_hn_type_by_fraction_slopes,
     is_semistable_brute,
     poly_mul,
@@ -360,7 +362,7 @@ class TestHasSemistable:
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
     def test_rank_orders_like_fraction_slopes(self, case):
         quiver, d, theta = case
-        _, rank = _sst_table(quiver, d, theta)
+        _, rank, _ = _sst_table(quiver, d, theta)
         for f, g in itertools.product(rank, repeat=2):
             assert (rank[f] < rank[g]) == (slope(theta, f) < slope(theta, g))
             assert (rank[f] == rank[g]) == (slope(theta, f) == slope(theta, g))
@@ -431,6 +433,65 @@ class TestEnumerateHnTypes:
     def test_equals_chain_oracle(self, case):
         quiver, d, theta = case
         assert enumerate_hn_types(quiver, d, theta) == hn_types_by_chains(quiver, d, theta)
+
+    @pytest.mark.parametrize("d", LADDER)
+    def test_ladder_equals_subvector_walk(self, d):
+        theta = (d[1], -d[0])
+        assert enumerate_hn_types(KRONECKER3, d, theta) == hn_types_by_subvectors(KRONECKER3, d,
+                                                                                  theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_equals_subvector_walk(self, case):
+        quiver, d, theta = case
+        assert enumerate_hn_types(quiver, d, theta) == hn_types_by_subvectors(quiver, d, theta)
+
+    def test_walk_reads_only_the_table(self, monkeypatch):
+        expected = hn_types_by_subvectors(KRONECKER3, (4, 7), (7, -4))
+        assert len(expected) == 69
+        assert has_semistable(KRONECKER3, (4, 7), (7, -4))
+
+        def refuse(e):
+            raise AssertionError("subvectors listed after the table was built")
+
+        monkeypatch.setattr(quiver_module, "_subvectors", refuse)
+        assert enumerate_hn_types(KRONECKER3, (4, 7), (7, -4)) == expected
+
+    @pytest.mark.parametrize("d", LADDER)
+    def test_walk_enters_only_prefixes_of_types(self, monkeypatch, d):
+        # with the table built, the walk looks up the first parts of each
+        # remainder it enters once; the remainders are those of the proper
+        # prefixes of the types, so no branch ends without a type
+        theta = (d[1], -d[0])
+        has_semistable(KRONECKER3, d, theta)
+        lookups = []
+
+        def counted(*args):
+            lookups.append(args)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(quiver_module, "bisect_left", counted)
+        types = enumerate_hn_types(KRONECKER3, d, theta)
+        prefixes = {tau[:k] for tau in types for k in range(len(tau))}
+        assert len(lookups) == len(prefixes)
+        if d == (4, 7):
+            assert (len(types), len(lookups)) == (69, 82)
+
+    @pytest.mark.parametrize("d", LADDER)
+    def test_ladder_opposite_quiver_duality(self, d):
+        theta = (d[1], -d[0])
+        opposite = Quiver(2, ((1, 0),) * 3)
+        reversed_types = sorted(tau[::-1] for tau in enumerate_hn_types(KRONECKER3, d, theta))
+        assert sorted(enumerate_hn_types(opposite, d, (-d[1], d[0]))) == reversed_types
+
+    @settings(max_examples=60, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_opposite_quiver_duality(self, case):
+        # the HN types of Q^op for -theta are the reversed types of (Q, theta)
+        quiver, d, theta = case
+        opposite = Quiver(quiver.vertex_count, tuple((j, i) for i, j in quiver.arrows))
+        reversed_types = sorted(tau[::-1] for tau in enumerate_hn_types(quiver, d, theta))
+        assert sorted(enumerate_hn_types(opposite, d, tuple(-t for t in theta))) == reversed_types
 
     def test_no_fraction_on_the_path(self, monkeypatch):
         expected = hn_types_by_chains(KRONECKER3, (3, 5), (5, -3))

@@ -181,8 +181,13 @@ POOL = (
     direct_sum(dual(U1), O(1)), direct_sum(U2, O(-1), sl(O(2))),
     tensor(dual(U1), twist(U2, 2)),
 )
-MODULI = (Y23, Moduli(KRONECKER3, (2, 3), (3, -2), (4, -3)),
-          Moduli(KRONECKER3, (1, 2), (2, -1), (1, -1)))
+#: Spaces other than Y, each with what sets it apart.
+NOT_Y = {
+    "twist 4,-3": Moduli(KRONECKER3, (2, 3), (3, -2), (4, -3)),
+    "P2": Moduli(KRONECKER3, (1, 2), (2, -1), (1, -1)),
+    "theta 0,0": Moduli(KRONECKER3, (2, 3), (0, 0), (1, -1)),
+    "kronecker:4": Moduli(Quiver.kronecker(4), (2, 3), (3, -2), (1, -1)),
+}
 
 
 def _unary(op, arg):
@@ -216,10 +221,9 @@ class TestPerObjectRoute:
         _assert_both_routes(spec, Y23)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), min_size=1, max_size=8),
-           st.sampled_from(MODULI))
-    def test_random_collections(self, objects, moduli):
-        _assert_both_routes(CollectionSpec(tuple((str(e), e) for e in objects)), moduli)
+    @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), min_size=1, max_size=8))
+    def test_random_collections(self, objects):
+        _assert_both_routes(CollectionSpec(tuple((str(e), e) for e in objects)), Y23)
 
     def test_euler_pairing_on_integer_rows(self):
         denominators = set()
@@ -255,9 +259,19 @@ class TestPerObjectRoute:
     def test_two_vertex_error_comes_first(self):
         path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))
         before = unstable_strata.cache_info()
-        with pytest.raises(ValueError, match="two-vertex quiver"):
+        with pytest.raises(ValueError, match="certified on Y only"):
             verify_collection(standard_collection(), path)
         assert unstable_strata.cache_info() == before
+
+    @pytest.mark.parametrize("name", sorted(NOT_Y))
+    def test_spaces_other_than_y_are_refused(self, name):
+        # chi comes from the Chow ring of Y whatever the strata, so a
+        # certificate on another space would be unfounded
+        before = unstable_strata.cache_info()
+        with pytest.raises(ValueError, match=r"^collections are certified on Y only"):
+            verify_collection(standard_collection(), NOT_Y[name])
+        assert unstable_strata.cache_info() == before
+        assert verify_collection(standard_collection(), Y23).accepted
 
     def test_unstable_strata_need_two_vertices(self):
         path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))

@@ -270,12 +270,16 @@ def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
 
 
 def scaled_pairing(row: tuple[int, tuple[int, ...]], column: tuple[int, tuple[int, ...]],
-                   what: str) -> int:
-    """The integer integral ``what`` of x * y from ``gram_row(x)`` and ``(y.den, y.nums)``."""
+                   *objects) -> int:
+    """The integer integral chi(objects) of x * y from ``gram_row(x)`` and
+    ``(y.den, y.nums)``.  The label ``chi(...)`` is rendered from the
+    objects only when the integral is not an integer."""
     (d, r), (e, v) = row, column
     total = sum(map(mul, r, v))
     value, rest = divmod(total, d * e)
-    return integer(Fraction(total, d * e), what) if rest else value  # integer() raises
+    if rest:
+        integer(Fraction(total, d * e), f"chi({', '.join(map(str, objects))})")  # raises
+    return value
 
 
 _C1 = ChowElement.basis("c1")
@@ -373,7 +377,7 @@ def integer(value: Fraction, what: str) -> int:
 def chi(e: BundleExpr) -> int:
     """Euler characteristic chi(Y, e) = integral of ch(e) * Todd(Y)."""
     x = ch_of(e)
-    return scaled_pairing(gram_row(todd_y()), (x.den, x.nums), f"chi({e})")
+    return scaled_pairing(gram_row(todd_y()), (x.den, x.nums), e)
 
 
 # -- polynomial input for the command line ------------------------------------

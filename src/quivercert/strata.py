@@ -136,7 +136,10 @@ class Moduli:
             raise ValueError("twist . d must be -1 for descent")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def kronecker23(cls) -> "Moduli":
+        """Y: the 3-Kronecker quiver at (2, 3), theta = (3, -2), twist
+        (1, -1).  One shared instance, built and validated once."""
         return cls(Quiver.kronecker(3), (2, 3), (3, -2), (1, -1))
 
 
@@ -229,13 +232,6 @@ def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
     """One check per stratum from a bundle's largest weight there."""
     return tuple(StratumCheck(s.hn_type, s.eta, w, m, _certified(m))
                  for s, w, m in zip(strata, max_weights, _margins(strata, max_weights)))
-
-
-def blocking_rows(strata, max_weights) -> tuple[tuple[HNType, int], ...]:
-    """``(hn_type, margin)`` of each stratum whose check ``stratum_checks``
-    would fail, without building the checks."""
-    return tuple((s.hn_type, m) for s, m in zip(strata, _margins(strata, max_weights))
-                 if not _certified(m))
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,21 @@ bookkeeping.
 Per ordered pair (E_i, E_j) of a candidate collection we combine two
 one-sided tools: a Teleman vanishing certificate for the higher
 cohomology of dual(E_i) (x) E_j, and its Riemann-Roch Euler
-characteristic.  Both come from data of single objects: on each stratum
-the largest weight of dual(E_i) (x) E_j is max w(E_j) - min w(E_i), and
-chi is the integral of dual(ch(E_i)) * ch(E_j) * Todd(Y), an integer dot
-product of the Gram row of dual(ch(E_i)) with ch(E_j) * Todd(Y), both
-cleared of denominators once per object.  A certificate
-plus chi = 1 on the diagonal certifies exceptionality; below the
-diagonal (i < j) a certificate pins the morphism space to degree 0 of
-dimension chi; above the diagonal a certificate plus chi = 0 certifies
-orthogonality.  Anything else is reported as undetermined, never as a
-disproof.
+characteristic.  Both come from data of single objects.  On each stratum
+the largest weight of dual(E_i) (x) E_j is max w(E_j) - min w(E_i), so
+each object gets two comparison vectors over the strata, once: a limit
+min w(E_i) + eta - 1 and a top max w(E_j).  The pair is certified when
+the top of E_j is at most the limit of E_i on every stratum; only a
+failing pair lists its blocking strata, with margin limit - top + 1 =
+eta - (max w(E_j) - min w(E_i)).  A zero bundle has no weights and
+bounds nothing.  Chi is the integral of dual(ch(E_i)) * ch(E_j) *
+Todd(Y), an integer dot product of the Gram row of dual(ch(E_i)) with
+ch(E_j) * Todd(Y), both cleared of denominators once per object.  A
+certificate plus chi = 1 on the diagonal certifies exceptionality; below
+the diagonal (i < j) a certificate pins the morphism space to degree 0
+of dimension chi; above the diagonal a certificate plus chi = 0
+certifies orthogonality.  Anything else is reported as undetermined,
+never as a disproof.
 
 Fullness of a collection is out of reach of these certificates and is
 never claimed.
@@ -24,10 +29,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
+from operator import le
+from typing import NamedTuple
 
 from .bundles import U1, U2, BundleExpr, O, dual, parse_expr, sl, tensor, twist
 from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
-from .strata import Moduli, blocking_rows, unstable_strata, weight_ranges
+from .strata import Moduli, unstable_strata, weight_ranges
 
 #: Largest object count of a collection read from JSON: the work, memory and
 #: output of ``verify_collection`` grow with its square.
@@ -153,11 +161,10 @@ def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]
 
 def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
     """K-theoretic Euler pairing chi(dual(e) (x) f)."""
-    return scaled_pairing(_chi_row(e), _chi_column(f, todd_y()), f"chi({e}, {f})")
+    return scaled_pairing(_chi_row(e), _chi_column(f, todd_y()), e, f)
 
 
-@dataclass(frozen=True)
-class PairStatus:
+class PairStatus(NamedTuple):
     i: int
     j: int
     chi: int
@@ -253,7 +260,7 @@ def verify_collection(
     spec: CollectionSpec, moduli: Moduli | None = None
 ) -> VerificationMatrix:
     """Run the pairwise certification over all ordered pairs, from the
-    weight ranges and the integer chi rows and columns of the objects.
+    comparison vectors and the integer chi rows and columns of the objects.
     Chi comes from the Chow ring of Y, so any moduli but Y's are refused."""
     if moduli not in (None, Moduli.kronecker23()):
         raise ValueError("collections are certified on Y only: moduli must be Moduli.kronecker23()")
@@ -261,19 +268,24 @@ def verify_collection(
     objects = [e for _, e in spec.objects]
     ranges = [weight_ranges(e, moduli) for e in objects]
     strata = unstable_strata(moduli)
-    names = [str(e) for e in objects]
+    types = [s.hn_type for s in strata]
+    # the comparison vectors; a zero bundle has no weights and bounds nothing
+    limits = [tuple(inf if r is None else r[0] + s.eta - 1 for r, s in zip(rs, strata))
+              for rs in ranges]
+    tops = [tuple(-inf if r is None else r[1] for r in rs) for rs in ranges]
     todd = todd_y()
     chi_rows = [_chi_row(e) for e in objects]
-    chi_columns = [_chi_column(e, todd) for e in objects]
+    columns = list(zip(objects, tops, [_chi_column(e, todd) for e in objects]))
     grid = []
-    for i, low in enumerate(ranges):
+    for i, (ei, limit, chi_row) in enumerate(zip(objects, limits, chi_rows)):
         row = []
-        for j, high in enumerate(ranges):
-            blocking = blocking_rows(strata, [None if a is None or b is None else b[1] - a[0]
-                                              for a, b in zip(low, high)])
-            chi_value = scaled_pairing(chi_rows[i], chi_columns[j],
-                                       f"chi({names[i]}, {names[j]})")
-            passed = not blocking
+        for j, (ej, top, chi_column) in enumerate(columns):
+            chi_value = scaled_pairing(chi_row, chi_column, ei, ej)
+            if all(map(le, top, limit)):
+                passed, blocking = True, ()
+            else:
+                passed = False
+                blocking = tuple((tau, b - t + 1) for tau, t, b in zip(types, top, limit) if t > b)
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))

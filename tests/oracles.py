@@ -42,9 +42,10 @@ from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _reduc
                                _sst_table, _subvectors, euler_form, has_semistable)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
-from quivercert.strata import (Moduli, OnePS, stratum_checks, teleman_certify, unstable_strata,
-                               weight_ranges)
-from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
+from quivercert.strata import (Moduli, OnePS, _certified, _margins, stratum_checks,
+                               teleman_certify, unstable_strata, weight_ranges)
+from quivercert.verify import (CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict,
+                              euler_pairing)
 
 F = Fraction
 
@@ -1442,6 +1443,38 @@ def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> Veri
             chi_value = euler_pairing_by_fractions(objects[i], objects[j])
             passed = all(c.passed for c in checks)
             blocking = tuple((c.hn_type, c.margin) for c in checks if not c.passed)
+            row.append(PairStatus(i, j, chi_value, passed,
+                                  _pair_verdict(i, j, chi_value, passed), blocking))
+        grid.append(tuple(row))
+    return VerificationMatrix(spec, tuple(grid))
+
+
+# -- collection verification by blocking rows ---------------------------------
+#
+# The route that per-object comparison vectors replaced: per pair, the
+# largest weights max w(E_j) - min w(E_i), their margins and blocking rows.
+
+def blocking_rows(strata, max_weights) -> tuple[tuple[HNType, int], ...]:
+    """``(hn_type, margin)`` of each stratum whose check ``stratum_checks``
+    would fail, without building the checks."""
+    return tuple((s.hn_type, m) for s, m in zip(strata, _margins(strata, max_weights))
+                 if not _certified(m))
+
+
+def verify_collection_by_blocking_rows(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
+    """Certify each ordered pair from the weight ranges of its objects by
+    ``blocking_rows``, with chi from ``euler_pairing``."""
+    objects = [e for _, e in spec.objects]
+    ranges = [weight_ranges(e, moduli) for e in objects]
+    strata = unstable_strata(moduli)
+    grid = []
+    for i, low in enumerate(ranges):
+        row = []
+        for j, high in enumerate(ranges):
+            blocking = blocking_rows(strata, [None if a is None or b is None else b[1] - a[0]
+                                              for a, b in zip(low, high)])
+            chi_value = euler_pairing(objects[i], objects[j])
+            passed = not blocking
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))

@@ -149,6 +149,10 @@ class TestUniversalWeights:
         with pytest.raises(ValueError, match="length"):
             Moduli(K3, (2, 3), (3, -2, 0), (1, -1))
 
+    def test_kronecker23_is_one_shared_instance(self):
+        assert Moduli.kronecker23() is Moduli.kronecker23()
+        assert Moduli.kronecker23() == Moduli(KRONECKER3, (2, 3), (3, -2), (1, -1))
+
     def test_central_weight_nullity(self):
         ones = OnePS((((1, 2),), ((1, 3),)))
         base_weights = universal_weights(ones, (1, -1))

@@ -1,18 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (euler_pairing_by_fractions, random_expr, verify_collection_by_fractions,
-                     verify_collection_by_pairs)
+import oracles
+from oracles import (euler_pairing_by_fractions, random_expr, verify_collection_by_blocking_rows,
+                     verify_collection_by_fractions, verify_collection_by_pairs)
 from quivercert import verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, det, direct_sum, dual, sl, sym2, tensor,
                                 twist, wedge2)
-from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, todd_y
+from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, chi, todd_y
 from quivercert.quiver import KRONECKER3, Quiver
-from quivercert.strata import Moduli, unstable_strata
+from quivercert.strata import Moduli, unstable_strata, weight_ranges
 from quivercert.verify import (
     EXCEPTIONAL,
     MAX_OBJECTS,
@@ -205,25 +207,76 @@ EXPRS = st.recursive(_LEAVES, lambda inner: st.one_of(
 ), max_leaves=4).filter(lambda e: e.rank <= 24)
 
 
-def _assert_both_routes(spec, moduli):
-    doc = verify_collection(spec, moduli).to_json_dict()
-    assert doc == verify_collection_by_fractions(spec, moduli).to_json_dict()
-    assert doc == verify_collection_by_pairs(spec, moduli).to_json_dict()
+#: Zero-rank objects, which have no weights on any stratum.
+ZERO_RANK = st.one_of(st.integers(-1, 2).map(lambda n: sl(O(n))),
+                      st.builds(tensor, st.integers(-1, 2).map(lambda n: sl(O(n))), EXPRS))
+
+
+def _assert_replaced_routes(spec, moduli):
+    result = verify_collection(spec, moduli)
+    assert result == verify_collection_by_blocking_rows(spec, moduli)
+    assert result == verify_collection_by_fractions(spec, moduli)
+    assert result == verify_collection_by_pairs(spec, moduli)
+    return result
 
 
 class TestPerObjectRoute:
     """verify_collection against the routes it replaced: per-pair
-    expressions, and per-object data combined in Fraction arithmetic."""
+    expressions, per-object data combined in Fraction arithmetic, and
+    per-pair blocking rows from the weight ranges."""
 
     @pytest.mark.parametrize("name", ["standard"] + sorted(collection_variants()))
     def test_builtin_collections(self, name):
         spec = standard_collection() if name == "standard" else collection_variants()[name]
-        _assert_both_routes(spec, Y23)
+        _assert_replaced_routes(spec, Y23)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), min_size=1, max_size=8))
     def test_random_collections(self, objects):
-        _assert_both_routes(CollectionSpec(tuple((str(e), e) for e in objects)), Y23)
+        _assert_replaced_routes(CollectionSpec(tuple((str(e), e) for e in objects)), Y23)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(POOL), EXPRS), max_size=6), ZERO_RANK, st.data())
+    def test_zero_rank_objects(self, objects, zero, data):
+        # the zero bundle at position k sits in row k, column k and on the
+        # diagonal; it bounds no weight, so all its pairs pass vacuously
+        k = data.draw(st.integers(0, len(objects)))
+        objects.insert(k, zero)
+        assert all(r is None for r in weight_ranges(zero, Y23))
+        result = _assert_replaced_routes(CollectionSpec(tuple((str(e), e) for e in objects)), Y23)
+        for p in result.pairs[k] + tuple(row[k] for row in result.pairs):
+            assert p.teleman_pass and p.blocking == () and p.chi == 0, p
+
+    @pytest.mark.parametrize("shift", range(5))
+    def test_margin_boundary(self, shift, monkeypatch):
+        # on Y every margin is a multiple of 5; shifting eta by 1 puts pairs
+        # at margin 1 (certified) next to margin -4, and by 0 at margin 0
+        shifted = tuple(replace(s, eta=s.eta + shift) for s in unstable_strata(Y23))
+        monkeypatch.setattr(verify, "unstable_strata", lambda moduli: shifted)
+        monkeypatch.setattr(oracles, "unstable_strata", lambda moduli: shifted)
+        margins = set()
+        for spec in [standard_collection(), *collection_variants().values()]:
+            result = verify_collection(spec, Y23)
+            assert result == verify_collection_by_blocking_rows(spec, Y23)
+            margins.update(m for row in result.pairs for p in row for _, m in p.blocking)
+        assert max(margins) == -((5 - shift) % 5)  # the blocking margin nearest to 1
+
+    def test_pair_records_are_named_tuples(self, standard_result):
+        p = standard_result.status(0, 1)
+        assert isinstance(p, tuple) and p._fields == (
+            "i", "j", "chi", "teleman_pass", "verdict", "blocking")
+        assert p == (0, 1, p.chi, True, STRONG_EXT, ())
+
+    def test_labels_are_rendered_on_the_error_path_only(self, monkeypatch):
+        def refuse(expr):
+            raise AssertionError(f"label of {expr.op} rendered")
+
+        spec = standard_collection()
+        expected = verify_collection(spec, Y23)
+        monkeypatch.setattr(BundleExpr, "__str__", refuse)
+        assert verify_collection(spec, Y23) == expected
+        assert euler_pairing(O(0), O(1)) == 20
+        assert chi(O(1)) == 20
 
     def test_euler_pairing_on_integer_rows(self):
         denominators = set()

@@ -209,6 +209,7 @@ class StratumWeights:
 
     u1: tuple[int, ...]
     u2: tuple[int, ...]
+    _leaves: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", self.u1), ("U2", self.u2))}

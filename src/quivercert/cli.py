@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'kronecker:m' or JSON {\"vertices\":n,\"arrows\":[[i,j],..]}")
         p.add_argument("--dim", default="2,3", help="dimension vector, e.g. 2,3")
         p.add_argument("--theta", default="3,-2", help="stability parameter, e.g. 3,-2")
-        p.add_argument("--twist", default="1,-1", help="universal-bundle twist, e.g. 1,-1")
 
     p = sub.add_parser("hn-types", help="enumerate Harder-Narasimhan types")
     add_moduli_flags(p)
@@ -191,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("teleman", help="vanishing certificate for a bundle expression")
     add_moduli_flags(p)
+    p.add_argument("--twist", default="1,-1", help="universal-bundle twist, e.g. 1,-1")
     p.add_argument("--expr", required=True)
     p.set_defaults(func=_cmd_teleman)
 
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         doc, code = args.func(args)
         _print(doc, args.pretty)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         message = str(exc)
         if "integer string conversion" in message:
             # Python's own message advises raising the limit from inside Python

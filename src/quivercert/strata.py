@@ -150,17 +150,7 @@ class StratumData:
     eta: int
     shift: int
     weights: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_base", StratumWeights(*self.weights))
-
-    def base(self) -> StratumWeights:
-        return self._base
-
-
-def _check_two_vertices(moduli: Moduli) -> None:
-    if moduli.quiver.vertex_count != 2:
-        raise ValueError("bundle expressions assume a two-vertex quiver")
+    base: StratumWeights
 
 
 @lru_cache(maxsize=None)
@@ -168,21 +158,17 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     """Stratum data for every unstable Harder-Narasimhan type, in the
     enumeration order of the types.  The stratum weights are those of the
     universal bundles U1 and U2, so the quiver must have two vertices."""
-    _check_two_vertices(moduli)
+    if moduli.quiver.vertex_count != 2:
+        raise ValueError("bundle expressions assume a two-vertex quiver")
     out = []
     for tau in enumerate_hn_types(moduli.quiver, moduli.dim, moduli.theta):
         if len(tau) == 1:
             continue
         s = one_ps_from_hn(tau, moduli.theta)
-        out.append(
-            StratumData(
-                hn_type=tau,
-                one_ps=s,
-                eta=eta(moduli.quiver, s),
-                shift=descent_shift(s, moduli.twist),
-                weights=universal_weights(s, moduli.twist),
-            )
-        )
+        weights = universal_weights(s, moduli.twist)
+        out.append(StratumData(hn_type=tau, one_ps=s, eta=eta(moduli.quiver, s),
+                               shift=descent_shift(s, moduli.twist), weights=weights,
+                               base=StratumWeights(*weights)))
     return tuple(out)
 
 
@@ -192,9 +178,8 @@ def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | N
     for the zero bundle, which has no weights.  The character products on
     all strata share one WorkBudget; an expression over it raises on every
     call, since exceptions are not cached."""
-    _check_two_vertices(moduli)
     budget = WorkBudget()
-    characters = (s.base().character(expr, budget) for s in unstable_strata(moduli))
+    characters = (s.base.character(expr, budget) for s in unstable_strata(moduli))
     return tuple((min(c), max(c)) if c else None for c in characters)
 
 
@@ -214,24 +199,6 @@ class StratumCheck:
             "margin": self.margin,
             "pass": self.passed,
         }
-
-
-def _margins(strata, max_weights) -> list[int | None]:
-    """eta - max_weight on each stratum, from a bundle's largest weight
-    there; None for the zero bundle (max weight None)."""
-    return [None if w is None else s.eta - w for s, w in zip(strata, max_weights)]
-
-
-def _certified(margin: int | None) -> bool:
-    """The rule margin >= 1.  The zero bundle has no weights to bound and is
-    vacuously certified."""
-    return margin is None or margin >= 1
-
-
-def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
-    """One check per stratum from a bundle's largest weight there."""
-    return tuple(StratumCheck(s.hn_type, s.eta, w, m, _certified(m))
-                 for s, w, m in zip(strata, max_weights, _margins(strata, max_weights)))
 
 
 @dataclass(frozen=True)
@@ -260,5 +227,9 @@ def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> TelemanRe
     """
     if moduli is None:
         moduli = Moduli.kronecker23()
-    highest = [None if r is None else r[1] for r in weight_ranges(expr, moduli)]
-    return TelemanReport(str(expr), stratum_checks(unstable_strata(moduli), highest))
+    rows = []
+    for s, r in zip(unstable_strata(moduli), weight_ranges(expr, moduli)):
+        # the zero bundle (no range) has no weights to bound: vacuously certified
+        highest, margin = (None, None) if r is None else (r[1], s.eta - r[1])
+        rows.append(StratumCheck(s.hn_type, s.eta, highest, margin, margin is None or margin >= 1))
+    return TelemanReport(str(expr), tuple(rows))

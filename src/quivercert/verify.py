@@ -300,22 +300,16 @@ def symmetry_functor(e: BundleExpr) -> BundleExpr:
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    holds: bool
-
-
-@dataclass(frozen=True)
 class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
+    checks: tuple[tuple[str, bool], ...]  # (name, holds)
 
     @property
     def passed(self) -> bool:
-        return all(c.holds for c in self.checks)
+        return all(holds for _, holds in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
-            "checks": [{"name": c.name, "holds": c.holds} for c in self.checks],
+            "checks": [{"name": name, "holds": holds} for name, holds in self.checks],
             "pass": self.passed,
         }
 
@@ -328,28 +322,28 @@ def check_ch_identities() -> IdentityReport:
 
     lhs = ch_of(slv)
     rhs = ch_of(twist(slv, 1)) + 3 * ch_of(dual(U2)) - 3 * ch_of(twist(U2, 1))
-    checks.append(IdentityCheck("sl_twist_exchange", lhs == rhs))
+    checks.append(("sl_twist_exchange", lhs == rhs))
 
     lhs = ch_of(tensor(dual(U1), twist(U2, 1)))
     rhs = (
         -ch_of(U2) + 6 * ch_of(O(0)) + 3 * ch_of(dual(U2)) - 9 * ch_of(dual(U1))
         + 3 * ch_of(twist(slv, 1)) + 3 * ch_of(O(1))
     )
-    checks.append(IdentityCheck("rank6_tensor_twist1", lhs == rhs))
+    checks.append(("rank6_tensor_twist1", lhs == rhs))
 
     lhs = ch_of(tensor(dual(U1), twist(U2, 2)))
     rhs = (
         -ch_of(twist(U2, 1)) + 6 * ch_of(O(1)) + 3 * ch_of(twist(dual(U2), 1))
         - 9 * ch_of(twist(dual(U1), 1)) + 3 * ch_of(twist(slv, 2)) + 3 * ch_of(O(2))
     )
-    checks.append(IdentityCheck("rank6_tensor_twist2", lhs == rhs))
+    checks.append(("rank6_tensor_twist2", lhs == rhs))
 
     lhs = ch_of(tensor(dual(U1), twist(U2, 1)))
     rhs = (
         -ch_of(U2) + 3 * ch_of(slv) + 6 * ch_of(O(0)) - 6 * ch_of(dual(U2))
         - 9 * ch_of(dual(U1)) + 9 * ch_of(twist(U2, 1)) + 3 * ch_of(O(1))
     )
-    checks.append(IdentityCheck("rank6_tensor_expanded", lhs == rhs))
+    checks.append(("rank6_tensor_expanded", lhs == rhs))
 
     return IdentityReport(tuple(checks))
 
@@ -385,15 +379,13 @@ def mutation_ledger_check() -> IdentityReport:
         return x.coefficient("[Y]")
 
     checks = [
-        IdentityCheck("l3_equals_l2", ledger.l3 == ledger.l2),
-        IdentityCheck("rank_l5_is_3", rank_of_class(ledger.l5) == 3),
-        IdentityCheck("rank_l4_is_12", rank_of_class(ledger.l4) == 12),
-        IdentityCheck("rank_l3_is_6", rank_of_class(ledger.l3) == 6),
-        IdentityCheck("rank_l2_is_6", rank_of_class(ledger.l2) == 6),
-        IdentityCheck(
-            "l5_degree1_part",
-            ledger.l5.degree_part(1)
-            == 6 * ch_of(O(1)).degree_part(1) - ch_of(twist(U2, 1)).degree_part(1),
-        ),
+        ("l3_equals_l2", ledger.l3 == ledger.l2),
+        ("rank_l5_is_3", rank_of_class(ledger.l5) == 3),
+        ("rank_l4_is_12", rank_of_class(ledger.l4) == 12),
+        ("rank_l3_is_6", rank_of_class(ledger.l3) == 6),
+        ("rank_l2_is_6", rank_of_class(ledger.l2) == 6),
+        ("l5_degree1_part",
+         ledger.l5.degree_part(1)
+         == 6 * ch_of(O(1)).degree_part(1) - ch_of(twist(U2, 1)).degree_part(1)),
     ]
     return IdentityReport(tuple(checks))

@@ -42,8 +42,8 @@ from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _reduc
                                _sst_table, _subvectors, euler_form, has_semistable)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
                                 is_stable, matrix)
-from quivercert.strata import (Moduli, OnePS, _certified, _margins, stratum_checks,
-                               teleman_certify, unstable_strata, weight_ranges)
+from quivercert.strata import (Moduli, OnePS, StratumCheck, teleman_certify, unstable_strata,
+                               weight_ranges)
 from quivercert.verify import (CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict,
                               euler_pairing)
 
@@ -1391,6 +1391,29 @@ def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> Verifica
                                   _pair_verdict(i, j, chi_value, report.passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(spec, tuple(grid))
+
+
+# -- stratum checks by margins ------------------------------------------------
+#
+# The route that ``teleman_certify`` replaced by one loop: margins first,
+# then the rule, then the checks.
+
+def _margins(strata, max_weights) -> list[int | None]:
+    """eta - max_weight on each stratum, from a bundle's largest weight
+    there; None for the zero bundle (max weight None)."""
+    return [None if w is None else s.eta - w for s, w in zip(strata, max_weights)]
+
+
+def _certified(margin: int | None) -> bool:
+    """The rule margin >= 1.  The zero bundle has no weights to bound and is
+    vacuously certified."""
+    return margin is None or margin >= 1
+
+
+def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
+    """One check per stratum from a bundle's largest weight there."""
+    return tuple(StratumCheck(s.hn_type, s.eta, w, m, _certified(m))
+                 for s, w, m in zip(strata, max_weights, _margins(strata, max_weights)))
 
 
 # -- collection verification by rational pairings ----------------------------

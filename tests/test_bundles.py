@@ -154,7 +154,7 @@ class TestWeights:
         from quivercert.strata import Moduli, unstable_strata
 
         for stratum in unstable_strata(Moduli.kronecker23()):
-            assert sum(weights_of(sl(e), stratum.base())) == 0
+            assert sum(weights_of(sl(e), stratum.base)) == 0
 
     @given(exprs(depth=2))
     def test_sym_wedge_partition_tensor_square(self, e):
@@ -176,7 +176,7 @@ def _all_bases():
     moduli = Moduli.kronecker23()
     ones = OnePS(tuple(((1, n),) for n in moduli.dim))
     central = StratumWeights(*universal_weights(ones, moduli.twist))
-    return [s.base() for s in unstable_strata(moduli)] + [central, BASE]
+    return [s.base for s in unstable_strata(moduli)] + [central, BASE]
 
 
 class TestEvaluatorMatchesOracles:

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import random
@@ -553,10 +555,10 @@ class TestHostileSizes:
         assert "error" in doc
 
 
-MODULI_FLAGS = ("--quiver", "--dim", "--theta", "--twist")
+MODULI_FLAGS = ("--quiver", "--dim", "--theta")
 FLAGS = {
     "hn-types": MODULI_FLAGS,
-    "teleman": MODULI_FLAGS + ("--expr",),
+    "teleman": MODULI_FLAGS + ("--twist", "--expr"),
     "chi": ("--expr",),
     "ch": ("--expr",),
     "chow-eval": ("--expr",),
@@ -653,6 +655,17 @@ class TestFuzz:
         for command, sub in subparsers.choices.items():
             options = {s for action in sub._actions for s in action.option_strings}
             assert options - {"-h", "--help", "--pretty"} == set(FLAGS[command]), command
+
+    def test_every_flag_is_read_by_its_handler(self):
+        # an option that the handler never reads is accepted and ignored
+        parser = build_parser.__wrapped__()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, sub in subparsers.choices.items():
+            tree = ast.parse(inspect.getsource(sub.get_default("func")))
+            read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "args"}
+            dests = {a.dest for a in sub._actions if a.option_strings} - {"help", "pretty"}
+            assert dests <= read, command
 
     @settings(max_examples=100, deadline=None)
     @given(fuzzed_argv())

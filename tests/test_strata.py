@@ -1,13 +1,15 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from golden import STRATUM_TABLE
-from oracles import one_ps_by_fraction_slopes, random_expr, weights_of
+from oracles import one_ps_by_fraction_slopes, random_expr, stratum_checks, weights_of
 from test_quiver import quiver_dim_theta
-from quivercert.bundles import MAX_WORK_TERMS, O, U1, U2, direct_sum, dual, sl, sym2, tensor
+from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, StratumWeights, direct_sum, dual, sl,
+                                sym2, tensor)
 from quivercert.quiver import (KRONECKER3, Quiver, _sst_table, enumerate_hn_types, hn_stratum_codim,
                                slope)
 from quivercert.strata import (
@@ -22,6 +24,7 @@ from quivercert.strata import (
     unstable_strata,
     weight_ranges,
 )
+from quivercert.verify import collection_variants, standard_collection
 
 Y23 = Moduli.kronecker23()
 
@@ -129,6 +132,12 @@ class TestGoldenTable:
 
 
 class TestUniversalWeights:
+    def test_stratum_records_hold_declared_fields_only(self, strata):
+        for s in strata.values():
+            assert s.base == StratumWeights(*s.weights)
+            for record in (s, s.base):
+                assert set(vars(record)) <= {f.name for f in fields(record)}
+
     def test_shift_values(self, strata):
         assert strata[((1, 1), (1, 2))].shift == 2
         assert strata[((2, 1), (0, 2))].shift == 16
@@ -238,7 +247,7 @@ class TestTelemanCertify:
             e = random_expr(rng, depth=2)
             ranges = weight_ranges(e, Y23)
             for row, stratum, r in zip(teleman_certify(e, Y23).strata, unstable_strata(Y23), ranges):
-                ws = weights_of(e, stratum.base())
+                ws = weights_of(e, stratum.base)
                 assert r == (ws[-1], ws[0]) and row.max_weight == ws[0]
 
     def test_zero_bundle_is_vacuously_certified(self):
@@ -252,7 +261,7 @@ class TestTelemanCertify:
         block = sym2(tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(8)]))
         e = direct_sum(direct_sum(block, block), direct_sum(block, block))
         for stratum in unstable_strata(Y23):
-            stratum.base().character(e)
+            stratum.base.character(e)
         for _ in range(2):  # exceptions are not cached
             with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
                 weight_ranges(e, Y23)
@@ -263,6 +272,16 @@ class TestTelemanCertify:
             e = random_expr(rng, depth=2)
             assert weight_ranges(e, Y23) == weight_ranges.__wrapped__(e, Y23)
             assert weight_ranges(e, Y23) is weight_ranges(e, Y23)
+
+    def test_equals_the_stratum_checks_route(self):
+        # the one loop of teleman_certify against margins, rule and checks
+        rng = random.Random(14)
+        exprs = [random_expr(rng, depth=2) for _ in range(30)] + [sl(O(1))]
+        for spec in [standard_collection(), *collection_variants().values()]:
+            exprs += [e for _, e in spec.objects]
+        for e in exprs:
+            highest = [None if r is None else r[1] for r in weight_ranges(e, Y23)]
+            assert teleman_certify(e, Y23).strata == stratum_checks(unstable_strata(Y23), highest)
 
     def test_huge_rank_is_never_expanded(self):
         inner = tensor(sl(U2), sl(U2))

@@ -1,6 +1,16 @@
-"""Fraction-free row echelon form over the integers."""
+"""Integer helpers shared by the modules: a fraction-free row echelon
+form, and the rendering of a ratio of integers."""
 
 from __future__ import annotations
+
+from math import gcd
+
+
+def render_ratio(n: int, d: int):
+    """The rational n / d, d > 0, as the JSON output shows it: an int when
+    d divides n, else the string "p/q" in lowest terms."""
+    g = gcd(n, d)
+    return n // d if g == d else f"{n // g}/{d // g}"
 
 
 def echelon(rows):

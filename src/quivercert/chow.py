@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
-from ._linalg import echelon
+from ._linalg import echelon, render_ratio
 from .bundles import MAX_DEPTH, U1, U2, BundleExpr, Scanner, dual, evaluate, tensor
 
 F = Fraction
@@ -35,10 +35,7 @@ F = Fraction
 def render_fraction(x: Fraction | int):
     """Canonical exact rendering: ints stay ints, proper fractions
     become the string "p/q"."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    return render_ratio(x.numerator, x.denominator)
 
 
 # Exponent vectors (a, b, e, f) for c1^a c2^b d2^e c3^f.
@@ -246,13 +243,11 @@ class ChowElement:
         return hash((self.nums, self.den))
 
     def __repr__(self):
-        terms = [
-            f"{c}*{BASIS[i]}" for i, c in enumerate(self.coords) if c != 0
-        ]
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(f"{render_ratio(n, self.den)}*{label}"
+                          for label, n in zip(BASIS, self.nums) if n) or "0"
 
     def to_json_dict(self) -> dict:
-        return {label: render_fraction(c) for label, c in zip(BASIS, self.coords)}
+        return {label: render_ratio(n, self.den) for label, n in zip(BASIS, self.nums)}
 
 
 def integral(x: ChowElement) -> Fraction:
@@ -452,9 +447,10 @@ class _PolyParser(Scanner):
             digits = self.take(str.isdigit)
             if not digits:
                 self.fail("expected exponent")
-            n, a = int(digits), abs(base.coefficient("[Y]"))
-            # refuse before squaring: the degree-0 coordinate grows n-fold in bits
-            self.refuse_digits(n * (max(a.numerator, a.denominator).bit_length() - 1), "power")
+            n, a, den = int(digits), abs(base.nums[0]), base.den
+            # refuse before squaring: the degree-0 coordinate, in lowest terms,
+            # grows n-fold in bits
+            self.refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power")
             return base ** n
         return base
 

@@ -21,9 +21,10 @@ import os
 import sys
 
 from . import repgeom
+from ._linalg import render_ratio
 from .bundles import parse_expr
-from .chow import ch_of, chi, integral, parse_chow_poly, render_fraction
-from .quiver import Quiver, enumerate_hn_types, hn_stratum_codim, slope
+from .chow import ch_of, chi, parse_chow_poly
+from .quiver import Quiver, enumerate_hn_types, hn_stratum_codim, reduced_slope
 from .strata import Moduli, eta, one_ps_from_hn, teleman_certify
 from .verify import (
     CollectionSpec,
@@ -54,7 +55,7 @@ def _cmd_hn_types(args) -> tuple[dict, int]:
     for tau in types:
         row = {
             "parts": [list(p) for p in tau],
-            "slopes": [render_fraction(slope(theta, p)) for p in tau],
+            "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
             "codim": hn_stratum_codim(quiver, tau),
             "semistable_stratum": len(tau) == 1,
         }
@@ -88,35 +89,31 @@ def _cmd_ch(args) -> tuple[dict, int]:
 
 
 def _cmd_chow_eval(args) -> tuple[dict, int]:
-    element = parse_chow_poly(args.expr)
-    return {
-        "expr": args.expr,
-        "coordinates": element.to_json_dict(),
-        "integral": render_fraction(integral(element)),
-    }, 0
+    coordinates = parse_chow_poly(args.expr).to_json_dict()
+    # the integral is the coordinate of the point class
+    return {"expr": args.expr, "coordinates": coordinates, "integral": coordinates["c3^2"]}, 0
 
 
 def _cmd_stability(args) -> tuple[dict, int]:
     r = repgeom.parse_matrix(args.matrix)
-    pair = repgeom.syzygies(r)
-    stable = not pair.degenerate
-    return {
-        "matrix": str(r),
-        "stable": stable,
-        "minors": [repgeom.render_quadratic_form(q) for q in pair.minors],
-        "minors_independent": stable,
-        "abelian_plane": repgeom.commutes(pair.sl3) if stable else None,
-    }, 0
+    forms, den = repgeom.minors(r)
+    # rendered first, so that an unprintable input is refused before the
+    # rank and syzygy work
+    doc = {"matrix": str(r), "minors": [repgeom.render_quadratic_form(q, den) for q in forms]}
+    stable = repgeom.is_stable(r)
+    doc.update(stable=stable, minors_independent=stable,
+               abelian_plane=repgeom.commutes(repgeom.syzygies(r).sl3) if stable else None)
+    return doc, 0
 
 
 def _cmd_syzygies(args) -> tuple[dict, int]:
     r = repgeom.parse_matrix(args.matrix)
+    matrix = str(r)
     pair = repgeom.syzygies(r)
     doc = {
-        "matrix": str(r),
-        "sl3": [
-            [[render_fraction(x) for x in row] for row in m] for m in pair.sl3
-        ],
+        "matrix": matrix,
+        # rendered before the rank of the minors is taken
+        "sl3": [[[render_ratio(x, den) for x in row] for row in m] for m, den in pair.sl3],
         # syzygies raises unless both integer tensors multiply to zero
         "kernel_ok": True,
         "commute": repgeom.commutes(pair.sl3),

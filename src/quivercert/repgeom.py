@@ -4,27 +4,29 @@ A point of the moduli space Y is an orbit of 2x3 matrices with entries
 in W = <x, y, z>.  Stability is linear independence of the three maximal
 2x2 minors inside Sym^2 W: they span the net of conics that embeds Y in
 Gr(3, Sym^2 W), and ``is_stable`` is a rank test on them, by the
-fraction-free elimination ``_linalg.echelon``.  All of this is polynomial
-in the entries, so each row is cleared of denominators once and the work
-runs on integers.
+fraction-free elimination ``_linalg.echelon``.
 
 A stable matrix determines a canonical pair of syzygy tensors in
 Sym^2 W (x) W that lie in the kernel of the multiplication map to
 Sym^3 W, hence in the irreducible summand that we identify with
 traceless 3x3 matrices.  Stability lands the resulting plane inside
 the commuting (abelian) planes.
+
+All of this is polynomial in the entries, so no fraction is ever built:
+the parser clears each row of its denominators as it reads it, a matrix
+is two integer rows over one denominator each, and the minors, tensors
+and traceless matrices are integer multiples of the true ones, kept with
+the denominator that divides them out.  Rendering divides each entry by
+its gcd with that denominator, and only when output is produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import add, sub
+from math import gcd, lcm
+from operator import add, mul, sub
 
-from ._linalg import echelon
-
-F = Fraction
+from ._linalg import echelon, render_ratio
 
 VARS = ("x", "y", "z")
 
@@ -55,72 +57,39 @@ QUAD_MONOMIALS = tuple(map(_monomial_name, _QUAD_EXPONENTS))
 _QUAD_OF_VARS = _product_indices(_LINEAR_EXPONENTS, _LINEAR_EXPONENTS, _QUAD_EXPONENTS)
 _CUBIC_OF_QUAD_VAR = _product_indices(_QUAD_EXPONENTS, _LINEAR_EXPONENTS, _CUBIC_EXPONENTS)
 
-LinearForm = tuple[Fraction, Fraction, Fraction]
-QuadraticForm = tuple[Fraction, ...]  # length 6 over QUAD_MONOMIALS
-
-
-def linear_form(cx=0, cy=0, cz=0) -> LinearForm:
-    return (F(cx), F(cy), F(cz))
-
-
-X = linear_form(1, 0, 0)
-Y = linear_form(0, 1, 0)
-Z = linear_form(0, 0, 1)
-ZERO_FORM = linear_form()
+LinearForm = tuple[int, int, int]
+QuadraticForm = tuple[int, ...]  # length 6 over QUAD_MONOMIALS
 
 
 def lf_mul(u: LinearForm, v: LinearForm) -> QuadraticForm:
-    """Product of two linear forms in the quadratic monomial basis."""
-    q = [0] * 6
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            q[_QUAD_OF_VARS[i][j]] += a * b
-    return tuple(q)
+    """Product of two linear forms in the quadratic monomial basis
+    x^2, y^2, z^2, xy, xz, yz."""
+    (a, b, c), (d, e, f) = u, v
+    return a * d, b * e, c * f, a * e + b * d, a * f + c * d, b * f + c * e
 
 
 @dataclass(frozen=True)
 class LinearFormMatrix:
-    """A 2x3 matrix of linear forms in x, y, z with rational coefficients."""
+    """A 2x3 matrix of linear forms in x, y, z with rational coefficients:
+    row i is ``rows[i]``, three integer coefficient triples, divided by
+    ``dens[i] > 0``, in lowest terms (coprime to the row's integers)."""
 
     rows: tuple[tuple[LinearForm, LinearForm, LinearForm], ...]
-
-    def __post_init__(self):
-        rows = tuple(
-            tuple(tuple(F(c) for c in entry) for entry in row) for row in self.rows
-        )
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != 2 or any(len(row) != 3 for row in rows):
-            raise ValueError("expected a 2x3 matrix")
-        if any(len(entry) != 3 for row in rows for entry in row):
-            raise ValueError("entries must be linear forms in x, y, z")
+    dens: tuple[int, int]
 
     def __str__(self) -> str:
-        return ";".join(
-            ",".join(render_linear_form(entry) for entry in row) for row in self.rows
-        )
+        return ";".join(",".join(render_linear_form(entry, den) for entry in row)
+                        for row, den in zip(self.rows, self.dens))
 
 
-def matrix(rows) -> LinearFormMatrix:
-    return LinearFormMatrix(tuple(tuple(row) for row in rows))
-
-
-def _cleared(m):
-    """Rationals m[i][j] times the lcm d of their denominators, as integers; and d."""
-    d = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
-def _minors(top, bottom):
-    """The maximal minors (BF - CE, AF - CD, AE - BD) of rows (A, B, C), (D, E, F)."""
-    (a, b, c), (d, e, f) = top, bottom
-    return tuple(tuple(map(sub, lf_mul(p, q), lf_mul(u, v)))
-                 for p, q, u, v in ((b, f, c, e), (a, f, c, d), (a, e, b, d)))
-
-
-def minors(r: LinearFormMatrix) -> tuple[QuadraticForm, QuadraticForm, QuadraticForm]:
-    """The maximal minors (BF - CE, AF - CD, AE - BD) as quadratic forms."""
-    (top, da), (bottom, db) = map(_cleared, r.rows)
-    return tuple(tuple(F(n, da * db) for n in q) for q in _minors(top, bottom))
+def minors(r: LinearFormMatrix) -> tuple[tuple[QuadraticForm, ...], int]:
+    """The maximal minors (BF - CE, AF - CD, AE - BD) of the integer rows
+    (A, B, C), (D, E, F), and their denominator: the product of the row
+    denominators."""
+    (a, b, c), (d, e, f) = r.rows
+    return (tuple(tuple(map(sub, lf_mul(p, q), lf_mul(u, v)))
+                  for p, q, u, v in ((b, f, c, e), (a, f, c, d), (a, e, b, d))),
+            r.dens[0] * r.dens[1])
 
 
 def is_stable(r: LinearFormMatrix) -> bool:
@@ -143,8 +112,7 @@ def is_stable(r: LinearFormMatrix) -> bool:
     kernel, which gives a zero column, or an image, which gives a row
     (l, 0, 0).
     """
-    (top, _), (bottom, _) = map(_cleared, r.rows)
-    return len(echelon(_minors(top, bottom))[1]) == 3
+    return len(echelon(minors(r)[0])[1]) == 3
 
 
 # -- syzygies and the traceless-matrix identification -------------------------
@@ -152,7 +120,7 @@ def is_stable(r: LinearFormMatrix) -> bool:
 # Tensors in Sym^2 W (x) W are stored as 18-tuples indexed by
 # (quadratic monomial, variable).
 
-def tensor_to_cubic(t) -> tuple[Fraction, ...]:
+def tensor_to_cubic(t) -> tuple[int, ...]:
     """Image under the multiplication map Sym^2 W (x) W -> Sym^3 W."""
     out = [0] * len(_CUBIC_EXPONENTS)
     for qi, row in enumerate(_CUBIC_OF_QUAD_VAR):
@@ -161,18 +129,25 @@ def tensor_to_cubic(t) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-Sl3Element = tuple[tuple[Fraction, ...], ...]
+Sl3Element = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class SyzygyPair:
-    """The minors of a matrix, its two canonical syzygy tensors, their
-    traceless 3x3 matrices, and a degeneracy flag for unstable input."""
+    """The minors of a matrix, its two canonical syzygy tensors and their
+    traceless 3x3 matrices, each as ``(integers, den)``, the true values
+    times ``den > 0``."""
 
-    minors: tuple[QuadraticForm, QuadraticForm, QuadraticForm]
-    tensors: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    sl3: tuple[Sl3Element, Sl3Element]
-    degenerate: bool
+    minors: tuple[tuple[QuadraticForm, ...], int]
+    tensors: tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
+    sl3: tuple[tuple[Sl3Element, int], tuple[Sl3Element, int]]
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the minors are dependent, that is, the matrix is not
+        stable; the rank is taken only when this is read, so an output can
+        be rendered, or refused as unprintable, before it."""
+        return len(echelon(self.minors[0])[1]) != 3
 
 
 def _syzygy(row, m):
@@ -183,7 +158,7 @@ def _syzygy(row, m):
             if c:
                 for qi, q in enumerate(mi):
                     t[qi * 3 + vi] += sign * c * q
-    return t
+    return tuple(t)
 
 
 def syzygies(r: LinearFormMatrix) -> SyzygyPair:
@@ -191,21 +166,17 @@ def syzygies(r: LinearFormMatrix) -> SyzygyPair:
     s1 = A(x)(BF-CE) - B(x)(AF-CD) + C(x)(AE-BD) and the same with the
     second row, both in the kernel of multiplication to Sym^3 W.
 
-    On the rows cleared of denominators da and db, the integer minors are
-    da * db times the true ones, and s1 and s2 are da^2 * db and da * db^2
-    times the true tensors."""
-    (top, da), (bottom, db) = map(_cleared, r.rows)
-    m = _minors(top, bottom)
-    t1, d1 = _syzygy(top, m), da * da * db
-    t2, d2 = _syzygy(bottom, m), da * db * db
-    return SyzygyPair(minors=tuple(tuple(F(n, da * db) for n in q) for q in m),
-                      tensors=(tuple(F(n, d1) for n in t1), tuple(F(n, d2) for n in t2)),
-                      sl3=(to_sl3(t1, d1), to_sl3(t2, d2)),
-                      degenerate=len(echelon(m)[1]) != 3)  # not is_stable(r)
+    On the integer rows, over denominators da and db, the minors are
+    da * db times the true ones, and s1 and s2 are da^2 * db and
+    da * db^2 times the true tensors."""
+    m, den = minors(r)
+    tensors = tuple((_syzygy(row, m), den * d) for row, d in zip(r.rows, r.dens))
+    return SyzygyPair(minors=(m, den), tensors=tensors, sl3=tuple(to_sl3(*t) for t in tensors))
 
 
-def to_sl3(t, scale=1) -> Sl3Element:
-    """The traceless 3x3 matrix of the kernel tensor t / scale.
+def to_sl3(t, scale=1) -> tuple[Sl3Element, int]:
+    """The traceless 3x3 matrix of the kernel tensor t / scale, as an
+    integer matrix over the denominator 3 * scale.
 
     With t[m (x) v] the entry of t at quadratic monomial m and variable
     v, and eps(i,k,j) the sign of the permutation (i,k,j), the
@@ -228,79 +199,40 @@ def to_sl3(t, scale=1) -> Sl3Element:
     out = [[None] * 3 for _ in range(3)]
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3  # (i, j, k) is cyclic
-        out[i][i] = F(at(i, j, k) - at(i, k, j), 3 * scale)
-        out[i][k] = F(at(i, i, j), scale)
-        out[i][j] = F(-at(i, i, k), scale)
-    return tuple(tuple(row) for row in out)
+        out[i][i] = at(i, j, k) - at(i, k, j)
+        out[i][k] = 3 * at(i, i, j)
+        out[i][j] = -3 * at(i, i, k)
+    return tuple(map(tuple, out)), 3 * scale
 
 
 def commutes(p) -> bool:
-    """Whether two 3x3 matrices commute, decided on integer multiples of
-    them: (da A)(db B) - (db B)(da A) = da db (AB - BA)."""
-    (a, _), (b, _) = map(_cleared, p)
+    """Whether two 3x3 matrices a / da and b / db commute, given as the
+    pairs (a, da) and (b, db): ab - ba = da db (AB - BA), so it is decided
+    on the integer matrices."""
+    (a, _), (b, _) = p
 
-    def mul(m, n):
-        return [
-            [sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
+    def product(m, n):
+        columns = tuple(zip(*n))
+        return [[sum(map(mul, row, column)) for column in columns] for row in m]
 
-    return mul(a, b) == mul(b, a)
-
-
-def blp2_point(a, b, c, direction=None) -> LinearFormMatrix:
-    """The representation matrix of the point of Y attached to
-    (a : b : c), via the family (x, y, z | a y, b z, c x).
-
-    At the three coordinate points the family is undefined and the
-    blown-up formulas apply, parametrized by a nonzero ``direction``
-    pair, e.g. (1, 0, 0) with direction (b', c') gives
-    (0, y, z | y, b' z, c' x).
-    """
-    a, b, c = F(a), F(b), F(c)
-    nonzero = [v != 0 for v in (a, b, c)]
-    if not any(nonzero):
-        raise ValueError("(a, b, c) must be nonzero")
-    if sum(nonzero) >= 2:
-        return matrix([
-            (X, Y, Z),
-            (linear_form(0, a, 0), linear_form(0, 0, b), linear_form(c, 0, 0)),
-        ])
-    if direction is None:
-        raise ValueError("coordinate points need a blow-up direction")
-    u, v = F(direction[0]), F(direction[1])
-    if u == 0 and v == 0:
-        raise ValueError("direction must be nonzero")
-    if a != 0:
-        return matrix([
-            (ZERO_FORM, Y, Z),
-            (Y, linear_form(0, 0, u), linear_form(v, 0, 0)),
-        ])
-    if b != 0:
-        return matrix([
-            (X, ZERO_FORM, Z),
-            (linear_form(0, u, 0), Z, linear_form(v, 0, 0)),
-        ])
-    return matrix([
-        (X, Y, ZERO_FORM),
-        (linear_form(0, u, 0), linear_form(0, 0, v), X),
-    ])
+    return product(a, b) == product(b, a)
 
 
 # -- parsing and rendering -----------------------------------------------------
 
-def _render_form(coeffs, monomials, times: str) -> str:
-    """A linear combination of monomials, e.g. ``x - 2y`` or ``xy + 2*z^2``."""
+def _render_form(nums, den, monomials, times: str) -> str:
+    """The linear combination of monomials with coefficients nums / den,
+    e.g. ``x - 2y`` or ``xy + 2*z^2``."""
     parts = []
-    for coeff, name in zip(coeffs, monomials):
-        if coeff == 0:
+    for n, name in zip(nums, monomials):
+        if not n:
             continue
-        if coeff == 1:
+        if n == den:
             term = name
-        elif coeff == -1:
+        elif n == -den:
             term = f"-{name}"
         else:
-            term = f"{coeff}{times}{name}"
+            term = f"{render_ratio(n, den)}{times}{name}"
         parts.append(term)
     if not parts:
         return "0"
@@ -310,55 +242,78 @@ def _render_form(coeffs, monomials, times: str) -> str:
     return out
 
 
-def render_linear_form(form: LinearForm) -> str:
-    return _render_form(form, VARS, "")
+def render_linear_form(form: LinearForm, den: int = 1) -> str:
+    return _render_form(form, den, VARS, "")
 
 
-def render_quadratic_form(q: QuadraticForm) -> str:
-    return _render_form(q, QUAD_MONOMIALS, "*")
+def render_quadratic_form(q: QuadraticForm, den: int = 1) -> str:
+    return _render_form(q, den, QUAD_MONOMIALS, "*")
 
 
-def parse_linear_form(text: str) -> LinearForm:
-    """Parse forms like ``x``, ``-y``, ``2x+3z``, ``1/2x - y``, ``0``."""
+def _ratio(number: str, text: str) -> tuple[int, int]:
+    """``(p, q)`` for a numeral ``p`` or ``p/q`` of decimal digits, refused
+    with the messages of ``Fraction(number)``, at the same points."""
+    p, slash, q = number.partition("/")
+    if not p.isdecimal() or slash and not q.isdecimal():
+        raise ValueError(f"Invalid literal for Fraction: {number!r}")
+    p, q = int(p), int(q) if slash else 1
+    if q == 0:
+        raise ValueError(f"zero denominator in linear form {text!r}")
+    return p, q
+
+
+def _terms(text: str) -> list[tuple[int, int, int]]:
+    """The terms of an entry like ``x``, ``-y``, ``2x+3z``, ``1/2x - y`` or
+    ``0``: ``(v, p, q)`` for p/q times the variable ``VARS[v]``."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty entry")
-    coeffs = [F(0), F(0), F(0)]
-    i = 0
-    while i < len(s):
+    terms = []
+    i, end = 0, len(s)
+    while i < end:
         sign = 1
-        while i < len(s) and s[i] in "+-":
+        while i < end and s[i] in "+-":
             if s[i] == "-":
                 sign = -sign
             i += 1
         start = i
-        while i < len(s) and (s[i].isdigit() or s[i] == "/"):
+        while i < end and (s[i].isdigit() or s[i] == "/"):
             i += 1
         number = s[start:i]
-        if i < len(s) and s[i] == "*":
+        if i < end and s[i] == "*":
             i += 1
-        try:
-            coeff = F(number) if number else None
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in linear form {text!r}") from None
-        if i < len(s) and s[i] in "xyz":
-            coeffs[VARS.index(s[i])] += sign * (F(1) if coeff is None else coeff)
+        p, q = _ratio(number, text) if number else (1, 1)
+        if i < end and s[i] in "xyz":
+            terms.append((VARS.index(s[i]), sign * p, q))
             i += 1
-        elif coeff is None or coeff != 0:
+        elif not number or p:  # only a zero constant may stand alone
             raise ValueError(f"cannot parse linear form {text!r}")
-    return tuple(coeffs)
+    return terms
+
+
+def _parse_row(text: str) -> tuple[tuple[LinearForm, ...], int]:
+    """Three comma-separated entries as integer forms over the lcm of their
+    denominators, in lowest terms."""
+    entries = text.split(",")
+    if len(entries) != 3:
+        raise ValueError("expected three entries per row")
+    terms = [_terms(entry) for entry in entries]
+    den = lcm(*(q for entry in terms for _, _, q in entry))
+    forms = []
+    for entry in terms:
+        form = [0, 0, 0]
+        for v, p, q in entry:
+            form[v] += p * (den // q)
+        forms.append(form)
+    g = gcd(den, *(n for form in forms for n in form))
+    return tuple(tuple(n // g for n in form) for form in forms), den // g
 
 
 def parse_matrix(text: str) -> LinearFormMatrix:
     """Parse ``"x,y,0;0,y,z"``: semicolon-separated rows, comma-separated
-    entries, entries linear forms in x, y, z."""
+    entries, entries linear forms in x, y, z with rational coefficients."""
     rows = text.split(";")
     if len(rows) != 2:
         raise ValueError("expected two rows separated by ';'")
-    parsed = []
-    for row in rows:
-        entries = row.split(",")
-        if len(entries) != 3:
-            raise ValueError("expected three entries per row")
-        parsed.append(tuple(parse_linear_form(e) for e in entries))
-    return matrix(parsed)
+    (top, da), (bottom, db) = map(_parse_row, rows)
+    return LinearFormMatrix((top, bottom), (da, db))

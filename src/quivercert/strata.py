@@ -89,19 +89,16 @@ def descent_shift(s: OnePS, twist) -> int:
     return sum(a * s.trace(i) for i, a in enumerate(twist))
 
 
-def universal_weights(s: OnePS, twist) -> tuple[tuple[int, ...], ...]:
+def universal_weights(s: OnePS, shift: int) -> tuple[tuple[int, ...], ...]:
     """Weight multisets of the descended universal bundles, one per vertex:
-    raw block weights plus the descent shift.
+    raw block weights plus the descent shift of the twist.
 
     The twist must be unimodular against the dimension vector; with the
     additive shift convention used here the descended bundles have
-    central weight zero exactly when twist . d = -1, which is the
-    normalization satisfied by the working twist (1, -1) against (2, 3).
+    central weight zero exactly when twist . d = -1, the normalization
+    that ``Moduli`` enforces, and which the working twist (1, -1)
+    satisfies against (2, 3).
     """
-    d = s.dim_vector()
-    if sum(a * n for a, n in zip(twist, d)) != -1:
-        raise ValueError("twist . d must be -1 for descent")
-    shift = descent_shift(s, twist)
     out = []
     for vertex in s.blocks:
         ws: list[int] = []
@@ -165,10 +162,10 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
         if len(tau) == 1:
             continue
         s = one_ps_from_hn(tau, moduli.theta)
-        weights = universal_weights(s, moduli.twist)
+        shift = descent_shift(s, moduli.twist)
+        weights = universal_weights(s, shift)
         out.append(StratumData(hn_type=tau, one_ps=s, eta=eta(moduli.quiver, s),
-                               shift=descent_shift(s, moduli.twist), weights=weights,
-                               base=StratumWeights(*weights)))
+                               shift=shift, weights=weights, base=StratumWeights(*weights)))
     return tuple(out)
 
 

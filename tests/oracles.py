@@ -11,15 +11,20 @@ references.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, factorial, lcm, prod
 from operator import itemgetter
+from unittest import mock
 
+from quivercert import cli
 from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor
 from quivercert.chow import (
     BASIS,
@@ -40,8 +45,7 @@ from quivercert.chow import (
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _reduced_slope,
                                _sst_table, _subvectors, euler_form, has_semistable)
-from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair,
-                                is_stable, matrix)
+from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair, is_stable
 from quivercert.strata import (Moduli, OnePS, StratumCheck, teleman_certify, unstable_strata,
                                weight_ranges)
 from quivercert.verify import (CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict,
@@ -1531,7 +1535,7 @@ def _binary_quadratic_common_zero(forms) -> bool:
     return len(g) != 1
 
 
-def is_stable_by_gcd(r: LinearFormMatrix) -> bool:
+def is_stable_by_gcd(r: FractionMatrix) -> bool:
     """GIT stability as surjectivity of the adjoint map plus, for every
     nonzero v in C^2, rank at least 2 of the three images of v; the second
     condition is decided by the gcd of the nine 2x2-minor binary quadratics
@@ -1559,11 +1563,158 @@ def is_stable_by_gcd(r: LinearFormMatrix) -> bool:
     return not _binary_quadratic_common_zero(quadratics)
 
 
-# -- syzygies in Fraction arithmetic ------------------------------------------
+# -- matrices of linear forms in Fraction arithmetic --------------------------
 #
-# The route that integer minors, tensors and the Bareiss rank replaced:
-# every product and sum in Fraction arithmetic, and the rank by row
-# reduction.
+# The route that integer rows over one denominator replaced: the parser
+# into Fraction coefficients, the Fraction-valued matrix and syzygy
+# records, every product and sum in Fraction arithmetic, the rank by row
+# reduction, the rendering of Fraction coefficients, and the stability
+# and syzygies commands built on them.
+
+def linear_form(cx=0, cy=0, cz=0):
+    return (F(cx), F(cy), F(cz))
+
+
+X = linear_form(1, 0, 0)
+Y = linear_form(0, 1, 0)
+Z = linear_form(0, 0, 1)
+ZERO_FORM = linear_form()
+
+
+def render_form_by_fractions(coeffs, monomials, times: str) -> str:
+    """A linear combination of monomials, e.g. ``x - 2y`` or ``xy + 2*z^2``."""
+    parts = []
+    for coeff, name in zip(coeffs, monomials):
+        if coeff == 0:
+            continue
+        if coeff == 1:
+            term = name
+        elif coeff == -1:
+            term = f"-{name}"
+        else:
+            term = f"{coeff}{times}{name}"
+        parts.append(term)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+def render_by_fractions(x):
+    """A rational as the JSON output shows it: an int, or "p/q"."""
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@dataclass(frozen=True)
+class FractionMatrix:
+    """A 2x3 matrix of linear forms in x, y, z with Fraction coefficients."""
+
+    rows: tuple
+
+    def __post_init__(self):
+        rows = tuple(
+            tuple(tuple(F(c) for c in entry) for entry in row) for row in self.rows
+        )
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != 2 or any(len(row) != 3 for row in rows):
+            raise ValueError("expected a 2x3 matrix")
+        if any(len(entry) != 3 for row in rows for entry in row):
+            raise ValueError("entries must be linear forms in x, y, z")
+
+    def __str__(self) -> str:
+        return ";".join(
+            ",".join(render_form_by_fractions(entry, VARS, "") for entry in row)
+            for row in self.rows
+        )
+
+
+@dataclass(frozen=True)
+class FractionSyzygyPair:
+    """The minors, syzygy tensors and traceless matrices of a matrix, as
+    Fractions, and its degeneracy flag."""
+
+    minors: tuple
+    tensors: tuple
+    sl3: tuple
+    degenerate: bool
+
+
+def matrix(rows) -> LinearFormMatrix:
+    """The integer matrix of rows of rational linear forms: each row over
+    the lcm of its reduced denominators, which is coprime to the row."""
+    cleared = []
+    for row in FractionMatrix(tuple(map(tuple, rows))).rows:
+        d = lcm(*(c.denominator for entry in row for c in entry))
+        cleared.append((tuple(tuple(c.numerator * (d // c.denominator) for c in entry)
+                              for entry in row), d))
+    (top, da), (bottom, db) = cleared
+    return LinearFormMatrix((top, bottom), (da, db))
+
+
+def fraction_matrix(r: LinearFormMatrix) -> FractionMatrix:
+    """The Fraction coefficients of an integer matrix."""
+    return FractionMatrix(tuple(tuple(tuple(F(n, d) for n in entry) for entry in row)
+                                for row, d in zip(r.rows, r.dens)))
+
+
+def pair_by_fractions(pair: SyzygyPair) -> FractionSyzygyPair:
+    """An integer syzygy pair with every value divided by its denominator."""
+    forms, den = pair.minors
+    return FractionSyzygyPair(
+        minors=tuple(tuple(F(n, den) for n in q) for q in forms),
+        tensors=tuple(tuple(F(n, d) for n in t) for t, d in pair.tensors),
+        sl3=tuple(tuple(tuple(F(n, d) for n in row) for row in m) for m, d in pair.sl3),
+        degenerate=pair.degenerate)
+
+
+def parse_linear_form_by_fractions(text: str):
+    """Parse forms like ``x``, ``-y``, ``2x+3z``, ``1/2x - y``, ``0``."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty entry")
+    coeffs = [F(0), F(0), F(0)]
+    i = 0
+    while i < len(s):
+        sign = 1
+        while i < len(s) and s[i] in "+-":
+            if s[i] == "-":
+                sign = -sign
+            i += 1
+        start = i
+        while i < len(s) and (s[i].isdigit() or s[i] == "/"):
+            i += 1
+        number = s[start:i]
+        if i < len(s) and s[i] == "*":
+            i += 1
+        try:
+            coeff = F(number) if number else None
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in linear form {text!r}") from None
+        if i < len(s) and s[i] in "xyz":
+            coeffs[VARS.index(s[i])] += sign * (F(1) if coeff is None else coeff)
+            i += 1
+        elif coeff is None or coeff != 0:
+            raise ValueError(f"cannot parse linear form {text!r}")
+    return tuple(coeffs)
+
+
+def parse_matrix_by_fractions(text: str) -> FractionMatrix:
+    """Parse ``"x,y,0;0,y,z"``: semicolon-separated rows, comma-separated
+    entries, entries linear forms in x, y, z."""
+    rows = text.split(";")
+    if len(rows) != 2:
+        raise ValueError("expected two rows separated by ';'")
+    parsed = []
+    for row in rows:
+        entries = row.split(",")
+        if len(entries) != 3:
+            raise ValueError("expected three entries per row")
+        parsed.append(tuple(parse_linear_form_by_fractions(e) for e in entries))
+    return FractionMatrix(tuple(parsed))
+
 
 #: ``_QUAD_INDEX[i][j]``: the index in QUAD_MONOMIALS of x_i * x_j.
 _QUAD_INDEX = [[QUAD_MONOMIALS.index(f"{VARS[i]}^2" if i == j else VARS[min(i, j)]
@@ -1593,7 +1744,7 @@ def _sl3_by_fractions(t):
     return tuple(tuple(row) for row in out)
 
 
-def syzygies_by_fractions(r: LinearFormMatrix) -> SyzygyPair:
+def syzygies_by_fractions(r: FractionMatrix) -> FractionSyzygyPair:
     """The minors, syzygy tensors, sl3 plane and degeneracy of a matrix,
     all in Fraction arithmetic."""
     (a, b, c), (d, e, f) = r.rows
@@ -1610,9 +1761,104 @@ def syzygies_by_fractions(r: LinearFormMatrix) -> SyzygyPair:
         return tuple(t)
 
     tensors = (build((a, b, c)), build((d, e, f)))
-    return SyzygyPair(minors=quadrics, tensors=tensors,
-                      sl3=tuple(_sl3_by_fractions(t) for t in tensors),
-                      degenerate=rank(list(quadrics)) != 3)
+    return FractionSyzygyPair(minors=quadrics, tensors=tensors,
+                              sl3=tuple(_sl3_by_fractions(t) for t in tensors),
+                              degenerate=rank(list(quadrics)) != 3)
+
+
+def commutes_by_fractions(p) -> bool:
+    """Whether two 3x3 Fraction matrices commute."""
+    a, b = p
+
+    def mul(m, n):
+        return [[sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    return mul(a, b) == mul(b, a)
+
+
+def stability_command_by_fractions(args) -> tuple[dict, int]:
+    """The ``stability`` handler on the Fraction route."""
+    r = parse_matrix_by_fractions(args.matrix)
+    pair = syzygies_by_fractions(r)
+    stable = not pair.degenerate
+    return {
+        "matrix": str(r),
+        "stable": stable,
+        "minors": [render_form_by_fractions(q, QUAD_MONOMIALS, "*") for q in pair.minors],
+        "minors_independent": stable,
+        "abelian_plane": commutes_by_fractions(pair.sl3) if stable else None,
+    }, 0
+
+
+def syzygies_command_by_fractions(args) -> tuple[dict, int]:
+    """The ``syzygies`` handler on the Fraction route."""
+    r = parse_matrix_by_fractions(args.matrix)
+    pair = syzygies_by_fractions(r)
+    doc = {
+        "matrix": str(r),
+        "sl3": [[[render_by_fractions(x) for x in row] for row in m] for m in pair.sl3],
+        "kernel_ok": True,
+        "commute": commutes_by_fractions(pair.sl3),
+    }
+    if pair.degenerate:
+        doc["warning"] = "degenerate syzygy: input matrix is unstable"
+    return doc, 0
+
+
+@lru_cache(maxsize=1)
+def _parser_by_fractions(build=cli.build_parser.__wrapped__):
+    with mock.patch.object(cli, "_cmd_stability", stability_command_by_fractions), \
+            mock.patch.object(cli, "_cmd_syzygies", syzygies_command_by_fractions):
+        return build()
+
+
+def cli_by_fractions(argv) -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main(argv)`` with the stability and
+    syzygies commands on the Fraction route."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "build_parser", _parser_by_fractions), \
+            contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def blp2_point(a, b, c, direction=None) -> LinearFormMatrix:
+    """The representation matrix of the point of Y attached to
+    (a : b : c), via the family (x, y, z | a y, b z, c x).
+
+    At the three coordinate points the family is undefined and the
+    blown-up formulas apply, parametrized by a nonzero ``direction``
+    pair, e.g. (1, 0, 0) with direction (b', c') gives
+    (0, y, z | y, b' z, c' x).
+    """
+    a, b, c = F(a), F(b), F(c)
+    nonzero = [v != 0 for v in (a, b, c)]
+    if not any(nonzero):
+        raise ValueError("(a, b, c) must be nonzero")
+    if sum(nonzero) >= 2:
+        return matrix([
+            (X, Y, Z),
+            (linear_form(0, a, 0), linear_form(0, 0, b), linear_form(c, 0, 0)),
+        ])
+    if direction is None:
+        raise ValueError("coordinate points need a blow-up direction")
+    u, v = F(direction[0]), F(direction[1])
+    if u == 0 and v == 0:
+        raise ValueError("direction must be nonzero")
+    if a != 0:
+        return matrix([
+            (ZERO_FORM, Y, Z),
+            (Y, linear_form(0, 0, u), linear_form(v, 0, 0)),
+        ])
+    if b != 0:
+        return matrix([
+            (X, ZERO_FORM, Z),
+            (linear_form(0, u, 0), Z, linear_form(v, 0, 0)),
+        ])
+    return matrix([
+        (X, Y, ZERO_FORM),
+        (linear_form(0, u, 0), linear_form(0, 0, v), X),
+    ])
 
 
 # -- random generators ---------------------------------------------------------
@@ -1666,6 +1912,54 @@ def random_rational_matrix(rng: random.Random) -> LinearFormMatrix:
         coeffs = [F(rng.randint(-5, 5), q) if rng.random() > 0.3 else F(0) for q in dens]
         rows.append(tuple(tuple(coeffs[3 * j:3 * j + 3]) for j in range(3)))
     return matrix(rows)
+
+
+#: Matrix entries that a parser must read as the ``Fraction`` route did, or
+#: refuse with its message: malformed numerals, spaces inside numbers,
+#: digits that ``int`` reads but ``Fraction`` does not see as decimal (the
+#: superscript two), decimal digits of other scripts (Arabic-Indic three,
+#: fullwidth three and four), a numeral past the digit limit, and others.
+ODD_ENTRIES = (
+    "1/", "/2", "1/2/3", "0/0", "0/0x", "1/0", "x*", "0*", "2*", "2**x", "1 2x", "1 / 2y",
+    "- 3 z", "\u0663x", "1/\u0663y", "\uff13/\uff14z", "\u00b2x", "x+\u00b2", "1\u00b2/3z",
+    "\u2167x", "0", "00/7", "+", "--x", "-+-y", "xy", "xx", "1\tx", "0\u00a0", "w", " ", "",
+    "3", "1" + "0" * 4300 + "x", "1/" + "7" * 4301 + "y",
+)
+
+
+def _random_term(rng: random.Random, var: str) -> str:
+    number = rng.choice(("", "", "1", "2", "0", str(rng.randint(0, 99))))
+    if number and rng.random() < 0.4:
+        number += f"/{rng.randint(0, 12)}"  # zero denominators included
+    if number and rng.random() < 0.2:
+        number += rng.choice(("*", " * "))
+    return number + var
+
+
+def random_entry_text(rng: random.Random) -> str:
+    """A linear form as text: mostly well formed, with spaces, signs and
+    rational coefficients, sometimes one of ``ODD_ENTRIES``."""
+    if rng.random() < 0.2:
+        return rng.choice(ODD_ENTRIES)
+    terms = [_random_term(rng, v) for v in rng.sample(VARS, rng.randint(0, 3))] or ["0"]
+    out = rng.choice(("", "", "-", " -", "+"))
+    for i, term in enumerate(terms):
+        out += (rng.choice(("+", "-", " + ", " - ")) if i else "") + term
+    return out
+
+
+def random_matrix_text(rng: random.Random) -> str:
+    """Text for ``--matrix``: the rendering of an integer or rational
+    matrix, or two rows of random entries, now and then misshapen."""
+    kind = rng.random()
+    if kind < 0.2:
+        return str(fraction_matrix(random_matrix(rng)))
+    if kind < 0.4:
+        return str(fraction_matrix(random_rational_matrix(rng)))
+    rows = [[random_entry_text(rng) for _ in range(3)] for _ in range(2)]
+    if rng.random() < 0.05:
+        rng.choice(rows).pop()
+    return ";".join(map(",".join, rows))
 
 
 def random_stable_matrix(rng: random.Random) -> LinearFormMatrix:

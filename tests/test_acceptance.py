@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 
 from golden import CH_ROWS, CHI_VALUES, HN_TYPES_23, INTERSECTION_NUMBERS, STRATUM_TABLE
-from oracles import is_stable_by_gcd, random_expr, random_matrix, random_stable_matrix
+from oracles import (fraction_matrix, is_stable_by_gcd, random_expr, random_matrix,
+                     random_stable_matrix)
 from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
 from quivercert.chow import (
     BASIS,
@@ -172,15 +173,15 @@ def test_09_property_suites():
         rng = random.Random(2024)
         for _ in range(1000):
             r = random_matrix(rng)
-            assert is_stable(r) == is_stable_by_gcd(r)
+            assert is_stable(r) == is_stable_by_gcd(fraction_matrix(r))
         for text in ORBIT_REPRESENTATIVES:
             r = parse_matrix(text)
-            assert is_stable(r) and is_stable_by_gcd(r)
+            assert is_stable(r) and is_stable_by_gcd(fraction_matrix(r))
         # syzygy kernel membership and commutation
         rng = random.Random(77)
         for _ in range(100):
             pair = syzygies(random_stable_matrix(rng))
-            for t in pair.tensors:
+            for t, _ in pair.tensors:
                 assert all(c == 0 for c in tensor_to_cubic(t))
             assert commutes(pair.sl3)
         # topological Euler number

@@ -171,11 +171,11 @@ class TestWeights:
 def _all_bases():
     """The base weights of every unstable stratum, of the central subgroup,
     and BASE."""
-    from quivercert.strata import Moduli, OnePS, universal_weights, unstable_strata
+    from quivercert.strata import Moduli, OnePS, descent_shift, universal_weights, unstable_strata
 
     moduli = Moduli.kronecker23()
     ones = OnePS(tuple(((1, n),) for n in moduli.dim))
-    central = StratumWeights(*universal_weights(ones, moduli.twist))
+    central = StratumWeights(*universal_weights(ones, descent_shift(ones, moduli.twist)))
     return [s.base for s in unstable_strata(moduli)] + [central, BASE]
 
 

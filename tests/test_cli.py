@@ -9,13 +9,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import syzygies_by_fractions
+from oracles import cli_by_fractions, random_matrix_text
 from quivercert import repgeom
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
@@ -230,15 +232,60 @@ class TestMatrixInput:
         assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
 
     @pytest.mark.parametrize("command", ["stability", "syzygies"])
-    def test_one_huge_denominator_prints_what_the_fraction_route_prints(
-            self, capsys, monkeypatch, command):
+    def test_one_huge_denominator_prints_what_the_fraction_route_prints(self, capsys, command):
         q = random.Random(4000).randrange(10 ** 3999, 10 ** 4000)
         argv = [command, "--matrix", f"1/{q}x+y,y-z,2x;z,x+y,-y"]
         code = main(argv)
         out = capsys.readouterr().out
-        monkeypatch.setattr(repgeom, "syzygies", syzygies_by_fractions)
-        assert (code, out) == (main(argv), capsys.readouterr().out)
+        assert (code, out) == cli_by_fractions(argv)
         assert code == 0 and str(q) in out
+
+    @pytest.mark.parametrize("command", ["stability", "syzygies"])
+    def test_prints_what_the_fraction_route_prints(self, capsys, command):
+        # integer and rational matrices, malformed numerals, spaces inside
+        # numbers and Unicode digits: the same exit code and stdout bytes
+        rng = random.Random(f"{command}:1880")
+        codes = Counter()
+        for _ in range(400):
+            argv = [command, "--matrix=" + random_matrix_text(rng)]
+            code = main(argv)
+            assert (code, capsys.readouterr().out) == cli_by_fractions(argv), argv
+            codes[code] += 1
+        assert codes[0] > 100 and codes[2] > 100
+
+
+#: Requests on integer and rational input whose handlers build no Fraction.
+FRACTION_FREE_REQUESTS = (
+    ["stability", "--matrix", "x,y,0;0,y,z"],
+    ["stability", "--matrix", "x,0,0;0,y,0"],
+    ["stability", "--matrix", "1/2x+3y,-5/7z,0;2/9y,x,1/11z+1/12x"],
+    ["syzygies", "--matrix", "x,y,z;2y,3z,5x"],
+    ["syzygies", "--matrix", "x,0,0;0,y,0"],
+    ["syzygies", "--matrix", "1/2x+3y,-5/7z,0;2/9y,x,1/11z+1/12x"],
+    ["ch", "--expr", "U2"],
+    ["ch", "--expr", "sym2(tensor(dual(U1),U2))"],
+    ["chow-eval", "--expr", "c1^6"],
+    ["chow-eval", "--expr", "c1^6 + 2c2*d2*c1^2 - (c1+c3)^2"],
+    ["chow-eval", "--expr", "(2 + d1)^3*c2 - c1*c2^2"],
+)
+
+
+def test_no_fraction_on_the_request_path(capsys, monkeypatch):
+    # the first run also fills the ch_of cache, whose evaluation may build
+    # fractions; parsing, the matrix work and every rendering must not
+    expected = [(main(argv), capsys.readouterr().out) for argv in FRACTION_FREE_REQUESTS]
+    # every command renders some rational output, besides the echo of its input
+    rational = {argv[0] for argv, (_, out) in zip(FRACTION_FREE_REQUESTS, expected)
+                if "/" in str({k: v for k, v in json.loads(out).items()
+                               if k not in ("expr", "matrix")})}
+    assert rational == {"stability", "syzygies", "ch", "chow-eval"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built on the request path")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for argv, want in zip(FRACTION_FREE_REQUESTS, expected):
+        assert (main(argv), capsys.readouterr().out) == want, argv
 
 
 class TestVerifyCollection:

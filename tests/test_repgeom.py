@@ -7,9 +7,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     SL3_DICTIONARY,
+    X,
+    Y,
+    Z,
+    ZERO_FORM,
+    blp2_point,
+    fraction_matrix,
     is_stable_by_gcd,
+    linear_form,
+    matrix,
+    pair_by_fractions,
+    parse_matrix_by_fractions,
     random_invertible,
     random_matrix,
+    random_matrix_text,
     random_rational_matrix,
     random_stable_matrix,
     rank,
@@ -20,16 +31,8 @@ from oracles import (
 )
 from quivercert._linalg import echelon
 from quivercert.repgeom import (
-    LinearFormMatrix,
-    X,
-    Y,
-    Z,
-    ZERO_FORM,
-    blp2_point,
     commutes,
     is_stable,
-    linear_form,
-    matrix,
     minors,
     parse_matrix,
     render_quadratic_form,
@@ -52,10 +55,11 @@ ORBIT_REPRESENTATIVES = [
 
 def act(g, r, h):
     """The matrix g * r * h for constant invertible g (2x2) and h (3x3)."""
+    rows = fraction_matrix(r).rows
     return matrix([
         [
             tuple(
-                sum(g[i][k] * r.rows[k][l][v] * h[l][j] for k in range(2) for l in range(3))
+                sum(g[i][k] * rows[k][l][v] * h[l][j] for k in range(2) for l in range(3))
                 for v in range(3)
             )
             for j in range(3)
@@ -88,11 +92,11 @@ def stability_cases(draw):
     """``(r, unstable)``: a generic matrix, or one of the unstable patterns
     moved by random invertible row and column operations."""
     entries = draw(st.lists(forms, min_size=6, max_size=6))
-    r = matrix([entries[:3], entries[3:]])
+    rows = [entries[:3], entries[3:]]
     if draw(st.booleans()):
-        return r, False
+        return matrix(rows), False
     zeros = draw(st.sampled_from(UNSTABLE_PATTERNS))
-    r = matrix([[ZERO_FORM if (i, j) in zeros else r.rows[i][j] for j in range(3)]
+    r = matrix([[ZERO_FORM if (i, j) in zeros else rows[i][j] for j in range(3)]
                 for i in range(2)])
     return act(draw(invertible(2)), r, draw(invertible(3))), True
 
@@ -122,13 +126,13 @@ SEEDED_SAMPLES = ((random_matrix, 2000), (random_rational_matrix, 500))
 
 class TestMinors:
     def test_open_orbit(self):
-        q = minors(OPEN_ORBIT)
-        assert [render_quadratic_form(f) for f in q] == ["yz", "xz", "xy"]
+        q, den = minors(OPEN_ORBIT)
+        assert [render_quadratic_form(f, den) for f in q] == ["yz", "xz", "xy"]
 
     def test_rational_family(self):
         a, b, c = F(2), F(3), F(5)
         r = blp2_point(a, b, c)
-        got = row_space_basis(minors(r))
+        got = row_space_basis(minors(r)[0])
         expected = row_space_basis(
             [
                 # b z^2 - c xy, c x^2 - a yz, b xz - a y^2
@@ -141,8 +145,8 @@ class TestMinors:
 
     def test_degenerate(self):
         r = parse_matrix("x,0,0;0,y,0")
-        q = minors(r)
-        assert [render_quadratic_form(f) for f in q] == ["0", "0", "xy"]
+        q, den = minors(r)
+        assert [render_quadratic_form(f, den) for f in q] == ["0", "0", "xy"]
         assert not is_stable(r)
 
 
@@ -157,8 +161,6 @@ class TestOrbitData:
     }
 
     def test_minor_spans(self):
-        from quivercert.repgeom import parse_linear_form
-
         def quadric(text):
             # parse simple quadratic expressions over the fixed monomials
             from quivercert.repgeom import QUAD_MONOMIALS
@@ -175,7 +177,7 @@ class TestOrbitData:
             return tuple(coeffs)
 
         for text, span in self.SPANS.items():
-            got = row_space_basis(minors(parse_matrix(text)))
+            got = row_space_basis(minors(parse_matrix(text))[0])
             expected = row_space_basis([quadric(s) for s in span])
             assert got == expected, text
 
@@ -202,7 +204,7 @@ class TestStability:
             for _ in range(count):
                 r = generator(rng)
                 stable = is_stable(r)
-                assert stable == (not syzygies(r).degenerate) == is_stable_by_gcd(r)
+                assert stable == (not syzygies(r).degenerate) == is_stable_by_gcd(fraction_matrix(r))
                 both[stable] += 1
             # the sample must exercise both branches
             assert both[True] > 0 and both[False] > 0, generator.__name__
@@ -237,25 +239,25 @@ class TestStability:
             r = random_stable_matrix(rng)
             moved = act(random_invertible(rng, 2), r, random_invertible(rng, 3))
             assert is_stable(moved)
-            assert row_space_basis(minors(moved)) == row_space_basis(minors(r))
+            assert row_space_basis(minors(moved)[0]) == row_space_basis(minors(r)[0])
 
     @settings(max_examples=200, deadline=None)
     @given(stability_cases())
     def test_gcd_oracle_agreement(self, case):
         r, unstable = case
         stable = is_stable(r)
-        assert stable == is_stable_by_gcd(r)
+        assert stable == is_stable_by_gcd(fraction_matrix(r))
         if unstable:
             assert not stable
         pair = syzygies(r)
         assert pair.degenerate != stable and pair.minors == minors(r)
-        assert pair == syzygies_by_fractions(r)
+        assert pair_by_fractions(pair) == syzygies_by_fractions(fraction_matrix(r))
 
 
 class TestSyzygies:
     def test_kernel_membership(self):
         pair = syzygies(OPEN_ORBIT)
-        for t in pair.tensors:
+        for t, _ in pair.tensors:
             assert all(c == 0 for c in tensor_to_cubic(t))
 
     def test_bulk_kernel_and_commutation(self):
@@ -264,19 +266,19 @@ class TestSyzygies:
             r = random_stable_matrix(rng)
             pair = syzygies(r)
             assert not pair.degenerate
-            for t in pair.tensors:
+            for t, _ in pair.tensors:
                 assert all(c == 0 for c in tensor_to_cubic(t))
             assert commutes(pair.sl3)
 
     def test_row_scaling_scales_tensor(self):
-        r = OPEN_ORBIT
+        r = fraction_matrix(OPEN_ORBIT)
         scaled = matrix(
             [
                 tuple(tuple(3 * c for c in entry) for entry in r.rows[0]),
                 r.rows[1],
             ]
         )
-        p, q = syzygies(r), syzygies(scaled)
+        p, q = pair_by_fractions(syzygies(OPEN_ORBIT)), pair_by_fractions(syzygies(scaled))
         # first-row tensor picks up the row factor and the minors' factor
         assert q.tensors[0] == tuple(9 * c for c in p.tensors[0])
         assert q.tensors[1] == tuple(3 * c for c in p.tensors[1])
@@ -288,10 +290,12 @@ class TestSyzygies:
             for _ in range(count):
                 r = generator(rng)
                 pair = syzygies(r)
-                assert pair == syzygies_by_fractions(r), str(r)
-                values = [x for q in pair.minors for x in q] + [x for t in pair.tensors for x in t]
-                values += [x for m in pair.sl3 for row in m for x in row]
-                assert all(type(x) is F for x in values)
+                assert pair_by_fractions(pair) == syzygies_by_fractions(fraction_matrix(r)), str(r)
+                (forms, den), parts = pair.minors, pair.tensors + pair.sl3
+                values = [x for q in forms for x in q] + [x for t, _ in pair.tensors for x in t]
+                values += [x for m, _ in pair.sl3 for row in m for x in row]
+                dens = [den] + [d for _, d in parts]
+                assert all(type(x) is int for x in values + dens) and min(dens) > 0
                 degenerate += pair.degenerate
             assert 0 < degenerate < count, generator.__name__
 
@@ -302,7 +306,7 @@ class TestSyzygies:
 
 class TestSl3Plane:
     def test_open_orbit_is_diagonal_plane(self):
-        m1, m2 = syzygies(OPEN_ORBIT).sl3
+        m1, m2 = pair_by_fractions(syzygies(OPEN_ORBIT)).sl3
         for m in (m1, m2):
             # diagonal and traceless
             assert all(m[i][j] == 0 for i in range(3) for j in range(3) if i != j)
@@ -314,7 +318,7 @@ class TestSl3Plane:
 
     def test_family_formulas(self):
         a, b, c = F(2), F(3), F(5)
-        s1, s2 = syzygies(blp2_point(a, b, c)).sl3
+        s1, s2 = pair_by_fractions(syzygies(blp2_point(a, b, c))).sl3
         expected1 = [[0, 0, -c], [-a, 0, 0], [0, -b, 0]]
         expected2 = [[0, b * c, 0], [0, 0, a * c], [a * b, 0, 0]]
         assert [list(row) for row in s1] == expected1
@@ -323,14 +327,14 @@ class TestSl3Plane:
     def test_traceless(self):
         rng = random.Random(13)
         for _ in range(20):
-            m1, m2 = syzygies(random_stable_matrix(rng)).sl3
+            (m1, _), (m2, _) = syzygies(random_stable_matrix(rng)).sl3
             assert sum(m1[i][i] for i in range(3)) == 0
             assert sum(m2[i][i] for i in range(3)) == 0
 
     def test_outside_span_rejected(self):
         # x^2 (x) x multiplies to x^3, so it is not a kernel tensor
-        bad = [F(0)] * 18
-        bad[0] = F(1)
+        bad = [0] * 18
+        bad[0] = 1
         with pytest.raises(ValueError, match="outside the span"):
             to_sl3(tuple(bad))
 
@@ -346,7 +350,8 @@ class TestSl3DictionaryOracle:
 
     def test_dictionary_tensors_map_to_their_matrices(self):
         for unit, t in SL3_DICTIONARY:
-            assert [list(row) for row in to_sl3(t)] == unit
+            m, den = to_sl3(tuple(map(int, t)))
+            assert den == 3 and [[F(x, den) for x in row] for row in m] == unit
 
     def test_equals_row_reduction_on_syzygy_tensors(self):
         # coefficients zero with probability 0.6, so about half are unstable
@@ -358,7 +363,7 @@ class TestSl3DictionaryOracle:
                             else F(0) for _ in range(3)) for _ in range(3))
                 for _ in range(2)
             ])
-            pair = syzygies(r)
+            pair = pair_by_fractions(syzygies(r))
             if pair.degenerate:
                 unstable += 1
             else:
@@ -381,7 +386,7 @@ class TestCommutes:
     def test_diagonal_pair(self):
         h1 = ((-1, 0, 0), (0, 1, 0), (0, 0, 0))
         h2 = ((0, 0, 0), (0, -1, 0), (0, 0, 1))
-        assert commutes((h1, h2))
+        assert commutes(((h1, 1), (h2, 5)))
 
     def test_family_products(self):
         rng = random.Random(99)
@@ -392,18 +397,18 @@ class TestCommutes:
     def test_unit_matrices_do_not_commute(self):
         e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
         e21 = ((0, 0, 0), (1, 0, 0), (0, 0, 0))
-        assert not commutes((e12, e21))
+        assert not commutes(((e12, 2), (e21, 1)))
 
 
 class TestBlp2Family:
     def test_generic_point(self):
         r = blp2_point(1, 1, 1)
-        assert r.rows == matrix([(X, Y, Z), (Y, Z, X)]).rows
+        assert r == matrix([(X, Y, Z), (Y, Z, X)])
         assert is_stable(r)
 
     def test_coordinate_point_with_direction(self):
         r = blp2_point(1, 0, 0, direction=(1, 0))
-        assert r.rows == matrix([(ZERO_FORM, Y, Z), (Y, Z, ZERO_FORM)]).rows
+        assert r == matrix([(ZERO_FORM, Y, Z), (Y, Z, ZERO_FORM)])
         assert is_stable(r)
 
     def test_all_coordinate_charts(self):
@@ -431,7 +436,7 @@ class TestBlp2Family:
         base = syzygies(blp2_point(2, 3, 5)).sl3
         scaled = syzygies(blp2_point(4, 6, 10)).sl3
         flat = lambda pair: row_space_basis(
-            [[m[i][j] for i in range(3) for j in range(3)] for m in pair]
+            [[m[i][j] for i in range(3) for j in range(3)] for m, _ in pair]
         )
         assert flat(base) == flat(scaled)
 
@@ -439,10 +444,12 @@ class TestBlp2Family:
 class TestParsing:
     def test_entry_forms(self):
         r = parse_matrix("2x+3y, -z, 1/2x - y; 0, x, y+z")
-        assert r.rows[0][0] == linear_form(2, 3, 0)
-        assert r.rows[0][1] == linear_form(0, 0, -1)
-        assert r.rows[0][2] == linear_form(F(1, 2), -1, 0)
-        assert r.rows[1][0] == ZERO_FORM
+        assert r.rows[0] == ((4, 6, 0), (0, 0, -2), (1, -2, 0)) and r.dens == (2, 1)
+        rows = fraction_matrix(r).rows
+        assert rows[0][0] == linear_form(2, 3, 0)
+        assert rows[0][1] == linear_form(0, 0, -1)
+        assert rows[0][2] == linear_form(F(1, 2), -1, 0)
+        assert rows[1][0] == ZERO_FORM
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -457,3 +464,23 @@ class TestParsing:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             parse_matrix("x,y,3;0,x,y")
+
+    def test_equals_the_fraction_parser(self):
+        # the same matrix or the same refusal, message included
+        rng = random.Random(1880)
+        outcomes = {True: 0, False: 0}
+        for _ in range(1500):
+            text = random_matrix_text(rng)
+            try:
+                want = parse_matrix_by_fractions(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    parse_matrix(text)
+                assert str(info.value) == str(exc), text
+                outcomes[False] += 1
+                continue
+            r = parse_matrix(text)
+            assert fraction_matrix(r) == want, text
+            assert all(d > 0 for d in r.dens) and matrix(want.rows) == r
+            outcomes[True] += 1
+        assert min(outcomes.values()) > 300

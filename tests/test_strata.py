@@ -143,10 +143,32 @@ class TestUniversalWeights:
         assert strata[((2, 1), (0, 2))].shift == 16
         assert strata[((2, 0), (0, 3))].shift == 12
 
+    def test_one_shift_per_stratum(self, monkeypatch):
+        calls = []
+
+        def counted(s, twist):
+            calls.append(s)
+            return descent_shift(s, twist)
+
+        monkeypatch.setattr("quivercert.strata.descent_shift", counted)
+        unstable_strata.cache_clear()
+        try:
+            computed = unstable_strata(Y23)
+        finally:
+            unstable_strata.cache_clear()
+        assert len(calls) == len(computed) == 7
+        assert [s.one_ps for s in computed] == calls
+
     def test_twist_normalization_enforced(self):
+        # Moduli is the one place that checks it: universal_weights takes the
+        # shift that unstable_strata computes once per stratum
+        from quivercert.quiver import KRONECKER3 as K3
+
+        with pytest.raises(ValueError, match="twist . d must be -1"):
+            Moduli(K3, (2, 3), (3, -2), (1, 1))
         s = one_ps_from_hn(((1, 1), (1, 2)), (3, -2))
-        with pytest.raises(ValueError, match="twist"):
-            universal_weights(s, (1, 1))
+        with pytest.raises(ValueError, match="twist vector has wrong length"):
+            descent_shift(s, (1, -1, 0))
 
     def test_moduli_validation(self):
         from quivercert.quiver import KRONECKER3 as K3
@@ -164,7 +186,7 @@ class TestUniversalWeights:
 
     def test_central_weight_nullity(self):
         ones = OnePS((((1, 2),), ((1, 3),)))
-        base_weights = universal_weights(ones, (1, -1))
+        base_weights = universal_weights(ones, descent_shift(ones, (1, -1)))
         assert all(w == 0 for vertex in base_weights for w in vertex)
         from quivercert.bundles import StratumWeights
 
@@ -186,7 +208,7 @@ class TestUniversalWeights:
                 continue  # gcd(d) > 1: no twist descends
             twist = rng.choice(solutions)
             ones = OnePS(tuple(((1, n),) if n > 0 else () for n in d))
-            base = StratumWeights(*universal_weights(ones, twist))
+            base = StratumWeights(*universal_weights(ones, descent_shift(ones, twist)))
             for leaf in (U1, U2, O(rng.randint(-20, 20))):
                 assert set(base.character(leaf)) <= {0}, (d, twist, leaf)
             checked += 1
@@ -200,7 +222,7 @@ class TestUniversalWeights:
                 scaled = OnePS(tuple(tuple((w * n, m) for w, m in vertex)
                                      for vertex in s.one_ps.blocks))
                 assert eta(KRONECKER3, scaled) == n * s.eta
-                ws = universal_weights(scaled, Y23.twist)
+                ws = universal_weights(scaled, descent_shift(scaled, Y23.twist))
                 assert ws == tuple(
                     tuple(n * w for w in vertex) for vertex in s.weights
                 )

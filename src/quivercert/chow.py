@@ -12,31 +12,22 @@ product table, since the pairing of complementary degrees is perfect: it
 is solved at import, and multiplication is lookup plus bilinearity.
 Chern characters of bundle expressions are evaluated compositionally
 from the Chern classes of the universal bundles via Newton's identities;
-c(T_Y) and td(Y) come from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O
-of the tangent bundle, and chi(F) is the integral of ch(F) * td(Y).  Coordinates are exact rationals, stored as
-integers over one common denominator; three times every structure constant
-is an integer, so all ring arithmetic and the pairing run on integers.
+td(Y) comes from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O of the
+tangent bundle, and chi(F) is the integral of ch(F) * td(Y).  Coordinates
+are exact rationals, stored as integers over one common denominator; three
+times every structure constant is an integer, so all ring arithmetic and
+the pairing run on integers.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
 from ._linalg import echelon, render_ratio
 from .bundles import MAX_DEPTH, U1, U2, BundleExpr, Scanner, dual, evaluate, tensor
-
-F = Fraction
-
-
-def render_fraction(x: Fraction | int):
-    """Canonical exact rendering: ints stay ints, proper fractions
-    become the string "p/q"."""
-    return render_ratio(x.numerator, x.denominator)
-
 
 # Exponent vectors (a, b, e, f) for c1^a c2^b d2^e c3^f.
 _BASIS_MONOMIALS = (
@@ -76,15 +67,16 @@ _INTEGRALS = {
 
 
 def _build_products():
-    """``[i][j]``: the nonzero ``(k, c)`` with basis_i * basis_j = sum of
-    c * basis_k.
+    """``[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j =
+    sum of c * basis_k.
 
     The pairing of complementary degrees is perfect, so the coordinates x
     of a monomial m of degree k solve sum_i x_i * integral(basis_i *
     basis'_j) = integral(m * basis'_j), with basis_i over the degree-k and
     basis'_j over the degree-(6 - k) basis classes.  The fraction-free
     ``echelon`` triangulates the integer system [Gram | monomial columns]
-    of each degree, and back-substitution solves it in rationals."""
+    of each degree, and back-substitution solves it for 3x in integers,
+    each division exact."""
     def product(*monomials):
         return tuple(map(sum, zip(*monomials)))
 
@@ -101,35 +93,25 @@ def _build_products():
         if pivots[:n] != list(range(n)):
             raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
         for column, m in enumerate(monomials, start=n):
-            x = [F(0)] * n
+            y = [0] * n
             for r in reversed(range(n)):
-                x[r] = F(rows[r][column] - sum(rows[r][s] * x[s] for s in range(r + 1, n)),
-                         rows[r][r])
-            coords[m] = tuple((DEGREES.index(k) + r, c) for r, c in enumerate(x) if c)
-            if any((3 * c).denominator != 1 for _, c in coords[m]):
-                raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
-    return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
-                 for mi in _BASIS_MONOMIALS)
+                y[r], rest = divmod(3 * rows[r][column]
+                                    - sum(rows[r][s] * y[s] for s in range(r + 1, n)), rows[r][r])
+                if rest:
+                    raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
+            coords[m] = tuple((DEGREES.index(k) + r, c) for r, c in enumerate(y) if c)
+    table = ((coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
+             for mi in _BASIS_MONOMIALS)
+    return tuple(tuple((j, terms) for j, terms in enumerate(row) if terms) for row in table)
 
-
-_PRODUCTS = _build_products()
 
 #: ``_TRIPLED[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j.
-_TRIPLED = tuple(tuple((j, tuple((k, int(3 * c)) for k, c in terms))
-                       for j, terms in enumerate(row) if terms) for row in _PRODUCTS)
+_TRIPLED = _build_products()
 
 #: ``(i, j, c)`` for the nonzero integrals c of basis_i * basis_j, all with
 #: complementary degrees, all integers.
-_PAIRING = tuple((i, j, int(c)) for i, row in enumerate(_PRODUCTS) for j, terms in enumerate(row)
+_PAIRING = tuple((i, j, c // 3) for i, row in enumerate(_TRIPLED) for j, terms in row
                  for k, c in terms if k == _INDEX["c3^2"])
-
-
-def _element(nums, den: int) -> "ChowElement":
-    """The element with coordinates ``nums[i] / den``, den > 0, in lowest terms."""
-    g = gcd(den, *nums)
-    x = object.__new__(ChowElement)
-    x.nums, x.den = (tuple(nums), den) if g == 1 else (tuple(n // g for n in nums), den // g)
-    return x
 
 
 class ChowElement:
@@ -139,22 +121,15 @@ class ChowElement:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coords):
-        coords = tuple(F(x) for x in coords)
-        if len(coords) != len(BASIS):
-            raise ValueError("expected one coordinate per basis class")
-        # over the lcm of reduced denominators, nums and den are coprime
-        self.den = lcm(*(c.denominator for c in coords))
-        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coords)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        """The exact rational coordinates."""
-        return tuple(F(n, self.den) for n in self.nums)
+    def __init__(self, nums, den: int):
+        """The element with coordinates ``nums[i] / den``, den > 0."""
+        g = gcd(den, *nums)
+        self.nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        self.den = den // g
 
     @classmethod
     def zero(cls) -> "ChowElement":
-        return _element([0] * len(BASIS), 1)
+        return cls([0] * len(BASIS), 1)
 
     @classmethod
     def unit(cls) -> "ChowElement":
@@ -164,13 +139,11 @@ class ChowElement:
     def basis(cls, label: str) -> "ChowElement":
         nums = [0] * len(BASIS)
         nums[_INDEX[label]] = 1
-        return _element(nums, 1)
-
-    def coefficient(self, label: str) -> Fraction:
-        return F(self.nums[_INDEX[label]], self.den)
+        return cls(nums, 1)
 
     def degree_part(self, k: int) -> "ChowElement":
-        return _element([n if DEGREES[i] == k else 0 for i, n in enumerate(self.nums)], self.den)
+        return ChowElement([n if DEGREES[i] == k else 0 for i, n in enumerate(self.nums)],
+                           self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -180,7 +153,7 @@ class ChowElement:
             return NotImplemented
         m = lcm(self.den, other.den)
         p, q = m // self.den, m // other.den
-        return _element([a * p + b * q for a, b in zip(self.nums, other.nums)], m)
+        return ChowElement([a * p + b * q for a, b in zip(self.nums, other.nums)], m)
 
     def __sub__(self, other):
         if not isinstance(other, ChowElement):
@@ -188,12 +161,11 @@ class ChowElement:
         return self + -other
 
     def __neg__(self):
-        return _element([-a for a in self.nums], self.den)
+        return ChowElement([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _element([a * other.numerator for a in self.nums],
-                            self.den * other.denominator)
+        if isinstance(other, int):
+            return ChowElement([a * other for a in self.nums], self.den)
         if not isinstance(other, ChowElement):
             return NotImplemented
         out = [0] * len(BASIS)
@@ -206,7 +178,7 @@ class ChowElement:
                         ab = a * b
                         for k, c in terms:
                             out[k] += ab * c
-        return _element(out, 3 * self.den * other.den)
+        return ChowElement(out, 3 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -222,19 +194,20 @@ class ChowElement:
 
     def dual(self) -> "ChowElement":
         """Chern character of the dual: negate odd-degree parts."""
-        return _element([-n if DEGREES[i] % 2 else n for i, n in enumerate(self.nums)], self.den)
+        return ChowElement([-n if DEGREES[i] % 2 else n for i, n in enumerate(self.nums)],
+                           self.den)
 
     def psi2(self) -> "ChowElement":
         """Second Adams operation on Chern characters: scale the degree-k
         part by 2^k."""
-        return _element([n * 2 ** DEGREES[i] for i, n in enumerate(self.nums)], self.den)
+        return ChowElement([n * 2 ** DEGREES[i] for i, n in enumerate(self.nums)], self.den)
 
     def det(self) -> "ChowElement":
         """Chern character of the determinant: exp of the degree-1 part."""
         return _exp(self.degree_part(1))
 
     def half(self) -> "ChowElement":
-        return _element(self.nums, 2 * self.den)
+        return ChowElement(self.nums, 2 * self.den)
 
     def __eq__(self, other):
         return isinstance(other, ChowElement) and self.den == other.den and self.nums == other.nums
@@ -248,11 +221,6 @@ class ChowElement:
 
     def to_json_dict(self) -> dict:
         return {label: render_ratio(n, self.den) for label, n in zip(BASIS, self.nums)}
-
-
-def integral(x: ChowElement) -> Fraction:
-    """Degree-6 integral: the coefficient of the point class c3^2."""
-    return x.coefficient("c3^2")
 
 
 def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
@@ -273,7 +241,8 @@ def scaled_pairing(row: tuple[int, tuple[int, ...]], column: tuple[int, tuple[in
     total = sum(map(mul, r, v))
     value, rest = divmod(total, d * e)
     if rest:
-        integer(Fraction(total, d * e), f"chi({', '.join(map(str, objects))})")  # raises
+        raise RingInconsistencyError(f"ring inconsistency: chi({', '.join(map(str, objects))})"
+                                     f" = {render_ratio(total, d * e)} is not an integer")
     return value
 
 
@@ -291,42 +260,36 @@ def _tangent_ch() -> ChowElement:
 
 
 @lru_cache(maxsize=1)
-def tangent_chern() -> ChowElement:
-    """Total Chern class of the tangent bundle: exp of the sum over Chern
-    roots of log(1 + x), whose degree-k part is (-1)^(k-1) (k-1)! ch_k."""
-    ch = _tangent_ch()
-    return _exp(sum(((-1) ** (k - 1) * factorial(k - 1) * ch.degree_part(k) for k in range(1, 7)),
-                    ChowElement.zero()))
-
-
-@lru_cache(maxsize=1)
 def todd_y() -> ChowElement:
     """Todd class of Y: exp of the sum over Chern roots of
     log(x / (1 - e^-x)) = x/2 - x^2/24 + x^4/2880 - x^6/181440 + ..., whose
-    degree-k part is its x^k coefficient times k! ch_k."""
+    degree-k part is its x^k coefficient times k! ch_k: 1/2, -1/12, 1/120 and
+    -1/252 for k = 1, 2, 4, 6, here over their common denominator 2520."""
     ch = _tangent_ch()
-    return _exp(sum((c * ch.degree_part(k)
-                     for k, c in ((1, F(1, 2)), (2, F(-1, 12)), (4, F(1, 120)), (6, F(-1, 252)))),
-                    ChowElement.zero()))
+    x = sum((c * ch.degree_part(k) for k, c in ((1, 1260), (2, -210), (4, 21), (6, -10))),
+            ChowElement.zero())
+    return _exp(ChowElement(x.nums, 2520 * x.den))
 
 
 def _exp(x: ChowElement) -> ChowElement:
-    """exp of an element with zero degree-0 part, truncated in degree 6."""
+    """exp of an element with zero degree-0 part, truncated in degree 6: the
+    sum of 6!/k! x^k over k <= 6, divided by 6!."""
     if not x.degree_part(0).is_zero():
         raise ValueError("exp needs vanishing degree-0 part")
-    out = ChowElement.unit()
     power = ChowElement.unit()
+    out = 720 * power
     for k in range(1, 7):
         power = power * x
         if power.is_zero():
             break
-        out = out + F(1, factorial(k)) * power
-    return out
+        out = out + 720 // factorial(k) * power
+    return ChowElement(out.nums, 720 * out.den)
 
 
 def _ch_from_chern(rank: int, e: tuple[ChowElement, ...]) -> ChowElement:
     """Chern character from the Chern classes e via Newton's identities on
-    power sums of the Chern roots."""
+    power sums p_k of the Chern roots: rank plus the sum of p_k / k!, summed
+    over the denominator 6! and divided once."""
     p: list[ChowElement] = []
     for k in range(1, 7):
         term = ChowElement.zero()
@@ -337,10 +300,10 @@ def _ch_from_chern(rank: int, e: tuple[ChowElement, ...]) -> ChowElement:
             else:
                 term = term + sign * (e[i - 1] * p[k - i - 1])
         p.append(term)
-    out = rank * ChowElement.unit()
+    out = 720 * rank * ChowElement.unit()
     for k, pk in enumerate(p, start=1):
-        out = out + F(1, factorial(k)) * pk
-    return out
+        out = out + 720 // factorial(k) * pk
+    return ChowElement(out.nums, 720 * out.den)
 
 
 def _ch_leaf(e: BundleExpr) -> ChowElement:
@@ -360,13 +323,6 @@ def ch_of(e: BundleExpr) -> ChowElement:
 
 class RingInconsistencyError(ArithmeticError):
     """A Riemann-Roch integral that must be an integer failed to be one."""
-
-
-def integer(value: Fraction, what: str) -> int:
-    """A Riemann-Roch integral ``what``, which must be an integer."""
-    if value.denominator != 1:
-        raise RingInconsistencyError(f"ring inconsistency: {what} = {value} is not an integer")
-    return int(value)
 
 
 def chi(e: BundleExpr) -> int:

@@ -13,8 +13,8 @@ coefficients, from the counts of smaller dimension vectors.  The
 semistable locus is nonempty exactly when its counting polynomial is
 nonzero.  One table, built bottom up for a dimension vector d, holds the
 counts of all subvectors of d, the ranks of their slopes and, for each
-subvector, the first parts its types can start with; the existence test,
-the type enumeration and the type check all read it.
+subvector, the first parts its types can start with; the existence test
+and the type enumeration read it.
 Each count is held as its value at q = 2^K, one integer (Kronecker
 substitution), with K large enough that the value is zero exactly when
 the polynomial is.
@@ -27,7 +27,6 @@ import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, gcd
 from operator import index, itemgetter, mul
@@ -164,11 +163,6 @@ def reduced_slope(theta, e) -> tuple[int, int]:
     if sum(e) == 0:
         raise ValueError("undefined slope: zero dimension vector")
     return _reduced_slope(theta, e)
-
-
-def slope(theta, e) -> Fraction:
-    """Slope of a nonzero dimension vector: (theta . e) / (total dimension)."""
-    return Fraction(*reduced_slope(theta, e))
 
 
 def euler_form(quiver: Quiver, d, e) -> int:
@@ -313,7 +307,8 @@ def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, 
 def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
     """``(e, theta)`` as integer tuples, refused unless e is a nonzero
     dimension vector within ``MAX_SUBVECTORS`` and ``MAX_COUNTING_WORK`` and
-    theta has one entry per vertex."""
+    theta has one entry per vertex: the gate of the existence test and of
+    the type enumeration."""
     e = quiver.check_dim(e)
     if not any(e):
         raise ValueError("dimension vector must be nonzero")
@@ -378,20 +373,3 @@ def hn_stratum_codim(quiver: Quiver, tau) -> int:
         for k in range(len(parts))
         for l in range(k + 1, len(parts))
     )
-
-
-def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
-    """Validate the defining conditions of a Harder-Narasimhan type."""
-    parts = [quiver.check_dim(p) for p in tau]
-    if not parts or any(not any(p) for p in parts):
-        return False
-    d, theta = _check_counting_input(quiver, d, theta)
-    if tuple(map(sum, zip(*parts))) != d:
-        return False
-    counts, rank, _ = _sst_table(quiver, d, theta)
-    if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
-        return False
-    return all(counts[p] for p in parts)
-
-
-KRONECKER3 = Quiver.kronecker(3)

@@ -37,9 +37,6 @@ class OnePS:
             if any(m <= 0 for _, m in vertex):
                 raise ValueError("block multiplicities must be positive")
 
-    def dim_vector(self) -> tuple[int, ...]:
-        return tuple(sum(m for _, m in vertex) for vertex in self.blocks)
-
     def trace(self, i: int) -> int:
         return sum(w * m for w, m in self.blocks[i])
 
@@ -72,13 +69,6 @@ def eta(quiver: Quiver, s: OnePS) -> int:
     representation space."""
     rep, gauge = _negative_directions(quiver, s)
     return sum(w * m for w, m in gauge) - sum(w * m for w, m in rep)
-
-
-def count_negative_directions(quiver: Quiver, s: OnePS) -> tuple[int, int]:
-    """Counts (not weight totals) of strictly negative weight directions in
-    the representation space and in the gauge Lie algebra."""
-    rep, gauge = _negative_directions(quiver, s)
-    return sum(m for _, m in rep), sum(m for _, m in gauge)
 
 
 def descent_shift(s: OnePS, twist) -> int:

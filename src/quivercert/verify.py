@@ -159,11 +159,6 @@ def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]
     return x.den, x.nums
 
 
-def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
-    """K-theoretic Euler pairing chi(dual(e) (x) f)."""
-    return scaled_pairing(_chi_row(e), _chi_column(f, todd_y()), e, f)
-
-
 class PairStatus(NamedTuple):
     i: int
     j: int
@@ -294,11 +289,6 @@ def verify_collection(
 
 # -- Chern character identities and the mutation ledger ------------------------
 
-def symmetry_functor(e: BundleExpr) -> BundleExpr:
-    """The contravariant symmetry dual(e) (x) O(3)."""
-    return twist(dual(e), 3)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     checks: tuple[tuple[str, bool], ...]  # (name, holds)
@@ -375,15 +365,15 @@ def mutation_ledger_check() -> IdentityReport:
     """Rank bookkeeping and the coincidence of the two mutation routes."""
     ledger = mutation_ledger()
 
-    def rank_of_class(x: ChowElement):
-        return x.coefficient("[Y]")
+    def has_rank(x: ChowElement, r: int) -> bool:
+        return x.nums[0] == r * x.den  # the degree-0 coordinate is the rank
 
     checks = [
         ("l3_equals_l2", ledger.l3 == ledger.l2),
-        ("rank_l5_is_3", rank_of_class(ledger.l5) == 3),
-        ("rank_l4_is_12", rank_of_class(ledger.l4) == 12),
-        ("rank_l3_is_6", rank_of_class(ledger.l3) == 6),
-        ("rank_l2_is_6", rank_of_class(ledger.l2) == 6),
+        ("rank_l5_is_3", has_rank(ledger.l5, 3)),
+        ("rank_l4_is_12", has_rank(ledger.l4, 12)),
+        ("rank_l3_is_6", has_rank(ledger.l3, 6)),
+        ("rank_l2_is_6", has_rank(ledger.l2, 6)),
         ("l5_degree1_part",
          ledger.l5.degree_part(1)
          == 6 * ch_of(O(1)).degree_part(1) - ch_of(twist(U2, 1)).degree_part(1)),

@@ -6,7 +6,8 @@ also decided by the rational-function route over all slope chains, the
 Todd class is rebuilt from Chern roots via power sums, and the
 intersection numbers are integrated by torus localization.  Routes and
 hand-typed tables that a faster or simpler one replaced stay here as
-references.
+references, with the helpers that left the package when nothing there
+called them any more.
 """
 
 from __future__ import annotations
@@ -24,34 +25,127 @@ from math import comb, factorial, lcm, prod
 from operator import itemgetter
 from unittest import mock
 
-from quivercert import cli
-from quivercert.bundles import O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor
+from quivercert import cli, verify
+from quivercert._linalg import echelon
+from quivercert.bundles import (O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor,
+                                twist)
 from quivercert.chow import (
     BASIS,
     DEGREES,
     ChowElement,
+    RingInconsistencyError,
     _BASIS_MONOMIALS,
     _INDEX,
     _INTEGRALS,
     _PAIRING,
-    _PRODUCTS,
     _ch_from_chern,
     _exp,
+    _tangent_ch,
     ch_of,
-    integer,
-    integral,
-    render_fraction,
+    scaled_pairing,
     todd_y,
 )
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _reduced_slope,
-                               _sst_table, _subvectors, euler_form, has_semistable)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
+                               _reduced_slope, _sst_table, _subvectors, euler_form, has_semistable)
 from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair, is_stable
-from quivercert.strata import (Moduli, OnePS, StratumCheck, teleman_certify, unstable_strata,
-                               weight_ranges)
-from quivercert.verify import (CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict,
-                              euler_pairing)
+from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
+                               unstable_strata, weight_ranges)
+from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
 F = Fraction
+
+
+# -- names that nothing in the package calls ------------------------------------
+#
+# Helpers that left the package when its last caller did; the tests still
+# use them to state and check properties.
+
+#: The 3-Kronecker quiver.
+KRONECKER3 = Quiver.kronecker(3)
+
+
+def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
+    """Validate the defining conditions of a Harder-Narasimhan type from
+    the counting table of ``quiver``."""
+    parts = [quiver.check_dim(p) for p in tau]
+    if not parts or any(not any(p) for p in parts):
+        return False
+    d, theta = _check_counting_input(quiver, d, theta)
+    if tuple(map(sum, zip(*parts))) != d:
+        return False
+    counts, rank, _ = _sst_table(quiver, d, theta)
+    if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
+        return False
+    return all(counts[p] for p in parts)
+
+
+def dim_vector(s: OnePS) -> tuple[int, ...]:
+    """The dimension vector of a one-parameter subgroup: the multiplicity
+    total per vertex."""
+    return tuple(sum(m for _, m in vertex) for vertex in s.blocks)
+
+
+def count_negative_directions(quiver: Quiver, s: OnePS) -> tuple[int, int]:
+    """Counts (not weight totals) of strictly negative weight directions in
+    the representation space and in the gauge Lie algebra."""
+    rep, gauge = _negative_directions(quiver, s)
+    return sum(m for _, m in rep), sum(m for _, m in gauge)
+
+
+def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
+    """K-theoretic Euler pairing chi(dual(e) (x) f), from the cached chi
+    row and column of ``verify`` and its Todd class."""
+    return scaled_pairing(verify._chi_row(e), verify._chi_column(f, verify.todd_y()), e, f)
+
+
+def symmetry_functor(e: BundleExpr) -> BundleExpr:
+    """The contravariant symmetry dual(e) (x) O(3)."""
+    return twist(dual(e), 3)
+
+
+@lru_cache(maxsize=1)
+def tangent_chern() -> ChowElement:
+    """Total Chern class of the tangent bundle: exp of the sum over Chern
+    roots of log(1 + x), whose degree-k part is (-1)^(k-1) (k-1)! ch_k."""
+    ch = _tangent_ch()
+    return _exp(sum(((-1) ** (k - 1) * factorial(k - 1) * ch.degree_part(k) for k in range(1, 7)),
+                    ChowElement.zero()))
+
+
+# -- a ChowElement in Fraction coordinates -------------------------------------
+#
+# ChowElement holds integers over one denominator; these build and read it
+# in Fraction coordinates, as its Fraction API did.
+
+def from_coords(coords) -> ChowElement:
+    """The element with the rational coordinates ``coords``."""
+    coords = tuple(map(F, coords))
+    if len(coords) != len(BASIS):
+        raise ValueError("expected one coordinate per basis class")
+    den = lcm(*(c.denominator for c in coords))
+    return ChowElement([c.numerator * (den // c.denominator) for c in coords], den)
+
+
+def coords_of(x: ChowElement) -> tuple[Fraction, ...]:
+    """The exact rational coordinates of x."""
+    return tuple(F(n, x.den) for n in x.nums)
+
+
+def coefficient(x: ChowElement, label: str) -> Fraction:
+    return F(x.nums[_INDEX[label]], x.den)
+
+
+def integral(x: ChowElement) -> Fraction:
+    """Degree-6 integral: the coefficient of the point class c3^2."""
+    return coefficient(x, "c3^2")
+
+
+def integer(value: Fraction, what: str) -> int:
+    """A Riemann-Roch integral ``what``, which must be an integer: the check
+    that ``chow.scaled_pairing`` makes on integers."""
+    if value.denominator != 1:
+        raise RingInconsistencyError(f"ring inconsistency: {what} = {value} is not an integer")
+    return int(value)
 
 
 def rref(rows):
@@ -343,7 +437,7 @@ def hn_type_brute(field: GF, rep: BruteRep, theta):
 
 def slope(theta, e) -> Fraction:
     """The slope (theta . e) / sum(e) of a nonzero vector e as a Fraction,
-    computed without ``quiver._reduced_slope``, which ``quiver.slope`` reads."""
+    computed without ``quiver._reduced_slope``."""
     e = tuple(int(x) for x in e)
     if len(theta) != len(e):
         raise ValueError("length mismatch between theta and dimension vector")
@@ -719,8 +813,8 @@ def sst_count_by_tails(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
 
 def is_hn_type_by_fraction_slopes(quiver: Quiver, d, theta, tau) -> bool:
     """The defining conditions of a Harder-Narasimhan type, with Fraction
-    slopes and one ``has_semistable`` call per part: the route that
-    ``quiver.is_hn_type`` replaced, its subvector check written out."""
+    slopes and one ``has_semistable`` call per part: the route that the
+    table's ``is_hn_type`` replaced, its subvector check written out."""
     parts = [quiver.check_dim(p) for p in tau]
     if not parts or any(not any(p) for p in parts):
         return False
@@ -775,20 +869,20 @@ def power_sums(e, cls):
     return p
 
 
-def todd_from_chern_roots(cls=ChowElement):
+def todd_from_chern_roots() -> "FractionChowElement":
     """Todd class rebuilt from the coordinates of the tangent Chern classes:
     power sums via Newton's identities, then exp of sum_m a_m p_m where a_m
     are the series coefficients of log(t / (1 - exp(-t))); the arithmetic
-    runs in the element class cls."""
-    total = cls(tangent_chern_by_hand().coords)
-    p = power_sums([total.degree_part(k) for k in range(1, 7)], cls)
+    runs in Fraction coordinates."""
+    total = FractionChowElement(coords_of(tangent_chern_by_hand()))
+    p = power_sums([total.degree_part(k) for k in range(1, 7)], FractionChowElement)
     q_series = [F(1), F(1, 2), F(1, 12), F(0), F(-1, 720), F(0), F(1, 30240)]
     a = _series_log(q_series)
-    arg = cls.zero()
+    arg = FractionChowElement.zero()
     for m in range(1, 7):
         arg = arg + a[m] * p[m - 1]
-    out = cls.unit()
-    power = cls.unit()
+    out = FractionChowElement.unit()
+    power = FractionChowElement.unit()
     fact = 1
     for k in range(1, 7):
         power = power * arg
@@ -862,11 +956,11 @@ def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
 
 
 def _dual_ch(x: ChowElement) -> ChowElement:
-    return ChowElement([-c if DEGREES[i] % 2 else c for i, c in enumerate(x.coords)])
+    return from_coords([-c if DEGREES[i] % 2 else c for i, c in enumerate(coords_of(x))])
 
 
 def _psi2_ch(x: ChowElement) -> ChowElement:
-    return ChowElement([c * 2 ** DEGREES[i] for i, c in enumerate(x.coords)])
+    return from_coords([c * 2 ** DEGREES[i] for i, c in enumerate(coords_of(x))])
 
 
 def ch_by_ops(e: BundleExpr) -> ChowElement:
@@ -890,17 +984,58 @@ def ch_by_ops(e: BundleExpr) -> ChowElement:
     if e.op == "sl":
         return inner * _dual_ch(inner) - ChowElement.unit()
     if e.op == "sym2":
-        return F(1, 2) * (inner * inner + _psi2_ch(inner))
+        return from_coords(F(1, 2) * c for c in coords_of(inner * inner + _psi2_ch(inner)))
     if e.op == "wedge2":
-        return F(1, 2) * (inner * inner - _psi2_ch(inner))
+        return from_coords(F(1, 2) * c for c in coords_of(inner * inner - _psi2_ch(inner)))
     raise ValueError(f"unknown operator {e.op!r}")
 
 
 # -- the Chow ring in Fraction coordinates ------------------------------------
 #
 # The route that integer coordinates over one common denominator replaced:
-# ChowElement, exp, the pairing and the Gram row as they were, with
-# coordinates stored as a tuple of Fractions.
+# the product table, ChowElement, exp, the pairing and the Gram row as they
+# were, with coordinates stored as a tuple of Fractions.
+
+def products_by_fractions():
+    """``[i][j]``: the nonzero ``(k, c)`` with basis_i * basis_j = sum of
+    c * basis_k, c a Fraction: the table that ``chow._build_products``
+    built before it back-substituted for 3c in integers.
+
+    The pairing of complementary degrees is perfect, so the coordinates x
+    of a monomial m of degree k solve sum_i x_i * integral(basis_i *
+    basis'_j) = integral(m * basis'_j), with basis_i over the degree-k and
+    basis'_j over the degree-(6 - k) basis classes.  The fraction-free
+    ``echelon`` triangulates the integer system [Gram | monomial columns]
+    of each degree, and back-substitution solves it in rationals."""
+    def product(*monomials):
+        return tuple(map(sum, zip(*monomials)))
+
+    graded = tuple(zip(_BASIS_MONOMIALS, DEGREES))
+    coords = {}
+    for k in range(7):
+        basis = [m for m, d in graded if d == k]
+        dual = [m for m, d in graded if d == 6 - k]
+        monomials = sorted({product(mi, mj) for mi, di in graded for mj, dj in graded
+                            if di + dj == k})
+        rows, pivots = echelon([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
+                                for mj in dual])
+        n = len(basis)
+        if pivots[:n] != list(range(n)):
+            raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
+        for column, m in enumerate(monomials, start=n):
+            x = [F(0)] * n
+            for r in reversed(range(n)):
+                x[r] = F(rows[r][column] - sum(rows[r][s] * x[s] for s in range(r + 1, n)),
+                         rows[r][r])
+            coords[m] = tuple((DEGREES.index(k) + r, c) for r, c in enumerate(x) if c)
+            if any((3 * c).denominator != 1 for _, c in coords[m]):
+                raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
+    return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
+                 for mi in _BASIS_MONOMIALS)
+
+
+PRODUCTS = products_by_fractions()
+
 
 class FractionChowElement:
     """An element of the Chow ring, stored as exact rational coordinates
@@ -965,7 +1100,7 @@ class FractionChowElement:
                 if b == 0:
                     continue
                 ab = a * b
-                for k, c in _PRODUCTS[i][j]:
+                for k, c in PRODUCTS[i][j]:
                     out[k] += ab * c
         return FractionChowElement(out)
 
@@ -994,7 +1129,7 @@ class FractionChowElement:
 
     def det(self) -> "FractionChowElement":
         """Chern character of the determinant: exp of the degree-1 part."""
-        return _exp_by_fractions(self.degree_part(1))
+        return exp_by_fractions(self.degree_part(1))
 
     def half(self) -> "FractionChowElement":
         return F(1, 2) * self
@@ -1018,10 +1153,10 @@ class FractionChowElement:
         return " + ".join(terms) if terms else "0"
 
     def to_json_dict(self) -> dict:
-        return {label: render_fraction(c) for label, c in zip(BASIS, self.coords)}
+        return {label: render_by_fractions(c) for label, c in zip(BASIS, self.coords)}
 
 
-def _exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
+def exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
     """exp of an element with zero degree-0 part, truncated in degree 6."""
     if not x.degree_part(0).is_zero():
         raise ValueError("exp needs vanishing degree-0 part")
@@ -1120,7 +1255,8 @@ _EXTRA_REDUCTIONS: dict[tuple[int, int, int, int], dict[str, Fraction]] = {
 
 
 def _from_labels(terms) -> ChowElement:
-    return sum((F(c) * ChowElement.basis(label) for label, c in terms), ChowElement.zero())
+    coefficients = dict(terms)
+    return from_coords(coefficients.get(label, 0) for label in BASIS)
 
 
 def tangent_chern_by_hand() -> ChowElement:
@@ -1264,7 +1400,7 @@ def integrals_by_localization() -> dict:
 # table and the closed-form sl3 coordinates replaced.
 
 def products_by_rref():
-    """``chow._PRODUCTS`` with each degree's Gram system solved by the
+    """``PRODUCTS`` with each degree's Gram system solved by the
     rational RREF: the solution columns are read off the reduced rows."""
     def product(*monomials):
         return tuple(map(sum, zip(*monomials)))
@@ -1310,16 +1446,16 @@ def chow_mul_dense(x: ChowElement, y: ChowElement) -> ChowElement:
     """The product by a scan of the dense 13 x 13 table of 13-tuples."""
     table = _dense_products()
     out = [F(0)] * len(BASIS)
-    for i, a in enumerate(x.coords):
+    for i, a in enumerate(coords_of(x)):
         if a == 0:
             continue
-        for j, b in enumerate(y.coords):
+        for j, b in enumerate(coords_of(y)):
             if b == 0:
                 continue
             for k, c in enumerate(table[i][j]):
                 if c != 0:
                     out[k] += a * b * c
-    return ChowElement(out)
+    return from_coords(out)
 
 
 def _tensor(terms):
@@ -1427,10 +1563,10 @@ def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
 # StratumCheck per stratum.  Chern characters and the Todd class are
 # evaluated in FractionChowElement, so no integer ChowElement is involved.
 
-def _ch_leaf_by_fractions(e: BundleExpr) -> FractionChowElement:
+def ch_leaf_by_fractions(e: BundleExpr) -> FractionChowElement:
     c1, c2, c3, d2 = (FractionChowElement.basis(label) for label in ("c1", "c2", "c3", "d2"))
     if e.op == "O":
-        return _exp_by_fractions(e.args[0] * c1)
+        return exp_by_fractions(e.args[0] * c1)
     chern, n = ((c1, d2), 2) if e.op == "U1" else ((c1, c2, c3), 3)
     out = n * FractionChowElement.unit()
     for k, pk in enumerate(power_sums(chern, FractionChowElement), start=1):
@@ -1441,12 +1577,23 @@ def _ch_leaf_by_fractions(e: BundleExpr) -> FractionChowElement:
 @lru_cache(maxsize=None)
 def ch_by_fractions(e: BundleExpr) -> FractionChowElement:
     """The Chern character of an expression in Fraction coordinates."""
-    return evaluate(e, _ch_leaf_by_fractions, ch_by_fractions)
+    return evaluate(e, ch_leaf_by_fractions, ch_by_fractions)
 
 
 @lru_cache(maxsize=1)
 def todd_by_fractions() -> FractionChowElement:
-    return todd_from_chern_roots(FractionChowElement)
+    return todd_from_chern_roots()
+
+
+def todd_by_exp_of_fractions() -> FractionChowElement:
+    """The Todd class by the route of ``chow.todd_y`` in Fraction
+    coordinates: the exp of sum c_k ch_k(T_Y) with c_k = 1/2, -1/12, 1/120
+    and -1/252 for k = 1, 2, 4, 6."""
+    ch = (3 * ch_by_fractions(tensor(dual(U1), U2)) - ch_by_fractions(tensor(dual(U1), U1))
+          - ch_by_fractions(tensor(dual(U2), U2)) + FractionChowElement.unit())
+    return exp_by_fractions(sum((c * ch.degree_part(k) for k, c in
+                                 ((1, F(1, 2)), (2, F(-1, 12)), (4, F(1, 120)), (6, F(-1, 252)))),
+                                FractionChowElement.zero()))
 
 
 def euler_pairing_by_fractions(e: BundleExpr, f: BundleExpr) -> int:

@@ -11,12 +11,19 @@ from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
 from oracles import (
     BASIS_BY_HAND,
     DEGREES_BY_HAND,
+    PRODUCTS,
     FractionChowElement,
     _dense_products,
     ch_by_fractions,
     ch_by_ops,
+    ch_leaf_by_fractions,
     chow_mul_dense,
+    coefficient,
+    coords_of,
+    exp_by_fractions,
+    from_coords,
     gram_row_by_fractions,
+    integral,
     integrals_by_localization,
     localization_fixed_points,
     localization_integral,
@@ -26,26 +33,28 @@ from oracles import (
     pairing_by_fractions,
     products_by_rref,
     random_expr,
+    tangent_chern,
     tangent_chern_by_hand,
-    todd_by_fractions,
+    todd_by_exp_of_fractions,
     todd_by_hand,
     todd_from_chern_roots,
 )
-from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
+from quivercert._linalg import render_ratio
+from quivercert.bundles import (O, U1, U2, det, direct_sum, dual, parse_expr, sl, sym2, tensor,
+                                twist, wedge2)
 from quivercert.chow import (
+    _INDEX,
     _INTEGRALS,
     _PAIRING,
-    _PRODUCTS,
+    _TRIPLED,
     BASIS,
     DEGREES,
     ChowElement,
+    _exp,
     ch_of,
     chi,
     gram_row,
-    integral,
     parse_chow_poly,
-    render_fraction,
-    tangent_chern,
     todd_y,
 )
 
@@ -66,7 +75,7 @@ class TestRingStructure:
     def test_unit(self):
         rng = random.Random(0)
         for _ in range(10):
-            x = ChowElement([F(rng.randint(-5, 5)) for _ in BASIS])
+            x = ChowElement([rng.randint(-5, 5) for _ in BASIS], 1)
             assert ChowElement.unit() * x == x
 
     def test_stated_cubic_relation(self):
@@ -85,8 +94,8 @@ class TestRingStructure:
     def test_degree5_relations(self):
         cc = ChowElement.basis("c2*c3")
         assert C1 ** 5 == 19 * cc
-        assert C3 * D2 == F(2, 3) * cc
-        assert C1 ** 2 * C3 == F(5, 3) * cc
+        assert 3 * (C3 * D2) == 2 * cc
+        assert 3 * (C1 ** 2 * C3) == 5 * cc
 
     def test_associativity_and_commutativity_on_basis(self):
         classes = [ChowElement.basis(label) for label in BASIS]
@@ -99,7 +108,7 @@ class TestRingStructure:
         rng = random.Random(1729)
         for _ in range(200):
             x, y = (
-                ChowElement([F(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7
+                from_coords([F(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7
                              else 0 for _ in BASIS])
                 for _ in range(2)
             )
@@ -111,7 +120,7 @@ class TestRingStructure:
     def test_powers_match_repeated_products(self):
         rng = random.Random(5)
         for constant in (0, 0, 1, -2):
-            x = ChowElement([constant] + [F(rng.randint(-3, 3), rng.randint(1, 3))
+            x = from_coords([constant] + [F(rng.randint(-3, 3), rng.randint(1, 3))
                                           for _ in BASIS[1:]])
             product = ChowElement.unit()
             for n in range(10):
@@ -133,12 +142,23 @@ class TestDerivedTables:
 
     def test_products_equal_hand_typed_reductions(self):
         dense = _dense_products()
-        for i, row in enumerate(_PRODUCTS):
+        for i, row in enumerate(PRODUCTS):
             for j, terms in enumerate(row):
                 assert terms == tuple((k, c) for k, c in enumerate(dense[i][j]) if c), (i, j)
 
     def test_products_equal_rref_route(self):
-        assert products_by_rref() == _PRODUCTS
+        assert products_by_rref() == PRODUCTS
+
+    def test_integer_tables_equal_the_fraction_table(self):
+        # back-substitution for 3c in integers gives 3 times the rational table
+        assert _TRIPLED == tuple(tuple((j, tuple((k, 3 * c) for k, c in terms))
+                                       for j, terms in enumerate(row) if terms)
+                                 for row in PRODUCTS)
+        assert all(type(c) is int for row in _TRIPLED for _, terms in row for _, c in terms)
+        point = _INDEX["c3^2"]
+        assert _PAIRING == tuple((i, j, c) for i, row in enumerate(PRODUCTS)
+                                 for j, terms in enumerate(row) for k, c in terms if k == point)
+        assert all(type(c) is int for _, _, c in _PAIRING)
 
     def test_tangent_chern_equals_hand_typed(self):
         assert tangent_chern() == tangent_chern_by_hand()
@@ -198,7 +218,7 @@ class TestPairing:
     @given(st.lists(fractions, min_size=len(BASIS), max_size=len(BASIS)),
            st.lists(fractions, min_size=len(BASIS), max_size=len(BASIS)))
     def test_equals_integral_of_dense_product(self, xs, ys):
-        x, y = ChowElement(xs), ChowElement(ys)
+        x, y = from_coords(xs), from_coords(ys)
         assert pairing(x, y) == integral(chow_mul_dense(x, y))
 
     def test_pairs_complementary_degrees_only(self):
@@ -212,7 +232,7 @@ scalars = st.one_of(st.integers(-20, 20), fractions)
 
 
 def assert_same(x: ChowElement, oracle: FractionChowElement):
-    assert x.coords == oracle.coords, (x, oracle)
+    assert coords_of(x) == oracle.coords, (x, oracle)
 
 
 class TestIntegerCoordinates:
@@ -221,14 +241,17 @@ class TestIntegerCoordinates:
 
     @given(coordinates, coordinates, scalars)
     def test_operations_match_fraction_route(self, xs, ys, s):
-        x, y = ChowElement(xs), ChowElement(ys)
+        x, y = from_coords(xs), from_coords(ys)
         fx, fy = FractionChowElement(xs), FractionChowElement(ys)
         assert_same(x, fx)
         assert_same(x + y, fx + fy)
         assert_same(x - y, fx - fy)
         assert_same(-x, -fx)
-        assert_same(x * s, fx * s)
-        assert_same(s * x, s * fx)
+        if isinstance(s, int):
+            assert_same(x * s, fx * s)
+            assert_same(s * x, s * fx)
+        # a rational scalar scales the numerators and the denominator
+        assert_same(ChowElement([n * s.numerator for n in x.nums], x.den * s.denominator), fx * s)
         assert_same(x * y, fx * fy)
         assert_same(x.dual(), fx.dual())
         assert_same(x.psi2(), fx.psi2())
@@ -244,17 +267,18 @@ class TestIntegerCoordinates:
         assert x.to_json_dict() == fx.to_json_dict()
         assert repr(x) == repr(fx)
         for label in BASIS:
-            assert x.coefficient(label) == fx.coefficient(label)
+            assert coefficient(x, label) == fx.coefficient(label)
 
     @given(coordinates, st.integers(0, 9))
     def test_powers_match_fraction_route(self, xs, n):
-        assert_same(ChowElement(xs) ** n, FractionChowElement(xs) ** n)
+        assert_same(from_coords(xs) ** n, FractionChowElement(xs) ** n)
 
     @given(coordinates)
     def test_lowest_terms(self, xs):
-        x = ChowElement(xs)
-        routes = [x, ChowElement(x.coords), (x + x).half(), x * 6 * F(1, 6), -(-x),
-                  x * 2 - x, x * ChowElement.unit(), ChowElement([2 * c for c in xs]) * F(2, 4)]
+        x = from_coords(xs)
+        routes = [x, ChowElement(x.nums, x.den), from_coords(coords_of(x)), (x + x).half(),
+                  ChowElement([6 * n for n in x.nums], 6 * x.den), -(-x), x * 2 - x,
+                  x * ChowElement.unit(), from_coords([2 * c for c in xs]).half()]
         for y in routes:
             assert y == x and hash(y) == hash(x)
             assert y.den > 0 and math.gcd(y.den, *y.nums) == 1
@@ -263,38 +287,41 @@ class TestIntegerCoordinates:
             assert zero == ChowElement.zero() and zero.den == 1 and not any(zero.nums)
 
     def test_lowest_terms_examples(self):
-        half = ChowElement([F(2, 4)] + [0] * (len(BASIS) - 1))
-        assert half == ChowElement.unit().half() == F(1, 2) * ChowElement.unit()
+        half = ChowElement([2] + [0] * (len(BASIS) - 1), 4)
+        assert half == ChowElement.unit().half() == from_coords([F(1, 2)] + [0] * (len(BASIS) - 1))
         assert hash(half) == hash(ChowElement.unit().half())
         assert (half.den, half.nums[0]) == (2, 1)
         # degree-5 products carry the factor 3 of the table into the denominator
         assert (C1 ** 2 * C3).nums[BASIS.index("c2*c3")] == 5 and (C1 ** 2 * C3).den == 3
-        assert (C3 * D2).coefficient("c2*c3") == F(2, 3)
+        assert coefficient(C3 * D2, "c2*c3") == F(2, 3)
 
 
 class TestToddAndTangent:
     def test_todd_degree0(self):
-        assert todd_y().coefficient("[Y]") == 1
+        assert coefficient(todd_y(), "[Y]") == 1
 
     def test_todd_degree3_reduced(self):
         part = todd_y().degree_part(3)
-        assert part.coefficient("c1*c2") == 0
-        assert part.coefficient("c1*d2") == F(17, 8)
-        assert part.coefficient("c3") == F(-9, 8)
+        assert coefficient(part, "c1*c2") == 0
+        assert coefficient(part, "c1*d2") == F(17, 8)
+        assert coefficient(part, "c3") == F(-9, 8)
 
     def test_todd_top_gives_chi_o(self):
-        assert todd_y().coefficient("c3^2") == 1
+        assert coefficient(todd_y(), "c3^2") == 1
         assert chi(O(0)) == 1
 
     def test_todd_matches_chern_root_expansion(self):
-        assert todd_y() == todd_from_chern_roots()
-        assert todd_y().coords == todd_by_fractions().coords
+        assert coords_of(todd_y()) == todd_from_chern_roots().coords
+
+    def test_todd_equals_the_fraction_exp_route(self):
+        # todd_y scales by the integer denominator 2520 and exp by 6!
+        assert coords_of(todd_y()) == todd_by_exp_of_fractions().coords
 
     def test_tangent_degree1(self):
         assert tangent_chern().degree_part(1) == 3 * C1
 
     def test_euler_number(self):
-        assert tangent_chern().coefficient("c3^2") == 13
+        assert coefficient(tangent_chern(), "c3^2") == 13
         assert integral(tangent_chern().degree_part(6)) == 13
         # matches the total rank of the basis
         assert len(BASIS) == 13
@@ -315,18 +342,33 @@ class TestChernCharacters:
         ],
     )
     def test_golden_rows(self, expr, row):
-        assert ch_of(expr).coords == tuple(F(x) for x in CH_ROWS[row])
+        assert coords_of(ch_of(expr)) == tuple(F(x) for x in CH_ROWS[row])
         assert ch_by_fractions(expr).coords == tuple(F(x) for x in CH_ROWS[row])
 
     def test_o1_is_exponential(self):
-        expected = ChowElement.unit()
-        power = ChowElement.unit()
+        expected = FractionChowElement.unit()
+        power = FractionChowElement.unit()
         fact = 1
         for k in range(1, 7):
-            power = power * C1
+            power = power * FractionChowElement.basis("c1")
             fact *= k
             expected = expected + F(1, fact) * power
-        assert ch_of(O(1)) == expected
+        assert_same(ch_of(O(1)), expected)
+
+    @pytest.mark.parametrize("leaf", [U1, U2] + [O(n) for n in range(-4, 5)])
+    def test_leaves_equal_the_fraction_route(self, leaf):
+        # _ch_from_chern and _exp scale by the integer denominator 6!
+        assert_same(ch_of(leaf), ch_leaf_by_fractions(leaf))
+
+    @given(exprs(depth=2))
+    def test_det_equals_the_fraction_route(self, e):
+        assert_same(ch_of(det(e)), ch_by_fractions(det(e)))
+        assert_same(ch_of(e).det(), exp_by_fractions(ch_by_fractions(e).degree_part(1)))
+
+    @given(coordinates)
+    def test_exp_equals_the_fraction_route(self, xs):
+        xs = [0] + xs[1:]
+        assert_same(_exp(from_coords(xs)), exp_by_fractions(FractionChowElement(xs)))
 
     def test_sl_u1_equals_sl_u1_star(self):
         assert ch_of(sl(U1)) == ch_of(sl(dual(U1)))
@@ -335,20 +377,16 @@ class TestChernCharacters:
         assert ch_of(dual(dual(U2))) == ch_of(U2)
 
     def test_det_dual_u1_is_o1(self):
-        from quivercert.bundles import det
-
         assert ch_of(det(dual(U1))) == ch_of(O(1))
 
     @given(exprs(depth=2), exprs(depth=2))
     def test_ring_homomorphism(self, e, f):
         assert ch_of(tensor(e, f)) == ch_of(e) * ch_of(f)
-        from quivercert.bundles import direct_sum
-
         assert ch_of(direct_sum(e, f)) == ch_of(e) + ch_of(f)
 
     @given(exprs(depth=2))
     def test_rank_is_degree0(self, e):
-        assert ch_of(e).coefficient("[Y]") == e.rank
+        assert coefficient(ch_of(e), "[Y]") == e.rank
 
     @given(exprs())
     def test_matches_per_operator_recursion(self, e):
@@ -356,8 +394,6 @@ class TestChernCharacters:
 
     @given(exprs(depth=2))
     def test_sym_plus_wedge(self, e):
-        from quivercert.bundles import sym2, wedge2
-
         assert ch_of(sym2(e)) + ch_of(wedge2(e)) == ch_of(tensor(e, e))
 
 
@@ -380,8 +416,6 @@ class TestChi:
 
     @given(exprs(depth=2), exprs(depth=2))
     def test_additive(self, e, f):
-        from quivercert.bundles import direct_sum
-
         assert chi(direct_sum(e, f)) == chi(e) + chi(f)
 
 
@@ -419,8 +453,9 @@ class TestPolynomialInput:
 
 class TestRendering:
     def test_fraction_rendering(self):
-        assert render_fraction(F(3)) == 3
-        assert render_fraction(F(-7, 24)) == "-7/24"
+        assert render_ratio(3, 1) == 3
+        assert render_ratio(-7, 24) == "-7/24"
+        assert render_ratio(-14, 48) == "-7/24"
 
     def test_coordinates_json(self):
         doc = ch_of(U2).to_json_dict()

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cli_by_fractions, random_matrix_text
-from quivercert import repgeom
+from quivercert import chow, repgeom, verify
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_COUNTING_WORK, MAX_SUBVECTORS, MAX_VERTICES
@@ -267,12 +267,26 @@ FRACTION_FREE_REQUESTS = (
     ["chow-eval", "--expr", "c1^6"],
     ["chow-eval", "--expr", "c1^6 + 2c2*d2*c1^2 - (c1+c3)^2"],
     ["chow-eval", "--expr", "(2 + d1)^3*c2 - c1*c2^2"],
+    ["chi", "--expr", "sym2(tensor(dual(U1),U2))"],
+    ["verify-collection"],
+    ["ledger-check"],
+)
+
+#: One request of each of the nine subcommands.
+EVERY_SUBCOMMAND = (
+    ["hn-types", "--dim", "3,5", "--theta", "5,-3"],
+    ["teleman", "--expr", "sym2(O(-2))"],
+    ["chi", "--expr", "tensor(dual(U1),U2)"],
+    ["ch", "--expr", "wedge2(U2)"],
+    ["chow-eval", "--expr", "(c1+d2)^3*c3"],
+    ["stability", "--matrix", "1/2x+3y,-5/7z,0;2/9y,x,1/11z+1/12x"],
+    ["syzygies", "--matrix", "x,y,z;2y,3z,5x"],
+    ["verify-collection"],
+    ["ledger-check"],
 )
 
 
 def test_no_fraction_on_the_request_path(capsys, monkeypatch):
-    # the first run also fills the ch_of cache, whose evaluation may build
-    # fractions; parsing, the matrix work and every rendering must not
     expected = [(main(argv), capsys.readouterr().out) for argv in FRACTION_FREE_REQUESTS]
     # every command renders some rational output, besides the echo of its input
     rational = {argv[0] for argv, (_, out) in zip(FRACTION_FREE_REQUESTS, expected)
@@ -283,9 +297,106 @@ def test_no_fraction_on_the_request_path(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the request path")
 
+    # from cold caches, so that the Chern characters, the Todd class and the
+    # chi rows and columns are evaluated again under the patch
+    for cached in (chow.ch_of, chow.todd_y, verify._chi_row, verify._chi_column):
+        cached.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", refuse)
     for argv, want in zip(FRACTION_FREE_REQUESTS, expected):
         assert (main(argv), capsys.readouterr().out) == want, argv
+
+
+def test_no_subcommand_imports_fractions():
+    # a child interpreter, so that no test module has imported fractions yet
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quivercert.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'fractions' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(EVERY_SUBCOMMAND)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout)
+    parser = build_parser.__wrapped__()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [argv[0] for argv in EVERY_SUBCOMMAND] == list(subparsers.choices)
+    assert codes == [0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert not imported
+
+
+PACKAGE = TESTS.parent / "src" / "quivercert"
+
+#: The benchmark files that run the program.  The string tables of
+#: bench/tracing.py do not count: the tracer skips the names it misses.
+BENCH_CALLERS = tuple(TESTS.parent / "bench" / name
+                      for name in ("workloads.py", "one_pass.py", "probe_worker.py"))
+
+
+def package_reads(tree: ast.Module, modules) -> set:
+    """``(module, name)`` for each name of a package module that ``tree``
+    reads: imported from that module and read, or read as its attribute."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rpartition(".")[2]
+            if module in modules:
+                imported.update({alias.asname or alias.name: (module, alias.name)
+                                 for alias in node.names})
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
+            reads.add(imported[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            reads.add((node.value.id, node.attr))
+    return reads
+
+
+def public_definitions(tree: ast.Module):
+    """``(name, statement)`` for each public name a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = set()
+    for tree in list(trees.values()) + [ast.parse(p.read_text(encoding="utf-8"))
+                                        for p in BENCH_CALLERS]:
+        reads |= package_reads(tree, trees)
+    # bench/workloads.py builds expressions by getattr(bundles, op) over the
+    # operator names of the expression trees of bench/oracle.py
+    workloads = ast.parse(BENCH_CALLERS[0].read_text(encoding="utf-8"))
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+               and getattr(node.args[0], "id", None) == "bundles" for node in ast.walk(workloads))
+    oracle = ast.parse((TESTS.parent / "bench" / "oracle.py").read_text(encoding="utf-8"))
+    operators = [op for node in oracle.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) in ("UNARY", "BINARY")
+                 for op in ast.literal_eval(node.value)]
+    assert "sym2" in operators
+    reads |= {("bundles", op) for op in operators}
+    uncalled = []
+    for module, tree in trees.items():
+        for name, statement in public_definitions(tree):
+            # a name read by its own module outside its own definition has a caller
+            own = {n.id for s in tree.body if s is not statement for n in ast.walk(s)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if (module, name) not in reads and name not in own and name != "__version__":
+                uncalled.append(f"{module}.{name}")
+    assert uncalled == []
 
 
 class TestVerifyCollection:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from golden import HN_TYPES_23
 from oracles import (
     GF,
+    KRONECKER3,
     all_reps,
     coefficient_sum,
     coefficient_sum_bounds,
@@ -20,9 +21,11 @@ from oracles import (
     hn_type_brute,
     hn_types_by_chains,
     hn_types_by_subvectors,
+    is_hn_type,
     is_hn_type_by_fraction_slopes,
     is_semistable_brute,
     poly_mul,
+    slope,
     sst_count_by_fraction_slopes,
     sst_count_by_tails,
     sst_table_by_tuples,
@@ -32,7 +35,6 @@ from quivercert import _linalg
 from quivercert import quiver as quiver_module
 from quivercert.chow import DEGREES
 from quivercert.quiver import (
-    KRONECKER3,
     MAX_ARROWS,
     MAX_COUNTING_WORK,
     MAX_SUBVECTORS,
@@ -45,8 +47,7 @@ from quivercert.quiver import (
     euler_form,
     has_semistable,
     hn_stratum_codim,
-    is_hn_type,
-    slope,
+    reduced_slope,
 )
 
 A2 = Quiver(2, ((0, 1),))
@@ -188,17 +189,18 @@ class TestQuiver:
 
 class TestSlope:
     def test_working_vector(self):
-        assert slope((3, -2), (2, 3)) == 0
+        assert reduced_slope((3, -2), (2, 3)) == (0, 1)
 
     def test_generic(self):
-        assert slope((3, -2), (1, 1)) == Fraction(1, 2)
+        assert reduced_slope((3, -2), (1, 1)) == (1, 2)
+        assert reduced_slope((3, -2), (2, 2)) == (1, 2)
 
     def test_single_vertex(self):
-        assert slope((3, -2), (0, 1)) == -2
+        assert reduced_slope((3, -2), (0, 1)) == (-2, 1)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="undefined slope"):
-            slope((3, -2), (0, 0))
+            reduced_slope((3, -2), (0, 0))
 
 
 class TestEulerForm:
@@ -496,12 +498,11 @@ class TestEnumerateHnTypes:
     def test_no_fraction_on_the_path(self, monkeypatch):
         expected = hn_types_by_chains(KRONECKER3, (3, 5), (5, -3))
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("Fraction built on the HN path")
 
         _sst_table.cache_clear()
-        monkeypatch.setattr(quiver_module, "slope", refuse)
-        monkeypatch.setattr(quiver_module, "Fraction", refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
         monkeypatch.setattr(quiver_module, "has_semistable", refuse)
         assert enumerate_hn_types(KRONECKER3, (3, 5), (5, -3)) == expected
         assert all(is_hn_type(KRONECKER3, (3, 5), (5, -3), tau) for tau in expected)

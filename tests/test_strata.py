@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 from golden import STRATUM_TABLE
-from oracles import one_ps_by_fraction_slopes, random_expr, stratum_checks, weights_of
+from oracles import (KRONECKER3, count_negative_directions, dim_vector, one_ps_by_fraction_slopes,
+                     random_expr, stratum_checks, weights_of)
 from test_quiver import quiver_dim_theta
 from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, StratumWeights, direct_sum, dual, sl,
                                 sym2, tensor)
-from quivercert.quiver import (KRONECKER3, Quiver, _sst_table, enumerate_hn_types, hn_stratum_codim,
-                               slope)
+from quivercert.quiver import (Quiver, _sst_table, enumerate_hn_types, hn_stratum_codim,
+                               reduced_slope)
 from quivercert.strata import (
     Moduli,
     OnePS,
-    count_negative_directions,
     descent_shift,
     eta,
     one_ps_from_hn,
@@ -65,6 +65,13 @@ class TestOnePS:
         for tau in enumerate_hn_types(quiver, d, theta):
             assert one_ps_from_hn(tau, theta).blocks == one_ps_by_fraction_slopes(tau, theta).blocks
 
+    @settings(max_examples=100, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_multiplicities_sum_to_the_dimension_vector(self, case):
+        quiver, d, theta = case
+        for tau in enumerate_hn_types(quiver, d, theta):
+            assert dim_vector(one_ps_from_hn(tau, theta)) == d
+
     @pytest.mark.parametrize("tau", [((2, 3), (0, 0)), ((0, 0), (2, 3)), ((1, 1), (1, 2, 0)),
                                      ((1, 1, 0), (1, 2))])
     def test_zero_or_misshapen_part_is_refused(self, tau):
@@ -74,8 +81,8 @@ class TestOnePS:
 
 @pytest.mark.parametrize("build", [
     lambda: Quiver(2, ((0.5, 1),)),
-    lambda: slope((1, -1), (1.5, 1)),
-    lambda: slope((1.5, 1), (1, 1)),
+    lambda: reduced_slope((1, -1), (1.5, 1)),
+    lambda: reduced_slope((1.5, 1), (1, 1)),
     lambda: Moduli(KRONECKER3, (2, 3), (3.7, -2.2), (1, -1)),
     lambda: Moduli(KRONECKER3, (2, 3), (3, -2), (1.5, -1)),
     lambda: O(1.5),
@@ -162,23 +169,19 @@ class TestUniversalWeights:
     def test_twist_normalization_enforced(self):
         # Moduli is the one place that checks it: universal_weights takes the
         # shift that unstable_strata computes once per stratum
-        from quivercert.quiver import KRONECKER3 as K3
-
         with pytest.raises(ValueError, match="twist . d must be -1"):
-            Moduli(K3, (2, 3), (3, -2), (1, 1))
+            Moduli(KRONECKER3, (2, 3), (3, -2), (1, 1))
         s = one_ps_from_hn(((1, 1), (1, 2)), (3, -2))
         with pytest.raises(ValueError, match="twist vector has wrong length"):
             descent_shift(s, (1, -1, 0))
 
     def test_moduli_validation(self):
-        from quivercert.quiver import KRONECKER3 as K3
-
         with pytest.raises(ValueError, match="theta . d"):
-            Moduli(K3, (2, 3), (1, -1), (1, -1))
+            Moduli(KRONECKER3, (2, 3), (1, -1), (1, -1))
         with pytest.raises(ValueError, match="twist . d"):
-            Moduli(K3, (2, 3), (3, -2), (-1, 1))
+            Moduli(KRONECKER3, (2, 3), (3, -2), (-1, 1))
         with pytest.raises(ValueError, match="length"):
-            Moduli(K3, (2, 3), (3, -2, 0), (1, -1))
+            Moduli(KRONECKER3, (2, 3), (3, -2, 0), (1, -1))
 
     def test_kronecker23_is_one_shared_instance(self):
         assert Moduli.kronecker23() is Moduli.kronecker23()

@@ -1,19 +1,19 @@
 import random
 from dataclasses import replace
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (euler_pairing_by_fractions, random_expr, verify_collection_by_blocking_rows,
+from oracles import (KRONECKER3, coefficient, euler_pairing, euler_pairing_by_fractions,
+                     random_expr, symmetry_functor, verify_collection_by_blocking_rows,
                      verify_collection_by_fractions, verify_collection_by_pairs)
 from quivercert import verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, det, direct_sum, dual, sl, sym2, tensor,
                                 twist, wedge2)
 from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, chi, todd_y
-from quivercert.quiver import KRONECKER3, Quiver
+from quivercert.quiver import Quiver
 from quivercert.strata import Moduli, unstable_strata, weight_ranges
 from quivercert.verify import (
     EXCEPTIONAL,
@@ -24,11 +24,9 @@ from quivercert.verify import (
     CollectionSpec,
     check_ch_identities,
     collection_variants,
-    euler_pairing,
     mutation_ledger,
     mutation_ledger_check,
     standard_collection,
-    symmetry_functor,
     verify_collection,
 )
 
@@ -288,7 +286,7 @@ class TestPerObjectRoute:
 
     def test_fractional_pair_is_ring_inconsistency(self, monkeypatch):
         # a Todd class with top coefficient 1/2: chi(O, O) would be 1/2
-        bent = todd_y() - F(1, 2) * ChowElement.basis("c3^2")
+        bent = todd_y() - ChowElement.basis("c3^2").half()
         monkeypatch.setattr(verify, "todd_y", lambda: bent)
         spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
         with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
@@ -302,7 +300,7 @@ class TestPerObjectRoute:
         spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
         verify_collection(spec, Y23)
         assert euler_pairing(O(0), O(1)) == 20
-        bent = todd_y() - F(1, 2) * ChowElement.basis("c3^2")
+        bent = todd_y() - ChowElement.basis("c3^2").half()
         monkeypatch.setattr(verify, "todd_y", lambda: bent)
         with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
             verify_collection(spec, Y23)
@@ -362,10 +360,10 @@ class TestMutationLedger:
 
     def test_ranks(self):
         ledger = mutation_ledger()
-        assert ledger.l5.coefficient("[Y]") == 3
-        assert ledger.l4.coefficient("[Y]") == 12
-        assert ledger.l3.coefficient("[Y]") == 6
-        assert ledger.l2.coefficient("[Y]") == 6
+        assert coefficient(ledger.l5, "[Y]") == 3
+        assert coefficient(ledger.l4, "[Y]") == 12
+        assert coefficient(ledger.l3, "[Y]") == 6
+        assert coefficient(ledger.l2, "[Y]") == 6
 
     def test_two_routes_agree(self):
         ledger = mutation_ledger()

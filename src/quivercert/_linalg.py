@@ -1,9 +1,20 @@
-"""Integer helpers shared by the modules: a fraction-free row echelon
-form, and the rendering of a ratio of integers."""
+"""Integer helpers shared by the modules: the check of integer entries, a
+fraction-free row echelon form, and the rendering of a ratio of integers."""
 
 from __future__ import annotations
 
 from math import gcd
+from operator import index
+
+
+def _int_entries(values, what: str) -> tuple[int, ...]:
+    """The entries of values as ints, refusing any that is not an integer
+    (int() would truncate 1.5 to 1)."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} has a non-integer entry") from None
 
 
 def render_ratio(n: int, d: int):

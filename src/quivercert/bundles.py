@@ -7,18 +7,18 @@ dual, tensor, direct sum, det, traceless endomorphisms sl, Sym^2 and
 Wedge^2, and twisting by O(n).
 
 Every semantics of an expression is a lambda-ring homomorphism, and
-``evaluate`` is the one recursion over the operators: ranks (here),
-characters of a stratum's one-parameter subgroup as weight ->
-multiplicity maps (here, used by the strata module), and Chern
-characters (chow module).  The module also holds the trees and their
-parser.
+``evaluate`` is the one recursion over the operators: ranks (a field
+that each node computes as it is built), characters of a stratum's
+one-parameter subgroup as weight -> multiplicity maps (here, used by
+the strata module), and Chern characters (chow module).  The module
+also holds the trees and their parser.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .quiver import _int_entries
+from ._linalg import _int_entries
 
 #: Largest rank of an expression and of each of its subexpressions.
 MAX_RANK = 2 ** 64
@@ -33,24 +33,27 @@ MAX_WORK_TERMS = 2 ** 20
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
 
 
-@dataclass(frozen=True, slots=True)
-class BundleExpr:
-    op: str
-    args: tuple = field(default_factory=tuple)
-    rank: int = field(init=False, repr=False, compare=False)
+class BundleExpr(namedtuple("BundleExpr", "op args rank")):
+    """An operator, its arguments and the rank that it computes from them."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, op: str, args: tuple = ()):
         # Each node's rank comes from its arguments' ranks, so an expression
         # is refused at the first node above MAX_RANK, before its rank (which
         # grows doubly exponentially with nesting) or anything else is large.
-        rank = _LEAF_RANKS.get(self.op)
+        rank = _LEAF_RANKS.get(op)
         if rank is None:
-            if self.op == "sl" and self.args[0].rank < 1:
+            if op == "sl" and args[0].rank < 1:
                 raise ValueError("sl needs an argument of rank at least 1")
-            rank = sum(evaluate(self, _rank_character, _rank_character).values())
+            rank = sum(evaluate((op, args), _rank_character, _rank_character).values())
             if rank > MAX_RANK:
-                raise ValueError(f"expression {self.op}(...) has rank above {MAX_RANK}")
-        object.__setattr__(self, "rank", rank)
+                raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
+        return super().__new__(cls, op, args, rank)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a node from what __new__ takes
+        return self.op, self.args
 
     def __str__(self) -> str:
         if self.op in ("U1", "U2"):
@@ -110,21 +113,21 @@ def twist(e: BundleExpr, n: int) -> BundleExpr:
     return tensor(e, O(n))
 
 
-def evaluate(e: BundleExpr, leaf, value):
-    """Evaluate ``e`` under a lambda-ring homomorphism, given the values
-    ``leaf`` of U1, U2 and O(n) and a function ``value`` for the arguments.
-    Values have ``+ - *`` and the methods ``dual``, ``det``, ``psi2`` (the
-    second Adams operation) and ``half``."""
-    op = e.op
+def evaluate(e, leaf, value):
+    """Evaluate ``e``, a BundleExpr or an operator's ``(op, args)``, under a
+    lambda-ring homomorphism, given the values ``leaf`` of U1, U2 and O(n)
+    and a function ``value`` for the arguments.  Values have ``+ - *`` and
+    ``dual``, ``det``, ``psi2`` (the second Adams operation) and ``half``."""
+    op, args = e[0], e[1]
     if op in ("U1", "U2", "O"):
         return leaf(e)
-    x = value(e.args[0])
+    x = value(args[0])
     if op == "dual":
         return x.dual()
     if op == "tensor":
-        return x * value(e.args[1])
+        return x * value(args[1])
     if op == "sum":
-        return x + value(e.args[1])
+        return x + value(args[1])
     if op == "det":
         return x.det()
     if op == "sl":
@@ -200,20 +203,13 @@ class Character(dict):
         return Character({w: m // 2 for w, m in self.items() if m // 2}, self.budget)
 
 
-@dataclass(frozen=True)
-class StratumWeights:
+class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
     """Base weights of the universal bundles on one stratum's fixed locus.
 
     The weight of O(1) is minus the total U1 weight (O(-1) = det U1).
     """
 
-    u1: tuple[int, ...]
-    u2: tuple[int, ...]
-    _leaves: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", self.u1), ("U2", self.u2))}
-        object.__setattr__(self, "_leaves", leaves)
+    __slots__ = ()
 
     def character(self, e: BundleExpr, budget: WorkBudget | None = None) -> Character:
         """The weights of ``e`` on this stratum with multiplicities (may be
@@ -221,11 +217,12 @@ class StratumWeights:
         charge ``budget``, by default a fresh one."""
         if budget is None:
             budget = WorkBudget()
+        leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", self.u1), ("U2", self.u2))}
 
         def leaf(x):
             if x.op == "O":
                 return Character({-x.args[0] * sum(self.u1): 1}, budget)
-            return Character(self._leaves[x.op], budget)
+            return Character(leaves[x.op], budget)
 
         def value(x):
             return evaluate(x, leaf, value)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cmp_to_key, lru_cache
 from math import comb, gcd
-from operator import index, itemgetter, mul
+from operator import itemgetter, mul
+
+from ._linalg import _int_entries
 
 #: Largest arrow count of a quiver, which builds one entry per arrow.
 MAX_ARROWS = 10 ** 4
@@ -58,41 +59,30 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int_entries(values, what: str) -> tuple[int, ...]:
-    """The entries of values as ints, refusing any that is not an integer
-    (int() would truncate 1.5 to 1)."""
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(f"{what} has a non-integer entry") from None
-
-
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     """A finite acyclic directed graph, parallel arrows allowed.
 
     Vertices are indexed 0..vertex_count-1; arrows are (source, target)
     pairs.
     """
 
-    vertex_count: int
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vertex_count <= 0:
+    def __new__(cls, vertex_count: int, arrows):
+        if vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
-        if self.vertex_count > MAX_VERTICES:
+        if vertex_count > MAX_VERTICES:
             raise ValueError(f"vertex count above {MAX_VERTICES}")
-        arrows = tuple(_int_entries(a, "arrow") for a in self.arrows)
+        arrows = tuple(_int_entries(a, "arrow") for a in arrows)
         if len(arrows) > MAX_ARROWS:
             raise ValueError(f"arrow count above {MAX_ARROWS}")
-        object.__setattr__(self, "arrows", arrows)
         for i, j in arrows:
-            if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
+            if not (0 <= i < vertex_count and 0 <= j < vertex_count):
                 raise ValueError(f"arrow ({i},{j}) out of range")
+        self = super().__new__(cls, vertex_count, arrows)
         if self._has_cycle():
             raise ValueError("quiver must be acyclic")
+        return self
 
     def _has_cycle(self) -> bool:
         """Whether removing sources one at a time leaves some vertex (without

@@ -14,28 +14,30 @@ margin = eta - max_weight >= 1.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
+from ._linalg import _int_entries
 from .bundles import BundleExpr, StratumWeights, WorkBudget
-from .quiver import HNType, Quiver, _int_entries, enumerate_hn_types, reduced_slope
+from .quiver import HNType, Quiver, enumerate_hn_types, reduced_slope
 
 
-@dataclass(frozen=True)
-class OnePS:
+class OnePS(namedtuple("OnePS", "blocks")):
     """Per-vertex weight blocks ((weight, multiplicity), ...), weights
     strictly decreasing within a vertex."""
 
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for vertex in self.blocks:
+    def __new__(cls, blocks):
+        for vertex in blocks:
             ws = [w for w, _ in vertex]
             if any(a <= b for a, b in zip(ws, ws[1:])):
                 raise ValueError("block weights must strictly decrease")
             if any(m <= 0 for _, m in vertex):
                 raise ValueError("block multiplicities must be positive")
+        return super().__new__(cls, blocks)
 
     def trace(self, i: int) -> int:
         return sum(w * m for w, m in self.blocks[i])
@@ -98,29 +100,24 @@ def universal_weights(s: OnePS, shift: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Moduli:
+class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
     """A quiver moduli setup: quiver, dimension vector, stability
     parameter theta with theta . d = 0, and a unimodular
     universal-bundle twist a (normalized so a . d = -1, the sign that
     makes the additive-shift descent convention central-weight free)."""
 
-    quiver: Quiver
-    dim: tuple[int, ...]
-    theta: tuple[int, ...]
-    twist: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = self.quiver.check_dim(self.dim)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "theta", _int_entries(self.theta, "theta"))
-        object.__setattr__(self, "twist", _int_entries(self.twist, "twist"))
-        if len(self.theta) != len(d) or len(self.twist) != len(d):
+    def __new__(cls, quiver: Quiver, dim, theta, twist):
+        dim = quiver.check_dim(dim)
+        theta, twist = _int_entries(theta, "theta"), _int_entries(twist, "twist")
+        if len(theta) != len(dim) or len(twist) != len(dim):
             raise ValueError("parameter length mismatch")
-        if sum(t * x for t, x in zip(self.theta, d)) != 0:
+        if sum(t * x for t, x in zip(theta, dim)) != 0:
             raise ValueError("theta . d must be 0")
-        if sum(a * x for a, x in zip(self.twist, d)) != -1:
+        if sum(a * x for a, x in zip(twist, dim)) != -1:
             raise ValueError("twist . d must be -1 for descent")
+        return super().__new__(cls, quiver, dim, theta, twist)
 
     @classmethod
     @lru_cache(maxsize=None)

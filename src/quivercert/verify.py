@@ -27,11 +27,11 @@ never claimed.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 from operator import le
-from typing import NamedTuple
 
 from .bundles import U1, U2, BundleExpr, O, dual, parse_expr, sl, tensor, twist
 from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
@@ -52,15 +52,15 @@ FULLNESS_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CollectionSpec:
+class CollectionSpec(namedtuple("CollectionSpec", "objects")):
     """An ordered candidate collection with display labels."""
 
-    objects: tuple[tuple[str, BundleExpr], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.objects:
+    def __new__(cls, objects: tuple[tuple[str, BundleExpr], ...]):
+        if not objects:
             raise ValueError("collection must be nonempty")
+        return super().__new__(cls, objects)
 
     @classmethod
     def from_json_dict(cls, data) -> "CollectionSpec":
@@ -92,9 +92,6 @@ class CollectionSpec:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.objects)
-
-    def __len__(self) -> int:
-        return len(self.objects)
 
 
 def _block(k: int) -> list[tuple[str, BundleExpr]]:
@@ -159,13 +156,9 @@ def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]
     return x.den, x.nums
 
 
-class PairStatus(NamedTuple):
-    i: int
-    j: int
-    chi: int
-    teleman_pass: bool
-    verdict: str
-    blocking: tuple[tuple[tuple[tuple[int, ...], ...], int], ...] = ()
+class PairStatus(namedtuple("PairStatus", "i j chi teleman_pass verdict blocking",
+                            defaults=((),))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -197,7 +190,7 @@ class VerificationMatrix:
         )
 
     def summary(self) -> dict:
-        n = len(self.spec)
+        n = len(self.spec.objects)
         counts = {EXCEPTIONAL: 0, STRONG_EXT: 0, ORTHOGONAL: 0, UNDETERMINED: 0}
         for row in self.pairs:
             for p in row:

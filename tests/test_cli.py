@@ -399,6 +399,29 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
 
 
+def test_records_build_themselves_in_new():
+    """A validated record checks and normalizes its arguments in __new__ and
+    builds its tuple once: no class defines __post_init__, and no code
+    overwrites a field with object.__setattr__, declares a dataclasses.field
+    or imports typing."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.__post_init__" for item in node.body
+                          if getattr(item, "name", None) == "__post_init__"]
+            elif isinstance(node, ast.Attribute) and (getattr(node.value, "id", None), node.attr) in (
+                    ("object", "__setattr__"), ("dataclasses", "field")):
+                found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("dataclasses", "typing"):
+                found += [f"{path.stem}: from {node.module} import {alias.name}" for alias in node.names
+                          if node.module == "typing" or alias.name == "field"]
+            elif isinstance(node, ast.Import):
+                found += [f"{path.stem}: import typing" for alias in node.names
+                          if alias.name == "typing"]
+    assert found == []
+
+
 class TestVerifyCollection:
     def test_builtin_accepts(self, capsys):
         code, doc = run_cli(capsys, "verify-collection")

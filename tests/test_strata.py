@@ -142,8 +142,9 @@ class TestUniversalWeights:
     def test_stratum_records_hold_declared_fields_only(self, strata):
         for s in strata.values():
             assert s.base == StratumWeights(*s.weights)
-            for record in (s, s.base):
-                assert set(vars(record)) <= {f.name for f in fields(record)}
+            assert set(vars(s)) <= {f.name for f in fields(s)}
+            # without a __dict__, the base holds its two tuple fields and nothing else
+            assert not hasattr(s.base, "__dict__") and tuple(s.base) == s.weights
 
     def test_shift_values(self, strata):
         assert strata[((1, 1), (1, 2))].shift == 2

@@ -1,5 +1,7 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ import oracles
 from oracles import (KRONECKER3, coefficient, euler_pairing, euler_pairing_by_fractions,
                      random_expr, symmetry_functor, verify_collection_by_blocking_rows,
                      verify_collection_by_fractions, verify_collection_by_pairs)
-from quivercert import verify
-from quivercert.bundles import (O, U1, U2, BundleExpr, det, direct_sum, dual, sl, sym2, tensor,
-                                twist, wedge2)
+from quivercert import bundles, chow, quiver, repgeom, strata, verify
+from quivercert.bundles import (O, U1, U2, BundleExpr, det, direct_sum, dual, parse_expr, sl, sym2,
+                                tensor, twist, wedge2)
 from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, chi, todd_y
 from quivercert.quiver import Quiver
-from quivercert.strata import Moduli, unstable_strata, weight_ranges
+from quivercert.strata import Moduli, teleman_certify, unstable_strata, weight_ranges
 from quivercert.verify import (
     EXCEPTIONAL,
     MAX_OBJECTS,
@@ -68,7 +70,7 @@ class TestEulerPairing:
 class TestStandardCollection:
     def test_size_and_labels(self):
         spec = standard_collection()
-        assert len(spec) == 13
+        assert len(spec.objects) == 13
         assert spec.labels()[0] == "sl(U1)"
         assert spec.labels()[-1] == "U2(3)"
 
@@ -144,7 +146,7 @@ class TestSmallCollections:
             {"objects": [{"expr": "twist(U1, 1)"}, {"expr": "O(0)", "label": "O"}]})
         assert spec.labels() == ("tensor(U1,O(1))", "O")
         at_limit = CollectionSpec.from_json_dict({"objects": [{"expr": "O(0)"}] * MAX_OBJECTS})
-        assert len(at_limit) == MAX_OBJECTS
+        assert len(at_limit.objects) == MAX_OBJECTS
         with pytest.raises(ValueError, match=f"object count above {MAX_OBJECTS}"):
             CollectionSpec.from_json_dict({"objects": [{"expr": "O(0)"}] * (MAX_OBJECTS + 1)})
 
@@ -162,9 +164,9 @@ class TestVariants:
     @pytest.mark.parametrize("name", sorted(collection_variants()))
     def test_chi_consistency(self, name):
         spec = collection_variants()[name]
-        assert len(spec) == 13
+        assert len(spec.objects) == 13
         result = verify_collection(spec, Y23)
-        n = len(spec)
+        n = len(spec.objects)
         for i in range(n):
             assert result.status(i, i).chi == 1, (name, i)
         for i in range(n):
@@ -371,3 +373,70 @@ class TestMutationLedger:
 
     def test_l6_is_twisted_bundle(self):
         assert mutation_ledger().l6 == ch_of(twist(U2, 1))
+
+
+# -- record semantics ------------------------------------------------------------
+
+#: The record classes of the package: its namedtuples and dataclasses.
+RECORD_CLASSES = {cls for module in (bundles, chow, quiver, repgeom, strata, verify)
+                  for cls in vars(module).values() if isinstance(cls, type)
+                  and cls.__module__ == module.__name__
+                  and (is_dataclass(cls) or issubclass(cls, tuple))}
+
+#: The records that are named tuples: the six value types and PairStatus.
+NAMEDTUPLE_CLASSES = {BundleExpr, bundles.StratumWeights, Quiver, strata.OnePS, Moduli,
+                      CollectionSpec, verify.PairStatus}
+
+
+def records():
+    """One instance of each record class of the package, built from real data."""
+    e = parse_expr("sl(U1)")
+    stratum = unstable_strata(Y23)[0]
+    matrix = verify_collection(standard_collection(), Y23)
+    report = teleman_certify(e)
+    forms = repgeom.parse_matrix("x,y,0;0,y,z")
+    return (e, stratum.base, Y23.quiver, stratum.one_ps, Y23, matrix.spec, matrix.status(1, 2),
+            stratum, report.strata[0], report, matrix, check_ch_identities(), mutation_ledger(),
+            forms, repgeom.syzygies(forms))
+
+
+class TestRecordSemantics:
+    def test_every_record_class_is_covered(self):
+        assert len(RECORD_CLASSES) == 15
+        assert {type(r) for r in records()} == RECORD_CLASSES
+        assert NAMEDTUPLE_CLASSES == {c for c in RECORD_CLASSES if issubclass(c, tuple)}
+
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_copies_are_equal(self, record):
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_set(self, record):
+        name = record._fields[0] if isinstance(record, tuple) else fields(record)[0].name
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.undeclared = 0
+        if isinstance(record, tuple):
+            assert not hasattr(record, "__dict__")
+
+    def test_equal_values_built_twice_are_equal(self):
+        for first, second in zip(records(), records()):
+            assert first == second and hash(first) == hash(second)
+
+    def test_equal_expressions_share_one_cache_entry(self):
+        first, second = parse_expr("sl(U1)"), parse_expr("sl(U1)")
+        assert first is not second and first == second and hash(first) == hash(second)
+        ch_of.cache_clear()
+        ch_of(first)
+        misses = ch_of.cache_info().misses
+        assert ch_of(second) is ch_of(first)
+        assert ch_of.cache_info().misses == misses
+
+    def test_moduli_built_field_by_field_is_y(self):
+        moduli = Moduli(Quiver.from_spec("kronecker:3"), [2, 3], [3, -2], [1, -1])
+        assert moduli is not Y23 and moduli == Y23 and hash(moduli) == hash(Y23)
+        assert unstable_strata(moduli) is unstable_strata(Y23)
+        assert verify_collection(standard_collection(), moduli).accepted

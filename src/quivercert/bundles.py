@@ -27,7 +27,8 @@ MAX_RANK = 2 ** 64
 MAX_TERMS = 2 ** 16
 
 #: Largest number of weight pairs that all the character products of one
-#: request combine, over all strata.
+#: expression combine, over all strata of one moduli space; a request on
+#: several expressions, such as a collection, may combine this many for each.
 MAX_WORK_TERMS = 2 ** 20
 
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
@@ -44,8 +45,6 @@ class BundleExpr(namedtuple("BundleExpr", "op args rank")):
         # grows doubly exponentially with nesting) or anything else is large.
         rank = _LEAF_RANKS.get(op)
         if rank is None:
-            if op == "sl" and args[0].rank < 1:
-                raise ValueError("sl needs an argument of rank at least 1")
             rank = sum(evaluate((op, args), _rank_character, _rank_character).values())
             if rank > MAX_RANK:
                 raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
@@ -131,6 +130,8 @@ def evaluate(e, leaf, value):
     if op == "det":
         return x.det()
     if op == "sl":
+        if not x:  # a zero character: the argument has rank 0 on these leaves
+            raise ValueError("sl needs an argument of rank at least 1")
         return x * x.dual() - value(O(0))
     if op == "sym2":
         return (x * x + x.psi2()).half()
@@ -140,8 +141,8 @@ def evaluate(e, leaf, value):
 
 
 class WorkBudget:
-    """The weight pairs that the character products of one request may
-    still combine."""
+    """The weight pairs that the character products of one expression may
+    still combine, over all strata of one moduli space."""
 
     __slots__ = ("left",)
 

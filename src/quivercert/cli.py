@@ -102,23 +102,23 @@ def _cmd_stability(args) -> tuple[dict, int]:
     doc = {"matrix": str(r), "minors": [repgeom.render_quadratic_form(q, den) for q in forms]}
     stable = repgeom.is_stable(r)
     doc.update(stable=stable, minors_independent=stable,
-               abelian_plane=repgeom.commutes(repgeom.syzygies(r).sl3) if stable else None)
+               abelian_plane=repgeom.commutes(repgeom.syzygies(r)) if stable else None)
     return doc, 0
 
 
 def _cmd_syzygies(args) -> tuple[dict, int]:
     r = repgeom.parse_matrix(args.matrix)
     matrix = str(r)
-    pair = repgeom.syzygies(r)
+    sl3 = repgeom.syzygies(r)
     doc = {
         "matrix": matrix,
         # rendered before the rank of the minors is taken
-        "sl3": [[[render_ratio(x, den) for x in row] for row in m] for m, den in pair.sl3],
+        "sl3": [[[render_ratio(x, den) for x in row] for row in m] for m, den in sl3],
         # syzygies raises unless both integer tensors multiply to zero
         "kernel_ok": True,
-        "commute": repgeom.commutes(pair.sl3),
+        "commute": repgeom.commutes(sl3),
     }
-    if pair.degenerate:
+    if not repgeom.is_stable(r):
         doc["warning"] = "degenerate syzygy: input matrix is unstable"
     return doc, 0
 

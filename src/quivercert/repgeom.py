@@ -132,24 +132,6 @@ def tensor_to_cubic(t) -> tuple[int, ...]:
 Sl3Element = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SyzygyPair:
-    """The minors of a matrix, its two canonical syzygy tensors and their
-    traceless 3x3 matrices, each as ``(integers, den)``, the true values
-    times ``den > 0``."""
-
-    minors: tuple[tuple[QuadraticForm, ...], int]
-    tensors: tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]
-    sl3: tuple[tuple[Sl3Element, int], tuple[Sl3Element, int]]
-
-    @property
-    def degenerate(self) -> bool:
-        """Whether the minors are dependent, that is, the matrix is not
-        stable; the rank is taken only when this is read, so an output can
-        be rendered, or refused as unprintable, before it."""
-        return len(echelon(self.minors[0])[1]) != 3
-
-
 def _syzygy(row, m):
     """u1 (x) m1 - u2 (x) m2 + u3 (x) m3 for the row (u1, u2, u3)."""
     t = [0] * 18
@@ -161,17 +143,18 @@ def _syzygy(row, m):
     return tuple(t)
 
 
-def syzygies(r: LinearFormMatrix) -> SyzygyPair:
-    """Canonical syzygy tensors, reordered into Sym^2 W (x) W:
-    s1 = A(x)(BF-CE) - B(x)(AF-CD) + C(x)(AE-BD) and the same with the
-    second row, both in the kernel of multiplication to Sym^3 W.
+def syzygies(r: LinearFormMatrix) -> tuple[tuple[Sl3Element, int], tuple[Sl3Element, int]]:
+    """The traceless 3x3 matrices of the canonical syzygy tensors, each as
+    ``(integers, den)``, the true matrix times ``den > 0``.  The tensors,
+    reordered into Sym^2 W (x) W, are s1 = A(x)(BF-CE) - B(x)(AF-CD) +
+    C(x)(AE-BD) and the same with the second row; ``to_sl3`` refuses them
+    unless both lie in the kernel of multiplication to Sym^3 W.
 
     On the integer rows, over denominators da and db, the minors are
     da * db times the true ones, and s1 and s2 are da^2 * db and
     da * db^2 times the true tensors."""
     m, den = minors(r)
-    tensors = tuple((_syzygy(row, m), den * d) for row, d in zip(r.rows, r.dens))
-    return SyzygyPair(minors=(m, den), tensors=tensors, sl3=tuple(to_sl3(*t) for t in tensors))
+    return tuple(to_sl3(_syzygy(row, m), den * d) for row, d in zip(r.rows, r.dens))
 
 
 def to_sl3(t, scale=1) -> tuple[Sl3Element, int]:

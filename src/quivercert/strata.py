@@ -81,9 +81,9 @@ def descent_shift(s: OnePS, twist) -> int:
     return sum(a * s.trace(i) for i, a in enumerate(twist))
 
 
-def universal_weights(s: OnePS, shift: int) -> tuple[tuple[int, ...], ...]:
-    """Weight multisets of the descended universal bundles, one per vertex:
-    raw block weights plus the descent shift of the twist.
+def universal_weights(s: OnePS, shift: int) -> StratumWeights:
+    """Weight multisets of the descended universal bundles U1 and U2, one
+    per vertex: raw block weights plus the descent shift of the twist.
 
     The twist must be unimodular against the dimension vector; with the
     additive shift convention used here the descended bundles have
@@ -97,7 +97,7 @@ def universal_weights(s: OnePS, shift: int) -> tuple[tuple[int, ...], ...]:
         for w, m in vertex:
             ws.extend([w + shift] * m)
         out.append(tuple(ws))
-    return tuple(out)
+    return StratumWeights(*out)
 
 
 class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
@@ -130,11 +130,8 @@ class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
 @dataclass(frozen=True)
 class StratumData:
     hn_type: HNType
-    one_ps: OnePS
     eta: int
-    shift: int
-    weights: tuple[tuple[int, ...], ...]
-    base: StratumWeights
+    weights: StratumWeights
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +146,8 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
         if len(tau) == 1:
             continue
         s = one_ps_from_hn(tau, moduli.theta)
-        shift = descent_shift(s, moduli.twist)
-        weights = universal_weights(s, shift)
-        out.append(StratumData(hn_type=tau, one_ps=s, eta=eta(moduli.quiver, s),
-                               shift=shift, weights=weights, base=StratumWeights(*weights)))
+        out.append(StratumData(tau, eta(moduli.quiver, s),
+                               universal_weights(s, descent_shift(s, moduli.twist))))
     return tuple(out)
 
 
@@ -163,7 +158,7 @@ def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | N
     all strata share one WorkBudget; an expression over it raises on every
     call, since exceptions are not cached."""
     budget = WorkBudget()
-    characters = (s.base.character(expr, budget) for s in unstable_strata(moduli))
+    characters = (s.weights.character(expr, budget) for s in unstable_strata(moduli))
     return tuple((min(c), max(c)) if c else None for c in characters)
 
 

@@ -181,9 +181,6 @@ class VerificationMatrix:
     spec: CollectionSpec
     pairs: tuple[tuple[PairStatus, ...], ...]
 
-    def status(self, i: int, j: int) -> PairStatus:
-        return self.pairs[i][j]
-
     def undetermined(self) -> tuple[PairStatus, ...]:
         return tuple(
             p for row in self.pairs for p in row if p.verdict == UNDETERMINED
@@ -331,44 +328,26 @@ def check_ch_identities() -> IdentityReport:
     return IdentityReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class MutationLedger:
-    """K-theory classes of the shifted mutation bundles, defined by the
-    exact-sequence recursion."""
-
-    l6: ChowElement  # U2(1)
-    l5: ChowElement  # 6 O(1) - U2(1)
-    l4: ChowElement  # l5 + 3 U2*(1)
-    l3: ChowElement  # 9 U1*(1) - l4
-    l2: ChowElement  # 3 U1* (x) U1(2) - U1* (x) U2(2)
-
-
-def mutation_ledger() -> MutationLedger:
+def mutation_ledger_check() -> IdentityReport:
+    """Rank bookkeeping and the coincidence of the two mutation routes, on
+    the K-theory classes l6 ... l2 of the shifted mutation bundles, defined
+    by the exact-sequence recursion."""
     l6 = ch_of(twist(U2, 1))
     l5 = 6 * ch_of(O(1)) - l6
     l4 = l5 + 3 * ch_of(twist(dual(U2), 1))
     l3 = 9 * ch_of(twist(dual(U1), 1)) - l4
-    l2 = 3 * ch_of(tensor(dual(U1), twist(U1, 2))) - ch_of(
-        tensor(dual(U1), twist(U2, 2))
-    )
-    return MutationLedger(l6=l6, l5=l5, l4=l4, l3=l3, l2=l2)
-
-
-def mutation_ledger_check() -> IdentityReport:
-    """Rank bookkeeping and the coincidence of the two mutation routes."""
-    ledger = mutation_ledger()
+    l2 = 3 * ch_of(tensor(dual(U1), twist(U1, 2))) - ch_of(tensor(dual(U1), twist(U2, 2)))
 
     def has_rank(x: ChowElement, r: int) -> bool:
         return x.nums[0] == r * x.den  # the degree-0 coordinate is the rank
 
     checks = [
-        ("l3_equals_l2", ledger.l3 == ledger.l2),
-        ("rank_l5_is_3", has_rank(ledger.l5, 3)),
-        ("rank_l4_is_12", has_rank(ledger.l4, 12)),
-        ("rank_l3_is_6", has_rank(ledger.l3, 6)),
-        ("rank_l2_is_6", has_rank(ledger.l2, 6)),
+        ("l3_equals_l2", l3 == l2),
+        ("rank_l5_is_3", has_rank(l5, 3)),
+        ("rank_l4_is_12", has_rank(l4, 12)),
+        ("rank_l3_is_6", has_rank(l3, 6)),
+        ("rank_l2_is_6", has_rank(l2, 6)),
         ("l5_degree1_part",
-         ledger.l5.degree_part(1)
-         == 6 * ch_of(O(1)).degree_part(1) - ch_of(twist(U2, 1)).degree_part(1)),
+         l5.degree_part(1) == 6 * ch_of(O(1)).degree_part(1) - l6.degree_part(1)),
     ]
     return IdentityReport(tuple(checks))

@@ -47,7 +47,8 @@ from quivercert.chow import (
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
                                _reduced_slope, _sst_table, _subvectors, euler_form, has_semistable)
-from quivercert.repgeom import QUAD_MONOMIALS, VARS, LinearFormMatrix, SyzygyPair, is_stable
+from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
+                                syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
                                unstable_strata, weight_ranges)
 from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
@@ -104,6 +105,18 @@ def symmetry_functor(e: BundleExpr) -> BundleExpr:
 
 
 @lru_cache(maxsize=1)
+def mutation_ledger() -> dict[str, ChowElement]:
+    """The K-theory classes l6 ... l2 of the shifted mutation bundles, by the
+    exact-sequence recursion that ``verify.mutation_ledger_check`` checks."""
+    ledger = {"l6": ch_of(twist(U2, 1))}
+    ledger["l5"] = 6 * ch_of(O(1)) - ledger["l6"]
+    ledger["l4"] = ledger["l5"] + 3 * ch_of(twist(dual(U2), 1))
+    ledger["l3"] = 9 * ch_of(twist(dual(U1), 1)) - ledger["l4"]
+    ledger["l2"] = (3 * ch_of(tensor(dual(U1), twist(U1, 2)))
+                    - ch_of(tensor(dual(U1), twist(U2, 2))))
+    return ledger
+
+
 def tangent_chern() -> ChowElement:
     """Total Chern class of the tangent bundle: exp of the sum over Chern
     roots of log(1 + x), whose degree-k part is (-1)^(k-1) (k-1)! ch_k."""
@@ -1807,14 +1820,22 @@ def fraction_matrix(r: LinearFormMatrix) -> FractionMatrix:
                                 for row, d in zip(r.rows, r.dens)))
 
 
-def pair_by_fractions(pair: SyzygyPair) -> FractionSyzygyPair:
-    """An integer syzygy pair with every value divided by its denominator."""
-    forms, den = pair.minors
+def syzygy_tensors(r: LinearFormMatrix):
+    """The two integer syzygy tensors that ``repgeom.syzygies`` maps to sl3,
+    each as ``(integers, den)``, the true tensor times ``den > 0``."""
+    m, den = minors(r)
+    return tuple((_syzygy(row, m), den * d) for row, d in zip(r.rows, r.dens))
+
+
+def pair_by_fractions(r: LinearFormMatrix) -> FractionSyzygyPair:
+    """The integer route's minors, syzygy tensors, sl3 plane and stability
+    of a matrix, with every value divided by its denominator."""
+    forms, den = minors(r)
     return FractionSyzygyPair(
         minors=tuple(tuple(F(n, den) for n in q) for q in forms),
-        tensors=tuple(tuple(F(n, d) for n in t) for t, d in pair.tensors),
-        sl3=tuple(tuple(tuple(F(n, d) for n in row) for row in m) for m, d in pair.sl3),
-        degenerate=pair.degenerate)
+        tensors=tuple(tuple(F(n, d) for n in t) for t, d in syzygy_tensors(r)),
+        sl3=tuple(tuple(tuple(F(n, d) for n in row) for row in m) for m, d in syzygies(r)),
+        degenerate=not is_stable(r))
 
 
 def parse_linear_form_by_fractions(text: str):

@@ -166,6 +166,15 @@ class TestTeleman:
         wall = next(s for s in doc["strata"] if s["hn_type"] == [[1, 1], [1, 2]])
         assert wall["margin"] == 0
 
+    @pytest.mark.parametrize("expr", ["sl(sl(U1))", "sl(wedge2(U1))"])
+    def test_sl_of_a_zero_bundle_is_refused_off_y(self, capsys, expr):
+        # with dimension vector (1, 2), U1 has rank 1, so sl(U1) and
+        # wedge2(U1) are zero and sl of them would be the virtual class -O
+        code, doc = run_cli(capsys, "teleman", "--quiver", "kronecker:3", "--dim", "1,2",
+                            "--theta", "2,-1", "--twist=-1,0", "--expr", expr)
+        assert code == 2
+        assert doc == {"error": "sl needs an argument of rank at least 1"}
+
 
 class TestStability:
     def test_open_orbit(self, capsys):
@@ -198,6 +207,11 @@ class TestSyzygies:
         code, doc = run_cli(capsys, "syzygies", "--matrix", "x,0,0;0,y,0")
         assert code == 0
         assert "degenerate" in doc["warning"]
+
+    def test_warning_is_decided_by_is_stable(self, capsys, monkeypatch):
+        monkeypatch.setattr(repgeom, "is_stable", lambda r: False)
+        code, doc = run_cli(capsys, "syzygies", "--matrix", "x,y,0;0,y,z")
+        assert code == 0 and "degenerate" in doc["warning"]
 
     def test_kernel_check_failure_is_input_error(self, capsys, monkeypatch):
         # kernel_ok is read from the check inside syzygies, which raises
@@ -370,12 +384,25 @@ def public_definitions(tree: ast.Module):
         yield from ((name, node) for name in names if not name.startswith("_"))
 
 
+def public_members(cls: ast.ClassDef):
+    """The public methods, properties and declared fields of a class: its
+    functions, its annotated fields and the fields of a namedtuple base."""
+    names = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+    names += [node.target.id for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    for base in cls.bases:
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+            names += base.args[1].value.replace(",", " ").split()
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_name_has_a_caller():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
+    callers = list(trees.values()) + [ast.parse(p.read_text(encoding="utf-8"))
+                                      for p in BENCH_CALLERS]
     reads = set()
-    for tree in list(trees.values()) + [ast.parse(p.read_text(encoding="utf-8"))
-                                        for p in BENCH_CALLERS]:
+    for tree in callers:
         reads |= package_reads(tree, trees)
     # bench/workloads.py builds expressions by getattr(bundles, op) over the
     # operator names of the expression trees of bench/oracle.py
@@ -396,6 +423,16 @@ def test_every_public_name_has_a_caller():
                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             if (module, name) not in reads and name not in own and name != "__version__":
                 uncalled.append(f"{module}.{name}")
+    # a member of a public class has a caller when some module reads an
+    # attribute of that name; private classes such as _ArgumentParser, whose
+    # error() argparse calls, are not checked
+    attributes = {node.attr for tree in callers for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for tree in trees.values():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                uncalled += [f"{cls.name}.{name}" for name in public_members(cls)
+                             if name not in attributes]
     assert uncalled == []
 
 

@@ -28,6 +28,7 @@ from oracles import (
     rref,
     sl3_by_dictionary,
     syzygies_by_fractions,
+    syzygy_tensors,
 )
 from quivercert._linalg import echelon
 from quivercert.repgeom import (
@@ -204,7 +205,7 @@ class TestStability:
             for _ in range(count):
                 r = generator(rng)
                 stable = is_stable(r)
-                assert stable == (not syzygies(r).degenerate) == is_stable_by_gcd(fraction_matrix(r))
+                assert stable == is_stable_by_gcd(fraction_matrix(r))
                 both[stable] += 1
             # the sample must exercise both branches
             assert both[True] > 0 and both[False] > 0, generator.__name__
@@ -249,26 +250,22 @@ class TestStability:
         assert stable == is_stable_by_gcd(fraction_matrix(r))
         if unstable:
             assert not stable
-        pair = syzygies(r)
-        assert pair.degenerate != stable and pair.minors == minors(r)
-        assert pair_by_fractions(pair) == syzygies_by_fractions(fraction_matrix(r))
+        assert pair_by_fractions(r) == syzygies_by_fractions(fraction_matrix(r))
 
 
 class TestSyzygies:
     def test_kernel_membership(self):
-        pair = syzygies(OPEN_ORBIT)
-        for t, _ in pair.tensors:
+        for t, _ in syzygy_tensors(OPEN_ORBIT):
             assert all(c == 0 for c in tensor_to_cubic(t))
 
     def test_bulk_kernel_and_commutation(self):
         rng = random.Random(77)
         for _ in range(100):
             r = random_stable_matrix(rng)
-            pair = syzygies(r)
-            assert not pair.degenerate
-            for t, _ in pair.tensors:
+            assert is_stable(r)
+            for t, _ in syzygy_tensors(r):
                 assert all(c == 0 for c in tensor_to_cubic(t))
-            assert commutes(pair.sl3)
+            assert commutes(syzygies(r))
 
     def test_row_scaling_scales_tensor(self):
         r = fraction_matrix(OPEN_ORBIT)
@@ -278,7 +275,7 @@ class TestSyzygies:
                 r.rows[1],
             ]
         )
-        p, q = pair_by_fractions(syzygies(OPEN_ORBIT)), pair_by_fractions(syzygies(scaled))
+        p, q = pair_by_fractions(OPEN_ORBIT), pair_by_fractions(scaled)
         # first-row tensor picks up the row factor and the minors' factor
         assert q.tensors[0] == tuple(9 * c for c in p.tensors[0])
         assert q.tensors[1] == tuple(3 * c for c in p.tensors[1])
@@ -289,24 +286,23 @@ class TestSyzygies:
             degenerate = 0
             for _ in range(count):
                 r = generator(rng)
-                pair = syzygies(r)
-                assert pair_by_fractions(pair) == syzygies_by_fractions(fraction_matrix(r)), str(r)
-                (forms, den), parts = pair.minors, pair.tensors + pair.sl3
-                values = [x for q in forms for x in q] + [x for t, _ in pair.tensors for x in t]
-                values += [x for m, _ in pair.sl3 for row in m for x in row]
-                dens = [den] + [d for _, d in parts]
+                pair = pair_by_fractions(r)
+                assert pair == syzygies_by_fractions(fraction_matrix(r)), str(r)
+                (forms, den), tensors, sl3 = minors(r), syzygy_tensors(r), syzygies(r)
+                values = [x for q in forms for x in q] + [x for t, _ in tensors for x in t]
+                values += [x for m, _ in sl3 for row in m for x in row]
+                dens = [den] + [d for _, d in tensors + sl3]
                 assert all(type(x) is int for x in values + dens) and min(dens) > 0
                 degenerate += pair.degenerate
             assert 0 < degenerate < count, generator.__name__
 
     def test_unstable_flagged_degenerate(self):
-        pair = syzygies(parse_matrix("x,0,0;0,y,0"))
-        assert pair.degenerate
+        assert pair_by_fractions(parse_matrix("x,0,0;0,y,0")).degenerate
 
 
 class TestSl3Plane:
     def test_open_orbit_is_diagonal_plane(self):
-        m1, m2 = pair_by_fractions(syzygies(OPEN_ORBIT)).sl3
+        m1, m2 = pair_by_fractions(OPEN_ORBIT).sl3
         for m in (m1, m2):
             # diagonal and traceless
             assert all(m[i][j] == 0 for i in range(3) for j in range(3) if i != j)
@@ -318,7 +314,7 @@ class TestSl3Plane:
 
     def test_family_formulas(self):
         a, b, c = F(2), F(3), F(5)
-        s1, s2 = pair_by_fractions(syzygies(blp2_point(a, b, c))).sl3
+        s1, s2 = pair_by_fractions(blp2_point(a, b, c)).sl3
         expected1 = [[0, 0, -c], [-a, 0, 0], [0, -b, 0]]
         expected2 = [[0, b * c, 0], [0, 0, a * c], [a * b, 0, 0]]
         assert [list(row) for row in s1] == expected1
@@ -327,7 +323,7 @@ class TestSl3Plane:
     def test_traceless(self):
         rng = random.Random(13)
         for _ in range(20):
-            (m1, _), (m2, _) = syzygies(random_stable_matrix(rng)).sl3
+            (m1, _), (m2, _) = syzygies(random_stable_matrix(rng))
             assert sum(m1[i][i] for i in range(3)) == 0
             assert sum(m2[i][i] for i in range(3)) == 0
 
@@ -363,7 +359,7 @@ class TestSl3DictionaryOracle:
                             else F(0) for _ in range(3)) for _ in range(3))
                 for _ in range(2)
             ])
-            pair = pair_by_fractions(syzygies(r))
+            pair = pair_by_fractions(r)
             if pair.degenerate:
                 unstable += 1
             else:
@@ -392,7 +388,7 @@ class TestCommutes:
         rng = random.Random(99)
         for _ in range(20):
             a, b, c = (F(rng.randint(1, 9)) for _ in range(3))
-            assert commutes(syzygies(blp2_point(a, b, c)).sl3)
+            assert commutes(syzygies(blp2_point(a, b, c)))
 
     def test_unit_matrices_do_not_commute(self):
         e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
@@ -433,8 +429,8 @@ class TestBlp2Family:
             blp2_point(1, 0, 0, direction=(0, 0))
 
     def test_scaling_preserves_plane(self):
-        base = syzygies(blp2_point(2, 3, 5)).sl3
-        scaled = syzygies(blp2_point(4, 6, 10)).sl3
+        base = syzygies(blp2_point(2, 3, 5))
+        scaled = syzygies(blp2_point(4, 6, 10))
         flat = lambda pair: row_space_basis(
             [[m[i][j] for i in range(3) for j in range(3)] for m, _ in pair]
         )

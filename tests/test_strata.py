@@ -29,6 +29,11 @@ from quivercert.verify import collection_variants, standard_collection
 Y23 = Moduli.kronecker23()
 
 
+def one_ps(tau):
+    """The one-parameter subgroup of a stratum of Y."""
+    return one_ps_from_hn(tau, Y23.theta)
+
+
 @pytest.fixture(scope="module")
 def strata():
     return {s.hn_type: s for s in unstable_strata(Y23)}
@@ -115,7 +120,7 @@ class TestGoldenTable:
     def test_cell_for_cell(self, strata):
         for tau, row in STRATUM_TABLE.items():
             s = strata[tau]
-            assert s.one_ps.blocks == row["one_ps"], tau
+            assert one_ps(tau).blocks == row["one_ps"], tau
             assert s.weights[0] == row["u1"], tau
             assert s.weights[1] == row["u2"], tau
             assert sum(s.weights[0]) == row["det_u1"], tau
@@ -126,30 +131,30 @@ class TestGoldenTable:
 
     def test_codim_equals_direction_count(self, strata):
         for tau, s in strata.items():
-            neg_r, neg_g = count_negative_directions(KRONECKER3, s.one_ps)
+            neg_r, neg_g = count_negative_directions(KRONECKER3, one_ps(tau))
             assert neg_r - neg_g == hn_stratum_codim(KRONECKER3, tau)
 
     def test_direction_counts_spot_values(self, strata):
         assert count_negative_directions(
-            KRONECKER3, strata[((1, 1), (1, 2))].one_ps
+            KRONECKER3, one_ps(((1, 1), (1, 2)))
         ) == (6, 3)
         assert count_negative_directions(
-            KRONECKER3, strata[((2, 0), (0, 3))].one_ps
+            KRONECKER3, one_ps(((2, 0), (0, 3)))
         ) == (18, 0)
 
 
 class TestUniversalWeights:
     def test_stratum_records_hold_declared_fields_only(self, strata):
         for s in strata.values():
-            assert s.base == StratumWeights(*s.weights)
+            assert [f.name for f in fields(s)] == ["hn_type", "eta", "weights"]
             assert set(vars(s)) <= {f.name for f in fields(s)}
-            # without a __dict__, the base holds its two tuple fields and nothing else
-            assert not hasattr(s.base, "__dict__") and tuple(s.base) == s.weights
+            # without a __dict__, the weights hold their two tuple fields and nothing else
+            assert type(s.weights) is StratumWeights and not hasattr(s.weights, "__dict__")
 
-    def test_shift_values(self, strata):
-        assert strata[((1, 1), (1, 2))].shift == 2
-        assert strata[((2, 1), (0, 2))].shift == 16
-        assert strata[((2, 0), (0, 3))].shift == 12
+    def test_shift_values(self):
+        assert descent_shift(one_ps(((1, 1), (1, 2))), Y23.twist) == 2
+        assert descent_shift(one_ps(((2, 1), (0, 2))), Y23.twist) == 16
+        assert descent_shift(one_ps(((2, 0), (0, 3))), Y23.twist) == 12
 
     def test_one_shift_per_stratum(self, monkeypatch):
         calls = []
@@ -165,7 +170,7 @@ class TestUniversalWeights:
         finally:
             unstable_strata.cache_clear()
         assert len(calls) == len(computed) == 7
-        assert [s.one_ps for s in computed] == calls
+        assert [one_ps(s.hn_type) for s in computed] == calls
 
     def test_twist_normalization_enforced(self):
         # Moduli is the one place that checks it: universal_weights takes the
@@ -190,11 +195,8 @@ class TestUniversalWeights:
 
     def test_central_weight_nullity(self):
         ones = OnePS((((1, 2),), ((1, 3),)))
-        base_weights = universal_weights(ones, descent_shift(ones, (1, -1)))
-        assert all(w == 0 for vertex in base_weights for w in vertex)
-        from quivercert.bundles import StratumWeights
-
-        base = StratumWeights(*base_weights)
+        base = universal_weights(ones, descent_shift(ones, (1, -1)))
+        assert all(w == 0 for vertex in base for w in vertex)
         rng = random.Random(7)
         for _ in range(25):
             e = random_expr(rng)
@@ -212,28 +214,24 @@ class TestUniversalWeights:
                 continue  # gcd(d) > 1: no twist descends
             twist = rng.choice(solutions)
             ones = OnePS(tuple(((1, n),) if n > 0 else () for n in d))
-            base = StratumWeights(*universal_weights(ones, descent_shift(ones, twist)))
+            base = universal_weights(ones, descent_shift(ones, twist))
             for leaf in (U1, U2, O(rng.randint(-20, 20))):
                 assert set(base.character(leaf)) <= {0}, (d, twist, leaf)
             checked += 1
 
     def test_scale_invariance(self, strata):
         rng = random.Random(11)
-        from quivercert.bundles import StratumWeights
-
         for s in strata.values():
             for n in (2, 5):
                 scaled = OnePS(tuple(tuple((w * n, m) for w, m in vertex)
-                                     for vertex in s.one_ps.blocks))
+                                     for vertex in one_ps(s.hn_type).blocks))
                 assert eta(KRONECKER3, scaled) == n * s.eta
                 ws = universal_weights(scaled, descent_shift(scaled, Y23.twist))
                 assert ws == tuple(
                     tuple(n * w for w in vertex) for vertex in s.weights
                 )
                 e = random_expr(rng, depth=2)
-                base = StratumWeights(*s.weights)
-                base_scaled = StratumWeights(*ws)
-                assert max(weights_of(e, base_scaled)) == n * max(weights_of(e, base))
+                assert max(weights_of(e, ws)) == n * max(weights_of(e, s.weights))
 
 
 class TestTelemanCertify:
@@ -273,7 +271,7 @@ class TestTelemanCertify:
             e = random_expr(rng, depth=2)
             ranges = weight_ranges(e, Y23)
             for row, stratum, r in zip(teleman_certify(e, Y23).strata, unstable_strata(Y23), ranges):
-                ws = weights_of(e, stratum.base)
+                ws = weights_of(e, stratum.weights)
                 assert r == (ws[-1], ws[0]) and row.max_weight == ws[0]
 
     def test_zero_bundle_is_vacuously_certified(self):
@@ -287,7 +285,7 @@ class TestTelemanCertify:
         block = sym2(tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(8)]))
         e = direct_sum(direct_sum(block, block), direct_sum(block, block))
         for stratum in unstable_strata(Y23):
-            stratum.base.character(e)
+            stratum.weights.character(e)
         for _ in range(2):  # exceptions are not cached
             with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
                 weight_ranges(e, Y23)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (KRONECKER3, coefficient, euler_pairing, euler_pairing_by_fractions,
-                     random_expr, symmetry_functor, verify_collection_by_blocking_rows,
-                     verify_collection_by_fractions, verify_collection_by_pairs)
+                     mutation_ledger, random_expr, symmetry_functor,
+                     verify_collection_by_blocking_rows, verify_collection_by_fractions,
+                     verify_collection_by_pairs)
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, det, direct_sum, dual, parse_expr, sl, sym2,
                                 tensor, twist, wedge2)
@@ -26,7 +27,6 @@ from quivercert.verify import (
     CollectionSpec,
     check_ch_identities,
     collection_variants,
-    mutation_ledger,
     mutation_ledger_check,
     standard_collection,
     verify_collection,
@@ -76,20 +76,20 @@ class TestStandardCollection:
 
     def test_diagonal(self, standard_result):
         for i in range(13):
-            assert standard_result.status(i, i).verdict == EXCEPTIONAL
-            assert standard_result.status(i, i).chi == 1
+            assert standard_result.pairs[i][i].verdict == EXCEPTIONAL
+            assert standard_result.pairs[i][i].chi == 1
 
     def test_forward_strong(self, standard_result):
         for i in range(13):
             for j in range(i + 1, 13):
-                status = standard_result.status(i, j)
+                status = standard_result.pairs[i][j]
                 assert status.verdict == STRONG_EXT
                 assert status.chi >= 0
 
     def test_backward_chi_zero(self, standard_result):
         for i in range(13):
             for j in range(i):
-                assert standard_result.status(i, j).chi == 0
+                assert standard_result.pairs[i][j].chi == 0
 
     def test_undetermined_only_backward(self, standard_result):
         for p in standard_result.undetermined():
@@ -103,16 +103,16 @@ class TestStandardCollection:
         spec = standard_collection()
         i_sl = spec.labels().index("sl(U1)")
         i_o = spec.labels().index("O")
-        assert standard_result.status(i_o, i_sl).verdict == ORTHOGONAL
-        forward = standard_result.status(i_sl, i_o)
+        assert standard_result.pairs[i_o][i_sl].verdict == ORTHOGONAL
+        forward = standard_result.pairs[i_sl][i_o]
         assert forward.verdict == STRONG_EXT and forward.chi == 0
 
     def test_hom_dimension_spot_values(self, standard_result):
         spec = standard_collection()
         labels = spec.labels()
         # forward morphism spaces sit in degree 0 of dimension chi
-        assert standard_result.status(labels.index("sl(U1)"), labels.index("U2*")).chi == 3
-        assert standard_result.status(labels.index("O"), labels.index("O(1)")).chi == 20
+        assert standard_result.pairs[labels.index("sl(U1)")][labels.index("U2*")].chi == 3
+        assert standard_result.pairs[labels.index("O")][labels.index("O(1)")].chi == 20
 
     def test_json_shape(self, standard_result):
         doc = standard_result.to_json_dict()
@@ -126,20 +126,20 @@ class TestSmallCollections:
         result = verify_collection(
             CollectionSpec((("O", O(0)), ("O(1)", O(1)))), Y23
         )
-        assert result.status(0, 0).verdict == EXCEPTIONAL
-        assert result.status(0, 1).verdict == STRONG_EXT
-        assert result.status(0, 1).chi == 20
-        back = result.status(1, 0)
+        assert result.pairs[0][0].verdict == EXCEPTIONAL
+        assert result.pairs[0][1].verdict == STRONG_EXT
+        assert result.pairs[0][1].chi == 20
+        back = result.pairs[1][0]
         assert back.verdict == ORTHOGONAL and back.chi == 0
 
     def test_traceless_and_unit(self):
         result = verify_collection(
             CollectionSpec((("sl(U1)", sl(U1)), ("O", O(0)))), Y23
         )
-        assert result.status(0, 1).chi == 0
-        assert result.status(1, 0).chi == 0
-        assert result.status(0, 1).teleman_pass
-        assert result.status(1, 0).teleman_pass
+        assert result.pairs[0][1].chi == 0
+        assert result.pairs[1][0].chi == 0
+        assert result.pairs[0][1].teleman_pass
+        assert result.pairs[1][0].teleman_pass
 
     def test_json_labels_and_object_count(self):
         spec = CollectionSpec.from_json_dict(
@@ -168,10 +168,10 @@ class TestVariants:
         result = verify_collection(spec, Y23)
         n = len(spec.objects)
         for i in range(n):
-            assert result.status(i, i).chi == 1, (name, i)
+            assert result.pairs[i][i].chi == 1, (name, i)
         for i in range(n):
             for j in range(i):
-                assert result.status(i, j).chi == 0, (name, i, j)
+                assert result.pairs[i][j].chi == 0, (name, i, j)
         # undetermined pairs are reported, never asserted empty
         for p in result.undetermined():
             assert p.verdict == UNDETERMINED
@@ -262,7 +262,7 @@ class TestPerObjectRoute:
         assert max(margins) == -((5 - shift) % 5)  # the blocking margin nearest to 1
 
     def test_pair_records_are_named_tuples(self, standard_result):
-        p = standard_result.status(0, 1)
+        p = standard_result.pairs[0][1]
         assert isinstance(p, tuple) and p._fields == (
             "i", "j", "chi", "teleman_pass", "verdict", "blocking")
         assert p == (0, 1, p.chi, True, STRONG_EXT, ())
@@ -362,17 +362,17 @@ class TestMutationLedger:
 
     def test_ranks(self):
         ledger = mutation_ledger()
-        assert coefficient(ledger.l5, "[Y]") == 3
-        assert coefficient(ledger.l4, "[Y]") == 12
-        assert coefficient(ledger.l3, "[Y]") == 6
-        assert coefficient(ledger.l2, "[Y]") == 6
+        assert coefficient(ledger["l5"], "[Y]") == 3
+        assert coefficient(ledger["l4"], "[Y]") == 12
+        assert coefficient(ledger["l3"], "[Y]") == 6
+        assert coefficient(ledger["l2"], "[Y]") == 6
 
     def test_two_routes_agree(self):
         ledger = mutation_ledger()
-        assert ledger.l3 == ledger.l2
+        assert ledger["l3"] == ledger["l2"]
 
     def test_l6_is_twisted_bundle(self):
-        assert mutation_ledger().l6 == ch_of(twist(U2, 1))
+        assert mutation_ledger()["l6"] == ch_of(twist(U2, 1))
 
 
 # -- record semantics ------------------------------------------------------------
@@ -395,14 +395,14 @@ def records():
     matrix = verify_collection(standard_collection(), Y23)
     report = teleman_certify(e)
     forms = repgeom.parse_matrix("x,y,0;0,y,z")
-    return (e, stratum.base, Y23.quiver, stratum.one_ps, Y23, matrix.spec, matrix.status(1, 2),
-            stratum, report.strata[0], report, matrix, check_ch_identities(), mutation_ledger(),
-            forms, repgeom.syzygies(forms))
+    return (e, stratum.weights, Y23.quiver, strata.one_ps_from_hn(stratum.hn_type, Y23.theta), Y23,
+            matrix.spec, matrix.pairs[1][2], stratum, report.strata[0], report, matrix,
+            check_ch_identities(), forms)
 
 
 class TestRecordSemantics:
     def test_every_record_class_is_covered(self):
-        assert len(RECORD_CLASSES) == 15
+        assert len(RECORD_CLASSES) == 13
         assert {type(r) for r in records()} == RECORD_CLASSES
         assert NAMEDTUPLE_CLASSES == {c for c in RECORD_CLASSES if issubclass(c, tuple)}
 

@@ -26,9 +26,9 @@ MAX_RANK = 2 ** 64
 #: Largest number of weight pairs that one product of characters combines.
 MAX_TERMS = 2 ** 16
 
-#: Largest number of weight pairs that all the character products of one
-#: expression combine, over all strata of one moduli space; a request on
-#: several expressions, such as a collection, may combine this many for each.
+#: Largest number of weight pairs that the character products of one request
+#: combine, over all strata of one moduli space: of one expression, or of all
+#: distinct objects of a collection.
 MAX_WORK_TERMS = 2 ** 20
 
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
@@ -141,8 +141,9 @@ def evaluate(e, leaf, value):
 
 
 class WorkBudget:
-    """The weight pairs that the character products of one expression may
-    still combine, over all strata of one moduli space."""
+    """The weight pairs that the character products of one request may
+    still combine: of one expression, or of all distinct objects of a
+    collection, over all strata of one moduli space."""
 
     __slots__ = ("left",)
 
@@ -212,12 +213,10 @@ class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
 
     __slots__ = ()
 
-    def character(self, e: BundleExpr, budget: WorkBudget | None = None) -> Character:
+    def character(self, e: BundleExpr, budget: WorkBudget) -> Character:
         """The weights of ``e`` on this stratum with multiplicities (may be
         shared with other results, so do not mutate it).  Its products
-        charge ``budget``, by default a fresh one."""
-        if budget is None:
-            budget = WorkBudget()
+        charge ``budget``."""
         leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", self.u1), ("U2", self.u2))}
 
         def leaf(x):

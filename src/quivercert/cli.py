@@ -28,6 +28,7 @@ from .quiver import Quiver, enumerate_hn_types, hn_stratum_codim, reduced_slope
 from .strata import Moduli, eta, one_ps_from_hn, teleman_certify
 from .verify import (
     CollectionSpec,
+    _accepted,
     check_ch_identities,
     mutation_ledger_check,
     standard_collection,
@@ -46,6 +47,10 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _hn_type(tau) -> list:
+    return [list(p) for p in tau]
+
+
 def _cmd_hn_types(args) -> tuple[dict, int]:
     quiver = Quiver.from_spec(args.quiver)
     d = _parse_int_tuple(args.dim)
@@ -54,7 +59,7 @@ def _cmd_hn_types(args) -> tuple[dict, int]:
     rows = []
     for tau in types:
         row = {
-            "parts": [list(p) for p in tau],
+            "parts": _hn_type(tau),
             "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
             "codim": hn_stratum_codim(quiver, tau),
             "semistable_stratum": len(tau) == 1,
@@ -74,8 +79,11 @@ def _cmd_teleman(args) -> tuple[dict, int]:
     moduli = Moduli(Quiver.from_spec(args.quiver), _parse_int_tuple(args.dim),
                     _parse_int_tuple(args.theta), _parse_int_tuple(args.twist))
     expr = parse_expr(args.expr)
-    report = teleman_certify(expr, moduli)
-    return report.to_json_dict(), 0 if report.passed else 1
+    rows = teleman_certify(expr, moduli)
+    passed = all(row.passed for row in rows)
+    strata = [{"hn_type": _hn_type(row.hn_type), "eta": row.eta, "max_weight": row.max_weight,
+               "margin": row.margin, "pass": row.passed} for row in rows]
+    return {"expression": str(expr), "strata": strata, "pass": passed}, 0 if passed else 1
 
 
 def _cmd_chi(args) -> tuple[dict, int]:
@@ -139,18 +147,31 @@ def _cmd_verify_collection(args) -> tuple[dict, int]:
         spec = CollectionSpec.from_json(data.decode("utf-8"))
     else:
         spec = standard_collection()
-    doc = verify_collection(spec).to_json_dict()
-    return doc, 0 if doc["accepted"] else 1
+    matrix = verify_collection(spec)
+    summary = matrix.summary()
+    accepted = _accepted(summary)
+    pairs = [[_pair(p) for p in row] for row in matrix.pairs]
+    return {"labels": list(spec.labels()), "pairs": pairs, "summary": summary,
+            "accepted": accepted}, 0 if accepted else 1
+
+
+def _pair(p) -> dict:
+    doc = {"i": p.i, "j": p.j, "chi": p.chi, "teleman_pass": p.teleman_pass, "verdict": p.verdict}
+    if p.blocking:
+        doc["blocking"] = [{"hn_type": _hn_type(tau), "margin": margin}
+                           for tau, margin in p.blocking]
+    return doc
+
+
+def _checks(checks) -> dict:
+    passed = all(holds for _, holds in checks)
+    return {"checks": [{"name": name, "holds": holds} for name, holds in checks], "pass": passed}
 
 
 def _cmd_ledger_check(args) -> tuple[dict, int]:
-    identities = check_ch_identities()
-    ledger = mutation_ledger_check()
-    doc = {
-        "ch_identities": identities.to_json_dict(),
-        "mutation_ledger": ledger.to_json_dict(),
-        "pass": identities.passed and ledger.passed,
-    }
+    doc = {"ch_identities": _checks(check_ch_identities()),
+           "mutation_ledger": _checks(mutation_ledger_check())}
+    doc["pass"] = doc["ch_identities"]["pass"] and doc["mutation_ledger"]["pass"]
     return doc, 0 if doc["pass"] else 1
 
 

@@ -151,15 +151,26 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def weight_ranges(expr: BundleExpr, moduli: Moduli) -> tuple[tuple[int, int] | None, ...]:
+#: ``weight_ranges`` results and the weight pairs each cost, per ``(expr, moduli)``.
+_RANGES: dict = {}
+
+
+def weight_ranges(expr: BundleExpr, moduli: Moduli,
+                  budget: WorkBudget) -> tuple[tuple[int, int] | None, ...]:
     """The (min, max) weight of ``expr`` on each unstable stratum, or None
     for the zero bundle, which has no weights.  The character products on
-    all strata share one WorkBudget; an expression over it raises on every
-    call, since exceptions are not cached."""
-    budget = WorkBudget()
+    all strata charge ``budget``; a cached result charges it what the
+    products cost, so that a warm cache and a cold one give the same
+    verdict.  Exceptions are not cached."""
+    cached = _RANGES.get((expr, moduli))
+    if cached is not None:
+        budget.charge(cached[1])
+        return cached[0]
+    left = budget.left
     characters = (s.weights.character(expr, budget) for s in unstable_strata(moduli))
-    return tuple((min(c), max(c)) if c else None for c in characters)
+    ranges = tuple((min(c), max(c)) if c else None for c in characters)
+    _RANGES[expr, moduli] = ranges, left - budget.left
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -170,36 +181,11 @@ class StratumCheck:
     margin: int | None
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "hn_type": [list(p) for p in self.hn_type],
-            "eta": self.eta,
-            "max_weight": self.max_weight,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
 
-
-@dataclass(frozen=True)
-class TelemanReport:
-    expression: str
-    strata: tuple[StratumCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.strata)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "expression": self.expression,
-            "strata": [row.to_json_dict() for row in self.strata],
-            "pass": self.passed,
-        }
-
-
-def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> TelemanReport:
+def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> tuple[StratumCheck, ...]:
     """Vanishing certificate for the higher cohomology of a descended
-    bundle: pass means every stratum weight is strictly below eta.
+    bundle, one row per unstable stratum: it passes when every row does,
+    that is when every stratum weight is strictly below eta.
 
     A failed certificate is only "not certified"; the criterion is
     one-sided and says nothing about nonvanishing.
@@ -207,8 +193,8 @@ def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> TelemanRe
     if moduli is None:
         moduli = Moduli.kronecker23()
     rows = []
-    for s, r in zip(unstable_strata(moduli), weight_ranges(expr, moduli)):
+    for s, r in zip(unstable_strata(moduli), weight_ranges(expr, moduli, WorkBudget())):
         # the zero bundle (no range) has no weights to bound: vacuously certified
         highest, margin = (None, None) if r is None else (r[1], s.eta - r[1])
         rows.append(StratumCheck(s.hn_type, s.eta, highest, margin, margin is None or margin >= 1))
-    return TelemanReport(str(expr), tuple(rows))
+    return tuple(rows)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import inf
 from operator import le
 
-from .bundles import U1, U2, BundleExpr, O, dual, parse_expr, sl, tensor, twist
+from .bundles import U1, U2, BundleExpr, O, WorkBudget, dual, parse_expr, sl, tensor, twist
 from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
 from .strata import Moduli, unstable_strata, weight_ranges
 
@@ -156,24 +156,8 @@ def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]
     return x.den, x.nums
 
 
-class PairStatus(namedtuple("PairStatus", "i j chi teleman_pass verdict blocking",
-                            defaults=((),))):
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "i": self.i,
-            "j": self.j,
-            "chi": self.chi,
-            "teleman_pass": self.teleman_pass,
-            "verdict": self.verdict,
-        }
-        if self.blocking:
-            out["blocking"] = [
-                {"hn_type": [list(p) for p in tau], "margin": margin}
-                for tau, margin in self.blocking
-            ]
-        return out
+#: The verdict on one ordered pair; ``blocking`` has ``(hn_type, margin)`` per failing stratum.
+PairStatus = namedtuple("PairStatus", "i j chi teleman_pass verdict blocking")
 
 
 @dataclass(frozen=True)
@@ -216,15 +200,6 @@ class VerificationMatrix:
     def accepted(self) -> bool:
         return _accepted(self.summary())
 
-    def to_json_dict(self) -> dict:
-        summary = self.summary()
-        return {
-            "labels": list(self.spec.labels()),
-            "pairs": [[p.to_json_dict() for p in row] for row in self.pairs],
-            "summary": summary,
-            "accepted": _accepted(summary),
-        }
-
 
 def _accepted(summary: dict) -> bool:
     return all(summary[key] for key in ("diagonal_all_exceptional", "forward_all_strong",
@@ -246,12 +221,15 @@ def verify_collection(
 ) -> VerificationMatrix:
     """Run the pairwise certification over all ordered pairs, from the
     comparison vectors and the integer chi rows and columns of the objects.
-    Chi comes from the Chow ring of Y, so any moduli but Y's are refused."""
+    The weight ranges of all distinct objects share one WorkBudget.  Chi
+    comes from the Chow ring of Y, so any moduli but Y's are refused."""
     if moduli not in (None, Moduli.kronecker23()):
         raise ValueError("collections are certified on Y only: moduli must be Moduli.kronecker23()")
     moduli = Moduli.kronecker23()
     objects = [e for _, e in spec.objects]
-    ranges = [weight_ranges(e, moduli) for e in objects]
+    budget = WorkBudget()
+    distinct = {e: weight_ranges(e, moduli, budget) for e in dict.fromkeys(objects)}
+    ranges = [distinct[e] for e in objects]
     strata = unstable_strata(moduli)
     types = [s.hn_type for s in strata]
     # the comparison vectors; a zero bundle has no weights and bounds nothing
@@ -279,24 +257,9 @@ def verify_collection(
 
 # -- Chern character identities and the mutation ledger ------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[tuple[str, bool], ...]  # (name, holds)
-
-    @property
-    def passed(self) -> bool:
-        return all(holds for _, holds in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "checks": [{"name": name, "holds": holds} for name, holds in self.checks],
-            "pass": self.passed,
-        }
-
-
-def check_ch_identities() -> IdentityReport:
+def check_ch_identities() -> tuple[tuple[str, bool], ...]:
     """Exact Chern-character identities among the collection's objects,
-    coming from the mutation exact sequences."""
+    coming from the mutation exact sequences, as ``(name, holds)`` pairs."""
     slv = sl(dual(U1))
     checks = []
 
@@ -325,13 +288,13 @@ def check_ch_identities() -> IdentityReport:
     )
     checks.append(("rank6_tensor_expanded", lhs == rhs))
 
-    return IdentityReport(tuple(checks))
+    return tuple(checks)
 
 
-def mutation_ledger_check() -> IdentityReport:
+def mutation_ledger_check() -> tuple[tuple[str, bool], ...]:
     """Rank bookkeeping and the coincidence of the two mutation routes, on
     the K-theory classes l6 ... l2 of the shifted mutation bundles, defined
-    by the exact-sequence recursion."""
+    by the exact-sequence recursion, as ``(name, holds)`` pairs."""
     l6 = ch_of(twist(U2, 1))
     l5 = 6 * ch_of(O(1)) - l6
     l4 = l5 + 3 * ch_of(twist(dual(U2), 1))
@@ -341,7 +304,7 @@ def mutation_ledger_check() -> IdentityReport:
     def has_rank(x: ChowElement, r: int) -> bool:
         return x.nums[0] == r * x.den  # the degree-0 coordinate is the rank
 
-    checks = [
+    return (
         ("l3_equals_l2", l3 == l2),
         ("rank_l5_is_3", has_rank(l5, 3)),
         ("rank_l4_is_12", has_rank(l4, 12)),
@@ -349,5 +312,4 @@ def mutation_ledger_check() -> IdentityReport:
         ("rank_l2_is_6", has_rank(l2, 6)),
         ("l5_degree1_part",
          l5.degree_part(1) == 6 * ch_of(O(1)).degree_part(1) - l6.degree_part(1)),
-    ]
-    return IdentityReport(tuple(checks))
+    )

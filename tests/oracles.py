@@ -27,8 +27,8 @@ from unittest import mock
 
 from quivercert import cli, verify
 from quivercert._linalg import echelon
-from quivercert.bundles import (O, U1, U2, BundleExpr, StratumWeights, dual, evaluate, tensor,
-                                twist)
+from quivercert.bundles import (O, U1, U2, BundleExpr, StratumWeights, WorkBudget, dual, evaluate,
+                                tensor, twist)
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -964,7 +964,7 @@ def weights_by_lists(e: BundleExpr, base: StratumWeights) -> list[int]:
 def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
     """The weight multiset of an expression, sorted descending, from its
     character: the helper ``bundles`` dropped when no route needed it."""
-    ws = [w for w, m in base.character(e).items() for _ in range(m)]
+    ws = [w for w, m in base.character(e, WorkBudget()).items() for _ in range(m)]
     return tuple(sorted(ws, reverse=True))
 
 
@@ -1535,13 +1535,14 @@ def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> Verifica
         row = []
         for j, (_, ej) in enumerate(spec.objects):
             hom = tensor(dual(ei), ej)
-            report = teleman_certify(hom, moduli)
+            rows = teleman_certify(hom, moduli)
             value = integral(ch_of(hom) * todd_y())
             assert value.denominator == 1, (str(hom), value)
             chi_value = int(value)
-            blocking = tuple((r.hn_type, r.margin) for r in report.strata if not r.passed)
-            row.append(PairStatus(i, j, chi_value, report.passed,
-                                  _pair_verdict(i, j, chi_value, report.passed), blocking))
+            passed = all(r.passed for r in rows)
+            blocking = tuple((r.hn_type, r.margin) for r in rows if not r.passed)
+            row.append(PairStatus(i, j, chi_value, passed,
+                                  _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(spec, tuple(grid))
 
@@ -1619,7 +1620,7 @@ def euler_pairing_by_fractions(e: BundleExpr, f: BundleExpr) -> int:
 
 def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
     objects = [e for _, e in spec.objects]
-    ranges = [weight_ranges(e, moduli) for e in objects]
+    ranges = [weight_ranges(e, moduli, WorkBudget()) for e in objects]
     strata = unstable_strata(moduli)
     grid = []
     for i, low in enumerate(ranges):
@@ -1652,7 +1653,7 @@ def verify_collection_by_blocking_rows(spec: CollectionSpec, moduli: Moduli) -> 
     """Certify each ordered pair from the weight ranges of its objects by
     ``blocking_rows``, with chi from ``euler_pairing``."""
     objects = [e for _, e in spec.objects]
-    ranges = [weight_ranges(e, moduli) for e in objects]
+    ranges = [weight_ranges(e, moduli, WorkBudget()) for e in objects]
     strata = unstable_strata(moduli)
     grid = []
     for i, low in enumerate(ranges):

@@ -110,7 +110,7 @@ class TestParse:
         rank_one = StratumWeights(u1=(4,), u2=(1, 0))
         for e in (sl(sl(U1)), sl(wedge2(U1))):
             with pytest.raises(ValueError, match="rank at least 1"):
-                rank_one.character(e)
+                rank_one.character(e, WorkBudget())
 
 
 class TestRank:
@@ -191,7 +191,7 @@ class TestEvaluatorMatchesOracles:
     @given(exprs())
     def test_character_expands_to_weight_list(self, e):
         for base in _all_bases():
-            character = base.character(e)
+            character = base.character(e, WorkBudget())
             assert all(m > 0 for m in character.values())
             expanded = sorted(w for w, m in character.items() for _ in range(m))
             assert expanded == sorted(weights_by_lists(e, base))

@@ -704,12 +704,19 @@ class TestHostileSizes:
         (["hn-types", "--quiver", '{"vertices":24,"arrows":[]}', "--dim", ",".join(["1"] * 24),
           "--theta", ",".join(["0"] * 24)],
          f"subvector count above {MAX_SUBVECTORS}"),
+        # 128 distinct objects of about 928,000 terms each share one budget
+        (["verify-collection", "--file", "128-heavy-objects.json"],
+         f"character products exceed {MAX_WORK_TERMS} terms in one request"),
     ])
     def test_work_above_the_limit_is_input_error(self, capsys, tmp_path, monkeypatch, argv,
                                                  message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "129-objects.json").write_text(
             json.dumps({"objects": [{"expr": "nope"}] * (MAX_OBJECTS + 1)}), encoding="utf-8")
+        heavy = f"sum({SYM2_AT_THE_TERM_LIMIT},{SYM2_AT_THE_TERM_LIMIT})"
+        (tmp_path / "128-heavy-objects.json").write_text(json.dumps(
+            {"objects": [{"expr": f"twist({heavy},{k})"} for k in range(MAX_OBJECTS)]}),
+            encoding="utf-8")
         start = time.perf_counter()
         code, doc = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1

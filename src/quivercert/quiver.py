@@ -48,7 +48,7 @@ MAX_SUBVECTORS = 64
 #: most (n + 1) * sum_{0 < h <= d} (prod(h_i + 1) - 2) times on n vertices,
 #: each product costing a fixed part and a part that grows with the degree
 #: sum_{a: i->j} d_i d_j, so the estimate is loose: the slowest admitted shape
-#: measured, (31, 1) on 12 arrows, takes about 0.03 s on a 2-vCPU host.
+#: measured, (31, 1) on 12 arrows, takes 0.07 s cold in a fresh interpreter on a 2-vCPU host.
 MAX_COUNTING_WORK = 15 * 10 ** 7
 
 DimVector = tuple[int, ...]

@@ -1,27 +1,27 @@
-"""Certification of exceptional collections and K-theoretic mutation
-bookkeeping.
+"""Certification of exceptional collections, and the K-theory classes of
+their mutations.
 
 Per ordered pair (E_i, E_j) of a candidate collection we combine two
-one-sided tools: a Teleman vanishing certificate for the higher
-cohomology of dual(E_i) (x) E_j, and its Riemann-Roch Euler
-characteristic.  Both come from data of single objects.  On each stratum
-the largest weight of dual(E_i) (x) E_j is max w(E_j) - min w(E_i), so
-each object gets two comparison vectors over the strata, once: a limit
-min w(E_i) + eta - 1 and a top max w(E_j).  The pair is certified when
-the top of E_j is at most the limit of E_i on every stratum; only a
-failing pair lists its blocking strata, with margin limit - top + 1 =
-eta - (max w(E_j) - min w(E_i)).  A zero bundle has no weights and
-bounds nothing.  Chi is the integral of dual(ch(E_i)) * ch(E_j) *
-Todd(Y), an integer dot product of the Gram row of dual(ch(E_i)) with
-ch(E_j) * Todd(Y), both cleared of denominators once per object.  A
-certificate plus chi = 1 on the diagonal certifies exceptionality; below
-the diagonal (i < j) a certificate pins the morphism space to degree 0
-of dimension chi; above the diagonal a certificate plus chi = 0
-certifies orthogonality.  Anything else is reported as undetermined,
-never as a disproof.
+one-sided tools, both from data of single objects: a Teleman vanishing
+certificate for the higher cohomology of dual(E_i) (x) E_j, and its
+Riemann-Roch Euler characteristic chi.  On each stratum the largest weight
+of dual(E_i) (x) E_j is max w(E_j) - min w(E_i), so each object gets two
+comparison vectors over the strata, once: a limit min w(E_i) + eta - 1 and
+a top max w(E_j).  The pair is certified when the top of E_j is at most the
+limit of E_i on every stratum; only a failing pair lists its blocking
+strata, with margin limit - top + 1.  A zero bundle has no weights and
+bounds nothing.  A certificate plus chi = 1 on the diagonal certifies
+exceptionality; below the diagonal (i < j) a certificate pins the morphism
+space to degree 0 of dimension chi; above the diagonal a certificate plus
+chi = 0 certifies orthogonality.  Anything else is reported as
+undetermined, never as a disproof.
 
-Fullness of a collection is out of reach of these certificates and is
-never claimed.
+``mutate`` gives the class of the mutation of an object across an
+exceptional block, by integer substitution on the block's Gram matrix of
+chi.  Each collection of ``VARIANTS`` is one mutation spliced into a
+built-in collection, and each identity of ``check_ch_identities`` is one
+mutation.  Fullness of a collection is out of reach of these certificates
+and is never claimed.
 """
 
 from __future__ import annotations
@@ -94,51 +94,45 @@ class CollectionSpec(namedtuple("CollectionSpec", "objects")):
         return tuple(label for label, _ in self.objects)
 
 
-def _block(k: int) -> list[tuple[str, BundleExpr]]:
-    """The four objects O(k), U2*(k), U1*(k), U2(k+1), labelled."""
-    return [
-        (f"O({k})", O(k)),
-        (f"U2*({k})", twist(dual(U2), k)),
-        (f"U1*({k})", twist(dual(U1), k)),
-        (f"U2({k + 1})", twist(U2, k + 1)),
-    ]
-
-
 def standard_collection() -> CollectionSpec:
     """The built-in 13-object strong exceptional collection on Y."""
     objects = [("sl(U1)", sl(U1)), ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)),
                ("U2(1)", twist(U2, 1))]
-    return CollectionSpec(tuple(objects + _block(1) + _block(2)))
+    for k in (1, 2):
+        objects += [(f"O({k})", O(k)), (f"U2*({k})", twist(dual(U2), k)),
+                    (f"U1*({k})", twist(dual(U1), k)), (f"U2({k + 1})", twist(U2, k + 1))]
+    return CollectionSpec(tuple(objects))
+
+
+#: The variant collections, each one mutation in a collection built before it:
+#: ``(name, parent, moved, block, side, sign, (label, expression))``.  The object
+#: at position ``moved`` of the parent crosses the positions ``block``, kept in the
+#: listed order, and becomes the new object, of class ``sign * mutate(moved, block, side)``.
+VARIANTS = (
+    ("sl_after_block0", "standard", 0, range(1, 5), "right", 1,
+     ("sl(U1*)(1)", "twist(sl(dual(U1)),1)")),
+    ("sl_after_block1", "standard", 0, range(1, 9), "right", 1,
+     ("sl(U1*)(2)", "twist(sl(dual(U1)),2)")),
+    ("sl_after_block2", "standard", 0, range(1, 13), "right", 1,
+     ("sl(U1*)(3)", "twist(sl(dual(U1)),3)")),
+    ("tensor_for_u2_1", "sl_after_block1", 3, range(4, 10), "right", -1,
+     ("U1*xU2(2)", "tensor(dual(U1),twist(U2,2))")),
+    # the block's first two objects are orthogonal both ways, so they trade places
+    ("tensor_for_u2star_2", "sl_after_block0", 10, (5, 4, 6, 7, 8, 9), "left", -1,
+     ("U1*xU2*", "tensor(dual(U1),dual(U2))")),
+)
 
 
 def collection_variants() -> dict[str, CollectionSpec]:
-    """Mutated variants of the standard collection: the three positions of
-    the twisted traceless-endomorphism bundle, and the two collections
-    trading one object for a rank-6 tensor product."""
-    slv = sl(dual(U1))
-    a0, a1, a2 = _block(0), _block(1), _block(2)
-    variants = {
-        "sl_after_block0": a0 + [("sl(U1*)(1)", twist(slv, 1))] + a1 + a2,
-        "sl_after_block1": a0 + a1 + [("sl(U1*)(2)", twist(slv, 2))] + a2,
-        "sl_after_block2": a0 + a1 + a2 + [("sl(U1*)(3)", twist(slv, 3))],
-        "tensor_for_u2_1": [
-            ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)),
-            ("O(1)", O(1)), ("U2*(1)", twist(dual(U2), 1)), ("U1*(1)", twist(dual(U1), 1)),
-            ("U2(2)", twist(U2, 2)), ("sl(U1*)(2)", twist(slv, 2)), ("O(2)", O(2)),
-            ("U1*xU2(2)", tensor(dual(U1), twist(U2, 2))),
-            ("U2*(2)", twist(dual(U2), 2)), ("U1*(2)", twist(dual(U1), 2)),
-            ("U2(3)", twist(U2, 3)),
-        ],
-        "tensor_for_u2star_2": [
-            ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)), ("U2(1)", twist(U2, 1)),
-            ("U1*xU2*", tensor(dual(U1), dual(U2))),
-            ("O(1)", O(1)), ("sl(U1*)(1)", twist(slv, 1)),
-            ("U2*(1)", twist(dual(U2), 1)), ("U1*(1)", twist(dual(U1), 1)),
-            ("U2(2)", twist(U2, 2)), ("O(2)", O(2)),
-            ("U1*(2)", twist(dual(U1), 2)), ("U2(3)", twist(U2, 3)),
-        ],
-    }
-    return {name: CollectionSpec(tuple(objs)) for name, objs in variants.items()}
+    """The ``VARIANTS`` spliced in order: three positions of the twisted sl(U1*),
+    and two collections trading one object for a rank-6 tensor product."""
+    built = {"standard": standard_collection().objects}
+    for name, parent, moved, block, side, _, (label, text) in VARIANTS:
+        objects, new, span = built[parent], ((label, parse_expr(text)),), (*block, moved)
+        crossed = tuple(objects[p] for p in block)
+        built[name] = (objects[:min(span)] + (crossed + new if side == "right" else new + crossed)
+                       + objects[max(span) + 1:])
+    return {name: CollectionSpec(built[name]) for name, *_ in VARIANTS}
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +150,28 @@ def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]
     return x.den, x.nums
 
 
+def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
+    """chi(dual(e) (x) f), from the cached chi row of e and column of f."""
+    return scaled_pairing(_chi_row(e), _chi_column(f, todd_y()), e, f)
+
+
+def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
+    """The K-theory class ch(E) - sum c_i ch(A_i) of the mutation of E =
+    ``moved`` across an exceptional block A_1 ... A_n, up to the sign of its
+    shift: to the block's right, where the class has chi(-, A_j) = 0, or to
+    its left, where it has chi(A_j, -) = 0.  The Gram matrix chi(A_i, A_j) is
+    upper unitriangular, so the integers c come from substitution on it,
+    forward to the right and backward to the left."""
+    if side not in ("right", "left"):
+        raise ValueError('side must be "right" or "left"')
+    pairing = euler_pairing if side == "right" else lambda e, f: euler_pairing(f, e)
+    c = {}
+    for j in range(len(block)) if side == "right" else reversed(range(len(block))):
+        c[j] = pairing(moved, block[j]) - sum(k * pairing(block[i], block[j])
+                                              for i, k in c.items() if k)
+    return sum((-k * ch_of(block[j]) for j, k in c.items() if k), ch_of(moved))
+
+
 #: The verdict on one ordered pair; ``blocking`` has ``(hn_type, margin)`` per failing stratum.
 PairStatus = namedtuple("PairStatus", "i j chi teleman_pass verdict blocking")
 
@@ -166,31 +182,18 @@ class VerificationMatrix:
     pairs: tuple[tuple[PairStatus, ...], ...]
 
     def undetermined(self) -> tuple[PairStatus, ...]:
-        return tuple(
-            p for row in self.pairs for p in row if p.verdict == UNDETERMINED
-        )
+        return tuple(p for row in self.pairs for p in row if p.verdict == UNDETERMINED)
 
     def summary(self) -> dict:
-        n = len(self.spec.objects)
-        counts = {EXCEPTIONAL: 0, STRONG_EXT: 0, ORTHOGONAL: 0, UNDETERMINED: 0}
-        for row in self.pairs:
-            for p in row:
-                counts[p.verdict] += 1
+        pairs = [p for row in self.pairs for p in row]
         und = self.undetermined()
         return {
-            "size": n,
-            "counts": counts,
-            "diagonal_all_exceptional": all(
-                self.pairs[i][i].verdict == EXCEPTIONAL for i in range(n)
-            ),
-            "forward_all_strong": all(
-                self.pairs[i][j].verdict == STRONG_EXT
-                for i in range(n)
-                for j in range(i + 1, n)
-            ),
-            "backward_all_chi_zero": all(
-                self.pairs[i][j].chi == 0 for i in range(n) for j in range(i)
-            ),
+            "size": len(self.spec.objects),
+            "counts": {v: sum(p.verdict == v for p in pairs)
+                       for v in (EXCEPTIONAL, STRONG_EXT, ORTHOGONAL, UNDETERMINED)},
+            "diagonal_all_exceptional": all(p.verdict == EXCEPTIONAL for p in pairs if p.i == p.j),
+            "forward_all_strong": all(p.verdict == STRONG_EXT for p in pairs if p.i < p.j),
+            "backward_all_chi_zero": all(p.chi == 0 for p in pairs if p.i > p.j),
             "undetermined_only_backward": all(p.i > p.j for p in und),
             "undetermined_pairs": [[p.i, p.j] for p in und],
             "note": FULLNESS_NOTE,
@@ -258,37 +261,19 @@ def verify_collection(
 # -- Chern character identities and the mutation ledger ------------------------
 
 def check_ch_identities() -> tuple[tuple[str, bool], ...]:
-    """Exact Chern-character identities among the collection's objects,
-    coming from the mutation exact sequences, as ``(name, holds)`` pairs."""
-    slv = sl(dual(U1))
-    checks = []
-
-    lhs = ch_of(slv)
-    rhs = ch_of(twist(slv, 1)) + 3 * ch_of(dual(U2)) - 3 * ch_of(twist(U2, 1))
-    checks.append(("sl_twist_exchange", lhs == rhs))
-
-    lhs = ch_of(tensor(dual(U1), twist(U2, 1)))
-    rhs = (
-        -ch_of(U2) + 6 * ch_of(O(0)) + 3 * ch_of(dual(U2)) - 9 * ch_of(dual(U1))
-        + 3 * ch_of(twist(slv, 1)) + 3 * ch_of(O(1))
+    """Exact Chern-character identities among the collection's objects, each one
+    right mutation: ch(lhs) = sign * mutate(moved, block, "right"), as ``(name, holds)`` pairs."""
+    std, slv = [e for _, e in standard_collection().objects], sl(dual(U1))
+    u1_u2_1 = tensor(dual(U1), twist(U2, 1))
+    rows = (
+        ("sl_twist_exchange", twist(slv, 1), 1, std[0], std[1:5]),
+        ("rank6_tensor_twist1", u1_u2_1, -1, U2, std[1:5] + [twist(slv, 1), std[5]]),
+        ("rank6_tensor_twist2", tensor(dual(U1), twist(U2, 2)), -1, std[4],
+         std[5:9] + [twist(slv, 2), std[9]]),
+        ("rank6_tensor_expanded", u1_u2_1, -1, U2, std[:6]),
     )
-    checks.append(("rank6_tensor_twist1", lhs == rhs))
-
-    lhs = ch_of(tensor(dual(U1), twist(U2, 2)))
-    rhs = (
-        -ch_of(twist(U2, 1)) + 6 * ch_of(O(1)) + 3 * ch_of(twist(dual(U2), 1))
-        - 9 * ch_of(twist(dual(U1), 1)) + 3 * ch_of(twist(slv, 2)) + 3 * ch_of(O(2))
-    )
-    checks.append(("rank6_tensor_twist2", lhs == rhs))
-
-    lhs = ch_of(tensor(dual(U1), twist(U2, 1)))
-    rhs = (
-        -ch_of(U2) + 3 * ch_of(slv) + 6 * ch_of(O(0)) - 6 * ch_of(dual(U2))
-        - 9 * ch_of(dual(U1)) + 9 * ch_of(twist(U2, 1)) + 3 * ch_of(O(1))
-    )
-    checks.append(("rank6_tensor_expanded", lhs == rhs))
-
-    return tuple(checks)
+    return tuple((name, ch_of(lhs) == sign * mutate(moved, block, "right"))
+                 for name, lhs, sign, moved, block in rows)
 
 
 def mutation_ledger_check() -> tuple[tuple[str, bool], ...]:

@@ -25,10 +25,10 @@ from math import comb, factorial, lcm, prod
 from operator import itemgetter
 from unittest import mock
 
-from quivercert import cli, verify
+from quivercert import cli
 from quivercert._linalg import echelon
 from quivercert.bundles import (O, U1, U2, BundleExpr, StratumWeights, WorkBudget, dual, evaluate,
-                                tensor, twist)
+                                sl, tensor, twist)
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -42,7 +42,6 @@ from quivercert.chow import (
     _exp,
     _tangent_ch,
     ch_of,
-    scaled_pairing,
     todd_y,
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
@@ -51,7 +50,8 @@ from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy,
                                 syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
                                unstable_strata, weight_ranges)
-from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
+from quivercert.verify import (CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict,
+                               euler_pairing)
 
 F = Fraction
 
@@ -91,12 +91,6 @@ def count_negative_directions(quiver: Quiver, s: OnePS) -> tuple[int, int]:
     the representation space and in the gauge Lie algebra."""
     rep, gauge = _negative_directions(quiver, s)
     return sum(m for _, m in rep), sum(m for _, m in gauge)
-
-
-def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
-    """K-theoretic Euler pairing chi(dual(e) (x) f), from the cached chi
-    row and column of ``verify`` and its Todd class."""
-    return scaled_pairing(verify._chi_row(e), verify._chi_column(f, verify.todd_y()), e, f)
 
 
 def symmetry_functor(e: BundleExpr) -> BundleExpr:
@@ -1667,6 +1661,75 @@ def verify_collection_by_blocking_rows(spec: CollectionSpec, moduli: Moduli) -> 
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(spec, tuple(grid))
+
+
+# -- variant collections and Chern-character identities typed by hand ----------
+#
+# The data that ``verify.VARIANTS`` and ``verify.mutate`` replaced.
+
+def _block_by_hand(k: int) -> list[tuple[str, BundleExpr]]:
+    """The four objects O(k), U2*(k), U1*(k), U2(k+1), labelled."""
+    return [
+        (f"O({k})", O(k)),
+        (f"U2*({k})", twist(dual(U2), k)),
+        (f"U1*({k})", twist(dual(U1), k)),
+        (f"U2({k + 1})", twist(U2, k + 1)),
+    ]
+
+
+def _variants_by_hand() -> dict[str, tuple[tuple[str, BundleExpr], ...]]:
+    slv = sl(dual(U1))
+    a0, a1, a2 = _block_by_hand(0), _block_by_hand(1), _block_by_hand(2)
+    variants = {
+        "sl_after_block0": a0 + [("sl(U1*)(1)", twist(slv, 1))] + a1 + a2,
+        "sl_after_block1": a0 + a1 + [("sl(U1*)(2)", twist(slv, 2))] + a2,
+        "sl_after_block2": a0 + a1 + a2 + [("sl(U1*)(3)", twist(slv, 3))],
+        "tensor_for_u2_1": [
+            ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)),
+            ("O(1)", O(1)), ("U2*(1)", twist(dual(U2), 1)), ("U1*(1)", twist(dual(U1), 1)),
+            ("U2(2)", twist(U2, 2)), ("sl(U1*)(2)", twist(slv, 2)), ("O(2)", O(2)),
+            ("U1*xU2(2)", tensor(dual(U1), twist(U2, 2))),
+            ("U2*(2)", twist(dual(U2), 2)), ("U1*(2)", twist(dual(U1), 2)),
+            ("U2(3)", twist(U2, 3)),
+        ],
+        "tensor_for_u2star_2": [
+            ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)), ("U2(1)", twist(U2, 1)),
+            ("U1*xU2*", tensor(dual(U1), dual(U2))),
+            ("O(1)", O(1)), ("sl(U1*)(1)", twist(slv, 1)),
+            ("U2*(1)", twist(dual(U2), 1)), ("U1*(1)", twist(dual(U1), 1)),
+            ("U2(2)", twist(U2, 2)), ("O(2)", O(2)),
+            ("U1*(2)", twist(dual(U1), 2)), ("U2(3)", twist(U2, 3)),
+        ],
+    }
+    return {name: tuple(objects) for name, objects in variants.items()}
+
+
+#: The five variant collections as literal lists, block 0 spelled
+#: O(0), U2*(0) = twist(dual(U2), 0) and U1*(0) = twist(dual(U1), 0).
+VARIANTS_BY_HAND = _variants_by_hand()
+
+
+def ch_identities_by_hand() -> dict[str, tuple[ChowElement, ChowElement]]:
+    """The four identities of ``verify.check_ch_identities`` as ``(lhs, rhs)``
+    Chern characters, their right-hand sides typed as coefficient sums."""
+    slv = sl(dual(U1))
+    return {
+        "sl_twist_exchange": (
+            ch_of(slv),
+            ch_of(twist(slv, 1)) + 3 * ch_of(dual(U2)) - 3 * ch_of(twist(U2, 1))),
+        "rank6_tensor_twist1": (
+            ch_of(tensor(dual(U1), twist(U2, 1))),
+            -ch_of(U2) + 6 * ch_of(O(0)) + 3 * ch_of(dual(U2)) - 9 * ch_of(dual(U1))
+            + 3 * ch_of(twist(slv, 1)) + 3 * ch_of(O(1))),
+        "rank6_tensor_twist2": (
+            ch_of(tensor(dual(U1), twist(U2, 2))),
+            -ch_of(twist(U2, 1)) + 6 * ch_of(O(1)) + 3 * ch_of(twist(dual(U2), 1))
+            - 9 * ch_of(twist(dual(U1), 1)) + 3 * ch_of(twist(slv, 2)) + 3 * ch_of(O(2))),
+        "rank6_tensor_expanded": (
+            ch_of(tensor(dual(U1), twist(U2, 1))),
+            -ch_of(U2) + 3 * ch_of(slv) + 6 * ch_of(O(0)) - 6 * ch_of(dual(U2))
+            - 9 * ch_of(dual(U1)) + 9 * ch_of(twist(U2, 1)) + 3 * ch_of(O(1))),
+    }
 
 
 # -- stability by a rank test and a gcd --------------------------------------

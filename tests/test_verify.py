@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (KRONECKER3, coefficient, euler_pairing, euler_pairing_by_fractions,
-                     mutation_ledger, random_expr, symmetry_functor,
-                     verify_collection_by_blocking_rows, verify_collection_by_fractions,
-                     verify_collection_by_pairs)
+from oracles import (KRONECKER3, VARIANTS_BY_HAND, ch_identities_by_hand, coefficient,
+                     euler_pairing_by_fractions, integral, mutation_ledger, random_expr,
+                     symmetry_functor, verify_collection_by_blocking_rows,
+                     verify_collection_by_fractions, verify_collection_by_pairs)
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, WorkBudget, det, direct_sum, dual,
                                 parse_expr, sl, sym2, tensor, twist, wedge2)
@@ -26,9 +26,12 @@ from quivercert.verify import (
     ORTHOGONAL,
     STRONG_EXT,
     UNDETERMINED,
+    VARIANTS,
     CollectionSpec,
     check_ch_identities,
     collection_variants,
+    euler_pairing,
+    mutate,
     mutation_ledger_check,
     standard_collection,
     verify_collection,
@@ -180,6 +183,29 @@ class TestSmallCollections:
 
 
 class TestVariants:
+    def test_names_and_order(self):
+        assert list(collection_variants()) == list(VARIANTS_BY_HAND)
+
+    @pytest.mark.parametrize("name", list(VARIANTS_BY_HAND))
+    def test_equal_to_the_lists_by_hand(self, name):
+        # the same classes in the same order, and the same pairs; only block 0
+        # is spelled as in the standard collection
+        spec, by_hand = collection_variants()[name], CollectionSpec(VARIANTS_BY_HAND[name])
+        assert len(spec.objects) == 13
+        assert [ch_of(e) for _, e in spec.objects] == [ch_of(e) for _, e in by_hand.objects]
+        renamed = {"O(0)": "O", "U2*(0)": "U2*", "U1*(0)": "U1*"}
+        assert spec.labels() == tuple(renamed.get(label, label) for label in by_hand.labels())
+        assert verify_collection(spec, Y23).pairs == verify_collection(by_hand, Y23).pairs
+
+    def test_eighteen_objects_for_eighteen_classes(self):
+        specs = [standard_collection(), *collection_variants().values()]
+        objects = {e for spec in specs for _, e in spec.objects}
+        assert len(objects) == len({ch_of(e) for e in objects}) == 18
+        # the lists by hand spelled U2* and U1* of block 0 a second time
+        by_hand = {e for _, e in standard_collection().objects} | {
+            e for objects in VARIANTS_BY_HAND.values() for _, e in objects}
+        assert len(by_hand) == 20 and len({ch_of(e) for e in by_hand}) == 18
+
     @pytest.mark.parametrize("name", sorted(collection_variants()))
     def test_chi_consistency(self, name):
         spec = collection_variants()[name]
@@ -358,20 +384,134 @@ class TestChIdentities:
         assert len(checks) == 4
 
     def test_twisting_second_gives_third(self):
-        slv = sl(dual(U1))
-        lhs2 = ch_of(tensor(dual(U1), twist(U2, 1)))
-        rhs2 = (
-            -ch_of(U2) + 6 * ch_of(O(0)) + 3 * ch_of(dual(U2))
-            - 9 * ch_of(dual(U1)) + 3 * ch_of(twist(slv, 1)) + 3 * ch_of(O(1))
-        )
-        lhs3 = ch_of(tensor(dual(U1), twist(U2, 2)))
-        rhs3 = (
-            -ch_of(twist(U2, 1)) + 6 * ch_of(O(1)) + 3 * ch_of(twist(dual(U2), 1))
-            - 9 * ch_of(twist(dual(U1), 1)) + 3 * ch_of(twist(slv, 2)) + 3 * ch_of(O(2))
-        )
+        typed = ch_identities_by_hand()
+        (lhs2, rhs2), (lhs3, rhs3) = typed["rank6_tensor_twist1"], typed["rank6_tensor_twist2"]
         o1 = ch_of(O(1))
         assert lhs2 * o1 == lhs3
         assert rhs2 * o1 == rhs3
+
+    def test_typed_sides_hold_in_the_same_order(self):
+        typed = ch_identities_by_hand()
+        assert [name for name, _ in check_ch_identities()] == list(typed)
+        assert all(lhs == rhs for lhs, rhs in typed.values())
+
+
+STD = tuple(e for _, e in standard_collection().objects)
+SLV = sl(dual(U1))
+
+
+def combination(e, block, c) -> ChowElement:
+    """ch(e) - sum c_i ch(A_i), from typed coefficients c."""
+    assert len(c) == len(block)
+    return ch_of(e) - sum((k * ch_of(a) for k, a in zip(c, block)), ChowElement.zero())
+
+
+def is_exceptional_block(block) -> bool:
+    """Whether chi(A_i, A_j) is upper unitriangular."""
+    return all(euler_pairing(a, b) == (i == j) for i, a in enumerate(block)
+               for j, b in enumerate(block) if i >= j)
+
+
+def variant_moves() -> dict:
+    """Per record of ``VARIANTS``: the parent's objects, the moved object, the
+    block's objects, the side, the sign and the new object."""
+    built = {"standard": standard_collection(), **collection_variants()}
+    moves = {}
+    for name, parent, moved, block, side, sign, (_, text) in VARIANTS:
+        objects = [e for _, e in built[parent].objects]
+        moves[name] = (objects, objects[moved], [objects[p] for p in block], side, sign,
+                       parse_expr(text))
+    return moves
+
+
+class TestMutate:
+    #: the coefficients c of each variant's mutation, in the block's order
+    VARIANT_COEFFICIENTS = {
+        "sl_after_block0": (0, 3, 0, -3),
+        "sl_after_block1": (0, 3, 0, -3) * 2,
+        "sl_after_block2": (0, 3, 0, -3) * 3,
+        "tensor_for_u2_1": (6, 3, -9, 0, 3, 3),
+        "tensor_for_u2star_2": (3, 3, 0, -9, 3, 6),
+    }
+    #: each identity as one right mutation: (new object, sign, moved, block, c)
+    IDENTITIES = {
+        "sl_twist_exchange": (twist(SLV, 1), 1, sl(U1), STD[1:5], (0, 3, 0, -3)),
+        "rank6_tensor_twist1": (tensor(dual(U1), twist(U2, 1)), -1, U2,
+                                (*STD[1:5], twist(SLV, 1), STD[5]), (6, 3, -9, 0, 3, 3)),
+        "rank6_tensor_twist2": (tensor(dual(U1), twist(U2, 2)), -1, twist(U2, 1),
+                                (*STD[5:9], twist(SLV, 2), STD[9]), (6, 3, -9, 0, 3, 3)),
+        "rank6_tensor_expanded": (tensor(dual(U1), twist(U2, 1)), -1, U2, STD[:6],
+                                  (3, 6, -6, -9, 9, 3)),
+    }
+
+    def test_records_are_plain_data(self):
+        # no expression is built at import: each record holds text, numbers and positions
+        def plain(x):
+            return isinstance(x, (str, int, range)) or (
+                isinstance(x, tuple) and not isinstance(x, BundleExpr) and all(map(plain, x)))
+
+        assert [name for name, *_ in VARIANTS] == list(self.VARIANT_COEFFICIENTS)
+        assert all(plain(record) for record in VARIANTS)
+
+    @pytest.mark.parametrize("name", list(VARIANT_COEFFICIENTS))
+    def test_variant_record(self, name):
+        objects, moved, block, side, sign, new = variant_moves()[name]
+        assert is_exceptional_block(block)
+        span = sorted({objects.index(moved), *map(objects.index, block)})
+        assert span == list(range(span[0], span[-1] + 1))  # the moved object is adjacent
+        assert (objects.index(moved) == span[0]) == (side == "right")
+        assert ch_of(new) == sign * mutate(moved, block, side)
+        assert mutate(moved, block, side) == combination(moved, block,
+                                                         self.VARIANT_COEFFICIENTS[name])
+
+    @pytest.mark.parametrize("name", list(IDENTITIES))
+    def test_identity_is_one_mutation(self, name):
+        new, sign, moved, block, c = self.IDENTITIES[name]
+        assert is_exceptional_block(block)
+        assert ch_of(new) == sign * mutate(moved, block, "right") == sign * combination(
+            moved, block, c)
+        lhs, rhs = ch_identities_by_hand()[name]
+        if name != "sl_twist_exchange":  # the others type the new object's class
+            assert lhs == rhs == ch_of(new)
+
+    @pytest.mark.parametrize("name", list(IDENTITIES) + list(VARIANT_COEFFICIENTS))
+    def test_the_class_is_orthogonal_to_the_block(self, name):
+        # checked by integrals in Fraction coordinates, apart from the substitution
+        if name in self.IDENTITIES:
+            _, _, moved, block, _ = self.IDENTITIES[name]
+            side = "right"
+        else:
+            _, moved, block, side, _, _ = variant_moves()[name]
+        x, todd = mutate(moved, block, side), todd_y()
+        for a in block:
+            if side == "right":
+                assert integral(x.dual() * ch_of(a) * todd) == 0
+            else:
+                assert integral(ch_of(a).dual() * x * todd) == 0
+
+    @pytest.mark.parametrize("name", ["standard"] + list(VARIANT_COEFFICIENTS))
+    def test_helix(self, name):
+        # omega_Y = O(-3): the last object left-mutated across the other twelve
+        # is the last object twisted by -3; this says nothing about fullness
+        spec = standard_collection() if name == "standard" else collection_variants()[name]
+        objects = [e for _, e in spec.objects]
+        assert is_exceptional_block(objects[:-1])
+        assert mutate(objects[-1], objects[:-1], "left") == ch_of(twist(objects[-1], -3))
+        if name == "standard":
+            c = (-3, -6, 6, 9, -9, -3, 3, 0, 0, -6, 0, 3)
+            assert mutate(objects[-1], objects[:-1], "left") == combination(
+                objects[-1], objects[:-1], c)
+
+    def test_one_object_block(self):
+        # across one exceptional object A: ch(E) - chi(E, A) ch(A) to the right,
+        # ch(E) - chi(A, E) ch(A) to the left
+        assert mutate(O(0), [O(1)], "right") == ch_of(O(0)) - 20 * ch_of(O(1))
+        assert mutate(O(1), [O(0)], "left") == ch_of(O(1)) - 20 * ch_of(O(0))
+        assert mutate(O(0), [], "left") == ch_of(O(0))
+
+    def test_side_is_checked(self):
+        with pytest.raises(ValueError, match="side must be"):
+            mutate(O(0), [O(1)], "up")
 
 
 class TestMutationLedger:
@@ -391,6 +531,13 @@ class TestMutationLedger:
 
     def test_l6_is_twisted_bundle(self):
         assert mutation_ledger()["l6"] == ch_of(twist(U2, 1))
+
+    def test_l5_to_l3_are_partial_mutations(self):
+        # U2(1) right-mutated across the first one, two and three objects of
+        # O(1), U2*(1), U1*(1), with the signs of the shifts
+        ledger, block = mutation_ledger(), STD[5:8]
+        for k, (name, sign) in enumerate((("l5", -1), ("l4", -1), ("l3", 1)), start=1):
+            assert ledger[name] == sign * mutate(twist(U2, 1), block[:k], "right")
 
 
 # -- record semantics ------------------------------------------------------------

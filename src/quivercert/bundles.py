@@ -8,10 +8,11 @@ Wedge^2, and twisting by O(n).
 
 Every semantics of an expression is a lambda-ring homomorphism, and
 ``evaluate`` is the one recursion over the operators: ranks (a field
-that each node computes as it is built), characters of a stratum's
-one-parameter subgroup as weight -> multiplicity maps (here, used by
-the strata module), and Chern characters (chow module).  The module
-also holds the trees and their parser.
+that each node computes as it is built), the characters of the strata's
+one-parameter subgroups as weight -> multiplicity maps, one per stratum
+and all from one walk of the tree (here, used by the strata module), and
+Chern characters (chow module).  The module also holds the trees and
+their parser.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class BundleExpr(namedtuple("BundleExpr", "op args rank")):
         # grows doubly exponentially with nesting) or anything else is large.
         rank = _LEAF_RANKS.get(op)
         if rank is None:
-            rank = sum(evaluate((op, args), _rank_character, _rank_character).values())
+            rank = sum(evaluate((op, args), _rank_character, _rank_character).maps[0].values())
             if rank > MAX_RANK:
                 raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
         return super().__new__(cls, op, args, rank)
@@ -156,53 +157,64 @@ class WorkBudget:
             raise ValueError(f"character products exceed {MAX_WORK_TERMS} terms in one request")
 
 
-class Character(dict):
-    """A character of a one-parameter subgroup: weight -> nonzero
-    multiplicity.  The ring operations act on these maps, so a weight
-    multiset is never expanded.  Products charge ``budget``, a WorkBudget
-    that results inherit, unless it is None."""
+class Character:
+    """Characters of one-parameter subgroups, one per stratum: ``maps`` holds
+    a weight -> nonzero multiplicity map for each.  The ring operations act
+    on all the maps at once, so a weight multiset is never expanded.  Each
+    product of one stratum's maps charges ``budget``, a WorkBudget that
+    results inherit, unless it is None."""
 
-    __slots__ = ("budget",)
+    __slots__ = ("maps", "budget")
 
-    def __init__(self, weights=(), budget=None):
-        super().__init__(weights)
+    def __init__(self, maps, budget=None):
+        self.maps = maps
         self.budget = budget
 
+    def __bool__(self):
+        return any(self.maps)
+
     def __add__(self, other):
-        out = dict(self)
-        for w, m in other.items():
-            out[w] = out.get(w, 0) + m
-        return Character({w: m for w, m in out.items() if m}, self.budget)
+        out = []
+        for x, y in zip(self.maps, other.maps):
+            z = dict(x)
+            for w, m in y.items():
+                z[w] = z.get(w, 0) + m
+            out.append({w: m for w, m in z.items() if m})
+        return Character(out, self.budget)
 
     def __sub__(self, other):
-        return self + Character({w: -m for w, m in other.items()})
+        return self + Character([{w: -m for w, m in y.items()} for y in other.maps])
 
     def __mul__(self, other):
         # A character can carry about as many weights as its rank, and
         # MAX_RANK alone allows products far too large to compute.
-        terms = len(self) * len(other)
-        if terms > MAX_TERMS:
-            raise ValueError(f"product of characters with {len(self)} and {len(other)}"
-                             f" weights exceeds {MAX_TERMS} terms")
-        if self.budget is not None:
-            self.budget.charge(terms)
-        out = Character((), self.budget)
-        for a, m in self.items():
-            for b, n in other.items():
-                out[a + b] = out.get(a + b, 0) + m * n
-        return out
+        out = []
+        for x, y in zip(self.maps, other.maps):
+            terms = len(x) * len(y)
+            if terms > MAX_TERMS:
+                raise ValueError(f"product of characters with {len(x)} and {len(y)}"
+                                 f" weights exceeds {MAX_TERMS} terms")
+            if self.budget is not None:
+                self.budget.charge(terms)
+            z = {}
+            for a, m in x.items():
+                for b, n in y.items():
+                    z[a + b] = z.get(a + b, 0) + m * n
+            out.append(z)
+        return Character(out, self.budget)
 
     def dual(self):
-        return Character({-w: m for w, m in self.items()}, self.budget)
+        return Character([{-w: m for w, m in x.items()} for x in self.maps], self.budget)
 
     def det(self):
-        return Character({sum(w * m for w, m in self.items()): 1}, self.budget)
+        return Character([{sum(w * m for w, m in x.items()): 1} for x in self.maps], self.budget)
 
     def psi2(self):
-        return Character({2 * w: m for w, m in self.items()}, self.budget)
+        return Character([{2 * w: m for w, m in x.items()} for x in self.maps], self.budget)
 
     def half(self):
-        return Character({w: m // 2 for w, m in self.items() if m // 2}, self.budget)
+        return Character([{w: m // 2 for w, m in x.items() if m // 2} for x in self.maps],
+                         self.budget)
 
 
 class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
@@ -213,26 +225,31 @@ class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
 
     __slots__ = ()
 
-    def character(self, e: BundleExpr, budget: WorkBudget) -> Character:
-        """The weights of ``e`` on this stratum with multiplicities (may be
-        shared with other results, so do not mutate it).  Its products
-        charge ``budget``."""
-        leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", self.u1), ("U2", self.u2))}
 
-        def leaf(x):
-            if x.op == "O":
-                return Character({-x.args[0] * sum(self.u1): 1}, budget)
-            return Character(leaves[x.op], budget)
+def characters(weights, e: BundleExpr, budget: WorkBudget) -> Character:
+    """The weights of ``e`` with multiplicities on each stratum of
+    ``weights``, a sequence of StratumWeights, from one walk of the tree.
+    The maps may be shared with other results, so do not mutate them.
+    Each stratum's products charge ``budget``."""
+    leaves = {op: Character([{w: ws.count(w) for w in ws} for ws in column], budget)
+              for op, column in (("U1", [s.u1 for s in weights]), ("U2", [s.u2 for s in weights]))}
+    dets = [sum(s.u1) for s in weights]
 
-        def value(x):
-            return evaluate(x, leaf, value)
+    def leaf(x):
+        if x.op == "O":
+            return Character([{-x.args[0] * d: 1} for d in dets], budget)
+        return leaves[x.op]
 
-        return value(e)
+    def value(x):
+        return evaluate(x, leaf, value)
+
+    return value(e)
 
 
 def _rank_character(e: BundleExpr) -> Character:
-    """The character of ``e`` on zero weights, read off its stored rank."""
-    return Character({0: e.rank}) if e.rank else Character()
+    """The character of ``e`` on one stratum of zero weights, read off its
+    stored rank."""
+    return Character([{0: e.rank}] if e.rank else [{}])
 
 
 # -- parser -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from ._linalg import _int_entries
-from .bundles import BundleExpr, StratumWeights, WorkBudget
+from .bundles import BundleExpr, StratumWeights, WorkBudget, characters
 from .quiver import HNType, Quiver, enumerate_hn_types, reduced_slope
 
 
@@ -158,17 +158,19 @@ _RANGES: dict = {}
 def weight_ranges(expr: BundleExpr, moduli: Moduli,
                   budget: WorkBudget) -> tuple[tuple[int, int] | None, ...]:
     """The (min, max) weight of ``expr`` on each unstable stratum, or None
-    for the zero bundle, which has no weights.  The character products on
-    all strata charge ``budget``; a cached result charges it what the
-    products cost, so that a warm cache and a cold one give the same
-    verdict.  Exceptions are not cached."""
+    for the zero bundle, which has no weights.  One walk of the tree weighs
+    ``expr`` on all strata at once.  The character products on all strata
+    charge ``budget``; a cached result charges it what the products cost,
+    so that a warm cache and a cold one give the same verdict.  Exceptions
+    are not cached."""
     cached = _RANGES.get((expr, moduli))
     if cached is not None:
         budget.charge(cached[1])
         return cached[0]
     left = budget.left
-    characters = (s.weights.character(expr, budget) for s in unstable_strata(moduli))
-    ranges = tuple((min(c), max(c)) if c else None for c in characters)
+    weights = [s.weights for s in unstable_strata(moduli)]
+    ranges = tuple((min(c), max(c)) if c else None
+                   for c in characters(weights, expr, budget).maps)
     _RANGES[expr, moduli] = ranges, left - budget.left
     return ranges
 

@@ -150,11 +150,6 @@ def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]
     return x.den, x.nums
 
 
-def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
-    """chi(dual(e) (x) f), from the cached chi row of e and column of f."""
-    return scaled_pairing(_chi_row(e), _chi_column(f, todd_y()), e, f)
-
-
 def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
     """The K-theory class ch(E) - sum c_i ch(A_i) of the mutation of E =
     ``moved`` across an exceptional block A_1 ... A_n, up to the sign of its
@@ -164,11 +159,18 @@ def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
     forward to the right and backward to the left."""
     if side not in ("right", "left"):
         raise ValueError('side must be "right" or "left"')
-    pairing = euler_pairing if side == "right" else lambda e, f: euler_pairing(f, e)
+    todd, objects = todd_y(), (*block, moved)
+    rows, columns = [_chi_row(e) for e in objects], [_chi_column(e, todd) for e in objects]
+
+    def pairing(i, j):
+        """chi(objects[i], objects[j]), its factors swapped to the left."""
+        if side == "left":
+            i, j = j, i
+        return scaled_pairing(rows[i], columns[j], objects[i], objects[j])
+
     c = {}
     for j in range(len(block)) if side == "right" else reversed(range(len(block))):
-        c[j] = pairing(moved, block[j]) - sum(k * pairing(block[i], block[j])
-                                              for i, k in c.items() if k)
+        c[j] = pairing(-1, j) - sum(k * pairing(i, j) for i, k in c.items() if k)
     return sum((-k * ch_of(block[j]) for j, k in c.items() if k), ch_of(moved))
 
 

@@ -25,10 +25,10 @@ from math import comb, factorial, lcm, prod
 from operator import itemgetter
 from unittest import mock
 
-from quivercert import cli
+from quivercert import cli, verify
 from quivercert._linalg import echelon
-from quivercert.bundles import (O, U1, U2, BundleExpr, StratumWeights, WorkBudget, dual, evaluate,
-                                sl, tensor, twist)
+from quivercert.bundles import (MAX_TERMS, O, U1, U2, BundleExpr, StratumWeights, WorkBudget,
+                                characters, dual, evaluate, sl, tensor, twist)
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -42,6 +42,7 @@ from quivercert.chow import (
     _exp,
     _tangent_ch,
     ch_of,
+    scaled_pairing,
     todd_y,
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
@@ -50,8 +51,7 @@ from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy,
                                 syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
                                unstable_strata, weight_ranges)
-from quivercert.verify import (CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict,
-                               euler_pairing)
+from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
 
 F = Fraction
 
@@ -109,6 +109,12 @@ def mutation_ledger() -> dict[str, ChowElement]:
     ledger["l2"] = (3 * ch_of(tensor(dual(U1), twist(U1, 2)))
                     - ch_of(tensor(dual(U1), twist(U2, 2))))
     return ledger
+
+
+def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
+    """chi(dual(e) (x) f), from the cached chi row of e and column of f
+    under ``verify.todd_y``."""
+    return scaled_pairing(verify._chi_row(e), verify._chi_column(f, verify.todd_y()), e, f)
 
 
 def tangent_chern() -> ChowElement:
@@ -958,7 +964,7 @@ def weights_by_lists(e: BundleExpr, base: StratumWeights) -> list[int]:
 def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
     """The weight multiset of an expression, sorted descending, from its
     character: the helper ``bundles`` dropped when no route needed it."""
-    ws = [w for w, m in base.character(e, WorkBudget()).items() for _ in range(m)]
+    ws = [w for w, m in characters([base], e, WorkBudget()).maps[0].items() for _ in range(m)]
     return tuple(sorted(ws, reverse=True))
 
 
@@ -995,6 +1001,74 @@ def ch_by_ops(e: BundleExpr) -> ChowElement:
     if e.op == "wedge2":
         return from_coords(F(1, 2) * c for c in coords_of(inner * inner - _psi2_ch(inner)))
     raise ValueError(f"unknown operator {e.op!r}")
+
+
+# -- characters stratum by stratum ---------------------------------------------
+#
+# The route that ``bundles.characters`` replaced: one walk of the tree per
+# stratum, each with its own leaves and closures, over one weight map.
+
+class StratumCharacter(dict):
+    """A character of one stratum's one-parameter subgroup: weight ->
+    nonzero multiplicity.  Products charge ``budget``, a WorkBudget that
+    results inherit, unless it is None."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, weights=(), budget=None):
+        super().__init__(weights)
+        self.budget = budget
+
+    def __add__(self, other):
+        out = dict(self)
+        for w, m in other.items():
+            out[w] = out.get(w, 0) + m
+        return StratumCharacter({w: m for w, m in out.items() if m}, self.budget)
+
+    def __sub__(self, other):
+        return self + StratumCharacter({w: -m for w, m in other.items()})
+
+    def __mul__(self, other):
+        terms = len(self) * len(other)
+        if terms > MAX_TERMS:
+            raise ValueError(f"product of characters with {len(self)} and {len(other)}"
+                             f" weights exceeds {MAX_TERMS} terms")
+        if self.budget is not None:
+            self.budget.charge(terms)
+        out = StratumCharacter((), self.budget)
+        for a, m in self.items():
+            for b, n in other.items():
+                out[a + b] = out.get(a + b, 0) + m * n
+        return out
+
+    def dual(self):
+        return StratumCharacter({-w: m for w, m in self.items()}, self.budget)
+
+    def det(self):
+        return StratumCharacter({sum(w * m for w, m in self.items()): 1}, self.budget)
+
+    def psi2(self):
+        return StratumCharacter({2 * w: m for w, m in self.items()}, self.budget)
+
+    def half(self):
+        return StratumCharacter({w: m // 2 for w, m in self.items() if m // 2}, self.budget)
+
+
+def character_by_stratum(base: StratumWeights, e: BundleExpr,
+                         budget: WorkBudget) -> StratumCharacter:
+    """The weights of ``e`` on one stratum with multiplicities, from a walk
+    of its own.  Its products charge ``budget``."""
+    leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", base.u1), ("U2", base.u2))}
+
+    def leaf(x):
+        if x.op == "O":
+            return StratumCharacter({-x.args[0] * sum(base.u1): 1}, budget)
+        return StratumCharacter(leaves[x.op], budget)
+
+    def value(x):
+        return evaluate(x, leaf, value)
+
+    return value(e)
 
 
 # -- the Chow ring in Fraction coordinates ------------------------------------

@@ -11,9 +11,9 @@ import random
 from fractions import Fraction
 
 from golden import CH_ROWS, CHI_VALUES, HN_TYPES_23, INTERSECTION_NUMBERS, STRATUM_TABLE
-from oracles import (KRONECKER3, coefficient, coords_of, fraction_matrix, integral,
-                     is_stable_by_gcd, mutation_ledger, random_expr, random_matrix, random_stable_matrix,
-                     syzygy_tensors, tangent_chern)
+from oracles import (KRONECKER3, coefficient, coords_of, euler_pairing, fraction_matrix, integral,
+                     is_stable_by_gcd, mutation_ledger, random_expr, random_matrix,
+                     random_stable_matrix, syzygy_tensors, tangent_chern)
 from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
 from quivercert.chow import BASIS, ChowElement, ch_of, chi, parse_chow_poly
 from quivercert.quiver import enumerate_hn_types
@@ -29,7 +29,6 @@ from quivercert.verify import (
     EXCEPTIONAL,
     STRONG_EXT,
     check_ch_identities,
-    euler_pairing,
     mutation_ledger_check,
     standard_collection,
     verify_collection,

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_expr, rank_by_ops, weights_by_lists, weights_of
+from oracles import (character_by_stratum, random_expr, rank_by_ops, weights_by_lists,
+                     weights_of)
 from quivercert.bundles import (
     MAX_RANK,
     MAX_TERMS,
@@ -16,6 +17,7 @@ from quivercert.bundles import (
     ExprSyntaxError,
     WorkBudget,
     StratumWeights,
+    characters,
     det,
     direct_sum,
     dual,
@@ -26,6 +28,8 @@ from quivercert.bundles import (
     twist,
     wedge2,
 )
+from quivercert.quiver import Quiver
+from quivercert.strata import Moduli, OnePS, descent_shift, universal_weights, unstable_strata
 
 # weight data of the rank-one wall stratum
 BASE = StratumWeights(u1=(5, 0), u2=(5, 0, 0))
@@ -48,23 +52,60 @@ class TestRankLimit:
 class TestTermLimit:
     def test_product_size_is_bounded(self):
         side = int(MAX_TERMS ** 0.5)
-        square = Character({w: 1 for w in range(side)})
-        assert len(square * square) == 2 * side - 1
+        square = Character([{w: 1 for w in range(side)}])
+        assert [len(x) for x in (square * square).maps] == [2 * side - 1]
         with pytest.raises(ValueError, match=f"exceeds {MAX_TERMS} terms"):
-            square * Character({w: 1 for w in range(side + 1)})
+            square * Character([{w: 1 for w in range(side + 1)}])
 
     def test_products_share_one_budget(self):
         side = int(MAX_TERMS ** 0.5)
-        square = Character({w: 1 for w in range(side)}, WorkBudget())
+        square = Character([{w: 1 for w in range(side)}], WorkBudget())
         products = [square * square for _ in range(MAX_WORK_TERMS // MAX_TERMS)]
         assert products[-1].budget is square.budget
         assert square.budget.left == 0
         with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
-            square * Character({0: 1})
+            square * Character([{0: 1}])
         # characters without a budget, such as those of ranks, are not charged
-        plain = Character({w: 1 for w in range(side)})
+        plain = Character([{w: 1 for w in range(side)}])
         for _ in range(MAX_WORK_TERMS // MAX_TERMS + 1):
             plain * plain
+
+    def test_each_stratum_is_bounded_and_charged(self):
+        side = int(MAX_TERMS ** 0.5)
+        small, square = {0: 1, 1: 1}, {w: 1 for w in range(side)}
+        mixed = Character([small, square, small], WorkBudget())
+        assert [len(x) for x in (mixed * mixed).maps] == [3, 2 * side - 1, 3]
+        assert mixed.budget.left == MAX_WORK_TERMS - MAX_TERMS - 8
+        # the first stratum above the limit is reported
+        wide = Character([small, {w: 1 for w in range(side + 1)}, {w: 1 for w in range(side + 2)}])
+        with pytest.raises(ValueError, match=f"with {side + 1} and {side + 1} weights"):
+            wide * wide
+
+    def test_earliest_node_above_the_limit_is_reported(self):
+        # Two strata of Y exceed MAX_TERMS at different nodes: at the first
+        # summand on the second stratum, where (U1 (x) U2)^6 has 19 weights,
+        # and only at the second summand on the first, where it has 13.  One
+        # walk reports the earlier node; a walk per stratum reported the
+        # first stratum's first failure.
+        e = hostile_two_node_expr()
+        ws = [s.weights for s in unstable_strata(Moduli.kronecker23())]
+        assert [len(x) for x in characters(ws, tensor(*[tensor(U1, U2)] * 6),
+                                           WorkBudget()).maps][:2] == [13, 19]
+        with pytest.raises(ValueError) as one_walk:
+            characters(ws, e, WorkBudget())
+        with pytest.raises(ValueError) as per_stratum:
+            for w in ws:
+                character_by_stratum(w, e, WorkBudget())
+        message = "product of characters with {} and 4096 weights exceeds %d terms" % MAX_TERMS
+        assert str(one_walk.value) == message.format(19)
+        assert str(per_stratum.value) == message.format(17)
+
+
+def hostile_two_node_expr():
+    """(U1 (x) U2)^6 (x) P + (U1 (x) U2)^8 (x) P, P a product of 12 sums
+    O(0) + O(2^k) with 4096 weights on every stratum of Y."""
+    p = tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(12)])
+    return direct_sum(*[tensor(tensor(*[tensor(U1, U2)] * n), p) for n in (6, 8)])
 
 
 class TestParse:
@@ -110,7 +151,7 @@ class TestParse:
         rank_one = StratumWeights(u1=(4,), u2=(1, 0))
         for e in (sl(sl(U1)), sl(wedge2(U1))):
             with pytest.raises(ValueError, match="rank at least 1"):
-                rank_one.character(e, WorkBudget())
+                characters([rank_one], e, WorkBudget())
 
 
 class TestRank:
@@ -159,8 +200,6 @@ class TestWeights:
 
     @given(exprs(depth=2))
     def test_sl_weights_sum_to_zero(self, e):
-        from quivercert.strata import Moduli, unstable_strata
-
         for stratum in unstable_strata(Moduli.kronecker23()):
             assert sum(weights_of(sl(e), stratum.weights)) == 0
 
@@ -179,22 +218,42 @@ class TestWeights:
 def _all_bases():
     """The base weights of every unstable stratum, of the central subgroup,
     and BASE."""
-    from quivercert.strata import Moduli, OnePS, descent_shift, universal_weights, unstable_strata
-
     moduli = Moduli.kronecker23()
     ones = OnePS(tuple(((1, n),) for n in moduli.dim))
     central = universal_weights(ones, descent_shift(ones, moduli.twist))
     return [s.weights for s in unstable_strata(moduli)] + [central, BASE]
 
 
+#: A moduli space other than Y, whose U1 and U2 have rank 1.
+KRONECKER2 = Moduli(Quiver.kronecker(2), (1, 1), (1, -1), (0, -1))
+
+
+def outcome(route):
+    """What ``route()`` returns, or the message of the ValueError it raises."""
+    try:
+        return route()
+    except ValueError as err:
+        return str(err)
+
+
 class TestEvaluatorMatchesOracles:
     @given(exprs())
     def test_character_expands_to_weight_list(self, e):
-        for base in _all_bases():
-            character = base.character(e, WorkBudget())
+        bases = _all_bases()
+        for base, character in zip(bases, characters(bases, e, WorkBudget()).maps, strict=True):
             assert all(m > 0 for m in character.values())
             expanded = sorted(w for w, m in character.items() for _ in range(m))
             assert expanded == sorted(weights_by_lists(e, base))
+
+    @pytest.mark.parametrize("moduli", [Moduli.kronecker23(), KRONECKER2], ids=["Y", "kronecker2"])
+    @given(e=exprs())
+    def test_one_walk_equals_a_walk_per_stratum(self, moduli, e):
+        bases = [s.weights for s in unstable_strata(moduli)]
+        one, each = WorkBudget(), WorkBudget()
+        maps = outcome(lambda: characters(bases, e, one).maps)
+        expected = outcome(lambda: [character_by_stratum(base, e, each) for base in bases])
+        assert maps == expected
+        assert one.left == each.left
 
     @given(exprs())
     def test_rank(self, e):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cli_by_fractions, random_matrix_text
+from test_bundles import hostile_two_node_expr
 from quivercert import chow, repgeom, verify
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
@@ -707,6 +708,9 @@ class TestHostileSizes:
         # 128 distinct objects of about 928,000 terms each share one budget
         (["verify-collection", "--file", "128-heavy-objects.json"],
          f"character products exceed {MAX_WORK_TERMS} terms in one request"),
+        # two strata above MAX_TERMS at different nodes: the earlier node is reported
+        (["teleman", "--expr", str(hostile_two_node_expr())],
+         f"product of characters with 19 and 4096 weights exceeds {MAX_TERMS} terms"),
     ])
     def test_work_above_the_limit_is_input_error(self, capsys, tmp_path, monkeypatch, argv,
                                                  message):

@@ -10,8 +10,9 @@ from golden import STRATUM_TABLE
 from oracles import (KRONECKER3, count_negative_directions, dim_vector, one_ps_by_fraction_slopes,
                      random_expr, stratum_checks, weights_of)
 from test_quiver import quiver_dim_theta
-from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget, direct_sum,
-                                dual, sl, sym2, tensor)
+from quivercert import bundles
+from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget, characters,
+                                direct_sum, dual, evaluate, sl, sym2, tensor)
 from quivercert.quiver import (Quiver, _sst_table, enumerate_hn_types, hn_stratum_codim,
                                reduced_slope)
 from quivercert.cli import main
@@ -220,7 +221,7 @@ class TestUniversalWeights:
             ones = OnePS(tuple(((1, n),) if n > 0 else () for n in d))
             base = universal_weights(ones, descent_shift(ones, twist))
             for leaf in (U1, U2, O(rng.randint(-20, 20))):
-                assert set(base.character(leaf, WorkBudget())) <= {0}, (d, twist, leaf)
+                assert set(characters([base], leaf, WorkBudget()).maps[0]) <= {0}, (d, twist, leaf)
             checked += 1
 
     def test_scale_invariance(self, strata):
@@ -289,7 +290,7 @@ class TestTelemanCertify:
         block = sym2(tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(8)]))
         e = direct_sum(direct_sum(block, block), direct_sum(block, block))
         for stratum in unstable_strata(Y23):
-            stratum.weights.character(e, WorkBudget())
+            characters([stratum.weights], e, WorkBudget())
         for _ in range(2):  # exceptions are not cached
             with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
                 weight_ranges(e, Y23, WorkBudget())
@@ -303,6 +304,31 @@ class TestTelemanCertify:
             first = weight_ranges(e, Y23, cold)
             assert weight_ranges(e, Y23, warm) is first
             assert warm.left == cold.left
+
+    def test_one_walk_for_all_strata(self, monkeypatch):
+        # a cold weight_ranges evaluates each node of the tree once, and an
+        # sl node also its O(0), however many strata there are
+        def nodes(e):
+            if e.op in ("U1", "U2", "O"):
+                return 1
+            return 1 + (e.op == "sl") + sum(nodes(a) for a in e.args)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(bundles, "evaluate", counted)
+        rng = random.Random(15)
+        for e in [random_expr(rng) for _ in range(20)] + [sl(sym2(U2)), sl(O(1))]:
+            _RANGES.pop((e, Y23), None)
+            calls.clear()
+            weight_ranges(e, Y23, WorkBudget())
+            assert len(calls) == nodes(e), e
+            calls.clear()
+            weight_ranges(e, Y23, WorkBudget())  # warm
+            assert calls == []
 
     def test_equals_the_stratum_checks_route(self):
         # the one loop of teleman_certify against margins, rule and checks

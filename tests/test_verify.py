@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (KRONECKER3, VARIANTS_BY_HAND, ch_identities_by_hand, coefficient,
-                     euler_pairing_by_fractions, integral, mutation_ledger, random_expr,
-                     symmetry_functor, verify_collection_by_blocking_rows,
+                     euler_pairing, euler_pairing_by_fractions, integral, mutation_ledger,
+                     random_expr, symmetry_functor, verify_collection_by_blocking_rows,
                      verify_collection_by_fractions, verify_collection_by_pairs)
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, WorkBudget, det, direct_sum, dual,
@@ -30,7 +30,6 @@ from quivercert.verify import (
     CollectionSpec,
     check_ch_identities,
     collection_variants,
-    euler_pairing,
     mutate,
     mutation_ledger_check,
     standard_collection,
@@ -512,6 +511,26 @@ class TestMutate:
     def test_side_is_checked(self):
         with pytest.raises(ValueError, match="side must be"):
             mutate(O(0), [O(1)], "up")
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_rows_and_columns_are_read_once(self, monkeypatch, side):
+        # one chi row and one chi column per object, whatever the block's
+        # length, and the class of the substitution pairing by pairing
+        block = list(STD[1:9])
+        moved = STD[0] if side == "right" else STD[9]
+        reads = []
+        for name in ("_chi_row", "_chi_column"):
+            def counted(*args, read=getattr(verify, name), name=name):
+                reads.append(name)
+                return read(*args)
+            monkeypatch.setattr(verify, name, counted)
+        x = mutate(moved, block, side)
+        assert sorted(reads) == ["_chi_column"] * 9 + ["_chi_row"] * 9
+        pair = euler_pairing if side == "right" else lambda e, f: euler_pairing(f, e)
+        c = {}
+        for j in range(len(block)) if side == "right" else reversed(range(len(block))):
+            c[j] = pair(moved, block[j]) - sum(k * pair(block[i], block[j]) for i, k in c.items())
+        assert x == combination(moved, block, [c[j] for j in range(len(block))])
 
 
 class TestMutationLedger:

@@ -171,7 +171,8 @@ class Character:
         self.budget = budget
 
     def __bool__(self):
-        return any(self.maps)
+        # False if zero on any stratum; with no strata, nothing is refused
+        return all(self.maps)
 
     def __add__(self, other):
         out = []

@@ -28,7 +28,7 @@ from unittest import mock
 from quivercert import cli, verify
 from quivercert._linalg import echelon
 from quivercert.bundles import (MAX_TERMS, O, U1, U2, BundleExpr, StratumWeights, WorkBudget,
-                                characters, dual, evaluate, sl, tensor, twist)
+                                characters, direct_sum, dual, evaluate, sl, tensor, twist)
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -1069,6 +1069,13 @@ def character_by_stratum(base: StratumWeights, e: BundleExpr,
         return evaluate(x, leaf, value)
 
     return value(e)
+
+
+def hostile_two_node_expr() -> BundleExpr:
+    """(U1 (x) U2)^6 (x) P + (U1 (x) U2)^8 (x) P, P a product of 12 sums
+    O(0) + O(2^k) with 4096 weights on every stratum of Y."""
+    p = tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(12)])
+    return direct_sum(*[tensor(tensor(*[tensor(U1, U2)] * n), p) for n in (6, 8)])
 
 
 # -- the Chow ring in Fraction coordinates ------------------------------------

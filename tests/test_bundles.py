@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (character_by_stratum, random_expr, rank_by_ops, weights_by_lists,
-                     weights_of)
+from oracles import (character_by_stratum, hostile_two_node_expr, random_expr, rank_by_ops,
+                     weights_by_lists, weights_of)
 from quivercert.bundles import (
     MAX_RANK,
     MAX_TERMS,
@@ -99,13 +99,6 @@ class TestTermLimit:
         message = "product of characters with {} and 4096 weights exceeds %d terms" % MAX_TERMS
         assert str(one_walk.value) == message.format(19)
         assert str(per_stratum.value) == message.format(17)
-
-
-def hostile_two_node_expr():
-    """(U1 (x) U2)^6 (x) P + (U1 (x) U2)^8 (x) P, P a product of 12 sums
-    O(0) + O(2^k) with 4096 weights on every stratum of Y."""
-    p = tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(12)])
-    return direct_sum(*[tensor(tensor(*[tensor(U1, U2)] * n), p) for n in (6, 8)])
 
 
 class TestParse:
@@ -227,6 +220,10 @@ def _all_bases():
 #: A moduli space other than Y, whose U1 and U2 have rank 1.
 KRONECKER2 = Moduli(Quiver.kronecker(2), (1, 1), (1, -1), (0, -1))
 
+#: Y's quiver and dimension vector at theta = 0: everything is semistable, so
+#: there are no unstable strata.
+NO_STRATA = Moduli(Quiver.kronecker(3), (2, 3), (0, 0), (1, -1))
+
 
 def outcome(route):
     """What ``route()`` returns, or the message of the ValueError it raises."""
@@ -245,7 +242,8 @@ class TestEvaluatorMatchesOracles:
             expanded = sorted(w for w, m in character.items() for _ in range(m))
             assert expanded == sorted(weights_by_lists(e, base))
 
-    @pytest.mark.parametrize("moduli", [Moduli.kronecker23(), KRONECKER2], ids=["Y", "kronecker2"])
+    @pytest.mark.parametrize("moduli", [Moduli.kronecker23(), KRONECKER2, NO_STRATA],
+                             ids=["Y", "kronecker2", "no-strata"])
     @given(e=exprs())
     def test_one_walk_equals_a_walk_per_stratum(self, moduli, e):
         bases = [s.weights for s in unstable_strata(moduli)]

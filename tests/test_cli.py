@@ -17,8 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cli_by_fractions, random_matrix_text
-from test_bundles import hostile_two_node_expr
+from oracles import cli_by_fractions, hostile_two_node_expr, random_matrix_text
 from quivercert import chow, repgeom, verify
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
@@ -175,6 +174,13 @@ class TestTeleman:
                             "--theta", "2,-1", "--twist=-1,0", "--expr", expr)
         assert code == 2
         assert doc == {"error": "sl needs an argument of rank at least 1"}
+
+    def test_sl_with_no_unstable_strata_passes(self, capsys):
+        # at theta = 0 everything is semistable: no strata, nothing to refuse
+        code, doc = run_cli(capsys, "teleman", "--theta", "0,0", "--expr", "sl(U1)")
+        assert code == 0
+        assert doc["strata"] == []
+        assert doc["pass"] is True
 
 
 class TestStability:

@@ -27,8 +27,12 @@ from .chow import ch_of, chi, parse_chow_poly
 from .quiver import Quiver, enumerate_hn_types, hn_stratum_codim, reduced_slope
 from .strata import Moduli, eta, one_ps_from_hn, teleman_certify
 from .verify import (
+    EXCEPTIONAL,
+    FULLNESS_NOTE,
+    ORTHOGONAL,
+    STRONG_EXT,
+    UNDETERMINED,
     CollectionSpec,
-    _accepted,
     check_ch_identities,
     mutation_ledger_check,
     standard_collection,
@@ -148,10 +152,21 @@ def _cmd_verify_collection(args) -> tuple[dict, int]:
     else:
         spec = standard_collection()
     matrix = verify_collection(spec)
-    summary = matrix.summary()
-    accepted = _accepted(summary)
-    pairs = [[_pair(p) for p in row] for row in matrix.pairs]
-    return {"labels": list(spec.labels()), "pairs": pairs, "summary": summary,
+    pairs = [p for row in matrix.pairs for p in row]
+    undetermined = [p for p in pairs if p.verdict == UNDETERMINED]
+    summary = {
+        "size": len(spec.objects),
+        "counts": {v: sum(p.verdict == v for p in pairs)
+                   for v in (EXCEPTIONAL, STRONG_EXT, ORTHOGONAL, UNDETERMINED)},
+        "diagonal_all_exceptional": all(p.verdict == EXCEPTIONAL for p in pairs if p.i == p.j),
+        "forward_all_strong": all(p.verdict == STRONG_EXT for p in pairs if p.i < p.j),
+        "backward_all_chi_zero": all(p.chi == 0 for p in pairs if p.i > p.j),
+        "undetermined_only_backward": all(p.i > p.j for p in undetermined),
+        "undetermined_pairs": [[p.i, p.j] for p in undetermined],
+        "note": FULLNESS_NOTE,
+    }
+    grid, accepted = [[_pair(p) for p in row] for row in matrix.pairs], matrix.accepted
+    return {"labels": list(spec.labels()), "pairs": grid, "summary": summary,
             "accepted": accepted}, 0 if accepted else 1
 
 

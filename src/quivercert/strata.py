@@ -15,7 +15,6 @@ margin = eta - max_weight >= 1.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -127,11 +126,8 @@ class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
         return cls(Quiver.kronecker(3), (2, 3), (3, -2), (1, -1))
 
 
-@dataclass(frozen=True)
-class StratumData:
-    hn_type: HNType
-    eta: int
-    weights: StratumWeights
+#: One unstable stratum: its type, its threshold and the ``StratumWeights`` of U1 and U2.
+StratumData = namedtuple("StratumData", "hn_type eta weights")
 
 
 @lru_cache(maxsize=None)
@@ -175,13 +171,8 @@ def weight_ranges(expr: BundleExpr, moduli: Moduli,
     return ranges
 
 
-@dataclass(frozen=True)
-class StratumCheck:
-    hn_type: HNType
-    eta: int
-    max_weight: int | None
-    margin: int | None
-    passed: bool
+#: One row of a certificate: ``max_weight`` and ``margin`` are None for the zero bundle.
+StratumCheck = namedtuple("StratumCheck", "hn_type eta max_weight margin passed")
 
 
 def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> tuple[StratumCheck, ...]:

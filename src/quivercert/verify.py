@@ -14,21 +14,22 @@ bounds nothing.  A certificate plus chi = 1 on the diagonal certifies
 exceptionality; below the diagonal (i < j) a certificate pins the morphism
 space to degree 0 of dimension chi; above the diagonal a certificate plus
 chi = 0 certifies orthogonality.  Anything else is reported as
-undetermined, never as a disproof.
+undetermined, never as a disproof.  A collection is accepted when every
+diagonal pair is exceptional, every forward pair strong and every
+backward chi 0; ``cli`` shapes the summary of the verdicts.
 
 ``mutate`` gives the class of the mutation of an object across an
 exceptional block, by integer substitution on the block's Gram matrix of
 chi.  Each collection of ``VARIANTS`` is one mutation spliced into a
-built-in collection, and each identity of ``check_ch_identities`` is one
-mutation.  Fullness of a collection is out of reach of these certificates
-and is never claimed.
+built-in collection, each identity of ``check_ch_identities`` is one
+mutation, and so are three classes of the mutation ledger.  Fullness of a
+collection is out of reach of these certificates and is never claimed.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 from operator import le
@@ -63,10 +64,14 @@ class CollectionSpec(namedtuple("CollectionSpec", "objects")):
         return super().__new__(cls, objects)
 
     @classmethod
-    def from_json_dict(cls, data) -> "CollectionSpec":
+    def from_json(cls, text: str) -> "CollectionSpec":
         """Read ``{"objects": [{"expr": ..., "label": ...}, ...]}``: a list of
         at most ``MAX_OBJECTS`` objects, each with a string ``expr`` and an
         optional string ``label`` (the expression by default)."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("collection JSON nested too deeply") from None
         items = data.get("objects") if isinstance(data, dict) else None
         if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
             raise ValueError('collection JSON needs an "objects" list of objects')
@@ -82,18 +87,11 @@ class CollectionSpec(namedtuple("CollectionSpec", "objects")):
             objects.append((str(expr) if label is None else label, expr))
         return cls(tuple(objects))
 
-    @classmethod
-    def from_json(cls, text: str) -> "CollectionSpec":
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ValueError("collection JSON nested too deeply") from None
-        return cls.from_json_dict(data)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.objects)
 
 
+@lru_cache(maxsize=1)
 def standard_collection() -> CollectionSpec:
     """The built-in 13-object strong exceptional collection on Y."""
     objects = [("sl(U1)", sl(U1)), ("O", O(0)), ("U2*", dual(U2)), ("U1*", dual(U1)),
@@ -142,11 +140,9 @@ def _chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _chi_column(e: BundleExpr, todd: ChowElement) -> tuple[int, tuple[int, ...]]:
-    """ch(e) * todd as ``(den, nums)``: the right factor of every chi(-, e).
-    Keyed on the Todd class too, so that no column outlives the class it
-    was made with."""
-    x = ch_of(e) * todd
+def _chi_column(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
+    """ch(e) * td(Y) as ``(den, nums)``: the right factor of every chi(-, e)."""
+    x = ch_of(e) * todd_y()
     return x.den, x.nums
 
 
@@ -159,8 +155,8 @@ def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
     forward to the right and backward to the left."""
     if side not in ("right", "left"):
         raise ValueError('side must be "right" or "left"')
-    todd, objects = todd_y(), (*block, moved)
-    rows, columns = [_chi_row(e) for e in objects], [_chi_column(e, todd) for e in objects]
+    objects = (*block, moved)
+    rows, columns = [_chi_row(e) for e in objects], [_chi_column(e) for e in objects]
 
     def pairing(i, j):
         """chi(objects[i], objects[j]), its factors swapped to the left."""
@@ -178,37 +174,18 @@ def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
 PairStatus = namedtuple("PairStatus", "i j chi teleman_pass verdict blocking")
 
 
-@dataclass(frozen=True)
-class VerificationMatrix:
-    spec: CollectionSpec
-    pairs: tuple[tuple[PairStatus, ...], ...]
+class VerificationMatrix(namedtuple("VerificationMatrix", "pairs")):
+    """The verdicts on all ordered pairs: pair ``(i, j)`` is ``pairs[i][j]``."""
 
-    def undetermined(self) -> tuple[PairStatus, ...]:
-        return tuple(p for row in self.pairs for p in row if p.verdict == UNDETERMINED)
-
-    def summary(self) -> dict:
-        pairs = [p for row in self.pairs for p in row]
-        und = self.undetermined()
-        return {
-            "size": len(self.spec.objects),
-            "counts": {v: sum(p.verdict == v for p in pairs)
-                       for v in (EXCEPTIONAL, STRONG_EXT, ORTHOGONAL, UNDETERMINED)},
-            "diagonal_all_exceptional": all(p.verdict == EXCEPTIONAL for p in pairs if p.i == p.j),
-            "forward_all_strong": all(p.verdict == STRONG_EXT for p in pairs if p.i < p.j),
-            "backward_all_chi_zero": all(p.chi == 0 for p in pairs if p.i > p.j),
-            "undetermined_only_backward": all(p.i > p.j for p in und),
-            "undetermined_pairs": [[p.i, p.j] for p in und],
-            "note": FULLNESS_NOTE,
-        }
+    __slots__ = ()
 
     @property
     def accepted(self) -> bool:
-        return _accepted(self.summary())
-
-
-def _accepted(summary: dict) -> bool:
-    return all(summary[key] for key in ("diagonal_all_exceptional", "forward_all_strong",
-                                        "backward_all_chi_zero", "undetermined_only_backward"))
+        """Every diagonal pair exceptional, every forward pair strong and every
+        backward chi 0; so only backward pairs can be undetermined."""
+        return all(p.chi == 0 if p.i > p.j
+                   else p.verdict == (EXCEPTIONAL if p.i == p.j else STRONG_EXT)
+                   for row in self.pairs for p in row)
 
 
 def _pair_verdict(i: int, j: int, chi_value: int, passed: bool) -> str:
@@ -241,9 +218,8 @@ def verify_collection(
     limits = [tuple(inf if r is None else r[0] + s.eta - 1 for r, s in zip(rs, strata))
               for rs in ranges]
     tops = [tuple(-inf if r is None else r[1] for r in rs) for rs in ranges]
-    todd = todd_y()
     chi_rows = [_chi_row(e) for e in objects]
-    columns = list(zip(objects, tops, [_chi_column(e, todd) for e in objects]))
+    columns = list(zip(objects, tops, [_chi_column(e) for e in objects]))
     grid = []
     for i, (ei, limit, chi_row) in enumerate(zip(objects, limits, chi_rows)):
         row = []
@@ -257,7 +233,7 @@ def verify_collection(
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
-    return VerificationMatrix(spec=spec, pairs=tuple(grid))
+    return VerificationMatrix(tuple(grid))
 
 
 # -- Chern character identities and the mutation ledger ------------------------
@@ -265,13 +241,14 @@ def verify_collection(
 def check_ch_identities() -> tuple[tuple[str, bool], ...]:
     """Exact Chern-character identities among the collection's objects, each one
     right mutation: ch(lhs) = sign * mutate(moved, block, "right"), as ``(name, holds)`` pairs."""
-    std, slv = [e for _, e in standard_collection().objects], sl(dual(U1))
-    u1_u2_1 = tensor(dual(U1), twist(U2, 1))
+    std = [e for _, e in standard_collection().objects]
+    slv = sl(std[3])  # sl(U1*); std[5] and std[9] are O(1) and O(2)
+    slv_1, u1_u2_1 = tensor(slv, std[5]), tensor(std[3], std[4])  # twist(slv, 1), U1* x U2(1)
     rows = (
-        ("sl_twist_exchange", twist(slv, 1), 1, std[0], std[1:5]),
-        ("rank6_tensor_twist1", u1_u2_1, -1, U2, std[1:5] + [twist(slv, 1), std[5]]),
-        ("rank6_tensor_twist2", tensor(dual(U1), twist(U2, 2)), -1, std[4],
-         std[5:9] + [twist(slv, 2), std[9]]),
+        ("sl_twist_exchange", slv_1, 1, std[0], std[1:5]),
+        ("rank6_tensor_twist1", u1_u2_1, -1, U2, std[1:5] + [slv_1, std[5]]),
+        ("rank6_tensor_twist2", tensor(std[3], std[8]), -1, std[4],  # U1* x U2(2)
+         std[5:9] + [tensor(slv, std[9]), std[9]]),
         ("rank6_tensor_expanded", u1_u2_1, -1, U2, std[:6]),
     )
     return tuple((name, ch_of(lhs) == sign * mutate(moved, block, "right"))
@@ -280,12 +257,14 @@ def check_ch_identities() -> tuple[tuple[str, bool], ...]:
 
 def mutation_ledger_check() -> tuple[tuple[str, bool], ...]:
     """Rank bookkeeping and the coincidence of the two mutation routes, on
-    the K-theory classes l6 ... l2 of the shifted mutation bundles, defined
-    by the exact-sequence recursion, as ``(name, holds)`` pairs."""
-    l6 = ch_of(twist(U2, 1))
-    l5 = 6 * ch_of(O(1)) - l6
-    l4 = l5 + 3 * ch_of(twist(dual(U2), 1))
-    l3 = 9 * ch_of(twist(dual(U1), 1)) - l4
+    the K-theory classes l6 ... l2 of the shifted mutation bundles, as
+    ``(name, holds)`` pairs.  l6 is U2(1); l5, l4 and l3 are -, - and + U2(1)
+    right-mutated across the first one, two and three objects of O(1),
+    U2*(1), U1*(1); l2 comes from an exact sequence."""
+    std = [e for _, e in standard_collection().objects]
+    l6 = ch_of(std[4])
+    l5, l4, l3 = (sign * mutate(std[4], std[5:5 + k], "right")
+                  for k, sign in ((1, -1), (2, -1), (3, 1)))
     l2 = 3 * ch_of(tensor(dual(U1), twist(U1, 2))) - ch_of(tensor(dual(U1), twist(U2, 2)))
 
     def has_rank(x: ChowElement, r: int) -> bool:

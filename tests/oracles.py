@@ -51,7 +51,8 @@ from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy,
                                 syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
                                unstable_strata, weight_ranges)
-from quivercert.verify import CollectionSpec, PairStatus, VerificationMatrix, _pair_verdict
+from quivercert.verify import (EXCEPTIONAL, STRONG_EXT, UNDETERMINED, CollectionSpec, PairStatus,
+                               VerificationMatrix, _pair_verdict)
 
 F = Fraction
 
@@ -114,7 +115,7 @@ def mutation_ledger() -> dict[str, ChowElement]:
 def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
     """chi(dual(e) (x) f), from the cached chi row of e and column of f
     under ``verify.todd_y``."""
-    return scaled_pairing(verify._chi_row(e), verify._chi_column(f, verify.todd_y()), e, f)
+    return scaled_pairing(verify._chi_row(e), verify._chi_column(f), e, f)
 
 
 def tangent_chern() -> ChowElement:
@@ -1619,7 +1620,18 @@ def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> Verifica
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
-    return VerificationMatrix(spec, tuple(grid))
+    return VerificationMatrix(tuple(grid))
+
+
+def accepted_by_four_keys(matrix: VerificationMatrix) -> bool:
+    """The acceptance rule that ``VerificationMatrix.accepted`` replaced: all
+    four keys of the summary hold, including that undetermined pairs lie
+    only below the diagonal, which the other three imply."""
+    pairs = [p for row in matrix.pairs for p in row]
+    return (all(p.verdict == EXCEPTIONAL for p in pairs if p.i == p.j)
+            and all(p.verdict == STRONG_EXT for p in pairs if p.i < p.j)
+            and all(p.chi == 0 for p in pairs if p.i > p.j)
+            and all(p.i > p.j for p in pairs if p.verdict == UNDETERMINED))
 
 
 # -- stratum checks by margins ------------------------------------------------
@@ -1709,7 +1721,7 @@ def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> Veri
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
-    return VerificationMatrix(spec, tuple(grid))
+    return VerificationMatrix(tuple(grid))
 
 
 # -- collection verification by blocking rows ---------------------------------
@@ -1741,7 +1753,7 @@ def verify_collection_by_blocking_rows(spec: CollectionSpec, moduli: Moduli) -> 
             row.append(PairStatus(i, j, chi_value, passed,
                                   _pair_verdict(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
-    return VerificationMatrix(spec, tuple(grid))
+    return VerificationMatrix(tuple(grid))
 
 
 # -- variant collections and Chern-character identities typed by hand ----------

@@ -349,6 +349,17 @@ def test_no_subcommand_imports_fractions():
     assert not imported
 
 
+def test_strata_and_verify_import_no_dataclasses():
+    # a child interpreter, so that no test module has imported dataclasses yet;
+    # repgeom's LinearFormMatrix is the one dataclass left
+    script = ("import sys\nimport quivercert.strata, quivercert.verify\n"
+              "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 PACKAGE = TESTS.parent / "src" / "quivercert"
 
 #: The benchmark files that run the program.  The string tables of

@@ -1,18 +1,22 @@
+import contextlib
 import copy
 import json
 import pickle
 import random
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (KRONECKER3, VARIANTS_BY_HAND, ch_identities_by_hand, coefficient,
-                     euler_pairing, euler_pairing_by_fractions, integral, mutation_ledger,
-                     random_expr, symmetry_functor, verify_collection_by_blocking_rows,
-                     verify_collection_by_fractions, verify_collection_by_pairs)
+from golden import CHI_VALUES
+from oracles import (KRONECKER3, VARIANTS_BY_HAND, accepted_by_four_keys, ch_identities_by_hand,
+                     coefficient, euler_pairing, euler_pairing_by_fractions, integral,
+                     mutation_ledger, random_expr, symmetry_functor,
+                     verify_collection_by_blocking_rows, verify_collection_by_fractions,
+                     verify_collection_by_pairs)
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, WorkBudget, det, direct_sum, dual,
                                 parse_expr, sl, sym2, tensor, twist, wedge2)
@@ -42,6 +46,37 @@ Y23 = Moduli.kronecker23()
 @pytest.fixture(scope="module")
 def standard_result():
     return verify_collection(standard_collection(), Y23)
+
+
+def undetermined(result) -> list:
+    """The pairs of a result whose verdict is undetermined."""
+    return [p for row in result.pairs for p in row if p.verdict == UNDETERMINED]
+
+
+@contextlib.contextmanager
+def bent_todd():
+    """A Todd class with top coefficient lowered by 1/2, under which chi(O, O)
+    would be 1/2.  The cached chi rows and columns are cleared before and
+    after the bend, so that none made under one class answers for the other."""
+    bent = todd_y() - ChowElement.basis("c3^2").half()
+
+    def clear():
+        verify._chi_row.cache_clear()
+        verify._chi_column.cache_clear()
+
+    clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "todd_y", lambda: bent)
+            yield
+    finally:
+        clear()
+
+
+@pytest.fixture
+def bent():
+    with bent_todd():
+        yield
 
 
 class TestEulerPairing:
@@ -96,7 +131,7 @@ class TestStandardCollection:
                 assert standard_result.pairs[i][j].chi == 0
 
     def test_undetermined_only_backward(self, standard_result):
-        for p in standard_result.undetermined():
+        for p in undetermined(standard_result):
             assert p.i > p.j
             assert p.blocking  # names the blocking strata with margins
 
@@ -147,13 +182,15 @@ class TestSmallCollections:
         assert result.pairs[1][0].teleman_pass
 
     def test_json_labels_and_object_count(self):
-        spec = CollectionSpec.from_json_dict(
-            {"objects": [{"expr": "twist(U1, 1)"}, {"expr": "O(0)", "label": "O"}]})
+        spec = CollectionSpec.from_json(json.dumps(
+            {"objects": [{"expr": "twist(U1, 1)"}, {"expr": "O(0)", "label": "O"}]}))
         assert spec.labels() == ("tensor(U1,O(1))", "O")
-        at_limit = CollectionSpec.from_json_dict({"objects": [{"expr": "O(0)"}] * MAX_OBJECTS})
-        assert len(at_limit.objects) == MAX_OBJECTS
+        def ones(n):
+            return CollectionSpec.from_json(json.dumps({"objects": [{"expr": "O(0)"}] * n}))
+
+        assert len(ones(MAX_OBJECTS).objects) == MAX_OBJECTS
         with pytest.raises(ValueError, match=f"object count above {MAX_OBJECTS}"):
-            CollectionSpec.from_json_dict({"objects": [{"expr": "O(0)"}] * (MAX_OBJECTS + 1)})
+            ones(MAX_OBJECTS + 1)
 
     def test_distinct_objects_share_one_work_budget(self):
         # each object costs about 928,000 of the MAX_WORK_TERMS weight pairs
@@ -217,7 +254,7 @@ class TestVariants:
             for j in range(i):
                 assert result.pairs[i][j].chi == 0, (name, i, j)
         # undetermined pairs are reported, never asserted empty
-        for p in result.undetermined():
+        for p in undetermined(result):
             assert p.verdict == UNDETERMINED
 
 
@@ -261,6 +298,7 @@ def _assert_replaced_routes(spec, moduli):
     assert result == verify_collection_by_blocking_rows(spec, moduli)
     assert result == verify_collection_by_fractions(spec, moduli)
     assert result == verify_collection_by_pairs(spec, moduli)
+    assert result.accepted == accepted_by_four_keys(result)
     return result
 
 
@@ -295,7 +333,7 @@ class TestPerObjectRoute:
     def test_margin_boundary(self, shift, monkeypatch):
         # on Y every margin is a multiple of 5; shifting eta by 1 puts pairs
         # at margin 1 (certified) next to margin -4, and by 0 at margin 0
-        shifted = tuple(replace(s, eta=s.eta + shift) for s in unstable_strata(Y23))
+        shifted = tuple(s._replace(eta=s.eta + shift) for s in unstable_strata(Y23))
         monkeypatch.setattr(verify, "unstable_strata", lambda moduli: shifted)
         monkeypatch.setattr(oracles, "unstable_strata", lambda moduli: shifted)
         margins = set()
@@ -327,31 +365,36 @@ class TestPerObjectRoute:
         for e in POOL:
             for f in POOL:
                 assert euler_pairing(e, f) == euler_pairing_by_fractions(e, f), (e, f)
-                denominators.add(verify._chi_row(e)[0] * verify._chi_column(f, todd_y())[0])
+                denominators.add(verify._chi_row(e)[0] * verify._chi_column(f)[0])
         assert max(denominators) > 1  # the division is exercised
 
-    def test_fractional_pair_is_ring_inconsistency(self, monkeypatch):
-        # a Todd class with top coefficient 1/2: chi(O, O) would be 1/2
-        bent = todd_y() - ChowElement.basis("c3^2").half()
-        monkeypatch.setattr(verify, "todd_y", lambda: bent)
+    def test_fractional_pair_is_ring_inconsistency(self, bent):
         spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
         with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
             verify_collection(spec, Y23)
         with pytest.raises(RingInconsistencyError):
             euler_pairing(O(0), O(1))
 
-    def test_fractional_pair_with_warm_caches(self, monkeypatch):
-        # the per-object chi columns cached under the true Todd class must
-        # not answer for another one
+    def test_fractional_pair_with_warm_caches(self):
+        # the columns are keyed on the expression only: the chi columns cached
+        # under the true Todd class are cleared by the bend, not kept for it
         spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
         verify_collection(spec, Y23)
         assert euler_pairing(O(0), O(1)) == 20
-        bent = todd_y() - ChowElement.basis("c3^2").half()
-        monkeypatch.setattr(verify, "todd_y", lambda: bent)
-        with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
-            verify_collection(spec, Y23)
-        with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(1\)\) = 39/2"):
-            euler_pairing(O(0), O(1))
+        with bent_todd():
+            with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
+                verify_collection(spec, Y23)
+            with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(1\)\) = 39/2"):
+                euler_pairing(O(0), O(1))
+
+    def test_no_bent_column_leaks(self, standard_result):
+        # the bend fills the caches with bent columns, and none outlives it
+        with bent_todd():
+            with pytest.raises(RingInconsistencyError):
+                verify_collection(standard_collection(), Y23)
+        result = verify_collection(standard_collection(), Y23)
+        assert result == standard_result and result.accepted
+        assert {text: euler_pairing(O(0), parse_expr(text)) for text in CHI_VALUES} == CHI_VALUES
 
     def test_two_vertex_error_comes_first(self):
         path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))
@@ -374,6 +417,36 @@ class TestPerObjectRoute:
         path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))
         with pytest.raises(ValueError, match="two-vertex quiver"):
             unstable_strata(path)
+
+
+class TestAcceptedRule:
+    """``accepted`` against the four-key rule of the summary it replaced."""
+
+    @pytest.mark.parametrize("name", ["standard"] + sorted(collection_variants()))
+    def test_builtin_collections(self, name):
+        spec = standard_collection() if name == "standard" else collection_variants()[name]
+        result = verify_collection(spec, Y23)
+        assert result.accepted and accepted_by_four_keys(result)
+
+    def test_golden_collection(self):
+        text = (Path(__file__).parent / "golden_collection.json").read_text(encoding="utf-8")
+        result = verify_collection(CollectionSpec.from_json(text), Y23)
+        # its undetermined pairs are all backward, but two backward chi are not 0
+        assert not result.accepted and not accepted_by_four_keys(result)
+
+    def test_reversed_standard_collection_is_rejected(self):
+        result = verify_collection(CollectionSpec(standard_collection().objects[::-1]), Y23)
+        assert not result.accepted and not accepted_by_four_keys(result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True), st.booleans(),
+           st.lists(st.one_of(st.sampled_from(POOL), EXPRS), max_size=2))
+    def test_drawn_collections(self, positions, in_order, extra):
+        # positions of the standard collection, in its order or drawn, then extra objects
+        std = [e for _, e in standard_collection().objects]
+        objects = [std[k] for k in (sorted(positions) if in_order else positions)] + extra
+        result = verify_collection(CollectionSpec(tuple((str(e), e) for e in objects)), Y23)
+        assert result.accepted == accepted_by_four_keys(result)
 
 
 class TestChIdentities:
@@ -567,9 +640,10 @@ RECORD_CLASSES = {cls for module in (bundles, chow, quiver, repgeom, strata, ver
                   and cls.__module__ == module.__name__
                   and (is_dataclass(cls) or issubclass(cls, tuple))}
 
-#: The records that are named tuples: the six value types and PairStatus.
+#: The records that are named tuples: all but LinearFormMatrix.
 NAMEDTUPLE_CLASSES = {BundleExpr, bundles.StratumWeights, Quiver, strata.OnePS, Moduli,
-                      CollectionSpec, verify.PairStatus}
+                      CollectionSpec, verify.PairStatus, strata.StratumData, strata.StratumCheck,
+                      verify.VerificationMatrix}
 
 
 #: A builder of one instance of each record class, from real data.
@@ -579,7 +653,7 @@ RECORD_BUILDERS = {
     "Quiver": lambda: Y23.quiver,
     "OnePS": lambda: strata.one_ps_from_hn(unstable_strata(Y23)[0].hn_type, Y23.theta),
     "Moduli": lambda: Y23,
-    "CollectionSpec": lambda: verify_collection(standard_collection(), Y23).spec,
+    "CollectionSpec": lambda: collection_variants()["sl_after_block0"],
     "PairStatus": lambda: verify_collection(standard_collection(), Y23).pairs[1][2],
     "StratumData": lambda: unstable_strata(Y23)[0],
     "StratumCheck": lambda: teleman_certify(parse_expr("sl(U1)"))[0],

@@ -17,17 +17,21 @@ subvector, the first parts its types can start with; the existence test
 and the type enumeration read it.
 Each count is held as its value at q = 2^K, one integer (Kronecker
 substitution), with K large enough that the value is zero exactly when
-the polynomial is.
+the polynomial is.  What the table needs of d alone (the subvectors in
+product order, the pairs f < h with their products of q-binomials, and
+the scales that make slopes integers) is one lattice per d, built once
+and shared by the tables of every quiver and stability parameter.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from functools import cmp_to_key, lru_cache
-from math import comb, gcd
+from functools import lru_cache
+from math import comb, gcd, lcm
 from operator import itemgetter, mul
 
 from ._linalg import _int_entries
@@ -48,7 +52,8 @@ MAX_SUBVECTORS = 64
 #: most (n + 1) * sum_{0 < h <= d} (prod(h_i + 1) - 2) times on n vertices,
 #: each product costing a fixed part and a part that grows with the degree
 #: sum_{a: i->j} d_i d_j, so the estimate is loose: the slowest admitted shape
-#: measured, (31, 1) on 12 arrows, takes 0.07 s cold in a fresh interpreter on a 2-vCPU host.
+#: measured, (31, 1) on 12 arrows, takes 0.06 s cold, the median of 7 fresh
+#: interpreters on a 2-vCPU host.
 MAX_COUNTING_WORK = 15 * 10 ** 7
 
 DimVector = tuple[int, ...]
@@ -155,18 +160,10 @@ def reduced_slope(theta, e) -> tuple[int, int]:
     return _reduced_slope(theta, e)
 
 
-def euler_form(quiver: Quiver, d, e) -> int:
-    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j."""
-    d = quiver.check_dim(d)
-    e = quiver.check_dim(e)
+def _euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
+    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j of two
+    checked dimension vectors."""
     return sum(a * b for a, b in zip(d, e)) - sum(d[i] * e[j] for i, j in quiver.arrows)
-
-
-def _subvectors(e):
-    """All nonzero dimension vectors f with 0 <= f <= e componentwise."""
-    for f in itertools.product(*(range(x + 1) for x in e)):
-        if any(f):
-            yield f
 
 
 # -- counting recursion for semistable existence -----------------------------
@@ -213,6 +210,47 @@ def _reduced_slope(theta, f) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _lattice(d: DimVector) -> tuple[list, list, list]:
+    """``(box, pairs, scales)``: the part of the counting table of d that
+    depends on d alone, shared by the tables of every quiver and theta.
+
+    ``box`` lists the subvectors 0 <= f <= d in product order, zero first,
+    so that the index of h - f is the index of h less that of f.
+    ``pairs[x]`` lists, for h = ``box[x]``, the triples ``(index of f, f,
+    prod_i [h_i choose f_i]_q)`` over 0 < f < h in product order, at q =
+    2^K with K = ``_coefficient_bits(|d|)``.  Where at most one vertex has a
+    binomial other than 1, the entry is that cached ``_q_binomial`` itself
+    (or 1), so only the products of two or more binomials are new integers.
+    ``scales[x]`` is L / |h| with L = lcm(1, ..., |d|) (0 for h = 0), so
+    that the slopes theta.h / |h| of the nonzero subvectors compare as the
+    integers theta.h * L / |h|.
+    """
+    bits = _coefficient_bits(sum(d))
+    box = list(itertools.product(*(range(x + 1) for x in d)))
+    strides = [1]
+    for x in reversed(d[1:]):
+        strides.append(strides[-1] * (x + 1))
+    strides.reverse()
+    pairs = []
+    for h in box:
+        below = [0]  # the indices of the f <= h, in product order
+        for n, s in zip(h, strides):
+            below = [y + k for y in below for k in range(0, (n + 1) * s, s)]
+        row = []
+        for y in below[1:-1]:
+            f = box[y]
+            product = 1
+            for n, k in zip(h, f):
+                if 0 < k < n:
+                    binomial = _q_binomial(n, k, bits)
+                    product = binomial if product == 1 else mul(product, binomial)
+            row.append((y, f, product))
+        pairs.append(row)
+    common = lcm(*range(1, sum(d) + 1))
+    return box, pairs, [0] + [common // sum(f) for f in box[1:]]
+
+
+@lru_cache(maxsize=None)
 def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
     """``(counts, rank, tails)`` over the nonzero subvectors h <= d:
     ``counts[h]`` is the number of theta-semistable representations of
@@ -241,57 +279,65 @@ def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, 
     sums and products are those of the values and q^s is a shift by K * s.
     Every count and tail has coefficients below 2^(K-1) in absolute value,
     so it is zero exactly when its value is, and its balanced base-2^K
-    digits are its coefficients.  Every product is a call of ``mul``, the
-    one name by which products can be counted.
+    digits are its coefficients.  Every product of packed values, here and
+    in ``_lattice``, is a call of ``mul``, the one name by which products
+    can be counted.
 
-    The table is built bottom up: every f <= h comes before h in product
-    order, so each term is built once, from counts and tails already known.
-    The terms of h, sorted by the rank of f, are kept as prefix sums, and
-    T(h, slope f) is the sum of those of rank below rank f.  The f of the
-    nonzero terms of h, h among them, are the first parts of its types.
+    The table walks the pairs f < h of ``_lattice(d)``, which hold the
+    binomial products, bottom up: every f <= h comes before h in product
+    order, so each term is built once, from counts and tails already known,
+    all held in lists read by index.  With the arrow row h.M, (h.M)_j =
+    sum_{a: i->j} h_i, and B(f, f) = (f.M).f, the arrow exponent of f in h
+    is (h.M).f - B(f, f).  The terms of h, sorted by the rank of f, are kept
+    as prefix sums, and T(h, slope f) is the sum of those of rank below rank
+    f.  The f of the nonzero terms of h, h among them, are the first parts
+    of its types.
     """
-    box = list(_subvectors(d))
-    slopes = {f: _reduced_slope(theta, f) for f in box}
-    order = sorted(set(slopes.values()), key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
-    position = {s: r for r, s in enumerate(order)}
-    rank = {f: position[slopes[f]] for f in box}
+    box, pairs, scales = _lattice(d)
+    keys = [0]  # theta.f for every f in the box, one vertex at a time
+    for t, n in zip(theta, d):
+        keys = [a + t * k for a in keys for k in range(n + 1)]
+    keys = [a * s for a, s in zip(keys[1:], scales[1:])]
+    position = {k: r for r, k in enumerate(sorted(set(keys)))}
+    rank = [None] + [position[k] for k in keys]
     arrows = Counter(quiver.arrows).items()
     bits = _coefficient_bits(sum(d))
-    counts = {}
-    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums, parts)
-    tails = {}
-
-    def tail(h, r):
-        if not any(h):
-            return 1
-        ranks, sums, _ = tails[h]
-        return sums[bisect_left(ranks, r)]
-
-    for h in box:
+    counts, squares = [0] * len(box), [0] * len(box)
+    # by index: (ranks of the nonzero terms in ascending order, prefix sums,
+    # parts); the tail of the zero vector is 1 below every bound
+    tails = [((), (1,), ())]
+    for x in range(1, len(box)):
+        h = box[x]
+        row = [0] * len(h)
+        for (i, j), m in arrows:
+            row[j] += m * h[i]
+        # dot products of small ints, not products of packed values
+        squares[x] = sum(map(operator.mul, row, h))
         terms = []
-        total = 1 << bits * sum(m * h[i] * h[j] for (i, j), m in arrows)
-        for f in _subvectors(h):
-            if f == h or not counts[f]:
+        total = 1 << bits * squares[x]
+        for y, f, binomial in pairs[x]:
+            count = counts[y]
+            if not count:
                 continue
-            rest = tuple(a - b for a, b in zip(h, f))
-            t = tail(rest, rank[f])
+            ranks, sums, _ = tails[x - y]
+            r = rank[y]
+            t = sums[bisect_left(ranks, r)]
             if not t:
                 continue
-            out = counts[f]
-            for n, k in zip(h, f):
-                if 0 < k < n:
-                    out = mul(out, _q_binomial(n, k, bits))
-            shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
-            term = mul(out, t) << bits * shift
-            terms.append((rank[f], term, f))
+            if binomial != 1:
+                count = mul(count, binomial)
+            term = mul(count, t) << bits * (sum(map(operator.mul, row, f)) - squares[y])
+            terms.append((r, term, f))
             total -= term
-        counts[h] = total
+        counts[x] = total
         if total:
-            terms.append((rank[h], total, h))
+            terms.append((rank[x], total, h))
         terms.sort(key=itemgetter(0))
         sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
-        tails[h] = [r for r, _, _ in terms], sums, [f for _, _, f in terms]
-    return counts, rank, tails
+        tails.append(([r for r, _, _ in terms], sums, [f for _, _, f in terms]))
+    nonzero = box[1:]
+    return (dict(zip(nonzero, counts[1:])), dict(zip(nonzero, rank[1:])),
+            dict(zip(nonzero, tails[1:])))
 
 
 def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
@@ -347,7 +393,7 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
             return
         ranks, _, parts = tails[remaining]
         for f in parts[:bisect_left(ranks, bound)]:
-            extend(tuple(x - y for x, y in zip(remaining, f)), rank[f], prefix + [f])
+            extend(tuple(map(operator.sub, remaining, f)), rank[f], prefix + [f])
 
     extend(d, len(rank), [])
     types.sort(key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
@@ -356,10 +402,11 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
 
 def hn_stratum_codim(quiver: Quiver, tau) -> int:
     """Codimension of the stratum of a Harder-Narasimhan type:
-    -sum_{k<l} <d^k, d^l>."""
+    -sum_{k<l} <d^k, d^l> = -sum_l <d^1 + ... + d^(l-1), d^l>, since the
+    Euler form is bilinear.  Each part is checked once."""
     parts = [quiver.check_dim(p) for p in tau]
-    return -sum(
-        euler_form(quiver, parts[k], parts[l])
-        for k in range(len(parts))
-        for l in range(k + 1, len(parts))
-    )
+    codim, before = 0, (0,) * quiver.vertex_count
+    for part in parts:
+        codim -= _euler_form(quiver, before, part)
+        before = tuple(map(operator.add, before, part))
+    return codim

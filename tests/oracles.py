@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, factorial, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from unittest import mock
 
 from quivercert import cli, verify
@@ -46,7 +46,8 @@ from quivercert.chow import (
     todd_y,
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
-                               _reduced_slope, _sst_table, _subvectors, euler_form, has_semistable)
+                               _coefficient_bits, _euler_form, _q_binomial, _reduced_slope,
+                               _sst_table, has_semistable)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
@@ -79,6 +80,31 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
         return False
     return all(counts[p] for p in parts)
+
+
+def _subvectors(e):
+    """All nonzero dimension vectors f with 0 <= f <= e componentwise."""
+    for f in itertools.product(*(range(x + 1) for x in e)):
+        if any(f):
+            yield f
+
+
+def euler_form(quiver: Quiver, d, e) -> int:
+    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j, with both
+    vectors checked: the entry that ``hn_stratum_codim`` called on every
+    pair of parts before it checked each part once."""
+    return _euler_form(quiver, quiver.check_dim(d), quiver.check_dim(e))
+
+
+def hn_stratum_codim_by_pairs(quiver: Quiver, tau) -> int:
+    """-sum_{k<l} <d^k, d^l>, one checked Euler form per pair of parts: the
+    route that ``hn_stratum_codim`` replaced with prefix sums."""
+    parts = [quiver.check_dim(p) for p in tau]
+    return -sum(
+        euler_form(quiver, parts[k], parts[l])
+        for k in range(len(parts))
+        for l in range(k + 1, len(parts))
+    )
 
 
 def dim_vector(s: OnePS) -> tuple[int, ...]:
@@ -601,6 +627,58 @@ def sst_table_by_tuples(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dic
         for _, term in terms:
             sums.append(poly_add(sums[-1], term))
         tails[h] = [r for r, _ in terms], sums
+    return counts, rank, tails
+
+
+def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
+    """``(counts, rank, tails)``: the table of ``quiver._sst_table`` built
+    in one fused loop, with the subvector pairs, the rests h - f and the
+    binomial products rebuilt for every (quiver, d, theta): the route that
+    ``quiver._lattice`` split in two.  Each term is built as in
+    ``_sst_table``, from the counts and tails of smaller subvectors kept in
+    dicts keyed by the subvector.
+    """
+    box = list(_subvectors(d))
+    slopes = {f: _reduced_slope(theta, f) for f in box}
+    order = sorted(set(slopes.values()), key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
+    position = {s: r for r, s in enumerate(order)}
+    rank = {f: position[slopes[f]] for f in box}
+    arrows = Counter(quiver.arrows).items()
+    bits = _coefficient_bits(sum(d))
+    counts = {}
+    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums, parts)
+    tails = {}
+
+    def tail(h, r):
+        if not any(h):
+            return 1
+        ranks, sums, _ = tails[h]
+        return sums[bisect_left(ranks, r)]
+
+    for h in box:
+        terms = []
+        total = 1 << bits * sum(m * h[i] * h[j] for (i, j), m in arrows)
+        for f in _subvectors(h):
+            if f == h or not counts[f]:
+                continue
+            rest = tuple(a - b for a, b in zip(h, f))
+            t = tail(rest, rank[f])
+            if not t:
+                continue
+            out = counts[f]
+            for n, k in zip(h, f):
+                if 0 < k < n:
+                    out = mul(out, _q_binomial(n, k, bits))
+            shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
+            term = mul(out, t) << bits * shift
+            terms.append((rank[f], term, f))
+            total -= term
+        counts[h] = total
+        if total:
+            terms.append((rank[h], total, h))
+        terms.sort(key=itemgetter(0))
+        sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
+        tails[h] = [r for r, _, _ in terms], sums, [f for _, _, f in terms]
     return counts, rank, tails
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -15,9 +16,11 @@ from oracles import (
     all_reps,
     coefficient_sum,
     coefficient_sum_bounds,
+    euler_form,
     exists_semistable_brute,
     gl_order,
     has_semistable_by_chains,
+    hn_stratum_codim_by_pairs,
     hn_type_brute,
     hn_types_by_chains,
     hn_types_by_subvectors,
@@ -29,6 +32,7 @@ from oracles import (
     sst_count_by_fraction_slopes,
     sst_count_by_tails,
     sst_table_by_tuples,
+    sst_table_fused,
     unpack,
 )
 from quivercert import _linalg
@@ -42,9 +46,9 @@ from quivercert.quiver import (
     Quiver,
     _check_counting_input,
     _coefficient_bits,
+    _lattice,
     _sst_table,
     enumerate_hn_types,
-    euler_form,
     has_semistable,
     hn_stratum_codim,
     reduced_slope,
@@ -170,6 +174,7 @@ class TestQuiver:
         (lambda: has_semistable(KRONECKER3, (1, 1), (0.9, -0.9)), "theta"),
         (lambda: euler_form(KRONECKER3, (1.5, 1), (1, 1)), "dimension vector"),
         (lambda: is_hn_type(KRONECKER3, (2, 3), (3, -2), ((2, 3.0),)), "dimension vector"),
+        (lambda: hn_stratum_codim(KRONECKER3, ((0, 1), (2, 2.0))), "dimension vector"),
     ])
     def test_non_integer_entries_are_refused(self, call, what):
         # int() would truncate them to the nearest integer toward zero
@@ -384,9 +389,103 @@ class TestHasSemistable:
             for h in itertools.product(range(d[0] + 1), range(d[1] + 1)) if any(h))
         assert 3 * terms == bound
         _sst_table.cache_clear()
+        _lattice.cache_clear()
         monkeypatch.setattr(quiver_module, "mul", counted)
         enumerate_hn_types(KRONECKER3, d, (d[1], -d[0]))
         assert 0 < len(calls) <= bound
+
+
+#: Quiver on six vertices for the dimension vector (1, ..., 1) with 2^6 =
+#: MAX_SUBVECTORS subvectors, and a theta with theta . (1, ..., 1) = 0.
+SIX_VERTICES = Quiver(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))
+SIX_THETA = (5, -1, -1, -1, -1, -1)
+
+
+def _table_cold_and_warm(quiver, d, theta):
+    """``_sst_table`` with the lattice of d cleared, then again with only
+    the table cleared, so that the second one reads the lattice from the
+    cache."""
+    _lattice.cache_clear()
+    _sst_table.cache_clear()
+    cold = _sst_table(quiver, d, theta)
+    _sst_table.cache_clear()
+    warm = _sst_table(quiver, d, theta)
+    assert _lattice.cache_info().hits >= 1
+    return cold, warm
+
+
+class TestLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
+    def test_table_equals_fused_loop(self, case):
+        quiver, d, theta = case
+        cold, warm = _table_cold_and_warm(quiver, d, theta)
+        assert cold == warm == sst_table_fused(quiver, d, theta)
+
+    @pytest.mark.parametrize("quiver,d,theta", [
+        (Quiver.kronecker(12), (31, 1), (1, -31)),
+        (Quiver.kronecker(7), (7, 7), (1, -1)),
+        (SIX_VERTICES, (1,) * 6, SIX_THETA),
+    ], ids=["kronecker12-31-1", "kronecker7-7-7", "six-vertices"])
+    def test_wide_shapes_equal_fused_loop(self, quiver, d, theta):
+        assert _check_counting_input(quiver, d, theta)
+        cold, warm = _table_cold_and_warm(quiver, d, theta)
+        assert cold == warm == sst_table_fused(quiver, d, theta)
+
+    def test_one_lattice_per_dimension_vector(self):
+        # the lattice depends on d alone: a theta scan over two quivers at
+        # one d builds it once
+        opposite = Quiver(2, ((1, 0),) * 3)
+        thetas = [(4, -3), (1, -1), (-4, 3), (2, -5), (0, 1)]
+        _lattice.cache_clear()
+        _sst_table.cache_clear()
+        for quiver in (KRONECKER3, opposite):
+            for theta in thetas:
+                has_semistable(quiver, (3, 4), theta)
+        assert _sst_table.cache_info().misses == 2 * len(thetas)
+        assert _lattice.cache_info().misses == 1
+
+    def test_lattice_layout(self):
+        box, pairs, scales = _lattice((2, 3))
+        assert box == list(itertools.product(range(3), range(4)))
+        for x, h in enumerate(box):
+            assert [f for _, f, _ in pairs[x]] == [f for f in box if f != h and any(f)
+                                                   and all(a <= b for a, b in zip(f, h))]
+            for y, f, _ in pairs[x]:
+                assert box[y] == f and box[x - y] == tuple(a - b for a, b in zip(h, f))
+        assert [s * sum(f) for s, f in zip(scales[1:], box[1:])] == [60] * (len(box) - 1)
+
+    def test_every_lattice_product_is_a_call_of_mul(self, monkeypatch):
+        # a pair with k nontrivial binomials takes k - 1 products
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return p * q
+
+        d = (2, 2, 2)
+        expected = sum(
+            max(0, sum(0 < k < n for n, k in zip(h, f)) - 1)
+            for h in itertools.product(range(3), repeat=3)
+            for f in itertools.product(*(range(n + 1) for n in h)) if any(f) and f != h)
+        assert expected == 17
+        _lattice.cache_clear()
+        monkeypatch.setattr(quiver_module, "mul", counted)
+        _lattice(d)
+        assert len(calls) == expected
+
+    def test_single_binomials_are_the_cached_ones(self):
+        # (31, 1): vertex 1 has only the binomials [h_1, 0] = [h_1, h_1] = 1,
+        # so no entry is a new product
+        d = (31, 1)
+        bits = _coefficient_bits(sum(d))
+        box, pairs, _ = _lattice(d)
+        for x, h in enumerate(box):
+            for _, f, binomial in pairs[x]:
+                if 0 < f[0] < h[0]:
+                    assert binomial is quiver_module._q_binomial(h[0], f[0], bits)
+                else:
+                    assert binomial == 1
 
 
 class TestEnumerateHnTypes:
@@ -453,10 +552,10 @@ class TestEnumerateHnTypes:
         assert len(expected) == 69
         assert has_semistable(KRONECKER3, (4, 7), (7, -4))
 
-        def refuse(e):
+        def refuse(d):
             raise AssertionError("subvectors listed after the table was built")
 
-        monkeypatch.setattr(quiver_module, "_subvectors", refuse)
+        monkeypatch.setattr(quiver_module, "_lattice", refuse)
         assert enumerate_hn_types(KRONECKER3, (4, 7), (7, -4)) == expected
 
     @pytest.mark.parametrize("d", LADDER)
@@ -502,6 +601,7 @@ class TestEnumerateHnTypes:
             raise AssertionError("Fraction built on the HN path")
 
         _sst_table.cache_clear()
+        _lattice.cache_clear()
         monkeypatch.setattr(Fraction, "__new__", refuse)
         monkeypatch.setattr(quiver_module, "has_semistable", refuse)
         assert enumerate_hn_types(KRONECKER3, (3, 5), (5, -3)) == expected
@@ -597,3 +697,23 @@ class TestStratumCodim:
 
     def test_deepest(self):
         assert hn_stratum_codim(KRONECKER3, ((2, 0), (0, 3))) == 18
+
+    @settings(max_examples=200, deadline=None)
+    @given(hn_candidates())
+    def test_equals_sum_over_pairs(self, case):
+        quiver, _, _, tau = case
+        try:
+            expected = hn_stratum_codim_by_pairs(quiver, tau)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                hn_stratum_codim(quiver, tau)
+        else:
+            assert hn_stratum_codim(quiver, tau) == expected
+
+    def test_malformed_part_is_refused(self):
+        cases = [(((1, 0), (1, -1), (0, 2)), r"dimension vector \(1, -1\) has negative entries"),
+                 (((1, 0), (0, -1, 0)), r"dimension vector \(0, -1, 0\) has wrong length")]
+        for tau, message in cases:
+            for route in (hn_stratum_codim, hn_stratum_codim_by_pairs):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    route(KRONECKER3, tau)

@@ -12,7 +12,7 @@ from test_quiver import quiver_dim_theta
 from quivercert import bundles
 from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget, characters,
                                 direct_sum, dual, evaluate, sl, sym2, tensor)
-from quivercert.quiver import (Quiver, _sst_table, enumerate_hn_types, hn_stratum_codim,
+from quivercert.quiver import (Quiver, _lattice, _sst_table, enumerate_hn_types, hn_stratum_codim,
                                reduced_slope)
 from quivercert.cli import main
 from quivercert.strata import (
@@ -109,7 +109,7 @@ def test_no_fraction_on_the_strata_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the strata path")
 
-    for cached in (_sst_table, unstable_strata):
+    for cached in (_lattice, _sst_table, unstable_strata):
         cached.cache_clear()
     _RANGES.clear()
     monkeypatch.setattr(Fraction, "__new__", refuse)

@@ -7,8 +7,9 @@ dual, tensor, direct sum, det, traceless endomorphisms sl, Sym^2 and
 Wedge^2, and twisting by O(n).
 
 Every semantics of an expression is a lambda-ring homomorphism, and
-``evaluate`` is the one recursion over the operators: ranks (a field
-that each node computes as it is built), the characters of the strata's
+``evaluate`` is the one recursion over the operators: ranks (integers
+under the augmentation to Z, a field that each node computes from its
+arguments' ranks as it is built), the characters of the strata's
 one-parameter subgroups as weight -> multiplicity maps, one per stratum
 and all from one walk of the tree (here, used by the strata module), and
 Chern characters (chow module).  The module also holds the trees and
@@ -17,6 +18,7 @@ their parser.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from ._linalg import _int_entries
@@ -46,7 +48,7 @@ class BundleExpr(namedtuple("BundleExpr", "op args rank")):
         # grows doubly exponentially with nesting) or anything else is large.
         rank = _LEAF_RANKS.get(op)
         if rank is None:
-            rank = sum(evaluate((op, args), _rank_character, _rank_character).maps[0].values())
+            rank = int(evaluate((op, args), _rank, _rank))
             if rank > MAX_RANK:
                 raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
         return super().__new__(cls, op, args, rank)
@@ -247,16 +249,45 @@ def characters(weights, e: BundleExpr, budget: WorkBudget) -> Character:
     return value(e)
 
 
-def _rank_character(e: BundleExpr) -> Character:
-    """The character of ``e`` on one stratum of zero weights, read off its
-    stored rank."""
-    return Character([{0: e.rank}] if e.rank else [{}])
+class _Rank(int):
+    """A rank as a value of ``evaluate``: the augmentation of the lambda ring
+    to Z, where ``dual`` and ``psi2`` are the identity and ``det`` is 1."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Rank(int.__add__(self, other))
+
+    def __sub__(self, other):
+        return _Rank(int.__sub__(self, other))
+
+    def __mul__(self, other):
+        return _Rank(int.__mul__(self, other))
+
+    def dual(self):
+        return self
+
+    psi2 = dual
+
+    def det(self):
+        return _Rank(1)
+
+    def half(self):
+        return _Rank(self // 2)
+
+
+def _rank(e: BundleExpr) -> _Rank:
+    return _Rank(e.rank)
 
 
 # -- parser -------------------------------------------------------------------
 
 #: Largest tree depth (leaves count 1) and call nesting that the parsers accept.
 MAX_DEPTH = 100
+
+#: Whitespace, then an identifier: for str patterns, \s is exactly
+#: str.isspace and \w exactly str.isalnum or "_".
+_IDENTIFIER = re.compile(r"\s*(\w*)")
 
 _UNARY = {"dual", "det", "sl", "sym2", "wedge2"}
 _FUNCTIONS = _UNARY | {"tensor", "sum", "twist"}
@@ -300,7 +331,9 @@ class _Parser(Scanner):
         self.pos += 1
 
     def name(self) -> str:
-        ident = self.take(lambda ch: ch.isalnum() or ch == "_")
+        match = _IDENTIFIER.match(self.text, self.pos)
+        self.pos = match.end()
+        ident = match[1]
         if not ident:
             raise ExprSyntaxError("expected identifier", self.pos)
         return ident

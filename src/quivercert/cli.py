@@ -10,6 +10,10 @@ reader closes stdout early, the command ends quietly with status 141
 
 The argument parser is built on the first call of ``main`` and then
 serves every later call in the process; parsing leaves it unchanged.
+An argv that starts with a subcommand is parsed by that subcommand's
+parser alone, in one pass; any other argv (no command, an unknown one,
+``-h`` or an option before the command) goes to the full parser, whose
+messages argparse writes.  Both routes end in the same subparsers.
 """
 
 from __future__ import annotations
@@ -257,13 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The arguments of ``argv``: after a subcommand's name, parsed by that
+    subcommand's parser alone, else by the full parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        # argparse drops the value of "--opt=--" and stores []; no option
+        # takes a list, so the value is the text "--"
+        for name, value in vars(args).items():
+            if value == []:
+                setattr(args, name, "--")
         doc, code = args.func(args)
         _print(doc, args.pretty)
     except (ValueError, KeyError) as exc:

@@ -27,8 +27,9 @@ from unittest import mock
 
 from quivercert import cli, verify
 from quivercert._linalg import echelon
-from quivercert.bundles import (MAX_TERMS, O, U1, U2, BundleExpr, StratumWeights, WorkBudget,
-                                characters, direct_sum, dual, evaluate, sl, tensor, twist)
+from quivercert.bundles import (MAX_RANK, MAX_TERMS, O, U1, U2, BundleExpr, Character,
+                                StratumWeights, WorkBudget, characters, direct_sum, dual, evaluate,
+                                sl, tensor, twist)
 from quivercert.chow import (
     BASIS,
     DEGREES,
@@ -1009,6 +1010,23 @@ def rank_by_ops(e: BundleExpr) -> int:
     if e.op == "wedge2":
         return r * (r - 1) // 2
     raise ValueError(f"unknown operator {e.op!r}")
+
+
+def _rank_character(e: BundleExpr) -> Character:
+    """The character of ``e`` on one stratum of zero weights, read off its
+    stored rank."""
+    return Character([{0: e.rank}] if e.rank else [{}])
+
+
+def rank_by_characters(op: str, args: tuple) -> int:
+    """The rank of the node ``op(args)`` from its arguments' stored ranks, as
+    ``BundleExpr`` computed it before integer ranks: the sum of the
+    multiplicities of its character on one stratum of zero weights.  Refuses
+    what ``BundleExpr`` refuses, with the same messages."""
+    rank = sum(evaluate((op, args), _rank_character, _rank_character).maps[0].values())
+    if rank > MAX_RANK:
+        raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
+    return rank
 
 
 def weights_by_lists(e: BundleExpr, base: StratumWeights) -> list[int]:

@@ -1,18 +1,21 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (character_by_stratum, hostile_two_node_expr, random_expr, rank_by_ops,
-                     weights_by_lists, weights_of)
+from oracles import (character_by_stratum, hostile_two_node_expr, random_expr, rank_by_characters,
+                     rank_by_ops, weights_by_lists, weights_of)
 from quivercert.bundles import (
+    _IDENTIFIER,
     MAX_RANK,
     MAX_TERMS,
     MAX_WORK_TERMS,
     O,
     U1,
     U2,
+    BundleExpr,
     Character,
     ExprSyntaxError,
     WorkBudget,
@@ -126,6 +129,28 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expr("tensor(U1")
         assert "position" in str(err.value)
+
+    def test_identifier_pattern_is_the_character_tests(self):
+        # \s*(\w*) against one code point: (1, 0) for whitespace, (1, 1) for
+        # an identifier character, else (0, 0)
+        def pattern(ch):
+            match = _IDENTIFIER.match(ch)
+            return match.end(), len(match[1])
+
+        def tests(ch):
+            if ch.isspace():
+                return 1, 0
+            return (1, 1) if ch.isalnum() or ch == "_" else (0, 0)
+
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert [ch for ch in chars if pattern(ch) != tests(ch)] == []
+
+    def test_identifier_after_whitespace(self):
+        assert parse_expr("\u3000sym2(\x0bU1 )") == sym2(U1)
+        with pytest.raises(ExprSyntaxError, match=r"expected identifier \(at position 9\)"):
+            parse_expr("tensor( \t-U1,U2)")
+        with pytest.raises(ExprSyntaxError, match="unknown identifier 'U1é'"):
+            parse_expr("U1é")
 
     def test_roundtrip_through_str(self):
         rng = random.Random(3)
@@ -256,3 +281,34 @@ class TestEvaluatorMatchesOracles:
     @given(exprs())
     def test_rank(self, e):
         assert e.rank == rank_by_ops(e)
+
+    @given(exprs())
+    def test_rank_equals_the_character_route(self, e):
+        # every operator node of e, and every operator on each node of e beside
+        # a rank-0 node and a node of rank MAX_RANK: equal ranks or equal refusals
+        refusals = set()
+        for node in nodes(e):
+            if node.op not in ("U1", "U2", "O"):
+                assert node.rank == rank_by_characters(node.op, node.args)
+            for other in (node, ZERO_RANK, AT_THE_RANK_LIMIT):
+                for op, args in ([(op, (other,)) for op in UNARY_OPS]
+                                 + [(op, (node, other)) for op in ("tensor", "sum")]):
+                    built = outcome(lambda: BundleExpr(op, args).rank)
+                    assert built == outcome(lambda: rank_by_characters(op, args)), (op, args)
+                    if isinstance(built, str):
+                        refusals.add(built.partition(" ")[0])
+        assert refusals == {"sl", "expression"}  # sl of rank 0, and MAX_RANK
+
+
+UNARY_OPS = ("dual", "det", "sl", "sym2", "wedge2")
+#: wedge2 of a line bundle: the zero bundle, which sl refuses
+ZERO_RANK = wedge2(O(0))
+AT_THE_RANK_LIMIT = tensor(*[direct_sum(O(0), O(0))] * 64)
+
+
+def nodes(e):
+    """Every node of the tree ``e``, ``e`` first."""
+    yield e
+    for arg in e.args:
+        if isinstance(arg, BundleExpr):
+            yield from nodes(arg)

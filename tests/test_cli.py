@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import cli_by_fractions, hostile_two_node_expr, random_matrix_text
-from quivercert import chow, repgeom, verify
+from quivercert import chow, cli, repgeom, verify
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_COUNTING_WORK, MAX_SUBVECTORS, MAX_VERTICES
@@ -342,9 +342,7 @@ def test_no_subcommand_imports_fractions():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, imported = json.loads(proc.stdout)
-    parser = build_parser.__wrapped__()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert [argv[0] for argv in EVERY_SUBCOMMAND] == list(subparsers.choices)
+    assert [argv[0] for argv in EVERY_SUBCOMMAND] == list(build_parser.__wrapped__().commands)
     assert codes == [0, 1, 0, 0, 0, 0, 0, 0, 0]
     assert not imported
 
@@ -647,6 +645,118 @@ class TestSharedParser:
         capsys.readouterr()
 
 
+#: Usage errors and help, each parsed by the subcommand's parser alone or by
+#: the full parser.
+USAGE_ARGVS = [
+    [],
+    ["nope"],
+    ["chi-x", "--expr", "U1"],
+    ["chi"],
+    ["chi", "--expr"],
+    ["chi", "--expr", "U1", "--expr", "U2"],
+    ["chi", "--ex", "U1"],
+    ["teleman", "--t", "1,-1", "--expr", "U1"],
+    ["chi", "--expr", "U1", "--bogus", "1"],
+    ["chi", "--expr", "U1", "extra"],
+    ["chi", "--", "--expr", "U1"],
+    ["chi", "--expr", "--", "--"],
+    ["chi", "--expr=U1", "--pretty=yes"],
+    ["--pretty", "chi", "--expr", "U1"],
+    ["-h"],
+    ["--help"],
+    ["chi", "-h"],
+    ["ledger-check", "--help"],
+    ["chi", "--expr", "U1", "-h"],
+]
+
+
+class TestOnePassDispatch:
+    """``main`` parses an argv that starts with a subcommand by that
+    subcommand's parser alone; it must print and exit as the full parser."""
+
+    @staticmethod
+    def outcome(argv) -> tuple:
+        """Exit code, stdout and the SystemExit code of ``main(argv)``."""
+        out = io.StringIO()
+        code = exit_code = None
+        with contextlib.redirect_stdout(out):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                exit_code = exc.code
+        return code, out.getvalue(), exit_code
+
+    @pytest.mark.parametrize("argv", [record["argv"] for record in TRANSCRIPT] + USAGE_ARGVS,
+                             ids=lambda argv: " ".join(argv)[:60])
+    def test_equals_the_full_parser(self, monkeypatch, argv):
+        monkeypatch.chdir(TESTS.parent)
+        one_pass = self.outcome(argv)
+        monkeypatch.setattr(cli, "_parse_args", build_parser.__wrapped__().parse_args)
+        assert self.outcome(argv) == one_pass
+
+    def test_parses_with_the_shared_subparser_alone(self, capsys, monkeypatch):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert parser.commands is subparsers.choices
+        parsed = []
+
+        def stub(name):
+            def parse_args(argv):
+                parsed.append((name, argv))
+                return argparse.Namespace(func=lambda args: ({}, 0), pretty=False)
+            return parse_args
+
+        for name, sub in parser.commands.items():
+            monkeypatch.setattr(sub, "parse_args", stub(name))
+        monkeypatch.setattr(parser, "parse_args", stub("full"))
+        for argv in (["chi", "--expr", "U1"], ["ledger-check"], ["nope"], ["--pretty", "chi"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert parsed == [("chi", ["--expr", "U1"]), ("ledger-check", []), ("full", ["nope"]),
+                          ("full", ["--pretty", "chi"])]
+
+
+#: The error of "--flag=--" for each subcommand's flags: the value is the
+#: text "--".
+DASH_DASH_ERRORS = {
+    ("hn-types", "--quiver"): "Expecting value: line 1 column 1 (char 0)",
+    ("hn-types", "--dim"): "invalid literal for int() with base 10: '--'",
+    ("hn-types", "--theta"): "invalid literal for int() with base 10: '--'",
+    ("teleman", "--quiver"): "Expecting value: line 1 column 1 (char 0)",
+    ("teleman", "--dim"): "invalid literal for int() with base 10: '--'",
+    ("teleman", "--theta"): "invalid literal for int() with base 10: '--'",
+    ("teleman", "--twist"): "invalid literal for int() with base 10: '--'",
+    ("teleman", "--expr"): "expected identifier (at position 0)",
+    ("chi", "--expr"): "expected identifier (at position 0)",
+    ("ch", "--expr"): "expected identifier (at position 0)",
+    ("chow-eval", "--expr"): "expected class, number, or '(' (at position 2)",
+    ("stability", "--matrix"): "expected two rows separated by ';'",
+    ("syzygies", "--matrix"): "expected two rows separated by ';'",
+    ("verify-collection", "--file"): "[Errno 2] No such file or directory: '--'",
+}
+
+
+class TestDashDashValue:
+    def test_every_flag_has_a_row(self):
+        assert set(DASH_DASH_ERRORS) == {(c, f) for c, flags in FLAGS.items() for f in flags}
+
+    @pytest.mark.parametrize("command,flag", DASH_DASH_ERRORS, ids=" ".join)
+    def test_is_read_as_text(self, capsys, monkeypatch, tmp_path, command, flag):
+        monkeypatch.chdir(tmp_path)  # no file named "--"
+        argv = [command, f"{flag}=--"]
+        if command == "teleman" and flag != "--expr":
+            argv += ["--expr", "U1"]
+        assert main(argv) == 2
+        error = json.dumps({"error": DASH_DASH_ERRORS[command, flag]}, separators=(",", ":"))
+        assert capsys.readouterr().out == error + "\n"
+
+    def test_names_a_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--").write_text('{"objects":[{"expr":"U1"}]}', encoding="utf-8")
+        code, doc = run_cli(capsys, "verify-collection", "--file=--")
+        assert (code, doc["labels"]) == (0, ["U1"])
+
+
 def _nested(depth: int) -> str:
     """dual(dual(...(U1)...)) with a tree of the given depth."""
     return "dual(" * (depth - 1) + "U1" + ")" * (depth - 1)
@@ -844,7 +954,9 @@ def fuzzed_argv(draw):
             argv.append(flag)
             continue
         samples = st.sampled_from(SAMPLES[flag])
-        choices = [samples, samples.flatmap(lambda v: st.integers(0, len(v)).map(lambda n: v[:n]))]
+        # "--" as a value: argparse drops it from "--flag=--"
+        choices = [samples, samples.flatmap(lambda v: st.integers(0, len(v)).map(lambda n: v[:n])),
+                   st.just("--")]
         if flag in VECTOR_FLAGS:
             # entries stay small: large dimension vectors are slow by nature
             choices.append(st.lists(st.integers(-6, 6), max_size=4).map(
@@ -895,18 +1007,15 @@ def assert_one_json_document(argv) -> int:
 class TestFuzz:
     def test_flags_are_the_parser_options(self):
         # a flag added to or removed from the CLI must reach the fuzzer
-        parser = build_parser.__wrapped__()
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(subparsers.choices) == set(FLAGS)
-        for command, sub in subparsers.choices.items():
+        commands = build_parser.__wrapped__().commands
+        assert set(commands) == set(FLAGS)
+        for command, sub in commands.items():
             options = {s for action in sub._actions for s in action.option_strings}
             assert options - {"-h", "--help", "--pretty"} == set(FLAGS[command]), command
 
     def test_every_flag_is_read_by_its_handler(self):
         # an option that the handler never reads is accepted and ignored
-        parser = build_parser.__wrapped__()
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        for command, sub in subparsers.choices.items():
+        for command, sub in build_parser.__wrapped__().commands.items():
             tree = ast.parse(inspect.getsource(sub.get_default("func")))
             read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name) and node.value.id == "args"}
@@ -921,6 +1030,15 @@ class TestFuzz:
     @example(["chow-eval", "--expr", "2^9999999999"])
     @example(["syzygies", "--matrix", "1/2x+3/0y,y,z;x,y,z"])
     @example(["stability", "--matrix", "1/2x+1/3y,-5/7z,0/1x;2/9y,x,1/11z+1/12x"])
+    @example(["hn-types", "--quiver=--"])
+    @example(["hn-types", "--dim=--"])
+    @example(["hn-types", "--theta=--"])
+    @example(["teleman", "--twist=--", "--expr=U1"])
+    @example(["teleman", "--expr=--"])
+    @example(["chow-eval", "--expr=--"])
+    @example(["stability", "--matrix=--"])
+    @example(["syzygies", "--matrix=--"])
+    @example(["verify-collection", "--file=--"])
     def test_every_outcome_is_one_json_document(self, argv):
         code = assert_one_json_document(argv)
         if argv[0] in ("stability", "syzygies"):

@@ -159,6 +159,20 @@ class WorkBudget:
             raise ValueError(f"character products exceed {MAX_WORK_TERMS} terms in one request")
 
 
+def charge_product(budget: WorkBudget | None, m: int, n: int):
+    """Check the product of two maps of one stratum, with ``m`` and ``n``
+    weights, against ``MAX_TERMS``, then charge its m * n weight pairs to
+    ``budget`` unless that is None.  A character can carry about as many
+    weights as its rank, and MAX_RANK alone allows products far too large
+    to compute."""
+    terms = m * n
+    if terms > MAX_TERMS:
+        raise ValueError(f"product of characters with {m} and {n} weights"
+                         f" exceeds {MAX_TERMS} terms")
+    if budget is not None:
+        budget.charge(terms)
+
+
 class Character:
     """Characters of one-parameter subgroups, one per stratum: ``maps`` holds
     a weight -> nonzero multiplicity map for each.  The ring operations act
@@ -189,16 +203,9 @@ class Character:
         return self + Character([{w: -m for w, m in y.items()} for y in other.maps])
 
     def __mul__(self, other):
-        # A character can carry about as many weights as its rank, and
-        # MAX_RANK alone allows products far too large to compute.
         out = []
         for x, y in zip(self.maps, other.maps):
-            terms = len(x) * len(y)
-            if terms > MAX_TERMS:
-                raise ValueError(f"product of characters with {len(x)} and {len(y)}"
-                                 f" weights exceeds {MAX_TERMS} terms")
-            if self.budget is not None:
-                self.budget.charge(terms)
+            charge_product(self.budget, len(x), len(y))
             z = {}
             for a, m in x.items():
                 for b, n in y.items():
@@ -228,6 +235,10 @@ class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
 
     __slots__ = ()
 
+    def o1(self) -> int:
+        """The one weight of O(1), so O(n) has the one weight n * o1."""
+        return -sum(self.u1)
+
 
 def characters(weights, e: BundleExpr, budget: WorkBudget) -> Character:
     """The weights of ``e`` with multiplicities on each stratum of
@@ -236,11 +247,11 @@ def characters(weights, e: BundleExpr, budget: WorkBudget) -> Character:
     Each stratum's products charge ``budget``."""
     leaves = {op: Character([{w: ws.count(w) for w in ws} for ws in column], budget)
               for op, column in (("U1", [s.u1 for s in weights]), ("U2", [s.u2 for s in weights]))}
-    dets = [sum(s.u1) for s in weights]
+    o1 = [s.o1() for s in weights]
 
     def leaf(x):
         if x.op == "O":
-            return Character([{-x.args[0] * d: 1} for d in dets], budget)
+            return Character([{x.args[0] * w: 1} for w in o1], budget)
         return leaves[x.op]
 
     def value(x):

@@ -325,10 +325,16 @@ class RingInconsistencyError(ArithmeticError):
     """A Riemann-Roch integral that must be an integer failed to be one."""
 
 
+@lru_cache(maxsize=1)
+def todd_row() -> tuple[int, tuple[int, ...]]:
+    """``gram_row(todd_y())``: the left factor of every chi(Y, -)."""
+    return gram_row(todd_y())
+
+
 def chi(e: BundleExpr) -> int:
     """Euler characteristic chi(Y, e) = integral of ch(e) * Todd(Y)."""
     x = ch_of(e)
-    return scaled_pairing(gram_row(todd_y()), (x.den, x.nums), e)
+    return scaled_pairing(todd_row(), (x.den, x.nums), e)
 
 
 # -- polynomial input for the command line ------------------------------------

@@ -28,7 +28,7 @@ from . import repgeom
 from ._linalg import render_ratio
 from .bundles import parse_expr
 from .chow import ch_of, chi, parse_chow_poly
-from .quiver import Quiver, enumerate_hn_types, hn_stratum_codim, reduced_slope
+from .quiver import SPEC_FORMS, Quiver, enumerate_hn_types, hn_stratum_codim, reduced_slope
 from .strata import Moduli, eta, one_ps_from_hn, teleman_certify
 from .verify import (
     EXCEPTIONAL,
@@ -44,11 +44,13 @@ from .verify import (
 )
 
 
+#: The encoders of the compact output and of ``--pretty``, built once.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def _print(doc: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print((_PRETTY if pretty else _COMPACT).encode(doc))
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -60,7 +62,7 @@ def _hn_type(tau) -> list:
 
 
 def _cmd_hn_types(args) -> tuple[dict, int]:
-    quiver = Quiver.from_spec(args.quiver)
+    quiver = Quiver.from_spec(args.quiver, "--quiver")
     d = _parse_int_tuple(args.dim)
     theta = _parse_int_tuple(args.theta)
     types = enumerate_hn_types(quiver, d, theta)
@@ -84,7 +86,7 @@ def _cmd_hn_types(args) -> tuple[dict, int]:
 
 
 def _cmd_teleman(args) -> tuple[dict, int]:
-    moduli = Moduli(Quiver.from_spec(args.quiver), _parse_int_tuple(args.dim),
+    moduli = Moduli(Quiver.from_spec(args.quiver, "--quiver"), _parse_int_tuple(args.dim),
                     _parse_int_tuple(args.theta), _parse_int_tuple(args.twist))
     expr = parse_expr(args.expr)
     rows = teleman_certify(expr, moduli)
@@ -216,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_moduli_flags(p):
-        p.add_argument("--quiver", default="kronecker:3",
-                       help="'kronecker:m' or JSON {\"vertices\":n,\"arrows\":[[i,j],..]}")
+        p.add_argument("--quiver", default="kronecker:3", help=SPEC_FORMS)
         p.add_argument("--dim", default="2,3", help="dimension vector, e.g. 2,3")
         p.add_argument("--theta", default="3,-2", help="stability parameter, e.g. 3,-2")
 

@@ -64,6 +64,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+#: The two forms of a quiver spec that ``Quiver.from_spec`` reads.
+SPEC_FORMS = "'kronecker:m' or JSON {\"vertices\":n,\"arrows\":[[i,j],..]}"
+
+
 class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     """A finite acyclic directed graph, parallel arrows allowed.
 
@@ -117,16 +121,22 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
         return cls(2, ((0, 1),) * m)
 
     @classmethod
-    def from_spec(cls, text: str) -> "Quiver":
+    def from_spec(cls, text: str, name: str = "a quiver spec") -> "Quiver":
         """Parse either the shorthand ``kronecker:m`` or a JSON document
-        ``{"vertices": n, "arrows": [[i, j], ...]}``."""
+        ``{"vertices": n, "arrows": [[i, j], ...]}``; text of neither form is
+        refused with a message that calls it ``name``."""
         text = text.strip()
-        if text.startswith("kronecker:"):
-            return cls.kronecker(int(text.split(":", 1)[1]))
+        kronecker = text.startswith("kronecker:")
         try:
-            data = json.loads(text)
+            data = int(text.split(":", 1)[1]) if kronecker else json.loads(text)
         except RecursionError:
             raise ValueError("quiver JSON nested too deeply") from None
+        except ValueError as exc:
+            if "integer string conversion" in str(exc):
+                raise  # a numeral over the digit limit, a message of its own
+            raise ValueError(f"{name} must be {SPEC_FORMS}") from None
+        if kronecker:
+            return cls.kronecker(data)
         for key in ("vertices", "arrows"):
             if not isinstance(data, dict) or key not in data:
                 raise ValueError(f"quiver JSON needs a {key!r} key")

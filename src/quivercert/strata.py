@@ -10,6 +10,11 @@ strictly below eta has vanishing higher cohomology on the quotient.
 
 All weights are integers; strictness is the integer condition
 margin = eta - max_weight >= 1.
+
+A twist tensor(e, O(n)), O(n) on either side, is weighed from the cached
+ranges of e.  O(n) has one weight on each stratum, so it shifts every
+weight of e and keeps their number: the ranges shift, and the product's
+check and charge are replayed from e's counts, exactly as a walk does.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import lru_cache
 from math import lcm
 
 from ._linalg import _int_entries
-from .bundles import BundleExpr, StratumWeights, WorkBudget, characters
+from .bundles import BundleExpr, StratumWeights, WorkBudget, characters, charge_product
 from .quiver import HNType, Quiver, enumerate_hn_types, reduced_slope
 
 
@@ -147,7 +152,8 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     return tuple(out)
 
 
-#: ``weight_ranges`` results and the weight pairs each cost, per ``(expr, moduli)``.
+#: Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs that
+#: it costs and each stratum's number of distinct weights.
 _RANGES: dict = {}
 
 
@@ -155,20 +161,38 @@ def weight_ranges(expr: BundleExpr, moduli: Moduli,
                   budget: WorkBudget) -> tuple[tuple[int, int] | None, ...]:
     """The (min, max) weight of ``expr`` on each unstable stratum, or None
     for the zero bundle, which has no weights.  One walk of the tree weighs
-    ``expr`` on all strata at once.  The character products on all strata
-    charge ``budget``; a cached result charges it what the products cost,
-    so that a warm cache and a cold one give the same verdict.  Exceptions
-    are not cached."""
-    cached = _RANGES.get((expr, moduli))
-    if cached is not None:
-        budget.charge(cached[1])
-        return cached[0]
+    ``expr`` on all strata at once; a twist by O(n) is weighed from the
+    ranges of its base, as the module docstring says.  The character
+    products on all strata charge ``budget``; a cached result charges it
+    what the products cost, so that a warm cache and a cold one give the
+    same verdict.  Exceptions are not cached."""
+    return _entry(expr, moduli, budget)[0]
+
+
+def _entry(expr: BundleExpr, moduli: Moduli, budget: WorkBudget) -> tuple:
+    """The ``_RANGES`` entry of ``expr``, charging ``budget`` what it costs.
+    A twist by O(n), on either side, shifts the ranges of its base's entry
+    by n * o1 and replays the product's check and charges, stratum by
+    stratum in the order of the walk, from the base's counts."""
+    entry = _RANGES.get((expr, moduli))
+    if entry is not None:
+        budget.charge(entry[1])
+        return entry
     left = budget.left
-    weights = [s.weights for s in unstable_strata(moduli)]
-    ranges = tuple((min(c), max(c)) if c else None
-                   for c in characters(weights, expr, budget).maps)
-    _RANGES[expr, moduli] = ranges, left - budget.left
-    return ranges
+    if expr.op == "tensor" and "O" in (expr.args[0].op, expr.args[1].op):
+        right = expr.args[1].op == "O"
+        e, o = expr.args if right else reversed(expr.args)
+        ranges, _, counts = _entry(e, moduli, budget)
+        for count in counts:
+            charge_product(budget, *((count, 1) if right else (1, count)))
+        shifts = [o.args[0] * s.weights.o1() for s in unstable_strata(moduli)]
+        ranges = tuple(None if r is None else (r[0] + t, r[1] + t) for r, t in zip(ranges, shifts))
+    else:
+        maps = characters([s.weights for s in unstable_strata(moduli)], expr, budget).maps
+        ranges = tuple((min(c), max(c)) if c else None for c in maps)
+        counts = tuple(map(len, maps))
+    entry = _RANGES[expr, moduli] = ranges, left - budget.left, counts
+    return entry
 
 
 #: One row of a certificate: ``max_weight`` and ``margin`` are None for the zero bundle.

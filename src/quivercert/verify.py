@@ -10,7 +10,9 @@ comparison vectors over the strata, once: a limit min w(E_i) + eta - 1 and
 a top max w(E_j).  The pair is certified when the top of E_j is at most the
 limit of E_i on every stratum; only a failing pair lists its blocking
 strata, with margin limit - top + 1.  A zero bundle has no weights and
-bounds nothing.  A certificate plus chi = 1 on the diagonal certifies
+bounds nothing.  A twist E(n) is weighed from the ranges of E, shifted
+exactly (see ``strata``), and a row's chi values come from one pass over
+the integer columns.  A certificate plus chi = 1 on the diagonal certifies
 exceptionality; below the diagonal (i < j) a certificate pins the morphism
 space to degree 0 of dimension chi; above the diagonal a certificate plus
 chi = 0 certifies orthogonality.  Anything else is reported as
@@ -32,7 +34,7 @@ import json
 from collections import namedtuple
 from functools import lru_cache
 from math import inf
-from operator import le
+from operator import le, mul
 
 from .bundles import U1, U2, BundleExpr, O, WorkBudget, dual, parse_expr, sl, tensor, twist
 from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
@@ -218,13 +220,17 @@ def verify_collection(
     limits = [tuple(inf if r is None else r[0] + s.eta - 1 for r, s in zip(rs, strata))
               for rs in ranges]
     tops = [tuple(-inf if r is None else r[1] for r in rs) for rs in ranges]
-    chi_rows = [_chi_row(e) for e in objects]
-    columns = list(zip(objects, tops, [_chi_column(e) for e in objects]))
+    chi_columns = [_chi_column(e) for e in objects]
     grid = []
-    for i, (ei, limit, chi_row) in enumerate(zip(objects, limits, chi_rows)):
+    for i, (ei, limit) in enumerate(zip(objects, limits)):
+        chi_row = d, r = _chi_row(ei)
+        # scaled_pairing's division for the whole row; it is called only to
+        # raise for a chi that is not an integer
+        chis = [divmod(sum(map(mul, r, nums)), d * den) for den, nums in chi_columns]
         row = []
-        for j, (ej, top, chi_column) in enumerate(columns):
-            chi_value = scaled_pairing(chi_row, chi_column, ei, ej)
+        for j, (ej, top, (chi_value, rest)) in enumerate(zip(objects, tops, chis)):
+            if rest:
+                scaled_pairing(chi_row, chi_columns[j], ei, ej)
             if all(map(le, top, limit)):
                 passed, blocking = True, ()
             else:

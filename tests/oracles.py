@@ -1065,6 +1065,12 @@ def weights_of(e: BundleExpr, base: StratumWeights) -> tuple[int, ...]:
     return tuple(sorted(ws, reverse=True))
 
 
+def weight_ranges_by_walk(e: BundleExpr, moduli: Moduli, budget: WorkBudget) -> tuple:
+    """``strata.weight_ranges`` from one uncached walk of the whole tree, twists included."""
+    maps = characters([s.weights for s in unstable_strata(moduli)], e, budget).maps
+    return tuple((min(c), max(c)) if c else None for c in maps)
+
+
 def _dual_ch(x: ChowElement) -> ChowElement:
     return from_coords([-c if DEGREES[i] % 2 else c for i, c in enumerate(coords_of(x))])
 

@@ -91,6 +91,17 @@ class TestHnTypes:
         assert code == 2
         assert message in doc["error"]
 
+    @pytest.mark.parametrize("command", [["hn-types"], ["teleman", "--expr", "U1"]])
+    @pytest.mark.parametrize("quiver", ["foo", "kronecker:x", "kronecker:", "", "{", "kronecker3"])
+    def test_unreadable_quiver_names_the_flag_and_its_forms(self, capsys, command, quiver):
+        code, doc = run_cli(capsys, *command, "--quiver", quiver)
+        assert code == 2
+        assert doc["error"] == QUIVER_FORMS_ERROR
+
+    def test_overlong_arrow_count_names_the_digit_limit(self, capsys):
+        code = main(["hn-types", "--quiver", "kronecker:" + "9" * 5000])
+        assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
 
 class TestChi:
     def test_golden(self, capsys):
@@ -320,7 +331,7 @@ def test_no_fraction_on_the_request_path(capsys, monkeypatch):
 
     # from cold caches, so that the Chern characters, the Todd class and the
     # chi rows and columns are evaluated again under the patch
-    for cached in (chow.ch_of, chow.todd_y, verify._chi_row, verify._chi_column):
+    for cached in (chow.ch_of, chow.todd_y, chow.todd_row, verify._chi_row, verify._chi_column):
         cached.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", refuse)
     for argv, want in zip(FRACTION_FREE_REQUESTS, expected):
@@ -716,13 +727,17 @@ class TestOnePassDispatch:
                           ("full", ["--pretty", "chi"])]
 
 
+#: The error of an unreadable --quiver: the flag and its two forms.
+QUIVER_FORMS_ERROR = ("--quiver must be 'kronecker:m' or JSON"
+                      ' {"vertices":n,"arrows":[[i,j],..]}')
+
 #: The error of "--flag=--" for each subcommand's flags: the value is the
 #: text "--".
 DASH_DASH_ERRORS = {
-    ("hn-types", "--quiver"): "Expecting value: line 1 column 1 (char 0)",
+    ("hn-types", "--quiver"): QUIVER_FORMS_ERROR,
     ("hn-types", "--dim"): "invalid literal for int() with base 10: '--'",
     ("hn-types", "--theta"): "invalid literal for int() with base 10: '--'",
-    ("teleman", "--quiver"): "Expecting value: line 1 column 1 (char 0)",
+    ("teleman", "--quiver"): QUIVER_FORMS_ERROR,
     ("teleman", "--dim"): "invalid literal for int() with base 10: '--'",
     ("teleman", "--theta"): "invalid literal for int() with base 10: '--'",
     ("teleman", "--twist"): "invalid literal for int() with base 10: '--'",

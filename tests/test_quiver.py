@@ -156,6 +156,14 @@ class TestQuiver:
         with pytest.raises(ValueError, match=key):
             Quiver.from_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["foo", "kronecker:x", "kronecker:1.5", "kronecker", "{"])
+    def test_unreadable_spec_names_both_forms(self, spec):
+        forms = "'kronecker:m' or JSON {\"vertices\":n,\"arrows\":[[i,j],..]}"
+        with pytest.raises(ValueError, match=re.escape(f"a quiver spec must be {forms}")):
+            Quiver.from_spec(spec)
+        with pytest.raises(ValueError, match=re.escape(f"--q must be {forms}")):
+            Quiver.from_spec(spec, "--q")
+
     @pytest.mark.parametrize("spec", [
         '{"vertices": 2, "arrows": [[0, 1.5]]}',
         '{"vertices": 2, "arrows": [[0, true]]}',

@@ -3,15 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from golden import STRATUM_TABLE
 from oracles import (KRONECKER3, count_negative_directions, dim_vector, one_ps_by_fraction_slopes,
-                     random_expr, stratum_checks, weights_of)
+                     random_expr, stratum_checks, weight_ranges_by_walk, weights_of)
 from test_quiver import quiver_dim_theta
+from test_verify import EXPRS
 from quivercert import bundles
-from quivercert.bundles import (MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget, characters,
-                                direct_sum, dual, evaluate, sl, sym2, tensor)
+from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
+                                characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
 from quivercert.quiver import (Quiver, _lattice, _sst_table, enumerate_hn_types, hn_stratum_codim,
                                reduced_slope)
 from quivercert.cli import main
@@ -238,6 +240,83 @@ class TestUniversalWeights:
                 assert max(weights_of(e, ws)) == n * max(weights_of(e, s.weights))
 
 
+def untwisted(e) -> list:
+    """``e`` and the bases under its root's twists by O(n), the untwisted one
+    last; of two O factors, the right one is the twist."""
+    chain = [e]
+    while e.op == "tensor" and "O" in (e.args[0].op, e.args[1].op):
+        e = e.args[0] if e.args[1].op == "O" else e.args[1]
+        chain.append(e)
+    return chain
+
+
+def twisted(e, twists):
+    """``e`` twisted by O(n) for each ``(n, right)`` in turn, on the right or the left."""
+    for n, right in twists:
+        e = tensor(e, O(n)) if right else tensor(O(n), e)
+    return e
+
+
+def outcome(route, e) -> tuple:
+    """What ``route`` gives for ``e`` on Y, or its error, and the budget left after it."""
+    budget = WorkBudget()
+    try:
+        result = route(e, Y23, budget)
+    except ValueError as exc:
+        result = str(exc)
+    return result, budget.left
+
+
+class TestTwistRule:
+    """A twist by O(n) weighed from its base's entry, against the walk of the whole tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(EXPRS, st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=3),
+           st.booleans())
+    @example(sl(O(1)), [(2, True)], False)  # a twisted zero bundle
+    @example(sl(O(1)), [(0, False), (-1, True)], True)
+    @example(U2, [(0, True)], False)
+    def test_equals_the_whole_tree_walk(self, e, twists, base_first):
+        root = twisted(e, twists)
+        for x in untwisted(root):
+            _RANGES.pop((x, Y23), None)
+        if base_first:
+            weight_ranges(untwisted(root)[-1], Y23, WorkBudget())
+        want = outcome(weight_ranges_by_walk, root)
+        assert outcome(weight_ranges, root) == want
+        assert outcome(weight_ranges, root) == want  # warm
+
+    @pytest.mark.parametrize("e", [
+        twisted(direct_sum(*map(O, range(10))), [(2, True)]),
+        twisted(direct_sum(*map(O, range(10))), [(-1, False)]),
+        twisted(sym2(direct_sum(O(0), O(1), U1)), [(1, True), (-2, False), (0, True)]),
+        twisted(sl(O(1)), [(3, False)]),
+    ])
+    def test_limits_refuse_as_the_walk_does(self, monkeypatch, e):
+        # every MAX_TERMS up to above the widest product and every
+        # MAX_WORK_TERMS up to above the cost: the same ranges or error text
+        # and the same budget left, with the base cold and warm
+        _, left = outcome(weight_ranges_by_walk, e)
+        limits = [(t, MAX_WORK_TERMS) for t in range(20)]
+        limits += [(MAX_TERMS, w) for w in range(MAX_WORK_TERMS - left + 2)]
+        chain = untwisted(e)
+        refusals = 0
+        for max_terms, max_work in limits:
+            monkeypatch.setattr(bundles, "MAX_TERMS", max_terms)
+            monkeypatch.setattr(bundles, "MAX_WORK_TERMS", max_work)
+            want = outcome(weight_ranges_by_walk, e)
+            refusals += isinstance(want[0], str)
+            for base_first in (False, True):
+                for x in chain:
+                    _RANGES.pop((x, Y23), None)
+                if base_first:
+                    outcome(weight_ranges, chain[-1])
+                assert outcome(weight_ranges, e) == want, (max_terms, max_work, base_first)
+        assert refusals > 0
+        for x in chain:
+            _RANGES.pop((x, Y23), None)
+
+
 class TestTelemanCertify:
     def test_sl_u1_passes(self):
         rows = teleman_certify(sl(U1), Y23)
@@ -306,7 +385,9 @@ class TestTelemanCertify:
 
     def test_one_walk_for_all_strata(self, monkeypatch):
         # a cold weight_ranges evaluates each node of the tree once, and an
-        # sl node also its O(0), however many strata there are
+        # sl node also its O(0), however many strata there are; a twist by
+        # O(n) evaluates only the nodes of its untwisted base, and none when
+        # the base is warm
         def nodes(e):
             if e.op in ("U1", "U2", "O"):
                 return 1
@@ -320,13 +401,21 @@ class TestTelemanCertify:
 
         monkeypatch.setattr(bundles, "evaluate", counted)
         rng = random.Random(15)
-        for e in [random_expr(rng) for _ in range(20)] + [sl(sym2(U2)), sl(O(1))]:
-            _RANGES.pop((e, Y23), None)
+        extra = [sl(sym2(U2)), sl(O(1)), twist(twist(sym2(U1), 1), -2), tensor(O(2), sl(U2)),
+                 twist(sl(O(1)), 3), twist(U1, 0), tensor(O(1), O(2))]
+        for e in [random_expr(rng) for _ in range(20)] + extra:
+            chain = untwisted(e)
+            for x in chain:
+                _RANGES.pop((x, Y23), None)
             calls.clear()
             weight_ranges(e, Y23, WorkBudget())
-            assert len(calls) == nodes(e), e
+            assert len(calls) == nodes(chain[-1]), e
             calls.clear()
             weight_ranges(e, Y23, WorkBudget())  # warm
+            assert calls == []
+            for x in chain[:-1]:
+                _RANGES.pop((x, Y23), None)
+            weight_ranges(e, Y23, WorkBudget())  # only the base warm
             assert calls == []
 
     def test_equals_the_stratum_checks_route(self):

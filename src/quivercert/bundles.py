@@ -296,9 +296,10 @@ def _rank(e: BundleExpr) -> _Rank:
 #: Largest tree depth (leaves count 1) and call nesting that the parsers accept.
 MAX_DEPTH = 100
 
-#: Whitespace, then an identifier: for str patterns, \s is exactly
-#: str.isspace and \w exactly str.isalnum or "_".
-_IDENTIFIER = re.compile(r"\s*(\w*)")
+#: Whitespace, a word and whitespace; group 2 is the word's sign and leading
+#: digits.  For str patterns \s is exactly str.isspace, \w exactly
+#: str.isalnum or "_", and \d exactly str.isdecimal, the digits int reads.
+_TOKEN = re.compile(r"\s*(([+-]?\d*)\w*)\s*")
 
 _UNARY = {"dual", "det", "sl", "sym2", "wedge2"}
 _FUNCTIONS = _UNARY | {"tensor", "sum", "twist"}
@@ -310,106 +311,80 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-class Scanner:
-    """A cursor over input text, shared by the hand-written parsers."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, accept) -> str:
-        """Skip whitespace, then consume the longest run of characters
-        that ``accept`` accepts."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and accept(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos]
+def _close(text: str, i: int) -> int:
+    """The position past the ')' that must be at ``i`` and past whitespace."""
+    if not text.startswith(")", i):
+        raise ExprSyntaxError("expected ')'", i)
+    return _TOKEN.match(text, i + 1).start(1)
 
 
-class _Parser(Scanner):
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+def _integer(text: str, pos: int) -> tuple[int, int]:
+    """The signed decimal integer after whitespace, and the position past it
+    and any whitespace."""
+    match = _TOKEN.match(text, pos)
+    try:
+        n = int(match[2])
+    except ValueError:  # no digits, or more than int reads
+        raise ExprSyntaxError("expected integer", match.start(1)) from None
+    end = match.end(2)
+    return n, match.end() if end == match.end(1) else end
 
-    def name(self) -> str:
-        match = _IDENTIFIER.match(self.text, self.pos)
-        self.pos = match.end()
-        ident = match[1]
-        if not ident:
-            raise ExprSyntaxError("expected identifier", self.pos)
-        return ident
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        self.take(str.isdigit)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:
-            raise ExprSyntaxError("expected integer", start) from None
-
-    def expr(self, level: int = 1) -> tuple[BundleExpr, int]:
-        """The expression at the cursor, nested ``level`` calls deep, and its
-        tree depth; both are bounded so evaluation stays within the recursion limit."""
-        start = self.pos
-        if level > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
-        ident = self.name()
-        if ident in ("U1", "U2"):
-            return BundleExpr(ident), 1
-        if ident == "O":
-            self.expect("(")
-            n = self.integer()
-            self.expect(")")
-            return O(n), 1
-        if ident not in _FUNCTIONS:
-            raise ExprSyntaxError(f"unknown identifier {ident!r}", start)
-        self.expect("(")
-        first, depth = self.expr(level + 1)
-        args = [first]
-        while self.peek() == ",":
-            self.pos += 1
-            if ident == "twist" and len(args) == 1:
-                arg, arg_depth = self.integer(), 1
-            else:
-                arg, arg_depth = self.expr(level + 1)
-            args.append(arg)
-            depth = max(depth, arg_depth) + 1  # the left fold adds a level per argument
-        self.expect(")")
-        if len(args) == 1:
-            depth += 1
-        if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
-        if ident in _UNARY:
-            if len(args) != 1:
-                raise ExprSyntaxError(f"{ident} takes one argument", start)
-            return BundleExpr(ident, tuple(args)), depth
-        if ident == "twist":
-            if len(args) != 2 or not isinstance(args[1], int):
-                raise ExprSyntaxError("twist takes an expression and an integer", start)
-            return twist(args[0], args[1]), depth
-        if len(args) < 2:
-            raise ExprSyntaxError(f"{ident} takes at least two arguments", start)
-        return _fold(ident, args), depth
+def _expr(text: str, pos: int, level: int) -> tuple[BundleExpr, int, int]:
+    """The expression after ``pos``, nested ``level`` calls deep, its tree
+    depth and the position past it and whitespace; depth and nesting are
+    bounded so evaluation stays within the recursion limit."""
+    if level > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", pos)
+    match = _TOKEN.match(text, pos)
+    ident, i = match[1], match.end()
+    if ident in ("U1", "U2"):
+        return BundleExpr(ident), 1, i
+    if ident != "O" and ident not in _FUNCTIONS:
+        if not ident or ident[0] in "+-":
+            raise ExprSyntaxError("expected identifier", match.start(1))
+        raise ExprSyntaxError(f"unknown identifier {ident!r}", pos)
+    if not text.startswith("(", i):
+        raise ExprSyntaxError("expected '('", i)
+    if ident == "O":
+        n, i = _integer(text, i + 1)
+        return O(n), 1, _close(text, i)
+    first, depth, i = _expr(text, i + 1, level + 1)
+    args = [first]
+    while text.startswith(",", i):
+        if ident == "twist" and len(args) == 1:
+            (arg, i), arg_depth = _integer(text, i + 1), 1
+        else:
+            arg, arg_depth, i = _expr(text, i + 1, level + 1)
+        args.append(arg)
+        depth = max(depth, arg_depth) + 1  # the left fold adds a level per argument
+    i = _close(text, i)
+    if len(args) == 1:
+        depth += 1
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", pos)
+    if ident in _UNARY:
+        if len(args) != 1:
+            raise ExprSyntaxError(f"{ident} takes one argument", pos)
+        return BundleExpr(ident, tuple(args)), depth, i
+    if ident == "twist":
+        if len(args) != 2 or not isinstance(args[1], int):
+            raise ExprSyntaxError("twist takes an expression and an integer", pos)
+        return twist(args[0], args[1]), depth, i
+    if len(args) < 2:
+        raise ExprSyntaxError(f"{ident} takes at least two arguments", pos)
+    return _fold(ident, args), depth, i
 
 
 def parse_expr(text: str) -> BundleExpr:
-    """Parse the function-style grammar, e.g. ``tensor(dual(U1),U2)``."""
-    p = _Parser(text)
-    e, _ = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ExprSyntaxError("trailing input", p.pos)
+    """Parse the function-style grammar, e.g. ``tensor(dual(U1),U2)``.
+
+    An error about a token (``expected identifier``, ``expected '('``,
+    ``expected integer``, ``trailing input``) points at its first character
+    after whitespace.  An error about a whole call (an unknown identifier,
+    nesting too deep, the wrong arguments) points where the whitespace
+    before the call starts, at the end of the previous token."""
+    e, _, i = _expr(text, 0, 1)
+    if i != len(text):
+        raise ExprSyntaxError("trailing input", i)
     return e

@@ -21,13 +21,14 @@ the pairing run on integers.
 
 from __future__ import annotations
 
+import re
 import sys
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
 from ._linalg import echelon, render_ratio
-from .bundles import MAX_DEPTH, U1, U2, BundleExpr, Scanner, dual, evaluate, tensor
+from .bundles import MAX_DEPTH, U1, U2, BundleExpr, dual, evaluate, tensor
 
 # Exponent vectors (a, b, e, f) for c1^a c2^b d2^e c3^f.
 _BASIS_MONOMIALS = (
@@ -343,105 +344,109 @@ class ChowSyntaxError(ValueError):
     pass
 
 
-class _PolyParser(Scanner):
+#: Whitespace, then a token: a number of decimal digits, a class name (two
+#: word characters: c12 is c1 times 2), any other one character or, at the
+#: end, nothing.
+_TOKEN = re.compile(r"\s*(\d+|\w\w?|.?)")
+
+#: The classes by name; d1 is identified with c1 on input.
+_ATOMS = {"c1": _C1, "c2": _C2, "c3": _C3, "d1": _C1, "d2": _D2}
+
+
+def _refuse_digits(bits: int, what: str, pos: int) -> None:
+    """Refuse a numerator or denominator of at least 2^bits, over 0.3 * bits
+    digits, that Python cannot print; the CLI reports it as its digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * bits >= 10 * limit:
+        raise ValueError(f"the {what} exceeds the limit ({limit} digits)"
+                         f" for integer string conversion (at position {pos})")
+
+
+class _PolyParser:
     """Integer-coefficient polynomials in c1, c2, c3, d1, d2 with + - * ^
-    and parentheses; d1 is identified with c1 on input."""
+    and parentheses, read one token at a time."""
 
-    _ATOMS = {
-        "c1": _C1,
-        "c2": _C2,
-        "c3": _C3,
-        "d1": _C1,
-        "d2": _D2,
-    }
+    def __init__(self, text: str):
+        self.tokens = _TOKEN.finditer(text)
+        self.depth = 0  # parentheses open at the cursor
+        self.advance()
 
-    depth = 0  # parentheses open at the cursor
+    def advance(self):
+        """Move to the next token: its text and the position of its start."""
+        match = next(self.tokens)
+        self.token, self.pos = match[1], match.start(1)
 
     def fail(self, message):
         raise ChowSyntaxError(f"{message} (at position {self.pos})")
 
-    def parse(self) -> ChowElement:
-        out = self.sum_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("trailing input")
-        return out
-
-    def refuse_digits(self, bits: int, what: str) -> None:
-        """Refuse a numerator or denominator of at least 2^bits, over 0.3 * bits
-        digits, that Python cannot print; the CLI reports it as its digit limit."""
-        limit = sys.get_int_max_str_digits()
-        if limit and 3 * bits >= 10 * limit:
-            raise ValueError(f"the {what} exceeds the limit ({limit} digits)"
-                             f" for integer string conversion (at position {self.pos})")
-
-    def sign(self) -> int:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.peek() == "-":
-                sign = -sign
-            self.pos += 1
-        return sign
-
     def sum_expr(self) -> ChowElement:
-        out = self.sign() * self.term()
-        while self.peek() in ("+", "-"):
-            out = out + self.sign() * self.term()
+        out = self.term()
+        while self.token in ("+", "-"):
+            out = out + self.term()
         return out
 
     def term(self) -> ChowElement:
-        out = self.power()
+        """A signed product of factors, such as ``-3c1^2*c2``."""
+        sign = 1
+        while self.token in ("+", "-"):
+            if self.token == "-":
+                sign = -sign
+            self.advance()
+        out = self.factor()[0]
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-            elif not (ch.isalnum() or ch == "("):  # else implicit, as in "3c1" or "c1c2"
-                return out
-            out = out * self.power()
+            if self.token == "*":
+                self.advance()
+            elif not (self.token[:1].isalnum() or self.token == "("):  # else implicit, as in "3c1"
+                return sign * out
+            factor, end = self.factor()
+            out = out * factor
             # an unprintable numerator, at least |n| // den, only grows, ever
             # slower, in further products (denominators here divide 3)
-            self.refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product")
+            _refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product", end)
 
-    def power(self) -> ChowElement:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            digits = self.take(str.isdigit)
-            if not digits:
-                self.fail("expected exponent")
-            n, a, den = int(digits), abs(base.nums[0]), base.den
-            # refuse before squaring: the degree-0 coordinate, in lowest terms,
-            # grows n-fold in bits
-            self.refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power")
-            return base ** n
-        return base
-
-    def atom(self) -> ChowElement:
-        ch = self.peek()
-        if ch == "(":
+    def factor(self) -> tuple[ChowElement, int]:
+        """An atom, to the power after "^" if any, and the position after it:
+        the end of the exponent's digits, else the start of the next token."""
+        token = self.token
+        if token == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
-            self.pos += 1
-            out = self.sum_expr()
-            if self.peek() != ")":
+            self.advance()
+            base = self.sum_expr()
+            if self.token != ")":
                 self.fail("expected ')'")
-            self.pos += 1
             self.depth -= 1
-            return out
-        if ch.isdigit():
-            return int(self.take(str.isdigit)) * ChowElement.unit()
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalnum():
-                name = self.text[start:self.pos + 1]
-                self.pos += 1
-                if name in self._ATOMS:
-                    return self._ATOMS[name]
-            self.pos = start
-            self.fail("unknown class name")
-        self.fail("expected class, number, or '('")
+        elif token.isdecimal():
+            base = int(token) * ChowElement.unit()
+        elif token in _ATOMS:
+            base = _ATOMS[token]
+        else:
+            self.fail("unknown class name" if token[:1].isalpha() else "expected class, number, or '('")
+        self.advance()
+        if self.token != "^":
+            return base, self.pos
+        self.advance()
+        digits, end = self.token, self.pos + len(self.token)
+        if not digits.isdecimal():
+            self.fail("expected exponent")
+        self.advance()
+        n, a, den = int(digits), abs(base.nums[0]), base.den
+        # refuse before squaring: the degree-0 coordinate, in lowest terms,
+        # grows n-fold in bits
+        _refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power", end)
+        return base ** n, end
 
 
 def parse_chow_poly(text: str) -> ChowElement:
-    return _PolyParser(text).parse()
+    """Parse a polynomial such as ``c1^6 + 2c2*d2 - (c1+c3)^2``.
+
+    A syntax error points at the first character of its token, after
+    whitespace.  The digit limit of a power points at the end of the
+    exponent's digits, that of a product at the end of its last factor:
+    after the exponent's digits, else at the next token."""
+    parser = _PolyParser(text)
+    out = parser.sum_expr()
+    if parser.token:
+        parser.fail("trailing input")
+    return out

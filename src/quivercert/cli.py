@@ -53,8 +53,13 @@ def _print(doc: dict, pretty: bool) -> None:
     print((_PRETTY if pretty else _COMPACT).encode(doc))
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            raise  # a numeral over the digit limit, a message of its own
+        raise ValueError(f"{flag} must be integers separated by commas, e.g. 2,3") from None
 
 
 def _hn_type(tau) -> list:
@@ -63,8 +68,8 @@ def _hn_type(tau) -> list:
 
 def _cmd_hn_types(args) -> tuple[dict, int]:
     quiver = Quiver.from_spec(args.quiver, "--quiver")
-    d = _parse_int_tuple(args.dim)
-    theta = _parse_int_tuple(args.theta)
+    d = _parse_int_tuple(args.dim, "--dim")
+    theta = _parse_int_tuple(args.theta, "--theta")
     types = enumerate_hn_types(quiver, d, theta)
     rows = []
     for tau in types:
@@ -86,8 +91,9 @@ def _cmd_hn_types(args) -> tuple[dict, int]:
 
 
 def _cmd_teleman(args) -> tuple[dict, int]:
-    moduli = Moduli(Quiver.from_spec(args.quiver, "--quiver"), _parse_int_tuple(args.dim),
-                    _parse_int_tuple(args.theta), _parse_int_tuple(args.twist))
+    moduli = Moduli(Quiver.from_spec(args.quiver, "--quiver"), _parse_int_tuple(args.dim, "--dim"),
+                    _parse_int_tuple(args.theta, "--theta"),
+                    _parse_int_tuple(args.twist, "--twist"))
     expr = parse_expr(args.expr)
     rows = teleman_certify(expr, moduli)
     passed = all(row.passed for row in rows)

@@ -22,6 +22,7 @@ its gcd with that denominator, and only when output is produced.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -245,6 +246,11 @@ def _ratio(number: str, text: str) -> tuple[int, int]:
     return p, q
 
 
+#: One term of a matrix entry: signs, a coefficient of decimal digits and
+#: "/", an optional "*" and a variable.
+_TERM = re.compile(r"([+-]*)([\d/]*)\*?([xyz]?)")
+
+
 def _terms(text: str) -> list[tuple[int, int, int]]:
     """The terms of an entry like ``x``, ``-y``, ``2x+3z``, ``1/2x - y`` or
     ``0``: ``(v, p, q)`` for p/q times the variable ``VARS[v]``."""
@@ -252,25 +258,16 @@ def _terms(text: str) -> list[tuple[int, int, int]]:
     if not s:
         raise ValueError("empty entry")
     terms = []
-    i, end = 0, len(s)
-    while i < end:
-        sign = 1
-        while i < end and s[i] in "+-":
-            if s[i] == "-":
-                sign = -sign
-            i += 1
-        start = i
-        while i < end and (s[i].isdigit() or s[i] == "/"):
-            i += 1
-        number = s[start:i]
-        if i < end and s[i] == "*":
-            i += 1
+    i = 0
+    while i < len(s):
+        match = _TERM.match(s, i)
+        signs, number, var = match.groups()
         p, q = _ratio(number, text) if number else (1, 1)
-        if i < end and s[i] in "xyz":
-            terms.append((VARS.index(s[i]), sign * p, q))
-            i += 1
+        if var:
+            terms.append((VARS.index(var), -p if signs.count("-") % 2 else p, q))
         elif not number or p:  # only a zero constant may stand alone
             raise ValueError(f"cannot parse linear form {text!r}")
+        i = match.end()
     return terms
 
 
@@ -281,15 +278,13 @@ def _parse_row(text: str) -> tuple[tuple[LinearForm, ...], int]:
     if len(entries) != 3:
         raise ValueError("expected three entries per row")
     terms = [_terms(entry) for entry in entries]
-    den = lcm(*(q for entry in terms for _, _, q in entry))
-    forms = []
-    for entry in terms:
-        form = [0, 0, 0]
+    den = lcm(*[q for entry in terms for _, _, q in entry])
+    forms = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for form, entry in zip(forms, terms):
         for v, p, q in entry:
             form[v] += p * (den // q)
-        forms.append(form)
-    g = gcd(den, *(n for form in forms for n in form))
-    return tuple(tuple(n // g for n in form) for form in forms), den // g
+    g = gcd(den, *forms[0], *forms[1], *forms[2])
+    return tuple([tuple([n // g for n in form]) for form in forms]), den // g
 
 
 def parse_matrix(text: str) -> LinearFormMatrix:

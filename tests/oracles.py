@@ -16,24 +16,33 @@ import contextlib
 import io
 import itertools
 import random
+import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter, mul
 from unittest import mock
 
+from hypothesis import strategies as st
+
 from quivercert import cli, verify
 from quivercert._linalg import echelon
-from quivercert.bundles import (MAX_RANK, MAX_TERMS, O, U1, U2, BundleExpr, Character,
-                                StratumWeights, WorkBudget, characters, direct_sum, dual, evaluate,
-                                sl, tensor, twist)
+from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, MAX_RANK, MAX_TERMS, O, U1, U2,
+                                BundleExpr, Character, ExprSyntaxError, StratumWeights, WorkBudget,
+                                _fold, characters, direct_sum, dual, evaluate, sl, tensor, twist)
 from quivercert.chow import (
+    _C1,
+    _C2,
+    _C3,
+    _D2,
     BASIS,
     DEGREES,
     ChowElement,
+    ChowSyntaxError,
     RingInconsistencyError,
     _BASIS_MONOMIALS,
     _INDEX,
@@ -2098,7 +2107,8 @@ def pair_by_fractions(r: LinearFormMatrix) -> FractionSyzygyPair:
 
 
 def parse_linear_form_by_fractions(text: str):
-    """Parse forms like ``x``, ``-y``, ``2x+3z``, ``1/2x - y``, ``0``."""
+    """Parse forms like ``x``, ``-y``, ``2x+3z``, ``1/2x - y``, ``0``; a
+    digit is a decimal digit (str.isdecimal), which int reads."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty entry")
@@ -2111,7 +2121,7 @@ def parse_linear_form_by_fractions(text: str):
                 sign = -sign
             i += 1
         start = i
-        while i < len(s) and (s[i].isdigit() or s[i] == "/"):
+        while i < len(s) and (s[i].isdecimal() or s[i] == "/"):
             i += 1
         number = s[start:i]
         if i < len(s) and s[i] == "*":
@@ -2288,7 +2298,250 @@ def blp2_point(a, b, c, direction=None) -> LinearFormMatrix:
     ])
 
 
+# -- the character-stepping parsers -------------------------------------------
+#
+# The bundle-expression and Chow-polynomial parsers as they stepped through
+# their input one character at a time.  They read a digit as anything that
+# str.isdigit accepts, so text with a digit that int rejects, such as "²",
+# gets Python's own int() message (or a different position) from them.
+
+#: Whitespace, then an identifier.
+_IDENTIFIER_BY_SCANNER = re.compile(r"\s*(\w*)")
+
+
+class Scanner:
+    """A cursor over input text, shared by the hand-written parsers."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, accept) -> str:
+        """Skip whitespace, then consume the longest run of characters
+        that ``accept`` accepts."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and accept(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+class _ExprScanner(Scanner):
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise ExprSyntaxError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def name(self) -> str:
+        match = _IDENTIFIER_BY_SCANNER.match(self.text, self.pos)
+        self.pos = match.end()
+        ident = match[1]
+        if not ident:
+            raise ExprSyntaxError("expected identifier", self.pos)
+        return ident
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() in "+-":
+            self.pos += 1
+        self.take(str.isdigit)
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ExprSyntaxError("expected integer", start) from None
+
+    def expr(self, level: int = 1) -> tuple[BundleExpr, int]:
+        start = self.pos
+        if level > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
+        ident = self.name()
+        if ident in ("U1", "U2"):
+            return BundleExpr(ident), 1
+        if ident == "O":
+            self.expect("(")
+            n = self.integer()
+            self.expect(")")
+            return O(n), 1
+        if ident not in _FUNCTIONS:
+            raise ExprSyntaxError(f"unknown identifier {ident!r}", start)
+        self.expect("(")
+        first, depth = self.expr(level + 1)
+        args = [first]
+        while self.peek() == ",":
+            self.pos += 1
+            if ident == "twist" and len(args) == 1:
+                arg, arg_depth = self.integer(), 1
+            else:
+                arg, arg_depth = self.expr(level + 1)
+            args.append(arg)
+            depth = max(depth, arg_depth) + 1
+        self.expect(")")
+        if len(args) == 1:
+            depth += 1
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
+        if ident in _UNARY:
+            if len(args) != 1:
+                raise ExprSyntaxError(f"{ident} takes one argument", start)
+            return BundleExpr(ident, tuple(args)), depth
+        if ident == "twist":
+            if len(args) != 2 or not isinstance(args[1], int):
+                raise ExprSyntaxError("twist takes an expression and an integer", start)
+            return twist(args[0], args[1]), depth
+        if len(args) < 2:
+            raise ExprSyntaxError(f"{ident} takes at least two arguments", start)
+        return _fold(ident, args), depth
+
+
+def parse_expr_by_scanner(text: str) -> BundleExpr:
+    """``bundles.parse_expr`` one character at a time."""
+    p = _ExprScanner(text)
+    e, _ = p.expr()
+    p.skip_ws()
+    if p.pos != len(text):
+        raise ExprSyntaxError("trailing input", p.pos)
+    return e
+
+
+class _PolyScanner(Scanner):
+    _ATOMS = {"c1": _C1, "c2": _C2, "c3": _C3, "d1": _C1, "d2": _D2}
+
+    depth = 0  # parentheses open at the cursor
+
+    def fail(self, message):
+        raise ChowSyntaxError(f"{message} (at position {self.pos})")
+
+    def parse(self) -> ChowElement:
+        out = self.sum_expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.fail("trailing input")
+        return out
+
+    def refuse_digits(self, bits: int, what: str) -> None:
+        limit = sys.get_int_max_str_digits()
+        if limit and 3 * bits >= 10 * limit:
+            raise ValueError(f"the {what} exceeds the limit ({limit} digits)"
+                             f" for integer string conversion (at position {self.pos})")
+
+    def sign(self) -> int:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+        return sign
+
+    def sum_expr(self) -> ChowElement:
+        out = self.sign() * self.term()
+        while self.peek() in ("+", "-"):
+            out = out + self.sign() * self.term()
+        return out
+
+    def term(self) -> ChowElement:
+        out = self.power()
+        while True:
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+            elif not (ch.isalnum() or ch == "("):
+                return out
+            out = out * self.power()
+            self.refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product")
+
+    def power(self) -> ChowElement:
+        base = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            digits = self.take(str.isdigit)
+            if not digits:
+                self.fail("expected exponent")
+            n, a, den = int(digits), abs(base.nums[0]), base.den
+            self.refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power")
+            return base ** n
+        return base
+
+    def atom(self) -> ChowElement:
+        ch = self.peek()
+        if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
+            self.pos += 1
+            out = self.sum_expr()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            self.depth -= 1
+            return out
+        if ch.isdigit():
+            return int(self.take(str.isdigit)) * ChowElement.unit()
+        if ch.isalpha():
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isalnum():
+                name = self.text[start:self.pos + 1]
+                self.pos += 1
+                if name in self._ATOMS:
+                    return self._ATOMS[name]
+            self.pos = start
+            self.fail("unknown class name")
+        self.fail("expected class, number, or '('")
+
+
+def parse_chow_poly_by_scanner(text: str) -> ChowElement:
+    """``chow.parse_chow_poly`` one character at a time."""
+    return _PolyScanner(text).parse()
+
+
 # -- random generators ---------------------------------------------------------
+
+#: Characters that parser texts mix in besides their grammar's: whitespace
+#: that is not ASCII, a letter that is not ASCII, a decimal digit that int
+#: reads but that is not ASCII, and "_", which a word may hold.
+ODD_CHARACTERS = ("\t", "\u3000", "é", "٣", "_")
+
+
+def decimal_digits_only(text: str) -> bool:
+    """Whether every character of ``text`` that str.isdigit accepts is a
+    decimal digit, which int reads."""
+    return all(ch.isdecimal() for ch in text if ch.isdigit())
+
+
+def parser_texts(tokens, samples) -> st.SearchStrategy[str]:
+    """Texts for a parser: runs of its grammar's ``tokens`` and of
+    ODD_CHARACTERS, and ``samples`` with one to three characters inserted,
+    deleted or replaced; none with a digit that int rejects, such as "²"."""
+    chars = st.sampled_from(sorted(set("".join(tokens)).union(ODD_CHARACTERS))) | st.characters()
+
+    @st.composite
+    def mutated(draw):
+        text = draw(st.sampled_from(samples))
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(text)))
+            kind = draw(st.integers(0, 2))  # insert, delete, replace
+            text = text[:i] + (draw(chars) if kind != 1 else "") + text[i + (kind > 0):]
+        return text
+
+    runs = st.lists(st.sampled_from(tuple(tokens) + ODD_CHARACTERS), max_size=16).map("".join)
+    return (runs | mutated()).filter(decimal_digits_only)
+
+
+def parse_outcome(parse, text: str):
+    """The value of ``parse(text)``, or the type and message of its error."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 (every outcome is compared)
+        return type(exc), str(exc)
+
 
 _LEAVES = [U1, U2]
 
@@ -2341,9 +2594,9 @@ def random_rational_matrix(rng: random.Random) -> LinearFormMatrix:
     return matrix(rows)
 
 
-#: Matrix entries that a parser must read as the ``Fraction`` route did, or
+#: Matrix entries that a parser must read as the ``Fraction`` route does, or
 #: refuse with its message: malformed numerals, spaces inside numbers,
-#: digits that ``int`` reads but ``Fraction`` does not see as decimal (the
+#: digits that ``str.isdigit`` accepts but ``int`` does not read (the
 #: superscript two), decimal digits of other scripts (Arabic-Indic three,
 #: fullwidth three and four), a numeral past the digit limit, and others.
 ODD_ENTRIES = (

@@ -2,13 +2,14 @@ import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (character_by_stratum, hostile_two_node_expr, random_expr, rank_by_characters,
-                     rank_by_ops, weights_by_lists, weights_of)
+from oracles import (character_by_stratum, hostile_two_node_expr, parse_expr_by_scanner,
+                     parse_outcome, parser_texts, random_expr, rank_by_characters, rank_by_ops,
+                     weights_by_lists, weights_of)
 from quivercert.bundles import (
-    _IDENTIFIER,
+    _TOKEN,
     MAX_RANK,
     MAX_TERMS,
     MAX_WORK_TERMS,
@@ -33,6 +34,11 @@ from quivercert.bundles import (
 )
 from quivercert.quiver import Quiver
 from quivercert.strata import Moduli, OnePS, descent_shift, universal_weights, unstable_strata
+from test_cli import SAMPLES
+
+#: Tokens of the bundle-expression grammar, with words it refuses.
+EXPR_TOKENS = ("U1", "U2", "O", "tensor", "sum", "twist", "dual", "det", "sl", "sym2", "wedge2",
+               "frob", "(", ")", ",", "+", "-", "0", "3", "12", " ")
 
 # weight data of the rank-one wall stratum
 BASE = StratumWeights(u1=(5, 0), u2=(5, 0, 0))
@@ -131,19 +137,28 @@ class TestParse:
         assert "position" in str(err.value)
 
     def test_identifier_pattern_is_the_character_tests(self):
-        # \s*(\w*) against one code point: (1, 0) for whitespace, (1, 1) for
-        # an identifier character, else (0, 0)
+        # \s*(([+-]?\d*)\w*)\s* against one code point: (1, 0, 0) for
+        # whitespace, (1, 1, 1) for a sign or a decimal digit, (1, 1, 0) for
+        # any other identifier character, else (0, 0, 0)
         def pattern(ch):
-            match = _IDENTIFIER.match(ch)
-            return match.end(), len(match[1])
+            match = _TOKEN.match(ch)
+            return match.end(), len(match[1]), len(match[2])
 
         def tests(ch):
             if ch.isspace():
-                return 1, 0
-            return (1, 1) if ch.isalnum() or ch == "_" else (0, 0)
+                return 1, 0, 0
+            if ch in "+-" or ch.isdecimal():
+                return 1, 1, 1
+            return (1, 1, 0) if ch.isalnum() or ch == "_" else (0, 0, 0)
 
-        chars = map(chr, range(sys.maxunicode + 1))
+        chars = list(map(chr, range(sys.maxunicode + 1)))
         assert [ch for ch in chars if pattern(ch) != tests(ch)] == []
+        # a decimal digit is what int reads; other str.isdigit characters it refuses
+        digits = [ch for ch in chars if ch.isdigit()]
+        assert all(int(ch) < 10 for ch in digits if ch.isdecimal())
+        for ch in (ch for ch in digits if not ch.isdecimal()):
+            with pytest.raises(ValueError):
+                int(ch)
 
     def test_identifier_after_whitespace(self):
         assert parse_expr("\u3000sym2(\x0bU1 )") == sym2(U1)
@@ -151,6 +166,28 @@ class TestParse:
             parse_expr("tensor( \t-U1,U2)")
         with pytest.raises(ExprSyntaxError, match="unknown identifier 'U1é'"):
             parse_expr("U1é")
+
+    @settings(max_examples=300, deadline=None)
+    @given(parser_texts(EXPR_TOKENS, SAMPLES["--expr"][:2]))
+    @example("O(- 3)")
+    @example("O(3abc)")
+    @example("tensor(3abc)")
+    @example("tensor(U1 , frob(U1))")
+    @example("twist(U1 ,-2 ) ")
+    @example("O(" + "9" * 5000 + ")")
+    @example("sym2(" * 101 + "U1" + ")" * 101)
+    def test_equals_the_character_stepping_parser(self, text):
+        # the same tree, or the same error type and message, position included
+        assert parse_outcome(parse_expr, text) == parse_outcome(parse_expr_by_scanner, text)
+
+    def test_a_digit_is_a_decimal_digit(self):
+        # "²" passes str.isdigit but not int; the character-stepping parser
+        # read it as a digit
+        with pytest.raises(ExprSyntaxError, match=r"^expected '\)' \(at position 3\)$"):
+            parse_expr("O(3²)")
+        with pytest.raises(ExprSyntaxError, match=r"^expected integer \(at position 2\)$"):
+            parse_expr_by_scanner("O(3²)")
+        assert parse_expr("O(-٣)") == O(-3)
 
     def test_roundtrip_through_str(self):
         rng = random.Random(3)

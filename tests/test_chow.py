@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
@@ -31,6 +31,9 @@ from oracles import (
     monomials_of_degree,
     pairing,
     pairing_by_fractions,
+    parse_chow_poly_by_scanner,
+    parse_outcome,
+    parser_texts,
     products_by_rref,
     random_expr,
     tangent_chern,
@@ -57,6 +60,11 @@ from quivercert.chow import (
     parse_chow_poly,
     todd_y,
 )
+from test_cli import SAMPLES
+
+#: Tokens of the Chow polynomial grammar, with names it refuses.
+POLY_TOKENS = ("c1", "c2", "c3", "d1", "d2", "c", "c4", "x", "0", "2", "12", "+", "-", "*", "^",
+               "(", ")", " ")
 
 C1 = ChowElement.basis("c1")
 C2 = ChowElement.basis("c2")
@@ -449,6 +457,36 @@ class TestPolynomialInput:
 
         with pytest.raises(ChowSyntaxError):
             parse_chow_poly("c4")
+
+    @settings(max_examples=300, deadline=None)
+    @given(parser_texts(POLY_TOKENS, SAMPLES["--expr"][2:]))
+    @example("c12")
+    @example("c1^ 2 c")
+    @example("3c1^" + "1" * 5000)
+    @example("(2^5000)(2^5000) 2^5000 ")
+    @example("(2^5000) (2^5000) (2^5000) x")
+    @example("2^9999999999 ")
+    @example("(" * 101 + "c1")
+    def test_equals_the_character_stepping_parser(self, text):
+        # the same class, or the same error type and message, position included
+        want = parse_outcome(parse_chow_poly_by_scanner, text)
+        assert parse_outcome(parse_chow_poly, text) == want
+
+    @pytest.mark.parametrize("text,message", [
+        ("c1²", "expected class, number, or '(' (at position 2)"),
+        ("c1^²", "expected exponent (at position 3)"),
+        ("3²c1", "expected class, number, or '(' (at position 1)"),
+    ])
+    def test_a_digit_is_a_decimal_digit(self, text, message):
+        # "²" passes str.isdigit but not int: the character-stepping parser
+        # handed it to int and raised int's own message, with no position
+        from quivercert.chow import ChowSyntaxError
+
+        with pytest.raises(ChowSyntaxError) as info:
+            parse_chow_poly(text)
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_chow_poly_by_scanner(text)
 
 
 class TestRendering:

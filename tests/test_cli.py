@@ -102,6 +102,21 @@ class TestHnTypes:
         code = main(["hn-types", "--quiver", "kronecker:" + "9" * 5000])
         assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
 
+    @pytest.mark.parametrize("argv", [
+        ["hn-types", "--dim", "2,a"], ["hn-types", "--theta", "3,x"], ["hn-types", "--dim", "2,,3"],
+        ["teleman", "--expr", "U1", "--twist", "1,x"], ["teleman", "--expr", "U1", "--dim", "2,²"],
+    ], ids=" ".join)
+    def test_unreadable_vector_names_the_flag(self, capsys, argv):
+        flag = next(a for a in argv if a in ("--dim", "--theta", "--twist"))
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == f"{flag} must be integers separated by commas, e.g. 2,3"
+
+    @pytest.mark.parametrize("flag", ["--dim", "--theta"])
+    def test_overlong_vector_entry_names_the_digit_limit(self, capsys, flag):
+        code = main(["hn-types", flag, "2," + "9" * 5000])
+        assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
 
 class TestChi:
     def test_golden(self, capsys):
@@ -735,12 +750,12 @@ QUIVER_FORMS_ERROR = ("--quiver must be 'kronecker:m' or JSON"
 #: text "--".
 DASH_DASH_ERRORS = {
     ("hn-types", "--quiver"): QUIVER_FORMS_ERROR,
-    ("hn-types", "--dim"): "invalid literal for int() with base 10: '--'",
-    ("hn-types", "--theta"): "invalid literal for int() with base 10: '--'",
+    ("hn-types", "--dim"): "--dim must be integers separated by commas, e.g. 2,3",
+    ("hn-types", "--theta"): "--theta must be integers separated by commas, e.g. 2,3",
     ("teleman", "--quiver"): QUIVER_FORMS_ERROR,
-    ("teleman", "--dim"): "invalid literal for int() with base 10: '--'",
-    ("teleman", "--theta"): "invalid literal for int() with base 10: '--'",
-    ("teleman", "--twist"): "invalid literal for int() with base 10: '--'",
+    ("teleman", "--dim"): "--dim must be integers separated by commas, e.g. 2,3",
+    ("teleman", "--theta"): "--theta must be integers separated by commas, e.g. 2,3",
+    ("teleman", "--twist"): "--twist must be integers separated by commas, e.g. 2,3",
     ("teleman", "--expr"): "expected identifier (at position 0)",
     ("chi", "--expr"): "expected identifier (at position 0)",
     ("ch", "--expr"): "expected identifier (at position 0)",

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +18,8 @@ from oracles import (
     matrix,
     pair_by_fractions,
     parse_matrix_by_fractions,
+    parse_outcome,
+    parser_texts,
     random_invertible,
     random_matrix,
     random_matrix_text,
@@ -41,6 +43,10 @@ from quivercert.repgeom import (
     tensor_to_cubic,
     to_sl3,
 )
+from test_cli import SAMPLES
+
+#: Tokens of the matrix grammar, with a variable it refuses.
+MATRIX_TOKENS = ("x", "y", "z", "w", "0", "1", "2", "/", "+", "-", "*", ",", ";", " ")
 
 OPEN_ORBIT = parse_matrix("x,y,0;0,y,z")
 
@@ -480,3 +486,29 @@ class TestParsing:
             assert all(d > 0 for d in r.dens) and matrix(want.rows) == r
             outcomes[True] += 1
         assert min(outcomes.values()) > 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(parser_texts(MATRIX_TOKENS, SAMPLES["--matrix"]))
+    @example("x,y,0;0,y,*")
+    @example("x,y,0;0,y,1/2/3x")
+    @example("x,y,0;0,y,٣x-0")
+    def test_equals_the_fraction_parser_on_mutations(self, text):
+        # the same matrix, or the same error type and message
+        got = parse_outcome(parse_matrix, text)
+        if isinstance(got, tuple):
+            assert got == parse_outcome(parse_matrix_by_fractions, text)
+        else:
+            assert fraction_matrix(got) == parse_matrix_by_fractions(text)
+
+    @pytest.mark.parametrize("entry,message", [
+        ("²z", "cannot parse linear form '²z'"),
+        ("x+²", "cannot parse linear form 'x+²'"),
+        ("1²/3z", "cannot parse linear form '1²/3z'"),
+        ("1/²z", "Invalid literal for Fraction: '1/'"),
+    ])
+    def test_a_digit_is_a_decimal_digit(self, entry, message):
+        # "²" passes str.isdigit but not int, so it ends a numeral; it was
+        # read into one and refused with Fraction's message, e.g. for '²'
+        with pytest.raises(ValueError) as info:
+            parse_matrix("x,y,0;0,y," + entry)
+        assert str(info.value) == message

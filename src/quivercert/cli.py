@@ -54,12 +54,13 @@ def _print(doc: dict, pretty: bool) -> None:
 
 
 def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, text.split(",")))
-    except ValueError as exc:
-        if "integer string conversion" in str(exc):
-            raise  # a numeral over the digit limit, a message of its own
-        raise ValueError(f"{flag} must be integers separated by commas, e.g. 2,3") from None
+    if "_" not in text:  # int() reads 1_0 as 10
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError as exc:
+            if "integer string conversion" in str(exc):
+                raise  # a numeral over the digit limit, a message of its own
+    raise ValueError(f"{flag} must be integers separated by commas, e.g. 2,3")
 
 
 def _hn_type(tau) -> list:

@@ -12,15 +12,20 @@ determines the number of semistable ones, a polynomial in q with integer
 coefficients, from the counts of smaller dimension vectors.  The
 semistable locus is nonempty exactly when its counting polynomial is
 nonzero.  One table, built bottom up for a dimension vector d, holds the
-counts of all subvectors of d, the ranks of their slopes and, for each
-subvector, the first parts its types can start with; the existence test
-and the type enumeration read it.
+counts of all subvectors of d, integer keys that order their slopes and,
+for each subvector, the first parts its types can start with; the
+existence test and the type enumeration read it.  Its lists are indexed
+by the position of a subvector in product order, where the index of
+h - f is the index of h less that of f, so neither reader builds a
+subvector to look one up: the enumeration walks indices and builds the
+parts of a type only when it returns it.  A row of the table with one
+term, the common case, holds it as it is, unsorted.
 Each count is held as its value at q = 2^K, one integer (Kronecker
 substitution), with K large enough that the value is zero exactly when
 the polynomial is.  What the table needs of d alone (the subvectors in
-product order, the pairs f < h with their products of q-binomials, and
-the scales that make slopes integers) is one lattice per d, built once
-and shared by the tables of every quiver and stability parameter.
+product order, the pairs f < h with their q-binomial factors, and the
+scaled entries that make slopes integers) is one lattice per d, built
+once and shared by the tables of every quiver and stability parameter.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ import itertools
 import json
 import operator
 from bisect import bisect_left
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from operator import itemgetter, mul
 
 from ._linalg import _int_entries
@@ -127,6 +132,8 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
         refused with a message that calls it ``name``."""
         text = text.strip()
         kronecker = text.startswith("kronecker:")
+        if kronecker and "_" in text:  # int() reads 0_3 as 3
+            raise ValueError(f"{name} must be {SPEC_FORMS}")
         try:
             data = int(text.split(":", 1)[1]) if kronecker else json.loads(text)
         except RecursionError:
@@ -220,22 +227,22 @@ def _reduced_slope(theta, f) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _lattice(d: DimVector) -> tuple[list, list, list]:
-    """``(box, pairs, scales)``: the part of the counting table of d that
-    depends on d alone, shared by the tables of every quiver and theta.
+def _lattice(d: DimVector) -> tuple[list, list, list, list]:
+    """``(box, pairs, columns, scaled)``: the part of the counting table of
+    d that depends on d alone, shared by the tables of every quiver and
+    theta.
 
     ``box`` lists the subvectors 0 <= f <= d in product order, zero first,
     so that the index of h - f is the index of h less that of f.
-    ``pairs[x]`` lists, for h = ``box[x]``, the triples ``(index of f, f,
-    prod_i [h_i choose f_i]_q)`` over 0 < f < h in product order, at q =
-    2^K with K = ``_coefficient_bits(|d|)``.  Where at most one vertex has a
-    binomial other than 1, the entry is that cached ``_q_binomial`` itself
-    (or 1), so only the products of two or more binomials are new integers.
-    ``scales[x]`` is L / |h| with L = lcm(1, ..., |d|) (0 for h = 0), so
-    that the slopes theta.h / |h| of the nonzero subvectors compare as the
-    integers theta.h * L / |h|.
+    ``pairs[x]`` lists, for h = ``box[x]``, the pairs ``(index of f,
+    factors)`` over 0 < f < h in product order, where ``factors`` holds the
+    ``(h_i, f_i)`` with 0 < f_i < h_i: prod_i [h_i choose f_i]_q is the
+    product of their ``_q_binomial``, which a table computes only for the
+    terms it keeps.  ``columns[i]`` lists the entries f_i of the box, and
+    ``scaled[i]`` the f_i * L / |f| with L = lcm(1, ..., |d|) (0 for f =
+    0), so that the slopes theta.f / |f| of the nonzero subvectors f =
+    ``box[x]`` compare as the integers sum_i theta_i * ``scaled[i][x]``.
     """
-    bits = _coefficient_bits(sum(d))
     box = list(itertools.product(*(range(x + 1) for x in d)))
     strides = [1]
     for x in reversed(d[1:]):
@@ -243,32 +250,28 @@ def _lattice(d: DimVector) -> tuple[list, list, list]:
     strides.reverse()
     pairs = []
     for h in box:
-        below = [0]  # the indices of the f <= h, in product order
+        below = [(0, ())]  # (index, factors) of the f <= h, one vertex at a time
         for n, s in zip(h, strides):
-            below = [y + k for y in below for k in range(0, (n + 1) * s, s)]
-        row = []
-        for y in below[1:-1]:
-            f = box[y]
-            product = 1
-            for n, k in zip(h, f):
-                if 0 < k < n:
-                    binomial = _q_binomial(n, k, bits)
-                    product = binomial if product == 1 else mul(product, binomial)
-            row.append((y, f, product))
-        pairs.append(row)
+            below = [(y + k * s, factors + ((n, k),) if 0 < k < n else factors)
+                     for y, factors in below for k in range(n + 1)]
+        pairs.append(below[1:-1])
     common = lcm(*range(1, sum(d) + 1))
-    return box, pairs, [0] + [common // sum(f) for f in box[1:]]
+    scales = [0] + [common // sum(f) for f in box[1:]]
+    columns = list(zip(*box))
+    return box, pairs, columns, [list(map(operator.mul, c, scales)) for c in columns]
 
 
 @lru_cache(maxsize=None)
-def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)`` over the nonzero subvectors h <= d:
-    ``counts[h]`` is the number of theta-semistable representations of
+def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
+    """``(box, counts, keys, tails)``, the last three lists indexed like the
+    subvectors ``box`` of ``_lattice(d)``, zero first.  For h = ``box[x]``,
+    ``counts[x]`` is the number of theta-semistable representations of
     dimension vector h over a field with q elements, a polynomial in q with
-    integer coefficients (Reineke's recursion), ``rank[h]`` the position of
-    the slope of h among the distinct slopes of the subvectors, so that
-    slopes compare as their ranks do, and ``tails[h]`` the ranks, prefix
-    sums and first parts f of the nonzero terms of h below, in rank order.
+    integer coefficients (Reineke's recursion); ``keys[x]`` is the integer
+    theta.h * L / |h| of ``_lattice``, so that slopes compare as their keys
+    do; and ``tails[x]`` holds the keys, prefix sums and indices of the
+    first parts f of the nonzero terms of h below, in key order.
+    ``counts[0]`` and ``keys[0]`` are 0.
 
     Sorting the representations of dimension g by the dimension vector f
     of their first Harder-Narasimhan part, those with first part f number
@@ -289,65 +292,64 @@ def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, 
     sums and products are those of the values and q^s is a shift by K * s.
     Every count and tail has coefficients below 2^(K-1) in absolute value,
     so it is zero exactly when its value is, and its balanced base-2^K
-    digits are its coefficients.  Every product of packed values, here and
-    in ``_lattice``, is a call of ``mul``, the one name by which products
-    can be counted.
+    digits are its coefficients.  Every product of packed values is a call
+    of ``mul``, the one name by which products can be counted.
 
-    The table walks the pairs f < h of ``_lattice(d)``, which hold the
-    binomial products, bottom up: every f <= h comes before h in product
-    order, so each term is built once, from counts and tails already known,
-    all held in lists read by index.  With the arrow row h.M, (h.M)_j =
-    sum_{a: i->j} h_i, and B(f, f) = (f.M).f, the arrow exponent of f in h
-    is (h.M).f - B(f, f).  The terms of h, sorted by the rank of f, are kept
-    as prefix sums, and T(h, slope f) is the sum of those of rank below rank
-    f.  The f of the nonzero terms of h, h among them, are the first parts
-    of its types.
+    The table walks the pairs f < h of ``_lattice(d)`` bottom up: every
+    f <= h comes before h in product order, so each term is built once,
+    from counts and tails already known, read by index, the rest h - f at
+    the index of h less that of f.  With the arrow column M.f, (M.f)_i =
+    sum_{a: i->j} f_j, the arrow exponent of f in h is (h - f).(M.f).  The
+    terms of h, sorted by the key of f, are kept as prefix sums, and
+    T(h, slope f) is the sum of those of key below that of f.  The f of
+    the nonzero terms of h, h among them, are the first parts of its types.
+    Every h has a nonzero term, since they sum to q^(dim R_h); most rows of
+    a small table have only one, the count of h or a single f < h, and hold
+    it as it is, unsorted.
     """
-    box, pairs, scales = _lattice(d)
-    keys = [0]  # theta.f for every f in the box, one vertex at a time
-    for t, n in zip(theta, d):
-        keys = [a + t * k for a in keys for k in range(n + 1)]
-    keys = [a * s for a, s in zip(keys[1:], scales[1:])]
-    position = {k: r for r, k in enumerate(sorted(set(keys)))}
-    rank = [None] + [position[k] for k in keys]
-    arrows = Counter(quiver.arrows).items()
+    box, pairs, columns, scaled = _lattice(d)
+    keys = [0] * len(box)
+    for t, c in zip(theta, scaled):
+        keys = list(map(operator.add, keys, map(t.__mul__, c)))
+    parallel = {}
+    for arrow in quiver.arrows:
+        parallel[arrow] = parallel.get(arrow, 0) + 1
+    flows = [(0,) * len(box)] * quiver.vertex_count  # (M.f)_i over the box, by vertex i
+    for (i, j), m in parallel.items():
+        flows[i] = list(map(operator.add, flows[i], map(m.__mul__, columns[j])))
+    column = list(zip(*flows))
     bits = _coefficient_bits(sum(d))
-    counts, squares = [0] * len(box), [0] * len(box)
-    # by index: (ranks of the nonzero terms in ascending order, prefix sums,
-    # parts); the tail of the zero vector is 1 below every bound
-    tails = [((), (1,), ())]
+    counts = [0] * len(box)
+    tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
     for x in range(1, len(box)):
-        h = box[x]
-        row = [0] * len(h)
-        for (i, j), m in arrows:
-            row[j] += m * h[i]
         # dot products of small ints, not products of packed values
-        squares[x] = sum(map(operator.mul, row, h))
+        total = 1 << bits * sum(map(operator.mul, box[x], column[x]))
         terms = []
-        total = 1 << bits * squares[x]
-        for y, f, binomial in pairs[x]:
+        for y, factors in pairs[x]:
             count = counts[y]
             if not count:
                 continue
-            ranks, sums, _ = tails[x - y]
-            r = rank[y]
-            t = sums[bisect_left(ranks, r)]
+            below, sums, _ = tails[x - y]
+            key = keys[y]
+            t = sums[bisect_left(below, key)]
             if not t:
                 continue
-            if binomial != 1:
-                count = mul(count, binomial)
-            term = mul(count, t) << bits * (sum(map(operator.mul, row, f)) - squares[y])
-            terms.append((r, term, f))
+            for n, k in factors:
+                count = mul(count, _q_binomial(n, k, bits))
+            term = mul(count, t) << bits * sum(map(operator.mul, box[x - y], column[y]))
+            terms.append((key, term, y))
             total -= term
         counts[x] = total
         if total:
-            terms.append((rank[x], total, h))
+            terms.append((keys[x], total, x))
+        if len(terms) == 1:
+            (key, term, y), = terms
+            tails.append(((key,), (0, term), (y,)))
+            continue
         terms.sort(key=itemgetter(0))
-        sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
-        tails.append(([r for r, _, _ in terms], sums, [f for _, _, f in terms]))
-    nonzero = box[1:]
-    return (dict(zip(nonzero, counts[1:])), dict(zip(nonzero, rank[1:])),
-            dict(zip(nonzero, tails[1:])))
+        below, partial, parts = zip(*terms)
+        tails.append((below, (0, *itertools.accumulate(partial)), parts))
+    return box, counts, keys, tails
 
 
 def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
@@ -375,7 +377,7 @@ def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
 def has_semistable(quiver: Quiver, e, theta) -> bool:
     """Whether a theta-semistable representation of dimension vector e exists."""
     e, theta = _check_counting_input(quiver, e, theta)
-    return bool(_sst_table(quiver, e, theta)[0][e])
+    return bool(_sst_table(quiver, e, theta)[1][-1])
 
 
 def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
@@ -386,28 +388,30 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     representation.  Requires theta . d = 0; the output is sorted
     lexicographically on the flattened parts and includes the trivial
     type (d,) exactly when d itself admits a semistable representation.
-    The walk reads the first parts of each remainder from the table and
-    enters no dead end: a nonzero term of f leaves a rest with a type of
-    slopes all below that of f.
+    The walk reads the first parts of each remainder from the table, by
+    index, and enters no dead end: a nonzero term of f leaves a rest with a
+    type of slopes all below that of f.
     """
     d, theta = _check_counting_input(quiver, d, theta)
     if sum(t * x for t, x in zip(theta, d)) != 0:
         raise ValueError("theta . d must be zero")
 
-    _, rank, tails = _sst_table(quiver, d, theta)
-    types: list[HNType] = []
+    box, _, keys, tails = _sst_table(quiver, d, theta)
+    types = []
 
-    def extend(remaining, bound, prefix):
-        if not any(remaining):
-            types.append(tuple(prefix))
+    def extend(x, bound, prefix):
+        if not x:
+            types.append(prefix)
             return
-        ranks, _, parts = tails[remaining]
-        for f in parts[:bisect_left(ranks, bound)]:
-            extend(tuple(map(operator.sub, remaining, f)), rank[f], prefix + [f])
+        below, _, parts = tails[x]
+        for y in parts[:bisect_left(below, bound)]:
+            extend(x - y, keys[y], prefix + (y,))
 
-    extend(d, len(rank), [])
-    types.sort(key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
-    return types
+    extend(len(box) - 1, inf, ())
+    # product order is lexicographic, so sorting the index sequences sorts
+    # the types by their flattened parts
+    types.sort()
+    return [tuple(map(box.__getitem__, tau)) for tau in types]
 
 
 def hn_stratum_codim(quiver: Quiver, tau) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, factorial, gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -86,7 +86,7 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     d, theta = _check_counting_input(quiver, d, theta)
     if tuple(map(sum, zip(*parts))) != d:
         return False
-    counts, rank, _ = _sst_table(quiver, d, theta)
+    counts, rank, _ = by_subvector(_sst_table(quiver, d, theta))
     if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
         return False
     return all(counts[p] for p in parts)
@@ -692,6 +692,141 @@ def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, d
     return counts, rank, tails
 
 
+def by_subvector(table) -> tuple[dict, dict, dict]:
+    """``(counts, rank, tails)``: a table of ``quiver._sst_table``, indexed
+    by lattice position, in the form of ``sst_table_by_dicts``: keyed by
+    the nonzero subvectors, each slope key replaced by its position among
+    the distinct keys, and each first part given as its subvector."""
+    box, counts, keys, tails = table
+    position = {k: r for r, k in enumerate(sorted(set(keys[1:])))}
+    nonzero = box[1:]
+    return (dict(zip(nonzero, counts[1:])),
+            {h: position[k] for h, k in zip(nonzero, keys[1:])},
+            {h: ([position[k] for k in below], list(sums), [box[y] for y in parts])
+             for h, (below, sums, parts) in zip(nonzero, tails[1:])})
+
+
+@lru_cache(maxsize=None)
+def lattice_with_products(d: DimVector) -> tuple[list, list, list]:
+    """``(box, pairs, scales)``: the lattice of d with every binomial
+    product computed up front, the route that ``quiver._lattice`` replaced
+    with the binomial factors of each pair, which only a table multiplies.
+
+    ``box`` lists the subvectors 0 <= f <= d in product order, zero first,
+    so that the index of h - f is the index of h less that of f.
+    ``pairs[x]`` lists, for h = ``box[x]``, the triples ``(index of f, f,
+    prod_i [h_i choose f_i]_q)`` over 0 < f < h in product order, at q =
+    2^K with K = ``_coefficient_bits(|d|)``.  Where at most one vertex has a
+    binomial other than 1, the entry is that cached ``_q_binomial`` itself
+    (or 1), so only the products of two or more binomials are new integers.
+    ``scales[x]`` is L / |h| with L = lcm(1, ..., |d|) (0 for h = 0), so
+    that the slopes theta.h / |h| of the nonzero subvectors compare as the
+    integers theta.h * L / |h|.
+    """
+    bits = _coefficient_bits(sum(d))
+    box = list(itertools.product(*(range(x + 1) for x in d)))
+    strides = [1]
+    for x in reversed(d[1:]):
+        strides.append(strides[-1] * (x + 1))
+    strides.reverse()
+    pairs = []
+    for h in box:
+        below = [0]  # the indices of the f <= h, in product order
+        for n, s in zip(h, strides):
+            below = [y + k for y in below for k in range(0, (n + 1) * s, s)]
+        row = []
+        for y in below[1:-1]:
+            f = box[y]
+            product = 1
+            for n, k in zip(h, f):
+                if 0 < k < n:
+                    binomial = _q_binomial(n, k, bits)
+                    product = binomial if product == 1 else mul(product, binomial)
+            row.append((y, f, product))
+        pairs.append(row)
+    common = lcm(*range(1, sum(d) + 1))
+    return box, pairs, [0] + [common // sum(f) for f in box[1:]]
+
+
+def sst_table_by_dicts(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
+    """``(counts, rank, tails)`` over the nonzero subvectors h <= d, in
+    dicts keyed by h: the route that ``quiver._sst_table`` replaced with
+    lists indexed by lattice position, slope keys in place of ranks and
+    single-term rows held as they are.  ``counts[h]`` is the packed
+    semistable count of h, ``rank[h]`` the position of the slope of h among
+    the distinct slopes of the subvectors, and ``tails[h]`` the ranks,
+    prefix sums and first parts f of the nonzero terms of h, in rank order.
+    The terms are those of ``_sst_table``, over the pairs of
+    ``lattice_with_products(d)``, with the arrow row h.M, (h.M)_j =
+    sum_{a: i->j} h_i, and the arrow exponent (h.M).f - B(f, f).
+    """
+    box, pairs, scales = lattice_with_products(d)
+    keys = [0]  # theta.f for every f in the box, one vertex at a time
+    for t, n in zip(theta, d):
+        keys = [a + t * k for a in keys for k in range(n + 1)]
+    keys = [a * s for a, s in zip(keys[1:], scales[1:])]
+    position = {k: r for r, k in enumerate(sorted(set(keys)))}
+    rank = [None] + [position[k] for k in keys]
+    arrows = Counter(quiver.arrows).items()
+    bits = _coefficient_bits(sum(d))
+    counts, squares = [0] * len(box), [0] * len(box)
+    # by index: (ranks of the nonzero terms in ascending order, prefix sums,
+    # parts); the tail of the zero vector is 1 below every bound
+    tails = [((), (1,), ())]
+    for x in range(1, len(box)):
+        h = box[x]
+        row = [0] * len(h)
+        for (i, j), m in arrows:
+            row[j] += m * h[i]
+        squares[x] = sum(map(mul, row, h))
+        terms = []
+        total = 1 << bits * squares[x]
+        for y, f, binomial in pairs[x]:
+            count = counts[y]
+            if not count:
+                continue
+            ranks, sums, _ = tails[x - y]
+            r = rank[y]
+            t = sums[bisect_left(ranks, r)]
+            if not t:
+                continue
+            if binomial != 1:
+                count = mul(count, binomial)
+            term = mul(count, t) << bits * (sum(map(mul, row, f)) - squares[y])
+            terms.append((r, term, f))
+            total -= term
+        counts[x] = total
+        if total:
+            terms.append((rank[x], total, h))
+        terms.sort(key=itemgetter(0))
+        sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
+        tails.append(([r for r, _, _ in terms], sums, [f for _, _, f in terms]))
+    nonzero = box[1:]
+    return (dict(zip(nonzero, counts[1:])), dict(zip(nonzero, rank[1:])),
+            dict(zip(nonzero, tails[1:])))
+
+
+def hn_types_by_dicts(quiver: Quiver, d, theta):
+    """The Harder-Narasimhan types of d by the walk over the first parts of
+    ``sst_table_by_dicts``, remainders and parts held as subvectors: the
+    walk that ``enumerate_hn_types`` replaced with one over lattice
+    indices."""
+    d, theta = tuple(d), tuple(theta)
+    _, rank, tails = sst_table_by_dicts(quiver, d, theta)
+    types = []
+
+    def extend(remaining, bound, prefix):
+        if not any(remaining):
+            types.append(tuple(prefix))
+            return
+        ranks, _, parts = tails[remaining]
+        for f in parts[:bisect_left(ranks, bound)]:
+            extend(tuple(map(sub, remaining, f)), rank[f], prefix + [f])
+
+    extend(d, len(rank), [])
+    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
+
+
 def poly_divmod(p, q):
     """Quotient and remainder of dense polynomials with rational
     coefficients, coefficients ascending."""
@@ -801,7 +936,7 @@ def hn_types_by_subvectors(quiver: Quiver, d, theta):
     ``enumerate_hn_types`` replaced with the table's lists of first parts.
     It enters dead ends, remainders with no type below the bound."""
     d, theta = tuple(d), tuple(theta)
-    counts, rank, _ = _sst_table(quiver, d, theta)
+    counts, rank, _ = by_subvector(_sst_table(quiver, d, theta))
     types = []
 
     def extend(remaining, bound, prefix):

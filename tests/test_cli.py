@@ -92,7 +92,8 @@ class TestHnTypes:
         assert message in doc["error"]
 
     @pytest.mark.parametrize("command", [["hn-types"], ["teleman", "--expr", "U1"]])
-    @pytest.mark.parametrize("quiver", ["foo", "kronecker:x", "kronecker:", "", "{", "kronecker3"])
+    @pytest.mark.parametrize("quiver", ["foo", "kronecker:x", "kronecker:", "", "{", "kronecker3",
+                                        "kronecker:0_3", "kronecker:3_", "kronecker:_3"])
     def test_unreadable_quiver_names_the_flag_and_its_forms(self, capsys, command, quiver):
         code, doc = run_cli(capsys, *command, "--quiver", quiver)
         assert code == 2
@@ -105,6 +106,9 @@ class TestHnTypes:
     @pytest.mark.parametrize("argv", [
         ["hn-types", "--dim", "2,a"], ["hn-types", "--theta", "3,x"], ["hn-types", "--dim", "2,,3"],
         ["teleman", "--expr", "U1", "--twist", "1,x"], ["teleman", "--expr", "U1", "--dim", "2,²"],
+        # int() reads "1_0" as 10
+        ["hn-types", "--dim", "1_0,1", "--theta", "1,-10"], ["hn-types", "--theta", "3,-2_0"],
+        ["teleman", "--expr", "U1", "--twist", "1_,1"], ["teleman", "--expr", "U1", "--dim", "_2,3"],
     ], ids=" ".join)
     def test_unreadable_vector_names_the_flag(self, capsys, argv):
         flag = next(a for a in argv if a in ("--dim", "--theta", "--twist"))

@@ -1,12 +1,13 @@
 import itertools
 import json
+import math
 import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golden import HN_TYPES_23
@@ -14,6 +15,7 @@ from oracles import (
     GF,
     KRONECKER3,
     all_reps,
+    by_subvector,
     coefficient_sum,
     coefficient_sum_bounds,
     euler_form,
@@ -23,6 +25,7 @@ from oracles import (
     hn_stratum_codim_by_pairs,
     hn_type_brute,
     hn_types_by_chains,
+    hn_types_by_dicts,
     hn_types_by_subvectors,
     is_hn_type,
     is_hn_type_by_fraction_slopes,
@@ -31,6 +34,7 @@ from oracles import (
     slope,
     sst_count_by_fraction_slopes,
     sst_count_by_tails,
+    sst_table_by_dicts,
     sst_table_by_tuples,
     sst_table_fused,
     unpack,
@@ -59,6 +63,10 @@ A2 = Quiver(2, ((0, 1),))
 #: The 3-Kronecker ladder with theta = (d_1, -d_0).
 LADDER = ((2, 3), (3, 4), (3, 5), (4, 5), (4, 7))
 
+#: A quiver of the shape of the random ones of the benchmark's hn_ladder
+#: workload: three vertices, up to three arrows between each pair.
+THREE_VERTICES = Quiver(3, ((0, 1),) * 3 + ((0, 2),) + ((1, 2),) * 2)
+
 
 def _poly_at(p, q):
     return sum(c * q ** i for i, c in enumerate(p))
@@ -67,7 +75,8 @@ def _poly_at(p, q):
 def _unpacked_counts(quiver, d, theta):
     """The counts of ``_sst_table`` as coefficient tuples."""
     bits = _coefficient_bits(sum(d))
-    return {h: unpack(count, bits) for h, count in _sst_table(quiver, d, theta)[0].items()}
+    counts = by_subvector(_sst_table(quiver, d, theta))[0]
+    return {h: unpack(count, bits) for h, count in counts.items()}
 
 
 @st.composite
@@ -84,6 +93,21 @@ def quiver_dim_theta(draw, balanced=False):
         dot = sum(t * x for t, x in zip(theta, e))
         theta = tuple(t * sum(e) - dot for t in theta)
     return Quiver(n, arrows), e, theta
+
+
+@st.composite
+def benchmark_shapes(draw):
+    """A quiver, dimension vector and theta as the hn_ladder workload of the
+    benchmark draws them: three vertices, 0-3 arrows i -> j for each i < j
+    (at least one arrow), d a permutation of (1,1,1), (1,1,2), (1,2,2) or
+    (1,1,3), and theta = d x v, nonzero, for v in [-3, 3]^3."""
+    d = draw(st.permutations(draw(st.sampled_from(((1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 3))))))
+    counts = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(any))
+    arrows = tuple(p for p, c in zip(((0, 1), (0, 2), (1, 2)), counts) for _ in range(c))
+    v = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    theta = (d[1] * v[2] - d[2] * v[1], d[2] * v[0] - d[0] * v[2], d[0] * v[1] - d[1] * v[0])
+    assume(any(theta))
+    return Quiver(3, arrows), tuple(d), theta
 
 
 @st.composite
@@ -156,7 +180,8 @@ class TestQuiver:
         with pytest.raises(ValueError, match=key):
             Quiver.from_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["foo", "kronecker:x", "kronecker:1.5", "kronecker", "{"])
+    @pytest.mark.parametrize("spec", ["foo", "kronecker:x", "kronecker:1.5", "kronecker", "{",
+                                      "kronecker:0_3"])
     def test_unreadable_spec_names_both_forms(self, spec):
         forms = "'kronecker:m' or JSON {\"vertices\":n,\"arrows\":[[i,j],..]}"
         with pytest.raises(ValueError, match=re.escape(f"a quiver spec must be {forms}")):
@@ -356,7 +381,7 @@ class TestHasSemistable:
         quiver, d, theta = case
         counts, rank, tails = sst_table_by_tuples(quiver, d, theta)
         assert _unpacked_counts(quiver, d, theta) == counts
-        assert _sst_table(quiver, d, theta)[1] == rank
+        assert by_subvector(_sst_table(quiver, d, theta))[1] == rank
         for h, count in counts.items():
             m, t = coefficient_sum_bounds(sum(h))
             assert coefficient_sum(count) <= m
@@ -377,13 +402,18 @@ class TestHasSemistable:
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
     def test_rank_orders_like_fraction_slopes(self, case):
         quiver, d, theta = case
-        _, rank, _ = _sst_table(quiver, d, theta)
+        _, rank, _ = by_subvector(_sst_table(quiver, d, theta))
         for f, g in itertools.product(rank, repeat=2):
             assert (rank[f] < rank[g]) == (slope(theta, f) < slope(theta, g))
             assert (rank[f] == rank[g]) == (slope(theta, f) == slope(theta, g))
 
-    @pytest.mark.parametrize("d,bound", [((3, 4), 333), ((4, 5), 768), ((4, 7), 1383)])
-    def test_each_first_part_term_is_built_once(self, monkeypatch, d, bound):
+    @pytest.mark.parametrize("quiver,d,theta,bound", [
+        (KRONECKER3, (3, 4), (4, -3), 333),
+        (KRONECKER3, (4, 5), (5, -4), 768),
+        (KRONECKER3, (4, 7), (7, -4), 1383),
+        (THREE_VERTICES, (1, 2, 2), (-2, 3, -2), 292),
+    ], ids=["d0-333", "d1-768", "d2-1383", "three-vertices-292"])
+    def test_each_first_part_term_is_built_once(self, monkeypatch, quiver, d, theta, bound):
         # a term of h multiplies by at most one binomial per vertex and the
         # tail once, and h has prod(h_i + 1) - 2 proper nonzero parts
         calls = []
@@ -392,14 +422,13 @@ class TestHasSemistable:
             calls.append(None)
             return p * q
 
-        terms = sum(
-            (h[0] + 1) * (h[1] + 1) - 2
-            for h in itertools.product(range(d[0] + 1), range(d[1] + 1)) if any(h))
-        assert 3 * terms == bound
+        terms = sum(math.prod(x + 1 for x in h) - 2
+                    for h in itertools.product(*(range(x + 1) for x in d)) if any(h))
+        assert (len(d) + 1) * terms == bound
         _sst_table.cache_clear()
         _lattice.cache_clear()
         monkeypatch.setattr(quiver_module, "mul", counted)
-        enumerate_hn_types(KRONECKER3, d, (d[1], -d[0]))
+        enumerate_hn_types(quiver, d, theta)
         assert 0 < len(calls) <= bound
 
 
@@ -428,7 +457,9 @@ class TestLattice:
     def test_table_equals_fused_loop(self, case):
         quiver, d, theta = case
         cold, warm = _table_cold_and_warm(quiver, d, theta)
-        assert cold == warm == sst_table_fused(quiver, d, theta)
+        assert cold == warm
+        assert by_subvector(cold) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
+            quiver, d, theta)
 
     @pytest.mark.parametrize("quiver,d,theta", [
         (Quiver.kronecker(12), (31, 1), (1, -31)),
@@ -438,7 +469,9 @@ class TestLattice:
     def test_wide_shapes_equal_fused_loop(self, quiver, d, theta):
         assert _check_counting_input(quiver, d, theta)
         cold, warm = _table_cold_and_warm(quiver, d, theta)
-        assert cold == warm == sst_table_fused(quiver, d, theta)
+        assert cold == warm
+        assert by_subvector(cold) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
+            quiver, d, theta)
 
     def test_one_lattice_per_dimension_vector(self):
         # the lattice depends on d alone: a theta scan over two quivers at
@@ -454,46 +487,119 @@ class TestLattice:
         assert _lattice.cache_info().misses == 1
 
     def test_lattice_layout(self):
-        box, pairs, scales = _lattice((2, 3))
+        box, pairs, columns, scaled = _lattice((2, 3))
         assert box == list(itertools.product(range(3), range(4)))
         for x, h in enumerate(box):
-            assert [f for _, f, _ in pairs[x]] == [f for f in box if f != h and any(f)
-                                                   and all(a <= b for a, b in zip(f, h))]
-            for y, f, _ in pairs[x]:
-                assert box[y] == f and box[x - y] == tuple(a - b for a, b in zip(h, f))
-        assert [s * sum(f) for s, f in zip(scales[1:], box[1:])] == [60] * (len(box) - 1)
+            assert [box[y] for y, _ in pairs[x]] == [f for f in box if f != h and any(f)
+                                                     and all(a <= b for a, b in zip(f, h))]
+            for y, factors in pairs[x]:
+                f = box[y]
+                assert box[x - y] == tuple(a - b for a, b in zip(h, f))
+                assert factors == tuple((n, k) for n, k in zip(h, f) if 0 < k < n)
+        assert list(zip(*columns)) == box
+        # f_i * L / |f| with L = lcm(1, ..., 5) = 60, so the entries of f sum to L
+        assert [sum(s) for s in zip(*scaled)] == [0] + [60] * (len(box) - 1)
+        assert all(s * sum(f) == 60 * f[i] for i in range(2) for s, f in zip(scaled[i], box))
 
     def test_every_lattice_product_is_a_call_of_mul(self, monkeypatch):
-        # a pair with k nontrivial binomials takes k - 1 products
+        # the lattice multiplies nothing and computes no binomial; a table
+        # multiplies a term it keeps by each of its k nontrivial binomials
+        # and by its tail: k + 1 products, and none for a term it drops
         calls = []
 
         def counted(p, q):
             calls.append(None)
             return p * q
 
-        d = (2, 2, 2)
-        expected = sum(
-            max(0, sum(0 < k < n for n, k in zip(h, f)) - 1)
-            for h in itertools.product(range(3), repeat=3)
-            for f in itertools.product(*(range(n + 1) for n in h)) if any(f) and f != h)
-        assert expected == 17
+        quiver, d, theta = THREE_VERTICES, (2, 2, 2), (1, 2, -3)
         _lattice.cache_clear()
+        _sst_table.cache_clear()
+        quiver_module._q_binomial.cache_clear()
         monkeypatch.setattr(quiver_module, "mul", counted)
-        _lattice(d)
+        box, pairs, _, _ = _lattice(d)
+        assert calls == [] and quiver_module._q_binomial.cache_info().currsize == 0
+        _, _, _, tails = _sst_table(quiver, d, theta)
+        factors = [dict(row) for row in pairs]
+        expected = sum(len(factors[x][y]) + 1
+                       for x in range(1, len(box)) for y in tails[x][2] if y != x)
+        assert sum(len(f) for row in factors for f in row.values()) > expected > 50
         assert len(calls) == expected
 
-    def test_single_binomials_are_the_cached_ones(self):
+    def test_single_binomials_are_the_cached_ones(self, monkeypatch):
         # (31, 1): vertex 1 has only the binomials [h_1, 0] = [h_1, h_1] = 1,
-        # so no entry is a new product
-        d = (31, 1)
+        # so a term has at most one factor, and the table multiplies by the
+        # cached ``_q_binomial`` itself
+        quiver, d, theta = Quiver.kronecker(12), (31, 1), (1, -31)
         bits = _coefficient_bits(sum(d))
-        box, pairs, _ = _lattice(d)
+        box, pairs, _, _ = _lattice(d)
         for x, h in enumerate(box):
-            for _, f, binomial in pairs[x]:
-                if 0 < f[0] < h[0]:
-                    assert binomial is quiver_module._q_binomial(h[0], f[0], bits)
-                else:
-                    assert binomial == 1
+            for y, factors in pairs[x]:
+                f = box[y]
+                assert factors == (((h[0], f[0]),) if 0 < f[0] < h[0] else ())
+        binomials = {id(quiver_module._q_binomial(n, k, bits))
+                     for n in range(32) for k in range(1, n)}
+        operands = []
+
+        def recorded(p, q):
+            operands.append(q)
+            return p * q
+
+        _sst_table.cache_clear()
+        monkeypatch.setattr(quiver_module, "mul", recorded)
+        _, _, _, tails = _sst_table(quiver, d, theta)
+        factors = [dict(row) for row in pairs]
+        kept = sum(bool(factors[x][y]) for x in range(1, len(box)) for y in tails[x][2] if y != x)
+        assert sum(id(q) in binomials for q in operands) == kept > 100
+
+
+class TestTableRows:
+    """The rows of ``_sst_table``: a row with one term holds it as it is,
+    a row with more sorts them by slope key, equal keys in product order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
+    def test_every_row_has_a_term(self, case):
+        # the terms of h sum to q^(dim R_h), so no row is empty, and h is a
+        # first part of its own types exactly when its count is nonzero
+        quiver, d, theta = case
+        box, counts, keys, tails = _sst_table(quiver, d, theta)
+        for x in range(1, len(box)):
+            below, sums, parts = tails[x]
+            assert below and len(below) == len(parts) == len(sums) - 1 and sums[0] == 0
+            assert list(below) == sorted(below) == [keys[y] for y in parts]
+            assert (x in parts) == bool(counts[x])
+
+    def test_row_with_its_own_count_alone(self):
+        # (0, 2) splits only as (0, 1) + (0, 1), of equal slope: no term
+        # below, and the count is that of all representations, q^0 = 1
+        table = _sst_table(KRONECKER3, (2, 3), (3, -2))
+        box, counts, keys, tails = table
+        x = box.index((0, 2))
+        assert _lattice((2, 3))[1][x] == [(box.index((0, 1)), ((2, 1),))]
+        assert counts[x] == 1 and tails[x] == ((keys[x],), (0, 1), (x,))
+        assert by_subvector(table) == sst_table_by_dicts(KRONECKER3, (2, 3), (3, -2))
+
+    def test_row_with_one_lower_term(self):
+        # on A2 with slope (0, 1) above (1, 0), every representation of
+        # (1, 1) has first part (0, 1): one term, q^1, and no semistable one
+        table = _sst_table(A2, (1, 1), (-1, 1))
+        box, counts, keys, tails = table
+        assert box == [(0, 0), (0, 1), (1, 0), (1, 1)] and keys == [0, 2, -2, 0]
+        assert counts[3] == 0
+        assert tails[3] == ((2,), (0, 1 << _coefficient_bits(2)), (1,))
+        assert by_subvector(table) == sst_table_by_dicts(A2, (1, 1), (-1, 1))
+
+    def test_equal_keys_keep_product_order(self):
+        # (1, 0) and (2, 0) have one slope; the stable sort keeps them in
+        # product order, as the predecessor's sort of the same terms does
+        table = _sst_table(A2, (2, 1), (-1, -2))
+        box, counts, keys, tails = table
+        x = box.index((2, 1))
+        below, sums, parts = tails[x]
+        assert below == (-6, -6) and parts == (box.index((1, 0)), box.index((2, 0)))
+        # two different terms, and no count of (2, 1) to come after them
+        assert counts[x] == 0 and sums[1] != sums[2] - sums[1]
+        assert by_subvector(table) == sst_table_by_dicts(A2, (2, 1), (-1, -2))
 
 
 class TestEnumerateHnTypes:
@@ -554,6 +660,19 @@ class TestEnumerateHnTypes:
     def test_equals_subvector_walk(self, case):
         quiver, d, theta = case
         assert enumerate_hn_types(quiver, d, theta) == hn_types_by_subvectors(quiver, d, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(benchmark_shapes())
+    def test_equals_the_walk_over_dicts_on_benchmark_shapes(self, case):
+        # the predecessor's table and walk, keyed by subvector, on the
+        # random quivers of the hn_ladder workload
+        quiver, d, theta = case
+        assert enumerate_hn_types(quiver, d, theta) == hn_types_by_dicts(quiver, d, theta)
+        counts = sst_table_by_dicts(quiver, d, theta)[0]
+        assert has_semistable(quiver, d, theta) == bool(counts[d])
+        for e in counts:
+            assert has_semistable(quiver, e, theta) == bool(
+                sst_table_by_dicts(quiver, e, theta)[0][e])
 
     def test_walk_reads_only_the_table(self, monkeypatch):
         expected = hn_types_by_subvectors(KRONECKER3, (4, 7), (7, -4))
@@ -616,8 +735,7 @@ class TestEnumerateHnTypes:
         assert all(is_hn_type(KRONECKER3, (3, 5), (5, -3), tau) for tau in expected)
         assert not is_hn_type(KRONECKER3, (3, 5), (5, -3), expected[0][::-1])
         # the counts are packed integers, and no tuple polynomial is in reach
-        assert all(type(count) is int
-                   for count in _sst_table(KRONECKER3, (3, 5), (5, -3))[0].values())
+        assert all(type(count) is int for count in _sst_table(KRONECKER3, (3, 5), (5, -3))[1])
         assert not [name for name in vars(quiver_module) if name.startswith("poly_")]
         assert not [name for name in vars(_linalg) if name.startswith("poly_")]
 

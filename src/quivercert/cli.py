@@ -28,8 +28,8 @@ from . import repgeom
 from ._linalg import render_ratio
 from .bundles import parse_expr
 from .chow import ch_of, chi, parse_chow_poly
-from .quiver import SPEC_FORMS, Quiver, enumerate_hn_types, hn_stratum_codim, reduced_slope
-from .strata import Moduli, eta, one_ps_from_hn, teleman_certify
+from .quiver import SPEC_FORMS, Quiver
+from .strata import Moduli, hn_records, teleman_certify
 from .verify import (
     EXCEPTIONAL,
     FULLNESS_NOTE,
@@ -44,9 +44,11 @@ from .verify import (
 )
 
 
-#: The encoders of the compact output and of ``--pretty``, built once.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
+#: The encoders of the compact output and of ``--pretty``, built once.  Every
+#: document is a fresh tree, so no encoder looks for cycles; tuples encode as
+#: arrays, so a document holds the library's tuples as they are.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
 
 
 def _print(doc: dict, pretty: bool) -> None:
@@ -63,32 +65,18 @@ def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
     raise ValueError(f"{flag} must be integers separated by commas, e.g. 2,3")
 
 
-def _hn_type(tau) -> list:
-    return [list(p) for p in tau]
-
-
 def _cmd_hn_types(args) -> tuple[dict, int]:
     quiver = Quiver.from_spec(args.quiver, "--quiver")
     d = _parse_int_tuple(args.dim, "--dim")
     theta = _parse_int_tuple(args.theta, "--theta")
-    types = enumerate_hn_types(quiver, d, theta)
     rows = []
-    for tau in types:
-        row = {
-            "parts": _hn_type(tau),
-            "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
-            "codim": hn_stratum_codim(quiver, tau),
-            "semistable_stratum": len(tau) == 1,
-        }
-        if len(tau) > 1:
-            s = one_ps_from_hn(tau, theta)
-            row["one_ps"] = [[list(block) for block in vertex] for vertex in s.blocks]
-            row["eta"] = eta(quiver, s)
-        else:
-            row["eta"] = None
+    for parts, slopes, codim, s, threshold in hn_records(quiver, d, theta):
+        row = {"parts": parts, "slopes": [render_ratio(*slope) for slope in slopes],
+               "codim": codim, "semistable_stratum": s is None, "eta": threshold}
+        if s is not None:
+            row["one_ps"] = s.blocks
         rows.append(row)
-    return {"quiver": quiver.to_json_dict(), "dim": list(d), "theta": list(theta),
-            "types": rows}, 0
+    return {"quiver": quiver.to_json_dict(), "dim": d, "theta": theta, "types": rows}, 0
 
 
 def _cmd_teleman(args) -> tuple[dict, int]:
@@ -98,7 +86,7 @@ def _cmd_teleman(args) -> tuple[dict, int]:
     expr = parse_expr(args.expr)
     rows = teleman_certify(expr, moduli)
     passed = all(row.passed for row in rows)
-    strata = [{"hn_type": _hn_type(row.hn_type), "eta": row.eta, "max_weight": row.max_weight,
+    strata = [{"hn_type": row.hn_type, "eta": row.eta, "max_weight": row.max_weight,
                "margin": row.margin, "pass": row.passed} for row in rows]
     return {"expression": str(expr), "strata": strata, "pass": passed}, 0 if passed else 1
 
@@ -179,14 +167,14 @@ def _cmd_verify_collection(args) -> tuple[dict, int]:
         "note": FULLNESS_NOTE,
     }
     grid, accepted = [[_pair(p) for p in row] for row in matrix.pairs], matrix.accepted
-    return {"labels": list(spec.labels()), "pairs": grid, "summary": summary,
+    return {"labels": spec.labels(), "pairs": grid, "summary": summary,
             "accepted": accepted}, 0 if accepted else 1
 
 
 def _pair(p) -> dict:
     doc = {"i": p.i, "j": p.j, "chi": p.chi, "teleman_pass": p.teleman_pass, "verdict": p.verdict}
     if p.blocking:
-        doc["blocking"] = [{"hn_type": _hn_type(tau), "margin": margin}
+        doc["blocking"] = [{"hn_type": tau, "margin": margin}
                            for tau, margin in p.blocking]
     return doc
 

@@ -61,6 +61,11 @@ MAX_SUBVECTORS = 64
 #: interpreters on a 2-vCPU host.
 MAX_COUNTING_WORK = 15 * 10 ** 7
 
+#: Entries kept by each cache keyed by a (quiver, d, theta): the counting
+#: tables here and the stratum records of ``strata``.  A caller that scans
+#: many theta then holds at most this many of each, the least recently used.
+MAX_CACHED_SETUPS = 256
+
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
 
@@ -156,7 +161,7 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
         return cls(vertices, tuple(map(tuple, arrows)))
 
     def to_json_dict(self) -> dict:
-        return {"vertices": self.vertex_count, "arrows": [list(a) for a in self.arrows]}
+        return {"vertices": self.vertex_count, "arrows": self.arrows}
 
     def check_dim(self, e) -> DimVector:
         e = _int_entries(e, "dimension vector")
@@ -261,7 +266,7 @@ def _lattice(d: DimVector) -> tuple[list, list, list, list]:
     return box, pairs, columns, [list(map(operator.mul, c, scales)) for c in columns]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_CACHED_SETUPS)
 def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
     """``(box, counts, keys, tails)``, the last three lists indexed like the
     subvectors ``box`` of ``_lattice(d)``, zero first.  For h = ``box[x]``,

@@ -11,6 +11,11 @@ strictly below eta has vanishing higher cohomology on the quotient.
 All weights are integers; strictness is the integer condition
 margin = eta - max_weight >= 1.
 
+The record of each Harder-Narasimhan type (its parts, slopes and
+codimension, and the one-parameter subgroup and eta of its stratum) is
+built once per (quiver, d, theta) by ``hn_records``, which the strata of
+a ``Moduli`` and the ``hn-types`` command both read.
+
 A twist tensor(e, O(n)), O(n) on either side, is weighed from the cached
 ranges of e.  O(n) has one weight on each stratum, so it shifts every
 weight of e and keeps their number: the ranges shift, and the product's
@@ -25,7 +30,15 @@ from math import lcm
 
 from ._linalg import _int_entries
 from .bundles import BundleExpr, StratumWeights, WorkBudget, characters, charge_product
-from .quiver import HNType, Quiver, enumerate_hn_types, reduced_slope
+from .quiver import (
+    MAX_CACHED_SETUPS,
+    HNType,
+    Quiver,
+    _check_counting_input,
+    enumerate_hn_types,
+    hn_stratum_codim,
+    reduced_slope,
+)
 
 
 class OnePS(namedtuple("OnePS", "blocks")):
@@ -131,25 +144,44 @@ class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
         return cls(Quiver.kronecker(3), (2, 3), (3, -2), (1, -1))
 
 
+def hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
+    """One record ``(parts, slopes, codim, one_ps, eta)`` per
+    Harder-Narasimhan type of (quiver, d, theta), in the enumeration order
+    of the types: the parts, their reduced slopes ``(a, b)``, the
+    codimension of the stratum, and its ``OnePS`` and threshold eta, both
+    None for the trivial type.  Built once per (quiver, d, theta).  The
+    input passes the gate of ``enumerate_hn_types`` before the cache is
+    read, so that no entry answers for input the gate refuses: (2.0, 3) ==
+    (2, 3) as a key."""
+    d, theta = _check_counting_input(quiver, d, theta)
+    return _hn_records(quiver, d, theta)
+
+
+@lru_cache(maxsize=MAX_CACHED_SETUPS)
+def _hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
+    records = []
+    for tau in enumerate_hn_types(quiver, d, theta):
+        s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
+        records.append((tau, tuple(reduced_slope(theta, part) for part in tau),
+                        hn_stratum_codim(quiver, tau), s, None if s is None else eta(quiver, s)))
+    return tuple(records)
+
+
 #: One unstable stratum: its type, its threshold and the ``StratumWeights`` of U1 and U2.
 StratumData = namedtuple("StratumData", "hn_type eta weights")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_CACHED_SETUPS)
 def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     """Stratum data for every unstable Harder-Narasimhan type, in the
-    enumeration order of the types.  The stratum weights are those of the
-    universal bundles U1 and U2, so the quiver must have two vertices."""
+    enumeration order of the types, from the ``hn_records`` of the moduli's
+    quiver, d and theta.  The stratum weights are those of the universal
+    bundles U1 and U2, so the quiver must have two vertices."""
     if moduli.quiver.vertex_count != 2:
         raise ValueError("bundle expressions assume a two-vertex quiver")
-    out = []
-    for tau in enumerate_hn_types(moduli.quiver, moduli.dim, moduli.theta):
-        if len(tau) == 1:
-            continue
-        s = one_ps_from_hn(tau, moduli.theta)
-        out.append(StratumData(tau, eta(moduli.quiver, s),
-                               universal_weights(s, descent_shift(s, moduli.twist))))
-    return tuple(out)
+    return tuple(StratumData(tau, threshold, universal_weights(s, descent_shift(s, moduli.twist)))
+                 for tau, _, _, s, threshold in hn_records(moduli.quiver, moduli.dim, moduli.theta)
+                 if s is not None)
 
 
 #: Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs that

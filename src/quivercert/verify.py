@@ -244,9 +244,11 @@ def verify_collection(
 
 # -- Chern character identities and the mutation ledger ------------------------
 
+@lru_cache(maxsize=1)
 def check_ch_identities() -> tuple[tuple[str, bool], ...]:
     """Exact Chern-character identities among the collection's objects, each one
-    right mutation: ch(lhs) = sign * mutate(moved, block, "right"), as ``(name, holds)`` pairs."""
+    right mutation: ch(lhs) = sign * mutate(moved, block, "right"), as ``(name, holds)``
+    pairs.  Computed once per process."""
     std = [e for _, e in standard_collection().objects]
     slv = sl(std[3])  # sl(U1*); std[5] and std[9] are O(1) and O(2)
     slv_1, u1_u2_1 = tensor(slv, std[5]), tensor(std[3], std[4])  # twist(slv, 1), U1* x U2(1)
@@ -261,12 +263,14 @@ def check_ch_identities() -> tuple[tuple[str, bool], ...]:
                  for name, lhs, sign, moved, block in rows)
 
 
+@lru_cache(maxsize=1)
 def mutation_ledger_check() -> tuple[tuple[str, bool], ...]:
     """Rank bookkeeping and the coincidence of the two mutation routes, on
     the K-theory classes l6 ... l2 of the shifted mutation bundles, as
     ``(name, holds)`` pairs.  l6 is U2(1); l5, l4 and l3 are -, - and + U2(1)
     right-mutated across the first one, two and three objects of O(1),
-    U2*(1), U1*(1); l2 comes from an exact sequence."""
+    U2*(1), U1*(1); l2 comes from an exact sequence.  Computed once per
+    process."""
     std = [e for _, e in standard_collection().objects]
     l6 = ch_of(std[4])
     l5, l4, l3 = (sign * mutate(std[4], std[5:5 + k], "right")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import random
 import re
 import sys
@@ -30,7 +31,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from quivercert import cli, verify
-from quivercert._linalg import echelon
+from quivercert._linalg import echelon, render_ratio
 from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, MAX_RANK, MAX_TERMS, O, U1, U2,
                                 BundleExpr, Character, ExprSyntaxError, StratumWeights, WorkBudget,
                                 _fold, characters, direct_sum, dual, evaluate, sl, tensor, twist)
@@ -57,11 +58,12 @@ from quivercert.chow import (
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
                                _coefficient_bits, _euler_form, _q_binomial, _reduced_slope,
-                               _sst_table, has_semistable)
+                               _sst_table, enumerate_hn_types, has_semistable,
+                               hn_stratum_codim, reduced_slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
-from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, teleman_certify,
-                               unstable_strata, weight_ranges)
+from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, eta,
+                               one_ps_from_hn, teleman_certify, unstable_strata, weight_ranges)
 from quivercert.verify import (EXCEPTIONAL, STRONG_EXT, UNDETERMINED, CollectionSpec, PairStatus,
                                VerificationMatrix, _pair_verdict)
 
@@ -2377,6 +2379,47 @@ def syzygies_command_by_fractions(args) -> tuple[dict, int]:
     return doc, 0
 
 
+def hn_types_command_by_calls(args) -> tuple[dict, int]:
+    """The ``hn-types`` handler that rebuilt every row on each call through
+    the checking ``reduced_slope``, ``hn_stratum_codim``, ``one_ps_from_hn``
+    and ``eta``, each type and block copied into lists, before the rows
+    were read from ``strata.hn_records``."""
+    quiver = Quiver.from_spec(args.quiver, "--quiver")
+    d = cli._parse_int_tuple(args.dim, "--dim")
+    theta = cli._parse_int_tuple(args.theta, "--theta")
+    rows = []
+    for tau in enumerate_hn_types(quiver, d, theta):
+        row = {
+            "parts": [list(p) for p in tau],
+            "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
+            "codim": hn_stratum_codim(quiver, tau),
+            "semistable_stratum": len(tau) == 1,
+        }
+        if len(tau) > 1:
+            s = one_ps_from_hn(tau, theta)
+            row["one_ps"] = [[list(block) for block in vertex] for vertex in s.blocks]
+            row["eta"] = eta(quiver, s)
+        else:
+            row["eta"] = None
+        rows.append(row)
+    return {"quiver": {"vertices": quiver.vertex_count, "arrows": [list(a) for a in quiver.arrows]},
+            "dim": list(d), "theta": list(theta), "types": rows}, 0
+
+
+#: The encoders of the CLI before they skipped the check for cycles.
+_ENCODERS_WITH_CYCLE_CHECK = (json.JSONEncoder(sort_keys=True, separators=(",", ":")),
+                              json.JSONEncoder(sort_keys=True, indent=2))
+
+
+def _cli_with(build, argv) -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main(argv)`` with the parser that
+    ``build`` returns."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "build_parser", build), contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
 @lru_cache(maxsize=1)
 def _parser_by_fractions(build=cli.build_parser.__wrapped__):
     with mock.patch.object(cli, "_cmd_stability", stability_command_by_fractions), \
@@ -2387,11 +2430,21 @@ def _parser_by_fractions(build=cli.build_parser.__wrapped__):
 def cli_by_fractions(argv) -> tuple[int, str]:
     """Exit code and stdout of ``cli.main(argv)`` with the stability and
     syzygies commands on the Fraction route."""
-    out = io.StringIO()
-    with mock.patch.object(cli, "build_parser", _parser_by_fractions), \
-            contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, out.getvalue()
+    return _cli_with(_parser_by_fractions, argv)
+
+
+@lru_cache(maxsize=1)
+def _parser_by_calls(build=cli.build_parser.__wrapped__):
+    with mock.patch.object(cli, "_cmd_hn_types", hn_types_command_by_calls):
+        return build()
+
+
+def cli_by_calls(argv) -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main(argv)`` with ``hn-types`` rebuilding
+    its rows per call, and the encoders checking for cycles."""
+    compact, pretty = _ENCODERS_WITH_CYCLE_CHECK
+    with mock.patch.object(cli, "_COMPACT", compact), mock.patch.object(cli, "_PRETTY", pretty):
+        return _cli_with(_parser_by_calls, argv)
 
 
 def blp2_point(a, b, c, direction=None) -> LinearFormMatrix:

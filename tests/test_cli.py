@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cli_by_fractions, hostile_two_node_expr, random_matrix_text
-from quivercert import chow, cli, repgeom, verify
+from oracles import cli_by_calls, cli_by_fractions, hostile_two_node_expr, random_matrix_text
+from test_quiver import quiver_dim_theta
+from quivercert import chow, cli, quiver, repgeom, strata, verify
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_COUNTING_WORK, MAX_SUBVECTORS, MAX_VERTICES
@@ -44,6 +45,14 @@ def balanced_sum(expr: str, copies: int) -> str:
     while len(items) > 1:
         items = [f"sum({a},{b})" for a, b in zip(items[::2], items[1::2])]
     return items[0]
+
+
+def main_output(argv) -> tuple[int, str]:
+    """Exit code and stdout of ``main(argv)``, without a fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +129,31 @@ class TestHnTypes:
     def test_overlong_vector_entry_names_the_digit_limit(self, capsys, flag):
         code = main(["hn-types", flag, "2," + "9" * 5000])
         assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=quiver_dim_theta(balanced=True) | quiver_dim_theta(), pretty=st.booleans())
+    def test_equals_the_per_call_rows(self, case, pretty):
+        # unbalanced theta and the gate's refusals are compared as well
+        q, d, theta = case
+        argv = ["hn-types", "--quiver", json.dumps(q.to_json_dict()), "--dim",
+                ",".join(map(str, d)), "--theta", ",".join(map(str, theta))] + ["--pretty"] * pretty
+        expected = cli_by_calls(argv)
+        for cached in (strata._hn_records, quiver._sst_table, quiver._lattice):
+            cached.cache_clear()
+        cold = main_output(argv)
+        assert cold == expected
+        assert main_output(argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["hn-types"], ["hn-types", "--dim", "3,5", "--theta", "5,-3"],
+        ["hn-types", "--quiver", '{"vertices":3,"arrows":[[0,1],[0,1],[1,2],[0,2]]}',
+         "--dim", "1,2,1", "--theta", "3,-1,-1"],
+    ], ids=" ".join)
+    def test_pretty_is_the_compact_document_indented(self, argv):
+        code, compact = main_output(argv)
+        assert code == 0
+        assert main_output(argv + ["--pretty"]) == (
+            0, json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n")
 
 
 class TestChi:

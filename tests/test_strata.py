@@ -14,15 +14,17 @@ from test_verify import EXPRS
 from quivercert import bundles
 from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
                                 characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
-from quivercert.quiver import (Quiver, _lattice, _sst_table, enumerate_hn_types, hn_stratum_codim,
-                               reduced_slope)
+from quivercert.quiver import (MAX_CACHED_SETUPS, Quiver, _lattice, _sst_table, enumerate_hn_types,
+                               hn_stratum_codim, reduced_slope)
 from quivercert.cli import main
 from quivercert.strata import (
     _RANGES,
     Moduli,
+    _hn_records,
     OnePS,
     descent_shift,
     eta,
+    hn_records,
     one_ps_from_hn,
     teleman_certify,
     universal_weights,
@@ -111,12 +113,48 @@ def test_no_fraction_on_the_strata_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the strata path")
 
-    for cached in (_lattice, _sst_table, unstable_strata):
+    for cached in (_lattice, _sst_table, _hn_records, unstable_strata):
         cached.cache_clear()
     _RANGES.clear()
     monkeypatch.setattr(Fraction, "__new__", refuse)
     assert unstable_strata(Moduli.kronecker23()) == expected[0]
     assert teleman_certify(sl(U1)) == expected[1]
+
+
+def records_by_calls(quiver, d, theta):
+    """The records of ``hn_records``, each field from its checking function."""
+    out = []
+    for tau in enumerate_hn_types(quiver, d, theta):
+        s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
+        out.append((tau, tuple(reduced_slope(theta, p) for p in tau),
+                    hn_stratum_codim(quiver, tau), s, None if s is None else eta(quiver, s)))
+    return tuple(out)
+
+
+class TestHnRecords:
+    @pytest.mark.parametrize("d,theta", [((2.0, 3), (3, -2)), ((2, 3), (3.0, -2)),
+                                         ((2, 3), (3, -2.0))],
+                             ids=["dim-float", "theta-float", "theta-last-float"])
+    def test_gate_comes_before_the_cache(self, d, theta):
+        # (2.0, 3) == (2, 3) and hash alike, so a lookup first would answer it
+        hn_records(KRONECKER3, (2, 3), (3, -2))
+        with pytest.raises(ValueError, match="non-integer"):
+            hn_records(KRONECKER3, d, theta)
+
+    def test_list_input_shares_the_entry(self):
+        assert hn_records(KRONECKER3, [2, 3], [3, -2]) is hn_records(KRONECKER3, (2, 3), (3, -2))
+
+    def test_caches_stay_within_their_bound(self):
+        # more distinct theta than an entry bound: the least recently used go
+        thetas = [(3 * k, -2 * k) for k in range(1, MAX_CACHED_SETUPS + 21)]
+        first = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1))) for theta in thetas]
+        for cached in (_sst_table, _hn_records, unstable_strata):
+            assert 0 < cached.cache_info().currsize <= MAX_CACHED_SETUPS == cached.cache_info().maxsize
+        again = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1)))
+                 for theta in reversed(thetas)]
+        assert again[::-1] == first
+        assert [hn_records(KRONECKER3, (2, 3), theta) for theta in thetas[:3]] == [
+            records_by_calls(KRONECKER3, (2, 3), theta) for theta in thetas[:3]]
 
 
 class TestGoldenTable:
@@ -170,6 +208,7 @@ class TestUniversalWeights:
             return descent_shift(s, twist)
 
         monkeypatch.setattr("quivercert.strata.descent_shift", counted)
+        _hn_records.cache_clear()
         unstable_strata.cache_clear()
         try:
             computed = unstable_strata(Y23)

@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import importlib
 import json
 import pickle
+import pkgutil
 import random
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -17,6 +19,7 @@ from oracles import (KRONECKER3, VARIANTS_BY_HAND, accepted_by_four_keys, ch_ide
                      mutation_ledger, random_expr, symmetry_functor,
                      verify_collection_by_blocking_rows, verify_collection_by_fractions,
                      verify_collection_by_pairs)
+import quivercert
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, WorkBudget, det, direct_sum, dual,
                                 parse_expr, sl, sym2, tensor, twist, wedge2)
@@ -455,6 +458,10 @@ class TestChIdentities:
         assert all(holds for _, holds in checks)
         assert len(checks) == 4
 
+    def test_cached_equals_fresh(self):
+        assert check_ch_identities() is check_ch_identities()
+        assert check_ch_identities() == check_ch_identities.__wrapped__()
+
     def test_twisting_second_gives_third(self):
         typed = ch_identities_by_hand()
         (lhs2, rhs2), (lhs3, rhs3) = typed["rank6_tensor_twist1"], typed["rank6_tensor_twist2"]
@@ -610,6 +617,10 @@ class TestMutationLedger:
     def test_all_checks(self):
         assert all(holds for _, holds in mutation_ledger_check())
 
+    def test_cached_equals_fresh(self):
+        assert mutation_ledger_check() is mutation_ledger_check()
+        assert mutation_ledger_check() == mutation_ledger_check.__wrapped__()
+
     def test_ranks(self):
         ledger = mutation_ledger()
         assert coefficient(ledger["l5"], "[Y]") == 3
@@ -709,3 +720,45 @@ class TestRecordSemantics:
         assert moduli is not Y23 and moduli == Y23 and hash(moduli) == hash(Y23)
         assert unstable_strata(moduli) is unstable_strata(Y23)
         assert verify_collection(standard_collection(), moduli).accepted
+
+
+# -- caches ----------------------------------------------------------------------
+
+#: Every cache of the package, by qualified name, with its ``maxsize``: None
+#: for a cache that grows with its distinct inputs.
+CACHES = {
+    "quivercert.chow.todd_y": 1,
+    "quivercert.chow.todd_row": 1,
+    "quivercert.chow.ch_of": None,
+    "quivercert.cli.build_parser": None,
+    "quivercert.quiver._q_binomial": None,
+    "quivercert.quiver._coefficient_bits": None,
+    "quivercert.quiver._lattice": None,
+    "quivercert.quiver._sst_table": quiver.MAX_CACHED_SETUPS,
+    "quivercert.strata.Moduli.kronecker23": None,
+    "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,
+    "quivercert.strata.unstable_strata": quiver.MAX_CACHED_SETUPS,
+    "quivercert.verify.standard_collection": 1,
+    "quivercert.verify.check_ch_identities": 1,
+    "quivercert.verify.mutation_ledger_check": 1,
+    "quivercert.verify._chi_row": None,
+    "quivercert.verify._chi_column": None,
+}
+
+
+def test_every_cache_is_listed_with_its_bound():
+    # module globals and the attributes of the classes a module defines,
+    # so that a cached classmethod is found too
+    found = {}
+    for info in pkgutil.iter_modules(quivercert.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"quivercert.{info.name}")
+        values = list(vars(module).values())
+        values += [value for cls in values if isinstance(cls, type)
+                   and cls.__module__ == module.__name__ for value in vars(cls).values()]
+        for value in values:
+            value = getattr(value, "__func__", value)
+            if hasattr(value, "cache_info"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().maxsize
+    assert found == CACHES

@@ -13,10 +13,11 @@ is solved at import, and multiplication is lookup plus bilinearity.
 Chern characters of bundle expressions are evaluated compositionally
 from the Chern classes of the universal bundles via Newton's identities;
 td(Y) comes from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O of the
-tangent bundle, and chi(F) is the integral of ch(F) * td(Y).  Coordinates
+tangent bundle.  chi(E, F), the integral of dual(ch(E)) * ch(F) * td(Y), is
+one integer bilinear form, with one cached row per expression.  Coordinates
 are exact rationals, stored as integers over one common denominator; three
 times every structure constant is an integer, so all ring arithmetic and
-the pairing run on integers.
+the form run on integers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from ._linalg import echelon, render_ratio
-from .bundles import MAX_DEPTH, U1, U2, BundleExpr, dual, evaluate, tensor
+from .bundles import MAX_DEPTH, U1, U2, BundleExpr, O, dual, evaluate, tensor
+
+#: Entries kept by ``ch_of`` and by ``chi_row``, the least recently used.  A
+#: benchmark pass never evicts: requests at ``--seconds 20`` fills 1155.
+MAX_CACHED_EXPRS = 1 << 13
 
 # Exponent vectors (a, b, e, f) for c1^a c2^b d2^e c3^f.
 _BASIS_MONOMIALS = (
@@ -224,26 +229,15 @@ class ChowElement:
         return {label: render_ratio(n, self.den) for label, n in zip(BASIS, self.nums)}
 
 
-def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
-    """``(D, r)`` with D = ``x.den`` and r[b] the integral of D * x *
-    basis_b, so that the integral of x * y is r . y.nums / (D * y.den)."""
-    row = [0] * len(BASIS)
-    for i, j, c in _PAIRING:
-        row[j] += x.nums[i] * c
-    return x.den, tuple(row)
-
-
-def scaled_pairing(row: tuple[int, tuple[int, ...]], column: tuple[int, tuple[int, ...]],
-                   *objects) -> int:
-    """The integer integral chi(objects) of x * y from ``gram_row(x)`` and
-    ``(y.den, y.nums)``.  The label ``chi(...)`` is rendered from the
-    objects only when the integral is not an integer."""
-    (d, r), (e, v) = row, column
-    total = sum(map(mul, r, v))
-    value, rest = divmod(total, d * e)
+def scaled_pairing(row: tuple[int, tuple[int, ...]], y: ChowElement, *objects) -> int:
+    """The integer chi(objects) = r . y.nums / (D * y.den) from a row ``(D, r)``
+    of ``chi_row``, rendering the label only when it is not an integer."""
+    d, r = row
+    total = sum(map(mul, r, y.nums))
+    value, rest = divmod(total, d * y.den)
     if rest:
         raise RingInconsistencyError(f"ring inconsistency: chi({', '.join(map(str, objects))})"
-                                     f" = {render_ratio(total, d * e)} is not an integer")
+                                     f" = {render_ratio(total, d * y.den)} is not an integer")
     return value
 
 
@@ -316,7 +310,7 @@ def _ch_leaf(e: BundleExpr) -> ChowElement:
     return _ch_from_chern(3, (_C1, _C2, _C3)).dual()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_CACHED_EXPRS)
 def ch_of(e: BundleExpr) -> ChowElement:
     """Chern character of a bundle expression, evaluated compositionally."""
     return evaluate(e, _ch_leaf, ch_of)
@@ -327,15 +321,30 @@ class RingInconsistencyError(ArithmeticError):
 
 
 @lru_cache(maxsize=1)
-def todd_row() -> tuple[int, tuple[int, ...]]:
-    """``gram_row(todd_y())``: the left factor of every chi(Y, -)."""
-    return gram_row(todd_y())
+def chi_form() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(M, B)``, integers with B[a][b] / M the integral of dual(basis_a) *
+    basis_b * td(Y), so chi(E, F) = x B y / (M d e) for ch(E) = x / d and
+    ch(F) = y / e.  Row a pairs dual(basis_a) * td(Y) with the basis."""
+    products = [ChowElement.basis(label).dual() * todd_y() for label in BASIS]
+    m = lcm(*(z.den for z in products))
+    rows = [[0] * len(BASIS) for _ in BASIS]
+    for row, z in zip(rows, products):
+        for i, j, c in _PAIRING:
+            row[j] += z.nums[i] * c * (m // z.den)
+    return m, tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=MAX_CACHED_EXPRS)
+def chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
+    """``(M * d, x B)`` for ch(e) = x / d: the left factor of every chi(e, -),
+    whose right factor is ``ch_of`` of the other object itself."""
+    (m, b), x = chi_form(), ch_of(e)
+    return m * x.den, tuple(sum(map(mul, x.nums, column)) for column in zip(*b))
 
 
 def chi(e: BundleExpr) -> int:
-    """Euler characteristic chi(Y, e) = integral of ch(e) * Todd(Y)."""
-    x = ch_of(e)
-    return scaled_pairing(todd_row(), (x.den, x.nums), e)
+    """Euler characteristic chi(Y, e) = chi(O, e), from the row of O."""
+    return scaled_pairing(chi_row(O(0)), ch_of(e), e)
 
 
 # -- polynomial input for the command line ------------------------------------

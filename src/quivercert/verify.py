@@ -11,14 +11,15 @@ a top max w(E_j).  The pair is certified when the top of E_j is at most the
 limit of E_i on every stratum; only a failing pair lists its blocking
 strata, with margin limit - top + 1.  A zero bundle has no weights and
 bounds nothing.  A twist E(n) is weighed from the ranges of E, shifted
-exactly (see ``strata``), and a row's chi values come from one pass over
-the integer columns.  A certificate plus chi = 1 on the diagonal certifies
-exceptionality; below the diagonal (i < j) a certificate pins the morphism
-space to degree 0 of dimension chi; above the diagonal a certificate plus
-chi = 0 certifies orthogonality.  Anything else is reported as
-undetermined, never as a disproof.  A collection is accepted when every
-diagonal pair is exceptional, every forward pair strong and every
-backward chi 0; ``cli`` shapes the summary of the verdicts.
+exactly (see ``strata``), and a row's chi values pair its object's row of
+the bilinear form of ``chow`` with each ch, in one pass.  A certificate
+plus chi = 1 on the diagonal certifies exceptionality; below the diagonal
+(i < j) a certificate pins the morphism space to degree 0 of dimension
+chi; above the diagonal a certificate plus chi = 0 certifies
+orthogonality.  Anything else is reported as undetermined, never as a
+disproof.  A collection is accepted when every diagonal pair is
+exceptional, every forward pair strong and every backward chi 0; ``cli``
+shapes the summary of the verdicts.
 
 ``mutate`` gives the class of the mutation of an object across an
 exceptional block, by integer substitution on the block's Gram matrix of
@@ -37,7 +38,7 @@ from math import inf
 from operator import le, mul
 
 from .bundles import U1, U2, BundleExpr, O, WorkBudget, dual, parse_expr, sl, tensor, twist
-from .chow import ChowElement, ch_of, gram_row, scaled_pairing, todd_y
+from .chow import ChowElement, ch_of, chi_row, scaled_pairing
 from .strata import Moduli, unstable_strata, weight_ranges
 
 #: Largest object count of a collection read from JSON: the work, memory and
@@ -135,19 +136,6 @@ def collection_variants() -> dict[str, CollectionSpec]:
     return {name: CollectionSpec(built[name]) for name, *_ in VARIANTS}
 
 
-@lru_cache(maxsize=None)
-def _chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
-    """The Gram row of dual(ch(e)): the left factor of every chi(e, -)."""
-    return gram_row(ch_of(e).dual())
-
-
-@lru_cache(maxsize=None)
-def _chi_column(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
-    """ch(e) * td(Y) as ``(den, nums)``: the right factor of every chi(-, e)."""
-    x = ch_of(e) * todd_y()
-    return x.den, x.nums
-
-
 def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
     """The K-theory class ch(E) - sum c_i ch(A_i) of the mutation of E =
     ``moved`` across an exceptional block A_1 ... A_n, up to the sign of its
@@ -158,18 +146,18 @@ def mutate(moved: BundleExpr, block, side: str) -> ChowElement:
     if side not in ("right", "left"):
         raise ValueError('side must be "right" or "left"')
     objects = (*block, moved)
-    rows, columns = [_chi_row(e) for e in objects], [_chi_column(e) for e in objects]
+    rows, chs = [chi_row(e) for e in objects], [ch_of(e) for e in objects]
 
     def pairing(i, j):
         """chi(objects[i], objects[j]), its factors swapped to the left."""
         if side == "left":
             i, j = j, i
-        return scaled_pairing(rows[i], columns[j], objects[i], objects[j])
+        return scaled_pairing(rows[i], chs[j], objects[i], objects[j])
 
     c = {}
     for j in range(len(block)) if side == "right" else reversed(range(len(block))):
         c[j] = pairing(-1, j) - sum(k * pairing(i, j) for i, k in c.items() if k)
-    return sum((-k * ch_of(block[j]) for j, k in c.items() if k), ch_of(moved))
+    return sum((-k * chs[j] for j, k in c.items() if k), chs[-1])
 
 
 #: The verdict on one ordered pair; ``blocking`` has ``(hn_type, margin)`` per failing stratum.
@@ -204,7 +192,7 @@ def verify_collection(
     spec: CollectionSpec, moduli: Moduli | None = None
 ) -> VerificationMatrix:
     """Run the pairwise certification over all ordered pairs, from the
-    comparison vectors and the integer chi rows and columns of the objects.
+    comparison vectors, and chi from the objects' rows of the bilinear form.
     The weight ranges of all distinct objects share one WorkBudget.  Chi
     comes from the Chow ring of Y, so any moduli but Y's are refused."""
     if moduli not in (None, Moduli.kronecker23()):
@@ -220,17 +208,17 @@ def verify_collection(
     limits = [tuple(inf if r is None else r[0] + s.eta - 1 for r, s in zip(rs, strata))
               for rs in ranges]
     tops = [tuple(-inf if r is None else r[1] for r in rs) for rs in ranges]
-    chi_columns = [_chi_column(e) for e in objects]
+    chs = [ch_of(e) for e in objects]
     grid = []
     for i, (ei, limit) in enumerate(zip(objects, limits)):
-        chi_row = d, r = _chi_row(ei)
+        left = d, r = chi_row(ei)
         # scaled_pairing's division for the whole row; it is called only to
         # raise for a chi that is not an integer
-        chis = [divmod(sum(map(mul, r, nums)), d * den) for den, nums in chi_columns]
+        chis = [divmod(sum(map(mul, r, y.nums)), d * y.den) for y in chs]
         row = []
         for j, (ej, top, (chi_value, rest)) in enumerate(zip(objects, tops, chis)):
             if rest:
-                scaled_pairing(chi_row, chi_columns[j], ei, ej)
+                scaled_pairing(left, chs[j], ei, ej)
             if all(map(le, top, limit)):
                 passed, blocking = True, ()
             else:

@@ -13,9 +13,11 @@ called them any more.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
+import pkgutil
 import random
 import re
 import sys
@@ -30,7 +32,8 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from quivercert import cli, verify
+import quivercert
+from quivercert import chow, cli
 from quivercert._linalg import echelon, render_ratio
 from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, MAX_RANK, MAX_TERMS, O, U1, U2,
                                 BundleExpr, Character, ExprSyntaxError, StratumWeights, WorkBudget,
@@ -148,12 +151,6 @@ def mutation_ledger() -> dict[str, ChowElement]:
     ledger["l2"] = (3 * ch_of(tensor(dual(U1), twist(U1, 2)))
                     - ch_of(tensor(dual(U1), twist(U2, 2))))
     return ledger
-
-
-def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
-    """chi(dual(e) (x) f), from the cached chi row of e and column of f
-    under ``verify.todd_y``."""
-    return scaled_pairing(verify._chi_row(e), verify._chi_column(f), e, f)
 
 
 def tangent_chern() -> ChowElement:
@@ -1509,7 +1506,7 @@ def exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
 
 def pairing(x: ChowElement, y: ChowElement) -> Fraction:
     """The integral of x * y, without forming the product, as one Fraction:
-    the route that ``chow.chi`` replaced with ``gram_row`` and
+    the route that ``chow.chi`` replaced with a Gram row and
     ``scaled_pairing``."""
     xs, ys = x.nums, y.nums
     return F(sum(xs[i] * ys[j] * c for i, j, c in _PAIRING), x.den * y.den)
@@ -1536,6 +1533,32 @@ def gram_row_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]
     for i, j, c in _PAIRING:
         row[j] += xs[i] * c
     return d, tuple(row)
+
+
+# -- chi by Gram rows and Todd columns -----------------------------------------
+#
+# The route that ``chow.chi_form`` replaced: chi(E, F) as the Gram row of
+# dual(ch(E)) paired with the column ch(F) * td(Y), both built per object,
+# and chi(F) as the Gram row of td(Y) paired with ch(F).
+
+def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
+    """``(D, r)`` with D = ``x.den`` and r[b] the integral of D * x *
+    basis_b, so that the integral of x * y is r . y.nums / (D * y.den)."""
+    row = [0] * len(BASIS)
+    for i, j, c in _PAIRING:
+        row[j] += x.nums[i] * c
+    return x.den, tuple(row)
+
+
+def todd_row() -> tuple[int, tuple[int, ...]]:
+    """``gram_row(td(Y))``: the left factor of every chi(Y, -)."""
+    return gram_row(chow.todd_y())
+
+
+def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
+    """chi(dual(e) (x) f), the Gram row of dual(ch(e)) paired with the column
+    ch(f) * td(Y), under the Todd class that ``chow.todd_y`` gives at the call."""
+    return scaled_pairing(gram_row(ch_of(e).dual()), ch_of(f) * chow.todd_y(), e, f)
 
 
 # -- the hand-typed Chow ring data ---------------------------------------------
@@ -2688,6 +2711,38 @@ class _PolyScanner(Scanner):
 def parse_chow_poly_by_scanner(text: str) -> ChowElement:
     """``chow.parse_chow_poly`` one character at a time."""
     return _PolyScanner(text).parse()
+
+
+# -- the package's caches --------------------------------------------------------
+
+def package_modules() -> list:
+    """The modules of the package, all but ``__main__``, whose import runs
+    the command line."""
+    return [importlib.import_module(f"quivercert.{info.name}")
+            for info in pkgutil.iter_modules(quivercert.__path__) if info.name != "__main__"]
+
+
+def package_caches() -> dict:
+    """Every cache of the package by qualified name: those among the module
+    globals and among the attributes of the classes a module defines, so that
+    a cached classmethod is found too."""
+    found = {}
+    for module in package_modules():
+        values = list(vars(module).values())
+        values += [value for cls in values if isinstance(cls, type)
+                   and cls.__module__ == module.__name__ for value in vars(cls).values()]
+        for value in values:
+            value = getattr(value, "__func__", value)
+            if hasattr(value, "cache_info"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+def clear_package_caches() -> None:
+    """Empty every cache that ``package_caches`` finds, so that no entry made
+    before answers for a patched class or a refused constructor."""
+    for cached in package_caches().values():
+        cached.cache_clear()
 
 
 # -- random generators ---------------------------------------------------------

@@ -20,8 +20,10 @@ from oracles import (
     chow_mul_dense,
     coefficient,
     coords_of,
+    euler_pairing,
     exp_by_fractions,
     from_coords,
+    gram_row,
     gram_row_by_fractions,
     integral,
     integrals_by_localization,
@@ -41,6 +43,7 @@ from oracles import (
     todd_by_exp_of_fractions,
     todd_by_hand,
     todd_from_chern_roots,
+    todd_row,
 )
 from quivercert._linalg import render_ratio
 from quivercert.bundles import (O, U1, U2, det, direct_sum, dual, parse_expr, sl, sym2, tensor,
@@ -56,8 +59,10 @@ from quivercert.chow import (
     _exp,
     ch_of,
     chi,
-    gram_row,
+    chi_form,
+    chi_row,
     parse_chow_poly,
+    scaled_pairing,
     todd_y,
 )
 from test_cli import SAMPLES
@@ -425,6 +430,39 @@ class TestChi:
     @given(exprs(depth=2), exprs(depth=2))
     def test_additive(self, e, f):
         assert chi(direct_sum(e, f)) == chi(e) + chi(f)
+
+
+class TestChiForm:
+    """The integer bilinear form B / M of chi against the route it replaced,
+    a Gram row of dual(ch(E)) paired with the column ch(F) * td(Y)."""
+
+    def test_shape(self):
+        m, b = chi_form()
+        assert m == 360 and len(b) == len(BASIS) and {len(row) for row in b} == {len(BASIS)}
+        assert sum(map(bool, itertools.chain(*b))) == 100
+
+    def test_unit_row_is_the_todd_row(self):
+        m, b = chi_form()
+        assert chi_row(O(0)) == (m, b[0]) == todd_row()
+
+    def test_serre_duality_on_the_basis(self):
+        # omega_Y = O(-3) on the sixfold Y, so chi(E, F) = chi(F, E(-3)):
+        # B^T = B T, with T the multiplication by ch(O(-3)), on all 13 x 13
+        # basis pairs
+        m, b = chi_form()
+        shifted = [ChowElement.basis(label) * ch_of(O(-3)) for label in BASIS]
+        transpose = [[F(b[c][a], m) for c in range(len(BASIS))] for a in range(len(BASIS))]
+        composed = [[F(sum(map(math.prod, zip(b[a], z.nums))), m * z.den) for z in shifted]
+                    for a in range(len(BASIS))]
+        assert transpose == composed
+
+    @given(exprs(depth=2), exprs(depth=2))
+    def test_equals_the_gram_route(self, e, f):
+        (d, r), y = chi_row(e), ch_of(f)
+        (d0, r0), y0 = gram_row(ch_of(e).dual()), ch_of(f) * todd_y()
+        assert F(sum(map(math.prod, zip(r, y.nums))), d * y.den) == F(
+            sum(map(math.prod, zip(r0, y0.nums))), d0 * y0.den)
+        assert scaled_pairing(chi_row(e), y, e, f) == euler_pairing(e, f)
 
 
 class TestOrbitClasses:

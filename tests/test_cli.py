@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cli_by_calls, cli_by_fractions, hostile_two_node_expr, random_matrix_text
+from oracles import (clear_package_caches, cli_by_calls, cli_by_fractions, hostile_two_node_expr,
+                     random_matrix_text)
 from test_quiver import quiver_dim_theta
-from quivercert import chow, cli, quiver, repgeom, strata, verify
+from quivercert import cli, quiver, repgeom, strata
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_COUNTING_WORK, MAX_SUBVECTORS, MAX_VERTICES
@@ -382,10 +383,9 @@ def test_no_fraction_on_the_request_path(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the request path")
 
-    # from cold caches, so that the Chern characters, the Todd class and the
-    # chi rows and columns are evaluated again under the patch
-    for cached in (chow.ch_of, chow.todd_y, chow.todd_row, verify._chi_row, verify._chi_column):
-        cached.cache_clear()
+    # from cold caches, so that the Chern characters, the Todd class, the chi
+    # form and rows and everything else are evaluated again under the patch
+    clear_package_caches()
     monkeypatch.setattr(Fraction, "__new__", refuse)
     for argv, want in zip(FRACTION_FREE_REQUESTS, expected):
         assert (main(argv), capsys.readouterr().out) == want, argv

@@ -1,9 +1,8 @@
 import contextlib
 import copy
-import importlib
+import functools
 import json
 import pickle
-import pkgutil
 import random
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -15,11 +14,10 @@ from hypothesis import strategies as st
 import oracles
 from golden import CHI_VALUES
 from oracles import (KRONECKER3, VARIANTS_BY_HAND, accepted_by_four_keys, ch_identities_by_hand,
-                     coefficient, euler_pairing, euler_pairing_by_fractions, integral,
-                     mutation_ledger, random_expr, symmetry_functor,
-                     verify_collection_by_blocking_rows, verify_collection_by_fractions,
-                     verify_collection_by_pairs)
-import quivercert
+                     clear_package_caches, coefficient, euler_pairing, euler_pairing_by_fractions,
+                     integral, mutation_ledger, package_caches, package_modules, random_expr,
+                     symmetry_functor, verify_collection_by_blocking_rows,
+                     verify_collection_by_fractions, verify_collection_by_pairs)
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, WorkBudget, det, direct_sum, dual,
                                 parse_expr, sl, sym2, tensor, twist, wedge2)
@@ -59,21 +57,17 @@ def undetermined(result) -> list:
 @contextlib.contextmanager
 def bent_todd():
     """A Todd class with top coefficient lowered by 1/2, under which chi(O, O)
-    would be 1/2.  The cached chi rows and columns are cleared before and
-    after the bend, so that none made under one class answers for the other."""
+    would be 1/2.  Every cache of the package is cleared before and after the
+    bend, so that no chi form or row made under one class answers for the
+    other."""
     bent = todd_y() - ChowElement.basis("c3^2").half()
-
-    def clear():
-        verify._chi_row.cache_clear()
-        verify._chi_column.cache_clear()
-
-    clear()
+    clear_package_caches()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "todd_y", lambda: bent)
+            patch.setattr(chow, "todd_y", lambda: bent)
             yield
     finally:
-        clear()
+        clear_package_caches()
 
 
 @pytest.fixture
@@ -368,7 +362,7 @@ class TestPerObjectRoute:
         for e in POOL:
             for f in POOL:
                 assert euler_pairing(e, f) == euler_pairing_by_fractions(e, f), (e, f)
-                denominators.add(verify._chi_row(e)[0] * verify._chi_column(f)[0])
+                denominators.add(chow.chi_row(e)[0] * ch_of(f).den)
         assert max(denominators) > 1  # the division is exercised
 
     def test_fractional_pair_is_ring_inconsistency(self, bent):
@@ -379,7 +373,7 @@ class TestPerObjectRoute:
             euler_pairing(O(0), O(1))
 
     def test_fractional_pair_with_warm_caches(self):
-        # the columns are keyed on the expression only: the chi columns cached
+        # the rows are keyed on the expression only: the chi rows cached
         # under the true Todd class are cleared by the bend, not kept for it
         spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
         verify_collection(spec, Y23)
@@ -391,7 +385,8 @@ class TestPerObjectRoute:
                 euler_pairing(O(0), O(1))
 
     def test_no_bent_column_leaks(self, standard_result):
-        # the bend fills the caches with bent columns, and none outlives it
+        # the bend fills the caches with a bent form and rows, and none
+        # outlives it
         with bent_todd():
             with pytest.raises(RingInconsistencyError):
                 verify_collection(standard_collection(), Y23)
@@ -593,19 +588,19 @@ class TestMutate:
             mutate(O(0), [O(1)], "up")
 
     @pytest.mark.parametrize("side", ["right", "left"])
-    def test_rows_and_columns_are_read_once(self, monkeypatch, side):
-        # one chi row and one chi column per object, whatever the block's
-        # length, and the class of the substitution pairing by pairing
+    def test_one_chi_row_per_object(self, monkeypatch, side):
+        # one chi row and one Chern character per object, whatever the
+        # block's length, and the class of the substitution pairing by pairing
         block = list(STD[1:9])
         moved = STD[0] if side == "right" else STD[9]
         reads = []
-        for name in ("_chi_row", "_chi_column"):
+        for name in ("chi_row", "ch_of"):
             def counted(*args, read=getattr(verify, name), name=name):
                 reads.append(name)
                 return read(*args)
             monkeypatch.setattr(verify, name, counted)
         x = mutate(moved, block, side)
-        assert sorted(reads) == ["_chi_column"] * 9 + ["_chi_row"] * 9
+        assert sorted(reads) == ["ch_of"] * 9 + ["chi_row"] * 9
         pair = euler_pairing if side == "right" else lambda e, f: euler_pairing(f, e)
         c = {}
         for j in range(len(block)) if side == "right" else reversed(range(len(block))):
@@ -728,8 +723,9 @@ class TestRecordSemantics:
 #: for a cache that grows with its distinct inputs.
 CACHES = {
     "quivercert.chow.todd_y": 1,
-    "quivercert.chow.todd_row": 1,
-    "quivercert.chow.ch_of": None,
+    "quivercert.chow.chi_form": 1,
+    "quivercert.chow.ch_of": chow.MAX_CACHED_EXPRS,
+    "quivercert.chow.chi_row": chow.MAX_CACHED_EXPRS,
     "quivercert.cli.build_parser": None,
     "quivercert.quiver._q_binomial": None,
     "quivercert.quiver._coefficient_bits": None,
@@ -741,24 +737,54 @@ CACHES = {
     "quivercert.verify.standard_collection": 1,
     "quivercert.verify.check_ch_identities": 1,
     "quivercert.verify.mutation_ledger_check": 1,
-    "quivercert.verify._chi_row": None,
-    "quivercert.verify._chi_column": None,
 }
 
 
 def test_every_cache_is_listed_with_its_bound():
-    # module globals and the attributes of the classes a module defines,
-    # so that a cached classmethod is found too
-    found = {}
-    for info in pkgutil.iter_modules(quivercert.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
-        module = importlib.import_module(f"quivercert.{info.name}")
-        values = list(vars(module).values())
-        values += [value for cls in values if isinstance(cls, type)
-                   and cls.__module__ == module.__name__ for value in vars(cls).values()]
-        for value in values:
-            value = getattr(value, "__func__", value)
-            if hasattr(value, "cache_info"):
-                found[f"{value.__module__}.{value.__qualname__}"] = value.cache_info().maxsize
+    found = {name: cached.cache_info().maxsize for name, cached in package_caches().items()}
     assert found == CACHES
+
+
+@contextlib.contextmanager
+def expression_caches_bounded(size):
+    """``ch_of`` and ``chi_row`` rebuilt empty with ``maxsize`` ``size``, as
+    if ``MAX_CACHED_EXPRS`` were ``size``, in every module that holds them."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("ch_of", "chi_row"):
+            cached = getattr(chow, name)
+            bounded = functools.lru_cache(maxsize=size)(cached.__wrapped__)
+            for module in package_modules():
+                if getattr(module, name, None) is cached:
+                    patch.setattr(module, name, bounded)
+        yield
+
+
+TRANSCRIPT = json.loads((Path(__file__).parent / "cli_transcript.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_expression_cache_bound_changes_no_result(size, capsys, monkeypatch):
+    # caches that evict on almost every call give the same matrices, chi
+    # values, refusals of a bent Todd class, mutations and CLI transcript
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    specs = [standard_collection(), *collection_variants().values()]
+
+    def results():
+        refusals = []
+        with bent_todd():
+            for spec in specs:
+                with pytest.raises(RingInconsistencyError) as refused:
+                    verify_collection(spec, Y23)
+                refusals.append(str(refused.value))
+        return ([verify_collection(spec, Y23) for spec in specs],
+                {text: chi(parse_expr(text)) for text in CHI_VALUES}, refusals,
+                check_ch_identities.__wrapped__(), mutation_ledger_check.__wrapped__())
+
+    expected = results()
+    assert expected[1] == CHI_VALUES and len(set(expected[2])) > 1
+    with expression_caches_bounded(size):
+        assert chow.ch_of.cache_info().maxsize == verify.chi_row.cache_info().maxsize == size
+        assert results() == expected
+        for record in TRANSCRIPT:
+            assert (main(record["argv"]), capsys.readouterr().out) == (
+                record["code"], record["stdout"]), record["argv"]

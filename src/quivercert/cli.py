@@ -1,19 +1,25 @@
 """Command-line surface with machine-readable JSON output.
 
-Every subcommand prints a single JSON document on stdout.  Exit codes:
-0 on success, 1 on a verification failure (a failed certificate or a
-broken identity), 2 on malformed input.  Rational numbers render as
-"p/q" strings, integers as JSON integers; output is byte-deterministic
-for a fixed invocation (sorted keys, no locale dependence).  When the
-reader closes stdout early, the command ends quietly with status 141
-(128 + SIGPIPE), as a shell pipeline expects.
+Every subcommand prints a single JSON document on stdout, in one write.
+Exit codes: 0 on success, 1 on a verification failure (a failed
+certificate or a broken identity), 2 on malformed input.  Rational numbers
+render as "p/q" strings, integers as JSON integers; output is
+byte-deterministic for a fixed invocation (sorted keys, no locale
+dependence).  When the reader closes stdout early, the command ends
+quietly with status 141 (128 + SIGPIPE), as a shell pipeline expects.
 
-The argument parser is built on the first call of ``main`` and then
-serves every later call in the process; parsing leaves it unchanged.
-An argv that starts with a subcommand is parsed by that subcommand's
-parser alone, in one pass; any other argv (no command, an unknown one,
-``-h`` or an option before the command) goes to the full parser, whose
-messages argparse writes.  Both routes end in the same subparsers.
+The commands are one table, ``COMMANDS``: each one's handler, help and
+flags.  A valid argv is read from the table alone, and no parser is built:
+a known command, then only exact ``--flag value`` or ``--flag=value`` pairs
+of its flags, each value non-empty and not starting with "-", and bare
+``--pretty``, with every required flag present.  Any other argv (help, an
+abbreviated or unknown flag, an extra token, "--", a dash-leading or empty
+value, a missing flag, no command or an unknown one) goes to the argparse
+parser that ``build_parser`` builds from the same table on first need and
+keeps for the process, so argparse alone writes help and usage errors.
+There, an argv that starts with a command is parsed by that command's
+parser alone, in one pass, and any other by the full parser; both routes
+end in the same subparsers.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ _PRETTY = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
 
 
 def _print(doc: dict, pretty: bool) -> None:
-    print((_PRETTY if pretty else _COMPACT).encode(doc))
+    sys.stdout.write((_PRETTY if pretty else _COMPACT).encode(doc) + "\n")
 
 
 def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
@@ -191,6 +197,75 @@ def _cmd_ledger_check(args) -> tuple[dict, int]:
     return doc, 0 if doc["pass"] else 1
 
 
+#: The flags of the commands on a quiver moduli setup, each ``(flag, default,
+#: required, help)``.
+_MODULI_FLAGS = (
+    ("--quiver", "kronecker:3", False, SPEC_FORMS),
+    ("--dim", "2,3", False, "dimension vector, e.g. 2,3"),
+    ("--theta", "3,-2", False, "stability parameter, e.g. 3,-2"),
+)
+_EXPR_FLAG = ("--expr", None, True, None)
+
+#: Every command by name: its handler, its help and its flags, each ``(flag,
+#: default, required, help)``.  Every command also takes ``--pretty``.
+COMMANDS = {
+    "hn-types": (_cmd_hn_types, "enumerate Harder-Narasimhan types", _MODULI_FLAGS),
+    "teleman": (_cmd_teleman, "vanishing certificate for a bundle expression", (
+        *_MODULI_FLAGS, ("--twist", "1,-1", False, "universal-bundle twist, e.g. 1,-1"),
+        _EXPR_FLAG)),
+    "chi": (_cmd_chi, "Euler characteristic via Riemann-Roch", (_EXPR_FLAG,)),
+    "ch": (_cmd_ch, "Chern character of a bundle expression", (_EXPR_FLAG,)),
+    "chow-eval": (_cmd_chow_eval, "evaluate a polynomial in c1,c2,c3,d1,d2", (_EXPR_FLAG,)),
+    "stability": (_cmd_stability, "stability of a 2x3 matrix of linear forms",
+                  (("--matrix", None, True, "e.g. 'x,y,0;0,y,z'"),)),
+    "syzygies": (_cmd_syzygies, "syzygy pair and its traceless-matrix plane",
+                 (("--matrix", None, True, None),)),
+    "verify-collection": (_cmd_verify_collection, "certify a candidate collection on Y",
+                          (("--file", None, False,
+                            "collection JSON; defaults to the built-in collection"),)),
+    "ledger-check": (_cmd_ledger_check, "Chern character identities and mutation ledger", ()),
+}
+
+
+def _table_reader(func, flags) -> tuple[dict, dict, tuple]:
+    """``(dests, defaults, required)`` of a command: its flags' namespace
+    names by flag, its namespace before any flag is read, and the names of
+    its required flags."""
+    dests = {flag: flag[2:] for flag, _, _, _ in flags}
+    defaults = {dests[flag]: default for flag, default, _, _ in flags}
+    defaults.update(func=func, pretty=False)
+    return dests, defaults, tuple(dests[flag] for flag, _, required, _ in flags if required)
+
+
+_TABLE_READERS = {name: _table_reader(func, flags) for name, (func, _, flags) in COMMANDS.items()}
+
+
+def _read_by_table(argv) -> argparse.Namespace | None:
+    """The namespace that argparse would parse from ``argv`` if it is valid,
+    as the module docstring says, read from ``COMMANDS``; else None."""
+    reader = _TABLE_READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    dests, values, required = reader
+    values = values.copy()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--pretty":
+            values["pretty"] = True
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "")
+        dest = dests.get(flag)
+        if dest is None or not value or value[0] == "-":
+            return None
+        values[dest] = value
+    for dest in required:
+        if values[dest] is None:
+            return None
+    return argparse.Namespace(**values)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises usage errors, so that they reach the caller as JSON errors."""
 
@@ -200,7 +275,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process;
+    """The parser of every command in ``COMMANDS``, built once per process;
     ``build_parser.__wrapped__()`` builds a fresh one."""
     parser = _ArgumentParser(
         prog="quivercert",
@@ -211,73 +286,37 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_moduli_flags(p):
-        p.add_argument("--quiver", default="kronecker:3", help=SPEC_FORMS)
-        p.add_argument("--dim", default="2,3", help="dimension vector, e.g. 2,3")
-        p.add_argument("--theta", default="3,-2", help="stability parameter, e.g. 3,-2")
-
-    p = sub.add_parser("hn-types", help="enumerate Harder-Narasimhan types")
-    add_moduli_flags(p)
-    p.set_defaults(func=_cmd_hn_types)
-
-    p = sub.add_parser("teleman", help="vanishing certificate for a bundle expression")
-    add_moduli_flags(p)
-    p.add_argument("--twist", default="1,-1", help="universal-bundle twist, e.g. 1,-1")
-    p.add_argument("--expr", required=True)
-    p.set_defaults(func=_cmd_teleman)
-
-    p = sub.add_parser("chi", help="Euler characteristic via Riemann-Roch")
-    p.add_argument("--expr", required=True)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("ch", help="Chern character of a bundle expression")
-    p.add_argument("--expr", required=True)
-    p.set_defaults(func=_cmd_ch)
-
-    p = sub.add_parser("chow-eval", help="evaluate a polynomial in c1,c2,c3,d1,d2")
-    p.add_argument("--expr", required=True)
-    p.set_defaults(func=_cmd_chow_eval)
-
-    p = sub.add_parser("stability", help="stability of a 2x3 matrix of linear forms")
-    p.add_argument("--matrix", required=True, help="e.g. 'x,y,0;0,y,z'")
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("syzygies", help="syzygy pair and its traceless-matrix plane")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=_cmd_syzygies)
-
-    p = sub.add_parser("verify-collection", help="certify a candidate collection on Y")
-    p.add_argument("--file", help="collection JSON; defaults to the built-in collection")
-    p.set_defaults(func=_cmd_verify_collection)
-
-    p = sub.add_parser("ledger-check", help="Chern character identities and mutation ledger")
-    p.set_defaults(func=_cmd_ledger_check)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
-
-    parser.commands = sub.choices  # subcommand name -> its parser
+    for name, (func, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, default, required, flag_help in flags:
+            p.add_argument(flag, default=default, required=required, help=flag_help)
+        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        p.set_defaults(func=func)
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The arguments of ``argv``: after a subcommand's name, parsed by that
-    subcommand's parser alone, else by the full parser."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    """The arguments of ``argv``: read from the table if it is valid, else
+    parsed by argparse, after a command's name by that command's parser
+    alone, else by the full parser."""
+    args = _read_by_table(argv)
+    if args is None:
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        # argparse drops the value of "--opt=--" and stores []; no option
+        # takes a list, so the value is the text "--"
+        for name, value in vars(args).items():
+            if value == []:
+                setattr(args, name, "--")
+    return args
 
 
 def main(argv=None) -> int:
     args = None
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        # argparse drops the value of "--opt=--" and stores []; no option
-        # takes a list, so the value is the text "--"
-        for name, value in vars(args).items():
-            if value == []:
-                setattr(args, name, "--")
         doc, code = args.func(args)
         _print(doc, args.pretty)
     except (ValueError, KeyError) as exc:

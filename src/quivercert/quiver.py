@@ -24,8 +24,9 @@ Each count is held as its value at q = 2^K, one integer (Kronecker
 substitution), with K large enough that the value is zero exactly when
 the polynomial is.  What the table needs of d alone (the subvectors in
 product order, the pairs f < h with their q-binomial factors, and the
-scaled entries that make slopes integers) is one lattice per d, built
-once and shared by the tables of every quiver and stability parameter.
+scaled entries that make slopes integers) is one lattice per d, cached
+and shared by the tables of every quiver and stability parameter.  The
+table itself is not cached: ``strata`` keeps what it reads of it.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ MAX_SUBVECTORS = 64
 #: interpreters on a 2-vCPU host.
 MAX_COUNTING_WORK = 15 * 10 ** 7
 
-#: Entries kept by each cache keyed by a (quiver, d, theta): the counting
-#: tables here and the stratum records of ``strata``.  A caller that scans
-#: many theta then holds at most this many of each, the least recently used.
+#: Entries kept by each cache keyed by a moduli setup or a part of one: the
+#: lattices of d here and the stratum records and strata of ``strata``.  A
+#: caller that scans many d or theta then holds at most this many of each,
+#: the most recently used.
 MAX_CACHED_SETUPS = 256
 
 DimVector = tuple[int, ...]
@@ -190,6 +192,9 @@ def _euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
 
 # -- counting recursion for semistable existence -----------------------------
 
+# Unbounded: the gate admits no d with more than MAX_SUBVECTORS = 64
+# subvectors, so n, k and the total |d| that sets ``bits`` are at most 63, and
+# the keys number fewer than 63 * 2016.
 @lru_cache(maxsize=None)
 def _q_binomial(n: int, k: int, bits: int) -> int:
     """The Gaussian binomial coefficient [n choose k] at q = 2^bits, by
@@ -199,6 +204,7 @@ def _q_binomial(n: int, k: int, bits: int) -> int:
     return _q_binomial(n - 1, k - 1, bits) + (_q_binomial(n - 1, k, bits) << bits * k)
 
 
+# Unbounded: the gate admits only totals n = |d| <= 63, as for ``_q_binomial``.
 @lru_cache(maxsize=None)
 def _coefficient_bits(n: int) -> int:
     """A width K such that every count and tail of the table of a dimension
@@ -231,7 +237,7 @@ def _reduced_slope(theta, f) -> tuple[int, int]:
     return a // g, b // g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_CACHED_SETUPS)
 def _lattice(d: DimVector) -> tuple[list, list, list, list]:
     """``(box, pairs, columns, scaled)``: the part of the counting table of
     d that depends on d alone, shared by the tables of every quiver and
@@ -266,7 +272,6 @@ def _lattice(d: DimVector) -> tuple[list, list, list, list]:
     return box, pairs, columns, [list(map(operator.mul, c, scales)) for c in columns]
 
 
-@lru_cache(maxsize=MAX_CACHED_SETUPS)
 def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
     """``(box, counts, keys, tails)``, the last three lists indexed like the
     subvectors ``box`` of ``_lattice(d)``, zero first.  For h = ``box[x]``,

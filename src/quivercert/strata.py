@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import lcm
+from threading import Lock
 
 from ._linalg import _int_entries
 from .bundles import BundleExpr, StratumWeights, WorkBudget, characters, charge_product
@@ -184,9 +185,16 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
                  if s is not None)
 
 
+#: Entries kept in ``_RANGES``; a new entry past them evicts the oldest.
+MAX_CACHED_RANGES = 8192
+
 #: Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs that
-#: it costs and each stratum's number of distinct weights.
+#: it costs and each stratum's number of distinct weights.  An evicted entry
+#: is walked again when next asked for, and charges what it did before.
+#: Entries are stored and evicted under ``_RANGES_LOCK``, so that threads
+#: that miss at once never evict the same entry twice.
 _RANGES: dict = {}
+_RANGES_LOCK = Lock()
 
 
 def weight_ranges(expr: BundleExpr, moduli: Moduli,
@@ -223,7 +231,10 @@ def _entry(expr: BundleExpr, moduli: Moduli, budget: WorkBudget) -> tuple:
         maps = characters([s.weights for s in unstable_strata(moduli)], expr, budget).maps
         ranges = tuple((min(c), max(c)) if c else None for c in maps)
         counts = tuple(map(len, maps))
-    entry = _RANGES[expr, moduli] = ranges, left - budget.left, counts
+    with _RANGES_LOCK:
+        if len(_RANGES) >= MAX_CACHED_RANGES:
+            del _RANGES[next(iter(_RANGES))]
+        entry = _RANGES[expr, moduli] = ranges, left - budget.left, counts
     return entry
 
 

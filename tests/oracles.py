@@ -12,6 +12,7 @@ called them any more.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -2434,40 +2435,53 @@ _ENCODERS_WITH_CYCLE_CHECK = (json.JSONEncoder(sort_keys=True, separators=(",", 
                               json.JSONEncoder(sort_keys=True, indent=2))
 
 
-def _cli_with(build, argv) -> tuple[int, str]:
-    """Exit code and stdout of ``cli.main(argv)`` with the parser that
-    ``build`` returns."""
+@lru_cache(maxsize=None)
+def _argparse_parser(replaced=()) -> argparse.ArgumentParser:
+    """A fresh full parser of the CLI, built from ``cli.COMMANDS`` with the
+    handlers of the ``(command, handler)`` pairs ``replaced`` in its place."""
+    handlers = dict(replaced)
+    commands = {name: (handlers.get(name, func), *rest)
+                for name, (func, *rest) in cli.COMMANDS.items()}
+    with mock.patch.object(cli, "COMMANDS", commands):
+        return cli.build_parser.__wrapped__()
+
+
+def parse_by_argparse(argv, replaced=()):
+    """``argv`` parsed by a fresh full parser alone, the value of
+    "--opt=--" read as the text "--": the route of every argv before
+    ``cli`` read valid ones from its table (``replaced`` as for
+    ``_argparse_parser``)."""
+    args = _argparse_parser(replaced).parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:
+            setattr(args, name, "--")
+    return args
+
+
+def cli_by_argparse(argv, replaced=()) -> tuple[int, str]:
+    """Exit code and stdout of ``cli.main(argv)`` with ``argv`` parsed by
+    ``parse_by_argparse``."""
     out = io.StringIO()
-    with mock.patch.object(cli, "build_parser", build), contextlib.redirect_stdout(out):
+    with mock.patch.object(cli, "_parse_args", lambda argv: parse_by_argparse(argv, replaced)), \
+            contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
 
 
-@lru_cache(maxsize=1)
-def _parser_by_fractions(build=cli.build_parser.__wrapped__):
-    with mock.patch.object(cli, "_cmd_stability", stability_command_by_fractions), \
-            mock.patch.object(cli, "_cmd_syzygies", syzygies_command_by_fractions):
-        return build()
-
-
 def cli_by_fractions(argv) -> tuple[int, str]:
     """Exit code and stdout of ``cli.main(argv)`` with the stability and
-    syzygies commands on the Fraction route."""
-    return _cli_with(_parser_by_fractions, argv)
-
-
-@lru_cache(maxsize=1)
-def _parser_by_calls(build=cli.build_parser.__wrapped__):
-    with mock.patch.object(cli, "_cmd_hn_types", hn_types_command_by_calls):
-        return build()
+    syzygies commands on the Fraction route, parsed by argparse."""
+    return cli_by_argparse(argv, (("stability", stability_command_by_fractions),
+                                  ("syzygies", syzygies_command_by_fractions)))
 
 
 def cli_by_calls(argv) -> tuple[int, str]:
     """Exit code and stdout of ``cli.main(argv)`` with ``hn-types`` rebuilding
-    its rows per call, and the encoders checking for cycles."""
+    its rows per call, the encoders checking for cycles and every moduli flag
+    read on each call, parsed by argparse."""
     compact, pretty = _ENCODERS_WITH_CYCLE_CHECK
     with mock.patch.object(cli, "_COMPACT", compact), mock.patch.object(cli, "_PRETTY", pretty):
-        return _cli_with(_parser_by_calls, argv)
+        return cli_by_argparse(argv, (("hn-types", hn_types_command_by_calls),))
 
 
 def blp2_point(a, b, c, direction=None) -> LinearFormMatrix:

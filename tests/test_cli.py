@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (clear_package_caches, cli_by_calls, cli_by_fractions, hostile_two_node_expr,
-                     random_matrix_text)
+                     parse_by_argparse, random_matrix_text)
 from test_quiver import quiver_dim_theta
 from quivercert import cli, quiver, repgeom, strata
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
@@ -139,7 +139,7 @@ class TestHnTypes:
         argv = ["hn-types", "--quiver", json.dumps(q.to_json_dict()), "--dim",
                 ",".join(map(str, d)), "--theta", ",".join(map(str, theta))] + ["--pretty"] * pretty
         expected = cli_by_calls(argv)
-        for cached in (strata._hn_records, quiver._sst_table, quiver._lattice):
+        for cached in (strata._hn_records, quiver._lattice):
             cached.cache_clear()
         cold = main_output(argv)
         assert cold == expected
@@ -687,12 +687,27 @@ class TestSharedParser:
         assert outputs[0] == outputs[1]
         assert "verify-collection" in outputs[0]
 
+    def test_table_reads_what_argparse_parses(self):
+        read = 0
+        for record in TRANSCRIPT:
+            table = cli._read_by_table(record["argv"])
+            if table is not None:
+                read += 1
+                parsed = vars(build_parser.__wrapped__().parse_args(record["argv"]))
+                del parsed["command"]
+                assert vars(table) == parsed, record["argv"]
+        assert read > len(TRANSCRIPT) // 2
+
     def test_built_on_the_first_call_only(self, capsys, monkeypatch):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "from quivercert.cli import build_parser; print(build_parser.cache_info().currsize)"],
+             "import contextlib, io\n"
+             "from quivercert.cli import build_parser, main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    main(['chi', '--expr', 'U1'])\n"
+             "print(build_parser.cache_info().currsize)"],
             capture_output=True, text=True)
-        assert proc.stdout == "0\n"
+        assert proc.stdout == "0\n", proc.stderr
         built = []
         init = _ArgumentParser.__init__
 
@@ -702,15 +717,19 @@ class TestSharedParser:
 
         monkeypatch.setattr(_ArgumentParser, "__init__", counting_init)
         build_parser.cache_clear()
-        main(["chi", "--expr", "U1"])
+        for argv in (["chi", "--expr", "U1"], ["hn-types"], ["teleman", "--expr=U1", "--pretty"]):
+            main(argv)
+        assert built == []
+        main(["chi"])
         assert len(built) == 10  # the parser and its nine subcommands
-        main(["hn-types"])
+        with pytest.raises(SystemExit):
+            main(["chi", "-h"])
+        main(["nope"])
         assert len(built) == 10
         capsys.readouterr()
 
 
-#: Usage errors and help, each parsed by the subcommand's parser alone or by
-#: the full parser.
+#: Usage errors and help, which the command table leaves to argparse.
 USAGE_ARGVS = [
     [],
     ["nope"],
@@ -734,9 +753,53 @@ USAGE_ARGVS = [
 ]
 
 
+#: Flag values that the command table leaves to argparse: dash-leading and
+#: empty ones, "--", and values that are themselves options.
+ODD_VALUES = ("-1", "-x", "-1,2", "--", "-", "", "--pretty", "-h", "--expr")
+#: Flag values of every shape: samples, values that hold "=" or a space, and
+#: the odd ones.
+SHAPE_VALUES = ("U1", "O(1)", "x,y,0;0,y,z", "2,3", "3,-2", "1,-1", "kronecker:3",
+                "tests/golden_collection.json", "=", "a=b", "U1 U2") + ODD_VALUES
+
+
+@st.composite
+def argv_shapes(draw):
+    """An argv of any shape: a subcommand, an unknown one, an option or
+    nothing first; then flags exact, abbreviated or unknown, each with a
+    value of any shape, in the "--flag value" or "--flag=value" form and
+    possibly repeated, bare or valued ``--pretty``, help and stray tokens;
+    possibly cut short, so that required flags and values go missing.  Half
+    of them hold only a subcommand, its exact flags with samples as values
+    and bare ``--pretty``, the argv that the command table reads."""
+    tidy = draw(st.booleans())
+    first = draw(st.sampled_from(sorted(FLAGS)) if tidy else st.sampled_from(sorted(FLAGS))
+                 | st.sampled_from(["nope", "chi-x", "-h", "--help", "--pretty", "--", "--expr"]))
+    argv = [first]
+    flags = FLAGS.get(first, MODULI_FLAGS + ("--expr",))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("flag", "flag", "flag", "pretty", "token")))
+        if kind == "pretty" or (tidy and kind == "token") or (tidy and not flags):
+            argv.append("--pretty" if tidy else draw(st.sampled_from(
+                ["--pretty", "--pretty", "--pretty=yes", "--pre"])))
+        elif kind == "token":
+            argv.append(draw(st.sampled_from(["extra", "--", "-h", "--help", "-", "-x"])))
+        elif tidy:
+            # now and then a value that only argparse reads
+            flag = draw(st.sampled_from(flags))
+            value = draw(st.sampled_from(SAMPLES[flag]) if draw(st.integers(0, 7))
+                         else st.sampled_from(ODD_VALUES))
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        else:
+            flag = draw(st.sampled_from(flags + ("--bogus",)))
+            flag = draw(st.just(flag) | st.integers(2, len(flag)).map(lambda n: flag[:n]))
+            value = draw(st.sampled_from(SHAPE_VALUES) | FREE_TEXT)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv[:draw(st.integers(0, len(argv)))] if draw(st.booleans()) else argv
+
+
 class TestOnePassDispatch:
-    """``main`` parses an argv that starts with a subcommand by that
-    subcommand's parser alone; it must print and exit as the full parser."""
+    """``main`` reads a valid argv from the command table and parses any
+    other by argparse; it must print and exit as argparse alone does."""
 
     @staticmethod
     def outcome(argv) -> tuple:
@@ -755,10 +818,31 @@ class TestOnePassDispatch:
     def test_equals_the_full_parser(self, monkeypatch, argv):
         monkeypatch.chdir(TESTS.parent)
         one_pass = self.outcome(argv)
-        monkeypatch.setattr(cli, "_parse_args", build_parser.__wrapped__().parse_args)
+        monkeypatch.setattr(cli, "_parse_args", parse_by_argparse)
         assert self.outcome(argv) == one_pass
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.deferred(lambda: argv_shapes()))
+    @example(["chi", "--expr", "U1", "--expr", "-1"])
+    @example(["chi", "--expr", "-x"])
+    @example(["chi", "--expr=-x"])
+    @example(["hn-types", "--dim", "-1,2"])
+    @example(["chi", "--expr", "--pretty"])
+    @example(["chi", "--expr", ""])
+    @example(["chi", "--expr="])
+    @example(["chi", "--expr"])
+    @example(["teleman", "--expr", "U1", "--dim", ""])
+    @example(["hn-types", "--dim=2,3", "--dim", "2,3", "--pretty", "--pretty"])
+    def test_argv_shapes_equal_the_full_parser(self, argv):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(TESTS.parent)
+            table = self.outcome(argv)
+            patch.setattr(cli, "_parse_args", parse_by_argparse)
+            assert self.outcome(argv) == table
+
     def test_parses_with_the_shared_subparser_alone(self, capsys, monkeypatch):
+        # a valid argv is read from the table; any other is parsed by the
+        # shared parser: after a command by its subparser alone
         parser = build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert parser.commands is subparsers.choices
@@ -773,11 +857,12 @@ class TestOnePassDispatch:
         for name, sub in parser.commands.items():
             monkeypatch.setattr(sub, "parse_args", stub(name))
         monkeypatch.setattr(parser, "parse_args", stub("full"))
-        for argv in (["chi", "--expr", "U1"], ["ledger-check"], ["nope"], ["--pretty", "chi"]):
+        for argv in (["chi", "--expr", "U1"], ["ledger-check"], ["chi", "--ex", "U1"],
+                     ["ledger-check", "-h"], ["nope"], ["--pretty", "chi"]):
             assert main(argv) == 0
         capsys.readouterr()
-        assert parsed == [("chi", ["--expr", "U1"]), ("ledger-check", []), ("full", ["nope"]),
-                          ("full", ["--pretty", "chi"])]
+        assert parsed == [("chi", ["--ex", "U1"]), ("ledger-check", ["-h"]),
+                          ("full", ["nope"]), ("full", ["--pretty", "chi"])]
 
 
 #: The error of an unreadable --quiver: the flag and its two forms.

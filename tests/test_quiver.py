@@ -44,6 +44,7 @@ from quivercert import quiver as quiver_module
 from quivercert.chow import DEGREES
 from quivercert.quiver import (
     MAX_ARROWS,
+    MAX_CACHED_SETUPS,
     MAX_COUNTING_WORK,
     MAX_SUBVECTORS,
     MAX_VERTICES,
@@ -425,7 +426,6 @@ class TestHasSemistable:
         terms = sum(math.prod(x + 1 for x in h) - 2
                     for h in itertools.product(*(range(x + 1) for x in d)) if any(h))
         assert (len(d) + 1) * terms == bound
-        _sst_table.cache_clear()
         _lattice.cache_clear()
         monkeypatch.setattr(quiver_module, "mul", counted)
         enumerate_hn_types(quiver, d, theta)
@@ -439,13 +439,10 @@ SIX_THETA = (5, -1, -1, -1, -1, -1)
 
 
 def _table_cold_and_warm(quiver, d, theta):
-    """``_sst_table`` with the lattice of d cleared, then again with only
-    the table cleared, so that the second one reads the lattice from the
-    cache."""
+    """``_sst_table`` with the lattice of d cleared, then again, reading the
+    lattice from the cache."""
     _lattice.cache_clear()
-    _sst_table.cache_clear()
     cold = _sst_table(quiver, d, theta)
-    _sst_table.cache_clear()
     warm = _sst_table(quiver, d, theta)
     assert _lattice.cache_info().hits >= 1
     return cold, warm
@@ -479,12 +476,26 @@ class TestLattice:
         opposite = Quiver(2, ((1, 0),) * 3)
         thetas = [(4, -3), (1, -1), (-4, 3), (2, -5), (0, 1)]
         _lattice.cache_clear()
-        _sst_table.cache_clear()
         for quiver in (KRONECKER3, opposite):
             for theta in thetas:
                 has_semistable(quiver, (3, 4), theta)
-        assert _sst_table.cache_info().misses == 2 * len(thetas)
         assert _lattice.cache_info().misses == 1
+
+    def test_scan_of_d_keeps_the_bound(self):
+        # more distinct d than the bound: the least recently used lattices
+        # go, and every table equals one built on a cold lattice
+        path = Quiver(12, tuple((i, i + 1) for i in range(11)))
+        theta = tuple(range(6, -6, -1))
+        dims = [tuple(int(i in ones) for i in range(12))
+                for ones in itertools.combinations(range(12), 4)][:MAX_CACHED_SETUPS + 20]
+        _lattice.cache_clear()
+        tables = [_sst_table(path, d, theta) for d in dims]
+        info = _lattice.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (
+            len(dims), MAX_CACHED_SETUPS, MAX_CACHED_SETUPS)
+        for d, table in zip(dims, tables):
+            _lattice.cache_clear()
+            assert _sst_table(path, d, theta) == table
 
     def test_lattice_layout(self):
         box, pairs, columns, scaled = _lattice((2, 3))
@@ -513,7 +524,6 @@ class TestLattice:
 
         quiver, d, theta = THREE_VERTICES, (2, 2, 2), (1, 2, -3)
         _lattice.cache_clear()
-        _sst_table.cache_clear()
         quiver_module._q_binomial.cache_clear()
         monkeypatch.setattr(quiver_module, "mul", counted)
         box, pairs, _, _ = _lattice(d)
@@ -544,7 +554,6 @@ class TestLattice:
             operands.append(q)
             return p * q
 
-        _sst_table.cache_clear()
         monkeypatch.setattr(quiver_module, "mul", recorded)
         _, _, _, tails = _sst_table(quiver, d, theta)
         factors = [dict(row) for row in pairs]
@@ -678,10 +687,12 @@ class TestEnumerateHnTypes:
         expected = hn_types_by_subvectors(KRONECKER3, (4, 7), (7, -4))
         assert len(expected) == 69
         assert has_semistable(KRONECKER3, (4, 7), (7, -4))
+        table = _sst_table(KRONECKER3, (4, 7), (7, -4))
 
         def refuse(d):
             raise AssertionError("subvectors listed after the table was built")
 
+        monkeypatch.setattr(quiver_module, "_sst_table", lambda *args: table)
         monkeypatch.setattr(quiver_module, "_lattice", refuse)
         assert enumerate_hn_types(KRONECKER3, (4, 7), (7, -4)) == expected
 
@@ -691,7 +702,8 @@ class TestEnumerateHnTypes:
         # remainder it enters once; the remainders are those of the proper
         # prefixes of the types, so no branch ends without a type
         theta = (d[1], -d[0])
-        has_semistable(KRONECKER3, d, theta)
+        table = _sst_table(KRONECKER3, d, theta)
+        monkeypatch.setattr(quiver_module, "_sst_table", lambda *args: table)
         lookups = []
 
         def counted(*args):
@@ -727,7 +739,6 @@ class TestEnumerateHnTypes:
         def refuse(*args, **kwargs):
             raise AssertionError("Fraction built on the HN path")
 
-        _sst_table.cache_clear()
         _lattice.cache_clear()
         monkeypatch.setattr(Fraction, "__new__", refuse)
         monkeypatch.setattr(quiver_module, "has_semistable", refuse)

@@ -14,7 +14,7 @@ from test_verify import EXPRS
 from quivercert import bundles
 from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
                                 characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
-from quivercert.quiver import (MAX_CACHED_SETUPS, Quiver, _lattice, _sst_table, enumerate_hn_types,
+from quivercert.quiver import (MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types,
                                hn_stratum_codim, reduced_slope)
 from quivercert.cli import main
 from quivercert.strata import (
@@ -113,7 +113,7 @@ def test_no_fraction_on_the_strata_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the strata path")
 
-    for cached in (_lattice, _sst_table, _hn_records, unstable_strata):
+    for cached in (_lattice, _hn_records, unstable_strata):
         cached.cache_clear()
     _RANGES.clear()
     monkeypatch.setattr(Fraction, "__new__", refuse)
@@ -148,7 +148,7 @@ class TestHnRecords:
         # more distinct theta than an entry bound: the least recently used go
         thetas = [(3 * k, -2 * k) for k in range(1, MAX_CACHED_SETUPS + 21)]
         first = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1))) for theta in thetas]
-        for cached in (_sst_table, _hn_records, unstable_strata):
+        for cached in (_hn_records, unstable_strata):
             assert 0 < cached.cache_info().currsize <= MAX_CACHED_SETUPS == cached.cache_info().maxsize
         again = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1)))
                  for theta in reversed(thetas)]

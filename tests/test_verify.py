@@ -4,6 +4,8 @@ import functools
 import json
 import pickle
 import random
+import sys
+import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -719,19 +721,20 @@ class TestRecordSemantics:
 
 # -- caches ----------------------------------------------------------------------
 
-#: Every cache of the package, by qualified name, with its ``maxsize``: None
-#: for a cache that grows with its distinct inputs.
+#: Every cache of the package, by qualified name, with its ``maxsize``.  None
+#: only where the keys are few by construction, as each comment says.
 CACHES = {
     "quivercert.chow.todd_y": 1,
     "quivercert.chow.chi_form": 1,
     "quivercert.chow.ch_of": chow.MAX_CACHED_EXPRS,
     "quivercert.chow.chi_row": chow.MAX_CACHED_EXPRS,
-    "quivercert.cli.build_parser": None,
+    "quivercert.cli.build_parser": None,  # no arguments: one entry
+    # keys bounded by the gate: it admits |d| <= 63 only, so n, k and the
+    # total that sets bits are at most 63
     "quivercert.quiver._q_binomial": None,
     "quivercert.quiver._coefficient_bits": None,
-    "quivercert.quiver._lattice": None,
-    "quivercert.quiver._sst_table": quiver.MAX_CACHED_SETUPS,
-    "quivercert.strata.Moduli.kronecker23": None,
+    "quivercert.quiver._lattice": quiver.MAX_CACHED_SETUPS,
+    "quivercert.strata.Moduli.kronecker23": None,  # no arguments: one entry
     "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.unstable_strata": quiver.MAX_CACHED_SETUPS,
     "quivercert.verify.standard_collection": 1,
@@ -788,3 +791,136 @@ def test_expression_cache_bound_changes_no_result(size, capsys, monkeypatch):
         for record in TRANSCRIPT:
             assert (main(record["argv"]), capsys.readouterr().out) == (
                 record["code"], record["stdout"]), record["argv"]
+
+
+@contextlib.contextmanager
+def range_cache_bounded(size):
+    """``strata._RANGES`` emptied and kept to ``size`` entries, as if
+    ``MAX_CACHED_RANGES`` were ``size``; emptied again on leaving."""
+    strata._RANGES.clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(strata, "MAX_CACHED_RANGES", size)
+            yield
+    finally:
+        strata._RANGES.clear()
+
+
+#: ``(MAX_TERMS, MAX_WORK_TERMS)``, None for the package's value: the six
+#: collections cost 101 to 135 weight pairs, in products of at most 4 terms,
+#: so these limits let them pass or meet either refusal first.
+RANGE_LIMITS = [(None, None), (2, None), (None, 80), (3, 110), (2, 40), (1, 125), (4, 120)]
+
+
+def ranges_outcome(sequence, limits) -> tuple:
+    """The weight ranges on Y of each expression of ``sequence`` under one
+    ``WorkBudget`` and ``limits``, from an empty ``_RANGES``, and the budget
+    left; or the ranges before a refusal and its message.  After a refusal
+    the budget is dropped: a warm entry charges its cost at once, where a
+    walk stops at the product that overdraws it."""
+    max_terms, max_work = limits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundles, "MAX_TERMS", max_terms or bundles.MAX_TERMS)
+        patch.setattr(bundles, "MAX_WORK_TERMS", max_work or bundles.MAX_WORK_TERMS)
+        strata._RANGES.clear()
+        budget, ranges = WorkBudget(), []
+        try:
+            for e in sequence:
+                ranges.append(weight_ranges(e, Y23, budget))
+        except ValueError as exc:
+            return ranges, str(exc)
+        finally:
+            strata._RANGES.clear()
+        return ranges, budget.left
+
+
+def collection_outcomes(specs) -> list:
+    """Per ``RANGE_LIMITS``: each collection's matrix or refusal, the six
+    sharing the cache, then each one's ``ranges_outcome`` over its objects
+    and over them again."""
+    out = []
+    for limits in RANGE_LIMITS:
+        max_terms, max_work = limits
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bundles, "MAX_TERMS", max_terms or bundles.MAX_TERMS)
+            patch.setattr(bundles, "MAX_WORK_TERMS", max_work or bundles.MAX_WORK_TERMS)
+            strata._RANGES.clear()
+            for spec in specs:
+                try:
+                    out.append(verify_collection(spec, Y23))
+                except ValueError as exc:
+                    out.append(str(exc))
+        for spec in specs:
+            objects = [e for _, e in spec.objects]
+            out.append(ranges_outcome(objects + objects, limits))
+    strata._RANGES.clear()
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_range_cache_bound_changes_no_result(size, capsys, monkeypatch):
+    # a range cache that evicts on almost every call gives the same
+    # matrices, refusals, budgets and CLI transcript: an evicted entry is
+    # walked again and charges the budget what it did before
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    specs = [standard_collection(), *collection_variants().values()]
+    expected = collection_outcomes(specs)
+    refusals = [x for x in expected if isinstance(x, str)]
+    assert any("in one request" in x for x in refusals)
+    assert any("terms in one" not in x for x in refusals)
+    with range_cache_bounded(size):
+        assert collection_outcomes(specs) == expected
+        for record in TRANSCRIPT:
+            assert (main(record["argv"]), capsys.readouterr().out) == (
+                record["code"], record["stdout"]), record["argv"]
+
+
+def test_range_cache_bound_holds_across_threads():
+    # with one entry kept, threads that miss at once all evict and store:
+    # none raises, each gets the ranges and budget of a lone walk, and the
+    # cache stays within its bound
+    exprs = [twist(e, n) for e in (U1, U2, sym2(U1), tensor(U1, U2), wedge2(U2), U1)
+             for n in (0, -2, 3)]
+
+    def walk():
+        budget = WorkBudget()
+        return [weight_ranges(e, Y23, budget) for e in exprs], budget.left
+
+    strata._RANGES.clear()
+    expected = walk()
+    outcomes, errors = [], []
+
+    def run():
+        try:
+            for _ in range(20):
+                outcomes.append(walk())
+        except Exception as exc:  # noqa: BLE001 - any error fails the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    with range_cache_bounded(1):
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(strata._RANGES) <= 1
+    assert errors == []
+    assert outcomes == [expected] * 80
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(exprs=st.lists(EXPRS, min_size=1, max_size=4), shifts=st.lists(st.integers(-2, 3),
+                                                                      min_size=1, max_size=3),
+       limits=st.sampled_from(RANGE_LIMITS))
+def test_range_cache_bound_changes_no_range(size, exprs, shifts, limits):
+    # expressions, their twists and the expressions again, under one budget
+    sequence = exprs + [twist(e, n) for e in exprs for n in shifts] + exprs
+    expected = ranges_outcome(sequence, limits)
+    with range_cache_bounded(size):
+        assert ranges_outcome(sequence, limits) == expected

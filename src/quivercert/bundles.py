@@ -36,6 +36,11 @@ MAX_WORK_TERMS = 2 ** 20
 
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
 
+#: Entries kept by each cache keyed by an expression: ``chow.ch_of``,
+#: ``chow.chi_row`` and ``strata._RANGES``.  A benchmark pass never evicts:
+#: requests at ``--seconds 20`` fills 1155.
+MAX_CACHED_EXPRS = 1 << 13
+
 
 class BundleExpr(namedtuple("BundleExpr", "op args rank")):
     """An operator, its arguments and the rank that it computes from them."""

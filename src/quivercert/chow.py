@@ -29,11 +29,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from ._linalg import echelon, render_ratio
-from .bundles import MAX_DEPTH, U1, U2, BundleExpr, O, dual, evaluate, tensor
-
-#: Entries kept by ``ch_of`` and by ``chi_row``, the least recently used.  A
-#: benchmark pass never evicts: requests at ``--seconds 20`` fills 1155.
-MAX_CACHED_EXPRS = 1 << 13
+from .bundles import MAX_CACHED_EXPRS, MAX_DEPTH, U1, U2, BundleExpr, O, dual, evaluate, tensor
 
 # Exponent vectors (a, b, e, f) for c1^a c2^b d2^e c3^f.
 _BASIS_MONOMIALS = (

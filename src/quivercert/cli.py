@@ -10,16 +10,14 @@ quietly with status 141 (128 + SIGPIPE), as a shell pipeline expects.
 
 The commands are one table, ``COMMANDS``: each one's handler, help and
 flags.  A valid argv is read from the table alone, and no parser is built:
-a known command, then only exact ``--flag value`` or ``--flag=value`` pairs
-of its flags, each value non-empty and not starting with "-", and bare
-``--pretty``, with every required flag present.  Any other argv (help, an
-abbreviated or unknown flag, an extra token, "--", a dash-leading or empty
-value, a missing flag, no command or an unknown one) goes to the argparse
-parser that ``build_parser`` builds from the same table on first need and
-keeps for the process, so argparse alone writes help and usage errors.
-There, an argv that starts with a command is parsed by that command's
-parser alone, in one pass, and any other by the full parser; both routes
-end in the same subparsers.
+a known command, then only exact ``--flag=value`` tokens of its flags, each
+value taken as written, exact ``--flag value`` pairs, each value non-empty
+and not starting with "-", and bare ``--pretty``, with every required flag
+present.  Any other argv (help, an abbreviated or unknown flag, an extra
+token, "--", a space-form value that is missing, empty or dash-leading, a
+missing flag, no command or an unknown one) goes to the one argparse parser
+that ``build_parser`` builds from the same table on first need and keeps
+for the process, so argparse alone writes help and usage errors.
 """
 
 from __future__ import annotations
@@ -147,7 +145,7 @@ MAX_FILE_BYTES = 2 ** 20
 
 
 def _cmd_verify_collection(args) -> tuple[dict, int]:
-    if args.file:
+    if args.file is not None:
         try:
             with open(args.file, "rb") as fh:
                 data = fh.read(MAX_FILE_BYTES + 1)
@@ -257,7 +255,8 @@ def _read_by_table(argv) -> argparse.Namespace | None:
         if not eq:
             value = next(tokens, "")
         dest = dests.get(flag)
-        if dest is None or not value or value[0] == "-":
+        # a "--flag=value" value is taken as written, as argparse takes it
+        if dest is None or (not eq and (not value or value[0] == "-")):
             return None
         values[dest] = value
     for dest in required:
@@ -292,21 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, default=default, required=required, help=flag_help)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.set_defaults(func=func)
-    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """The arguments of ``argv``: read from the table if it is valid, else
-    parsed by argparse, after a command's name by that command's parser
-    alone, else by the full parser."""
+    parsed by argparse."""
     args = _read_by_table(argv)
     if args is None:
-        parser = build_parser()
-        command = parser.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         # argparse drops the value of "--opt=--" and stores []; no option
-        # takes a list, so the value is the text "--"
+        # takes a list, so the value is the text "--", as the table reads it
         for name, value in vars(args).items():
             if value == []:
                 setattr(args, name, "--")

@@ -30,7 +30,8 @@ from math import lcm
 from threading import Lock
 
 from ._linalg import _int_entries
-from .bundles import BundleExpr, StratumWeights, WorkBudget, characters, charge_product
+from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, characters,
+                      charge_product)
 from .quiver import (
     MAX_CACHED_SETUPS,
     HNType,
@@ -185,12 +186,11 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
                  if s is not None)
 
 
-#: Entries kept in ``_RANGES``; a new entry past them evicts the oldest.
-MAX_CACHED_RANGES = 8192
-
 #: Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs that
-#: it costs and each stratum's number of distinct weights.  An evicted entry
-#: is walked again when next asked for, and charges what it did before.
+#: it costs and each stratum's number of distinct weights, at most
+#: ``MAX_CACHED_EXPRS`` entries; a new entry past them evicts the oldest.  An
+#: evicted entry is walked again when next asked for, and charges what it did
+#: before.
 #: Entries are stored and evicted under ``_RANGES_LOCK``, so that threads
 #: that miss at once never evict the same entry twice.
 _RANGES: dict = {}
@@ -232,7 +232,7 @@ def _entry(expr: BundleExpr, moduli: Moduli, budget: WorkBudget) -> tuple:
         ranges = tuple((min(c), max(c)) if c else None for c in maps)
         counts = tuple(map(len, maps))
     with _RANGES_LOCK:
-        if len(_RANGES) >= MAX_CACHED_RANGES:
+        if len(_RANGES) >= MAX_CACHED_EXPRS:
             del _RANGES[next(iter(_RANGES))]
         entry = _RANGES[expr, moduli] = ranges, left - budget.left, counts
     return entry

@@ -796,11 +796,11 @@ def test_expression_cache_bound_changes_no_result(size, capsys, monkeypatch):
 @contextlib.contextmanager
 def range_cache_bounded(size):
     """``strata._RANGES`` emptied and kept to ``size`` entries, as if
-    ``MAX_CACHED_RANGES`` were ``size``; emptied again on leaving."""
+    ``strata.MAX_CACHED_EXPRS`` were ``size``; emptied again on leaving."""
     strata._RANGES.clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(strata, "MAX_CACHED_RANGES", size)
+            patch.setattr(strata, "MAX_CACHED_EXPRS", size)
             yield
     finally:
         strata._RANGES.clear()

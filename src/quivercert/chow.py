@@ -9,7 +9,11 @@ the point class is c3^2.
 
 The 14 intersection numbers (degree-6 integrals of monomials) fix the
 product table, since the pairing of complementary degrees is perfect: it
-is solved at import, and multiplication is lookup plus bilinearity.
+is solved at import into one flat table, a row of ``(j, k, 3c)`` triples
+per basis class.  A power x^n, x = a + y with a the degree-0 coordinate
+and y nilpotent, is the binomial series in a and y truncated at y^6: at
+most five products for any n.  ch(det E) = exp(c_1(E)) and ch(O(n)) =
+exp(n c_1) are combinations of the powers of c_1 stored at import.
 Chern characters of bundle expressions are evaluated compositionally
 from the Chern classes of the universal bundles via Newton's identities;
 td(Y) comes from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O of the
@@ -25,7 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from ._linalg import echelon, render_ratio
@@ -69,8 +73,8 @@ _INTEGRALS = {
 
 
 def _build_products():
-    """``[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j =
-    sum of c * basis_k.
+    """``[i]``: a ``(j, k, 3c)`` triple for each term c * basis_k of each
+    nonzero basis_i * basis_j, by j and then by k.
 
     The pairing of complementary degrees is perfect, so the coordinates x
     of a monomial m of degree k solve sum_i x_i * integral(basis_i *
@@ -102,18 +106,18 @@ def _build_products():
                 if rest:
                     raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
             coords[m] = tuple((DEGREES.index(k) + r, c) for r, c in enumerate(y) if c)
-    table = ((coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
-             for mi in _BASIS_MONOMIALS)
-    return tuple(tuple((j, terms) for j, terms in enumerate(row) if terms) for row in table)
+    return tuple(tuple((j, k, c) for j, mj in enumerate(_BASIS_MONOMIALS)
+                       for k, c in coords.get(product(mi, mj), ()))
+                 for mi in _BASIS_MONOMIALS)
 
 
-#: ``_TRIPLED[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j.
+#: ``_TRIPLED[i]``: ``(j, k, 3c)`` for each term c * basis_k of basis_i * basis_j.
 _TRIPLED = _build_products()
 
 #: ``(i, j, c)`` for the nonzero integrals c of basis_i * basis_j, all with
 #: complementary degrees, all integers.
-_PAIRING = tuple((i, j, c // 3) for i, row in enumerate(_TRIPLED) for j, terms in row
-                 for k, c in terms if k == _INDEX["c3^2"])
+_PAIRING = tuple((i, j, c // 3) for i, row in enumerate(_TRIPLED) for j, k, c in row
+                 if k == _INDEX["c3^2"])
 
 
 class ChowElement:
@@ -174,25 +178,40 @@ class ChowElement:
         ys = other.nums
         for a, row in zip(self.nums, _TRIPLED):
             if a:
-                for j, terms in row:
+                for j, k, c in row:
                     b = ys[j]
                     if b:
-                        ab = a * b
-                        for k, c in terms:
-                            out[k] += ab * c
+                        out[k] += a * b * c
         return ChowElement(out, 3 * self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        if n == 0:
-            return ChowElement.unit()
-        if n > 6 and self.nums[0] == 0:
+        """x^n for x = a + y, a = p / q the degree-0 coordinate and y
+        nilpotent: the sum of C(n, k) a^(n - k) y^k over k <= min(n, 6), from
+        the products y^2 ... y^min(n, 6), or y^n alone when a = 0."""
+        if n < 2:
+            if n < 0:
+                raise ValueError("negative powers are not defined")
+            return self if n else ChowElement.unit()
+        a = self.nums[0]
+        if not a and n > 6:
             return ChowElement.zero()  # nilpotent: products vanish past degree 6
-        root = self ** (n // 2)
-        return root * root * self if n % 2 else root * root
+        y = ChowElement((0, *self.nums[1:]), self.den) if a else self
+        powers = [y]
+        while len(powers) < min(n, 6) and not powers[-1].is_zero():
+            powers.append(powers[-1] * y)
+        if not a:
+            return powers[-1]  # y^n, or zero where the products vanished
+        g = gcd(a, self.den)
+        p, q = a // g, self.den // g
+        m = lcm(*(z.den for z in powers))
+        out = [p ** n * m] + [0] * (len(BASIS) - 1)
+        for k, z in enumerate(powers, start=1):
+            s = comb(n, k) * p ** (n - k) * q ** k * (m // z.den)
+            for i, v in enumerate(z.nums):
+                out[i] += s * v
+        return ChowElement(out, q ** n * m)
 
     def dual(self) -> "ChowElement":
         """Chern character of the dual: negate odd-degree parts."""
@@ -206,7 +225,7 @@ class ChowElement:
 
     def det(self) -> "ChowElement":
         """Chern character of the determinant: exp of the degree-1 part."""
-        return _exp(self.degree_part(1))
+        return _exp_c1(self.nums[_INDEX["c1"]], self.den)
 
     def half(self) -> "ChowElement":
         return ChowElement(self.nums, 2 * self.den)
@@ -277,6 +296,23 @@ def _exp(x: ChowElement) -> ChowElement:
     return ChowElement(out.nums, 720 * out.den)
 
 
+#: ``(i, k, 720 / k! * c)`` for each coordinate c of c1^k at basis_i, k <= 6:
+#: ten integers, since every c1^k has integer coordinates (den 1).
+_EXP_C1 = tuple((i, k, 720 // factorial(k) * c) for k in range(7)
+                for i, c in enumerate((_C1 ** k).nums) if c)
+
+
+def _exp_c1(num: int, den: int) -> ChowElement:
+    """exp(t c1) for t = num / den: the sum of t^k c1^k / k! over k <= 6, over
+    the denominator 720 q^6 for t = p / q in lowest terms."""
+    g = gcd(num, den)
+    p, q = num // g, den // g
+    out = [0] * len(BASIS)
+    for i, k, c in _EXP_C1:
+        out[i] += c * p ** k * q ** (6 - k)
+    return ChowElement(out, 720 * q ** 6)
+
+
 def _ch_from_chern(rank: int, e: tuple[ChowElement, ...]) -> ChowElement:
     """Chern character from the Chern classes e via Newton's identities on
     power sums p_k of the Chern roots: rank plus the sum of p_k / k!, summed
@@ -300,7 +336,7 @@ def _ch_from_chern(rank: int, e: tuple[ChowElement, ...]) -> ChowElement:
 def _ch_leaf(e: BundleExpr) -> ChowElement:
     """Leaf values, which ch_of caches."""
     if e.op == "O":
-        return _exp(e.args[0] * _C1)
+        return _exp_c1(e.args[0], 1)
     if e.op == "U1":
         return _ch_from_chern(2, (_C1, _D2)).dual()
     return _ch_from_chern(3, (_C1, _C2, _C3)).dual()
@@ -402,7 +438,7 @@ class _PolyParser:
             if self.token == "*":
                 self.advance()
             elif not (self.token[:1].isalnum() or self.token == "("):  # else implicit, as in "3c1"
-                return sign * out
+                return out if sign > 0 else -out
             factor, end = self.factor()
             out = out * factor
             # an unprintable numerator, at least |n| // den, only grows, ever

@@ -1505,6 +1505,50 @@ def exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
     return out
 
 
+# -- the Chow ring products that the flat table and the binomial powers replaced
+
+#: ``[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j: the
+#: nested shape of the table that ``chow._TRIPLED`` now holds flat.
+NESTED_TRIPLED = tuple(tuple((j, tuple((k, int(3 * c)) for k, c in terms))
+                             for j, terms in enumerate(row) if terms) for row in PRODUCTS)
+
+
+def mul_by_nested_table(x: ChowElement, y: ChowElement) -> ChowElement:
+    """x * y by lookup in the nested table, one ``(j, terms)`` entry per
+    nonzero basis product: the route that the flat table replaced."""
+    out = [0] * len(BASIS)
+    ys = y.nums
+    for a, row in zip(x.nums, NESTED_TRIPLED):
+        if a:
+            for j, terms in row:
+                b = ys[j]
+                if b:
+                    ab = a * b
+                    for k, c in terms:
+                        out[k] += ab * c
+    return ChowElement(out, 3 * x.den * y.den)
+
+
+def power_by_recursion(x: ChowElement, n: int) -> ChowElement:
+    """x^n by recursive squaring down to x^0, the unit: the route that the
+    truncated binomial series replaced."""
+    if n < 0:
+        raise ValueError("negative powers are not defined")
+    if n == 0:
+        return ChowElement.unit()
+    if n > 6 and x.nums[0] == 0:
+        return ChowElement.zero()  # nilpotent: products vanish past degree 6
+    root = power_by_recursion(x, n // 2)
+    square = mul_by_nested_table(root, root)
+    return mul_by_nested_table(square, x) if n % 2 else square
+
+
+def det_by_exp(x: ChowElement) -> ChowElement:
+    """Chern character of the determinant as ``_exp`` of the degree-1 part,
+    by products: the route that the stored powers of c1 replaced."""
+    return _exp(x.degree_part(1))
+
+
 def pairing(x: ChowElement, y: ChowElement) -> Fraction:
     """The integral of x * y, without forming the product, as one Fraction:
     the route that ``chow.chi`` replaced with a Gram row and

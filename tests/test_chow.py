@@ -20,6 +20,7 @@ from oracles import (
     chow_mul_dense,
     coefficient,
     coords_of,
+    det_by_exp,
     euler_pairing,
     exp_by_fractions,
     from_coords,
@@ -31,11 +32,13 @@ from oracles import (
     localization_integral,
     monomial_at,
     monomials_of_degree,
+    mul_by_nested_table,
     pairing,
     pairing_by_fractions,
     parse_chow_poly_by_scanner,
     parse_outcome,
     parser_texts,
+    power_by_recursion,
     products_by_rref,
     random_expr,
     tangent_chern,
@@ -49,6 +52,7 @@ from quivercert._linalg import render_ratio
 from quivercert.bundles import (O, U1, U2, det, direct_sum, dual, parse_expr, sl, sym2, tensor,
                                 twist, wedge2)
 from quivercert.chow import (
+    _EXP_C1,
     _INDEX,
     _INTEGRALS,
     _PAIRING,
@@ -163,11 +167,12 @@ class TestDerivedTables:
         assert products_by_rref() == PRODUCTS
 
     def test_integer_tables_equal_the_fraction_table(self):
-        # back-substitution for 3c in integers gives 3 times the rational table
-        assert _TRIPLED == tuple(tuple((j, tuple((k, 3 * c) for k, c in terms))
-                                       for j, terms in enumerate(row) if terms)
+        # back-substitution for 3c in integers gives 3 times the rational
+        # table, one flat (j, k, 3c) triple per term
+        assert _TRIPLED == tuple(tuple((j, k, 3 * c) for j, terms in enumerate(row)
+                                       for k, c in terms)
                                  for row in PRODUCTS)
-        assert all(type(c) is int for row in _TRIPLED for _, terms in row for _, c in terms)
+        assert all(type(c) is int for row in _TRIPLED for _, _, c in row)
         point = _INDEX["c3^2"]
         assert _PAIRING == tuple((i, j, c) for i, row in enumerate(PRODUCTS)
                                  for j, terms in enumerate(row) for k, c in terms if k == point)
@@ -307,6 +312,100 @@ class TestIntegerCoordinates:
         # degree-5 products carry the factor 3 of the table into the denominator
         assert (C1 ** 2 * C3).nums[BASIS.index("c2*c3")] == 5 and (C1 ** 2 * C3).den == 3
         assert coefficient(C3 * D2, "c2*c3") == F(2, 3)
+
+
+non_integers = fractions.filter(lambda t: t.denominator > 1)
+
+
+class TestReplacedRoutes:
+    """The flat product table, the binomial powers and det from the stored
+    powers of c1 against the routes that they replaced."""
+
+    @given(coordinates, coordinates)
+    def test_product_equals_the_nested_table_route(self, xs, ys):
+        x, y = from_coords(xs), from_coords(ys)
+        assert x * y == mul_by_nested_table(x, y)
+
+    @given(coordinates, st.sampled_from((None, F(0), F(1), F(-1))), st.integers(0, 20))
+    def test_powers_equal_the_recursive_route(self, xs, constant, n):
+        x = from_coords(xs if constant is None else [constant, *xs[1:]])
+        assert x ** n == power_by_recursion(x, n)
+
+    @given(coordinates, non_integers)
+    def test_det_equals_the_exp_route(self, xs, t):
+        x = from_coords([xs[0], t, *xs[2:]])
+        assert x.det() == det_by_exp(x)
+
+    def test_stored_powers_of_c1_equal_the_fraction_route(self):
+        power = FractionChowElement.unit()
+        for k in range(7):
+            stored = {i: F(c, 720 // math.factorial(k)) for i, j, c in _EXP_C1 if j == k}
+            assert stored == {i: c for i, c in enumerate(power.coords) if c}, k
+            power = power * FractionChowElement.basis("c1")
+        assert stored == {_INDEX["c3^2"]: 57}
+        assert len(_EXP_C1) == 10 and all(type(c) is int for _, _, c in _EXP_C1)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The ChowElement x ChowElement products made, through ``__mul__`` or
+    ``__rmul__``, while the test runs; scaling by an int is not counted."""
+    made = []
+    mul = ChowElement.__mul__
+
+    def counted(x, y):
+        if isinstance(y, ChowElement):
+            made.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(ChowElement, "__mul__", counted)
+    monkeypatch.setattr(ChowElement, "__rmul__", counted)
+    return made
+
+
+class TestProductCounts:
+    """Powers, det and O(n) multiply nothing by the unit and nothing that the
+    stored powers of c1 hold."""
+
+    BASES = [from_coords([F(2, 3), F(-1, 2), 1, 0, F(5, 7), 2, -3, 1, 0, 4, F(1, 3), -1, 2]),
+             from_coords([1, 1] + [0] * (len(BASIS) - 2)),
+             from_coords([-1, F(1, 2), 3] + [1] * (len(BASIS) - 3))]
+
+    @pytest.mark.parametrize("x", BASES)
+    def test_powers(self, products, x):
+        for n, count in ((0, 0), (1, 0), (2, 1), (3, 2)):
+            products.clear()
+            assert x ** n == power_by_recursion(x, n)
+            assert len(products) == count, n
+        assert x ** 1 is x
+        limit = 20 if abs(x.nums[0]) != x.den else 10 ** 300
+        for n in (4, 5, 6, 7, 20, limit - 1, limit):
+            products.clear()
+            x ** n
+            assert len(products) <= 5, n
+
+    def test_nilpotent_powers(self, products):
+        x = from_coords([0, 2, F(1, 3)] + [1] * (len(BASIS) - 3))
+        for n in range(7):
+            products.clear()
+            x ** n
+            assert len(products) == max(n - 1, 0), n
+        for n in (7, 10 ** 300):
+            products.clear()
+            assert x ** n == ChowElement.zero() and not products
+
+    def test_line_bundles_and_det(self, products):
+        ch_of.cache_clear()
+        for n in (-4, -1, 0, 1, 3, 10 ** 6):
+            ch_of(O(n))
+        for x in self.BASES:
+            x.det()
+        assert not products
+
+    def test_negated_power(self, products):
+        value = parse_chow_poly("-c1^2")
+        assert len(products) == 1
+        assert value == -ChowElement.basis("c1^2")
 
 
 class TestToddAndTangent:

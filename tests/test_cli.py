@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -214,6 +215,23 @@ class TestChowEval:
         # each of 1000 factors would multiply an ever larger coordinate
         start = time.perf_counter()
         code = main(["chow-eval", "--expr", "*".join(["2^14000"] * 1000)])
+        assert time.perf_counter() - start < 1
+        assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
+    def test_power_of_a_unit_base_with_300_digits_answers(self, capsys):
+        # the top part of (1 + c1)^N is C(N, 6) c1^6, and c1^6 is 57 points;
+        # the recursive route ran out of stack, one level per bit of N
+        n = int("9" * 300)
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "chow-eval", "--expr", f"(1+c1)^{n}")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert doc["integral"] == 57 * math.comb(n, 6)
+
+    def test_power_of_a_unit_base_with_4000_digits_is_input_error(self, capsys):
+        # the degree-0 coordinate stays 1, but C(N, 6) has about 24,000 digits
+        start = time.perf_counter()
+        code = main(["chow-eval", "--expr", "(1+c1)^" + "9" * 4000])
         assert time.perf_counter() - start < 1
         assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
 
@@ -1195,6 +1213,8 @@ class TestFuzz:
     @example(["teleman", "--expr", "sym2(" * 20 + "U2" + ")" * 20])
     @example(["chow-eval", "--expr", "2^20000"])
     @example(["chow-eval", "--expr", "2^9999999999"])
+    @example(["chow-eval", "--expr", "(1+c1)^" + "9" * 300])
+    @example(["chow-eval", "--expr", "(1+c1)^" + "9" * 4000])
     @example(["syzygies", "--matrix", "1/2x+3/0y,y,z;x,y,z"])
     @example(["stability", "--matrix", "1/2x+1/3y,-5/7z,0/1x;2/9y,x,1/11z+1/12x"])
     @example(["hn-types", "--quiver=--"])

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 
 from ._linalg import _int_entries
+from .quiver import MAX_CACHED_SETUPS
 
 #: Largest rank of an expression and of each of its subexpressions.
 MAX_RANK = 2 ** 64
@@ -178,12 +180,30 @@ def charge_product(budget: WorkBudget | None, m: int, n: int):
         budget.charge(terms)
 
 
+def _added(x: dict, y: dict, sign: int) -> dict:
+    """A copy of the map ``x`` with ``sign`` times ``y`` added in place,
+    without the weights whose multiplicity reaches 0."""
+    z = x.copy()
+    get = z.get
+    for w, m in y.items():
+        m = get(w, 0) + sign * m
+        if m:
+            z[w] = m
+        else:
+            del z[w]
+    return z
+
+
 class Character:
     """Characters of one-parameter subgroups, one per stratum: ``maps`` holds
     a weight -> nonzero multiplicity map for each.  The ring operations act
-    on all the maps at once, so a weight multiset is never expanded.  Each
-    product of one stratum's maps charges ``budget``, a WorkBudget that
-    results inherit, unless it is None."""
+    on all the maps at once, so a weight multiset is never expanded, and
+    never change an operand's maps, which walks share: a sum or difference
+    is made in place on a copy of the left map.  Each product of one
+    stratum's maps charges ``budget``, a WorkBudget that results inherit,
+    unless it is None.  The characters of expressions have positive
+    multiplicities, so no product of theirs leaves a weight of multiplicity
+    0."""
 
     __slots__ = ("maps", "budget")
 
@@ -196,27 +216,24 @@ class Character:
         return all(self.maps)
 
     def __add__(self, other):
-        out = []
-        for x, y in zip(self.maps, other.maps):
-            z = dict(x)
-            for w, m in y.items():
-                z[w] = z.get(w, 0) + m
-            out.append({w: m for w, m in z.items() if m})
-        return Character(out, self.budget)
+        return Character([_added(x, y, 1) for x, y in zip(self.maps, other.maps)], self.budget)
 
     def __sub__(self, other):
-        return self + Character([{w: -m for w, m in y.items()} for y in other.maps])
+        return Character([_added(x, y, -1) for x, y in zip(self.maps, other.maps)], self.budget)
 
     def __mul__(self, other):
+        budget = self.budget
         out = []
         for x, y in zip(self.maps, other.maps):
-            charge_product(self.budget, len(x), len(y))
+            charge_product(budget, len(x), len(y))
             z = {}
+            get = z.get
             for a, m in x.items():
                 for b, n in y.items():
-                    z[a + b] = z.get(a + b, 0) + m * n
+                    w = a + b
+                    z[w] = get(w, 0) + m * n
             out.append(z)
-        return Character(out, self.budget)
+        return Character(out, budget)
 
     def dual(self):
         return Character([{-w: m for w, m in x.items()} for x in self.maps], self.budget)
@@ -245,14 +262,23 @@ class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
         return -sum(self.u1)
 
 
+@lru_cache(maxsize=MAX_CACHED_SETUPS)
+def _leaf_maps(weights: tuple[StratumWeights, ...]) -> tuple[list, list, list]:
+    """The weight -> multiplicity maps of U1 and U2 on each stratum of
+    ``weights``, and the one weight of O(1) on each: built once per tuple of
+    strata, and shared by every walk over it."""
+    return ([{w: s.u1.count(w) for w in s.u1} for s in weights],
+            [{w: s.u2.count(w) for w in s.u2} for s in weights], [s.o1() for s in weights])
+
+
 def characters(weights, e: BundleExpr, budget: WorkBudget) -> Character:
     """The weights of ``e`` with multiplicities on each stratum of
     ``weights``, a sequence of StratumWeights, from one walk of the tree.
-    The maps may be shared with other results, so do not mutate them.
-    Each stratum's products charge ``budget``."""
-    leaves = {op: Character([{w: ws.count(w) for w in ws} for ws in column], budget)
-              for op, column in (("U1", [s.u1 for s in weights]), ("U2", [s.u2 for s in weights]))}
-    o1 = [s.o1() for s in weights]
+    The maps may be shared with other results and with later walks over
+    the same strata, so do not mutate them.  Each stratum's products
+    charge ``budget``."""
+    u1, u2, o1 = _leaf_maps(tuple(weights))
+    leaves = {"U1": Character(u1, budget), "U2": Character(u2, budget)}
 
     def leaf(x):
         if x.op == "O":

@@ -12,8 +12,12 @@ product table, since the pairing of complementary degrees is perfect: it
 is solved at import into one flat table, a row of ``(j, k, 3c)`` triples
 per basis class.  A power x^n, x = a + y with a the degree-0 coordinate
 and y nilpotent, is the binomial series in a and y truncated at y^6: at
-most five products for any n.  ch(det E) = exp(c_1(E)) and ch(O(n)) =
-exp(n c_1) are combinations of the powers of c_1 stored at import.
+most five products for any n.  The powers of each class c_i and d_i up to
+6 are stored at import; ch(det E) = exp(c_1(E)) and ch(O(n)) = exp(n c_1)
+are combinations of the powers of c_1.  The polynomials of the command
+line read a class's power from that table and multiply by an integer
+coefficient as a scaling, so only products of two ring elements cost a
+ring product.
 Chern characters of bundle expressions are evaluated compositionally
 from the Chern classes of the universal bundles via Newton's identities;
 td(Y) comes from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O of the
@@ -296,10 +300,16 @@ def _exp(x: ChowElement) -> ChowElement:
     return ChowElement(out.nums, 720 * out.den)
 
 
+#: The powers 0 to 6 of each class by name, then 0 for every higher power;
+#: d1 is identified with c1 on input.
+_POWERS = {name: (*(x ** k for k in range(7)), ChowElement.zero())
+           for name, x in (("c1", _C1), ("c2", _C2), ("c3", _C3), ("d2", _D2))}
+_POWERS["d1"] = _POWERS["c1"]
+
 #: ``(i, k, 720 / k! * c)`` for each coordinate c of c1^k at basis_i, k <= 6:
 #: ten integers, since every c1^k has integer coordinates (den 1).
 _EXP_C1 = tuple((i, k, 720 // factorial(k) * c) for k in range(7)
-                for i, c in enumerate((_C1 ** k).nums) if c)
+                for i, c in enumerate(_POWERS["c1"][k].nums) if c)
 
 
 def _exp_c1(num: int, den: int) -> ChowElement:
@@ -390,9 +400,6 @@ class ChowSyntaxError(ValueError):
 #: end, nothing.
 _TOKEN = re.compile(r"\s*(\d+|\w\w?|.?)")
 
-#: The classes by name; d1 is identified with c1 on input.
-_ATOMS = {"c1": _C1, "c2": _C2, "c3": _C3, "d1": _C1, "d2": _D2}
-
 
 def _refuse_digits(bits: int, what: str, pos: int) -> None:
     """Refuse a numerator or denominator of at least 2^bits, over 0.3 * bits
@@ -405,7 +412,11 @@ def _refuse_digits(bits: int, what: str, pos: int) -> None:
 
 class _PolyParser:
     """Integer-coefficient polynomials in c1, c2, c3, d1, d2 with + - * ^
-    and parentheses, read one token at a time."""
+    and parentheses, read one token at a time.  Integer coefficients are
+    scalings: an integer factor stays an int within its term, and a term
+    that ends as an int k is k * [Y], whose numerator bound and degree-0
+    coordinate are |k| and k, as the digit-limit checks read them.  A
+    class's power comes from the table ``_POWERS``."""
 
     def __init__(self, text: str):
         self.tokens = _TOKEN.finditer(text)
@@ -427,7 +438,9 @@ class _PolyParser:
         return out
 
     def term(self) -> ChowElement:
-        """A signed product of factors, such as ``-3c1^2*c2``."""
+        """A signed product of factors, such as ``-3c1^2*c2``.  Integer
+        factors multiply as integers and scale a ring element; a term that
+        stays an integer k is k * [Y]."""
         sign = 1
         while self.token in ("+", "-"):
             if self.token == "-":
@@ -438,17 +451,23 @@ class _PolyParser:
             if self.token == "*":
                 self.advance()
             elif not (self.token[:1].isalnum() or self.token == "("):  # else implicit, as in "3c1"
+                if type(out) is int:
+                    return ChowElement([sign * out] + [0] * (len(BASIS) - 1), 1)
                 return out if sign > 0 else -out
             factor, end = self.factor()
-            out = out * factor
-            # an unprintable numerator, at least |n| // den, only grows, ever
-            # slower, in further products (denominators here divide 3)
-            _refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product", end)
+            out = factor * out if type(out) is int else out * factor
+            # an unprintable numerator, at least |n| // den (|k| for an
+            # integer k), only grows, ever slower, in further products
+            # (denominators here divide 3)
+            top = abs(out) if type(out) is int else max(map(abs, out.nums)) // out.den
+            _refuse_digits(top.bit_length() - 1, "product", end)
 
-    def factor(self) -> tuple[ChowElement, int]:
+    def factor(self) -> tuple[ChowElement | int, int]:
         """An atom, to the power after "^" if any, and the position after it:
-        the end of the exponent's digits, else the start of the next token."""
+        the end of the exponent's digits, else the start of the next token.
+        A number is an int; a class's powers come from ``_POWERS``."""
         token = self.token
+        powers = _POWERS.get(token)
         if token == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
@@ -459,9 +478,9 @@ class _PolyParser:
                 self.fail("expected ')'")
             self.depth -= 1
         elif token.isdecimal():
-            base = int(token) * ChowElement.unit()
-        elif token in _ATOMS:
-            base = _ATOMS[token]
+            base = int(token)
+        elif powers:
+            base = powers[1]
         else:
             self.fail("unknown class name" if token[:1].isalpha() else "expected class, number, or '('")
         self.advance()
@@ -472,7 +491,10 @@ class _PolyParser:
         if not digits.isdecimal():
             self.fail("expected exponent")
         self.advance()
-        n, a, den = int(digits), abs(base.nums[0]), base.den
+        n = int(digits)
+        if powers:  # a class: degree-0 coordinate 0, never refused
+            return powers[min(n, 7)], end
+        a, den = (abs(base), 1) if type(base) is int else (abs(base.nums[0]), base.den)
         # refuse before squaring: the degree-0 coordinate, in lowest terms,
         # grows n-fold in bits
         _refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power", end)

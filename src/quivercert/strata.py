@@ -28,6 +28,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 from threading import Lock
+from types import SimpleNamespace
 
 from ._linalg import _int_entries
 from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, characters,
@@ -186,14 +187,28 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
                  if s is not None)
 
 
-#: Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs that
-#: it costs and each stratum's number of distinct weights, at most
-#: ``MAX_CACHED_EXPRS`` entries; a new entry past them evicts the oldest.  An
-#: evicted entry is walked again when next asked for, and charges what it did
-#: before.
-#: Entries are stored and evicted under ``_RANGES_LOCK``, so that threads
-#: that miss at once never evict the same entry twice.
-_RANGES: dict = {}
+class _RangeCache(dict):
+    """Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs
+    that it costs and each stratum's number of distinct weights, at most
+    ``MAX_CACHED_EXPRS`` entries; a new entry past them evicts the oldest.
+    An evicted entry is walked again when next asked for, and charges what
+    it did before.  Entries are stored, evicted and cleared under
+    ``_RANGES_LOCK``, so that threads that miss at once never evict the same
+    entry twice.  A dict, so that a lookup is the dict's own ``get``, with
+    ``cache_info`` and ``cache_clear`` as an ``lru_cache`` has them."""
+
+    __slots__ = ()
+
+    def cache_info(self) -> SimpleNamespace:
+        """The bound and the number of entries, as ``maxsize`` and ``currsize``."""
+        return SimpleNamespace(maxsize=MAX_CACHED_EXPRS, currsize=len(self))
+
+    def cache_clear(self):
+        with _RANGES_LOCK:
+            self.clear()
+
+
+_RANGES = _RangeCache()
 _RANGES_LOCK = Lock()
 
 

@@ -38,7 +38,8 @@ from quivercert import chow, cli
 from quivercert._linalg import echelon, render_ratio
 from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, MAX_RANK, MAX_TERMS, O, U1, U2,
                                 BundleExpr, Character, ExprSyntaxError, StratumWeights, WorkBudget,
-                                _fold, characters, direct_sum, dual, evaluate, sl, tensor, twist)
+                                _fold, characters, charge_product, direct_sum, dual, evaluate, sl,
+                                tensor, twist)
 from quivercert.chow import (
     _C1,
     _C2,
@@ -53,8 +54,10 @@ from quivercert.chow import (
     _INDEX,
     _INTEGRALS,
     _PAIRING,
+    _PolyParser,
     _ch_from_chern,
     _exp,
+    _refuse_digits,
     _tangent_ch,
     ch_of,
     scaled_pairing,
@@ -1316,6 +1319,43 @@ def character_by_stratum(base: StratumWeights, e: BundleExpr,
         return evaluate(x, leaf, value)
 
     return value(e)
+
+
+# -- character sums through a filtering dict ------------------------------------
+#
+# The operations that the in-place sums of ``bundles.Character`` replaced: a
+# sum fills a copy and then filters it into a second dict, a difference adds
+# a negated character, and a product reads its budget and ``dict.get``
+# through attributes.
+
+class FilteredCharacter(Character):
+    """A ``Character`` whose sum, difference and product are the replaced
+    operations."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = []
+        for x, y in zip(self.maps, other.maps):
+            z = dict(x)
+            for w, m in y.items():
+                z[w] = z.get(w, 0) + m
+            out.append({w: m for w, m in z.items() if m})
+        return FilteredCharacter(out, self.budget)
+
+    def __sub__(self, other):
+        return self + FilteredCharacter([{w: -m for w, m in y.items()} for y in other.maps])
+
+    def __mul__(self, other):
+        out = []
+        for x, y in zip(self.maps, other.maps):
+            charge_product(self.budget, len(x), len(y))
+            z = {}
+            for a, m in x.items():
+                for b, n in y.items():
+                    z[a + b] = z.get(a + b, 0) + m * n
+            out.append(z)
+        return FilteredCharacter(out, self.budget)
 
 
 def hostile_two_node_expr() -> BundleExpr:
@@ -2771,6 +2811,69 @@ def parse_chow_poly_by_scanner(text: str) -> ChowElement:
     return _PolyScanner(text).parse()
 
 
+class _ProductParser(_PolyParser):
+    """``chow._PolyParser`` with the term and factor that integer scalings
+    and the table of class powers replaced: a number k is k * [Y], which a
+    ring product multiplies in, and a class's power is ``**``."""
+
+    _ATOMS = _PolyScanner._ATOMS
+
+    def term(self) -> ChowElement:
+        sign = 1
+        while self.token in ("+", "-"):
+            if self.token == "-":
+                sign = -sign
+            self.advance()
+        out = self.factor()[0]
+        while True:
+            if self.token == "*":
+                self.advance()
+            elif not (self.token[:1].isalnum() or self.token == "("):
+                return out if sign > 0 else -out
+            factor, end = self.factor()
+            out = out * factor
+            _refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product", end)
+
+    def factor(self) -> tuple[ChowElement, int]:
+        token = self.token
+        if token == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
+            self.advance()
+            base = self.sum_expr()
+            if self.token != ")":
+                self.fail("expected ')'")
+            self.depth -= 1
+        elif token.isdecimal():
+            base = int(token) * ChowElement.unit()
+        elif token in self._ATOMS:
+            base = self._ATOMS[token]
+        else:
+            self.fail("unknown class name" if token[:1].isalpha() else "expected class, number, or '('")
+        self.advance()
+        if self.token != "^":
+            return base, self.pos
+        self.advance()
+        digits, end = self.token, self.pos + len(self.token)
+        if not digits.isdecimal():
+            self.fail("expected exponent")
+        self.advance()
+        n, a, den = int(digits), abs(base.nums[0]), base.den
+        _refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power", end)
+        return base ** n, end
+
+
+def parse_chow_poly_by_products(text: str) -> ChowElement:
+    """``chow.parse_chow_poly`` with a ring product for every integer factor
+    and ``**`` for every power of a class."""
+    parser = _ProductParser(text)
+    out = parser.sum_expr()
+    if parser.token:
+        parser.fail("trailing input")
+    return out
+
+
 # -- the package's caches --------------------------------------------------------
 
 def package_modules() -> list:
@@ -2783,16 +2886,17 @@ def package_modules() -> list:
 def package_caches() -> dict:
     """Every cache of the package by qualified name: those among the module
     globals and among the attributes of the classes a module defines, so that
-    a cached classmethod is found too."""
+    a cached classmethod is found too.  A cache that is an object, such as
+    ``strata._RANGES``, goes by the name that holds it; its class is no cache."""
     found = {}
     for module in package_modules():
-        values = list(vars(module).values())
-        values += [value for cls in values if isinstance(cls, type)
-                   and cls.__module__ == module.__name__ for value in vars(cls).values()]
-        for value in values:
+        named = list(vars(module).items())
+        named += [item for _, cls in named if isinstance(cls, type)
+                  and cls.__module__ == module.__name__ for item in vars(cls).items()]
+        for name, value in named:
             value = getattr(value, "__func__", value)
-            if hasattr(value, "cache_info"):
-                found[f"{value.__module__}.{value.__qualname__}"] = value
+            if hasattr(value, "cache_info") and not isinstance(value, type):
+                found[f"{value.__module__}.{getattr(value, '__qualname__', name)}"] = value
     return found
 
 

@@ -1,3 +1,5 @@
+import copy
+import operator
 import random
 import sys
 
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (character_by_stratum, hostile_two_node_expr, parse_expr_by_scanner,
+from oracles import (FilteredCharacter, character_by_stratum, hostile_two_node_expr,
+                     parse_expr_by_scanner,
                      parse_outcome, parser_texts, random_expr, rank_by_characters, rank_by_ops,
                      weights_by_lists, weights_of)
+from quivercert import bundles
 from quivercert.bundles import (
     _TOKEN,
     MAX_RANK,
@@ -21,6 +25,7 @@ from quivercert.bundles import (
     ExprSyntaxError,
     WorkBudget,
     StratumWeights,
+    _leaf_maps,
     characters,
     det,
     direct_sum,
@@ -341,6 +346,87 @@ UNARY_OPS = ("dual", "det", "sl", "sym2", "wedge2")
 #: wedge2 of a line bundle: the zero bundle, which sl refuses
 ZERO_RANK = wedge2(O(0))
 AT_THE_RANK_LIMIT = tensor(*[direct_sum(O(0), O(0))] * 64)
+
+
+def character_pairs(lowest=-3):
+    """Two characters on one to three strata: weight -> nonzero multiplicity
+    maps over few weights, with multiplicities from ``lowest`` to 3, so that
+    sums cancel when it is negative."""
+    def maps(n):
+        return st.lists(st.dictionaries(st.integers(-3, 3), st.integers(lowest, 3).filter(bool),
+                                        max_size=6), min_size=n, max_size=n)
+
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(maps(n), maps(n)))
+
+
+class TestCharacterOperations:
+    @given(character_pairs())
+    def test_equal_the_filtering_route(self, pair):
+        # the same maps, in the same order, and the same charges; neither
+        # operand changes
+        x, y = pair
+        before = copy.deepcopy(pair)
+        for op in (operator.add, operator.sub, operator.mul):
+            fast, slow = WorkBudget(), WorkBudget()
+            got = op(Character(x, fast), Character(y))
+            want = op(FilteredCharacter(x, slow), FilteredCharacter(y))
+            assert [list(z.items()) for z in got.maps] == [list(z.items()) for z in want.maps]
+            assert got.budget is fast and fast.left == slow.left
+        assert (x, y) == before
+        assert (Character(x) - Character(x)).maps == [{}] * len(x)
+
+    @settings(max_examples=200)
+    @given(pair=character_pairs(lowest=1),
+           limits=st.sampled_from([(4, MAX_WORK_TERMS), (MAX_TERMS, 12), (9, 40), (36, 80)]))
+    def test_refusals_equal_the_filtering_route(self, pair, limits):
+        # MAX_TERMS and the WorkBudget refuse the same product, stratum and
+        # message, after the same charges.  Positive multiplicities, as every
+        # expression has: a product of characters with negative ones can
+        # leave a weight of multiplicity 0, which the filtering route dropped
+        # in a later sum and the in-place sum keeps
+        x, y = pair
+
+        def chain(cls):
+            budget = WorkBudget()
+            a, b = cls(x, budget), cls(y)
+
+            def run():
+                p = a * b
+                q = (p + a) * (b + p)
+                return [z for c in (p, q, q * q - b) for z in c.maps]
+
+            return outcome(run), budget.left
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bundles, "MAX_TERMS", limits[0])
+            patch.setattr(bundles, "MAX_WORK_TERMS", limits[1])
+            assert chain(Character) == chain(FilteredCharacter)
+
+
+class TestLeafMaps:
+    """The maps of U1 and U2 and the weights of O(1) are built once per
+    tuple of strata and shared by every walk over it."""
+
+    WALKED = ["sum(U1,U2,dual(U1))", "sl(U1)", "sl(sum(U2,O(1)))", "wedge2(sum(U1,U2))",
+              "sym2(U2)", "sym2(sum(dual(U1),U1))", "sum(sl(U2),wedge2(U2),sym2(U1),O(-2))"]
+
+    def test_a_second_walk_builds_no_leaf_map(self):
+        ws = [s.weights for s in unstable_strata(Moduli.kronecker23())]
+        characters(ws, sl(U1), WorkBudget())
+        misses = _leaf_maps.cache_info().misses
+        for text in self.WALKED:
+            characters(ws, parse_expr(text), WorkBudget())
+        assert _leaf_maps.cache_info().misses == misses
+
+    @pytest.mark.parametrize("moduli", [Moduli.kronecker23(), KRONECKER2],
+                             ids=["Y", "kronecker2"])
+    def test_no_walk_changes_the_leaf_maps(self, moduli):
+        ws = tuple(s.weights for s in unstable_strata(moduli))
+        shared = _leaf_maps(ws)
+        before = copy.deepcopy(shared)
+        for text in self.WALKED:
+            characters(ws, parse_expr(text), WorkBudget())
+        assert _leaf_maps(ws) is shared and shared == before
 
 
 def nodes(e):

@@ -35,6 +35,7 @@ from oracles import (
     mul_by_nested_table,
     pairing,
     pairing_by_fractions,
+    parse_chow_poly_by_products,
     parse_chow_poly_by_scanner,
     parse_outcome,
     parser_texts,
@@ -79,6 +80,34 @@ C1 = ChowElement.basis("c1")
 C2 = ChowElement.basis("c2")
 C3 = ChowElement.basis("c3")
 D2 = ChowElement.basis("d2")
+
+
+#: Numerals and exponents for polynomials that meet the digit limit: 2^7000,
+#: 9...9 with 4299 digits and 3^9100 are printable, but not twice as large.
+POLY_NUMBERS = st.sampled_from([*map(str, range(13)), "99", "9" * 400, "9" * 4299])
+POLY_EXPONENTS = st.sampled_from([*map(str, range(13)), "7000", "7400", "9100", "9" * 400])
+
+
+@st.composite
+def poly_texts(draw, depth=2):
+    """Sums of signed products of numerals, classes and parenthesized sums,
+    each to a power or not, nested ``depth`` deep."""
+    kinds = st.sampled_from(("number", "class", "parens") if depth else ("number", "class"))
+    text = ""
+    for i in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(kinds)
+            factor = (draw(POLY_NUMBERS) if kind == "number" else
+                      draw(st.sampled_from(("c1", "c2", "c3", "d1", "d2"))) if kind == "class" else
+                      f"({draw(poly_texts(depth - 1))})")
+            if not draw(st.integers(0, 2)):
+                factor += "^" + draw(POLY_EXPONENTS)
+            factors.append(factor)
+        sign = draw(st.sampled_from(("", "-", "--", "+") if i else ("", "-")))
+        text += (draw(st.sampled_from(("+", " - "))) if i else "") + sign
+        text += draw(st.sampled_from(("*", " ", " * "))).join(factors)
+    return text
 
 
 def exprs(depth=3):
@@ -404,8 +433,17 @@ class TestProductCounts:
 
     def test_negated_power(self, products):
         value = parse_chow_poly("-c1^2")
-        assert len(products) == 1
+        assert len(products) == 0
         assert value == -ChowElement.basis("c1^2")
+
+    @pytest.mark.parametrize("text, count", [("3*c1^2*c2", 1), ("c2^3", 0), ("7*d2^3+3*c3^2", 0),
+                                             ("3*(c1+c2)^2*d2", 2), ("2^3*5*c3^9", 0)])
+    def test_integers_scale_and_class_powers_are_stored(self, products, text, count):
+        # an integer factor is a scaling and a class's power is read from a
+        # table, so only products of two ring elements remain
+        value = parse_chow_poly(text)
+        assert len(products) == count
+        assert value == parse_chow_poly_by_products(text)
 
 
 class TestToddAndTangent:
@@ -608,6 +646,43 @@ class TestPolynomialInput:
         # the same class, or the same error type and message, position included
         want = parse_outcome(parse_chow_poly_by_scanner, text)
         assert parse_outcome(parse_chow_poly, text) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly_texts())
+    @example("2^14000*c1")
+    @example("(2^14000)*c1^3")
+    @example("3^4000*3^4000*c2")
+    @example("1^" + "9" * 400 + "*c1^6")
+    @example("2^7000*2^7400")
+    @example("2^7000*c1*2^7400*c1")
+    @example("3^9100*c1^6")
+    @example("9" * 4299 + "*c1^6")
+    @example("c2^2*2^9000*2^9000")
+    @example("0^0*c3^0 - 5^" + "9" * 400 + "c1^7")
+    def test_equals_the_product_route(self, text):
+        # integer factors as scalings and class powers from a table give the
+        # value of ring products, or the same error, position included
+        want = parse_outcome(parse_chow_poly_by_products, text)
+        assert parse_outcome(parse_chow_poly, text) == want
+
+    @pytest.mark.parametrize("text,what,position", [
+        ("2^7000*2^7400", "product", 13),
+        ("2^7000*c1*2^7400*c1", "product", 16),
+        ("c2^2*2^9000*2^9000", "product", 18),
+        ("3^9100*c1^6", "product", 11),
+        ("9" * 4299 + "*c1^6", None, None),
+        ("c1*3^14400", "power", 10),
+    ])
+    def test_digit_limit_positions_of_integer_factors(self, text, what, position):
+        # a product or power of integers is refused where the ring products
+        # refused it; a printable value is not refused here
+        want = parse_outcome(parse_chow_poly_by_products, text)
+        assert parse_outcome(parse_chow_poly, text) == want
+        if what is None:
+            assert isinstance(want, ChowElement)
+        else:
+            assert want == (ValueError, f"the {what} exceeds the limit (4300 digits) for integer"
+                                        f" string conversion (at position {position})")
 
     @pytest.mark.parametrize("text,message", [
         ("c1²", "expected class, number, or '(' (at position 2)"),

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (clear_package_caches, cli_by_calls, cli_by_fractions, hostile_two_node_expr,
-                     parse_by_argparse, random_matrix_text)
+                     parse_by_argparse, parse_chow_poly_by_products, random_matrix_text)
 from test_quiver import quiver_dim_theta
 from quivercert import cli, quiver, repgeom, strata
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
@@ -234,6 +234,22 @@ class TestChowEval:
         code = main(["chow-eval", "--expr", "(1+c1)^" + "9" * 4000])
         assert time.perf_counter() - start < 1
         assert (code, capsys.readouterr().out) == (2, DIGIT_LIMIT_STDOUT)
+
+    @pytest.mark.parametrize("text,code", [
+        ("2^14000*c1", 0), ("(2^14000)*c1^3", 0), ("3^4000*3^4000*c2", 0),
+        ("1^" + "9" * 400 + "*c1^6", 0),
+        ("2^7000*2^7400", 2), ("2^7000*c1*2^7400*c1", 2), ("3^9100*c1^6", 2),
+        ("9" * 4299 + "*c1^6", 2),
+    ])
+    def test_digit_limit_edges_of_integer_factors(self, capsys, monkeypatch, text, code):
+        # integer factors are scalings: they meet the digit limit where ring
+        # products met it, and print the same document
+        assert main(["chow-eval", "--expr", text]) == code
+        out = capsys.readouterr().out
+        if code == 2:
+            assert out == DIGIT_LIMIT_STDOUT
+        monkeypatch.setattr(cli, "parse_chow_poly", parse_chow_poly_by_products)
+        assert (main(["chow-eval", "--expr", text]), capsys.readouterr().out) == (code, out)
 
     def test_d1_alias(self, capsys):
         _, doc = run_cli(capsys, "chow-eval", "--expr", "d1^3")
@@ -1215,6 +1231,14 @@ class TestFuzz:
     @example(["chow-eval", "--expr", "2^9999999999"])
     @example(["chow-eval", "--expr", "(1+c1)^" + "9" * 300])
     @example(["chow-eval", "--expr", "(1+c1)^" + "9" * 4000])
+    @example(["chow-eval", "--expr", "2^14000*c1"])
+    @example(["chow-eval", "--expr", "(2^14000)*c1^3"])
+    @example(["chow-eval", "--expr", "3^4000*3^4000*c2"])
+    @example(["chow-eval", "--expr", "1^" + "9" * 400 + "*c1^6"])
+    @example(["chow-eval", "--expr", "2^7000*2^7400"])
+    @example(["chow-eval", "--expr", "2^7000*c1*2^7400*c1"])
+    @example(["chow-eval", "--expr", "3^9100*c1^6"])
+    @example(["chow-eval", "--expr", "9" * 4299 + "*c1^6"])
     @example(["syzygies", "--matrix", "1/2x+3/0y,y,z;x,y,z"])
     @example(["stability", "--matrix", "1/2x+1/3y,-5/7z,0/1x;2/9y,x,1/11z+1/12x"])
     @example(["hn-types", "--quiver=--"])

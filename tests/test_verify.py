@@ -724,6 +724,7 @@ class TestRecordSemantics:
 #: Every cache of the package, by qualified name, with its ``maxsize``.  None
 #: only where the keys are few by construction, as each comment says.
 CACHES = {
+    "quivercert.bundles._leaf_maps": quiver.MAX_CACHED_SETUPS,
     "quivercert.chow.todd_y": 1,
     "quivercert.chow.chi_form": 1,
     "quivercert.chow.ch_of": chow.MAX_CACHED_EXPRS,
@@ -737,6 +738,7 @@ CACHES = {
     "quivercert.strata.Moduli.kronecker23": None,  # no arguments: one entry
     "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.unstable_strata": quiver.MAX_CACHED_SETUPS,
+    "quivercert.strata._RANGES": bundles.MAX_CACHED_EXPRS,
     "quivercert.verify.standard_collection": 1,
     "quivercert.verify.check_ch_identities": 1,
     "quivercert.verify.mutation_ledger_check": 1,
@@ -746,6 +748,14 @@ CACHES = {
 def test_every_cache_is_listed_with_its_bound():
     found = {name: cached.cache_info().maxsize for name, cached in package_caches().items()}
     assert found == CACHES
+
+
+def test_clearing_the_caches_empties_the_range_cache():
+    clear_package_caches()
+    teleman_certify(parse_expr("twist(sl(U1),2)"))
+    assert strata._RANGES.cache_info().currsize == 2
+    clear_package_caches()
+    assert not strata._RANGES and strata._RANGES.cache_info().currsize == 0
 
 
 @contextlib.contextmanager

@@ -196,14 +196,19 @@ def _added(x: dict, y: dict, sign: int) -> dict:
 
 class Character:
     """Characters of one-parameter subgroups, one per stratum: ``maps`` holds
-    a weight -> nonzero multiplicity map for each.  The ring operations act
-    on all the maps at once, so a weight multiset is never expanded, and
-    never change an operand's maps, which walks share: a sum or difference
-    is made in place on a copy of the left map.  Each product of one
-    stratum's maps charges ``budget``, a WorkBudget that results inherit,
-    unless it is None.  The characters of expressions have positive
-    multiplicities, so no product of theirs leaves a weight of multiplicity
-    0."""
+    a weight -> multiplicity map for each.  The ring operations act on all
+    the maps at once, so a weight multiset is never expanded, and never
+    change an operand's maps, which walks share: a sum or difference is
+    made in place on a copy of the left map.  Each product of one stratum's
+    maps charges ``budget``, a WorkBudget that results inherit, unless it
+    is None.
+
+    A sum or difference drops every weight whose multiplicity reaches 0, so
+    of operands with no 0 it makes none.  A product keeps every weight it
+    reaches: of maps with multiplicities of both signs it can keep a 0
+    (``{0: -1, 2: 1}`` times ``{1: -1, 3: -1}`` is ``{1: 1, 3: 0, 5: -1}``),
+    while of maps with positive multiplicities, as every character of an
+    expression has, it makes positive ones only."""
 
     __slots__ = ("maps", "budget")
 

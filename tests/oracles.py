@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb, factorial, gcd, lcm, prod
-from operator import itemgetter, mul, sub
+from math import comb, factorial, gcd, inf, lcm, prod
+from operator import add, itemgetter, mul, sub
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -828,6 +828,145 @@ def hn_types_by_dicts(quiver: Quiver, d, theta):
 
     extend(d, len(rank), [])
     return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
+
+
+
+def lattice_by_vertices(d: DimVector) -> tuple[list, list, list, list]:
+    """``(box, pairs, columns, scaled)``: the lattice of d as
+    ``quiver._lattice`` built it before it extended the f <= h of a
+    smaller h in one comprehension per subvector.  Here the f <= h of each
+    h are rebuilt from zero, one comprehension per vertex, and ``scaled[i]``
+    is the column of the f_i * L / |f| over the box, one list per vertex,
+    where ``quiver._lattice`` keeps one row per subvector.  ``box`` and
+    ``pairs`` are those of ``quiver._lattice``."""
+    box = list(itertools.product(*(range(x + 1) for x in d)))
+    strides = [1]
+    for x in reversed(d[1:]):
+        strides.append(strides[-1] * (x + 1))
+    strides.reverse()
+    pairs = []
+    for h in box:
+        below = [(0, ())]  # (index, factors) of the f <= h, one vertex at a time
+        for n, s in zip(h, strides):
+            below = [(y + k * s, factors + ((n, k),) if 0 < k < n else factors)
+                     for y, factors in below for k in range(n + 1)]
+        pairs.append(below[1:-1])
+    common = lcm(*range(1, sum(d) + 1))
+    scales = [0] + [common // sum(f) for f in box[1:]]
+    columns = list(zip(*box))
+    return box, pairs, columns, [list(map(mul, c, scales)) for c in columns]
+
+
+def sst_table_by_columns(quiver: Quiver, d: DimVector,
+                         theta: tuple) -> tuple[list, list, list, list]:
+    """``(box, counts, keys, tails)``: the table of ``quiver._sst_table``
+    as it was built before the dead pairs were cut before the bisection,
+    over ``lattice_by_vertices(d)``: the keys summed one vertex column at a
+    time, an arrow column of zeros for every vertex to add the flows to,
+    every pair bisected, and a list of terms for every row."""
+    box, pairs, columns, scaled = lattice_by_vertices(d)
+    keys = [0] * len(box)
+    for t, c in zip(theta, scaled):
+        keys = list(map(add, keys, map(t.__mul__, c)))
+    parallel = Counter(quiver.arrows)
+    flows = [(0,) * len(box)] * quiver.vertex_count  # (M.f)_i over the box, by vertex i
+    for (i, j), m in parallel.items():
+        flows[i] = list(map(add, flows[i], map(m.__mul__, columns[j])))
+    column = list(zip(*flows))
+    bits = _coefficient_bits(sum(d))
+    counts = [0] * len(box)
+    tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
+    for x in range(1, len(box)):
+        total = 1 << bits * sum(map(mul, box[x], column[x]))
+        terms = []
+        for y, factors in pairs[x]:
+            count = counts[y]
+            if not count:
+                continue
+            below, sums, _ = tails[x - y]
+            key = keys[y]
+            t = sums[bisect_left(below, key)]
+            if not t:
+                continue
+            for n, k in factors:
+                count = mul(count, _q_binomial(n, k, bits))
+            term = mul(count, t) << bits * sum(map(mul, box[x - y], column[y]))
+            terms.append((key, term, y))
+            total -= term
+        counts[x] = total
+        if total:
+            terms.append((keys[x], total, x))
+        if len(terms) == 1:
+            (key, term, y), = terms
+            tails.append(((key,), (0, term), (y,)))
+            continue
+        terms.sort(key=itemgetter(0))
+        below, partial, parts = zip(*terms)
+        tails.append((below, (0, *itertools.accumulate(partial)), parts))
+    return box, counts, keys, tails
+
+
+def hn_types_by_recursion(quiver: Quiver, d, theta) -> list[HNType]:
+    """The Harder-Narasimhan types of d by a recursive walk over the lattice
+    indices of ``sst_table_by_columns``, one call per prefix: the walk that
+    ``enumerate_hn_types`` replaced with one over an explicit stack."""
+    d, theta = _check_counting_input(quiver, d, theta)
+    if sum(t * x for t, x in zip(theta, d)) != 0:
+        raise ValueError("theta . d must be zero")
+    box, _, keys, tails = sst_table_by_columns(quiver, d, theta)
+    types = []
+
+    def extend(x, bound, prefix):
+        if not x:
+            types.append(prefix)
+            return
+        below, _, parts = tails[x]
+        for y in parts[:bisect_left(below, bound)]:
+            extend(x - y, keys[y], prefix + (y,))
+
+    extend(len(box) - 1, inf, ())
+    types.sort()
+    return [tuple(map(box.__getitem__, tau)) for tau in types]
+
+
+# -- semistable existence from general subrepresentations ---------------------
+#
+# King (1994): a theta-semistable representation of dimension h exists
+# exactly when theta.f / |f| <= theta.h / |h| for every nonzero dimension
+# vector f of a subrepresentation of a general representation of dimension
+# h, written f -> h.  Schofield (1992): f -> h exactly when ext(f, h - f) =
+# 0, where ext(a, b) is the largest -<a', b> over the a' -> a.  So the
+# relation is built bottom up over the subvectors of d from the Euler form
+# alone, with no count, no polynomial and no q-binomial.
+
+
+def general_subvectors(quiver: Quiver, d) -> dict:
+    """For every h <= d, the f <= h with f -> h: f = h, or <g, h - f> >= 0
+    for every g -> f, so that ext(f, h - f) = 0.  The zero vector is always
+    among them.  The Euler form is written out here, so that this route
+    shares no code with the package's."""
+    arrows = Counter(quiver.arrows).items()
+
+    def no_ext(gs, rest):  # ext(f, rest) = 0, given the g -> f
+        return all(sum(map(mul, g, rest)) >= sum(m * g[i] * rest[j] for (i, j), m in arrows)
+                   for g in gs)
+
+    subs = {}
+    for h in itertools.product(*(range(x + 1) for x in d)):  # every f < h comes first
+        subs[h] = [f for f in itertools.product(*(range(x + 1) for x in h))
+                   if f == h or no_ext(subs[f], tuple(map(sub, h, f)))]
+    return subs
+
+
+def semistable_by_subrepresentations(quiver: Quiver, d, theta) -> dict:
+    """``{h: whether a theta-semistable representation of dimension h
+    exists}`` over the nonzero h <= d: no f -> h has a slope above that of
+    h, compared by cross-multiplying."""
+    def dot(f):
+        return sum(map(mul, theta, f))
+
+    return {h: all(dot(f) * sum(h) <= dot(h) * sum(f) for f in fs)
+            for h, fs in general_subvectors(quiver, d).items() if any(h)}
 
 
 def poly_divmod(p, q):

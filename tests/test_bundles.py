@@ -375,6 +375,21 @@ class TestCharacterOperations:
         assert (x, y) == before
         assert (Character(x) - Character(x)).maps == [{}] * len(x)
 
+    @given(signed=character_pairs(), positive=character_pairs(lowest=1))
+    def test_multiplicities_of_zero(self, signed, positive):
+        # a sum or difference of maps with no 0 makes none, whatever the
+        # signs; a product of maps with positive multiplicities makes
+        # positive ones only
+        x, y = signed
+        for op in (operator.add, operator.sub):
+            assert all(all(z.values()) for z in op(Character(x), Character(y)).maps)
+        x, y = positive
+        assert all(m > 0 for z in (Character(x) * Character(y)).maps for m in z.values())
+
+    def test_a_product_of_signed_maps_can_keep_a_zero(self):
+        product = Character([{0: -1, 2: 1}]) * Character([{1: -1, 3: -1}])
+        assert product.maps == [{1: 1, 3: 0, 5: -1}]
+
     @settings(max_examples=200)
     @given(pair=character_pairs(lowest=1),
            limits=st.sampled_from([(4, MAX_WORK_TERMS), (MAX_TERMS, 12), (9, 40), (36, 80)]))

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import json
 import math
+import operator
 import random
 import re
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -26,14 +29,18 @@ from oracles import (
     hn_type_brute,
     hn_types_by_chains,
     hn_types_by_dicts,
+    hn_types_by_recursion,
     hn_types_by_subvectors,
     is_hn_type,
     is_hn_type_by_fraction_slopes,
     is_semistable_brute,
+    lattice_by_vertices,
     poly_mul,
+    semistable_by_subrepresentations,
     slope,
     sst_count_by_fraction_slopes,
     sst_count_by_tails,
+    sst_table_by_columns,
     sst_table_by_dicts,
     sst_table_by_tuples,
     sst_table_fused,
@@ -437,13 +444,26 @@ class TestHasSemistable:
 SIX_VERTICES = Quiver(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))
 SIX_THETA = (5, -1, -1, -1, -1, -1)
 
+#: Admitted shapes with many subvectors or a long arrow exponent.
+WIDE_SHAPES = [
+    (Quiver.kronecker(12), (31, 1), (1, -31)),
+    (Quiver.kronecker(7), (7, 7), (1, -1)),
+    (SIX_VERTICES, (1,) * 6, SIX_THETA),
+]
+WIDE_IDS = ["kronecker12-31-1", "kronecker7-7-7", "six-vertices"]
+
+
+def _cold_and_warm(call):
+    """``call()`` with the lattices cleared, then again, reading the
+    lattice it built from the cache."""
+    _lattice.cache_clear()
+    return call(), call()
+
 
 def _table_cold_and_warm(quiver, d, theta):
     """``_sst_table`` with the lattice of d cleared, then again, reading the
     lattice from the cache."""
-    _lattice.cache_clear()
-    cold = _sst_table(quiver, d, theta)
-    warm = _sst_table(quiver, d, theta)
+    cold, warm = _cold_and_warm(lambda: _sst_table(quiver, d, theta))
     assert _lattice.cache_info().hits >= 1
     return cold, warm
 
@@ -458,11 +478,7 @@ class TestLattice:
         assert by_subvector(cold) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
             quiver, d, theta)
 
-    @pytest.mark.parametrize("quiver,d,theta", [
-        (Quiver.kronecker(12), (31, 1), (1, -31)),
-        (Quiver.kronecker(7), (7, 7), (1, -1)),
-        (SIX_VERTICES, (1,) * 6, SIX_THETA),
-    ], ids=["kronecker12-31-1", "kronecker7-7-7", "six-vertices"])
+    @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
     def test_wide_shapes_equal_fused_loop(self, quiver, d, theta):
         assert _check_counting_input(quiver, d, theta)
         cold, warm = _table_cold_and_warm(quiver, d, theta)
@@ -508,9 +524,12 @@ class TestLattice:
                 assert box[x - y] == tuple(a - b for a, b in zip(h, f))
                 assert factors == tuple((n, k) for n, k in zip(h, f) if 0 < k < n)
         assert list(zip(*columns)) == box
-        # f_i * L / |f| with L = lcm(1, ..., 5) = 60, so the entries of f sum to L
-        assert [sum(s) for s in zip(*scaled)] == [0] + [60] * (len(box) - 1)
-        assert all(s * sum(f) == 60 * f[i] for i in range(2) for s, f in zip(scaled[i], box))
+        # one row f_i * L / |f| per f, with L = lcm(1, ..., 5) = 60, so the
+        # entries of a row sum to L
+        assert len(scaled) == len(box) and all(len(row) == 2 for row in scaled)
+        assert [sum(row) for row in scaled] == [0] + [60] * (len(box) - 1)
+        assert all(s * sum(f) == 60 * f[i]
+                   for row, f in zip(scaled, box) for i, s in enumerate(row))
 
     def test_every_lattice_product_is_a_call_of_mul(self, monkeypatch):
         # the lattice multiplies nothing and computes no binomial; a table
@@ -559,6 +578,121 @@ class TestLattice:
         factors = [dict(row) for row in pairs]
         kept = sum(bool(factors[x][y]) for x in range(1, len(box)) for y in tails[x][2] if y != x)
         assert sum(id(q) in binomials for q in operands) == kept > 100
+
+
+@st.composite
+def gated_quiver_dim_theta(draw):
+    """An acyclic quiver on 2-4 vertices with 0-3 arrows i -> j for each
+    i < j, a nonzero dimension vector with entries up to 3 that the
+    counting gate admits, and theta in [-4, 4]^n."""
+    n = draw(st.integers(2, 4))
+    arrows = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                   for _ in range(draw(st.integers(0, 3))))
+    e = draw(st.tuples(*[st.integers(0, 3)] * n).filter(any))
+    assume(math.prod(x + 1 for x in e) <= MAX_SUBVECTORS)
+    return Quiver(n, arrows), e, draw(st.tuples(*[st.integers(-4, 4)] * n))
+
+
+class TestReplacedRoutes:
+    """The lattice, the table and the walk equal the routes they replaced,
+    ``lattice_by_vertices`` (one comprehension per vertex, scaled columns),
+    ``sst_table_by_columns`` (every pair bisected, a list of terms per row)
+    and ``hn_types_by_recursion``, with the lattice cold and warm."""
+
+    @staticmethod
+    def assert_equal_routes(quiver, d, theta):
+        old = lattice_by_vertices(d)
+        lattice = (*old[:3], list(zip(*old[3])))  # one scaled row per subvector
+        assert _cold_and_warm(lambda: _lattice(d)) == (lattice, lattice)
+        table = sst_table_by_columns(quiver, d, theta)
+        assert _cold_and_warm(lambda: _sst_table(quiver, d, theta)) == (table, table)
+        if sum(map(operator.mul, theta, d)) == 0:
+            types = hn_types_by_recursion(quiver, d, theta)
+            assert _cold_and_warm(lambda: enumerate_hn_types(quiver, d, theta)) == (types, types)
+
+    @settings(max_examples=100, deadline=None)
+    @given(benchmark_shapes())
+    def test_benchmark_shapes(self, case):
+        self.assert_equal_routes(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
+    def test_small_quivers(self, case):
+        self.assert_equal_routes(*case)
+
+    @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
+    def test_wide_shapes(self, quiver, d, theta):
+        assert _check_counting_input(quiver, d, theta)
+        self.assert_equal_routes(quiver, d, theta)
+
+    @pytest.mark.parametrize("quiver,d,theta,bisections,live", [
+        (KRONECKER3, (4, 5), (5, -4), 111, 242),
+        (THREE_VERTICES, (1, 2, 2), (-2, 3, -2), 22, 61),
+    ], ids=["kronecker3-4-5", "three-vertices"])
+    def test_dead_pairs_are_cut_before_the_bisection(self, monkeypatch, quiver, d, theta,
+                                                      bisections, live):
+        # the replaced table bisected the tail of every pair with a nonzero
+        # count; a key at most the least of the rest's is cut first
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(quiver_module, "bisect_left", counted)
+        _, counts, _, _ = _sst_table(quiver, d, theta)
+        nonzero = sum(bool(counts[y]) for row in _lattice(d)[1] for y, _ in row)
+        assert (len(calls), nonzero) == (bisections, live)
+        assert len(calls) < nonzero
+
+    @pytest.mark.parametrize("d", [(31, 1), (7, 7)], ids=["31-1", "7-7"])
+    def test_lattice_keeps_no_more_than_the_replaced_one(self, d):
+        # the lists of every f <= h that the build extends do not outlive it
+        def kept(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                lattice = build(d)
+                return tracemalloc.get_traced_memory()[0] - before, lattice
+            finally:
+                tracemalloc.stop()
+
+        size, lattice = kept(_lattice.__wrapped__)
+        old_size, old = kept(lattice_by_vertices)
+        assert lattice[1] == old[1]
+        assert size <= old_size
+
+
+class TestGeneralSubrepresentations:
+    """King's criterion on the general subrepresentations (Schofield's ext
+    recursion, ``semistable_by_subrepresentations``), which shares no code
+    with the counting table, decides existence as the table does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gated_quiver_dim_theta())
+    def test_equals_the_counting_table(self, case):
+        quiver, e, theta = case
+        assert _check_counting_input(quiver, e, theta)
+        expected = semistable_by_subrepresentations(quiver, e, theta)
+        assert has_semistable(quiver, e, theta) == expected[e]
+        box, counts, _, _ = _sst_table(quiver, e, theta)
+        assert {h: bool(count) for h, count in zip(box[1:], counts[1:])} == expected
+
+    @pytest.mark.parametrize("quiver,e,theta,exists", [
+        (A2, (2, 1), (1, -2), False),
+        (A2, (1, 2), (1, -2), False),
+        (A2, (1, 1), (1, -2), True),
+        (KRONECKER3, (2, 3), (3, -2), True),
+        (KRONECKER3, (1, 3), (3, -1), True),
+        (KRONECKER3, (1, 4), (4, -1), False),
+    ])
+    def test_known_cases(self, quiver, e, theta, exists):
+        # (1, 4) on three arrows: a general map from a line to a 4-space
+        # spans at most a 3-space, which leaves a quotient (0, 1) of slope
+        # -1 below that of (1, 4), 0
+        assert semistable_by_subrepresentations(quiver, e, theta)[e] == exists
+        assert has_semistable(quiver, e, theta) == exists
 
 
 class TestTableRows:

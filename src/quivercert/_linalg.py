@@ -1,10 +1,17 @@
 """Integer helpers shared by the modules: the check of integer entries, a
-fraction-free row echelon form, and the rendering of a ratio of integers."""
+fraction-free row echelon form, the rendering of a ratio of integers, and
+the bound of the caches keyed by a moduli setup."""
 
 from __future__ import annotations
 
 from math import gcd
 from operator import index
+
+#: Entries kept by each cache keyed by a moduli setup or a part of one: the
+#: lattices of d of ``quiver``, the leaf maps of ``bundles`` and the stratum
+#: records and strata of ``strata``.  A caller that scans many d or theta
+#: then holds at most this many of each, the most recently used.
+MAX_CACHED_SETUPS = 256
 
 
 def _int_entries(values, what: str) -> tuple[int, ...]:

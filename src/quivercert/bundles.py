@@ -22,8 +22,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from ._linalg import _int_entries
-from .quiver import MAX_CACHED_SETUPS
+from ._linalg import MAX_CACHED_SETUPS, _int_entries
 
 #: Largest rank of an expression and of each of its subexpressions.
 MAX_RANK = 2 ** 64
@@ -39,7 +38,7 @@ MAX_WORK_TERMS = 2 ** 20
 _LEAF_RANKS = {"U1": 2, "U2": 3, "O": 1}
 
 #: Entries kept by each cache keyed by an expression: ``chow.ch_of``,
-#: ``chow.chi_row`` and ``strata._RANGES``.  A benchmark pass never evicts:
+#: ``chow.chi_row`` and ``strata._weigh``.  A benchmark pass never evicts:
 #: requests at ``--seconds 20`` fills 1155.
 MAX_CACHED_EXPRS = 1 << 13
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import comb, gcd, inf, lcm
 from operator import mul
 
-from ._linalg import _int_entries
+from ._linalg import MAX_CACHED_SETUPS, _int_entries
 
 #: Largest arrow count of a quiver, which builds one entry per arrow.
 MAX_ARROWS = 10 ** 4
@@ -65,12 +65,6 @@ MAX_SUBVECTORS = 64
 #: ``enumerate_hn_types`` call timed after the import, median of 7 fresh
 #: interpreters on a 2-vCPU host, Python 3.11.
 MAX_COUNTING_WORK = 15 * 10 ** 7
-
-#: Entries kept by each cache keyed by a moduli setup or a part of one: the
-#: lattices of d here and the stratum records and strata of ``strata``.  A
-#: caller that scans many d or theta then holds at most this many of each,
-#: the most recently used.
-MAX_CACHED_SETUPS = 256
 
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]

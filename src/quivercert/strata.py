@@ -16,10 +16,16 @@ codimension, and the one-parameter subgroup and eta of its stratum) is
 built once per (quiver, d, theta) by ``hn_records``, which the strata of
 a ``Moduli`` and the ``hn-types`` command both read.
 
-A twist tensor(e, O(n)), O(n) on either side, is weighed from the cached
-ranges of e.  O(n) has one weight on each stratum, so it shifts every
-weight of e and keeps their number: the ranges shift, and the product's
-check and charge are replayed from e's counts, exactly as a walk does.
+The weight ranges of an expression are weighed once per (expression,
+moduli) under a budget of their own, and cached with what they cost; a
+request's budget is charged that cost.  So a cached entry gives the
+verdict a fresh one does, and an expression that breaks MAX_TERMS on its
+own is refused for that even after earlier objects of its request have
+spent their shared budget.  A twist tensor(e, O(n)), O(n) on either side,
+is weighed from the cached ranges of e.  O(n) has one weight on each
+stratum, so it shifts every weight of e and keeps their number: the
+ranges shift, and the product's check and charge are replayed from e's
+counts, exactly as a walk does.
 """
 
 from __future__ import annotations
@@ -27,14 +33,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import lcm
-from threading import Lock
-from types import SimpleNamespace
 
-from ._linalg import _int_entries
+from ._linalg import MAX_CACHED_SETUPS, _int_entries
 from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, characters,
                       charge_product)
 from .quiver import (
-    MAX_CACHED_SETUPS,
     HNType,
     Quiver,
     _check_counting_input,
@@ -187,57 +190,34 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
                  if s is not None)
 
 
-class _RangeCache(dict):
-    """Per ``(expr, moduli)``: the ``weight_ranges`` result, the weight pairs
-    that it costs and each stratum's number of distinct weights, at most
-    ``MAX_CACHED_EXPRS`` entries; a new entry past them evicts the oldest.
-    An evicted entry is walked again when next asked for, and charges what
-    it did before.  Entries are stored, evicted and cleared under
-    ``_RANGES_LOCK``, so that threads that miss at once never evict the same
-    entry twice.  A dict, so that a lookup is the dict's own ``get``, with
-    ``cache_info`` and ``cache_clear`` as an ``lru_cache`` has them."""
-
-    __slots__ = ()
-
-    def cache_info(self) -> SimpleNamespace:
-        """The bound and the number of entries, as ``maxsize`` and ``currsize``."""
-        return SimpleNamespace(maxsize=MAX_CACHED_EXPRS, currsize=len(self))
-
-    def cache_clear(self):
-        with _RANGES_LOCK:
-            self.clear()
-
-
-_RANGES = _RangeCache()
-_RANGES_LOCK = Lock()
-
-
 def weight_ranges(expr: BundleExpr, moduli: Moduli,
                   budget: WorkBudget) -> tuple[tuple[int, int] | None, ...]:
     """The (min, max) weight of ``expr`` on each unstable stratum, or None
-    for the zero bundle, which has no weights.  One walk of the tree weighs
-    ``expr`` on all strata at once; a twist by O(n) is weighed from the
-    ranges of its base, as the module docstring says.  The character
-    products on all strata charge ``budget``; a cached result charges it
-    what the products cost, so that a warm cache and a cold one give the
-    same verdict.  Exceptions are not cached."""
-    return _entry(expr, moduli, budget)[0]
+    for the zero bundle, which has no weights, from ``_weigh``, which checks
+    ``expr`` on its own; then ``budget`` is charged the weight pairs that
+    they cost, cached or not."""
+    ranges, cost, _ = _weigh(expr, moduli)
+    budget.charge(cost)
+    return ranges
 
 
-def _entry(expr: BundleExpr, moduli: Moduli, budget: WorkBudget) -> tuple:
-    """The ``_RANGES`` entry of ``expr``, charging ``budget`` what it costs.
-    A twist by O(n), on either side, shifts the ranges of its base's entry
-    by n * o1 and replays the product's check and charges, stratum by
-    stratum in the order of the walk, from the base's counts."""
-    entry = _RANGES.get((expr, moduli))
-    if entry is not None:
-        budget.charge(entry[1])
-        return entry
+@lru_cache(maxsize=MAX_CACHED_EXPRS)
+def _weigh(expr: BundleExpr, moduli: Moduli) -> tuple:
+    """``(ranges, cost, counts)`` for ``expr``: its weight ranges, the weight
+    pairs that its character products combine under a ``WorkBudget`` of its
+    own, and each stratum's number of distinct weights.  One walk of the
+    tree weighs ``expr`` on all strata at once.  A twist by O(n), on either
+    side, shifts the ranges of its base's entry by n * o1, and replays the
+    base's cost and then the product's check and charges, stratum by
+    stratum in the order of the walk, from the base's counts.  Exceptions
+    are not cached."""
+    budget = WorkBudget()
     left = budget.left
     if expr.op == "tensor" and "O" in (expr.args[0].op, expr.args[1].op):
         right = expr.args[1].op == "O"
         e, o = expr.args if right else reversed(expr.args)
-        ranges, _, counts = _entry(e, moduli, budget)
+        ranges, cost, counts = _weigh(e, moduli)
+        budget.charge(cost)
         for count in counts:
             charge_product(budget, *((count, 1) if right else (1, count)))
         shifts = [o.args[0] * s.weights.o1() for s in unstable_strata(moduli)]
@@ -246,11 +226,7 @@ def _entry(expr: BundleExpr, moduli: Moduli, budget: WorkBudget) -> tuple:
         maps = characters([s.weights for s in unstable_strata(moduli)], expr, budget).maps
         ranges = tuple((min(c), max(c)) if c else None for c in maps)
         counts = tuple(map(len, maps))
-    with _RANGES_LOCK:
-        if len(_RANGES) >= MAX_CACHED_EXPRS:
-            del _RANGES[next(iter(_RANGES))]
-        entry = _RANGES[expr, moduli] = ranges, left - budget.left, counts
-    return entry
+    return ranges, left - budget.left, counts
 
 
 #: One row of a certificate: ``max_weight`` and ``margin`` are None for the zero bundle.

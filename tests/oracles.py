@@ -3025,17 +3025,16 @@ def package_modules() -> list:
 def package_caches() -> dict:
     """Every cache of the package by qualified name: those among the module
     globals and among the attributes of the classes a module defines, so that
-    a cached classmethod is found too.  A cache that is an object, such as
-    ``strata._RANGES``, goes by the name that holds it; its class is no cache."""
+    a cached classmethod is found too."""
     found = {}
     for module in package_modules():
-        named = list(vars(module).items())
-        named += [item for _, cls in named if isinstance(cls, type)
-                  and cls.__module__ == module.__name__ for item in vars(cls).items()]
-        for name, value in named:
+        values = list(vars(module).values())
+        values += [value for cls in values if isinstance(cls, type)
+                   and cls.__module__ == module.__name__ for value in vars(cls).values()]
+        for value in values:
             value = getattr(value, "__func__", value)
-            if hasattr(value, "cache_info") and not isinstance(value, type):
-                found[f"{value.__module__}.{getattr(value, '__qualname__', name)}"] = value
+            if hasattr(value, "cache_info"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value
     return found
 
 

@@ -461,6 +461,16 @@ def test_strata_and_verify_import_no_dataclasses():
     assert proc.stdout == "False\n"
 
 
+def test_chow_imports_no_quiver_code():
+    # a child interpreter, so that no test module has imported the package yet
+    script = ("import sys\nimport quivercert.chow\n"
+              "print(sorted({'quivercert.quiver', 'quivercert.strata'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 PACKAGE = TESTS.parent / "src" / "quivercert"
 
 #: The benchmark files that run the program.  The string tables of
@@ -1036,6 +1046,10 @@ class TestHostileSizes:
         # 128 distinct objects of about 928,000 terms each share one budget
         (["verify-collection", "--file", "128-heavy-objects.json"],
          f"character products exceed {MAX_WORK_TERMS} terms in one request"),
+        # the second object breaks MAX_TERMS on its own, after the first has
+        # spent most of the shared budget: its own refusal is reported
+        (["verify-collection", "--file", "heavy-then-wide.json"],
+         f"product of characters with 512 and 512 weights exceeds {MAX_TERMS} terms"),
         # two strata above MAX_TERMS at different nodes: the earlier node is reported
         (["teleman", "--expr", str(hostile_two_node_expr())],
          f"product of characters with 19 and 4096 weights exceeds {MAX_TERMS} terms"),
@@ -1048,6 +1062,11 @@ class TestHostileSizes:
         heavy = f"sum({SYM2_AT_THE_TERM_LIMIT},{SYM2_AT_THE_TERM_LIMIT})"
         (tmp_path / "128-heavy-objects.json").write_text(json.dumps(
             {"objects": [{"expr": f"twist({heavy},{k})"} for k in range(MAX_OBJECTS)]}),
+            encoding="utf-8")
+        wide = "tensor(" + ",".join(f"sum(O(0),O({3 ** k}))" for k in range(9)) + ")"
+        (tmp_path / "heavy-then-wide.json").write_text(json.dumps(
+            {"objects": [{"expr": f"twist({heavy},1)"},
+                         {"expr": f"sum({SYM2_AT_THE_TERM_LIMIT},tensor({wide},{wide}))"}]}),
             encoding="utf-8")
         start = time.perf_counter()
         code, doc = run_cli(capsys, *argv)

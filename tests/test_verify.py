@@ -200,12 +200,32 @@ class TestSmallCollections:
         both = CollectionSpec(tuple((str(e), e) for e in heavy))
         for warm in (False, True):
             # a cached object is charged what it cost, so warm and cold agree
-            for e in heavy:
-                strata._RANGES.pop((e, Y23), None)
-                if warm:
+            strata._weigh.cache_clear()
+            if warm:
+                for e in heavy:
                     weight_ranges(e, Y23, WorkBudget())
             with pytest.raises(ValueError, match=f"exceed {bundles.MAX_WORK_TERMS} terms in one"):
                 verify_collection(both, Y23)
+
+    def test_an_object_above_the_term_limit_is_refused_for_it(self):
+        # each object is weighed on its own before the shared budget is
+        # charged: an object that breaks MAX_TERMS alone is refused for that,
+        # though the object before it has spent most of the budget
+        block = sym2(tensor(*[direct_sum(O(0), O(2 ** k)) for k in range(8)]))
+        wide = tensor(*[direct_sum(O(0), O(3 ** k)) for k in range(9)])  # 512 weights
+        first, second = twist(direct_sum(block, block), 1), direct_sum(block, tensor(wide, wide))
+        message = f"product of characters with 512 and 512 weights exceeds {bundles.MAX_TERMS} terms"
+        with pytest.raises(ValueError) as alone:
+            verify_collection(CollectionSpec((("b", second),)), Y23)
+        assert str(alone.value) == message
+        both = CollectionSpec((("a", first), ("b", second)))
+        for warm in (False, True):
+            strata._weigh.cache_clear()
+            if warm:
+                weight_ranges(first, Y23, WorkBudget())
+            with pytest.raises(ValueError) as refused:
+                verify_collection(both, Y23)
+            assert str(refused.value) == message
 
     def test_verdict_table(self):
         from quivercert.verify import _pair_verdict
@@ -738,7 +758,7 @@ CACHES = {
     "quivercert.strata.Moduli.kronecker23": None,  # no arguments: one entry
     "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.unstable_strata": quiver.MAX_CACHED_SETUPS,
-    "quivercert.strata._RANGES": bundles.MAX_CACHED_EXPRS,
+    "quivercert.strata._weigh": bundles.MAX_CACHED_EXPRS,
     "quivercert.verify.standard_collection": 1,
     "quivercert.verify.check_ch_identities": 1,
     "quivercert.verify.mutation_ledger_check": 1,
@@ -753,22 +773,29 @@ def test_every_cache_is_listed_with_its_bound():
 def test_clearing_the_caches_empties_the_range_cache():
     clear_package_caches()
     teleman_certify(parse_expr("twist(sl(U1),2)"))
-    assert strata._RANGES.cache_info().currsize == 2
+    assert strata._weigh.cache_info().currsize == 2
     clear_package_caches()
-    assert not strata._RANGES and strata._RANGES.cache_info().currsize == 0
+    assert strata._weigh.cache_info().currsize == 0
+
+
+def test_every_cache_is_a_functools_cache():
+    # only a functools cache has cache_parameters: a cache written by hand fails here
+    assert [name for name, cached in package_caches().items()
+            if not hasattr(cached, "cache_parameters")] == []
 
 
 @contextlib.contextmanager
-def expression_caches_bounded(size):
-    """``ch_of`` and ``chi_row`` rebuilt empty with ``maxsize`` ``size``, as
-    if ``MAX_CACHED_EXPRS`` were ``size``, in every module that holds them."""
+def caches_bounded(size, module, *names):
+    """The caches ``names`` of ``module`` rebuilt empty with ``maxsize``
+    ``size``, as if their bound were ``size``, in every module that holds
+    them."""
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("ch_of", "chi_row"):
-            cached = getattr(chow, name)
+        for name in names:
+            cached = getattr(module, name)
             bounded = functools.lru_cache(maxsize=size)(cached.__wrapped__)
-            for module in package_modules():
-                if getattr(module, name, None) is cached:
-                    patch.setattr(module, name, bounded)
+            for holder in package_modules():
+                if getattr(holder, name, None) is cached:
+                    patch.setattr(holder, name, bounded)
         yield
 
 
@@ -795,25 +822,12 @@ def test_expression_cache_bound_changes_no_result(size, capsys, monkeypatch):
 
     expected = results()
     assert expected[1] == CHI_VALUES and len(set(expected[2])) > 1
-    with expression_caches_bounded(size):
+    with caches_bounded(size, chow, "ch_of", "chi_row"):
         assert chow.ch_of.cache_info().maxsize == verify.chi_row.cache_info().maxsize == size
         assert results() == expected
         for record in TRANSCRIPT:
             assert (main(record["argv"]), capsys.readouterr().out) == (
                 record["code"], record["stdout"]), record["argv"]
-
-
-@contextlib.contextmanager
-def range_cache_bounded(size):
-    """``strata._RANGES`` emptied and kept to ``size`` entries, as if
-    ``strata.MAX_CACHED_EXPRS`` were ``size``; emptied again on leaving."""
-    strata._RANGES.clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(strata, "MAX_CACHED_EXPRS", size)
-            yield
-    finally:
-        strata._RANGES.clear()
 
 
 #: ``(MAX_TERMS, MAX_WORK_TERMS)``, None for the package's value: the six
@@ -824,15 +838,13 @@ RANGE_LIMITS = [(None, None), (2, None), (None, 80), (3, 110), (2, 40), (1, 125)
 
 def ranges_outcome(sequence, limits) -> tuple:
     """The weight ranges on Y of each expression of ``sequence`` under one
-    ``WorkBudget`` and ``limits``, from an empty ``_RANGES``, and the budget
-    left; or the ranges before a refusal and its message.  After a refusal
-    the budget is dropped: a warm entry charges its cost at once, where a
-    walk stops at the product that overdraws it."""
+    ``WorkBudget`` and ``limits``, from an empty ``strata._weigh``, and the
+    budget left; or the ranges before a refusal and its message."""
     max_terms, max_work = limits
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundles, "MAX_TERMS", max_terms or bundles.MAX_TERMS)
         patch.setattr(bundles, "MAX_WORK_TERMS", max_work or bundles.MAX_WORK_TERMS)
-        strata._RANGES.clear()
+        strata._weigh.cache_clear()
         budget, ranges = WorkBudget(), []
         try:
             for e in sequence:
@@ -840,7 +852,7 @@ def ranges_outcome(sequence, limits) -> tuple:
         except ValueError as exc:
             return ranges, str(exc)
         finally:
-            strata._RANGES.clear()
+            strata._weigh.cache_clear()
         return ranges, budget.left
 
 
@@ -854,7 +866,7 @@ def collection_outcomes(specs) -> list:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bundles, "MAX_TERMS", max_terms or bundles.MAX_TERMS)
             patch.setattr(bundles, "MAX_WORK_TERMS", max_work or bundles.MAX_WORK_TERMS)
-            strata._RANGES.clear()
+            strata._weigh.cache_clear()
             for spec in specs:
                 try:
                     out.append(verify_collection(spec, Y23))
@@ -863,7 +875,7 @@ def collection_outcomes(specs) -> list:
         for spec in specs:
             objects = [e for _, e in spec.objects]
             out.append(ranges_outcome(objects + objects, limits))
-    strata._RANGES.clear()
+    strata._weigh.cache_clear()
     return out
 
 
@@ -878,7 +890,7 @@ def test_range_cache_bound_changes_no_result(size, capsys, monkeypatch):
     refusals = [x for x in expected if isinstance(x, str)]
     assert any("in one request" in x for x in refusals)
     assert any("terms in one" not in x for x in refusals)
-    with range_cache_bounded(size):
+    with caches_bounded(size, strata, "_weigh"):
         assert collection_outcomes(specs) == expected
         for record in TRANSCRIPT:
             assert (main(record["argv"]), capsys.readouterr().out) == (
@@ -896,7 +908,7 @@ def test_range_cache_bound_holds_across_threads():
         budget = WorkBudget()
         return [weight_ranges(e, Y23, budget) for e in exprs], budget.left
 
-    strata._RANGES.clear()
+    strata._weigh.cache_clear()
     expected = walk()
     outcomes, errors = [], []
 
@@ -908,7 +920,7 @@ def test_range_cache_bound_holds_across_threads():
             errors.append(exc)
 
     interval = sys.getswitchinterval()
-    with range_cache_bounded(1):
+    with caches_bounded(1, strata, "_weigh"):
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             threads = [threading.Thread(target=run) for _ in range(4)]
@@ -918,7 +930,7 @@ def test_range_cache_bound_holds_across_threads():
                 thread.join()
         finally:
             sys.setswitchinterval(interval)
-        assert len(strata._RANGES) <= 1
+        assert strata._weigh.cache_info().currsize <= 1
     assert errors == []
     assert outcomes == [expected] * 80
 
@@ -932,5 +944,5 @@ def test_range_cache_bound_changes_no_range(size, exprs, shifts, limits):
     # expressions, their twists and the expressions again, under one budget
     sequence = exprs + [twist(e, n) for e in exprs for n in shifts] + exprs
     expected = ranges_outcome(sequence, limits)
-    with range_cache_bounded(size):
+    with caches_bounded(size, strata, "_weigh"):
         assert ranges_outcome(sequence, limits) == expected

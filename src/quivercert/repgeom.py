@@ -23,7 +23,7 @@ its gcd with that denominator, and only when output is produced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -69,14 +69,12 @@ def lf_mul(u: LinearForm, v: LinearForm) -> QuadraticForm:
     return a * d, b * e, c * f, a * e + b * d, a * f + c * d, b * f + c * e
 
 
-@dataclass(frozen=True)
-class LinearFormMatrix:
+class LinearFormMatrix(namedtuple("LinearFormMatrix", "rows dens")):
     """A 2x3 matrix of linear forms in x, y, z with rational coefficients:
     row i is ``rows[i]``, three integer coefficient triples, divided by
     ``dens[i] > 0``, in lowest terms (coprime to the row's integers)."""
 
-    rows: tuple[tuple[LinearForm, LinearForm, LinearForm], ...]
-    dens: tuple[int, int]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return ";".join(",".join(render_linear_form(entry, den) for entry in row)

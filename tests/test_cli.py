@@ -430,8 +430,15 @@ def test_no_fraction_on_the_request_path(capsys, monkeypatch):
         assert (main(argv), capsys.readouterr().out) == want, argv
 
 
+#: Modules that no subcommand needs: fractions (the integer routes build no
+#: Fraction) and the dataclasses import tree (every record is a named tuple).
+UNUSED_MODULES = ("fractions", "dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
 def test_no_subcommand_imports_fractions():
-    # a child interpreter, so that no test module has imported fractions yet
+    # a child interpreter, so that no test module has imported these yet (the
+    # tests themselves import fractions and, through oracles, dataclasses);
+    # cli imports every module of the package, so the guard covers them all
     script = (
         "import contextlib, io, json, sys\n"
         "from quivercert.cli import main\n"
@@ -439,26 +446,17 @@ def test_no_subcommand_imports_fractions():
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(main(argv))\n"
-        "print(json.dumps([codes, 'fractions' in sys.modules]))\n"
+        "print(json.dumps([codes, [m for m in sys.argv[2:] if m in sys.modules],\n"
+        "                  sorted(m for m in sys.modules if m.startswith('quivercert'))]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(EVERY_SUBCOMMAND)],
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(EVERY_SUBCOMMAND),
+                           *UNUSED_MODULES], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, imported = json.loads(proc.stdout)
+    codes, imported, package = json.loads(proc.stdout)
     assert [argv[0] for argv in EVERY_SUBCOMMAND] == list(cli.COMMANDS)
     assert codes == [0, 1, 0, 0, 0, 0, 0, 0, 0]
-    assert not imported
-
-
-def test_strata_and_verify_import_no_dataclasses():
-    # a child interpreter, so that no test module has imported dataclasses yet;
-    # repgeom's LinearFormMatrix is the one dataclass left
-    script = ("import sys\nimport quivercert.strata, quivercert.verify\n"
-              "print('dataclasses' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert {"quivercert.repgeom", "quivercert.strata", "quivercert.verify"} <= set(package)
+    assert imported == []
 
 
 def test_chow_imports_no_quiver_code():

@@ -34,6 +34,7 @@ from oracles import (
 )
 from quivercert._linalg import echelon
 from quivercert.repgeom import (
+    LinearFormMatrix,
     commutes,
     is_stable,
     minors,
@@ -495,10 +496,10 @@ class TestParsing:
     def test_equals_the_fraction_parser_on_mutations(self, text):
         # the same matrix, or the same error type and message
         got = parse_outcome(parse_matrix, text)
-        if isinstance(got, tuple):
-            assert got == parse_outcome(parse_matrix_by_fractions, text)
-        else:
+        if isinstance(got, LinearFormMatrix):
             assert fraction_matrix(got) == parse_matrix_by_fractions(text)
+        else:
+            assert got == parse_outcome(parse_matrix_by_fractions, text)
 
     @pytest.mark.parametrize("entry,message", [
         ("²z", "cannot parse linear form '²z'"),

@@ -1,11 +1,14 @@
 import contextlib
 import copy
 import functools
+import gc
+import io
 import json
 import pickle
 import random
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -668,10 +671,10 @@ RECORD_CLASSES = {cls for module in (bundles, chow, quiver, repgeom, strata, ver
                   and cls.__module__ == module.__name__
                   and (is_dataclass(cls) or issubclass(cls, tuple))}
 
-#: The records that are named tuples: all but LinearFormMatrix.
+#: The records that are named tuples: all of them.
 NAMEDTUPLE_CLASSES = {BundleExpr, bundles.StratumWeights, Quiver, strata.OnePS, Moduli,
                       CollectionSpec, verify.PairStatus, strata.StratumData, strata.StratumCheck,
-                      verify.VerificationMatrix}
+                      verify.VerificationMatrix, repgeom.LinearFormMatrix}
 
 
 #: A builder of one instance of each record class, from real data.
@@ -946,3 +949,41 @@ def test_range_cache_bound_changes_no_range(size, exprs, shifts, limits):
     expected = ranges_outcome(sequence, limits)
     with caches_bounded(size, strata, "_weigh"):
         assert ranges_outcome(sequence, limits) == expected
+
+
+def soak_memory(texts, every):
+    """The bytes that tracemalloc traces after ``gc.collect()``, read after
+    each ``every`` of the ``chi``, ``ch`` and ``teleman`` requests, in turn on
+    the expressions ``texts``, sent through ``cli.main`` in this process."""
+    totals = []
+    tracemalloc.start()
+    try:
+        for k, text in enumerate(texts, 1):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([("chi", "ch", "teleman")[k % 3], "--expr", text])
+            if k % every == 0:
+                gc.collect()
+                totals.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return totals
+
+
+#: The most that traced memory may grow from the 2000th to the 3000th
+#: request when the expression caches keep 64 entries: 64 bytes a request.
+#: With the bounds at 8192 it grows about 1.9 MiB there.
+SOAK_GROWTH_BOUND = 64 * 1024
+
+
+def test_memory_levels_off_under_the_cache_bounds():
+    # 3000 distinct expressions, drawn before tracing starts so that the
+    # test's own strings are not counted; with ch_of, chi_row and _weigh
+    # bounded at 64 every other cache holds few entries by construction
+    rng = random.Random(44)
+    texts = list(dict.fromkeys(str(random_expr(rng)) for _ in range(9000)))[:3000]
+    assert len(texts) == 3000
+    clear_package_caches()
+    with caches_bounded(64, chow, "ch_of", "chi_row"), caches_bounded(64, strata, "_weigh"):
+        totals = soak_memory(texts, 1000)
+        assert chow.ch_of.cache_info().currsize == 64
+    assert totals[2] - totals[1] < SOAK_GROWTH_BOUND, totals

@@ -459,6 +459,17 @@ def test_no_subcommand_imports_fractions():
     assert imported == []
 
 
+def test_strata_and_verify_import_no_dataclasses():
+    # a child interpreter, so that no test module has imported dataclasses yet;
+    # importing the modules alone, without running a subcommand through cli
+    script = ("import sys\nimport quivercert.strata, quivercert.verify\n"
+              "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_chow_imports_no_quiver_code():
     # a child interpreter, so that no test module has imported the package yet
     script = ("import sys\nimport quivercert.chow\n"

@@ -5,31 +5,28 @@ representations for a given stability parameter, and enumeration of
 Harder-Narasimhan types.  The built-in instance of interest is the
 3-Kronecker quiver (two vertices, three parallel arrows).
 
-Existence of semistable representations is decided by a counting
-recursion over Z[q]: the representations of a dimension vector over a
-field with q elements split by their first Harder-Narasimhan part, which
-determines the number of semistable ones, a polynomial in q with integer
-coefficients, from the counts of smaller dimension vectors.  The
-semistable locus is nonempty exactly when its counting polynomial is
-nonzero.  One table, built bottom up for a dimension vector d, holds the
-counts of all subvectors of d, integer keys that order their slopes and,
-for each subvector, the first parts its types can start with; the
-existence test and the type enumeration read it.  Its lists are indexed
-by the position of a subvector in product order, where the index of
-h - f is the index of h less that of f, so neither reader builds a
-subvector to look one up: the enumeration walks indices and builds the
-parts of a type only when it returns it.  A row of the table with one
-term, the common case, holds it as it is, unsorted, and most pairs f < h
-are dead, with a zero count of f or a zero tail of h - f: the cheapest
-test that finds one runs first, and a dead pair costs no product.
-Each count is held as its value at q = 2^K, one integer (Kronecker
-substitution), with K large enough that the value is zero exactly when
-the polynomial is.  What the table needs of d alone (the subvectors in
-product order, the pairs f < h with their q-binomial factors, and for
-each subvector the scaled row that makes its slope an integer) is one
-lattice per d, cached and shared by the tables of every quiver and
-stability parameter.  The table itself is not cached: ``strata`` keeps
-what it reads of it.
+Existence of semistable representations is decided from the one dense
+Harder-Narasimhan stratum (Reineke, Invent. Math. 152, 2003).  The stratum
+of a type (d^1, ..., d^k) of h is nonempty exactly when every part has
+semistable representations, and its codimension is
+-sum_{k<l} <d^k, d^l> >= 0.  The representation space of h is
+irreducible, so exactly one stratum, that of the generic type of h, has
+codimension 0: (h) when h has semistable representations, and otherwise
+(f, tau') for the one first part f with <f, h - f> = 0 and tau' the
+generic type of h - f, of slopes below that of f.  So existence is a
+boolean recursion over the pairs f < h, with no counting.  One table,
+built bottom up for a dimension vector d, holds for every subvector of d
+whether it is semistable, integer keys that order the slopes, and the
+first parts its types can start with; the existence test and the type
+enumeration read it.  Its lists are indexed by the position of a
+subvector in product order, where the index of h - f is the index of h
+less that of f, so neither reader builds a subvector to look one up: the
+enumeration walks indices and builds the parts of a type only when it
+returns it.  What the table needs of d alone (the subvectors in product
+order, the pairs f < h, and for each subvector the scaled row that makes
+its slope an integer) is one lattice per d, cached and shared by the
+tables of every quiver and stability parameter.  The table itself is not
+cached: ``strata`` keeps what it reads of it.
 """
 
 from __future__ import annotations
@@ -38,10 +35,9 @@ import itertools
 import json
 import operator
 from bisect import bisect_left
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
-from math import comb, gcd, inf, lcm
-from operator import mul
+from math import gcd, inf, lcm
 
 from ._linalg import MAX_CACHED_SETUPS, _int_entries
 
@@ -52,19 +48,10 @@ MAX_ARROWS = 10 ** 4
 MAX_VERTICES = 10 ** 4
 
 #: Largest count prod(d_i + 1) of subvectors 0 <= f <= d of a dimension vector
-#: whose semistable counts are computed: the counting recursion visits every
-#: subvector of every subvector, so its work grows faster than this count.
+#: whose HN table is built: the table visits every pair f < h of subvectors of
+#: d, fewer than this count squared, and its work per pair does not grow with
+#: the arrow count.
 MAX_SUBVECTORS = 64
-
-#: Largest estimate prod(d_i + 1)^3 * (sum_{a: i->j} d_i d_j + 200) of the work
-#: of the counting table for d.  The table multiplies packed polynomials at
-#: most (n + 1) * sum_{0 < h <= d} (prod(h_i + 1) - 2) times on n vertices,
-#: each product costing a fixed part and a part that grows with the degree
-#: sum_{a: i->j} d_i d_j, so the estimate is loose: the slowest admitted shape
-#: measured, (31, 1) on 12 arrows, takes 0.038 s cold (0.034-0.066 s): one
-#: ``enumerate_hn_types`` call timed after the import, median of 7 fresh
-#: interpreters on a 2-vCPU host, Python 3.11.
-MAX_COUNTING_WORK = 15 * 10 ** 7
 
 DimVector = tuple[int, ...]
 HNType = tuple[DimVector, ...]
@@ -182,49 +169,20 @@ def reduced_slope(theta, e) -> tuple[int, int]:
     return _reduced_slope(theta, e)
 
 
-def _euler_form(quiver: Quiver, d: DimVector, e: DimVector) -> int:
+@lru_cache(maxsize=MAX_CACHED_SETUPS)
+def _arrow_counts(quiver: Quiver) -> tuple[tuple[int, int, int], ...]:
+    """The arrows of ``quiver`` grouped, as ``(i, j, m)`` for the m parallel
+    arrows i -> j, in the order of their first arrows.  The HN table, the
+    Euler form and ``strata.eta`` loop over these, so that their cost does
+    not grow with the number of parallel arrows, and the codimension and eta
+    of every type of a quiver share one grouping."""
+    return tuple((i, j, m) for (i, j), m in Counter(quiver.arrows).items())
+
+
+def _euler_form(arrows, d: DimVector, e: DimVector) -> int:
     """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j of two
-    checked dimension vectors."""
-    return sum(a * b for a, b in zip(d, e)) - sum(d[i] * e[j] for i, j in quiver.arrows)
-
-
-# -- counting recursion for semistable existence -----------------------------
-
-# Unbounded: the gate admits no d with more than MAX_SUBVECTORS = 64
-# subvectors, so n, k and the total |d| that sets ``bits`` are at most 63, and
-# the keys number fewer than 63 * 2016.
-@lru_cache(maxsize=None)
-def _q_binomial(n: int, k: int, bits: int) -> int:
-    """The Gaussian binomial coefficient [n choose k] at q = 2^bits, by
-    Pascal's rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
-    if k in (0, n):
-        return 1
-    return _q_binomial(n - 1, k - 1, bits) + (_q_binomial(n - 1, k, bits) << bits * k)
-
-
-# Unbounded: the gate admits only totals n = |d| <= 63, as for ``_q_binomial``.
-@lru_cache(maxsize=None)
-def _coefficient_bits(n: int) -> int:
-    """A width K such that every count and tail of the table of a dimension
-    vector of total n has coefficients below 2^(K-1) in absolute value.
-
-    The coefficient sum N(p) = sum_i |p_i| is subadditive and
-    submultiplicative, N([n choose k]_q) = C(n, k), and by Vandermonde
-    sum_{|f| = k, f <= h} prod_i C(h_i, f_i) = C(|h|, k).  So the recursion
-    of ``_sst_table`` bounds N of a count of total n by m(n) and N of a
-    tail (or of any sum of the terms of h) by t(n), where t(0) = 1 and
-
-        m(n) = 1 + sum_{0<k<n} C(n, k) m(k) t(n-k),
-        t(n) = sum_{0<k<=n} C(n, k) m(k) t(n-k),
-
-    both increasing in n.
-    """
-    m, t = [0], [1]
-    for j in range(1, n + 1):
-        below = sum(comb(j, k) * m[k] * t[j - k] for k in range(1, j))
-        m.append(1 + below)
-        t.append(below + m[j])
-    return max(m[n], t[n]).bit_length() + 1
+    checked dimension vectors, over the ``_arrow_counts`` of a quiver."""
+    return sum(map(operator.mul, d, e)) - sum(m * d[i] * e[j] for i, j, m in arrows)
 
 
 def _reduced_slope(theta, f) -> tuple[int, int]:
@@ -237,17 +195,13 @@ def _reduced_slope(theta, f) -> tuple[int, int]:
 
 @lru_cache(maxsize=MAX_CACHED_SETUPS)
 def _lattice(d: DimVector) -> tuple[list, list, list, list]:
-    """``(box, pairs, columns, scaled)``: the part of the counting table of
-    d that depends on d alone, shared by the tables of every quiver and
-    theta.
+    """``(box, pairs, columns, scaled)``: the part of the HN table of d that
+    depends on d alone, shared by the tables of every quiver and theta.
 
     ``box`` lists the subvectors 0 <= f <= d in product order, zero first,
     so that the index of h - f is the index of h less that of f.
-    ``pairs[x]`` lists, for h = ``box[x]``, the pairs ``(index of f,
-    factors)`` over 0 < f < h in product order, where ``factors`` holds the
-    ``(h_i, f_i)`` with 0 < f_i < h_i: prod_i [h_i choose f_i]_q is the
-    product of their ``_q_binomial``, which a table computes only for the
-    terms it keeps.  ``columns[i]`` lists the entries f_i of the box, and
+    ``pairs[x]`` lists, for h = ``box[x]``, the indices of the 0 < f < h in
+    product order.  ``columns[i]`` lists the entries f_i of the box, and
     ``scaled[x]`` the row of f_i * L / |f| over i, f = ``box[x]``, with
     L = lcm(1, ..., |d|) (zeros for f = 0), so that the slopes theta.f / |f|
     of the nonzero subvectors compare as the integers theta . ``scaled[x]``.
@@ -264,15 +218,14 @@ def _lattice(d: DimVector) -> tuple[list, list, list, list]:
     for x in reversed(d[1:]):
         strides.append(strides[-1] * (x + 1))
     strides.reverse()
-    below = [[(0, ())]] * len(box)  # (index, factors) of every f <= box[x]
+    below = [[0]] * len(box)  # the index of every f <= box[x]
     done = [0]  # the indices of the h that are 0 from vertex i on
     for m, s in zip(d, strides):
         heads = done[:]
         for n in range(1, m + 1):  # the h = box[y] of heads with h_i set to n
-            steps = [(k * s, ((n, k),) if 0 < k < n else ()) for k in range(n + 1)]
+            steps = range(0, (n + 1) * s, s)
             for y in heads:
-                below[y + n * s] = [(z + step, factors + factor)
-                                    for z, factors in below[y] for step, factor in steps]
+                below[y + n * s] = [z + step for z in below[y] for step in steps]
             done += [y + n * s for y in heads]
     pairs = [row[1:-1] for row in below]
     common = lcm(*range(1, sum(d) + 1))
@@ -281,110 +234,62 @@ def _lattice(d: DimVector) -> tuple[list, list, list, list]:
     return box, pairs, columns, list(zip(*(map(operator.mul, c, scales) for c in columns)))
 
 
-def _sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
-    """``(box, counts, keys, tails)``, the last three lists indexed like the
-    subvectors ``box`` of ``_lattice(d)``, zero first.  For h = ``box[x]``,
-    ``counts[x]`` is the number of theta-semistable representations of
-    dimension vector h over a field with q elements, a polynomial in q with
-    integer coefficients (Reineke's recursion); ``keys[x]`` is the integer
-    theta.h * L / |h| of ``_lattice``, so that slopes compare as their keys
-    do; and ``tails[x]`` holds the keys, prefix sums and indices of the
-    first parts f of the nonzero terms of h below, in key order.
-    ``counts[0]`` and ``keys[0]`` are 0.
+def _hn_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
+    """``(box, keys, semistable, firsts)``, the last three lists indexed
+    like the subvectors ``box`` of ``_lattice(d)``, zero first.  For h =
+    ``box[x]``, ``keys[x]`` is the integer theta.h * L / |h| of
+    ``_lattice``, so that slopes compare as their keys do;
+    ``semistable[x]`` is whether h has a theta-semistable representation;
+    and ``firsts[x]`` holds the keys and the indices of the first parts of
+    the types of h, h among them exactly when it is semistable, in key
+    order, equal keys in product order.
 
-    Sorting the representations of dimension g by the dimension vector f
-    of their first Harder-Narasimhan part, those with first part f number
-
-        |R_f^sst| * prod_i [g_i choose f_i]_q * q^(sum_{a: i->j} (g-f)_i f_j)
-                  * T(g - f, slope f),
-
-    where T(h, mu) counts the representations of dimension h whose
-    Harder-Narasimhan parts all have slope below mu (T(0, mu) = 1) and is
-    the sum of the same terms over the f <= h of slope below mu.  The group
-    order ratio |G_g| / (|G_f| |G_{g-f}|) contributes the binomials and a
-    power of q that cancels against q^(-<g-f, f>), leaving the arrow
-    exponent.  All q^(dim R_h) representations of dimension h sum over all
-    f; the term f = h is the semistable count.
-
-    Every polynomial is packed: held as its value at q = 2^K, an int, with
-    K = ``_coefficient_bits(|d|)``.  Evaluation is a ring homomorphism, so
-    sums and products are those of the values and q^s is a shift by K * s.
-    Every count and tail has coefficients below 2^(K-1) in absolute value,
-    so it is zero exactly when its value is, and its balanced base-2^K
-    digits are its coefficients.  Every product of packed values is a call
-    of ``mul``, the one name by which products can be counted.
-
-    The table walks the pairs f < h of ``_lattice(d)`` bottom up: every
-    f <= h comes before h in product order, so each term is built once,
-    from counts and tails already known, read by index, the rest h - f at
-    the index of h less that of f.  With the arrow column M.f, (M.f)_i =
-    sum_{a: i->j} f_j, the arrow exponent of f in h is (h - f).(M.f).  The
-    terms of h, sorted by the key of f, are kept as prefix sums, and
-    T(h, slope f) is the sum of those of key below that of f.  The f of
-    the nonzero terms of h, h among them, are the first parts of its types.
-    Every h has a nonzero term, since they sum to q^(dim R_h); most rows of
-    a small table have only one, the count of h or a single f < h, and hold
-    it as it is, unsorted.  Most pairs are dead, with a zero count of f or
-    a zero tail of h - f, and cost no product.  A key of f at most the
-    least key of the rest's terms leaves the tail sums[0] = 0, so such a
-    pair is dropped before the bisection; a row with no live pair holds
-    its own count without a list of terms.
+    The table walks the pairs f < h of ``_lattice(d)`` bottom up, so that
+    the entries of f and of the rest h - f, at the index of h less that of
+    f, are known.  It also keeps, for each h, the key of the first part of
+    its generic type (that of its dense stratum) and the least key of a
+    first part of any type.  f is a first part of h when f is semistable
+    and some type of h - f starts below the slope of f: the least key of
+    h - f is below that of f.  (f, tau') is the generic type of h, and h
+    is not semistable, for the one first part f whose generic rest tau'
+    starts below the slope of f and with <f, h - f> = 0, a dot product of
+    h - f with the Euler row of f, (f_j - sum_{a: i->j} f_i) over j.  With
+    no such f, h is semistable, and its generic type is (h).
     """
     box, pairs, columns, scaled = _lattice(d)
     keys = [sum(map(operator.mul, theta, row)) for row in scaled]
-    parallel = {}
-    for arrow in quiver.arrows:
-        parallel[arrow] = parallel.get(arrow, 0) + 1
-    zero = (0,) * len(box)
-    flows = [zero] * quiver.vertex_count  # (M.f)_i over the box, by vertex i
-    for (i, j), m in parallel.items():
-        flow = map(m.__mul__, columns[j])
-        flows[i] = list(flow if flows[i] is zero else map(operator.add, flows[i], flow))
-    column = list(zip(*flows))
-    bits = _coefficient_bits(sum(d))
-    counts = [0] * len(box)
-    tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
+    flows = list(columns)  # the Euler rows by vertex j, over the box
+    for i, j, m in _arrow_counts(quiver):
+        flows[j] = list(map(operator.sub, flows[j], map(m.__mul__, columns[i])))
+    rows = list(zip(*flows))
+    semistable = [False] * len(box)
+    generic = [-inf] * len(box)  # the key of the first part of the generic type
+    least = [-inf] * len(box)  # the least key of a first part
+    firsts = [((), ())] * len(box)
     for x in range(1, len(box)):
-        # dot products of small ints, not products of packed values
-        total = 1 << bits * sum(map(operator.mul, box[x], column[x]))
-        terms = []
-        for y, factors in pairs[x]:
-            count = counts[y]
-            if not count:
-                continue
-            below, sums, _ = tails[x - y]
+        parts, dense = [], None
+        for y in pairs[x]:
             key = keys[y]
-            if key <= below[0]:  # bisect_left would find 0, and sums[0] is 0
-                continue
-            t = sums[bisect_left(below, key)]
-            if not t:
-                continue
-            for n, k in factors:
-                count = mul(count, _q_binomial(n, k, bits))
-            term = mul(count, t) << bits * sum(map(operator.mul, box[x - y], column[y]))
-            terms.append((key, y, term))
-            total -= term
-        counts[x] = total
-        if not terms:  # the count alone, nonzero since the terms sum to q^(dim R_h)
-            tails.append(((keys[x],), (0, total), (x,)))
-            continue
-        if total:
-            terms.append((keys[x], x, total))
-        if len(terms) == 1:
-            (key, y, term), = terms
-            tails.append(((key,), (0, term), (y,)))
-            continue
-        terms.sort()  # by key, then in product order
-        below, parts, partial = zip(*terms)
-        tails.append((below, (0, *itertools.accumulate(partial)), parts))
-    return box, counts, keys, tails
+            if semistable[y] and least[x - y] < key:
+                parts.append((key, y))
+                if generic[x - y] < key and not sum(map(operator.mul, rows[y], box[x - y])):
+                    dense = key
+        if dense is None:
+            semistable[x] = True
+            dense = keys[x]
+            parts.append((dense, x))
+        generic[x] = dense
+        parts.sort()
+        below, ys = zip(*parts)
+        firsts[x] = below, ys
+        least[x] = below[0]
+    return box, keys, semistable, firsts
 
 
-def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
+def _check_hn_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
     """``(e, theta)`` as integer tuples, refused unless e is a nonzero
-    dimension vector within ``MAX_SUBVECTORS`` and ``MAX_COUNTING_WORK`` and
-    theta has one entry per vertex: the gate of the existence test and of
-    the type enumeration."""
+    dimension vector within ``MAX_SUBVECTORS`` and theta has one entry per
+    vertex: the gate of the existence test and of the type enumeration."""
     e = quiver.check_dim(e)
     if not any(e):
         raise ValueError("dimension vector must be nonzero")
@@ -396,16 +301,13 @@ def _check_counting_input(quiver: Quiver, e, theta) -> tuple[DimVector, tuple]:
         box *= x + 1
         if box > MAX_SUBVECTORS:
             raise ValueError(f"subvector count above {MAX_SUBVECTORS}")
-    degree = sum(e[i] * e[j] for i, j in quiver.arrows)
-    if box ** 3 * (degree + 200) > MAX_COUNTING_WORK:
-        raise ValueError(f"counting work above {MAX_COUNTING_WORK}")
     return e, theta
 
 
 def has_semistable(quiver: Quiver, e, theta) -> bool:
     """Whether a theta-semistable representation of dimension vector e exists."""
-    e, theta = _check_counting_input(quiver, e, theta)
-    return bool(_sst_table(quiver, e, theta)[1][-1])
+    e, theta = _check_hn_input(quiver, e, theta)
+    return _hn_table(quiver, e, theta)[2][-1]
 
 
 def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
@@ -417,20 +319,20 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     lexicographically on the flattened parts and includes the trivial
     type (d,) exactly when d itself admits a semistable representation.
     The walk reads the first parts of each remainder from the table, by
-    index, and enters no dead end: a nonzero term of f leaves a rest with a
+    index, and enters no dead end: a first part f leaves a rest with a
     type of slopes all below that of f.  It keeps the prefixes still to
     extend on a stack, with no call per prefix.
     """
-    d, theta = _check_counting_input(quiver, d, theta)
+    d, theta = _check_hn_input(quiver, d, theta)
     if sum(t * x for t, x in zip(theta, d)) != 0:
         raise ValueError("theta . d must be zero")
 
-    box, _, keys, tails = _sst_table(quiver, d, theta)
+    box, keys, _, firsts = _hn_table(quiver, d, theta)
     types = []
     stack = [(len(box) - 1, inf, ())]  # (rest, bound, prefix) of the prefixes to extend
     while stack:
         x, bound, prefix = stack.pop()
-        below, _, parts = tails[x]
+        below, parts = firsts[x]
         for y in parts[:bisect_left(below, bound)]:
             if y == x:  # the last part
                 types.append(prefix + (y,))
@@ -447,8 +349,9 @@ def hn_stratum_codim(quiver: Quiver, tau) -> int:
     -sum_{k<l} <d^k, d^l> = -sum_l <d^1 + ... + d^(l-1), d^l>, since the
     Euler form is bilinear.  Each part is checked once."""
     parts = [quiver.check_dim(p) for p in tau]
+    arrows = _arrow_counts(quiver)
     codim, before = 0, (0,) * quiver.vertex_count
     for part in parts:
-        codim -= _euler_form(quiver, before, part)
+        codim -= _euler_form(arrows, before, part)
         before = tuple(map(operator.add, before, part))
     return codim

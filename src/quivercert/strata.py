@@ -40,7 +40,8 @@ from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, 
 from .quiver import (
     HNType,
     Quiver,
-    _check_counting_input,
+    _arrow_counts,
+    _check_hn_input,
     enumerate_hn_types,
     hn_stratum_codim,
     reduced_slope,
@@ -79,13 +80,15 @@ def one_ps_from_hn(tau: HNType, theta) -> OnePS:
 
 def _negative_directions(quiver: Quiver, s: OnePS):
     """The strictly negative weight directions of the representation space
-    and of the gauge Lie algebra, as two lists of (weight, multiplicity)."""
+    and of the gauge Lie algebra, as two lists of (weight, multiplicity),
+    one entry per group of parallel arrows."""
 
-    def directions(pairs):
-        return [(wt - ws, ms * mt) for i, j in pairs
+    def directions(groups):
+        return [(wt - ws, ms * mt * m) for i, j, m in groups
                 for ws, ms in s.blocks[i] for wt, mt in s.blocks[j] if wt < ws]
 
-    return directions(quiver.arrows), directions((i, i) for i in range(len(s.blocks)))
+    return (directions(_arrow_counts(quiver)),
+            directions((i, i, 1) for i in range(len(s.blocks))))
 
 
 def eta(quiver: Quiver, s: OnePS) -> int:
@@ -159,7 +162,7 @@ def hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
     input passes the gate of ``enumerate_hn_types`` before the cache is
     read, so that no entry answers for input the gate refuses: (2.0, 3) ==
     (2, 3) as a key."""
-    d, theta = _check_counting_input(quiver, d, theta)
+    d, theta = _check_hn_input(quiver, d, theta)
     return _hn_records(quiver, d, theta)
 
 

@@ -18,6 +18,7 @@ import importlib
 import io
 import itertools
 import json
+import operator
 import pkgutil
 import random
 import re
@@ -63,10 +64,9 @@ from quivercert.chow import (
     scaled_pairing,
     todd_y,
 )
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_counting_input,
-                               _coefficient_bits, _euler_form, _q_binomial, _reduced_slope,
-                               _sst_table, enumerate_hn_types, has_semistable,
-                               hn_stratum_codim, reduced_slope)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _arrow_counts,
+                               _check_hn_input, _euler_form, _reduced_slope, enumerate_hn_types,
+                               has_semistable, hn_stratum_codim, reduced_slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, eta,
@@ -92,10 +92,10 @@ def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
     parts = [quiver.check_dim(p) for p in tau]
     if not parts or any(not any(p) for p in parts):
         return False
-    d, theta = _check_counting_input(quiver, d, theta)
+    d, theta = _check_hn_input(quiver, d, theta)
     if tuple(map(sum, zip(*parts))) != d:
         return False
-    counts, rank, _ = by_subvector(_sst_table(quiver, d, theta))
+    counts, rank, _ = by_subvector(sst_table(quiver, d, theta))
     if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
         return False
     return all(counts[p] for p in parts)
@@ -112,7 +112,7 @@ def euler_form(quiver: Quiver, d, e) -> int:
     """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j, with both
     vectors checked: the entry that ``hn_stratum_codim`` called on every
     pair of parts before it checked each part once."""
-    return _euler_form(quiver, quiver.check_dim(d), quiver.check_dim(e))
+    return _euler_form(_arrow_counts(quiver), quiver.check_dim(d), quiver.check_dim(e))
 
 
 def hn_stratum_codim_by_pairs(quiver: Quiver, tau) -> int:
@@ -516,7 +516,7 @@ def one_ps_by_fraction_slopes(tau: HNType, theta) -> OnePS:
 # -- semistable existence by slope chains ---------------------------------------
 
 # Dense polynomials in one variable, coefficients ascending: the ring
-# operations that ``quiver._sst_table`` replaced with packed integers.
+# operations that ``sst_table`` replaced with packed integers.
 
 def poly_trim(p):
     p = list(p)
@@ -593,8 +593,122 @@ def q_binomial(n: int, k: int) -> tuple:
     return poly_add(q_binomial(n - 1, k - 1), (0,) * k + q_binomial(n - 1, k))
 
 
+# -- the counting table that ``quiver._hn_table`` replaced --------------------
+
+# Unbounded: the tests ask for dimension vectors with at most MAX_SUBVECTORS =
+# 64 subvectors, so n, k and the total |d| that sets ``bits`` are at most 63.
+@lru_cache(maxsize=None)
+def packed_q_binomial(n: int, k: int, bits: int) -> int:
+    """The Gaussian binomial coefficient [n choose k] at q = 2^bits, by
+    Pascal's rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k in (0, n):
+        return 1
+    return packed_q_binomial(n - 1, k - 1, bits) + (packed_q_binomial(n - 1, k, bits) << bits * k)
+
+
+@lru_cache(maxsize=None)
+def coefficient_bits(n: int) -> int:
+    """A width K such that every count and tail of the table of a dimension
+    vector of total n has coefficients below 2^(K-1) in absolute value.
+
+    The coefficient sum N(p) = sum_i |p_i| is subadditive and
+    submultiplicative, N([n choose k]_q) = C(n, k), and by Vandermonde
+    sum_{|f| = k, f <= h} prod_i C(h_i, f_i) = C(|h|, k).  So the recursion
+    of ``sst_table`` bounds N of a count of total n by m(n) and N of a
+    tail (or of any sum of the terms of h) by t(n), where t(0) = 1 and
+
+        m(n) = 1 + sum_{0<k<n} C(n, k) m(k) t(n-k),
+        t(n) = sum_{0<k<=n} C(n, k) m(k) t(n-k),
+
+    both increasing in n.
+    """
+    m, t = [0], [1]
+    for j in range(1, n + 1):
+        below = sum(comb(j, k) * m[k] * t[j - k] for k in range(1, j))
+        m.append(1 + below)
+        t.append(below + m[j])
+    return max(m[n], t[n]).bit_length() + 1
+
+
+def sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
+    """``(box, counts, keys, tails)``: the packed Z[q] counting table that
+    ``quiver._hn_table`` replaced with a boolean recursion over the dense
+    stratum, over ``lattice_by_vertices(d)``, whose pairs carry their
+    q-binomial factors.  The last three lists are indexed like ``box``,
+    zero first.  For h = ``box[x]``, ``counts[x]`` is the number of
+    theta-semistable representations of dimension vector h over a field
+    with q elements, a polynomial in q with integer coefficients (Reineke's
+    recursion); ``keys[x]`` is the integer theta.h * L / |h|; and
+    ``tails[x]`` holds the keys, prefix sums and indices of the first parts
+    f of the nonzero terms of h below, in key order.  ``counts[0]`` and
+    ``keys[0]`` are 0.
+
+    Sorting the representations of dimension g by the dimension vector f
+    of their first Harder-Narasimhan part, those with first part f number
+
+        |R_f^sst| * prod_i [g_i choose f_i]_q * q^(sum_{a: i->j} (g-f)_i f_j)
+                  * T(g - f, slope f),
+
+    where T(h, mu) counts the representations of dimension h whose
+    Harder-Narasimhan parts all have slope below mu (T(0, mu) = 1) and is
+    the sum of the same terms over the f <= h of slope below mu.  All
+    q^(dim R_h) representations of dimension h sum over all f; the term
+    f = h is the semistable count.
+
+    Every polynomial is packed: held as its value at q = 2^K, an int, with
+    K = ``coefficient_bits(|d|)``, so it is zero exactly when its value is,
+    and its balanced base-2^K digits are its coefficients.  Every product
+    of packed values is a call of ``mul``, the one name by which products
+    can be counted.  A row with one term holds it as it is, unsorted; a
+    pair with a zero count of f, or a key of f at most the least key of the
+    rest's terms (a zero tail), is dropped before any product.
+    """
+    box, pairs, columns, scaled = lattice_by_vertices(d)
+    keys = [sum(map(operator.mul, theta, row)) for row in zip(*scaled)]
+    flows = [(0,) * len(box)] * quiver.vertex_count  # (M.f)_i over the box, by vertex i
+    for (i, j), m in Counter(quiver.arrows).items():
+        flows[i] = list(map(add, flows[i], map(m.__mul__, columns[j])))
+    column = list(zip(*flows))
+    bits = coefficient_bits(sum(d))
+    counts = [0] * len(box)
+    tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
+    for x in range(1, len(box)):
+        total = 1 << bits * sum(map(operator.mul, box[x], column[x]))
+        terms = []
+        for y, factors in pairs[x]:
+            count = counts[y]
+            if not count:
+                continue
+            below, sums, _ = tails[x - y]
+            key = keys[y]
+            if key <= below[0]:  # bisect_left would find 0, and sums[0] is 0
+                continue
+            t = sums[bisect_left(below, key)]
+            if not t:
+                continue
+            for n, k in factors:
+                count = mul(count, packed_q_binomial(n, k, bits))
+            term = mul(count, t) << bits * sum(map(operator.mul, box[x - y], column[y]))
+            terms.append((key, y, term))
+            total -= term
+        counts[x] = total
+        if not terms:  # the count alone, nonzero since the terms sum to q^(dim R_h)
+            tails.append(((keys[x],), (0, total), (x,)))
+            continue
+        if total:
+            terms.append((keys[x], x, total))
+        if len(terms) == 1:
+            (key, y, term), = terms
+            tails.append(((key,), (0, term), (y,)))
+            continue
+        terms.sort()  # by key, then in product order
+        below, parts, partial = zip(*terms)
+        tails.append((below, (0, *itertools.accumulate(partial)), parts))
+    return box, counts, keys, tails
+
+
 def sst_table_by_tuples(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)``: the table of ``quiver._sst_table`` with
+    """``(counts, rank, tails)``: the table of ``sst_table`` with
     every polynomial a tuple of coefficients, the route that packed integers
     replaced, and ``tails[h]`` the ranks of the nonzero terms of h in
     ascending order with their prefix sums."""
@@ -644,11 +758,11 @@ def sst_table_by_tuples(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dic
 
 
 def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)``: the table of ``quiver._sst_table`` built
+    """``(counts, rank, tails)``: the table of ``sst_table`` built
     in one fused loop, with the subvector pairs, the rests h - f and the
     binomial products rebuilt for every (quiver, d, theta): the route that
     ``quiver._lattice`` split in two.  Each term is built as in
-    ``_sst_table``, from the counts and tails of smaller subvectors kept in
+    ``sst_table``, from the counts and tails of smaller subvectors kept in
     dicts keyed by the subvector.
     """
     box = list(_subvectors(d))
@@ -657,7 +771,7 @@ def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, d
     position = {s: r for r, s in enumerate(order)}
     rank = {f: position[slopes[f]] for f in box}
     arrows = Counter(quiver.arrows).items()
-    bits = _coefficient_bits(sum(d))
+    bits = coefficient_bits(sum(d))
     counts = {}
     # h -> (ranks of the nonzero terms of h in ascending order, prefix sums, parts)
     tails = {}
@@ -681,7 +795,7 @@ def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, d
             out = counts[f]
             for n, k in zip(h, f):
                 if 0 < k < n:
-                    out = mul(out, _q_binomial(n, k, bits))
+                    out = mul(out, packed_q_binomial(n, k, bits))
             shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
             term = mul(out, t) << bits * shift
             terms.append((rank[f], term, f))
@@ -696,7 +810,7 @@ def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, d
 
 
 def by_subvector(table) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)``: a table of ``quiver._sst_table``, indexed
+    """``(counts, rank, tails)``: a table of ``sst_table``, indexed
     by lattice position, in the form of ``sst_table_by_dicts``: keyed by
     the nonzero subvectors, each slope key replaced by its position among
     the distinct keys, and each first part given as its subvector."""
@@ -719,14 +833,14 @@ def lattice_with_products(d: DimVector) -> tuple[list, list, list]:
     so that the index of h - f is the index of h less that of f.
     ``pairs[x]`` lists, for h = ``box[x]``, the triples ``(index of f, f,
     prod_i [h_i choose f_i]_q)`` over 0 < f < h in product order, at q =
-    2^K with K = ``_coefficient_bits(|d|)``.  Where at most one vertex has a
-    binomial other than 1, the entry is that cached ``_q_binomial`` itself
+    2^K with K = ``coefficient_bits(|d|)``.  Where at most one vertex has a
+    binomial other than 1, the entry is that cached ``packed_q_binomial`` itself
     (or 1), so only the products of two or more binomials are new integers.
     ``scales[x]`` is L / |h| with L = lcm(1, ..., |d|) (0 for h = 0), so
     that the slopes theta.h / |h| of the nonzero subvectors compare as the
     integers theta.h * L / |h|.
     """
-    bits = _coefficient_bits(sum(d))
+    bits = coefficient_bits(sum(d))
     box = list(itertools.product(*(range(x + 1) for x in d)))
     strides = [1]
     for x in reversed(d[1:]):
@@ -743,7 +857,7 @@ def lattice_with_products(d: DimVector) -> tuple[list, list, list]:
             product = 1
             for n, k in zip(h, f):
                 if 0 < k < n:
-                    binomial = _q_binomial(n, k, bits)
+                    binomial = packed_q_binomial(n, k, bits)
                     product = binomial if product == 1 else mul(product, binomial)
             row.append((y, f, product))
         pairs.append(row)
@@ -753,13 +867,13 @@ def lattice_with_products(d: DimVector) -> tuple[list, list, list]:
 
 def sst_table_by_dicts(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
     """``(counts, rank, tails)`` over the nonzero subvectors h <= d, in
-    dicts keyed by h: the route that ``quiver._sst_table`` replaced with
+    dicts keyed by h: the route that ``sst_table`` replaced with
     lists indexed by lattice position, slope keys in place of ranks and
     single-term rows held as they are.  ``counts[h]`` is the packed
     semistable count of h, ``rank[h]`` the position of the slope of h among
     the distinct slopes of the subvectors, and ``tails[h]`` the ranks,
     prefix sums and first parts f of the nonzero terms of h, in rank order.
-    The terms are those of ``_sst_table``, over the pairs of
+    The terms are those of ``sst_table``, over the pairs of
     ``lattice_with_products(d)``, with the arrow row h.M, (h.M)_j =
     sum_{a: i->j} h_i, and the arrow exponent (h.M).f - B(f, f).
     """
@@ -771,7 +885,7 @@ def sst_table_by_dicts(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict
     position = {k: r for r, k in enumerate(sorted(set(keys)))}
     rank = [None] + [position[k] for k in keys]
     arrows = Counter(quiver.arrows).items()
-    bits = _coefficient_bits(sum(d))
+    bits = coefficient_bits(sum(d))
     counts, squares = [0] * len(box), [0] * len(box)
     # by index: (ranks of the nonzero terms in ascending order, prefix sums,
     # parts); the tail of the zero vector is 1 below every bound
@@ -838,7 +952,10 @@ def lattice_by_vertices(d: DimVector) -> tuple[list, list, list, list]:
     h are rebuilt from zero, one comprehension per vertex, and ``scaled[i]``
     is the column of the f_i * L / |f| over the box, one list per vertex,
     where ``quiver._lattice`` keeps one row per subvector.  ``box`` and
-    ``pairs`` are those of ``quiver._lattice``."""
+    ``columns`` are those of ``quiver._lattice``, and ``pairs[x]`` lists
+    ``(index of f, factors)``, where ``factors`` holds the ``(h_i, f_i)``
+    with 0 < f_i < h_i, the q-binomials of ``sst_table``: the indices are
+    the pairs of ``quiver._lattice``."""
     box = list(itertools.product(*(range(x + 1) for x in d)))
     strides = [1]
     for x in reversed(d[1:]):
@@ -854,12 +971,12 @@ def lattice_by_vertices(d: DimVector) -> tuple[list, list, list, list]:
     common = lcm(*range(1, sum(d) + 1))
     scales = [0] + [common // sum(f) for f in box[1:]]
     columns = list(zip(*box))
-    return box, pairs, columns, [list(map(mul, c, scales)) for c in columns]
+    return box, pairs, columns, [list(map(operator.mul, c, scales)) for c in columns]
 
 
 def sst_table_by_columns(quiver: Quiver, d: DimVector,
                          theta: tuple) -> tuple[list, list, list, list]:
-    """``(box, counts, keys, tails)``: the table of ``quiver._sst_table``
+    """``(box, counts, keys, tails)``: the table of ``sst_table``
     as it was built before the dead pairs were cut before the bisection,
     over ``lattice_by_vertices(d)``: the keys summed one vertex column at a
     time, an arrow column of zeros for every vertex to add the flows to,
@@ -873,7 +990,7 @@ def sst_table_by_columns(quiver: Quiver, d: DimVector,
     for (i, j), m in parallel.items():
         flows[i] = list(map(add, flows[i], map(m.__mul__, columns[j])))
     column = list(zip(*flows))
-    bits = _coefficient_bits(sum(d))
+    bits = coefficient_bits(sum(d))
     counts = [0] * len(box)
     tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
     for x in range(1, len(box)):
@@ -889,7 +1006,7 @@ def sst_table_by_columns(quiver: Quiver, d: DimVector,
             if not t:
                 continue
             for n, k in factors:
-                count = mul(count, _q_binomial(n, k, bits))
+                count = mul(count, packed_q_binomial(n, k, bits))
             term = mul(count, t) << bits * sum(map(mul, box[x - y], column[y]))
             terms.append((key, term, y))
             total -= term
@@ -910,7 +1027,7 @@ def hn_types_by_recursion(quiver: Quiver, d, theta) -> list[HNType]:
     """The Harder-Narasimhan types of d by a recursive walk over the lattice
     indices of ``sst_table_by_columns``, one call per prefix: the walk that
     ``enumerate_hn_types`` replaced with one over an explicit stack."""
-    d, theta = _check_counting_input(quiver, d, theta)
+    d, theta = _check_hn_input(quiver, d, theta)
     if sum(t * x for t, x in zip(theta, d)) != 0:
         raise ValueError("theta . d must be zero")
     box, _, keys, tails = sst_table_by_columns(quiver, d, theta)
@@ -1074,11 +1191,11 @@ def hn_types_by_chains(quiver: Quiver, d, theta):
 def hn_types_by_subvectors(quiver: Quiver, d, theta):
     """The Harder-Narasimhan types of d, found by walking every subvector of
     each remainder and keeping those of slope below the last part with a
-    nonzero count in ``quiver._sst_table``: the walk that
+    nonzero count in ``sst_table``: the walk that
     ``enumerate_hn_types`` replaced with the table's lists of first parts.
     It enters dead ends, remainders with no type below the bound."""
     d, theta = tuple(d), tuple(theta)
-    counts, rank, _ = by_subvector(_sst_table(quiver, d, theta))
+    counts, rank, _ = by_subvector(sst_table(quiver, d, theta))
     types = []
 
     def extend(remaining, bound, prefix):
@@ -1149,7 +1266,7 @@ def sst_count_by_tails(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
     """Number of theta-semistable representations of dimension vector e
     over a field with q elements, as a polynomial in q with integer
     coefficients (Reineke's recursion), top down with the tails of each e
-    kept for one call: the route that ``quiver._sst_table`` replaced with
+    kept for one call: the route that ``sst_table`` replaced with
     one table built bottom up.  The recursion is that of
     ``sst_count_by_fraction_slopes``.
 

@@ -24,7 +24,7 @@ from test_quiver import quiver_dim_theta
 from quivercert import cli, quiver, repgeom, strata
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
-from quivercert.quiver import MAX_ARROWS, MAX_COUNTING_WORK, MAX_SUBVECTORS, MAX_VERTICES
+from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
 
 TESTS = Path(__file__).parent
@@ -1045,9 +1045,9 @@ class TestHostileSizes:
           json.dumps({"vertices": 2, "arrows": [[0, 1]] * (MAX_ARROWS + 1)}),
           "--dim", "1,1", "--theta", "1,-1"],
          f"arrow count above {MAX_ARROWS}"),
-        # 64 subvectors, and counting polynomials of degree 49000
-        (["hn-types", "--quiver", "kronecker:1000", "--dim", "7,7", "--theta", "1,-1"],
-         f"counting work above {MAX_COUNTING_WORK}"),
+        # 72 subvectors on the most arrows a quiver may have
+        (["hn-types", "--quiver", f"kronecker:{MAX_ARROWS}", "--dim", "7,8", "--theta", "8,-7"],
+         f"subvector count above {MAX_SUBVECTORS}"),
         # 2^24 subvectors
         (["hn-types", "--quiver", '{"vertices":24,"arrows":[]}', "--dim", ",".join(["1"] * 24),
           "--theta", ",".join(["0"] * 24)],
@@ -1113,6 +1113,18 @@ class TestHostileSizes:
         code, doc = run_cli(capsys, "teleman", "--expr", expr)
         assert code in (0, 1)
         assert len(doc["strata"]) == 7
+
+    @pytest.mark.parametrize("m", [1000, MAX_ARROWS])
+    def test_hn_types_past_the_deleted_counting_gate_answer(self, capsys, m):
+        # 64 subvectors on m arrows: refused at 1000 arrows with "counting
+        # work above 150000000" before the HN table read only the dense
+        # stratum, whose work does not grow with the arrow count
+        start = time.perf_counter()
+        code, doc = run_cli(capsys, "hn-types", "--quiver", f"kronecker:{m}", "--dim", "7,7",
+                            "--theta", "1,-1")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert [row["codim"] for row in doc["types"]].count(0) == 1
 
     def test_pair_ranks_are_not_refused(self, capsys, tmp_path):
         # each object has rank 2^40 <= MAX_RANK; the pair tensors would have

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from quivercert.bundles import MAX_DEPTH, MAX_RANK
-from quivercert.quiver import MAX_COUNTING_WORK
+from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS
 from quivercert.verify import MAX_OBJECTS
 
 SRC = Path(__file__).parent.parent / "src"
@@ -75,12 +75,22 @@ EDGES = [
      '"chi":218909574350594594457237', 1.0),
     ("sym2-seven-deep", ["chi", "--expr", _nested("sym2", 8, "U2")], 2,
      f"rank above {MAX_RANK}", 1.0),
-    # counting work 149,946,368 (0.19 s) and 158,072,832
+    # the slowest shapes of the deleted counting gate, 149,946,368 of its
+    # 1.5e8 units of estimated work on 12 arrows and 158,072,832 on 13: both
+    # admitted, their work independent of the arrow count
     ("kronecker-12-31-1", ["hn-types", "--quiver", "kronecker:12", "--dim", "31,1",
                            "--theta", "1,-31"], 0, '"types":', 1.0),
     ("kronecker-13-31-1", ["hn-types", "--quiver", "kronecker:13", "--dim", "31,1",
-                           "--theta", "1,-31"], 2, f"counting work above {MAX_COUNTING_WORK}",
+                           "--theta", "1,-31"], 0, '"types":', 1.0),
+    # 64 subvectors on the most arrows a quiver may have (399 types), then 72
+    # subvectors, then one arrow too many
+    ("kronecker-10000-7-7", ["hn-types", "--quiver", f"kronecker:{MAX_ARROWS}", "--dim", "7,7",
+                             "--theta", "7,-7"], 0, '"types":', 1.5),
+    ("kronecker-10000-7-8", ["hn-types", "--quiver", f"kronecker:{MAX_ARROWS}", "--dim", "7,8",
+                             "--theta", "8,-7"], 2, f"subvector count above {MAX_SUBVECTORS}",
      1.0),
+    ("kronecker-10001-7-7", ["hn-types", "--quiver", f"kronecker:{MAX_ARROWS + 1}", "--dim",
+                             "7,7", "--theta", "7,-7"], 2, f"arrow count above {MAX_ARROWS}", 1.0),
     ("stability-4300-digits", ["stability", "--matrix", "9" * 4300 + "x,y,0;0,y,z"], 0,
      '"stable":true', 1.0),
     ("stability-4301-digits", ["stability", "--matrix", "9" * 4301 + "x,y,0;0,y,z"], 2,

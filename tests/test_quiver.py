@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import time
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles as oracle_module
 from golden import HN_TYPES_23
 from oracles import (
     GF,
     KRONECKER3,
     all_reps,
     by_subvector,
+    coefficient_bits,
     coefficient_sum,
     coefficient_sum_bounds,
     euler_form,
@@ -35,11 +38,13 @@ from oracles import (
     is_hn_type_by_fraction_slopes,
     is_semistable_brute,
     lattice_by_vertices,
+    packed_q_binomial,
     poly_mul,
     semistable_by_subrepresentations,
     slope,
     sst_count_by_fraction_slopes,
     sst_count_by_tails,
+    sst_table,
     sst_table_by_columns,
     sst_table_by_dicts,
     sst_table_by_tuples,
@@ -52,14 +57,12 @@ from quivercert.chow import DEGREES
 from quivercert.quiver import (
     MAX_ARROWS,
     MAX_CACHED_SETUPS,
-    MAX_COUNTING_WORK,
     MAX_SUBVECTORS,
     MAX_VERTICES,
     Quiver,
-    _check_counting_input,
-    _coefficient_bits,
+    _check_hn_input,
+    _hn_table,
     _lattice,
-    _sst_table,
     enumerate_hn_types,
     has_semistable,
     hn_stratum_codim,
@@ -81,10 +84,20 @@ def _poly_at(p, q):
 
 
 def _unpacked_counts(quiver, d, theta):
-    """The counts of ``_sst_table`` as coefficient tuples."""
-    bits = _coefficient_bits(sum(d))
-    counts = by_subvector(_sst_table(quiver, d, theta))[0]
+    """The counts of the counting table ``sst_table`` as coefficient tuples."""
+    bits = coefficient_bits(sum(d))
+    counts = by_subvector(sst_table(quiver, d, theta))[0]
     return {h: unpack(count, bits) for h, count in counts.items()}
+
+
+def _read_counts(table):
+    """An HN table, ``(box, keys, semistable, firsts)`` as ``_hn_table``
+    builds it, read off the counting table ``sst_table`` of the same quiver,
+    d and theta: h is semistable when its count is nonzero, and its first
+    parts are those of its nonzero terms."""
+    box, counts, keys, tails = table
+    return box, keys, [bool(count) for count in counts], [(below, parts)
+                                                          for below, _, parts in tails]
 
 
 @st.composite
@@ -389,7 +402,7 @@ class TestHasSemistable:
         quiver, d, theta = case
         counts, rank, tails = sst_table_by_tuples(quiver, d, theta)
         assert _unpacked_counts(quiver, d, theta) == counts
-        assert by_subvector(_sst_table(quiver, d, theta))[1] == rank
+        assert by_subvector(sst_table(quiver, d, theta))[1] == rank
         for h, count in counts.items():
             m, t = coefficient_sum_bounds(sum(h))
             assert coefficient_sum(count) <= m
@@ -397,23 +410,25 @@ class TestHasSemistable:
 
     @pytest.mark.parametrize("n,bits", [(11, 48), (32, 194), (63, 447)])
     def test_coefficient_bits(self, n, bits):
-        assert _coefficient_bits(n) == max(coefficient_sum_bounds(n)).bit_length() + 1 == bits
+        assert coefficient_bits(n) == max(coefficient_sum_bounds(n)).bit_length() + 1 == bits
 
     @pytest.mark.parametrize("m,d", [(2000, (2, 3)), (12, (1, 31))])
     def test_shift_dominated_tables_equal_tuples(self, m, d):
         # the shifts by K * s make up most of the length of these values
         quiver, theta = Quiver.kronecker(m), (d[1], -d[0])
-        assert _check_counting_input(quiver, d, theta)
+        assert _check_hn_input(quiver, d, theta)
         assert _unpacked_counts(quiver, d, theta) == sst_table_by_tuples(quiver, d, theta)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
     def test_rank_orders_like_fraction_slopes(self, case):
+        # the slope keys of the HN table order the nonzero subvectors as
+        # their Fraction slopes do
         quiver, d, theta = case
-        _, rank, _ = by_subvector(_sst_table(quiver, d, theta))
-        for f, g in itertools.product(rank, repeat=2):
-            assert (rank[f] < rank[g]) == (slope(theta, f) < slope(theta, g))
-            assert (rank[f] == rank[g]) == (slope(theta, f) == slope(theta, g))
+        box, keys, _, _ = _hn_table(quiver, d, theta)
+        for (f, a), (g, b) in itertools.product(zip(box[1:], keys[1:]), repeat=2):
+            assert (a < b) == (slope(theta, f) < slope(theta, g))
+            assert (a == b) == (slope(theta, f) == slope(theta, g))
 
     @pytest.mark.parametrize("quiver,d,theta,bound", [
         (KRONECKER3, (3, 4), (4, -3), 333),
@@ -422,8 +437,9 @@ class TestHasSemistable:
         (THREE_VERTICES, (1, 2, 2), (-2, 3, -2), 292),
     ], ids=["d0-333", "d1-768", "d2-1383", "three-vertices-292"])
     def test_each_first_part_term_is_built_once(self, monkeypatch, quiver, d, theta, bound):
-        # a term of h multiplies by at most one binomial per vertex and the
-        # tail once, and h has prod(h_i + 1) - 2 proper nonzero parts
+        # in the counting table, a term of h multiplies by at most one
+        # binomial per vertex and the tail once, and h has prod(h_i + 1) - 2
+        # proper nonzero parts
         calls = []
 
         def counted(p, q):
@@ -433,9 +449,8 @@ class TestHasSemistable:
         terms = sum(math.prod(x + 1 for x in h) - 2
                     for h in itertools.product(*(range(x + 1) for x in d)) if any(h))
         assert (len(d) + 1) * terms == bound
-        _lattice.cache_clear()
-        monkeypatch.setattr(quiver_module, "mul", counted)
-        enumerate_hn_types(quiver, d, theta)
+        monkeypatch.setattr(oracle_module, "mul", counted)
+        sst_table(quiver, d, theta)
         assert 0 < len(calls) <= bound
 
 
@@ -461,9 +476,9 @@ def _cold_and_warm(call):
 
 
 def _table_cold_and_warm(quiver, d, theta):
-    """``_sst_table`` with the lattice of d cleared, then again, reading the
+    """``_hn_table`` with the lattice of d cleared, then again, reading the
     lattice from the cache."""
-    cold, warm = _cold_and_warm(lambda: _sst_table(quiver, d, theta))
+    cold, warm = _cold_and_warm(lambda: _hn_table(quiver, d, theta))
     assert _lattice.cache_info().hits >= 1
     return cold, warm
 
@@ -472,18 +487,22 @@ class TestLattice:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
     def test_table_equals_fused_loop(self, case):
+        # the HN table equals the one read off the counting table, which
+        # equals its fused and dict-keyed predecessors
         quiver, d, theta = case
         cold, warm = _table_cold_and_warm(quiver, d, theta)
-        assert cold == warm
-        assert by_subvector(cold) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
+        counting = sst_table(quiver, d, theta)
+        assert cold == warm == _read_counts(counting)
+        assert by_subvector(counting) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
             quiver, d, theta)
 
     @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
     def test_wide_shapes_equal_fused_loop(self, quiver, d, theta):
-        assert _check_counting_input(quiver, d, theta)
+        assert _check_hn_input(quiver, d, theta)
         cold, warm = _table_cold_and_warm(quiver, d, theta)
-        assert cold == warm
-        assert by_subvector(cold) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
+        counting = sst_table(quiver, d, theta)
+        assert cold == warm == _read_counts(counting)
+        assert by_subvector(counting) == sst_table_fused(quiver, d, theta) == sst_table_by_dicts(
             quiver, d, theta)
 
     def test_one_lattice_per_dimension_vector(self):
@@ -505,24 +524,22 @@ class TestLattice:
         dims = [tuple(int(i in ones) for i in range(12))
                 for ones in itertools.combinations(range(12), 4)][:MAX_CACHED_SETUPS + 20]
         _lattice.cache_clear()
-        tables = [_sst_table(path, d, theta) for d in dims]
+        tables = [_hn_table(path, d, theta) for d in dims]
         info = _lattice.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (
             len(dims), MAX_CACHED_SETUPS, MAX_CACHED_SETUPS)
         for d, table in zip(dims, tables):
             _lattice.cache_clear()
-            assert _sst_table(path, d, theta) == table
+            assert _hn_table(path, d, theta) == table
 
     def test_lattice_layout(self):
         box, pairs, columns, scaled = _lattice((2, 3))
         assert box == list(itertools.product(range(3), range(4)))
         for x, h in enumerate(box):
-            assert [box[y] for y, _ in pairs[x]] == [f for f in box if f != h and any(f)
-                                                     and all(a <= b for a, b in zip(f, h))]
-            for y, factors in pairs[x]:
-                f = box[y]
-                assert box[x - y] == tuple(a - b for a, b in zip(h, f))
-                assert factors == tuple((n, k) for n, k in zip(h, f) if 0 < k < n)
+            assert [box[y] for y in pairs[x]] == [f for f in box if f != h and any(f)
+                                                  and all(a <= b for a, b in zip(f, h))]
+            for y in pairs[x]:
+                assert box[x - y] == tuple(a - b for a, b in zip(h, box[y]))
         assert list(zip(*columns)) == box
         # one row f_i * L / |f| per f, with L = lcm(1, ..., 5) = 60, so the
         # entries of a row sum to L
@@ -532,9 +549,10 @@ class TestLattice:
                    for row, f in zip(scaled, box) for i, s in enumerate(row))
 
     def test_every_lattice_product_is_a_call_of_mul(self, monkeypatch):
-        # the lattice multiplies nothing and computes no binomial; a table
-        # multiplies a term it keeps by each of its k nontrivial binomials
-        # and by its tail: k + 1 products, and none for a term it drops
+        # the counting table's lattice multiplies nothing and computes no
+        # binomial; the table multiplies a term it keeps by each of its k
+        # nontrivial binomials and by its tail: k + 1 products, and none for
+        # a term it drops
         calls = []
 
         def counted(p, q):
@@ -542,12 +560,11 @@ class TestLattice:
             return p * q
 
         quiver, d, theta = THREE_VERTICES, (2, 2, 2), (1, 2, -3)
-        _lattice.cache_clear()
-        quiver_module._q_binomial.cache_clear()
-        monkeypatch.setattr(quiver_module, "mul", counted)
-        box, pairs, _, _ = _lattice(d)
-        assert calls == [] and quiver_module._q_binomial.cache_info().currsize == 0
-        _, _, _, tails = _sst_table(quiver, d, theta)
+        packed_q_binomial.cache_clear()
+        monkeypatch.setattr(oracle_module, "mul", counted)
+        box, pairs, _, _ = lattice_by_vertices(d)
+        assert calls == [] and packed_q_binomial.cache_info().currsize == 0
+        _, _, _, tails = sst_table(quiver, d, theta)
         factors = [dict(row) for row in pairs]
         expected = sum(len(factors[x][y]) + 1
                        for x in range(1, len(box)) for y in tails[x][2] if y != x)
@@ -556,16 +573,16 @@ class TestLattice:
 
     def test_single_binomials_are_the_cached_ones(self, monkeypatch):
         # (31, 1): vertex 1 has only the binomials [h_1, 0] = [h_1, h_1] = 1,
-        # so a term has at most one factor, and the table multiplies by the
-        # cached ``_q_binomial`` itself
+        # so a term has at most one factor, and the counting table multiplies
+        # by the cached ``packed_q_binomial`` itself
         quiver, d, theta = Quiver.kronecker(12), (31, 1), (1, -31)
-        bits = _coefficient_bits(sum(d))
-        box, pairs, _, _ = _lattice(d)
+        bits = coefficient_bits(sum(d))
+        box, pairs, _, _ = lattice_by_vertices(d)
         for x, h in enumerate(box):
             for y, factors in pairs[x]:
                 f = box[y]
                 assert factors == (((h[0], f[0]),) if 0 < f[0] < h[0] else ())
-        binomials = {id(quiver_module._q_binomial(n, k, bits))
+        binomials = {id(packed_q_binomial(n, k, bits))
                      for n in range(32) for k in range(1, n)}
         operands = []
 
@@ -573,8 +590,8 @@ class TestLattice:
             operands.append(q)
             return p * q
 
-        monkeypatch.setattr(quiver_module, "mul", recorded)
-        _, _, _, tails = _sst_table(quiver, d, theta)
+        monkeypatch.setattr(oracle_module, "mul", recorded)
+        _, _, _, tails = sst_table(quiver, d, theta)
         factors = [dict(row) for row in pairs]
         kept = sum(bool(factors[x][y]) for x in range(1, len(box)) for y in tails[x][2] if y != x)
         assert sum(id(q) in binomials for q in operands) == kept > 100
@@ -583,8 +600,8 @@ class TestLattice:
 @st.composite
 def gated_quiver_dim_theta(draw):
     """An acyclic quiver on 2-4 vertices with 0-3 arrows i -> j for each
-    i < j, a nonzero dimension vector with entries up to 3 that the
-    counting gate admits, and theta in [-4, 4]^n."""
+    i < j, a nonzero dimension vector with entries up to 3 that the gate
+    admits, and theta in [-4, 4]^n."""
     n = draw(st.integers(2, 4))
     arrows = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                    for _ in range(draw(st.integers(0, 3))))
@@ -593,19 +610,39 @@ def gated_quiver_dim_theta(draw):
     return Quiver(n, arrows), e, draw(st.tuples(*[st.integers(-4, 4)] * n))
 
 
+@st.composite
+def many_arrows_quiver_dim_theta(draw, balanced=False):
+    """``gated_quiver_dim_theta`` with 0-300 arrows i -> j for each i < j,
+    and theta . e = 0 when ``balanced``."""
+    n = draw(st.integers(2, 4))
+    arrows = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                   for _ in range(draw(st.integers(0, 300))))
+    e = draw(st.tuples(*[st.integers(0, 3)] * n).filter(any))
+    assume(math.prod(x + 1 for x in e) <= MAX_SUBVECTORS)
+    theta = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    if balanced:
+        dot = sum(t * x for t, x in zip(theta, e))
+        theta = tuple(t * sum(e) - dot for t in theta)
+    return Quiver(n, arrows), e, theta
+
+
 class TestReplacedRoutes:
     """The lattice, the table and the walk equal the routes they replaced,
-    ``lattice_by_vertices`` (one comprehension per vertex, scaled columns),
-    ``sst_table_by_columns`` (every pair bisected, a list of terms per row)
+    ``lattice_by_vertices`` (one comprehension per vertex, binomial factors,
+    scaled columns), the counting table ``sst_table`` (itself equal to
+    ``sst_table_by_columns``, every pair bisected, a list of terms per row)
     and ``hn_types_by_recursion``, with the lattice cold and warm."""
 
     @staticmethod
     def assert_equal_routes(quiver, d, theta):
-        old = lattice_by_vertices(d)
-        lattice = (*old[:3], list(zip(*old[3])))  # one scaled row per subvector
+        box, pairs, columns, scaled = lattice_by_vertices(d)
+        # the pairs without their factors, one scaled row per subvector
+        lattice = (box, [[y for y, _ in row] for row in pairs], columns, list(zip(*scaled)))
         assert _cold_and_warm(lambda: _lattice(d)) == (lattice, lattice)
-        table = sst_table_by_columns(quiver, d, theta)
-        assert _cold_and_warm(lambda: _sst_table(quiver, d, theta)) == (table, table)
+        counting = sst_table(quiver, d, theta)
+        assert counting == sst_table_by_columns(quiver, d, theta)
+        table = _read_counts(counting)
+        assert _cold_and_warm(lambda: _hn_table(quiver, d, theta)) == (table, table)
         if sum(map(operator.mul, theta, d)) == 0:
             types = hn_types_by_recursion(quiver, d, theta)
             assert _cold_and_warm(lambda: enumerate_hn_types(quiver, d, theta)) == (types, types)
@@ -622,7 +659,7 @@ class TestReplacedRoutes:
 
     @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
     def test_wide_shapes(self, quiver, d, theta):
-        assert _check_counting_input(quiver, d, theta)
+        assert _check_hn_input(quiver, d, theta)
         self.assert_equal_routes(quiver, d, theta)
 
     @pytest.mark.parametrize("quiver,d,theta,bisections,live", [
@@ -631,17 +668,18 @@ class TestReplacedRoutes:
     ], ids=["kronecker3-4-5", "three-vertices"])
     def test_dead_pairs_are_cut_before_the_bisection(self, monkeypatch, quiver, d, theta,
                                                       bisections, live):
-        # the replaced table bisected the tail of every pair with a nonzero
-        # count; a key at most the least of the rest's is cut first
+        # the counting table's predecessor bisected the tail of every pair
+        # with a nonzero count; a key at most the least of the rest's is cut
+        # first
         calls = []
 
         def counted(*args):
             calls.append(args)
             return bisect_left(*args)
 
-        monkeypatch.setattr(quiver_module, "bisect_left", counted)
-        _, counts, _, _ = _sst_table(quiver, d, theta)
-        nonzero = sum(bool(counts[y]) for row in _lattice(d)[1] for y, _ in row)
+        monkeypatch.setattr(oracle_module, "bisect_left", counted)
+        _, counts, _, _ = sst_table(quiver, d, theta)
+        nonzero = sum(bool(counts[y]) for row in lattice_by_vertices(d)[1] for y, _ in row)
         assert (len(calls), nonzero) == (bisections, live)
         assert len(calls) < nonzero
 
@@ -660,24 +698,46 @@ class TestReplacedRoutes:
 
         size, lattice = kept(_lattice.__wrapped__)
         old_size, old = kept(lattice_by_vertices)
-        assert lattice[1] == old[1]
+        assert lattice[1] == [[y for y, _ in row] for row in old[1]]
         assert size <= old_size
 
 
 class TestGeneralSubrepresentations:
     """King's criterion on the general subrepresentations (Schofield's ext
     recursion, ``semistable_by_subrepresentations``), which shares no code
-    with the counting table, decides existence as the table does."""
+    with the HN table or the counting table, decides existence as both
+    tables do."""
 
     @settings(max_examples=150, deadline=None)
     @given(gated_quiver_dim_theta())
     def test_equals_the_counting_table(self, case):
         quiver, e, theta = case
-        assert _check_counting_input(quiver, e, theta)
+        assert _check_hn_input(quiver, e, theta)
         expected = semistable_by_subrepresentations(quiver, e, theta)
         assert has_semistable(quiver, e, theta) == expected[e]
-        box, counts, _, _ = _sst_table(quiver, e, theta)
+        box, _, semistable, _ = _hn_table(quiver, e, theta)
+        assert dict(zip(box[1:], semistable[1:])) == expected
+        box, counts, _, _ = sst_table(quiver, e, theta)
         assert {h: bool(count) for h, count in zip(box[1:], counts[1:])} == expected
+
+    @pytest.mark.parametrize("m", [13, 100, 1000])
+    @pytest.mark.parametrize("e,theta", [((31, 1), (1, -31)), ((7, 7), (1, -1))],
+                             ids=["31-1", "7-7"])
+    def test_equals_the_hn_table_past_the_old_counting_gate(self, m, e, theta):
+        # shapes that the counting gate refused, "counting work above
+        # 150000000"
+        quiver = Quiver.kronecker(m)
+        box, _, semistable, _ = _hn_table(quiver, e, theta)
+        assert dict(zip(box[1:], semistable[1:])) == semistable_by_subrepresentations(
+            quiver, e, theta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(many_arrows_quiver_dim_theta())
+    def test_equals_the_hn_table_on_hundreds_of_arrows(self, case):
+        quiver, e, theta = case
+        box, _, semistable, _ = _hn_table(quiver, e, theta)
+        assert dict(zip(box[1:], semistable[1:])) == semistable_by_subrepresentations(
+            quiver, e, theta)
 
     @pytest.mark.parametrize("quiver,e,theta,exists", [
         (A2, (2, 1), (1, -2), False),
@@ -696,53 +756,51 @@ class TestGeneralSubrepresentations:
 
 
 class TestTableRows:
-    """The rows of ``_sst_table``: a row with one term holds it as it is,
-    a row with more sorts them by slope key, equal keys in product order."""
+    """The rows of ``_hn_table``: the first parts of h in slope key order,
+    equal keys in product order, h among them exactly when it is
+    semistable, as the nonzero terms of the counting table's row."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(quiver_dim_theta(), quiver_dim_theta(balanced=True)))
     def test_every_row_has_a_term(self, case):
-        # the terms of h sum to q^(dim R_h), so no row is empty, and h is a
-        # first part of its own types exactly when its count is nonzero
+        # every representation has a type, so no row is empty, and h is a
+        # first part of its own types exactly when it is semistable
         quiver, d, theta = case
-        box, counts, keys, tails = _sst_table(quiver, d, theta)
+        box, keys, semistable, firsts = _hn_table(quiver, d, theta)
         for x in range(1, len(box)):
-            below, sums, parts = tails[x]
-            assert below and len(below) == len(parts) == len(sums) - 1 and sums[0] == 0
+            below, parts = firsts[x]
+            assert below and len(below) == len(parts)
             assert list(below) == sorted(below) == [keys[y] for y in parts]
-            assert (x in parts) == bool(counts[x])
+            assert (x in parts) == semistable[x]
 
     def test_row_with_its_own_count_alone(self):
-        # (0, 2) splits only as (0, 1) + (0, 1), of equal slope: no term
-        # below, and the count is that of all representations, q^0 = 1
-        table = _sst_table(KRONECKER3, (2, 3), (3, -2))
-        box, counts, keys, tails = table
+        # (0, 2) splits only as (0, 1) + (0, 1), of equal slope: no first
+        # part below, and (0, 2) is semistable
+        table = _hn_table(KRONECKER3, (2, 3), (3, -2))
+        box, keys, semistable, firsts = table
         x = box.index((0, 2))
-        assert _lattice((2, 3))[1][x] == [(box.index((0, 1)), ((2, 1),))]
-        assert counts[x] == 1 and tails[x] == ((keys[x],), (0, 1), (x,))
-        assert by_subvector(table) == sst_table_by_dicts(KRONECKER3, (2, 3), (3, -2))
+        assert _lattice((2, 3))[1][x] == [box.index((0, 1))]
+        assert semistable[x] and firsts[x] == ((keys[x],), (x,))
+        assert table == _read_counts(sst_table(KRONECKER3, (2, 3), (3, -2)))
 
     def test_row_with_one_lower_term(self):
         # on A2 with slope (0, 1) above (1, 0), every representation of
-        # (1, 1) has first part (0, 1): one term, q^1, and no semistable one
-        table = _sst_table(A2, (1, 1), (-1, 1))
-        box, counts, keys, tails = table
+        # (1, 1) has first part (0, 1), and none is semistable
+        table = _hn_table(A2, (1, 1), (-1, 1))
+        box, keys, semistable, firsts = table
         assert box == [(0, 0), (0, 1), (1, 0), (1, 1)] and keys == [0, 2, -2, 0]
-        assert counts[3] == 0
-        assert tails[3] == ((2,), (0, 1 << _coefficient_bits(2)), (1,))
-        assert by_subvector(table) == sst_table_by_dicts(A2, (1, 1), (-1, 1))
+        assert not semistable[3] and firsts[3] == ((2,), (1,))
+        assert table == _read_counts(sst_table(A2, (1, 1), (-1, 1)))
 
     def test_equal_keys_keep_product_order(self):
-        # (1, 0) and (2, 0) have one slope; the stable sort keeps them in
-        # product order, as the predecessor's sort of the same terms does
-        table = _sst_table(A2, (2, 1), (-1, -2))
-        box, counts, keys, tails = table
+        # (1, 0) and (2, 0) have one slope; the sort keeps them in product
+        # order, as the counting table's sort of the same terms does
+        table = _hn_table(A2, (2, 1), (-1, -2))
+        box, keys, semistable, firsts = table
         x = box.index((2, 1))
-        below, sums, parts = tails[x]
-        assert below == (-6, -6) and parts == (box.index((1, 0)), box.index((2, 0)))
-        # two different terms, and no count of (2, 1) to come after them
-        assert counts[x] == 0 and sums[1] != sums[2] - sums[1]
-        assert by_subvector(table) == sst_table_by_dicts(A2, (2, 1), (-1, -2))
+        assert firsts[x] == ((-6, -6), (box.index((1, 0)), box.index((2, 0))))
+        assert not semistable[x]
+        assert table == _read_counts(sst_table(A2, (2, 1), (-1, -2)))
 
 
 class TestEnumerateHnTypes:
@@ -821,12 +879,12 @@ class TestEnumerateHnTypes:
         expected = hn_types_by_subvectors(KRONECKER3, (4, 7), (7, -4))
         assert len(expected) == 69
         assert has_semistable(KRONECKER3, (4, 7), (7, -4))
-        table = _sst_table(KRONECKER3, (4, 7), (7, -4))
+        table = _hn_table(KRONECKER3, (4, 7), (7, -4))
 
         def refuse(d):
             raise AssertionError("subvectors listed after the table was built")
 
-        monkeypatch.setattr(quiver_module, "_sst_table", lambda *args: table)
+        monkeypatch.setattr(quiver_module, "_hn_table", lambda *args: table)
         monkeypatch.setattr(quiver_module, "_lattice", refuse)
         assert enumerate_hn_types(KRONECKER3, (4, 7), (7, -4)) == expected
 
@@ -836,8 +894,8 @@ class TestEnumerateHnTypes:
         # remainder it enters once; the remainders are those of the proper
         # prefixes of the types, so no branch ends without a type
         theta = (d[1], -d[0])
-        table = _sst_table(KRONECKER3, d, theta)
-        monkeypatch.setattr(quiver_module, "_sst_table", lambda *args: table)
+        table = _hn_table(KRONECKER3, d, theta)
+        monkeypatch.setattr(quiver_module, "_hn_table", lambda *args: table)
         lookups = []
 
         def counted(*args):
@@ -879,8 +937,8 @@ class TestEnumerateHnTypes:
         assert enumerate_hn_types(KRONECKER3, (3, 5), (5, -3)) == expected
         assert all(is_hn_type(KRONECKER3, (3, 5), (5, -3), tau) for tau in expected)
         assert not is_hn_type(KRONECKER3, (3, 5), (5, -3), expected[0][::-1])
-        # the counts are packed integers, and no tuple polynomial is in reach
-        assert all(type(count) is int for count in _sst_table(KRONECKER3, (3, 5), (5, -3))[1])
+        # the table holds flags, and no tuple polynomial is in reach
+        assert all(type(flag) is bool for flag in _hn_table(KRONECKER3, (3, 5), (5, -3))[2])
         assert not [name for name in vars(quiver_module) if name.startswith("poly_")]
         assert not [name for name in vars(_linalg) if name.startswith("poly_")]
 
@@ -908,7 +966,7 @@ class TestEnumerateHnTypes:
             assert verdict == (tau in enumerate_hn_types(quiver, d, theta))
 
     def test_is_hn_type_refuses_theta_of_the_wrong_length(self):
-        # the counting gate runs before the total is compared
+        # the gate runs before the total is compared
         for tau in (((2, 3),), ((1, 0), (1, 1))):
             with pytest.raises(ValueError, match="^theta has wrong length$"):
                 is_hn_type(KRONECKER3, (2, 3), (3, -2, 0), tau)
@@ -921,6 +979,36 @@ class TestEnumerateHnTypes:
             slopes = [slope((3, -2), p) for p in tau]
             assert all(a > b for a, b in zip(slopes, slopes[1:]))
             assert tuple(map(sum, zip(*tau))) == (2, 3)
+
+
+class TestDenseStratum:
+    """Reineke's two facts on which the HN table rests, checked on the
+    enumerated types: every stratum has codimension at least 0, and the
+    representation space is irreducible, so exactly one type has
+    codimension 0, the trivial one exactly when d is semistable."""
+
+    @staticmethod
+    def assert_one_dense_type(quiver, d, theta):
+        types = enumerate_hn_types(quiver, d, theta)
+        codims = [hn_stratum_codim(quiver, tau) for tau in types]
+        assert min(codims) >= 0
+        dense = [tau for tau, codim in zip(types, codims) if codim == 0]
+        assert len(dense) == 1
+        assert (dense == [(d,)]) == has_semistable(quiver, d, theta)
+
+    @pytest.mark.parametrize("d", LADDER)
+    def test_ladder(self, d):
+        self.assert_one_dense_type(KRONECKER3, d, (d[1], -d[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(quiver_dim_theta(balanced=True), benchmark_shapes()))
+    def test_small_quivers(self, case):
+        self.assert_one_dense_type(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(many_arrows_quiver_dim_theta(balanced=True))
+    def test_hundreds_of_arrows(self, case):
+        self.assert_one_dense_type(*case)
 
 
 class TestSubvectorLimit:
@@ -940,19 +1028,20 @@ class TestSubvectorLimit:
                     route()
 
     @pytest.mark.parametrize("m,d,theta", [(1000, (7, 7), (1, -1)), (30, (1, 31), (31, -1)),
-                                           (3000, (2, 20), (10, -1))])
-    def test_every_route_is_bounded_in_counting_work(self, m, d, theta):
+                                           (3000, (2, 20), (10, -1)), (MAX_ARROWS, (7, 7), (7, -7))])
+    def test_shapes_past_the_deleted_counting_gate_are_admitted_and_fast(self, m, d, theta):
+        # the first three were refused with "counting work above 150000000";
+        # the HN table's work does not grow with the arrow count
         q = Quiver.kronecker(m)
-        routes = [lambda: has_semistable(q, d, theta), lambda: enumerate_hn_types(q, d, theta),
-                  lambda: is_hn_type(q, d, theta, (d,))]
-        for route in routes:
-            with pytest.raises(ValueError, match=f"^counting work above {MAX_COUNTING_WORK}$"):
-                route()
+        start = time.process_time()
+        types = enumerate_hn_types(q, d, theta)
+        assert has_semistable(q, d, theta) == ((d,) in types)
+        assert time.process_time() - start < 0.5
 
     @pytest.mark.parametrize("m,d", [(2000, (2, 3)), (MAX_ARROWS, (3, 2)), (3, (7, 7)),
                                      (3, (4, 7))])
     def test_cheap_shapes_are_admitted(self, m, d):
-        assert _check_counting_input(Quiver.kronecker(m), d, (d[1], -d[0]))
+        assert _check_hn_input(Quiver.kronecker(m), d, (d[1], -d[0]))
 
     def test_huge_entries_are_refused_at_once(self):
         with pytest.raises(ValueError, match="subvector count above"):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import gc
+import inspect
 import io
 import json
 import pickle
@@ -9,7 +10,6 @@ import random
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -665,16 +665,12 @@ class TestMutationLedger:
 
 # -- record semantics ------------------------------------------------------------
 
-#: The record classes of the package: its namedtuples and dataclasses.
+#: The record classes of the package: the tuple subclasses it defines, all
+#: of them named tuples.  No module may define a dataclass: the child-process
+#: import tests of ``test_cli.py`` refuse the ``dataclasses`` module.
 RECORD_CLASSES = {cls for module in (bundles, chow, quiver, repgeom, strata, verify)
                   for cls in vars(module).values() if isinstance(cls, type)
-                  and cls.__module__ == module.__name__
-                  and (is_dataclass(cls) or issubclass(cls, tuple))}
-
-#: The records that are named tuples: all of them.
-NAMEDTUPLE_CLASSES = {BundleExpr, bundles.StratumWeights, Quiver, strata.OnePS, Moduli,
-                      CollectionSpec, verify.PairStatus, strata.StratumData, strata.StratumCheck,
-                      verify.VerificationMatrix, repgeom.LinearFormMatrix}
+                  and cls.__module__ == module.__name__ and issubclass(cls, tuple)}
 
 
 #: A builder of one instance of each record class, from real data.
@@ -701,7 +697,11 @@ class TestRecordSemantics:
     def test_every_record_class_is_covered(self):
         assert len(RECORD_CLASSES) == 11
         assert {type(build()) for build in RECORD_BUILDERS.values()} == RECORD_CLASSES
-        assert NAMEDTUPLE_CLASSES == {c for c in RECORD_CLASSES if issubclass(c, tuple)}
+        assert RECORD_CLASSES == {
+            BundleExpr, bundles.StratumWeights, Quiver, strata.OnePS, Moduli, CollectionSpec,
+            verify.PairStatus, strata.StratumData, strata.StratumCheck, verify.VerificationMatrix,
+            repgeom.LinearFormMatrix}
+        assert all(hasattr(cls, "_fields") for cls in RECORD_CLASSES)
 
     @pytest.mark.parametrize("name", RECORD_NAMES)
     def test_copies_are_equal(self, name):
@@ -713,13 +713,12 @@ class TestRecordSemantics:
     @pytest.mark.parametrize("name", RECORD_NAMES)
     def test_fields_cannot_be_set(self, name):
         record = RECORD_BUILDERS[name]()
-        field = record._fields[0] if isinstance(record, tuple) else fields(record)[0].name
+        field = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.undeclared = 0
-        if isinstance(record, tuple):
-            assert not hasattr(record, "__dict__")
+        assert not hasattr(record, "__dict__")
 
     def test_equal_values_built_twice_are_equal(self):
         for build in RECORD_BUILDERS.values():
@@ -745,7 +744,7 @@ class TestRecordSemantics:
 # -- caches ----------------------------------------------------------------------
 
 #: Every cache of the package, by qualified name, with its ``maxsize``.  None
-#: only where the keys are few by construction, as each comment says.
+#: only for a cache that takes no arguments, so holds one entry.
 CACHES = {
     "quivercert.bundles._leaf_maps": quiver.MAX_CACHED_SETUPS,
     "quivercert.chow.todd_y": 1,
@@ -753,10 +752,7 @@ CACHES = {
     "quivercert.chow.ch_of": chow.MAX_CACHED_EXPRS,
     "quivercert.chow.chi_row": chow.MAX_CACHED_EXPRS,
     "quivercert.cli.build_parser": None,  # no arguments: one entry
-    # keys bounded by the gate: it admits |d| <= 63 only, so n, k and the
-    # total that sets bits are at most 63
-    "quivercert.quiver._q_binomial": None,
-    "quivercert.quiver._coefficient_bits": None,
+    "quivercert.quiver._arrow_counts": quiver.MAX_CACHED_SETUPS,
     "quivercert.quiver._lattice": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.Moduli.kronecker23": None,  # no arguments: one entry
     "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,
@@ -771,6 +767,16 @@ CACHES = {
 def test_every_cache_is_listed_with_its_bound():
     found = {name: cached.cache_info().maxsize for name, cached in package_caches().items()}
     assert found == CACHES
+
+
+def test_every_unbounded_cache_takes_no_arguments():
+    # an unbounded cache with a key would grow with the keys it is asked
+    # for; a cached classmethod takes its class alone, one key
+    unbounded = {name: cached for name, cached in package_caches().items()
+                 if cached.cache_info().maxsize is None}
+    assert unbounded
+    for name, cached in unbounded.items():
+        assert list(inspect.signature(cached.__wrapped__).parameters) in ([], ["cls"]), name
 
 
 def test_clearing_the_caches_empties_the_range_cache():

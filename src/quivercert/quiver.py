@@ -9,24 +9,34 @@ Existence of semistable representations is decided from the one dense
 Harder-Narasimhan stratum (Reineke, Invent. Math. 152, 2003).  The stratum
 of a type (d^1, ..., d^k) of h is nonempty exactly when every part has
 semistable representations, and its codimension is
--sum_{k<l} <d^k, d^l> >= 0.  The representation space of h is
-irreducible, so exactly one stratum, that of the generic type of h, has
-codimension 0: (h) when h has semistable representations, and otherwise
-(f, tau') for the one first part f with <f, h - f> = 0 and tau' the
-generic type of h - f, of slopes below that of f.  So existence is a
-boolean recursion over the pairs f < h, with no counting.  One table,
-built bottom up for a dimension vector d, holds for every subvector of d
-whether it is semistable, integer keys that order the slopes, and the
-first parts its types can start with; the existence test and the type
-enumeration read it.  Its lists are indexed by the position of a
-subvector in product order, where the index of h - f is the index of h
+-sum_{k<l} <d^k, d^l> >= 0.  The representation space Rep(h) is
+irreducible, so exactly one stratum has codimension 0: (h) when h has
+semistable representations, and otherwise (f, tau') for the one first part
+f with <f, h - f> = 0 and tau' the dense type of h - f.  The dense type
+starts at the least slope that starts any type.  Indeed, the slope
+mu_max(M) of the first part of M is the largest slope of a
+subrepresentation of M, and for each f the M of dimension h with a
+subrepresentation of dimension f form a closed set, the image of a proper
+map from a Grassmannian bundle (Schofield, Proc. London Math. Soc. 65,
+1992, section 3; King, Quart. J. Math. 45, 1994).  So mu_max is upper
+semicontinuous and takes its least value on a dense open set of Rep(h),
+which meets the dense stratum; and every type has a nonempty stratum.
+Hence a first part f of h (semistable, with some type of h - f starting
+below its slope) has the dense type of h - f below its slope too, and h is
+not semistable exactly when some first part f has <f, h - f> = 0.  So
+existence is a boolean recursion over the pairs f < h, with no counting.
+One table, built bottom up for a dimension vector d, holds for every
+subvector of d whether it is semistable, integer keys that order the
+slopes, and the first parts its types can start with; the existence test
+and the type enumeration read it.  Its lists are indexed by the position of
+a subvector in product order, where the index of h - f is the index of h
 less that of f, so neither reader builds a subvector to look one up: the
 enumeration walks indices and builds the parts of a type only when it
 returns it.  What the table needs of d alone (the subvectors in product
 order, the pairs f < h, and for each subvector the scaled row that makes
-its slope an integer) is one lattice per d, cached and shared by the
-tables of every quiver and stability parameter.  The table itself is not
-cached: ``strata`` keeps what it reads of it.
+its slope an integer) is one lattice per d, cached and shared by the tables
+of every quiver and stability parameter.  The table itself is not cached:
+``strata`` keeps what it reads of it.
 """
 
 from __future__ import annotations
@@ -65,11 +75,16 @@ def _is_int(x) -> bool:
 SPEC_FORMS = "'kronecker:m' or JSON {\"vertices\":n,\"arrows\":[[i,j],..]}"
 
 
-class Quiver(namedtuple("Quiver", "vertex_count arrows")):
+class Quiver(namedtuple("Quiver", "vertex_count arrows groups")):
     """A finite acyclic directed graph, parallel arrows allowed.
 
     Vertices are indexed 0..vertex_count-1; arrows are (source, target)
-    pairs.
+    pairs, kept in the order given.  ``groups`` holds them grouped, as
+    ``(i, j, m)`` for the m parallel arrows i -> j in the order of their
+    first arrows, so that the HN table and the strata loop over groups at
+    a cost that does not grow with the number of parallel arrows.  It is a
+    function of the arrows, built once here: a quiver is made from, and
+    equal as, its vertex count and arrows.
     """
 
     __slots__ = ()
@@ -82,20 +97,25 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
         arrows = tuple(_int_entries(a, "arrow") for a in arrows)
         if len(arrows) > MAX_ARROWS:
             raise ValueError(f"arrow count above {MAX_ARROWS}")
-        for i, j in arrows:
+        groups = tuple((i, j, m) for (i, j), m in Counter(arrows).items())
+        for i, j, _ in groups:
             if not (0 <= i < vertex_count and 0 <= j < vertex_count):
                 raise ValueError(f"arrow ({i},{j}) out of range")
-        self = super().__new__(cls, vertex_count, arrows)
+        self = super().__new__(cls, vertex_count, arrows, groups)
         if self._has_cycle():
             raise ValueError("quiver must be acyclic")
         return self
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a quiver through __new__, from its arrows
+        return self.vertex_count, self.arrows
 
     def _has_cycle(self) -> bool:
         """Whether removing sources one at a time leaves some vertex (without
         recursion, so a long path cannot exhaust the stack)."""
         succ = [[] for _ in range(self.vertex_count)]
         indegree = [0] * self.vertex_count
-        for i, j in self.arrows:
+        for i, j, _ in self.groups:
             succ[i].append(j)
             indegree[j] += 1
         sources = [v for v, n in enumerate(indegree) if n == 0]
@@ -169,22 +189,6 @@ def reduced_slope(theta, e) -> tuple[int, int]:
     return _reduced_slope(theta, e)
 
 
-@lru_cache(maxsize=MAX_CACHED_SETUPS)
-def _arrow_counts(quiver: Quiver) -> tuple[tuple[int, int, int], ...]:
-    """The arrows of ``quiver`` grouped, as ``(i, j, m)`` for the m parallel
-    arrows i -> j, in the order of their first arrows.  The HN table, the
-    Euler form and ``strata.eta`` loop over these, so that their cost does
-    not grow with the number of parallel arrows, and the codimension and eta
-    of every type of a quiver share one grouping."""
-    return tuple((i, j, m) for (i, j), m in Counter(quiver.arrows).items())
-
-
-def _euler_form(arrows, d: DimVector, e: DimVector) -> int:
-    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j of two
-    checked dimension vectors, over the ``_arrow_counts`` of a quiver."""
-    return sum(map(operator.mul, d, e)) - sum(m * d[i] * e[j] for i, j, m in arrows)
-
-
 def _reduced_slope(theta, f) -> tuple[int, int]:
     """The slope (theta . f) / |f| of a nonzero f as a pair (a, b) of
     coprime integers with b > 0, compared by cross-multiplying."""
@@ -246,39 +250,32 @@ def _hn_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, l
 
     The table walks the pairs f < h of ``_lattice(d)`` bottom up, so that
     the entries of f and of the rest h - f, at the index of h less that of
-    f, are known.  It also keeps, for each h, the key of the first part of
-    its generic type (that of its dense stratum) and the least key of a
-    first part of any type.  f is a first part of h when f is semistable
-    and some type of h - f starts below the slope of f: the least key of
-    h - f is below that of f.  (f, tau') is the generic type of h, and h
-    is not semistable, for the one first part f whose generic rest tau'
-    starts below the slope of f and with <f, h - f> = 0, a dot product of
-    h - f with the Euler row of f, (f_j - sum_{a: i->j} f_i) over j.  With
-    no such f, h is semistable, and its generic type is (h).
+    f, are known.  It also keeps, for each h, the least key of a first part
+    of any type.  f is a first part of h when f is semistable and some type
+    of h - f starts below the slope of f: the least key of h - f is below
+    that of f.  h is semistable unless some first part f has
+    <f, h - f> = 0 (the module docstring says why), a dot product of h - f
+    with the Euler row of f, (f_j - sum_{a: i->j} f_i) over j.
     """
     box, pairs, columns, scaled = _lattice(d)
     keys = [sum(map(operator.mul, theta, row)) for row in scaled]
     flows = list(columns)  # the Euler rows by vertex j, over the box
-    for i, j, m in _arrow_counts(quiver):
+    for i, j, m in quiver.groups:
         flows[j] = list(map(operator.sub, flows[j], map(m.__mul__, columns[i])))
     rows = list(zip(*flows))
     semistable = [False] * len(box)
-    generic = [-inf] * len(box)  # the key of the first part of the generic type
     least = [-inf] * len(box)  # the least key of a first part
     firsts = [((), ())] * len(box)
     for x in range(1, len(box)):
-        parts, dense = [], None
+        parts, dense = [], False  # whether a type (f, ...) of h is dense
         for y in pairs[x]:
             key = keys[y]
             if semistable[y] and least[x - y] < key:
                 parts.append((key, y))
-                if generic[x - y] < key and not sum(map(operator.mul, rows[y], box[x - y])):
-                    dense = key
-        if dense is None:
+                dense = dense or not sum(map(operator.mul, rows[y], box[x - y]))
+        if not dense:
             semistable[x] = True
-            dense = keys[x]
-            parts.append((dense, x))
-        generic[x] = dense
+            parts.append((keys[x], x))
         parts.sort()
         below, ys = zip(*parts)
         firsts[x] = below, ys
@@ -343,15 +340,3 @@ def enumerate_hn_types(quiver: Quiver, d, theta) -> list[HNType]:
     types.sort()
     return [tuple(map(box.__getitem__, tau)) for tau in types]
 
-
-def hn_stratum_codim(quiver: Quiver, tau) -> int:
-    """Codimension of the stratum of a Harder-Narasimhan type:
-    -sum_{k<l} <d^k, d^l> = -sum_l <d^1 + ... + d^(l-1), d^l>, since the
-    Euler form is bilinear.  Each part is checked once."""
-    parts = [quiver.check_dim(p) for p in tau]
-    arrows = _arrow_counts(quiver)
-    codim, before = 0, (0,) * quiver.vertex_count
-    for part in parts:
-        codim -= _euler_form(arrows, before, part)
-        before = tuple(map(operator.add, before, part))
-    return codim

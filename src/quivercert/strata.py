@@ -37,15 +37,7 @@ from math import lcm
 from ._linalg import MAX_CACHED_SETUPS, _int_entries
 from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, characters,
                       charge_product)
-from .quiver import (
-    HNType,
-    Quiver,
-    _arrow_counts,
-    _check_hn_input,
-    enumerate_hn_types,
-    hn_stratum_codim,
-    reduced_slope,
-)
+from .quiver import HNType, Quiver, _check_hn_input, enumerate_hn_types, reduced_slope
 
 
 class OnePS(namedtuple("OnePS", "blocks")):
@@ -78,25 +70,25 @@ def one_ps_from_hn(tau: HNType, theta) -> OnePS:
                        for i in range(len(tau[0]))))
 
 
-def _negative_directions(quiver: Quiver, s: OnePS):
-    """The strictly negative weight directions of the representation space
-    and of the gauge Lie algebra, as two lists of (weight, multiplicity),
-    one entry per group of parallel arrows."""
-
-    def directions(groups):
-        return [(wt - ws, ms * mt * m) for i, j, m in groups
-                for ws, ms in s.blocks[i] for wt, mt in s.blocks[j] if wt < ws]
-
-    return (directions(_arrow_counts(quiver)),
-            directions((i, i, 1) for i in range(len(s.blocks))))
-
-
-def eta(quiver: Quiver, s: OnePS) -> int:
-    """Weight of det of the conormal bundle of the stratum: the negative
-    weight total inside the gauge group minus the one in the
+def codim_and_eta(quiver: Quiver, s: OnePS) -> tuple[int, int]:
+    """The codimension and the threshold eta of the stratum of ``s``, from
+    one walk over the strictly negative weight directions of the
+    representation space, one entry per group of parallel arrows, and of
+    the gauge Lie algebra, entered as groups (i, i, -1).  A direction of
+    multiplicity n and weight w < 0 adds n to the codimension and n * |w|
+    to eta in the representation space, and subtracts both in the gauge
+    algebra: the codimension is dim Rep(d)_{<0} - dim gl(d)_{<0} (Reineke
+    2003), and eta, the weight of det of the conormal bundle, is the
+    negative weight total of the gauge algebra less that of the
     representation space."""
-    rep, gauge = _negative_directions(quiver, s)
-    return sum(w * m for w, m in gauge) - sum(w * m for w, m in rep)
+    codim = eta = 0
+    for i, j, m in quiver.groups + tuple((i, i, -1) for i in range(len(s.blocks))):
+        for ws, ms in s.blocks[i]:
+            for wt, mt in s.blocks[j]:
+                if wt < ws:
+                    codim += m * ms * mt
+                    eta += m * ms * mt * (ws - wt)
+    return codim, eta
 
 
 def descent_shift(s: OnePS, twist) -> int:
@@ -171,8 +163,8 @@ def _hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
     records = []
     for tau in enumerate_hn_types(quiver, d, theta):
         s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
-        records.append((tau, tuple(reduced_slope(theta, part) for part in tau),
-                        hn_stratum_codim(quiver, tau), s, None if s is None else eta(quiver, s)))
+        codim, threshold = (0, None) if s is None else codim_and_eta(quiver, s)
+        records.append((tau, tuple(reduced_slope(theta, part) for part in tau), codim, s, threshold))
     return tuple(records)
 
 

@@ -64,13 +64,13 @@ from quivercert.chow import (
     scaled_pairing,
     todd_y,
 )
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _arrow_counts,
-                               _check_hn_input, _euler_form, _reduced_slope, enumerate_hn_types,
-                               has_semistable, hn_stratum_codim, reduced_slope)
+from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_hn_input,
+                               _lattice, _reduced_slope, enumerate_hn_types, has_semistable,
+                               reduced_slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
-from quivercert.strata import (Moduli, OnePS, StratumCheck, _negative_directions, eta,
-                               one_ps_from_hn, teleman_certify, unstable_strata, weight_ranges)
+from quivercert.strata import (Moduli, OnePS, StratumCheck, one_ps_from_hn, teleman_certify,
+                               unstable_strata, weight_ranges)
 from quivercert.verify import (EXCEPTIONAL, STRONG_EXT, UNDETERMINED, CollectionSpec, PairStatus,
                                VerificationMatrix, _pair_verdict)
 
@@ -108,11 +108,39 @@ def _subvectors(e):
             yield f
 
 
+def arrow_counts(quiver: Quiver) -> tuple[tuple[int, int, int], ...]:
+    """The arrows of ``quiver`` grouped, as ``(i, j, m)`` for the m parallel
+    arrows i -> j, in the order of their first arrows: the cached grouping
+    that ``Quiver.groups`` replaced."""
+    return tuple((i, j, m) for (i, j), m in Counter(quiver.arrows).items())
+
+
+def _euler_form(arrows, d: DimVector, e: DimVector) -> int:
+    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j of two
+    checked dimension vectors, over the ``arrow_counts`` of a quiver."""
+    return sum(map(operator.mul, d, e)) - sum(m * d[i] * e[j] for i, j, m in arrows)
+
+
 def euler_form(quiver: Quiver, d, e) -> int:
     """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j, with both
     vectors checked: the entry that ``hn_stratum_codim`` called on every
     pair of parts before it checked each part once."""
-    return _euler_form(_arrow_counts(quiver), quiver.check_dim(d), quiver.check_dim(e))
+    return _euler_form(arrow_counts(quiver), quiver.check_dim(d), quiver.check_dim(e))
+
+
+def hn_stratum_codim(quiver: Quiver, tau) -> int:
+    """Codimension of the stratum of a Harder-Narasimhan type:
+    -sum_{k<l} <d^k, d^l> = -sum_l <d^1 + ... + d^(l-1), d^l>, since the
+    Euler form is bilinear.  Each part is checked once.  The route by prefix
+    sums of the Euler form that ``strata.codim_and_eta`` replaced with a
+    count of negative directions."""
+    parts = [quiver.check_dim(p) for p in tau]
+    arrows = arrow_counts(quiver)
+    codim, before = 0, (0,) * quiver.vertex_count
+    for part in parts:
+        codim -= _euler_form(arrows, before, part)
+        before = tuple(map(operator.add, before, part))
+    return codim
 
 
 def hn_stratum_codim_by_pairs(quiver: Quiver, tau) -> int:
@@ -132,10 +160,32 @@ def dim_vector(s: OnePS) -> tuple[int, ...]:
     return tuple(sum(m for _, m in vertex) for vertex in s.blocks)
 
 
+def negative_directions(quiver: Quiver, s: OnePS):
+    """The strictly negative weight directions of the representation space
+    and of the gauge Lie algebra, as two lists of (weight, multiplicity),
+    one entry per group of parallel arrows."""
+
+    def directions(groups):
+        return [(wt - ws, ms * mt * m) for i, j, m in groups
+                for ws, ms in s.blocks[i] for wt, mt in s.blocks[j] if wt < ws]
+
+    return (directions(arrow_counts(quiver)),
+            directions((i, i, 1) for i in range(len(s.blocks))))
+
+
+def eta(quiver: Quiver, s: OnePS) -> int:
+    """Weight of det of the conormal bundle of the stratum: the negative
+    weight total inside the gauge group minus the one in the
+    representation space.  The route that ``strata.codim_and_eta`` folded
+    into one walk with the codimension."""
+    rep, gauge = negative_directions(quiver, s)
+    return sum(w * m for w, m in gauge) - sum(w * m for w, m in rep)
+
+
 def count_negative_directions(quiver: Quiver, s: OnePS) -> tuple[int, int]:
     """Counts (not weight totals) of strictly negative weight directions in
     the representation space and in the gauge Lie algebra."""
-    rep, gauge = _negative_directions(quiver, s)
+    rep, gauge = negative_directions(quiver, s)
     return sum(m for _, m in rep), sum(m for _, m in gauge)
 
 
@@ -591,6 +641,49 @@ def q_binomial(n: int, k: int) -> tuple:
     if k in (0, n):
         return (1,)
     return poly_add(q_binomial(n - 1, k - 1), (0,) * k + q_binomial(n - 1, k))
+
+
+# -- the HN table that kept the first part of each generic type ---------------
+
+def hn_table_with_generic(quiver: Quiver, d: DimVector, theta: tuple) -> tuple:
+    """``(box, keys, semistable, firsts, generic, least)``: the table of
+    ``quiver._hn_table`` as it was before the argument of the ``quiver``
+    module docstring removed ``generic``, with that list and ``least``
+    returned too.  ``generic[x]`` is the key of the first part of the
+    generic type of h = ``box[x]`` (that of its dense stratum), and
+    ``least[x]`` the least key of a first part of any type.  (f, tau') is
+    the generic type of h, and h is not semistable, for the one first part
+    f whose generic rest tau' starts below the slope of f and with
+    <f, h - f> = 0.  With no such f, h is semistable, and its generic type
+    is (h)."""
+    box, pairs, columns, scaled = _lattice(d)
+    keys = [sum(map(operator.mul, theta, row)) for row in scaled]
+    flows = list(columns)  # the Euler rows by vertex j, over the box
+    for i, j, m in arrow_counts(quiver):
+        flows[j] = list(map(operator.sub, flows[j], map(m.__mul__, columns[i])))
+    rows = list(zip(*flows))
+    semistable = [False] * len(box)
+    generic = [-inf] * len(box)  # the key of the first part of the generic type
+    least = [-inf] * len(box)  # the least key of a first part
+    firsts = [((), ())] * len(box)
+    for x in range(1, len(box)):
+        parts, dense = [], None
+        for y in pairs[x]:
+            key = keys[y]
+            if semistable[y] and least[x - y] < key:
+                parts.append((key, y))
+                if generic[x - y] < key and not sum(map(operator.mul, rows[y], box[x - y])):
+                    dense = key
+        if dense is None:
+            semistable[x] = True
+            dense = keys[x]
+            parts.append((dense, x))
+        generic[x] = dense
+        parts.sort()
+        below, ys = zip(*parts)
+        firsts[x] = below, ys
+        least[x] = below[0]
+    return box, keys, semistable, firsts, generic, least
 
 
 # -- the counting table that ``quiver._hn_table`` replaced --------------------

@@ -7,6 +7,8 @@ address space, set in the child alone, and only one child runs at a time.
 It must exit with the row's code, 0, 1 or 2, print exactly one JSON document
 and nothing on stderr (so no traceback), and use less CPU time than the
 row's ceiling.  A row that fails is a fault to mend, not a ceiling to raise.
+``LIMIT_ROWS`` names the two rows of each ``MAX_*`` limit of the package, and
+a limit without rows fails ``test_every_limit_has_rows_on_both_sides``.
 """
 
 import json
@@ -19,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import package_modules
 from quivercert.bundles import MAX_DEPTH, MAX_RANK
-from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS
+from quivercert.cli import MAX_FILE_BYTES
+from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
 
 SRC = Path(__file__).parent.parent / "src"
@@ -52,8 +56,25 @@ def _objects(count: int) -> str:
                                    for k in range(-64, count - 64)]})
 
 
+def _padded(size: int) -> str:
+    """A collection file of one object, padded with spaces to ``size`` bytes."""
+    body = json.dumps({"objects": [{"expr": "O(0)"}]})
+    return body + " " * (size - len(body))
+
+
+def _path(n: int, d, theta) -> list:
+    """The ``hn-types`` arguments for the path quiver 0 -> 1 -> ... -> n-1, as
+    compact JSON, with d and theta padded with zeros to n entries."""
+    arrows = [[i, i + 1] for i in range(n - 1)]
+    spec = json.dumps({"vertices": n, "arrows": arrows}, separators=(",", ":"))
+    d, theta = (",".join(map(str, v + (0,) * (n - len(v)))) for v in (d, theta))
+    return ["hn-types", "--quiver", spec, "--dim", d, "--theta", theta]
+
+
 #: Collection files that rows read, written to the child's directory.
-FILES = {"128-objects.json": _objects(MAX_OBJECTS), "129-objects.json": _objects(MAX_OBJECTS + 1)}
+FILES = {"128-objects.json": _objects(MAX_OBJECTS), "129-objects.json": _objects(MAX_OBJECTS + 1),
+         "at-size-limit.json": _padded(MAX_FILE_BYTES),
+         "above-size-limit.json": _padded(MAX_FILE_BYTES + 1)}
 
 #: ``(id, argv, exit code, text in stdout, ceiling in CPU seconds)``.  The
 #: CPU time of each child, start-up included, measured without cached
@@ -82,15 +103,26 @@ EDGES = [
                            "--theta", "1,-31"], 0, '"types":', 1.0),
     ("kronecker-13-31-1", ["hn-types", "--quiver", "kronecker:13", "--dim", "31,1",
                            "--theta", "1,-31"], 0, '"types":', 1.0),
-    # 64 subvectors on the most arrows a quiver may have (399 types), then 72
-    # subvectors, then one arrow too many
+    # 64 subvectors on the most arrows a quiver may have (399 types, 0.14 s),
+    # then 72 subvectors, then one arrow too many
     ("kronecker-10000-7-7", ["hn-types", "--quiver", f"kronecker:{MAX_ARROWS}", "--dim", "7,7",
-                             "--theta", "7,-7"], 0, '"types":', 1.5),
+                             "--theta", "7,-7"], 0, '"types":', 1.0),
     ("kronecker-10000-7-8", ["hn-types", "--quiver", f"kronecker:{MAX_ARROWS}", "--dim", "7,8",
                              "--theta", "8,-7"], 2, f"subvector count above {MAX_SUBVECTORS}",
      1.0),
     ("kronecker-10001-7-7", ["hn-types", "--quiver", f"kronecker:{MAX_ARROWS + 1}", "--dim",
                              "7,7", "--theta", "7,-7"], 2, f"arrow count above {MAX_ARROWS}", 1.0),
+    # the longest path quiver, its JSON of 117,800 bytes under the 128 KiB
+    # that Linux allows one argument, d = (1,1,1,0,...) (4 types, 0.41 MB of
+    # output, 0.22 s), then one vertex too many
+    ("path-10000-vertices", _path(MAX_VERTICES, (1, 1, 1), (1, 0, -1)), 0, '"types":', 1.0),
+    ("path-10001-vertices", _path(MAX_VERTICES + 1, (1, 1, 1), (1, 0, -1)), 2,
+     f"vertex count above {MAX_VERTICES}", 1.0),
+    # a collection file of exactly the largest size read, then one byte more
+    ("file-at-size-limit", ["verify-collection", "--file", "at-size-limit.json"], 0,
+     '"accepted":true', 1.0),
+    ("file-above-size-limit", ["verify-collection", "--file", "above-size-limit.json"], 2,
+     f"collection file above {MAX_FILE_BYTES} bytes", 1.0),
     ("stability-4300-digits", ["stability", "--matrix", "9" * 4300 + "x,y,0;0,y,z"], 0,
      '"stable":true', 1.0),
     ("stability-4301-digits", ["stability", "--matrix", "9" * 4301 + "x,y,0;0,y,z"], 2,
@@ -121,10 +153,44 @@ def run_limited(argv, cwd):
 @pytest.mark.parametrize("argv,code,text,ceiling", [row[1:] for row in EDGES],
                          ids=[row[0] for row in EDGES])
 def test_edge_of_a_limit(tmp_path, argv, code, text, ceiling):
-    for name, body in FILES.items():
-        (tmp_path / name).write_text(body, encoding="utf-8")
+    for name in FILES.keys() & set(argv):
+        (tmp_path / name).write_text(FILES[name], encoding="utf-8")
     got, stdout, stderr, cpu = run_limited(argv, tmp_path)
     assert (got, stderr) == (code, ""), stderr[-2000:]
     json.loads(stdout)  # exactly one document: extra data raises
     assert stdout.endswith("}\n") and text in stdout
     assert cpu < ceiling, f"{cpu:.2f} s of CPU, ceiling {ceiling} s"
+
+
+#: The rows just inside and just outside each input limit, by the name of
+#: its constant.
+LIMIT_ROWS = {
+    "MAX_OBJECTS": ("128-objects", "129-objects"),
+    "MAX_DEPTH": ("dual-depth-100", "dual-depth-101"),
+    "MAX_RANK": ("sym2-six-deep", "sym2-seven-deep"),
+    "MAX_SUBVECTORS": ("kronecker-10000-7-7", "kronecker-10000-7-8"),
+    "MAX_ARROWS": ("kronecker-10000-7-7", "kronecker-10001-7-7"),
+    "MAX_VERTICES": ("path-10000-vertices", "path-10001-vertices"),
+    "MAX_FILE_BYTES": ("file-at-size-limit", "file-above-size-limit"),
+}
+
+#: The ``MAX_*`` constants without rows, each with the reason.
+WITHOUT_ROWS = {
+    "MAX_CACHED_SETUPS": "a cache bound, not an input limit",
+    "MAX_CACHED_EXPRS": "a cache bound, not an input limit",
+    "MAX_TERMS": "row not yet written, ROADMAP item 16",
+    "MAX_WORK_TERMS": "row not yet written, ROADMAP item 16",
+}
+
+
+def test_every_limit_has_rows_on_both_sides():
+    # a new limit fails here until it has its two rows or a reason
+    limits = {name: value for module in package_modules()
+              for name, value in vars(module).items() if name.startswith("MAX_")}
+    assert limits.keys() == LIMIT_ROWS.keys() | WITHOUT_ROWS.keys()
+    assert not LIMIT_ROWS.keys() & WITHOUT_ROWS.keys()
+    rows = {row[0]: row[2:4] for row in EDGES}
+    for name, (inside, outside) in LIMIT_ROWS.items():
+        assert rows[inside][0] in (0, 1), name
+        # refused, with a message that gives the limit
+        assert rows[outside][0] == 2 and str(limits[name]) in rows[outside][1], name

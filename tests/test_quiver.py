@@ -8,6 +8,7 @@ import re
 import time
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,9 @@ from oracles import (
     exists_semistable_brute,
     gl_order,
     has_semistable_by_chains,
+    hn_stratum_codim,
     hn_stratum_codim_by_pairs,
+    hn_table_with_generic,
     hn_type_brute,
     hn_types_by_chains,
     hn_types_by_dicts,
@@ -65,7 +68,6 @@ from quivercert.quiver import (
     _lattice,
     enumerate_hn_types,
     has_semistable,
-    hn_stratum_codim,
     reduced_slope,
 )
 
@@ -184,6 +186,17 @@ class TestQuiver:
         assert Quiver(n, path).arrows == path
         with pytest.raises(ValueError, match="acyclic"):
             Quiver(n, path + ((n - 1, 0),))
+
+    def test_interleaved_arrows_keep_their_order(self):
+        # the groups are a function of the arrows: equality, hashing and the
+        # JSON follow the arrows as given
+        q = Quiver(3, ((0, 1), (1, 2), (0, 1)))
+        assert q.to_json_dict() == {"vertices": 3, "arrows": ((0, 1), (1, 2), (0, 1))}
+        assert q.groups == tuple((i, j, m) for (i, j), m in Counter(q.arrows).items())
+        assert q.groups == ((0, 1, 2), (1, 2, 1))
+        again = Quiver.from_spec(json.dumps(q.to_json_dict()))
+        assert again == q and hash(again) == hash(q)
+        assert Quiver(3, ((0, 1), (0, 1), (1, 2))) != q
 
     def test_json_roundtrip(self):
         q = Quiver(3, ((0, 1), (1, 2), (0, 2)))
@@ -700,6 +713,28 @@ class TestReplacedRoutes:
         old_size, old = kept(lattice_by_vertices)
         assert lattice[1] == [[y for y, _ in row] for row in old[1]]
         assert size <= old_size
+
+
+class TestDenseTypeStartsLowest:
+    """The argument of the ``quiver`` module docstring: the dense type of h
+    starts at the least slope of a first part of any type, so the table that
+    kept the first part of each dense (generic) type kept a copy of
+    ``least``, and the table without it equals it."""
+
+    @staticmethod
+    def assert_generic_is_least(quiver, d, theta):
+        box, keys, semistable, firsts, generic, least = hn_table_with_generic(quiver, d, theta)
+        assert generic == least
+        assert _hn_table(quiver, d, theta) == (box, keys, semistable, firsts)
+
+    @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
+    def test_wide_shapes(self, quiver, d, theta):
+        self.assert_generic_is_least(quiver, d, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(gated_quiver_dim_theta(), many_arrows_quiver_dim_theta(), benchmark_shapes()))
+    def test_random_quivers(self, case):
+        self.assert_generic_is_least(*case)
 
 
 class TestGeneralSubrepresentations:

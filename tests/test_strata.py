@@ -7,23 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golden import STRATUM_TABLE
-from oracles import (KRONECKER3, count_negative_directions, dim_vector, one_ps_by_fraction_slopes,
-                     random_expr, stratum_checks, weight_ranges_by_walk, weights_of)
-from test_quiver import quiver_dim_theta
+from oracles import (KRONECKER3, count_negative_directions, dim_vector, eta, hn_stratum_codim,
+                     one_ps_by_fraction_slopes, random_expr, stratum_checks, weight_ranges_by_walk,
+                     weights_of)
+from test_quiver import many_arrows_quiver_dim_theta, quiver_dim_theta
 from test_verify import EXPRS
 from quivercert import bundles
 from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
                                 characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
-from quivercert.quiver import (MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types,
-                               hn_stratum_codim, reduced_slope)
+from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types, reduced_slope
 from quivercert.cli import main
 from quivercert.strata import (
     Moduli,
     _hn_records,
     _weigh,
     OnePS,
+    codim_and_eta,
     descent_shift,
-    eta,
     hn_records,
     one_ps_from_hn,
     teleman_certify,
@@ -121,7 +121,8 @@ def test_no_fraction_on_the_strata_path(monkeypatch):
 
 
 def records_by_calls(quiver, d, theta):
-    """The records of ``hn_records``, each field from its checking function."""
+    """The records of ``hn_records``, each field from its checking function,
+    the codimension and eta from the routes that ``codim_and_eta`` replaced."""
     out = []
     for tau in enumerate_hn_types(quiver, d, theta):
         s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
@@ -155,6 +156,13 @@ class TestHnRecords:
         assert [hn_records(KRONECKER3, (2, 3), theta) for theta in thetas[:3]] == [
             records_by_calls(KRONECKER3, (2, 3), theta) for theta in thetas[:3]]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(quiver_dim_theta(balanced=True), many_arrows_quiver_dim_theta(balanced=True)))
+    def test_equal_the_replaced_codim_and_eta(self, case):
+        # one walk per stratum gives the codimension of the Euler form and
+        # the eta of the negative directions
+        assert hn_records(*case) == records_by_calls(*case)
+
 
 class TestGoldenTable:
     def test_stratum_count(self, strata):
@@ -176,6 +184,7 @@ class TestGoldenTable:
         for tau, s in strata.items():
             neg_r, neg_g = count_negative_directions(KRONECKER3, one_ps(tau))
             assert neg_r - neg_g == hn_stratum_codim(KRONECKER3, tau)
+            assert codim_and_eta(KRONECKER3, one_ps(tau)) == (neg_r - neg_g, s.eta)
 
     def test_direction_counts_spot_values(self, strata):
         assert count_negative_directions(
@@ -269,7 +278,7 @@ class TestUniversalWeights:
             for n in (2, 5):
                 scaled = OnePS(tuple(tuple((w * n, m) for w, m in vertex)
                                      for vertex in one_ps(s.hn_type).blocks))
-                assert eta(KRONECKER3, scaled) == n * s.eta
+                assert codim_and_eta(KRONECKER3, scaled)[1] == n * s.eta
                 ws = universal_weights(scaled, descent_shift(scaled, Y23.twist))
                 assert ws == tuple(
                     tuple(n * w for w in vertex) for vertex in s.weights

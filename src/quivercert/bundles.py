@@ -165,18 +165,16 @@ class WorkBudget:
             raise ValueError(f"character products exceed {MAX_WORK_TERMS} terms in one request")
 
 
-def charge_product(budget: WorkBudget | None, m: int, n: int):
+def charge_product(budget: WorkBudget, m: int, n: int):
     """Check the product of two maps of one stratum, with ``m`` and ``n``
     weights, against ``MAX_TERMS``, then charge its m * n weight pairs to
-    ``budget`` unless that is None.  A character can carry about as many
-    weights as its rank, and MAX_RANK alone allows products far too large
-    to compute."""
+    ``budget``.  A character can carry about as many weights as its rank,
+    and MAX_RANK alone allows products far too large to compute."""
     terms = m * n
     if terms > MAX_TERMS:
         raise ValueError(f"product of characters with {m} and {n} weights"
                          f" exceeds {MAX_TERMS} terms")
-    if budget is not None:
-        budget.charge(terms)
+    budget.charge(terms)
 
 
 def _added(x: dict, y: dict, sign: int) -> dict:
@@ -199,8 +197,7 @@ class Character:
     the maps at once, so a weight multiset is never expanded, and never
     change an operand's maps, which walks share: a sum or difference is
     made in place on a copy of the left map.  Each product of one stratum's
-    maps charges ``budget``, a WorkBudget that results inherit, unless it
-    is None.
+    maps charges ``budget``, a WorkBudget that results inherit.
 
     A sum or difference drops every weight whose multiplicity reaches 0, so
     of operands with no 0 it makes none.  A product keeps every weight it
@@ -211,7 +208,7 @@ class Character:
 
     __slots__ = ("maps", "budget")
 
-    def __init__(self, maps, budget=None):
+    def __init__(self, maps, budget: WorkBudget):
         self.maps = maps
         self.budget = budget
 

@@ -244,15 +244,18 @@ def _ratio(number: str, text: str) -> tuple[int, int]:
     return p, q
 
 
-#: One term of a matrix entry: signs, a coefficient of decimal digits and
-#: "/", an optional "*" and a variable.
-_TERM = re.compile(r"([+-]*)([\d/]*)\*?([xyz]?)")
+#: One term of a matrix entry: signs, with spaces around them, a
+#: coefficient of decimal digits and "/" with an optional "*" after it, and
+#: a variable.
+_TERM = re.compile(r"((?: *[+-] *)*)(?:([\d/]+)\*?)?([xyz]?)")
 
 
 def _terms(text: str) -> list[tuple[int, int, int]]:
     """The terms of an entry like ``x``, ``-y``, ``2x+3z``, ``1/2x - y`` or
-    ``0``: ``(v, p, q)`` for p/q times the variable ``VARS[v]``."""
-    s = text.replace(" ", "")
+    ``0``: ``(v, p, q)`` for p/q times the variable ``VARS[v]``.  Every term
+    after the first starts with a sign, spaces stand only at the ends of the
+    entry and next to a sign, and "*" only after a coefficient."""
+    s = text.strip(" ")
     if not s:
         raise ValueError("empty entry")
     terms = []
@@ -260,6 +263,8 @@ def _terms(text: str) -> list[tuple[int, int, int]]:
     while i < len(s):
         match = _TERM.match(s, i)
         signs, number, var = match.groups()
+        if i and not signs:  # a term with no sign before it
+            raise ValueError(f"cannot parse linear form {text!r}")
         p, q = _ratio(number, text) if number else (1, 1)
         if var:
             terms.append((VARS.index(var), -p if signs.count("-") % 2 else p, q))

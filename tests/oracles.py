@@ -2,7 +2,8 @@
 
 Nothing here imports the code paths it is meant to check: semistability
 and Harder-Narasimhan types are brute-forced over small finite fields and
-also decided by the rational-function route over all slope chains, the
+also decided by King's criterion on Schofield's general subrepresentations,
+semistable representations are counted over finite fields, the
 Todd class is rebuilt from Chern roots via power sums, and the
 intersection numbers are integrated by torus localization.  Routes and
 hand-typed tables that a faster or simpler one replaced stay here as
@@ -23,13 +24,12 @@ import pkgutil
 import random
 import re
 import sys
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from math import comb, factorial, gcd, inf, lcm, prod
-from operator import add, itemgetter, mul, sub
+from functools import lru_cache
+from math import factorial, gcd, inf, lcm, prod
+from operator import mul, sub
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -65,8 +65,7 @@ from quivercert.chow import (
     todd_y,
 )
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_hn_input,
-                               _lattice, _reduced_slope, enumerate_hn_types, has_semistable,
-                               reduced_slope)
+                               _lattice, enumerate_hn_types, has_semistable, reduced_slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
 from quivercert.strata import (Moduli, OnePS, StratumCheck, one_ps_from_hn, teleman_certify,
@@ -87,18 +86,21 @@ KRONECKER3 = Quiver.kronecker(3)
 
 
 def is_hn_type(quiver: Quiver, d, theta, tau) -> bool:
-    """Validate the defining conditions of a Harder-Narasimhan type from
-    the counting table of ``quiver``."""
+    """Validate the defining conditions of a Harder-Narasimhan type: nonzero
+    parts that sum to d, of strictly decreasing slope compared by
+    cross-multiplying, each with a semistable representation by
+    ``semistable_by_subrepresentations``."""
     parts = [quiver.check_dim(p) for p in tau]
     if not parts or any(not any(p) for p in parts):
         return False
     d, theta = _check_hn_input(quiver, d, theta)
     if tuple(map(sum, zip(*parts))) != d:
         return False
-    counts, rank, _ = by_subvector(sst_table(quiver, d, theta))
-    if any(rank[p] <= rank[r] for p, r in zip(parts, parts[1:])):
+    dots = [sum(map(mul, theta, p)) for p in parts]
+    if any(a * sum(g) <= b * sum(f) for f, g, a, b in zip(parts, parts[1:], dots, dots[1:])):
         return False
-    return all(counts[p] for p in parts)
+    semistable = semistable_by_subrepresentations(quiver, d, theta)
+    return all(semistable[p] for p in parts)
 
 
 def _subvectors(e):
@@ -563,10 +565,7 @@ def one_ps_by_fraction_slopes(tau: HNType, theta) -> OnePS:
     return OnePS(tuple(blocks))
 
 
-# -- semistable existence by slope chains ---------------------------------------
-
-# Dense polynomials in one variable, coefficients ascending: the ring
-# operations that ``sst_table`` replaced with packed integers.
+# -- dense polynomials in one variable, coefficients ascending ------------------
 
 def poly_trim(p):
     p = list(p)
@@ -600,39 +599,6 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(out)
-
-
-def coefficient_sum(p) -> int:
-    """N(p), the sum of the absolute values of the coefficients of p."""
-    return sum(map(abs, p))
-
-
-@lru_cache(maxsize=None)
-def coefficient_sum_bounds(n: int) -> tuple[int, int]:
-    """(m(n), t(n)): bounds on the coefficient sum of a semistable count and
-    of a sum of first-part terms of a dimension vector of total n, by
-    Reineke's recursion with N subadditive, submultiplicative and
-    N([n choose k]_q) = C(n, k), grouped by Vandermonde."""
-    if n == 0:
-        return 0, 1
-    below = sum(comb(n, k) * coefficient_sum_bounds(k)[0] * coefficient_sum_bounds(n - k)[1]
-                for k in range(1, n))
-    return 1 + below, 1 + 2 * below
-
-
-def unpack(value: int, bits: int) -> tuple:
-    """The dense polynomial whose value at q = 2^bits is value and whose
-    coefficients are below 2^(bits-1) in absolute value: the balanced
-    base-2^bits digits of value."""
-    base, half = 1 << bits, 1 << (bits - 1)
-    coefficients = []
-    while value:
-        digit = value & (base - 1)
-        if digit >= half:
-            digit -= base
-        coefficients.append(digit)
-        value = (value - digit) >> bits
-    return tuple(coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -686,459 +652,6 @@ def hn_table_with_generic(quiver: Quiver, d: DimVector, theta: tuple) -> tuple:
     return box, keys, semistable, firsts, generic, least
 
 
-# -- the counting table that ``quiver._hn_table`` replaced --------------------
-
-# Unbounded: the tests ask for dimension vectors with at most MAX_SUBVECTORS =
-# 64 subvectors, so n, k and the total |d| that sets ``bits`` are at most 63.
-@lru_cache(maxsize=None)
-def packed_q_binomial(n: int, k: int, bits: int) -> int:
-    """The Gaussian binomial coefficient [n choose k] at q = 2^bits, by
-    Pascal's rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
-    if k in (0, n):
-        return 1
-    return packed_q_binomial(n - 1, k - 1, bits) + (packed_q_binomial(n - 1, k, bits) << bits * k)
-
-
-@lru_cache(maxsize=None)
-def coefficient_bits(n: int) -> int:
-    """A width K such that every count and tail of the table of a dimension
-    vector of total n has coefficients below 2^(K-1) in absolute value.
-
-    The coefficient sum N(p) = sum_i |p_i| is subadditive and
-    submultiplicative, N([n choose k]_q) = C(n, k), and by Vandermonde
-    sum_{|f| = k, f <= h} prod_i C(h_i, f_i) = C(|h|, k).  So the recursion
-    of ``sst_table`` bounds N of a count of total n by m(n) and N of a
-    tail (or of any sum of the terms of h) by t(n), where t(0) = 1 and
-
-        m(n) = 1 + sum_{0<k<n} C(n, k) m(k) t(n-k),
-        t(n) = sum_{0<k<=n} C(n, k) m(k) t(n-k),
-
-    both increasing in n.
-    """
-    m, t = [0], [1]
-    for j in range(1, n + 1):
-        below = sum(comb(j, k) * m[k] * t[j - k] for k in range(1, j))
-        m.append(1 + below)
-        t.append(below + m[j])
-    return max(m[n], t[n]).bit_length() + 1
-
-
-def sst_table(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[list, list, list, list]:
-    """``(box, counts, keys, tails)``: the packed Z[q] counting table that
-    ``quiver._hn_table`` replaced with a boolean recursion over the dense
-    stratum, over ``lattice_by_vertices(d)``, whose pairs carry their
-    q-binomial factors.  The last three lists are indexed like ``box``,
-    zero first.  For h = ``box[x]``, ``counts[x]`` is the number of
-    theta-semistable representations of dimension vector h over a field
-    with q elements, a polynomial in q with integer coefficients (Reineke's
-    recursion); ``keys[x]`` is the integer theta.h * L / |h|; and
-    ``tails[x]`` holds the keys, prefix sums and indices of the first parts
-    f of the nonzero terms of h below, in key order.  ``counts[0]`` and
-    ``keys[0]`` are 0.
-
-    Sorting the representations of dimension g by the dimension vector f
-    of their first Harder-Narasimhan part, those with first part f number
-
-        |R_f^sst| * prod_i [g_i choose f_i]_q * q^(sum_{a: i->j} (g-f)_i f_j)
-                  * T(g - f, slope f),
-
-    where T(h, mu) counts the representations of dimension h whose
-    Harder-Narasimhan parts all have slope below mu (T(0, mu) = 1) and is
-    the sum of the same terms over the f <= h of slope below mu.  All
-    q^(dim R_h) representations of dimension h sum over all f; the term
-    f = h is the semistable count.
-
-    Every polynomial is packed: held as its value at q = 2^K, an int, with
-    K = ``coefficient_bits(|d|)``, so it is zero exactly when its value is,
-    and its balanced base-2^K digits are its coefficients.  Every product
-    of packed values is a call of ``mul``, the one name by which products
-    can be counted.  A row with one term holds it as it is, unsorted; a
-    pair with a zero count of f, or a key of f at most the least key of the
-    rest's terms (a zero tail), is dropped before any product.
-    """
-    box, pairs, columns, scaled = lattice_by_vertices(d)
-    keys = [sum(map(operator.mul, theta, row)) for row in zip(*scaled)]
-    flows = [(0,) * len(box)] * quiver.vertex_count  # (M.f)_i over the box, by vertex i
-    for (i, j), m in Counter(quiver.arrows).items():
-        flows[i] = list(map(add, flows[i], map(m.__mul__, columns[j])))
-    column = list(zip(*flows))
-    bits = coefficient_bits(sum(d))
-    counts = [0] * len(box)
-    tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
-    for x in range(1, len(box)):
-        total = 1 << bits * sum(map(operator.mul, box[x], column[x]))
-        terms = []
-        for y, factors in pairs[x]:
-            count = counts[y]
-            if not count:
-                continue
-            below, sums, _ = tails[x - y]
-            key = keys[y]
-            if key <= below[0]:  # bisect_left would find 0, and sums[0] is 0
-                continue
-            t = sums[bisect_left(below, key)]
-            if not t:
-                continue
-            for n, k in factors:
-                count = mul(count, packed_q_binomial(n, k, bits))
-            term = mul(count, t) << bits * sum(map(operator.mul, box[x - y], column[y]))
-            terms.append((key, y, term))
-            total -= term
-        counts[x] = total
-        if not terms:  # the count alone, nonzero since the terms sum to q^(dim R_h)
-            tails.append(((keys[x],), (0, total), (x,)))
-            continue
-        if total:
-            terms.append((keys[x], x, total))
-        if len(terms) == 1:
-            (key, y, term), = terms
-            tails.append(((key,), (0, term), (y,)))
-            continue
-        terms.sort()  # by key, then in product order
-        below, parts, partial = zip(*terms)
-        tails.append((below, (0, *itertools.accumulate(partial)), parts))
-    return box, counts, keys, tails
-
-
-def sst_table_by_tuples(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)``: the table of ``sst_table`` with
-    every polynomial a tuple of coefficients, the route that packed integers
-    replaced, and ``tails[h]`` the ranks of the nonzero terms of h in
-    ascending order with their prefix sums."""
-    box = list(_subvectors(d))
-    slopes = {f: _reduced_slope(theta, f) for f in box}
-    order = sorted(set(slopes.values()), key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
-    position = {s: r for r, s in enumerate(order)}
-    rank = {f: position[slopes[f]] for f in box}
-    arrows = Counter(quiver.arrows).items()
-    counts = {}
-    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums)
-    tails = {}
-
-    def tail(h, r):
-        if not any(h):
-            return (1,)
-        ranks, sums = tails[h]
-        return sums[bisect_left(ranks, r)]
-
-    for h in box:
-        terms = []
-        total = (0,) * sum(m * h[i] * h[j] for (i, j), m in arrows) + (1,)
-        for f in _subvectors(h):
-            if f == h or not counts[f]:
-                continue
-            rest = tuple(a - b for a, b in zip(h, f))
-            t = tail(rest, rank[f])
-            if not t:
-                continue
-            out = counts[f]
-            for n, k in zip(h, f):
-                if 0 < k < n:
-                    out = poly_mul(out, q_binomial(n, k))
-            shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
-            term = (0,) * shift + poly_mul(out, t)
-            terms.append((rank[f], term))
-            total = poly_sub(total, term)
-        counts[h] = total
-        if total:
-            terms.append((rank[h], total))
-        terms.sort(key=itemgetter(0))
-        sums = [()]
-        for _, term in terms:
-            sums.append(poly_add(sums[-1], term))
-        tails[h] = [r for r, _ in terms], sums
-    return counts, rank, tails
-
-
-def sst_table_fused(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)``: the table of ``sst_table`` built
-    in one fused loop, with the subvector pairs, the rests h - f and the
-    binomial products rebuilt for every (quiver, d, theta): the route that
-    ``quiver._lattice`` split in two.  Each term is built as in
-    ``sst_table``, from the counts and tails of smaller subvectors kept in
-    dicts keyed by the subvector.
-    """
-    box = list(_subvectors(d))
-    slopes = {f: _reduced_slope(theta, f) for f in box}
-    order = sorted(set(slopes.values()), key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
-    position = {s: r for r, s in enumerate(order)}
-    rank = {f: position[slopes[f]] for f in box}
-    arrows = Counter(quiver.arrows).items()
-    bits = coefficient_bits(sum(d))
-    counts = {}
-    # h -> (ranks of the nonzero terms of h in ascending order, prefix sums, parts)
-    tails = {}
-
-    def tail(h, r):
-        if not any(h):
-            return 1
-        ranks, sums, _ = tails[h]
-        return sums[bisect_left(ranks, r)]
-
-    for h in box:
-        terms = []
-        total = 1 << bits * sum(m * h[i] * h[j] for (i, j), m in arrows)
-        for f in _subvectors(h):
-            if f == h or not counts[f]:
-                continue
-            rest = tuple(a - b for a, b in zip(h, f))
-            t = tail(rest, rank[f])
-            if not t:
-                continue
-            out = counts[f]
-            for n, k in zip(h, f):
-                if 0 < k < n:
-                    out = mul(out, packed_q_binomial(n, k, bits))
-            shift = sum(m * rest[i] * f[j] for (i, j), m in arrows)
-            term = mul(out, t) << bits * shift
-            terms.append((rank[f], term, f))
-            total -= term
-        counts[h] = total
-        if total:
-            terms.append((rank[h], total, h))
-        terms.sort(key=itemgetter(0))
-        sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
-        tails[h] = [r for r, _, _ in terms], sums, [f for _, _, f in terms]
-    return counts, rank, tails
-
-
-def by_subvector(table) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)``: a table of ``sst_table``, indexed
-    by lattice position, in the form of ``sst_table_by_dicts``: keyed by
-    the nonzero subvectors, each slope key replaced by its position among
-    the distinct keys, and each first part given as its subvector."""
-    box, counts, keys, tails = table
-    position = {k: r for r, k in enumerate(sorted(set(keys[1:])))}
-    nonzero = box[1:]
-    return (dict(zip(nonzero, counts[1:])),
-            {h: position[k] for h, k in zip(nonzero, keys[1:])},
-            {h: ([position[k] for k in below], list(sums), [box[y] for y in parts])
-             for h, (below, sums, parts) in zip(nonzero, tails[1:])})
-
-
-@lru_cache(maxsize=None)
-def lattice_with_products(d: DimVector) -> tuple[list, list, list]:
-    """``(box, pairs, scales)``: the lattice of d with every binomial
-    product computed up front, the route that ``quiver._lattice`` replaced
-    with the binomial factors of each pair, which only a table multiplies.
-
-    ``box`` lists the subvectors 0 <= f <= d in product order, zero first,
-    so that the index of h - f is the index of h less that of f.
-    ``pairs[x]`` lists, for h = ``box[x]``, the triples ``(index of f, f,
-    prod_i [h_i choose f_i]_q)`` over 0 < f < h in product order, at q =
-    2^K with K = ``coefficient_bits(|d|)``.  Where at most one vertex has a
-    binomial other than 1, the entry is that cached ``packed_q_binomial`` itself
-    (or 1), so only the products of two or more binomials are new integers.
-    ``scales[x]`` is L / |h| with L = lcm(1, ..., |d|) (0 for h = 0), so
-    that the slopes theta.h / |h| of the nonzero subvectors compare as the
-    integers theta.h * L / |h|.
-    """
-    bits = coefficient_bits(sum(d))
-    box = list(itertools.product(*(range(x + 1) for x in d)))
-    strides = [1]
-    for x in reversed(d[1:]):
-        strides.append(strides[-1] * (x + 1))
-    strides.reverse()
-    pairs = []
-    for h in box:
-        below = [0]  # the indices of the f <= h, in product order
-        for n, s in zip(h, strides):
-            below = [y + k for y in below for k in range(0, (n + 1) * s, s)]
-        row = []
-        for y in below[1:-1]:
-            f = box[y]
-            product = 1
-            for n, k in zip(h, f):
-                if 0 < k < n:
-                    binomial = packed_q_binomial(n, k, bits)
-                    product = binomial if product == 1 else mul(product, binomial)
-            row.append((y, f, product))
-        pairs.append(row)
-    common = lcm(*range(1, sum(d) + 1))
-    return box, pairs, [0] + [common // sum(f) for f in box[1:]]
-
-
-def sst_table_by_dicts(quiver: Quiver, d: DimVector, theta: tuple) -> tuple[dict, dict, dict]:
-    """``(counts, rank, tails)`` over the nonzero subvectors h <= d, in
-    dicts keyed by h: the route that ``sst_table`` replaced with
-    lists indexed by lattice position, slope keys in place of ranks and
-    single-term rows held as they are.  ``counts[h]`` is the packed
-    semistable count of h, ``rank[h]`` the position of the slope of h among
-    the distinct slopes of the subvectors, and ``tails[h]`` the ranks,
-    prefix sums and first parts f of the nonzero terms of h, in rank order.
-    The terms are those of ``sst_table``, over the pairs of
-    ``lattice_with_products(d)``, with the arrow row h.M, (h.M)_j =
-    sum_{a: i->j} h_i, and the arrow exponent (h.M).f - B(f, f).
-    """
-    box, pairs, scales = lattice_with_products(d)
-    keys = [0]  # theta.f for every f in the box, one vertex at a time
-    for t, n in zip(theta, d):
-        keys = [a + t * k for a in keys for k in range(n + 1)]
-    keys = [a * s for a, s in zip(keys[1:], scales[1:])]
-    position = {k: r for r, k in enumerate(sorted(set(keys)))}
-    rank = [None] + [position[k] for k in keys]
-    arrows = Counter(quiver.arrows).items()
-    bits = coefficient_bits(sum(d))
-    counts, squares = [0] * len(box), [0] * len(box)
-    # by index: (ranks of the nonzero terms in ascending order, prefix sums,
-    # parts); the tail of the zero vector is 1 below every bound
-    tails = [((), (1,), ())]
-    for x in range(1, len(box)):
-        h = box[x]
-        row = [0] * len(h)
-        for (i, j), m in arrows:
-            row[j] += m * h[i]
-        squares[x] = sum(map(mul, row, h))
-        terms = []
-        total = 1 << bits * squares[x]
-        for y, f, binomial in pairs[x]:
-            count = counts[y]
-            if not count:
-                continue
-            ranks, sums, _ = tails[x - y]
-            r = rank[y]
-            t = sums[bisect_left(ranks, r)]
-            if not t:
-                continue
-            if binomial != 1:
-                count = mul(count, binomial)
-            term = mul(count, t) << bits * (sum(map(mul, row, f)) - squares[y])
-            terms.append((r, term, f))
-            total -= term
-        counts[x] = total
-        if total:
-            terms.append((rank[x], total, h))
-        terms.sort(key=itemgetter(0))
-        sums = list(itertools.accumulate((term for _, term, _ in terms), initial=0))
-        tails.append(([r for r, _, _ in terms], sums, [f for _, _, f in terms]))
-    nonzero = box[1:]
-    return (dict(zip(nonzero, counts[1:])), dict(zip(nonzero, rank[1:])),
-            dict(zip(nonzero, tails[1:])))
-
-
-def hn_types_by_dicts(quiver: Quiver, d, theta):
-    """The Harder-Narasimhan types of d by the walk over the first parts of
-    ``sst_table_by_dicts``, remainders and parts held as subvectors: the
-    walk that ``enumerate_hn_types`` replaced with one over lattice
-    indices."""
-    d, theta = tuple(d), tuple(theta)
-    _, rank, tails = sst_table_by_dicts(quiver, d, theta)
-    types = []
-
-    def extend(remaining, bound, prefix):
-        if not any(remaining):
-            types.append(tuple(prefix))
-            return
-        ranks, _, parts = tails[remaining]
-        for f in parts[:bisect_left(ranks, bound)]:
-            extend(tuple(map(sub, remaining, f)), rank[f], prefix + [f])
-
-    extend(d, len(rank), [])
-    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
-
-
-
-def lattice_by_vertices(d: DimVector) -> tuple[list, list, list, list]:
-    """``(box, pairs, columns, scaled)``: the lattice of d as
-    ``quiver._lattice`` built it before it extended the f <= h of a
-    smaller h in one comprehension per subvector.  Here the f <= h of each
-    h are rebuilt from zero, one comprehension per vertex, and ``scaled[i]``
-    is the column of the f_i * L / |f| over the box, one list per vertex,
-    where ``quiver._lattice`` keeps one row per subvector.  ``box`` and
-    ``columns`` are those of ``quiver._lattice``, and ``pairs[x]`` lists
-    ``(index of f, factors)``, where ``factors`` holds the ``(h_i, f_i)``
-    with 0 < f_i < h_i, the q-binomials of ``sst_table``: the indices are
-    the pairs of ``quiver._lattice``."""
-    box = list(itertools.product(*(range(x + 1) for x in d)))
-    strides = [1]
-    for x in reversed(d[1:]):
-        strides.append(strides[-1] * (x + 1))
-    strides.reverse()
-    pairs = []
-    for h in box:
-        below = [(0, ())]  # (index, factors) of the f <= h, one vertex at a time
-        for n, s in zip(h, strides):
-            below = [(y + k * s, factors + ((n, k),) if 0 < k < n else factors)
-                     for y, factors in below for k in range(n + 1)]
-        pairs.append(below[1:-1])
-    common = lcm(*range(1, sum(d) + 1))
-    scales = [0] + [common // sum(f) for f in box[1:]]
-    columns = list(zip(*box))
-    return box, pairs, columns, [list(map(operator.mul, c, scales)) for c in columns]
-
-
-def sst_table_by_columns(quiver: Quiver, d: DimVector,
-                         theta: tuple) -> tuple[list, list, list, list]:
-    """``(box, counts, keys, tails)``: the table of ``sst_table``
-    as it was built before the dead pairs were cut before the bisection,
-    over ``lattice_by_vertices(d)``: the keys summed one vertex column at a
-    time, an arrow column of zeros for every vertex to add the flows to,
-    every pair bisected, and a list of terms for every row."""
-    box, pairs, columns, scaled = lattice_by_vertices(d)
-    keys = [0] * len(box)
-    for t, c in zip(theta, scaled):
-        keys = list(map(add, keys, map(t.__mul__, c)))
-    parallel = Counter(quiver.arrows)
-    flows = [(0,) * len(box)] * quiver.vertex_count  # (M.f)_i over the box, by vertex i
-    for (i, j), m in parallel.items():
-        flows[i] = list(map(add, flows[i], map(m.__mul__, columns[j])))
-    column = list(zip(*flows))
-    bits = coefficient_bits(sum(d))
-    counts = [0] * len(box)
-    tails = [((), (1,), ())]  # the tail of the zero vector is 1 below every bound
-    for x in range(1, len(box)):
-        total = 1 << bits * sum(map(mul, box[x], column[x]))
-        terms = []
-        for y, factors in pairs[x]:
-            count = counts[y]
-            if not count:
-                continue
-            below, sums, _ = tails[x - y]
-            key = keys[y]
-            t = sums[bisect_left(below, key)]
-            if not t:
-                continue
-            for n, k in factors:
-                count = mul(count, packed_q_binomial(n, k, bits))
-            term = mul(count, t) << bits * sum(map(mul, box[x - y], column[y]))
-            terms.append((key, term, y))
-            total -= term
-        counts[x] = total
-        if total:
-            terms.append((keys[x], total, x))
-        if len(terms) == 1:
-            (key, term, y), = terms
-            tails.append(((key,), (0, term), (y,)))
-            continue
-        terms.sort(key=itemgetter(0))
-        below, partial, parts = zip(*terms)
-        tails.append((below, (0, *itertools.accumulate(partial)), parts))
-    return box, counts, keys, tails
-
-
-def hn_types_by_recursion(quiver: Quiver, d, theta) -> list[HNType]:
-    """The Harder-Narasimhan types of d by a recursive walk over the lattice
-    indices of ``sst_table_by_columns``, one call per prefix: the walk that
-    ``enumerate_hn_types`` replaced with one over an explicit stack."""
-    d, theta = _check_hn_input(quiver, d, theta)
-    if sum(t * x for t, x in zip(theta, d)) != 0:
-        raise ValueError("theta . d must be zero")
-    box, _, keys, tails = sst_table_by_columns(quiver, d, theta)
-    types = []
-
-    def extend(x, bound, prefix):
-        if not x:
-            types.append(prefix)
-            return
-        below, _, parts = tails[x]
-        for y in parts[:bisect_left(below, bound)]:
-            extend(x - y, keys[y], prefix + (y,))
-
-    extend(len(box) - 1, inf, ())
-    types.sort()
-    return [tuple(map(box.__getitem__, tau)) for tau in types]
-
-
 # -- semistable existence from general subrepresentations ---------------------
 #
 # King (1994): a theta-semistable representation of dimension h exists
@@ -1177,6 +690,33 @@ def semistable_by_subrepresentations(quiver: Quiver, d, theta) -> dict:
 
     return {h: all(dot(f) * sum(h) <= dot(h) * sum(f) for f in fs)
             for h, fs in general_subvectors(quiver, d).items() if any(h)}
+
+
+def hn_types_by_subvectors(quiver: Quiver, d, theta):
+    """The Harder-Narasimhan types of d, found by walking every subvector f
+    of each remainder and keeping those of Fraction slope below the last
+    part that have a semistable representation by
+    ``semistable_by_subrepresentations``, sorted like
+    ``enumerate_hn_types``.  It enters dead ends, remainders with no type
+    below the bound, and shares no code with the HN table."""
+    d, theta = tuple(d), tuple(theta)
+    semistable = semistable_by_subrepresentations(quiver, d, theta)
+    slopes = {f: slope(theta, f) for f in semistable}
+    types = []
+
+    def extend(remaining, bound, prefix):
+        if not any(remaining):
+            types.append(tuple(prefix))
+            return
+        for f in _subvectors(remaining):
+            if semistable[f] and (bound is None or slopes[f] < bound):
+                extend(tuple(map(sub, remaining, f)), slopes[f], prefix + [f])
+
+    extend(d, None, [])
+    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
+
+
+# -- semistable representations counted over finite fields ----------------------
 
 
 def poly_divmod(p, q):
@@ -1221,94 +761,12 @@ def gl_order(e):
     return out
 
 
-def slope_chains(e, theta, bound=None):
-    """Ordered decompositions of e into >=2 nonzero parts of strictly
-    decreasing slope (parts below ``bound`` when given)."""
-    for f in itertools.product(*(range(x + 1) for x in e)):
-        if not any(f):
-            continue
-        mu = slope(theta, f)
-        if bound is not None and mu >= bound:
-            continue
-        rest = tuple(a - b for a, b in zip(e, f))
-        if not any(rest):
-            if bound is not None:
-                yield (f,)
-            continue
-        for tail in slope_chains(rest, theta, mu):
-            yield (f,) + tail
-
-
-@lru_cache(maxsize=None)
-def sst_mass_by_chains(quiver: Quiver, e, theta) -> tuple:
-    """Stacky point count of the semistable locus of dimension vector e,
-    as a reduced rational function (numerator, denominator) in q: the
-    count of all representations minus, over every Harder-Narasimhan type
-    (d^1, ..., d^l) with l >= 2, q^(-sum_{k<l} <d^l, d^k>) * prod_s mass(d^s)."""
-    num, den = _monomial(sum(e[i] * e[j] for i, j in quiver.arrows)), gl_order(e)
-    for chain in slope_chains(e, theta):
-        exp = -sum(
-            euler_form(quiver, chain[l], chain[k])
-            for k in range(len(chain))
-            for l in range(k + 1, len(chain))
-        )
-        tnum, tden = (F(1),), (F(1),)
-        for part in chain:
-            pnum, pden = sst_mass_by_chains(quiver, part, theta)
-            tnum, tden = poly_mul(tnum, pnum), poly_mul(tden, pden)
-        if exp >= 0:
-            tnum = poly_mul(tnum, _monomial(exp))
-        else:
-            tden = poly_mul(tden, _monomial(-exp))
-        num = poly_sub(poly_mul(num, tden), poly_mul(tnum, den))
-        den = poly_mul(den, tden)
-    if not num:
-        return (), (F(1),)
-    g = poly_gcd(num, den)
-    return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
-
-
-def has_semistable_by_chains(quiver: Quiver, e, theta) -> bool:
-    return bool(sst_mass_by_chains(quiver, tuple(e), tuple(theta))[0])
-
-
-def hn_types_by_chains(quiver: Quiver, d, theta):
-    """Every slope chain of d, and d itself, whose parts all admit
-    semistable representations, sorted like ``enumerate_hn_types``."""
-    d, theta = tuple(d), tuple(theta)
-    chains = [(d,)] + list(slope_chains(d, theta))
-    types = [c for c in chains if all(has_semistable_by_chains(quiver, p, theta) for p in c)]
-    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
-
-
-def hn_types_by_subvectors(quiver: Quiver, d, theta):
-    """The Harder-Narasimhan types of d, found by walking every subvector of
-    each remainder and keeping those of slope below the last part with a
-    nonzero count in ``sst_table``: the walk that
-    ``enumerate_hn_types`` replaced with the table's lists of first parts.
-    It enters dead ends, remainders with no type below the bound."""
-    d, theta = tuple(d), tuple(theta)
-    counts, rank, _ = by_subvector(sst_table(quiver, d, theta))
-    types = []
-
-    def extend(remaining, bound, prefix):
-        if not any(remaining):
-            types.append(tuple(prefix))
-            return
-        for f in _subvectors(remaining):
-            if rank[f] < bound and counts[f]:
-                extend(tuple(x - y for x, y in zip(remaining, f)), rank[f], prefix + [f])
-
-    extend(d, len(rank), [])
-    return sorted(types, key=lambda tau: tuple(itertools.chain.from_iterable(tau)))
-
-
 @lru_cache(maxsize=None)
 def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
     """Number of theta-semistable representations of dimension vector e
     over a field with q elements, as a polynomial in q with integer
     coefficients (Reineke's recursion), with every slope a Fraction: the
-    route that ``sst_count_by_tails`` replaced with reduced integer slopes.
+    one counting route, which the point-count and Poincare tests read.
 
     Sorting the representations of dimension g by the dimension vector f
     of their first Harder-Narasimhan part, those with first part f number
@@ -1354,56 +812,10 @@ def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> 
     return total
 
 
-@lru_cache(maxsize=None)
-def sst_count_by_tails(quiver: Quiver, e: DimVector, theta: tuple) -> tuple:
-    """Number of theta-semistable representations of dimension vector e
-    over a field with q elements, as a polynomial in q with integer
-    coefficients (Reineke's recursion), top down with the tails of each e
-    kept for one call: the route that ``sst_table`` replaced with
-    one table built bottom up.  The recursion is that of
-    ``sst_count_by_fraction_slopes``.
-
-    Slopes are reduced integer pairs (a, b), b > 0, one per subvector of e,
-    so that slope f < a / b is the integer test a_f * b < a * b_f.
-    """
-    slopes = {f: _reduced_slope(theta, f) for f in _subvectors(e)}
-    # Tail counts live for this call only, keyed by (h, a, b) for the bound
-    # a / b in lowest terms: recomputing them is cheap, while keeping every
-    # (h, bound) state for the life of the process is not.
-    tails = {}
-
-    def first_part(g, f):
-        rest = tuple(a - b for a, b in zip(g, f))
-        out = sst_count_by_tails(quiver, f, theta)
-        for n, k in zip(g, f):
-            out = poly_mul(out, q_binomial(n, k))
-        shift = sum(rest[i] * f[j] for i, j in quiver.arrows)
-        return poly_mul((0,) * shift + out, tail(rest, *slopes[f]))
-
-    def tail(h, a, b):
-        if not any(h):
-            return (1,)
-        key = h, a, b
-        if key not in tails:
-            total = ()
-            for f in _subvectors(h):
-                af, bf = slopes[f]
-                if af * b < a * bf:
-                    total = poly_add(total, first_part(h, f))
-            tails[key] = total
-        return tails[key]
-
-    total = (0,) * sum(e[i] * e[j] for i, j in quiver.arrows) + (1,)
-    for f in _subvectors(e):
-        if f != e:
-            total = poly_sub(total, first_part(e, f))
-    return total
-
-
 def is_hn_type_by_fraction_slopes(quiver: Quiver, d, theta, tau) -> bool:
     """The defining conditions of a Harder-Narasimhan type, with Fraction
-    slopes and one ``has_semistable`` call per part: the route that the
-    table's ``is_hn_type`` replaced, its subvector check written out."""
+    slopes and one ``has_semistable`` call per part: the route that
+    ``is_hn_type`` replaced, its subvector check written out."""
     parts = [quiver.check_dim(p) for p in tau]
     if not parts or any(not any(p) for p in parts):
         return False
@@ -1511,7 +923,7 @@ def rank_by_ops(e: BundleExpr) -> int:
 def _rank_character(e: BundleExpr) -> Character:
     """The character of ``e`` on one stratum of zero weights, read off its
     stored rank."""
-    return Character([{0: e.rank}] if e.rank else [{}])
+    return Character([{0: e.rank}] if e.rank else [{}], WorkBudget())
 
 
 def rank_by_characters(op: str, args: tuple) -> int:
@@ -1693,7 +1105,8 @@ class FilteredCharacter(Character):
         return FilteredCharacter(out, self.budget)
 
     def __sub__(self, other):
-        return self + FilteredCharacter([{w: -m for w, m in y.items()} for y in other.maps])
+        return self + FilteredCharacter([{w: -m for w, m in y.items()} for y in other.maps],
+                                        self.budget)
 
     def __mul__(self, other):
         out = []
@@ -2701,24 +2114,28 @@ def pair_by_fractions(r: LinearFormMatrix) -> FractionSyzygyPair:
 
 
 def parse_linear_form_by_fractions(text: str):
-    """Parse forms like ``x``, ``-y``, ``2x+3z``, ``1/2x - y``, ``0``; a
-    digit is a decimal digit (str.isdecimal), which int reads."""
-    s = text.replace(" ", "")
+    """Parse forms like ``x``, ``-y``, ``2x+3z``, ``1/2x - y``, ``0``: every
+    term after the first starts with a sign, spaces stand only at the ends
+    and next to a sign, and "*" only after a coefficient; a digit is a
+    decimal digit (str.isdecimal), which int reads."""
+    s = text.strip(" ")
     if not s:
         raise ValueError("empty entry")
     coeffs = [F(0), F(0), F(0)]
     i = 0
     while i < len(s):
-        sign = 1
-        while i < len(s) and s[i] in "+-":
-            if s[i] == "-":
-                sign = -sign
+        start = i
+        while i < len(s) and s[i] in "+- ":
             i += 1
+        signs = s[start:i].replace(" ", "")
+        if start and not signs:  # a term with no sign before it
+            raise ValueError(f"cannot parse linear form {text!r}")
+        sign = -1 if signs.count("-") % 2 else 1
         start = i
         while i < len(s) and (s[i].isdecimal() or s[i] == "/"):
             i += 1
         number = s[start:i]
-        if i < len(s) and s[i] == "*":
+        if number and i < len(s) and s[i] == "*":
             i += 1
         try:
             coeff = F(number) if number else None

@@ -66,10 +66,10 @@ class TestRankLimit:
 class TestTermLimit:
     def test_product_size_is_bounded(self):
         side = int(MAX_TERMS ** 0.5)
-        square = Character([{w: 1 for w in range(side)}])
+        square = Character([{w: 1 for w in range(side)}], WorkBudget())
         assert [len(x) for x in (square * square).maps] == [2 * side - 1]
         with pytest.raises(ValueError, match=f"exceeds {MAX_TERMS} terms"):
-            square * Character([{w: 1 for w in range(side + 1)}])
+            square * Character([{w: 1 for w in range(side + 1)}], WorkBudget())
 
     def test_products_share_one_budget(self):
         side = int(MAX_TERMS ** 0.5)
@@ -78,11 +78,7 @@ class TestTermLimit:
         assert products[-1].budget is square.budget
         assert square.budget.left == 0
         with pytest.raises(ValueError, match=f"exceed {MAX_WORK_TERMS} terms"):
-            square * Character([{0: 1}])
-        # characters without a budget, such as those of ranks, are not charged
-        plain = Character([{w: 1 for w in range(side)}])
-        for _ in range(MAX_WORK_TERMS // MAX_TERMS + 1):
-            plain * plain
+            square * Character([{0: 1}], WorkBudget())
 
     def test_each_stratum_is_bounded_and_charged(self):
         side = int(MAX_TERMS ** 0.5)
@@ -91,7 +87,8 @@ class TestTermLimit:
         assert [len(x) for x in (mixed * mixed).maps] == [3, 2 * side - 1, 3]
         assert mixed.budget.left == MAX_WORK_TERMS - MAX_TERMS - 8
         # the first stratum above the limit is reported
-        wide = Character([small, {w: 1 for w in range(side + 1)}, {w: 1 for w in range(side + 2)}])
+        wide = Character([small, {w: 1 for w in range(side + 1)}, {w: 1 for w in range(side + 2)}],
+                         WorkBudget())
         with pytest.raises(ValueError, match=f"with {side + 1} and {side + 1} weights"):
             wide * wide
 
@@ -368,12 +365,12 @@ class TestCharacterOperations:
         before = copy.deepcopy(pair)
         for op in (operator.add, operator.sub, operator.mul):
             fast, slow = WorkBudget(), WorkBudget()
-            got = op(Character(x, fast), Character(y))
-            want = op(FilteredCharacter(x, slow), FilteredCharacter(y))
+            got = op(Character(x, fast), Character(y, WorkBudget()))
+            want = op(FilteredCharacter(x, slow), FilteredCharacter(y, WorkBudget()))
             assert [list(z.items()) for z in got.maps] == [list(z.items()) for z in want.maps]
             assert got.budget is fast and fast.left == slow.left
         assert (x, y) == before
-        assert (Character(x) - Character(x)).maps == [{}] * len(x)
+        assert (Character(x, fast) - Character(x, WorkBudget())).maps == [{}] * len(x)
 
     @given(signed=character_pairs(), positive=character_pairs(lowest=1))
     def test_multiplicities_of_zero(self, signed, positive):
@@ -381,13 +378,16 @@ class TestCharacterOperations:
         # signs; a product of maps with positive multiplicities makes
         # positive ones only
         x, y = signed
+        budget = WorkBudget()
         for op in (operator.add, operator.sub):
-            assert all(all(z.values()) for z in op(Character(x), Character(y)).maps)
+            assert all(all(z.values()) for z in op(Character(x, budget), Character(y, budget)).maps)
         x, y = positive
-        assert all(m > 0 for z in (Character(x) * Character(y)).maps for m in z.values())
+        assert all(m > 0 for z in (Character(x, budget) * Character(y, budget)).maps
+                   for m in z.values())
 
     def test_a_product_of_signed_maps_can_keep_a_zero(self):
-        product = Character([{0: -1, 2: 1}]) * Character([{1: -1, 3: -1}])
+        budget = WorkBudget()
+        product = Character([{0: -1, 2: 1}], budget) * Character([{1: -1, 3: -1}], budget)
         assert product.maps == [{1: 1, 3: 0, 5: -1}]
 
     @settings(max_examples=200)
@@ -403,7 +403,7 @@ class TestCharacterOperations:
 
         def chain(cls):
             budget = WorkBudget()
-            a, b = cls(x, budget), cls(y)
+            a, b = cls(x, budget), cls(y, WorkBudget())
 
             def run():
                 p = a * b

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from oracles import package_modules
-from quivercert.bundles import MAX_DEPTH, MAX_RANK
+from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
 from quivercert.cli import MAX_FILE_BYTES
 from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
@@ -54,6 +54,28 @@ def _objects(count: int) -> str:
     """A collection file of ``count`` distinct twists of sym2(sym2(U2))."""
     return json.dumps({"objects": [{"expr": f"twist(sym2(sym2(U2)),{k})"}
                                    for k in range(-64, count - 64)]})
+
+
+def _twists(count: int) -> str:
+    """O(0) + ... + O(count - 1) as nested sums of at most 16 terms, within
+    MAX_DEPTH: a character of ``count`` distinct weights on every stratum of
+    Y, whose O(1) has a nonzero weight on each."""
+    groups = [",".join(f"O({k})" for k in range(start, min(start + 16, count)))
+              for start in range(0, count, 16)]
+    groups = [f"sum({group})" if "," in group else group for group in groups]
+    return f"sum({','.join(groups)})" if len(groups) > 1 else groups[0]
+
+
+def _products(*pairs) -> str:
+    """The sum of the products tensor(a, b) of the given expressions."""
+    return "sum(" + ",".join(f"tensor({a},{b})" for a, b in pairs) + ")"
+
+
+#: Products of 2^16 weight pairs on each of the 7 strata of Y, twice, then
+#: 98 * 191 + 2 * 2 on four strata and 2 * 1 on three for tensor(U1, ..),
+#: and 2 * 2 on five and 1 * 2 on two for tensor(U2, ..): exactly 2^20 pairs.
+WORK_AT_LIMIT = ((_twists(256), _twists(256)),) * 2 + (
+    (_twists(98), _twists(191)), ("U1", _twists(2)), ("U2", _twists(2)))
 
 
 def _padded(size: int) -> str:
@@ -129,6 +151,18 @@ EDGES = [
      DIGIT_LIMIT, 1.0),
     # one entry 1/q1x+...+1/q10x with distinct 4200-digit q, so its
     # denominator, their lcm, has about 42,000 digits (0.25 s)
+    # one product of 256 by 256 weights on each stratum (0.14 s), then 257
+    # by 256
+    ("product-at-term-limit", ["teleman", "--expr", f"tensor({_twists(256)},{_twists(256)})"],
+     0, '"pass":', 1.0),
+    ("product-above-term-limit", ["teleman", "--expr",
+                                  f"tensor({_twists(257)},{_twists(256)})"], 2,
+     f"with 257 and 256 weights exceeds {MAX_TERMS} terms", 1.0),
+    # one request whose products combine exactly 2^20 weight pairs (0.30 s),
+    # then 11 more, those of tensor(U1, O(1)) (0.29 s)
+    ("work-at-limit", ["teleman", "--expr", _products(*WORK_AT_LIMIT)], 0, '"pass":', 1.0),
+    ("work-above-limit", ["teleman", "--expr", _products(*WORK_AT_LIMIT, ("U1", "O(1)"))], 2,
+     f"exceed {MAX_WORK_TERMS} terms in one request", 1.0),
     ("syzygies-10-huge-denominators", ["syzygies", "--matrix", "x,y,0;0,y," + "+".join(
         f"1/{q}x" for q in _denominators(10, 4200))], 2, DIGIT_LIMIT, 1.0),
 ]
@@ -172,14 +206,14 @@ LIMIT_ROWS = {
     "MAX_ARROWS": ("kronecker-10000-7-7", "kronecker-10001-7-7"),
     "MAX_VERTICES": ("path-10000-vertices", "path-10001-vertices"),
     "MAX_FILE_BYTES": ("file-at-size-limit", "file-above-size-limit"),
+    "MAX_TERMS": ("product-at-term-limit", "product-above-term-limit"),
+    "MAX_WORK_TERMS": ("work-at-limit", "work-above-limit"),
 }
 
 #: The ``MAX_*`` constants without rows, each with the reason.
 WITHOUT_ROWS = {
     "MAX_CACHED_SETUPS": "a cache bound, not an input limit",
     "MAX_CACHED_EXPRS": "a cache bound, not an input limit",
-    "MAX_TERMS": "row not yet written, ROADMAP item 16",
-    "MAX_WORK_TERMS": "row not yet written, ROADMAP item 16",
 }
 
 

@@ -501,6 +501,19 @@ class TestParsing:
         else:
             assert got == parse_outcome(parse_matrix_by_fractions, text)
 
+    @pytest.mark.parametrize("entry", ["xy", "x y", "2x3y", "3 4x", "1 / 2 x", "*x", "x0",
+                                       "2 * x", "x - y z"])
+    def test_entries_once_read_as_other_forms_are_refused(self, entry):
+        # read before as x + y, x + y, 2x + 3y, 34x, 1/2 x, x, x, 2x and x - y + z
+        for parse in (parse_matrix, parse_matrix_by_fractions):
+            with pytest.raises(ValueError) as info:
+                parse("x,y,0;0,y," + entry)
+            assert str(info.value) == f"cannot parse linear form {entry!r}"
+
+    def test_spaces_at_the_ends_and_next_to_signs_are_read(self):
+        r = parse_matrix(" - x , y -  - 2*z ,0;0, + y , x +   1/2y ")
+        assert r == parse_matrix("-x,y+2z,0;0,y,x+1/2y")
+
     @pytest.mark.parametrize("entry,message", [
         ("²z", "cannot parse linear form '²z'"),
         ("x+²", "cannot parse linear form 'x+²'"),

@@ -7,16 +7,17 @@ and the test files that should fail on the mutated program.  Run
     python tests/mutants.py
 
 from any directory; it takes no options.  It copies the checkout (without
-``.git``) into a temporary directory, checks that the named test files pass
-there unmutated, then applies one mutant at a time to the copy's ``src/`` and
-runs each named test file in one pytest child at a time, never more than
-one.  The kill matrix, killed or survived per (mutant, test file), goes to
-``MUTANTS_47.json`` at the repository root.  A mutant that no test file
-kills must be listed in ``EQUIVALENT`` with the reason that no input tells
-it from the program.
+``.git``) once into a temporary directory, checks that the named test files
+pass there unmutated, then applies one mutant at a time to the copy's
+``src/``, runs each named test file in one pytest child at a time, never
+more than one, and restores the module.  The kill matrix, killed or
+survived per (mutant, test file), goes to ``MUTANTS_47.json`` at the
+repository root.  A mutant that no test file kills must be listed in
+``EQUIVALENT`` with the reason that no input tells it from the program.
 
-Each child runs with a fixed hypothesis seed and no example database, so a
-run over the same program and tests gives the same matrix.  The tier-1 test
+Each child runs with a fixed hypothesis seed, and the example database that
+hypothesis leaves in the copy is deleted before the next mutant, so a run
+over the same program and tests gives the same matrix.  The tier-1 test
 ``tests/test_mutants.py`` checks the catalogue against ``src/`` and the
 checked-in matrix; the full run stays out of tier-1 (about four minutes on
 a 2-vCPU host).
@@ -65,6 +66,18 @@ CATALOGUE = (
      "return box, pairs, columns, list(zip(*(map(operator.mul, c, scales) for c in columns)))",
      "return box, pairs, columns, list(zip(*columns))",
      "slope-keys-without-scales", QUIVER_TESTS),
+    ("quiver.py",
+     "        heads = done[:]\n",
+     "        heads = done\n",
+     "lattice-heads-alias-the-done-list", QUIVER_TESTS),
+    ("quiver.py",
+     "below[y + n * s] = [z + step for z in below[y] for step in steps]",
+     "below[y + n * s] = [z + step for step in steps for z in below[y]]",
+     "lattice-pairs-out-of-product-order", QUIVER_TESTS),
+    ("quiver.py",
+     "pairs = [row[1:-1] for row in below]",
+     "pairs = [row[1:] for row in below]",
+     "lattice-pairs-keep-h-itself", QUIVER_TESTS),
     ("quiver.py",
      "common = lcm(*range(1, sum(d) + 1))",
      "common = sum(d)",
@@ -182,11 +195,6 @@ CATALOGUE = (
 EQUIVALENT: dict[str, str] = {}
 
 
-def _copy_checkout(dest: Path) -> None:
-    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".hypothesis", ".pytest_cache", "BENCH_*.json", "MUTANTS_*.json"))
-
-
 def _run_file(tree: Path, name: str) -> tuple[bool, str]:
     """Whether ``tests/name`` passes in ``tree``, and the last line pytest
     printed (or the timeout)."""
@@ -204,19 +212,18 @@ def _run_file(tree: Path, name: str) -> tuple[bool, str]:
 def main() -> int:
     files = sorted({name for *_, names in CATALOGUE for name in names})
     with tempfile.TemporaryDirectory(prefix="quivercert-mutants-") as tmp:
-        clean = Path(tmp) / "clean"
-        _copy_checkout(clean)
+        tree = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "BENCH_*.json", "MUTANTS_*.json"))
         for name in files:
-            passed, last = _run_file(clean, name)
+            passed, last = _run_file(tree, name)
             print(f"unmutated {name}: {last}", flush=True)
             if not passed:
                 print("the unmutated tests must pass first", file=sys.stderr)
                 return 1
-        shutil.rmtree(clean)
         rows = []
-        for k, (module, old, new, label, names) in enumerate(CATALOGUE):
-            tree = Path(tmp) / f"mutant-{k}"  # fresh, so no example database carries over
-            _copy_checkout(tree)
+        for module, old, new, label, names in CATALOGUE:
+            shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
             path = tree / "src" / "quivercert" / module
             text = path.read_text(encoding="utf-8")
             if text.count(old) != 1:
@@ -230,7 +237,7 @@ def main() -> int:
                 status[name] = "survived" if passed else "killed"
                 print(f"{label} {name}: {status[name]} ({time.monotonic() - start:.1f} s; {last})",
                       flush=True)
-            shutil.rmtree(tree)
+            path.write_text(text, encoding="utf-8")
             killed = "killed" in status.values()
             rows.append({"label": label, "module": module, "old": old, "new": new,
                          "files": status, "killed": killed,

@@ -149,8 +149,6 @@ EDGES = [
      '"stable":true', 1.0),
     ("stability-4301-digits", ["stability", "--matrix", "9" * 4301 + "x,y,0;0,y,z"], 2,
      DIGIT_LIMIT, 1.0),
-    # one entry 1/q1x+...+1/q10x with distinct 4200-digit q, so its
-    # denominator, their lcm, has about 42,000 digits (0.25 s)
     # one product of 256 by 256 weights on each stratum (0.14 s), then 257
     # by 256
     ("product-at-term-limit", ["teleman", "--expr", f"tensor({_twists(256)},{_twists(256)})"],
@@ -163,6 +161,8 @@ EDGES = [
     ("work-at-limit", ["teleman", "--expr", _products(*WORK_AT_LIMIT)], 0, '"pass":', 1.0),
     ("work-above-limit", ["teleman", "--expr", _products(*WORK_AT_LIMIT, ("U1", "O(1)"))], 2,
      f"exceed {MAX_WORK_TERMS} terms in one request", 1.0),
+    # one entry 1/q1x+...+1/q10x with distinct 4200-digit q, so its
+    # denominator, their lcm, has about 42,000 digits (0.25 s)
     ("syzygies-10-huge-denominators", ["syzygies", "--matrix", "x,y,0;0,y," + "+".join(
         f"1/{q}x" for q in _denominators(10, 4200))], 2, DIGIT_LIMIT, 1.0),
 ]

@@ -1,10 +1,13 @@
+import gc
 import itertools
 import json
 import math
 import operator
 import random
 import re
+import sys
 import time
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -371,6 +374,7 @@ class TestHasSemistable:
             assert (a < b) == (slope(theta, f) < slope(theta, g))
             assert (a == b) == (slope(theta, f) == slope(theta, g))
 
+
 #: Quiver on six vertices for the dimension vector (1, ..., 1) with 2^6 =
 #: MAX_SUBVECTORS subvectors, and a theta with theta . (1, ..., 1) = 0.
 SIX_VERTICES = Quiver(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)))
@@ -390,6 +394,31 @@ def _cold_and_warm(call):
     lattice it built from the cache."""
     _lattice.cache_clear()
     return call(), call()
+
+
+def _lattice_by_enumeration(d):
+    """``_lattice(d)`` as its docstring states it, each part built on its
+    own: the f <= h of every h enumerated in product order and looked up by
+    value in the box, and the row f_i * L / |f| of every f with
+    L = lcm(1, ..., |d|)."""
+    box = list(itertools.product(*(range(x + 1) for x in d)))
+    index = {f: y for y, f in enumerate(box)}
+    pairs = [[index[f] for f in itertools.product(*(range(x + 1) for x in h))][1:-1]
+             for h in box]
+    common = math.lcm(*range(1, sum(d) + 1))
+    scaled = [tuple(common * x // sum(f) for x in f) if any(f) else (0,) * len(d) for f in box]
+    return box, pairs, list(zip(*box)), scaled
+
+
+def _deep_size(obj, seen):
+    """The bytes of obj and of the lists, tuples and integers in it, each
+    object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, (list, tuple)):
+        return sys.getsizeof(obj) + sum(_deep_size(item, seen) for item in obj)
+    return sys.getsizeof(obj)
 
 
 class TestLattice:
@@ -435,6 +464,24 @@ class TestLattice:
         assert [sum(row) for row in scaled] == [0] + [60] * (len(box) - 1)
         assert all(s * sum(f) == 60 * f[i]
                    for row, f in zip(scaled, box) for i, s in enumerate(row))
+        assert _lattice((2, 3)) == _lattice_by_enumeration((2, 3))
+
+    @pytest.mark.parametrize("d", [(31, 1), (7, 7)], ids=["31-1", "7-7"])
+    def test_lattice_keeps_no_more_than_it_returns(self, d):
+        # the lists of every f <= h that the build extends do not outlive
+        # it: what stays allocated is the lattice returned, give or take the
+        # objects the interpreter keeps on its free lists (about a tenth)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lattice = _lattice.__wrapped__(d)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert lattice == _lattice_by_enumeration(d)
+        assert kept <= 1.2 * _deep_size(lattice, set())
+
 
 @st.composite
 def gated_quiver_dim_theta(draw):
@@ -466,12 +513,15 @@ def many_arrows_quiver_dim_theta(draw, balanced=False):
 
 
 class TestReplacedRoutes:
-    """The table and the walk, with the lattice cold and warm, equal the
-    table they replaced, ``hn_table_with_generic``, and the subvector walk
-    over King's criterion, ``hn_types_by_subvectors``."""
+    """With the lattice cold and warm, the lattice equals the one enumerated
+    subvector by subvector, ``_lattice_by_enumeration``, and the table and
+    the walk equal the table they replaced, ``hn_table_with_generic``, and
+    the subvector walk over King's criterion, ``hn_types_by_subvectors``."""
 
     @staticmethod
     def assert_equal_routes(quiver, d, theta):
+        lattice = _lattice_by_enumeration(d)
+        assert _cold_and_warm(lambda: _lattice(d)) == (lattice, lattice)
         table = hn_table_with_generic(quiver, d, theta)[:4]
         assert _cold_and_warm(lambda: _hn_table(quiver, d, theta)) == (table, table)
         assert _lattice.cache_info().hits >= 1
@@ -493,6 +543,7 @@ class TestReplacedRoutes:
     def test_wide_shapes(self, quiver, d, theta):
         assert _check_hn_input(quiver, d, theta)
         self.assert_equal_routes(quiver, d, theta)
+
 
 class TestDenseTypeStartsLowest:
     """The argument of the ``quiver`` module docstring: the dense type of h

@@ -1,14 +1,56 @@
-"""Independent oracles and random generators used by the test suite.
+"""Reference routes and random generators used by the test suite.
 
-Nothing here imports the code paths it is meant to check: semistability
-and Harder-Narasimhan types are brute-forced over small finite fields and
-also decided by King's criterion on Schofield's general subrepresentations,
-semistable representations are counted over finite fields, the
-Todd class is rebuilt from Chern roots via power sums, and the
-intersection numbers are integrated by torus localization.  Routes and
-hand-typed tables that a faster or simpler one replaced stay here as
-references, with the helpers that left the package when nothing there
-called them any more.
+Each fast path of the package keeps one reference route here, chosen to
+share as little code with it as the mathematics allows, and a test compares
+the two.  A mutant in code that both share is invisible to that comparison,
+so each kept route names what it shares with ``src/quivercert``:
+
+- Chow ring products, powers, det and exp: ``FractionChowElement`` and
+  ``exp_by_fractions`` in Fraction coordinates, over ``PRODUCTS``, which is
+  read from the hand-typed reductions ``_EXTRA_REDUCTIONS``.  They share the
+  basis of ``chow`` (``BASIS``, ``DEGREES``, ``_INDEX`` and
+  ``_BASIS_MONOMIALS``), which ``BASIS_BY_HAND`` and ``DEGREES_BY_HAND``
+  check.  The 14 intersection numbers are integrated by torus localization,
+  which shares ``quiver.Quiver`` and ``quiver.has_semistable`` (to find the
+  fixed points); c(T_Y) and td(Y) are typed by hand as well.
+- Chern characters: ``ch_by_fractions``, whose leaves come from Newton's
+  identities here (``power_sums``).  It shares ``bundles.evaluate``, the one
+  recursion over the operators.
+- chi: ``euler_pairing_by_fractions``, dual(ch(E)) paired with ch(F) td(Y)
+  by ``PAIRING`` of the hand-typed table, with td(Y) from the hand-typed
+  Chern class (``todd_from_chern_roots``).  It shares ``bundles.evaluate``,
+  through ``ch_by_fractions``.
+- Ranks and characters: ``rank_by_ops`` and ``weights_by_lists``, one branch
+  per operator over expanded weight lists, share only the expression trees
+  and ``StratumWeights``.  ``weight_ranges_by_walk``, the reference for the
+  twist rule of ``strata.weight_ranges``, walks the whole tree with
+  ``bundles.characters`` over ``strata.unstable_strata``.
+- Parsers: ``parse_chow_poly_by_scanner`` and ``parse_expr_by_scanner`` step
+  one character at a time.  They share the ``ChowElement`` arithmetic and
+  class elements of ``chow``, the node constructors of ``bundles``
+  (``BundleExpr``, ``_fold``, ``twist`` and ``O``) and the names and limits
+  of the grammars (``_FUNCTIONS``, ``_UNARY`` and ``MAX_DEPTH``).
+- ``verify_collection``: ``verify_collection_by_fractions``, one
+  ``StratumCheck`` per stratum and pair from the objects' weight ranges,
+  chi from ``euler_pairing_by_fractions`` and the verdict from
+  ``verdict_by_cases``.  It shares ``strata.weight_ranges``,
+  ``strata.unstable_strata`` and the records of ``verify``.
+- Harder-Narasimhan types and strata: brute force over small finite fields
+  and King's criterion on Schofield's general subrepresentations, which
+  share ``quiver.Quiver`` and ``quiver._check_hn_input``.
+  ``hn_table_with_generic`` reads ``quiver._lattice``, and the Fraction
+  slope routes read ``quiver.has_semistable``.
+- Stability and syzygies: the Fraction parser and arithmetic, the gcd
+  criterion ``is_stable_by_gcd`` and the row reduction ``sl3_by_dictionary``
+  stand alone; ``pair_by_fractions`` and ``syzygy_tensors`` read
+  ``repgeom.minors``, ``repgeom._syzygy``, ``repgeom.syzygies`` and
+  ``repgeom.is_stable``.
+- The command line: ``cli_by_argparse`` and its kin run ``cli.main`` on argv
+  parsed by a fresh argparse parser built from ``cli.COMMANDS``, some of
+  them with handlers replaced.
+
+Helpers that left the package when nothing there called them any more stay
+here too, for the tests that state properties with them.
 """
 
 from __future__ import annotations
@@ -35,43 +77,21 @@ from unittest import mock
 from hypothesis import strategies as st
 
 import quivercert
-from quivercert import chow, cli
-from quivercert._linalg import echelon, render_ratio
-from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, MAX_RANK, MAX_TERMS, O, U1, U2,
-                                BundleExpr, Character, ExprSyntaxError, StratumWeights, WorkBudget,
-                                _fold, characters, charge_product, direct_sum, dual, evaluate, sl,
-                                tensor, twist)
-from quivercert.chow import (
-    _C1,
-    _C2,
-    _C3,
-    _D2,
-    BASIS,
-    DEGREES,
-    ChowElement,
-    ChowSyntaxError,
-    RingInconsistencyError,
-    _BASIS_MONOMIALS,
-    _INDEX,
-    _INTEGRALS,
-    _PAIRING,
-    _PolyParser,
-    _ch_from_chern,
-    _exp,
-    _refuse_digits,
-    _tangent_ch,
-    ch_of,
-    scaled_pairing,
-    todd_y,
-)
+from quivercert import cli
+from quivercert._linalg import render_ratio
+from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, O, U1, U2, BundleExpr,
+                                ExprSyntaxError, StratumWeights, WorkBudget, _fold, characters,
+                                direct_sum, dual, evaluate, sl, tensor, twist)
+from quivercert.chow import (_BASIS_MONOMIALS, _C1, _C2, _C3, _D2, _INDEX, BASIS, DEGREES,
+                             ChowElement, ChowSyntaxError, RingInconsistencyError, ch_of)
 from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_hn_input,
                                _lattice, enumerate_hn_types, has_semistable, reduced_slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
-from quivercert.strata import (Moduli, OnePS, StratumCheck, one_ps_from_hn, teleman_certify,
-                               unstable_strata, weight_ranges)
-from quivercert.verify import (EXCEPTIONAL, STRONG_EXT, UNDETERMINED, CollectionSpec, PairStatus,
-                               VerificationMatrix, _pair_verdict)
+from quivercert.strata import (Moduli, OnePS, StratumCheck, one_ps_from_hn, unstable_strata,
+                               weight_ranges)
+from quivercert.verify import (EXCEPTIONAL, ORTHOGONAL, STRONG_EXT, UNDETERMINED, CollectionSpec,
+                               PairStatus, VerificationMatrix)
 
 F = Fraction
 
@@ -211,10 +231,12 @@ def mutation_ledger() -> dict[str, ChowElement]:
 
 def tangent_chern() -> ChowElement:
     """Total Chern class of the tangent bundle: exp of the sum over Chern
-    roots of log(1 + x), whose degree-k part is (-1)^(k-1) (k-1)! ch_k."""
-    ch = _tangent_ch()
-    return _exp(sum(((-1) ** (k - 1) * factorial(k - 1) * ch.degree_part(k) for k in range(1, 7)),
-                    ChowElement.zero()))
+    roots of log(1 + x), whose degree-k part is (-1)^(k-1) (k-1)! ch_k, in
+    Fraction coordinates."""
+    ch = tangent_ch_by_fractions()
+    return from_coords(exp_by_fractions(sum(
+        ((-1) ** (k - 1) * factorial(k - 1) * ch.degree_part(k) for k in range(1, 7)),
+        FractionChowElement.zero())).coords)
 
 
 # -- a ChowElement in Fraction coordinates -------------------------------------
@@ -892,10 +914,11 @@ def todd_from_chern_roots() -> "FractionChowElement":
     return out
 
 
-# -- one recursion per semantics, one branch per operator ---------------------
+# -- ranks and weights, one branch per operator ------------------------------
 #
-# These are the routes that bundles.evaluate replaced: ranks, expanded weight
-# lists and Chern characters, each written out operator by operator.
+# The routes that bundles.evaluate replaced, written out operator by
+# operator: ranks, and weights as expanded lists.  They share nothing with
+# the package but the expression trees.
 
 def rank_by_ops(e: BundleExpr) -> int:
     if e.op == "U1":
@@ -918,23 +941,6 @@ def rank_by_ops(e: BundleExpr) -> int:
     if e.op == "wedge2":
         return r * (r - 1) // 2
     raise ValueError(f"unknown operator {e.op!r}")
-
-
-def _rank_character(e: BundleExpr) -> Character:
-    """The character of ``e`` on one stratum of zero weights, read off its
-    stored rank."""
-    return Character([{0: e.rank}] if e.rank else [{}], WorkBudget())
-
-
-def rank_by_characters(op: str, args: tuple) -> int:
-    """The rank of the node ``op(args)`` from its arguments' stored ranks, as
-    ``BundleExpr`` computed it before integer ranks: the sum of the
-    multiplicities of its character on one stratum of zero weights.  Refuses
-    what ``BundleExpr`` refuses, with the same messages."""
-    rank = sum(evaluate((op, args), _rank_character, _rank_character).maps[0].values())
-    if rank > MAX_RANK:
-        raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
-    return rank
 
 
 def weights_by_lists(e: BundleExpr, base: StratumWeights) -> list[int]:
@@ -979,147 +985,6 @@ def weight_ranges_by_walk(e: BundleExpr, moduli: Moduli, budget: WorkBudget) -> 
     return tuple((min(c), max(c)) if c else None for c in maps)
 
 
-def _dual_ch(x: ChowElement) -> ChowElement:
-    return from_coords([-c if DEGREES[i] % 2 else c for i, c in enumerate(coords_of(x))])
-
-
-def _psi2_ch(x: ChowElement) -> ChowElement:
-    return from_coords([c * 2 ** DEGREES[i] for i, c in enumerate(coords_of(x))])
-
-
-def ch_by_ops(e: BundleExpr) -> ChowElement:
-    """The Chern character of an expression, without a cache."""
-    c1, c2, c3, d2 = (ChowElement.basis(label) for label in ("c1", "c2", "c3", "d2"))
-    if e.op == "U1":
-        return _dual_ch(_ch_from_chern(2, (c1, d2)))
-    if e.op == "U2":
-        return _dual_ch(_ch_from_chern(3, (c1, c2, c3)))
-    if e.op == "O":
-        return _exp(e.args[0] * c1)
-    if e.op == "tensor":
-        return ch_by_ops(e.args[0]) * ch_by_ops(e.args[1])
-    if e.op == "sum":
-        return ch_by_ops(e.args[0]) + ch_by_ops(e.args[1])
-    inner = ch_by_ops(e.args[0])
-    if e.op == "dual":
-        return _dual_ch(inner)
-    if e.op == "det":
-        return _exp(inner.degree_part(1))
-    if e.op == "sl":
-        return inner * _dual_ch(inner) - ChowElement.unit()
-    if e.op == "sym2":
-        return from_coords(F(1, 2) * c for c in coords_of(inner * inner + _psi2_ch(inner)))
-    if e.op == "wedge2":
-        return from_coords(F(1, 2) * c for c in coords_of(inner * inner - _psi2_ch(inner)))
-    raise ValueError(f"unknown operator {e.op!r}")
-
-
-# -- characters stratum by stratum ---------------------------------------------
-#
-# The route that ``bundles.characters`` replaced: one walk of the tree per
-# stratum, each with its own leaves and closures, over one weight map.
-
-class StratumCharacter(dict):
-    """A character of one stratum's one-parameter subgroup: weight ->
-    nonzero multiplicity.  Products charge ``budget``, a WorkBudget that
-    results inherit, unless it is None."""
-
-    __slots__ = ("budget",)
-
-    def __init__(self, weights=(), budget=None):
-        super().__init__(weights)
-        self.budget = budget
-
-    def __add__(self, other):
-        out = dict(self)
-        for w, m in other.items():
-            out[w] = out.get(w, 0) + m
-        return StratumCharacter({w: m for w, m in out.items() if m}, self.budget)
-
-    def __sub__(self, other):
-        return self + StratumCharacter({w: -m for w, m in other.items()})
-
-    def __mul__(self, other):
-        terms = len(self) * len(other)
-        if terms > MAX_TERMS:
-            raise ValueError(f"product of characters with {len(self)} and {len(other)}"
-                             f" weights exceeds {MAX_TERMS} terms")
-        if self.budget is not None:
-            self.budget.charge(terms)
-        out = StratumCharacter((), self.budget)
-        for a, m in self.items():
-            for b, n in other.items():
-                out[a + b] = out.get(a + b, 0) + m * n
-        return out
-
-    def dual(self):
-        return StratumCharacter({-w: m for w, m in self.items()}, self.budget)
-
-    def det(self):
-        return StratumCharacter({sum(w * m for w, m in self.items()): 1}, self.budget)
-
-    def psi2(self):
-        return StratumCharacter({2 * w: m for w, m in self.items()}, self.budget)
-
-    def half(self):
-        return StratumCharacter({w: m // 2 for w, m in self.items() if m // 2}, self.budget)
-
-
-def character_by_stratum(base: StratumWeights, e: BundleExpr,
-                         budget: WorkBudget) -> StratumCharacter:
-    """The weights of ``e`` on one stratum with multiplicities, from a walk
-    of its own.  Its products charge ``budget``."""
-    leaves = {op: {w: ws.count(w) for w in ws} for op, ws in (("U1", base.u1), ("U2", base.u2))}
-
-    def leaf(x):
-        if x.op == "O":
-            return StratumCharacter({-x.args[0] * sum(base.u1): 1}, budget)
-        return StratumCharacter(leaves[x.op], budget)
-
-    def value(x):
-        return evaluate(x, leaf, value)
-
-    return value(e)
-
-
-# -- character sums through a filtering dict ------------------------------------
-#
-# The operations that the in-place sums of ``bundles.Character`` replaced: a
-# sum fills a copy and then filters it into a second dict, a difference adds
-# a negated character, and a product reads its budget and ``dict.get``
-# through attributes.
-
-class FilteredCharacter(Character):
-    """A ``Character`` whose sum, difference and product are the replaced
-    operations."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        out = []
-        for x, y in zip(self.maps, other.maps):
-            z = dict(x)
-            for w, m in y.items():
-                z[w] = z.get(w, 0) + m
-            out.append({w: m for w, m in z.items() if m})
-        return FilteredCharacter(out, self.budget)
-
-    def __sub__(self, other):
-        return self + FilteredCharacter([{w: -m for w, m in y.items()} for y in other.maps],
-                                        self.budget)
-
-    def __mul__(self, other):
-        out = []
-        for x, y in zip(self.maps, other.maps):
-            charge_product(self.budget, len(x), len(y))
-            z = {}
-            for a, m in x.items():
-                for b, n in y.items():
-                    z[a + b] = z.get(a + b, 0) + m * n
-            out.append(z)
-        return FilteredCharacter(out, self.budget)
-
-
 def hostile_two_node_expr() -> BundleExpr:
     """(U1 (x) U2)^6 (x) P + (U1 (x) U2)^8 (x) P, P a product of 12 sums
     O(0) + O(2^k) with 4096 weights on every stratum of Y."""
@@ -1130,49 +995,9 @@ def hostile_two_node_expr() -> BundleExpr:
 # -- the Chow ring in Fraction coordinates ------------------------------------
 #
 # The route that integer coordinates over one common denominator replaced:
-# the product table, ChowElement, exp, the pairing and the Gram row as they
-# were, with coordinates stored as a tuple of Fractions.
-
-def products_by_fractions():
-    """``[i][j]``: the nonzero ``(k, c)`` with basis_i * basis_j = sum of
-    c * basis_k, c a Fraction: the table that ``chow._build_products``
-    built before it back-substituted for 3c in integers.
-
-    The pairing of complementary degrees is perfect, so the coordinates x
-    of a monomial m of degree k solve sum_i x_i * integral(basis_i *
-    basis'_j) = integral(m * basis'_j), with basis_i over the degree-k and
-    basis'_j over the degree-(6 - k) basis classes.  The fraction-free
-    ``echelon`` triangulates the integer system [Gram | monomial columns]
-    of each degree, and back-substitution solves it in rationals."""
-    def product(*monomials):
-        return tuple(map(sum, zip(*monomials)))
-
-    graded = tuple(zip(_BASIS_MONOMIALS, DEGREES))
-    coords = {}
-    for k in range(7):
-        basis = [m for m, d in graded if d == k]
-        dual = [m for m, d in graded if d == 6 - k]
-        monomials = sorted({product(mi, mj) for mi, di in graded for mj, dj in graded
-                            if di + dj == k})
-        rows, pivots = echelon([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
-                                for mj in dual])
-        n = len(basis)
-        if pivots[:n] != list(range(n)):
-            raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
-        for column, m in enumerate(monomials, start=n):
-            x = [F(0)] * n
-            for r in reversed(range(n)):
-                x[r] = F(rows[r][column] - sum(rows[r][s] * x[s] for s in range(r + 1, n)),
-                         rows[r][r])
-            coords[m] = tuple((DEGREES.index(k) + r, c) for r, c in enumerate(x) if c)
-            if any((3 * c).denominator != 1 for _, c in coords[m]):
-                raise AssertionError(f"3 times the reduction of monomial {m} is not integral")
-    return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
-                 for mi in _BASIS_MONOMIALS)
-
-
-PRODUCTS = products_by_fractions()
-
+# ChowElement, exp and the pairing as they were, with coordinates stored as a
+# tuple of Fractions, over the product table of the hand-typed reductions
+# below.  They share only the basis labels and degrees with ``chow``.
 
 class FractionChowElement:
     """An element of the Chow ring, stored as exact rational coordinates
@@ -1307,111 +1132,17 @@ def exp_by_fractions(x: FractionChowElement) -> FractionChowElement:
     return out
 
 
-# -- the Chow ring products that the flat table and the binomial powers replaced
-
-#: ``[i]``: ``(j, ((k, 3c), ...))`` for each nonzero basis_i * basis_j: the
-#: nested shape of the table that ``chow._TRIPLED`` now holds flat.
-NESTED_TRIPLED = tuple(tuple((j, tuple((k, int(3 * c)) for k, c in terms))
-                             for j, terms in enumerate(row) if terms) for row in PRODUCTS)
-
-
-def mul_by_nested_table(x: ChowElement, y: ChowElement) -> ChowElement:
-    """x * y by lookup in the nested table, one ``(j, terms)`` entry per
-    nonzero basis product: the route that the flat table replaced."""
-    out = [0] * len(BASIS)
-    ys = y.nums
-    for a, row in zip(x.nums, NESTED_TRIPLED):
-        if a:
-            for j, terms in row:
-                b = ys[j]
-                if b:
-                    ab = a * b
-                    for k, c in terms:
-                        out[k] += ab * c
-    return ChowElement(out, 3 * x.den * y.den)
-
-
-def power_by_recursion(x: ChowElement, n: int) -> ChowElement:
-    """x^n by recursive squaring down to x^0, the unit: the route that the
-    truncated binomial series replaced."""
-    if n < 0:
-        raise ValueError("negative powers are not defined")
-    if n == 0:
-        return ChowElement.unit()
-    if n > 6 and x.nums[0] == 0:
-        return ChowElement.zero()  # nilpotent: products vanish past degree 6
-    root = power_by_recursion(x, n // 2)
-    square = mul_by_nested_table(root, root)
-    return mul_by_nested_table(square, x) if n % 2 else square
-
-
-def det_by_exp(x: ChowElement) -> ChowElement:
-    """Chern character of the determinant as ``_exp`` of the degree-1 part,
-    by products: the route that the stored powers of c1 replaced."""
-    return _exp(x.degree_part(1))
-
-
-def pairing(x: ChowElement, y: ChowElement) -> Fraction:
-    """The integral of x * y, without forming the product, as one Fraction:
-    the route that ``chow.chi`` replaced with a Gram row and
-    ``scaled_pairing``."""
-    xs, ys = x.nums, y.nums
-    return F(sum(xs[i] * ys[j] * c for i, j, c in _PAIRING), x.den * y.den)
-
-
 def pairing_by_fractions(x: FractionChowElement, y: FractionChowElement) -> Fraction:
     """The integral of x * y, without forming the product."""
     xs, ys = x.coords, y.coords
-    return sum(xs[i] * ys[j] * c for i, j, c in _PAIRING)
-
-
-def scaled_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]:
-    """``(D, v)``: D is the least common denominator of the coordinates of
-    x, and v holds the integer coordinates of D * x."""
-    d = lcm(*(c.denominator for c in x.coords))
-    return d, tuple(c.numerator * (d // c.denominator) for c in x.coords)
-
-
-def gram_row_by_fractions(x: FractionChowElement) -> tuple[int, tuple[int, ...]]:
-    """``(D, r)`` with D as in ``scaled`` and r[b] the integral of D * x *
-    basis_b, so that the integral of x * y is r . y / D."""
-    d, xs = scaled_by_fractions(x)
-    row = [0] * len(BASIS)
-    for i, j, c in _PAIRING:
-        row[j] += xs[i] * c
-    return d, tuple(row)
-
-
-# -- chi by Gram rows and Todd columns -----------------------------------------
-#
-# The route that ``chow.chi_form`` replaced: chi(E, F) as the Gram row of
-# dual(ch(E)) paired with the column ch(F) * td(Y), both built per object,
-# and chi(F) as the Gram row of td(Y) paired with ch(F).
-
-def gram_row(x: ChowElement) -> tuple[int, tuple[int, ...]]:
-    """``(D, r)`` with D = ``x.den`` and r[b] the integral of D * x *
-    basis_b, so that the integral of x * y is r . y.nums / (D * y.den)."""
-    row = [0] * len(BASIS)
-    for i, j, c in _PAIRING:
-        row[j] += x.nums[i] * c
-    return x.den, tuple(row)
-
-
-def todd_row() -> tuple[int, tuple[int, ...]]:
-    """``gram_row(td(Y))``: the left factor of every chi(Y, -)."""
-    return gram_row(chow.todd_y())
-
-
-def euler_pairing(e: BundleExpr, f: BundleExpr) -> int:
-    """chi(dual(e) (x) f), the Gram row of dual(ch(e)) paired with the column
-    ch(f) * td(Y), under the Todd class that ``chow.todd_y`` gives at the call."""
-    return scaled_pairing(gram_row(ch_of(e).dual()), ch_of(f) * chow.todd_y(), e, f)
+    return sum(xs[i] * ys[j] * c for i, j, c in PAIRING)
 
 
 # -- the hand-typed Chow ring data ---------------------------------------------
 #
 # The tables that chow now derives from its basis monomials, the 14
-# intersection numbers and the K-class of the tangent bundle.
+# intersection numbers and the K-class of the tangent bundle; the product
+# table of FractionChowElement is read from them.
 
 #: Basis labels in order, grouped by codimension 0..6.
 BASIS_BY_HAND = (
@@ -1459,6 +1190,34 @@ _EXTRA_REDUCTIONS: dict[tuple[int, int, int, int], dict[str, Fraction]] = {
     (0, 1, 2, 0): {"c3^2": F(3)},
     (0, 0, 3, 0): {"c3^2": F(2)},
 }
+
+
+def products_by_hand():
+    """``[i][j]``: the nonzero ``(k, c)`` with basis_i * basis_j = sum of
+    c * basis_k, c a Fraction, by k.  A product that is a basis monomial is
+    itself, any other of degree at most 6 is read from ``_EXTRA_REDUCTIONS``,
+    and one of higher degree vanishes."""
+    units = {m: {label: F(1)} for m, label in zip(_BASIS_MONOMIALS, BASIS_BY_HAND)}
+    table = []
+    for mi in _BASIS_MONOMIALS:
+        row = []
+        for mj in _BASIS_MONOMIALS:
+            m = tuple(map(operator.add, mi, mj))
+            terms = ({} if sum(map(mul, m, (1, 2, 2, 3))) > 6
+                     else units.get(m) or _EXTRA_REDUCTIONS[m])
+            row.append(tuple(sorted((BASIS_BY_HAND.index(label), c)
+                                    for label, c in terms.items())))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+#: The product table of FractionChowElement.
+PRODUCTS = products_by_hand()
+
+#: ``(i, j, c)`` for the nonzero integrals c of basis_i * basis_j, from
+#: ``PRODUCTS``.
+PAIRING = tuple((i, j, c) for i, row in enumerate(PRODUCTS) for j, terms in enumerate(row)
+                for k, c in terms if BASIS_BY_HAND[k] == "c3^2")
 
 
 def _from_labels(terms) -> ChowElement:
@@ -1601,69 +1360,9 @@ def integrals_by_localization() -> dict:
             for m in monomials_of_degree(6)}
 
 
-# -- Chow products and the sl3 dictionary by row reduction -------------------
+# -- the sl3 dictionary by row reduction ---------------------------------------
 #
-# The routes that the fraction-free product table, the sparse product
-# table and the closed-form sl3 coordinates replaced.
-
-def products_by_rref():
-    """``PRODUCTS`` with each degree's Gram system solved by the
-    rational RREF: the solution columns are read off the reduced rows."""
-    def product(*monomials):
-        return tuple(map(sum, zip(*monomials)))
-
-    graded = tuple(zip(_BASIS_MONOMIALS, DEGREES))
-    coords = {}
-    for k in range(7):
-        basis = [m for m, d in graded if d == k]
-        dual = [m for m, d in graded if d == 6 - k]
-        monomials = sorted({product(mi, mj) for mi, di in graded for mj, dj in graded
-                            if di + dj == k})
-        echelon, pivots = rref([[_INTEGRALS[product(m, mj)] for m in basis + monomials]
-                                for mj in dual])
-        if pivots[:len(basis)] != list(range(len(basis))):
-            raise AssertionError(f"the pairing of degrees {k} and {6 - k} is not perfect")
-        for column, m in enumerate(monomials, start=len(basis)):
-            coords[m] = tuple((DEGREES.index(k) + r, echelon[r][column])
-                              for r in range(len(basis)) if echelon[r][column])
-    return tuple(tuple(coords.get(product(mi, mj), ()) for mj in _BASIS_MONOMIALS)
-                 for mi in _BASIS_MONOMIALS)
-
-
-@lru_cache(maxsize=1)
-def _dense_products():
-    """Dense coordinates of basis_i * basis_j, indexed [i][j]."""
-    n = len(BASIS)
-    coords = {}
-    for i, mono in enumerate(_BASIS_MONOMIALS):
-        coords[mono] = tuple(F(int(k == i)) for k in range(n))
-    for mono, data in _EXTRA_REDUCTIONS.items():
-        coords[mono] = tuple(F(data.get(label, 0)) for label in BASIS)
-    zero = (F(0),) * n
-    table = [[zero] * n for _ in range(n)]
-    for i, mi in enumerate(_BASIS_MONOMIALS):
-        for j, mj in enumerate(_BASIS_MONOMIALS):
-            m = tuple(x + y for x, y in zip(mi, mj))
-            if monomial_degree(m) <= 6:
-                table[i][j] = coords[m]
-    return table
-
-
-def chow_mul_dense(x: ChowElement, y: ChowElement) -> ChowElement:
-    """The product by a scan of the dense 13 x 13 table of 13-tuples."""
-    table = _dense_products()
-    out = [F(0)] * len(BASIS)
-    for i, a in enumerate(coords_of(x)):
-        if a == 0:
-            continue
-        for j, b in enumerate(coords_of(y)):
-            if b == 0:
-                continue
-            for k, c in enumerate(table[i][j]):
-                if c != 0:
-                    out[k] += a * b * c
-    return from_coords(out)
-
+# The route that the closed-form sl3 coordinates replaced.
 
 def _tensor(terms):
     """An 18-tuple over (quadratic monomial, variable) from (m, v, c) terms."""
@@ -1716,30 +1415,7 @@ def sl3_by_dictionary(t):
     return tuple(tuple(row) for row in out)
 
 
-# -- collection verification by pair expressions ------------------------------
-#
-# The route that per-object weight ranges and Chern characters replaced.
-
-def verify_collection_by_pairs(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
-    """Certify each ordered pair from its own expression dual(E_i) (x) E_j:
-    the Teleman certificate of that expression, and its chi from the full
-    product ch * Todd(Y)."""
-    grid = []
-    for i, (_, ei) in enumerate(spec.objects):
-        row = []
-        for j, (_, ej) in enumerate(spec.objects):
-            hom = tensor(dual(ei), ej)
-            rows = teleman_certify(hom, moduli)
-            value = integral(ch_of(hom) * todd_y())
-            assert value.denominator == 1, (str(hom), value)
-            chi_value = int(value)
-            passed = all(r.passed for r in rows)
-            blocking = tuple((r.hn_type, r.margin) for r in rows if not r.passed)
-            row.append(PairStatus(i, j, chi_value, passed,
-                                  _pair_verdict(i, j, chi_value, passed), blocking))
-        grid.append(tuple(row))
-    return VerificationMatrix(tuple(grid))
-
+# -- the acceptance rule of the summary ----------------------------------------
 
 def accepted_by_four_keys(matrix: VerificationMatrix) -> bool:
     """The acceptance rule that ``VerificationMatrix.accepted`` replaced: all
@@ -1777,10 +1453,11 @@ def stratum_checks(strata, max_weights) -> tuple[StratumCheck, ...]:
 
 # -- collection verification by rational pairings ----------------------------
 #
-# The route that integer Gram rows and blocking rows replaced: the same
-# per-object data, combined per pair in Fraction arithmetic and with one
-# StratumCheck per stratum.  Chern characters and the Todd class are
-# evaluated in FractionChowElement, so no integer ChowElement is involved.
+# The route that integer Gram rows and comparison vectors replaced: the
+# per-object weight ranges, combined per pair into one StratumCheck per
+# stratum, and chi in Fraction arithmetic.  Chern characters and the Todd
+# class are evaluated in FractionChowElement, so no integer ChowElement is
+# involved; the Todd class comes from the hand-typed Chern class.
 
 def ch_leaf_by_fractions(e: BundleExpr) -> FractionChowElement:
     c1, c2, c3, d2 = (FractionChowElement.basis(label) for label in ("c1", "c2", "c3", "d2"))
@@ -1804,23 +1481,32 @@ def todd_by_fractions() -> FractionChowElement:
     return todd_from_chern_roots()
 
 
-def todd_by_exp_of_fractions() -> FractionChowElement:
-    """The Todd class by the route of ``chow.todd_y`` in Fraction
-    coordinates: the exp of sum c_k ch_k(T_Y) with c_k = 1/2, -1/12, 1/120
-    and -1/252 for k = 1, 2, 4, 6."""
-    ch = (3 * ch_by_fractions(tensor(dual(U1), U2)) - ch_by_fractions(tensor(dual(U1), U1))
-          - ch_by_fractions(tensor(dual(U2), U2)) + FractionChowElement.unit())
-    return exp_by_fractions(sum((c * ch.degree_part(k) for k, c in
-                                 ((1, F(1, 2)), (2, F(-1, 12)), (4, F(1, 120)), (6, F(-1, 252)))),
-                                FractionChowElement.zero()))
-
-
+@lru_cache(maxsize=None)
 def euler_pairing_by_fractions(e: BundleExpr, f: BundleExpr) -> int:
     """chi(dual(e) (x) f) as the 31-term rational pairing of dual(ch(e))
     with ch(f) * Todd(Y), all in Fraction coordinates."""
     value = pairing_by_fractions(ch_by_fractions(e).dual(),
                                  ch_by_fractions(f) * todd_by_fractions())
     return integer(value, f"chi({e}, {f})")
+
+
+def tangent_ch_by_fractions() -> FractionChowElement:
+    """ch(T_Y) from the K-class 3 Hom(U1, U2) - End U1 - End U2 + O."""
+    return (3 * ch_by_fractions(tensor(dual(U1), U2)) - ch_by_fractions(tensor(dual(U1), U1))
+            - ch_by_fractions(tensor(dual(U2), U2)) + FractionChowElement.unit())
+
+
+def verdict_by_cases(i: int, j: int, chi_value: int, passed: bool) -> str:
+    """The verdict on the pair (i, j) as the docstring of ``verify`` states
+    it: a certificate plus chi 1 on the diagonal, chi at least 0 above it
+    and chi 0 below it."""
+    if not passed:
+        return UNDETERMINED
+    if i == j:
+        return EXCEPTIONAL if chi_value == 1 else UNDETERMINED
+    if i < j:
+        return STRONG_EXT if chi_value >= 0 else UNDETERMINED
+    return ORTHOGONAL if chi_value == 0 else UNDETERMINED
 
 
 def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
@@ -1837,39 +1523,7 @@ def verify_collection_by_fractions(spec: CollectionSpec, moduli: Moduli) -> Veri
             passed = all(c.passed for c in checks)
             blocking = tuple((c.hn_type, c.margin) for c in checks if not c.passed)
             row.append(PairStatus(i, j, chi_value, passed,
-                                  _pair_verdict(i, j, chi_value, passed), blocking))
-        grid.append(tuple(row))
-    return VerificationMatrix(tuple(grid))
-
-
-# -- collection verification by blocking rows ---------------------------------
-#
-# The route that per-object comparison vectors replaced: per pair, the
-# largest weights max w(E_j) - min w(E_i), their margins and blocking rows.
-
-def blocking_rows(strata, max_weights) -> tuple[tuple[HNType, int], ...]:
-    """``(hn_type, margin)`` of each stratum whose check ``stratum_checks``
-    would fail, without building the checks."""
-    return tuple((s.hn_type, m) for s, m in zip(strata, _margins(strata, max_weights))
-                 if not _certified(m))
-
-
-def verify_collection_by_blocking_rows(spec: CollectionSpec, moduli: Moduli) -> VerificationMatrix:
-    """Certify each ordered pair from the weight ranges of its objects by
-    ``blocking_rows``, with chi from ``euler_pairing``."""
-    objects = [e for _, e in spec.objects]
-    ranges = [weight_ranges(e, moduli, WorkBudget()) for e in objects]
-    strata = unstable_strata(moduli)
-    grid = []
-    for i, low in enumerate(ranges):
-        row = []
-        for j, high in enumerate(ranges):
-            blocking = blocking_rows(strata, [None if a is None or b is None else b[1] - a[0]
-                                              for a, b in zip(low, high)])
-            chi_value = euler_pairing(objects[i], objects[j])
-            passed = not blocking
-            row.append(PairStatus(i, j, chi_value, passed,
-                                  _pair_verdict(i, j, chi_value, passed), blocking))
+                                  verdict_by_cases(i, j, chi_value, passed), blocking))
         grid.append(tuple(row))
     return VerificationMatrix(tuple(grid))
 
@@ -2575,69 +2229,6 @@ class _PolyScanner(Scanner):
 def parse_chow_poly_by_scanner(text: str) -> ChowElement:
     """``chow.parse_chow_poly`` one character at a time."""
     return _PolyScanner(text).parse()
-
-
-class _ProductParser(_PolyParser):
-    """``chow._PolyParser`` with the term and factor that integer scalings
-    and the table of class powers replaced: a number k is k * [Y], which a
-    ring product multiplies in, and a class's power is ``**``."""
-
-    _ATOMS = _PolyScanner._ATOMS
-
-    def term(self) -> ChowElement:
-        sign = 1
-        while self.token in ("+", "-"):
-            if self.token == "-":
-                sign = -sign
-            self.advance()
-        out = self.factor()[0]
-        while True:
-            if self.token == "*":
-                self.advance()
-            elif not (self.token[:1].isalnum() or self.token == "("):
-                return out if sign > 0 else -out
-            factor, end = self.factor()
-            out = out * factor
-            _refuse_digits((max(map(abs, out.nums)) // out.den).bit_length() - 1, "product", end)
-
-    def factor(self) -> tuple[ChowElement, int]:
-        token = self.token
-        if token == "(":
-            self.depth += 1
-            if self.depth > MAX_DEPTH:
-                self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
-            self.advance()
-            base = self.sum_expr()
-            if self.token != ")":
-                self.fail("expected ')'")
-            self.depth -= 1
-        elif token.isdecimal():
-            base = int(token) * ChowElement.unit()
-        elif token in self._ATOMS:
-            base = self._ATOMS[token]
-        else:
-            self.fail("unknown class name" if token[:1].isalpha() else "expected class, number, or '('")
-        self.advance()
-        if self.token != "^":
-            return base, self.pos
-        self.advance()
-        digits, end = self.token, self.pos + len(self.token)
-        if not digits.isdecimal():
-            self.fail("expected exponent")
-        self.advance()
-        n, a, den = int(digits), abs(base.nums[0]), base.den
-        _refuse_digits(n * ((max(a, den) // gcd(a, den)).bit_length() - 1), "power", end)
-        return base ** n, end
-
-
-def parse_chow_poly_by_products(text: str) -> ChowElement:
-    """``chow.parse_chow_poly`` with a ring product for every integer factor
-    and ``**`` for every power of a class."""
-    parser = _ProductParser(text)
-    out = parser.sum_expr()
-    if parser.token:
-        parser.fail("trailing input")
-    return out
 
 
 # -- the package's caches --------------------------------------------------------

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from golden import CH_ROWS, CHI_VALUES, HN_TYPES_23, INTERSECTION_NUMBERS, STRATUM_TABLE
-from oracles import (KRONECKER3, coefficient, coords_of, euler_pairing, fraction_matrix, integral,
+from oracles import (KRONECKER3, coefficient, coords_of, fraction_matrix, integral,
                      is_stable_by_gcd, mutation_ledger, random_expr, random_matrix,
                      random_stable_matrix, syzygy_tensors, tangent_chern)
 from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
@@ -99,8 +99,8 @@ def test_05_euler_characteristics():
     with criterion(5, "eleven Riemann-Roch Euler characteristics match"):
         for text, value in CHI_VALUES.items():
             assert chi(parse_expr(text)) == value, text
-        assert euler_pairing(sl(U1), dual(U2)) == 3
-        assert euler_pairing(tensor(dual(U1), twist(U2, 2)), twist(U2, 1)) == -1
+        assert chi(tensor(dual(sl(U1)), dual(U2))) == 3
+        assert chi(tensor(dual(tensor(dual(U1), twist(U2, 2))), twist(U2, 1))) == -1
 
 
 def test_06_chern_character_cross_checks():

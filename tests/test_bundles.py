@@ -1,17 +1,17 @@
 import copy
+import itertools
 import operator
 import random
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (FilteredCharacter, character_by_stratum, hostile_two_node_expr,
-                     parse_expr_by_scanner,
-                     parse_outcome, parser_texts, random_expr, rank_by_characters, rank_by_ops,
-                     weights_by_lists, weights_of)
-from quivercert import bundles
+from oracles import (hostile_two_node_expr, parse_expr_by_scanner, parse_outcome, parser_texts,
+                     random_expr, rank_by_ops, weights_by_lists, weights_of)
 from quivercert.bundles import (
     _TOKEN,
     MAX_RANK,
@@ -96,20 +96,15 @@ class TestTermLimit:
         # Two strata of Y exceed MAX_TERMS at different nodes: at the first
         # summand on the second stratum, where (U1 (x) U2)^6 has 19 weights,
         # and only at the second summand on the first, where it has 13.  One
-        # walk reports the earlier node; a walk per stratum reported the
-        # first stratum's first failure.
+        # walk reports the earlier node.
         e = hostile_two_node_expr()
         ws = [s.weights for s in unstable_strata(Moduli.kronecker23())]
         assert [len(x) for x in characters(ws, tensor(*[tensor(U1, U2)] * 6),
                                            WorkBudget()).maps][:2] == [13, 19]
         with pytest.raises(ValueError) as one_walk:
             characters(ws, e, WorkBudget())
-        with pytest.raises(ValueError) as per_stratum:
-            for w in ws:
-                character_by_stratum(w, e, WorkBudget())
         message = "product of characters with {} and 4096 weights exceeds %d terms" % MAX_TERMS
         assert str(one_walk.value) == message.format(19)
-        assert str(per_stratum.value) == message.format(17)
 
 
 class TestParse:
@@ -309,31 +304,38 @@ class TestEvaluatorMatchesOracles:
     @pytest.mark.parametrize("moduli", [Moduli.kronecker23(), KRONECKER2, NO_STRATA],
                              ids=["Y", "kronecker2", "no-strata"])
     @given(e=exprs())
-    def test_one_walk_equals_a_walk_per_stratum(self, moduli, e):
+    def test_one_walk_equals_the_weight_lists(self, moduli, e):
+        # or, where an sl node has no weights on a stratum (U1 has rank 1 on
+        # kronecker2), the refusal of sl
         bases = [s.weights for s in unstable_strata(moduli)]
-        one, each = WorkBudget(), WorkBudget()
-        maps = outcome(lambda: characters(bases, e, one).maps)
-        expected = outcome(lambda: [character_by_stratum(base, e, each) for base in bases])
-        assert maps == expected
-        assert one.left == each.left
+        maps = outcome(lambda: characters(bases, e, WorkBudget()).maps)
+        if any(not weights_by_lists(node.args[0], base)
+               for node in nodes(e) if node.op == "sl" for base in bases):
+            assert maps == "sl needs an argument of rank at least 1"
+        else:
+            assert maps == [dict(Counter(weights_by_lists(e, base))) for base in bases]
 
     @given(exprs())
     def test_rank(self, e):
         assert e.rank == rank_by_ops(e)
 
     @given(exprs())
-    def test_rank_equals_the_character_route(self, e):
-        # every operator node of e, and every operator on each node of e beside
-        # a rank-0 node and a node of rank MAX_RANK: equal ranks or equal refusals
+    def test_rank_equals_the_operator_route(self, e):
+        # every node of e, and every operator on each node of e beside a
+        # rank-0 node and a node of rank MAX_RANK: equal ranks, or the refusal
+        # of sl of rank 0 and of a rank above MAX_RANK
         refusals = set()
         for node in nodes(e):
-            if node.op not in ("U1", "U2", "O"):
-                assert node.rank == rank_by_characters(node.op, node.args)
+            assert node.rank == rank_by_ops(node)
             for other in (node, ZERO_RANK, AT_THE_RANK_LIMIT):
                 for op, args in ([(op, (other,)) for op in UNARY_OPS]
                                  + [(op, (node, other)) for op in ("tensor", "sum")]):
                     built = outcome(lambda: BundleExpr(op, args).rank)
-                    assert built == outcome(lambda: rank_by_characters(op, args)), (op, args)
+                    rank = rank_by_ops(SimpleNamespace(op=op, args=args))
+                    want = ("sl needs an argument of rank at least 1" if op == "sl" and not other.rank
+                            else f"expression {op}(...) has rank above {MAX_RANK}"
+                            if rank > MAX_RANK else rank)
+                    assert built == want, (op, args)
                     if isinstance(built, str):
                         refusals.add(built.partition(" ")[0])
         assert refusals == {"sl", "expression"}  # sl of rank 0, and MAX_RANK
@@ -356,21 +358,35 @@ def character_pairs(lowest=-3):
     return st.integers(1, 3).flatmap(lambda n: st.tuples(maps(n), maps(n)))
 
 
+def combined(op, x: dict, y: dict) -> dict:
+    """The map of ``op`` on two weight -> multiplicity maps, weight by weight
+    in a Counter: a sum or difference without the weights that reach 0, a
+    product with every weight it reaches."""
+    z = Counter()
+    if op is operator.mul:
+        for (a, m), (b, n) in itertools.product(x.items(), y.items()):
+            z[a + b] += m * n
+        return dict(z)
+    z.update(x)
+    (z.update if op is operator.add else z.subtract)(y)
+    return {w: m for w, m in z.items() if m}
+
+
 class TestCharacterOperations:
     @given(character_pairs())
-    def test_equal_the_filtering_route(self, pair):
-        # the same maps, in the same order, and the same charges; neither
-        # operand changes
+    def test_equal_the_counter_route(self, pair):
+        # the same maps and the charges of the products; neither operand
+        # changes
         x, y = pair
         before = copy.deepcopy(pair)
         for op in (operator.add, operator.sub, operator.mul):
-            fast, slow = WorkBudget(), WorkBudget()
-            got = op(Character(x, fast), Character(y, WorkBudget()))
-            want = op(FilteredCharacter(x, slow), FilteredCharacter(y, WorkBudget()))
-            assert [list(z.items()) for z in got.maps] == [list(z.items()) for z in want.maps]
-            assert got.budget is fast and fast.left == slow.left
+            budget = WorkBudget()
+            got = op(Character(x, budget), Character(y, WorkBudget()))
+            assert got.maps == [combined(op, a, b) for a, b in zip(x, y)]
+            charged = sum(len(a) * len(b) for a, b in zip(x, y)) if op is operator.mul else 0
+            assert got.budget is budget and budget.left == MAX_WORK_TERMS - charged
         assert (x, y) == before
-        assert (Character(x, fast) - Character(x, WorkBudget())).maps == [{}] * len(x)
+        assert (Character(x, budget) - Character(x, WorkBudget())).maps == [{}] * len(x)
 
     @given(signed=character_pairs(), positive=character_pairs(lowest=1))
     def test_multiplicities_of_zero(self, signed, positive):
@@ -389,33 +405,6 @@ class TestCharacterOperations:
         budget = WorkBudget()
         product = Character([{0: -1, 2: 1}], budget) * Character([{1: -1, 3: -1}], budget)
         assert product.maps == [{1: 1, 3: 0, 5: -1}]
-
-    @settings(max_examples=200)
-    @given(pair=character_pairs(lowest=1),
-           limits=st.sampled_from([(4, MAX_WORK_TERMS), (MAX_TERMS, 12), (9, 40), (36, 80)]))
-    def test_refusals_equal_the_filtering_route(self, pair, limits):
-        # MAX_TERMS and the WorkBudget refuse the same product, stratum and
-        # message, after the same charges.  Positive multiplicities, as every
-        # expression has: a product of characters with negative ones can
-        # leave a weight of multiplicity 0, which the filtering route dropped
-        # in a later sum and the in-place sum keeps
-        x, y = pair
-
-        def chain(cls):
-            budget = WorkBudget()
-            a, b = cls(x, budget), cls(y, WorkBudget())
-
-            def run():
-                p = a * b
-                q = (p + a) * (b + p)
-                return [z for c in (p, q, q * q - b) for z in c.maps]
-
-            return outcome(run), budget.left
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bundles, "MAX_TERMS", limits[0])
-            patch.setattr(bundles, "MAX_WORK_TERMS", limits[1])
-            assert chain(Character) == chain(FilteredCharacter)
 
 
 class TestLeafMaps:

@@ -11,43 +11,31 @@ from golden import CH_ROWS, CHI_VALUES, INTERSECTION_NUMBERS
 from oracles import (
     BASIS_BY_HAND,
     DEGREES_BY_HAND,
+    PAIRING,
     PRODUCTS,
     FractionChowElement,
-    _dense_products,
     ch_by_fractions,
-    ch_by_ops,
     ch_leaf_by_fractions,
-    chow_mul_dense,
     coefficient,
     coords_of,
-    det_by_exp,
-    euler_pairing,
+    euler_pairing_by_fractions,
     exp_by_fractions,
     from_coords,
-    gram_row,
-    gram_row_by_fractions,
     integral,
     integrals_by_localization,
     localization_fixed_points,
     localization_integral,
     monomial_at,
     monomials_of_degree,
-    mul_by_nested_table,
-    pairing,
-    pairing_by_fractions,
-    parse_chow_poly_by_products,
     parse_chow_poly_by_scanner,
     parse_outcome,
     parser_texts,
-    power_by_recursion,
-    products_by_rref,
     random_expr,
     tangent_chern,
     tangent_chern_by_hand,
-    todd_by_exp_of_fractions,
+    todd_by_fractions,
     todd_by_hand,
     todd_from_chern_roots,
-    todd_row,
 )
 from quivercert._linalg import render_ratio
 from quivercert.bundles import (O, U1, U2, det, direct_sum, dual, parse_expr, sl, sym2, tensor,
@@ -150,16 +138,6 @@ class TestRingStructure:
         for x, y, z in itertools.product(classes, repeat=3):
             assert (x * y) * z == x * (y * z)
 
-    def test_product_equals_dense_table_oracle(self):
-        rng = random.Random(1729)
-        for _ in range(200):
-            x, y = (
-                from_coords([F(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7
-                             else 0 for _ in BASIS])
-                for _ in range(2)
-            )
-            assert x * y == chow_mul_dense(x, y)
-
     def test_high_degree_vanishes(self):
         assert (C3 * C3 * C1).is_zero()
 
@@ -179,32 +157,20 @@ class TestRingStructure:
 
 class TestDerivedTables:
     """The product table, c(T_Y) and td(Y) that chow derives against the
-    hand-typed ones, and the product table against the rational RREF
-    route."""
+    hand-typed ones."""
 
     def test_basis_equals_hand_typed(self):
         assert BASIS == BASIS_BY_HAND
         assert DEGREES == DEGREES_BY_HAND
 
-    def test_products_equal_hand_typed_reductions(self):
-        dense = _dense_products()
-        for i, row in enumerate(PRODUCTS):
-            for j, terms in enumerate(row):
-                assert terms == tuple((k, c) for k, c in enumerate(dense[i][j]) if c), (i, j)
-
-    def test_products_equal_rref_route(self):
-        assert products_by_rref() == PRODUCTS
-
-    def test_integer_tables_equal_the_fraction_table(self):
-        # back-substitution for 3c in integers gives 3 times the rational
-        # table, one flat (j, k, 3c) triple per term
+    def test_integer_tables_equal_the_hand_typed_table(self):
+        # back-substitution for 3c in integers gives 3 times the table of the
+        # hand-typed reductions, one flat (j, k, 3c) triple per term
         assert _TRIPLED == tuple(tuple((j, k, 3 * c) for j, terms in enumerate(row)
                                        for k, c in terms)
                                  for row in PRODUCTS)
         assert all(type(c) is int for row in _TRIPLED for _, _, c in row)
-        point = _INDEX["c3^2"]
-        assert _PAIRING == tuple((i, j, c) for i, row in enumerate(PRODUCTS)
-                                 for j, terms in enumerate(row) for k, c in terms if k == point)
+        assert _PAIRING == PAIRING
         assert all(type(c) is int for _, _, c in _PAIRING)
 
     def test_tangent_chern_equals_hand_typed(self):
@@ -262,12 +228,6 @@ fractions = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
 
 
 class TestPairing:
-    @given(st.lists(fractions, min_size=len(BASIS), max_size=len(BASIS)),
-           st.lists(fractions, min_size=len(BASIS), max_size=len(BASIS)))
-    def test_equals_integral_of_dense_product(self, xs, ys):
-        x, y = from_coords(xs), from_coords(ys)
-        assert pairing(x, y) == integral(chow_mul_dense(x, y))
-
     def test_pairs_complementary_degrees_only(self):
         assert len(_PAIRING) == 31
         assert all(DEGREES[i] + DEGREES[j] == 6 and c != 0 for i, j, c in _PAIRING)
@@ -309,8 +269,6 @@ class TestIntegerCoordinates:
             assert x.degree_part(k).is_zero() == fx.degree_part(k).is_zero()
         assert x.is_zero() == fx.is_zero()
         assert (x - x).is_zero() and (fx - fx).is_zero()
-        assert pairing(x, y) == pairing_by_fractions(fx, fy)
-        assert gram_row(x) == gram_row_by_fractions(fx)
         assert x.to_json_dict() == fx.to_json_dict()
         assert repr(x) == repr(fx)
         for label in BASIS:
@@ -347,23 +305,18 @@ non_integers = fractions.filter(lambda t: t.denominator > 1)
 
 
 class TestReplacedRoutes:
-    """The flat product table, the binomial powers and det from the stored
-    powers of c1 against the routes that they replaced."""
-
-    @given(coordinates, coordinates)
-    def test_product_equals_the_nested_table_route(self, xs, ys):
-        x, y = from_coords(xs), from_coords(ys)
-        assert x * y == mul_by_nested_table(x, y)
+    """The binomial powers and det from the stored powers of c1 against the
+    Fraction route."""
 
     @given(coordinates, st.sampled_from((None, F(0), F(1), F(-1))), st.integers(0, 20))
-    def test_powers_equal_the_recursive_route(self, xs, constant, n):
-        x = from_coords(xs if constant is None else [constant, *xs[1:]])
-        assert x ** n == power_by_recursion(x, n)
+    def test_powers_equal_the_fraction_route(self, xs, constant, n):
+        xs = xs if constant is None else [constant, *xs[1:]]
+        assert_same(from_coords(xs) ** n, FractionChowElement(xs) ** n)
 
     @given(coordinates, non_integers)
-    def test_det_equals_the_exp_route(self, xs, t):
-        x = from_coords([xs[0], t, *xs[2:]])
-        assert x.det() == det_by_exp(x)
+    def test_det_equals_the_fraction_route(self, xs, t):
+        xs = [xs[0], t, *xs[2:]]
+        assert_same(from_coords(xs).det(), FractionChowElement(xs).det())
 
     def test_stored_powers_of_c1_equal_the_fraction_route(self):
         power = FractionChowElement.unit()
@@ -404,7 +357,7 @@ class TestProductCounts:
     def test_powers(self, products, x):
         for n, count in ((0, 0), (1, 0), (2, 1), (3, 2)):
             products.clear()
-            assert x ** n == power_by_recursion(x, n)
+            assert_same(x ** n, FractionChowElement(coords_of(x)) ** n)
             assert len(products) == count, n
         assert x ** 1 is x
         limit = 20 if abs(x.nums[0]) != x.den else 10 ** 300
@@ -443,7 +396,7 @@ class TestProductCounts:
         # table, so only products of two ring elements remain
         value = parse_chow_poly(text)
         assert len(products) == count
-        assert value == parse_chow_poly_by_products(text)
+        assert value == parse_chow_poly_by_scanner(text)
 
 
 class TestToddAndTangent:
@@ -462,10 +415,6 @@ class TestToddAndTangent:
 
     def test_todd_matches_chern_root_expansion(self):
         assert coords_of(todd_y()) == todd_from_chern_roots().coords
-
-    def test_todd_equals_the_fraction_exp_route(self):
-        # todd_y scales by the integer denominator 2520 and exp by 6!
-        assert coords_of(todd_y()) == todd_by_exp_of_fractions().coords
 
     def test_tangent_degree1(self):
         assert tangent_chern().degree_part(1) == 3 * C1
@@ -539,8 +488,8 @@ class TestChernCharacters:
         assert coefficient(ch_of(e), "[Y]") == e.rank
 
     @given(exprs())
-    def test_matches_per_operator_recursion(self, e):
-        assert ch_of(e) == ch_by_ops(e)
+    def test_equals_the_fraction_route(self, e):
+        assert_same(ch_of(e), ch_by_fractions(e))
 
     @given(exprs(depth=2))
     def test_sym_plus_wedge(self, e):
@@ -558,7 +507,7 @@ class TestChi:
 
     @given(exprs())
     def test_equals_integral_of_product(self, e):
-        assert chi(e) == integral(ch_of(e) * todd_y()) == pairing(ch_of(e), todd_y())
+        assert chi(e) == integral(ch_of(e) * todd_y()) == euler_pairing_by_fractions(O(0), e)
 
     @given(exprs(depth=2))
     def test_serre_duality(self, e):
@@ -570,8 +519,7 @@ class TestChi:
 
 
 class TestChiForm:
-    """The integer bilinear form B / M of chi against the route it replaced,
-    a Gram row of dual(ch(E)) paired with the column ch(F) * td(Y)."""
+    """The integer bilinear form B / M of chi against the Fraction route."""
 
     def test_shape(self):
         m, b = chi_form()
@@ -579,8 +527,12 @@ class TestChiForm:
         assert sum(map(bool, itertools.chain(*b))) == 100
 
     def test_unit_row_is_the_todd_row(self):
+        # row b of the unit is the integral of td(Y) * basis_b
         m, b = chi_form()
-        assert chi_row(O(0)) == (m, b[0]) == todd_row()
+        assert chi_row(O(0)) == (m, b[0])
+        assert [F(n, m) for n in b[0]] == [
+            (todd_by_fractions() * FractionChowElement.basis(label)).coefficient("c3^2")
+            for label in BASIS]
 
     def test_serre_duality_on_the_basis(self):
         # omega_Y = O(-3) on the sixfold Y, so chi(E, F) = chi(F, E(-3)):
@@ -594,12 +546,8 @@ class TestChiForm:
         assert transpose == composed
 
     @given(exprs(depth=2), exprs(depth=2))
-    def test_equals_the_gram_route(self, e, f):
-        (d, r), y = chi_row(e), ch_of(f)
-        (d0, r0), y0 = gram_row(ch_of(e).dual()), ch_of(f) * todd_y()
-        assert F(sum(map(math.prod, zip(r, y.nums))), d * y.den) == F(
-            sum(map(math.prod, zip(r0, y0.nums))), d0 * y0.den)
-        assert scaled_pairing(chi_row(e), y, e, f) == euler_pairing(e, f)
+    def test_equals_the_fraction_route(self, e, f):
+        assert scaled_pairing(chi_row(e), ch_of(f), e, f) == euler_pairing_by_fractions(e, f)
 
 
 class TestOrbitClasses:
@@ -659,10 +607,10 @@ class TestPolynomialInput:
     @example("9" * 4299 + "*c1^6")
     @example("c2^2*2^9000*2^9000")
     @example("0^0*c3^0 - 5^" + "9" * 400 + "c1^7")
-    def test_equals_the_product_route(self, text):
+    def test_products_and_powers_equal_the_character_stepping_parser(self, text):
         # integer factors as scalings and class powers from a table give the
         # value of ring products, or the same error, position included
-        want = parse_outcome(parse_chow_poly_by_products, text)
+        want = parse_outcome(parse_chow_poly_by_scanner, text)
         assert parse_outcome(parse_chow_poly, text) == want
 
     @pytest.mark.parametrize("text,what,position", [
@@ -676,7 +624,7 @@ class TestPolynomialInput:
     def test_digit_limit_positions_of_integer_factors(self, text, what, position):
         # a product or power of integers is refused where the ring products
         # refused it; a printable value is not refused here
-        want = parse_outcome(parse_chow_poly_by_products, text)
+        want = parse_outcome(parse_chow_poly_by_scanner, text)
         assert parse_outcome(parse_chow_poly, text) == want
         if what is None:
             assert isinstance(want, ChowElement)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (clear_package_caches, cli_by_calls, cli_by_fractions, hostile_two_node_expr,
-                     parse_by_argparse, parse_chow_poly_by_products, random_matrix_text)
+                     parse_by_argparse, parse_chow_poly_by_scanner, random_matrix_text)
 from test_quiver import quiver_dim_theta
 from quivercert import cli, quiver, repgeom, strata
 from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
@@ -242,13 +242,14 @@ class TestChowEval:
         ("9" * 4299 + "*c1^6", 2),
     ])
     def test_digit_limit_edges_of_integer_factors(self, capsys, monkeypatch, text, code):
-        # integer factors are scalings: they meet the digit limit where ring
-        # products met it, and print the same document
+        # integer factors are scalings: they meet the digit limit where the
+        # ring products of the character-stepping parser meet it, and print
+        # the same document
         assert main(["chow-eval", "--expr", text]) == code
         out = capsys.readouterr().out
         if code == 2:
             assert out == DIGIT_LIMIT_STDOUT
-        monkeypatch.setattr(cli, "parse_chow_poly", parse_chow_poly_by_products)
+        monkeypatch.setattr(cli, "parse_chow_poly", parse_chow_poly_by_scanner)
         assert (main(["chow-eval", "--expr", text]), capsys.readouterr().out) == (code, out)
 
     def test_d1_alias(self, capsys):

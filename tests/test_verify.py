@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 import oracles
 from golden import CHI_VALUES
 from oracles import (KRONECKER3, VARIANTS_BY_HAND, accepted_by_four_keys, ch_identities_by_hand,
-                     clear_package_caches, coefficient, euler_pairing, euler_pairing_by_fractions,
-                     integral, mutation_ledger, package_caches, package_modules, random_expr,
-                     symmetry_functor, verify_collection_by_blocking_rows,
-                     verify_collection_by_fractions, verify_collection_by_pairs)
+                     clear_package_caches, coefficient, euler_pairing_by_fractions, integral,
+                     mutation_ledger, package_caches, package_modules, random_expr,
+                     symmetry_functor, verify_collection_by_fractions)
 from quivercert import bundles, chow, quiver, repgeom, strata, verify
 from quivercert.bundles import (O, U1, U2, BundleExpr, WorkBudget, det, direct_sum, dual,
                                 parse_expr, sl, sym2, tensor, twist, wedge2)
-from quivercert.chow import ChowElement, RingInconsistencyError, ch_of, chi, todd_y
+from quivercert.chow import (ChowElement, RingInconsistencyError, ch_of, chi, chi_row,
+                             scaled_pairing, todd_y)
 from quivercert.cli import main
 from quivercert.quiver import Quiver
 from quivercert.strata import Moduli, teleman_certify, unstable_strata, weight_ranges
@@ -52,6 +52,12 @@ Y23 = Moduli.kronecker23()
 @pytest.fixture(scope="module")
 def standard_result():
     return verify_collection(standard_collection(), Y23)
+
+
+def chi_pair(e: BundleExpr, f: BundleExpr) -> int:
+    """chi(e, f) as ``verify_collection`` and ``mutate`` take it: the row of
+    e of the bilinear form of chi, paired with ch(f)."""
+    return scaled_pairing(chi_row(e), ch_of(f), e, f)
 
 
 def undetermined(result) -> list:
@@ -83,20 +89,20 @@ def bent():
 
 class TestEulerPairing:
     def test_traceless_to_dual(self):
-        assert euler_pairing(sl(U1), dual(U2)) == 3
+        assert chi_pair(sl(U1), dual(U2)) == 3
 
     def test_shifted_hom(self):
-        assert euler_pairing(tensor(dual(U1), twist(U2, 2)), twist(U2, 1)) == -1
+        assert chi_pair(tensor(dual(U1), twist(U2, 2)), twist(U2, 1)) == -1
 
     def test_unit(self):
-        assert euler_pairing(O(0), O(0)) == 1
+        assert chi_pair(O(0), O(0)) == 1
 
     def test_symmetry_functor_reverses(self):
         rng = random.Random(21)
         for _ in range(15):
             e = random_expr(rng, depth=2, max_rank=20)
             f = random_expr(rng, depth=2, max_rank=20)
-            assert euler_pairing(e, f) == euler_pairing(
+            assert chi_pair(e, f) == chi_pair(
                 symmetry_functor(f), symmetry_functor(e)
             )
 
@@ -105,7 +111,7 @@ class TestEulerPairing:
         for _ in range(15):
             e = random_expr(rng, depth=2, max_rank=20)
             f = random_expr(rng, depth=2, max_rank=20)
-            assert euler_pairing(e, f) == euler_pairing(f, twist(e, -3))
+            assert chi_pair(e, f) == chi_pair(f, twist(e, -3))
 
 
 class TestStandardCollection:
@@ -317,17 +323,15 @@ ZERO_RANK = st.one_of(st.integers(-1, 2).map(lambda n: sl(O(n))),
 
 def _assert_replaced_routes(spec, moduli):
     result = verify_collection(spec, moduli)
-    assert result == verify_collection_by_blocking_rows(spec, moduli)
     assert result == verify_collection_by_fractions(spec, moduli)
-    assert result == verify_collection_by_pairs(spec, moduli)
     assert result.accepted == accepted_by_four_keys(result)
     return result
 
 
 class TestPerObjectRoute:
-    """verify_collection against the routes it replaced: per-pair
-    expressions, per-object data combined in Fraction arithmetic, and
-    per-pair blocking rows from the weight ranges."""
+    """verify_collection against the route it replaced: per-object data
+    combined per pair into stratum checks, with chi in Fraction
+    arithmetic."""
 
     @pytest.mark.parametrize("name", ["standard"] + sorted(collection_variants()))
     def test_builtin_collections(self, name):
@@ -361,7 +365,7 @@ class TestPerObjectRoute:
         margins = set()
         for spec in [standard_collection(), *collection_variants().values()]:
             result = verify_collection(spec, Y23)
-            assert result == verify_collection_by_blocking_rows(spec, Y23)
+            assert result == verify_collection_by_fractions(spec, Y23)
             margins.update(m for row in result.pairs for p in row for _, m in p.blocking)
         assert max(margins) == -((5 - shift) % 5)  # the blocking margin nearest to 1
 
@@ -379,14 +383,14 @@ class TestPerObjectRoute:
         expected = verify_collection(spec, Y23)
         monkeypatch.setattr(BundleExpr, "__str__", refuse)
         assert verify_collection(spec, Y23) == expected
-        assert euler_pairing(O(0), O(1)) == 20
+        assert chi_pair(O(0), O(1)) == 20
         assert chi(O(1)) == 20
 
     def test_euler_pairing_on_integer_rows(self):
         denominators = set()
         for e in POOL:
             for f in POOL:
-                assert euler_pairing(e, f) == euler_pairing_by_fractions(e, f), (e, f)
+                assert chi_pair(e, f) == euler_pairing_by_fractions(e, f), (e, f)
                 denominators.add(chow.chi_row(e)[0] * ch_of(f).den)
         assert max(denominators) > 1  # the division is exercised
 
@@ -395,19 +399,19 @@ class TestPerObjectRoute:
         with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
             verify_collection(spec, Y23)
         with pytest.raises(RingInconsistencyError):
-            euler_pairing(O(0), O(1))
+            chi_pair(O(0), O(1))
 
     def test_fractional_pair_with_warm_caches(self):
         # the rows are keyed on the expression only: the chi rows cached
         # under the true Todd class are cleared by the bend, not kept for it
         spec = CollectionSpec((("O", O(0)), ("O(1)", O(1))))
         verify_collection(spec, Y23)
-        assert euler_pairing(O(0), O(1)) == 20
+        assert chi_pair(O(0), O(1)) == 20
         with bent_todd():
             with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(0\)\) = 1/2"):
                 verify_collection(spec, Y23)
             with pytest.raises(RingInconsistencyError, match=r"chi\(O\(0\), O\(1\)\) = 39/2"):
-                euler_pairing(O(0), O(1))
+                chi_pair(O(0), O(1))
 
     def test_no_bent_column_leaks(self, standard_result):
         # the bend fills the caches with a bent form and rows, and none
@@ -417,7 +421,7 @@ class TestPerObjectRoute:
                 verify_collection(standard_collection(), Y23)
         result = verify_collection(standard_collection(), Y23)
         assert result == standard_result and result.accepted
-        assert {text: euler_pairing(O(0), parse_expr(text)) for text in CHI_VALUES} == CHI_VALUES
+        assert {text: chi_pair(O(0), parse_expr(text)) for text in CHI_VALUES} == CHI_VALUES
 
     def test_two_vertex_error_comes_first(self):
         path = Moduli(Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (1, 0, -1), (-1, 0, 0))
@@ -507,7 +511,7 @@ def combination(e, block, c) -> ChowElement:
 
 def is_exceptional_block(block) -> bool:
     """Whether chi(A_i, A_j) is upper unitriangular."""
-    return all(euler_pairing(a, b) == (i == j) for i, a in enumerate(block)
+    return all(euler_pairing_by_fractions(a, b) == (i == j) for i, a in enumerate(block)
                for j, b in enumerate(block) if i >= j)
 
 
@@ -626,7 +630,8 @@ class TestMutate:
             monkeypatch.setattr(verify, name, counted)
         x = mutate(moved, block, side)
         assert sorted(reads) == ["ch_of"] * 9 + ["chi_row"] * 9
-        pair = euler_pairing if side == "right" else lambda e, f: euler_pairing(f, e)
+        pair = (euler_pairing_by_fractions if side == "right"
+                else lambda e, f: euler_pairing_by_fractions(f, e))
         c = {}
         for j in range(len(block)) if side == "right" else reversed(range(len(block))):
             c[j] = pair(moved, block[j]) - sum(k * pair(block[i], block[j]) for i, k in c.items())

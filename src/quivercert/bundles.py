@@ -57,7 +57,8 @@ class BundleExpr(namedtuple("BundleExpr", "op args rank")):
             rank = int(evaluate((op, args), _rank, _rank))
             if rank > MAX_RANK:
                 raise ValueError(f"expression {op}(...) has rank above {MAX_RANK}")
-        return super().__new__(cls, op, args, rank)
+        # the named tuple's own __new__ would only add a call frame per node
+        return tuple.__new__(cls, (op, args, rank))
 
     def __getnewargs__(self):
         # copy and pickle rebuild a node from what __new__ takes
@@ -73,6 +74,9 @@ class BundleExpr(namedtuple("BundleExpr", "op args rank")):
 
 U1 = BundleExpr("U1")
 U2 = BundleExpr("U2")
+
+#: The leaves that the parser returns for their names, shared by every tree.
+_LEAVES = {"U1": U1, "U2": U2}
 
 
 def O(n: int) -> BundleExpr:  # noqa: E743  (mathematical name)
@@ -370,8 +374,9 @@ def _expr(text: str, pos: int, level: int) -> tuple[BundleExpr, int, int]:
         raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", pos)
     match = _TOKEN.match(text, pos)
     ident, i = match[1], match.end()
-    if ident in ("U1", "U2"):
-        return BundleExpr(ident), 1, i
+    leaf = _LEAVES.get(ident)
+    if leaf is not None:
+        return leaf, 1, i
     if ident != "O" and ident not in _FUNCTIONS:
         if not ident or ident[0] in "+-":
             raise ExprSyntaxError("expected identifier", match.start(1))

@@ -63,6 +63,11 @@ BASIS = tuple(map(_label, _BASIS_MONOMIALS))
 
 DEGREES = tuple(a + 2 * b + 2 * e + 3 * f for a, b, e, f in _BASIS_MONOMIALS)
 
+#: The factor of each coordinate under ``dual``, (-1)^k, and under ``psi2``,
+#: 2^k, for the basis class of degree k.
+_DUAL_SIGNS = tuple((-1) ** k for k in DEGREES)
+_PSI2_SCALES = tuple(2 ** k for k in DEGREES)
+
 _INDEX = {label: i for i, label in enumerate(BASIS)}
 
 
@@ -219,13 +224,12 @@ class ChowElement:
 
     def dual(self) -> "ChowElement":
         """Chern character of the dual: negate odd-degree parts."""
-        return ChowElement([-n if DEGREES[i] % 2 else n for i, n in enumerate(self.nums)],
-                           self.den)
+        return ChowElement(tuple(map(mul, self.nums, _DUAL_SIGNS)), self.den)
 
     def psi2(self) -> "ChowElement":
         """Second Adams operation on Chern characters: scale the degree-k
         part by 2^k."""
-        return ChowElement([n * 2 ** DEGREES[i] for i, n in enumerate(self.nums)], self.den)
+        return ChowElement(tuple(map(mul, self.nums, _PSI2_SCALES)), self.den)
 
     def det(self) -> "ChowElement":
         """Chern character of the determinant: exp of the degree-1 part."""
@@ -363,25 +367,26 @@ class RingInconsistencyError(ArithmeticError):
 
 
 @lru_cache(maxsize=1)
-def chi_form() -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(M, B)``, integers with B[a][b] / M the integral of dual(basis_a) *
-    basis_b * td(Y), so chi(E, F) = x B y / (M d e) for ch(E) = x / d and
-    ch(F) = y / e.  Row a pairs dual(basis_a) * td(Y) with the basis."""
+def chi_form() -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``(M, B, C)``, integers with B[a][b] / M the integral of dual(basis_a)
+    * basis_b * td(Y), so chi(E, F) = x B y / (M d e) for ch(E) = x / d and
+    ch(F) = y / e, and C the columns of B, which ``chi_row`` reads.  Row a
+    pairs dual(basis_a) * td(Y) with the basis."""
     products = [ChowElement.basis(label).dual() * todd_y() for label in BASIS]
     m = lcm(*(z.den for z in products))
     rows = [[0] * len(BASIS) for _ in BASIS]
     for row, z in zip(rows, products):
         for i, j, c in _PAIRING:
             row[j] += z.nums[i] * c * (m // z.den)
-    return m, tuple(map(tuple, rows))
+    return m, tuple(map(tuple, rows)), tuple(zip(*rows))
 
 
 @lru_cache(maxsize=MAX_CACHED_EXPRS)
 def chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
     """``(M * d, x B)`` for ch(e) = x / d: the left factor of every chi(e, -),
     whose right factor is ``ch_of`` of the other object itself."""
-    (m, b), x = chi_form(), ch_of(e)
-    return m * x.den, tuple(sum(map(mul, x.nums, column)) for column in zip(*b))
+    (m, _, columns), x = chi_form(), ch_of(e)
+    return m * x.den, tuple(sum(map(mul, x.nums, column)) for column in columns)
 
 
 def chi(e: BundleExpr) -> int:

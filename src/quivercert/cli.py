@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import repgeom
-from ._linalg import render_ratio
+from ._linalg import MAX_CACHED_SETUPS, render_ratio
 from .bundles import parse_expr
 from .chow import ch_of, chi, parse_chow_poly
 from .quiver import SPEC_FORMS, Quiver
@@ -69,10 +69,21 @@ def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
     raise ValueError(f"{flag} must be integers separated by commas, e.g. 2,3")
 
 
+@functools.lru_cache(maxsize=MAX_CACHED_SETUPS)
+def _moduli_setup(quiver: str, dim: str, theta: str, twist: str | None = None):
+    """The quiver, d and theta read from the texts of ``--quiver``, ``--dim``
+    and ``--theta``, or with the text of ``--twist`` their ``Moduli``: read
+    and checked once per texts, flag by flag in that order.  A refusal
+    raises on every call, since no exception is cached."""
+    q = Quiver.from_spec(quiver, "--quiver")
+    d, theta = _parse_int_tuple(dim, "--dim"), _parse_int_tuple(theta, "--theta")
+    if twist is None:
+        return q, d, theta
+    return Moduli(q, d, theta, _parse_int_tuple(twist, "--twist"))
+
+
 def _cmd_hn_types(args) -> tuple[dict, int]:
-    quiver = Quiver.from_spec(args.quiver, "--quiver")
-    d = _parse_int_tuple(args.dim, "--dim")
-    theta = _parse_int_tuple(args.theta, "--theta")
+    quiver, d, theta = _moduli_setup(args.quiver, args.dim, args.theta)
     rows = []
     for parts, slopes, codim, s, threshold in hn_records(quiver, d, theta):
         row = {"parts": parts, "slopes": [render_ratio(*slope) for slope in slopes],
@@ -84,9 +95,7 @@ def _cmd_hn_types(args) -> tuple[dict, int]:
 
 
 def _cmd_teleman(args) -> tuple[dict, int]:
-    moduli = Moduli(Quiver.from_spec(args.quiver, "--quiver"), _parse_int_tuple(args.dim, "--dim"),
-                    _parse_int_tuple(args.theta, "--theta"),
-                    _parse_int_tuple(args.twist, "--twist"))
+    moduli = _moduli_setup(args.quiver, args.dim, args.theta, args.twist)
     expr = parse_expr(args.expr)
     rows = teleman_certify(expr, moduli)
     passed = all(row.passed for row in rows)

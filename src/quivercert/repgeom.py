@@ -117,15 +117,23 @@ def is_stable(r: LinearFormMatrix) -> bool:
 # -- syzygies and the traceless-matrix identification -------------------------
 
 # Tensors in Sym^2 W (x) W are stored as 18-tuples indexed by
-# (quadratic monomial, variable).
+# (quadratic monomial, variable): entry 3 * qi + vi is at (QUAD_MONOMIALS[qi],
+# VARS[vi]).
+
+#: ``(qi, vi)`` of each entry of a tensor, in order.
+_TENSOR_ENTRIES = tuple((qi, vi) for qi in range(len(_QUAD_EXPONENTS)) for vi in range(3))
+
+#: ``[k]``: the one to three entries of a tensor whose products are the k-th
+#: cubic monomial, padded to three with 18, the index of a 0 appended to it.
+_CUBIC_GROUPS = tuple(tuple([3 * qi + vi for qi, vi in _TENSOR_ENTRIES
+                             if _CUBIC_OF_QUAD_VAR[qi][vi] == k] + [18, 18])[:3]
+                      for k in range(len(_CUBIC_EXPONENTS)))
+
 
 def tensor_to_cubic(t) -> tuple[int, ...]:
     """Image under the multiplication map Sym^2 W (x) W -> Sym^3 W."""
-    out = [0] * len(_CUBIC_EXPONENTS)
-    for qi, row in enumerate(_CUBIC_OF_QUAD_VAR):
-        for vi, k in enumerate(row):
-            out[k] += t[qi * 3 + vi]
-    return tuple(out)
+    t = (*t, 0)
+    return tuple(t[a] + t[b] + t[c] for a, b, c in _CUBIC_GROUPS)
 
 
 Sl3Element = tuple[tuple[int, ...], ...]
@@ -133,13 +141,9 @@ Sl3Element = tuple[tuple[int, ...], ...]
 
 def _syzygy(row, m):
     """u1 (x) m1 - u2 (x) m2 + u3 (x) m3 for the row (u1, u2, u3)."""
-    t = [0] * 18
-    for form, sign, mi in zip(row, (1, -1, 1), m):
-        for vi, c in enumerate(form):
-            if c:
-                for qi, q in enumerate(mi):
-                    t[qi * 3 + vi] += sign * c * q
-    return tuple(t)
+    (u1, u2, u3), (m1, m2, m3) = row, m
+    return tuple(m1[qi] * u1[vi] - m2[qi] * u2[vi] + m3[qi] * u3[vi]
+                 for qi, vi in _TENSOR_ENTRIES)
 
 
 def syzygies(r: LinearFormMatrix) -> tuple[tuple[Sl3Element, int], tuple[Sl3Element, int]]:

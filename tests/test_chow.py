@@ -522,13 +522,14 @@ class TestChiForm:
     """The integer bilinear form B / M of chi against the Fraction route."""
 
     def test_shape(self):
-        m, b = chi_form()
+        m, b, columns = chi_form()
         assert m == 360 and len(b) == len(BASIS) and {len(row) for row in b} == {len(BASIS)}
         assert sum(map(bool, itertools.chain(*b))) == 100
+        assert columns == tuple(tuple(row[j] for row in b) for j in range(len(BASIS)))
 
     def test_unit_row_is_the_todd_row(self):
         # row b of the unit is the integral of td(Y) * basis_b
-        m, b = chi_form()
+        m, b, _ = chi_form()
         assert chi_row(O(0)) == (m, b[0])
         assert [F(n, m) for n in b[0]] == [
             (todd_by_fractions() * FractionChowElement.basis(label)).coefficient("c3^2")
@@ -538,7 +539,7 @@ class TestChiForm:
         # omega_Y = O(-3) on the sixfold Y, so chi(E, F) = chi(F, E(-3)):
         # B^T = B T, with T the multiplication by ch(O(-3)), on all 13 x 13
         # basis pairs
-        m, b = chi_form()
+        m, b, _ = chi_form()
         shifted = [ChowElement.basis(label) * ch_of(O(-3)) for label in BASIS]
         transpose = [[F(b[c][a], m) for c in range(len(BASIS))] for a in range(len(BASIS))]
         composed = [[F(sum(map(math.prod, zip(b[a], z.nums))), m * z.den) for z in shifted]

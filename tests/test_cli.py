@@ -22,7 +22,7 @@ from oracles import (clear_package_caches, cli_by_calls, cli_by_fractions, hosti
                      parse_by_argparse, parse_chow_poly_by_scanner, random_matrix_text)
 from test_quiver import quiver_dim_theta
 from quivercert import cli, quiver, repgeom, strata
-from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS
+from quivercert.bundles import MAX_DEPTH, MAX_RANK, MAX_TERMS, MAX_WORK_TERMS, parse_expr
 from quivercert.cli import MAX_FILE_BYTES, _ArgumentParser, build_parser, main
 from quivercert.quiver import MAX_ARROWS, MAX_SUBVECTORS, MAX_VERTICES
 from quivercert.verify import MAX_OBJECTS
@@ -971,11 +971,116 @@ class TestDashDashValue:
         error = json.dumps({"error": DASH_DASH_ERRORS[command, flag]}, separators=(",", ":"))
         assert capsys.readouterr().out == error + "\n"
 
+    @pytest.mark.parametrize("command,flag", DASH_DASH_ERRORS, ids=" ".join)
+    def test_abbreviated_flag_prints_what_the_full_flag_prints(self, monkeypatch, tmp_path,
+                                                               command, flag):
+        # the table reader takes only exact flags, so "--ex=--" reaches
+        # argparse, which stores [] for the value "--"
+        monkeypatch.chdir(tmp_path)
+        rest = ["--expr", "U1"] if command == "teleman" and flag != "--expr" else []
+        assert cli._read_by_table([command, f"{flag[:-1]}=--", *rest]) is None
+        full = main_output([command, f"{flag}=--", *rest])
+        assert main_output([command, f"{flag[:-1]}=--", *rest]) == full
+        assert full == (2, json.dumps({"error": DASH_DASH_ERRORS[command, flag]},
+                                      separators=(",", ":")) + "\n")
+
     def test_names_a_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "--").write_text('{"objects":[{"expr":"U1"}]}', encoding="utf-8")
         code, doc = run_cli(capsys, "verify-collection", "--file=--")
         assert (code, doc["labels"]) == (0, ["U1"])
+
+
+#: Refused moduli setups, each with its error: the setup of ``hn-types`` and
+#: ``teleman`` is read from one cache per flag texts, which keeps no refusal.
+REFUSED_SETUPS = [
+    pytest.param(["hn-types", "--quiver", "foo"], QUIVER_FORMS_ERROR, id="hn-types-quiver"),
+    pytest.param(["teleman", "--quiver", "kronecker:x", "--expr", "U1"], QUIVER_FORMS_ERROR,
+                 id="teleman-quiver"),
+    pytest.param(["hn-types", "--theta=1,-1"], "theta . d must be zero", id="hn-types-theta"),
+    pytest.param(["teleman", "--theta=1,-1", "--expr", "U1"], "theta . d must be 0",
+                 id="teleman-theta"),
+    pytest.param(["teleman", "--twist=1,1", "--expr", "U1"], "twist . d must be -1 for descent",
+                 id="teleman-twist"),
+    pytest.param(["hn-types", "--dim", "2," + "9" * 5000], None, id="hn-types-digits"),
+    pytest.param(["teleman", "--twist", "1," + "9" * 5000, "--expr", "U1"], None,
+                 id="teleman-digits"),
+]
+
+
+def vector_text(v) -> str:
+    return ",".join(map(str, v))
+
+
+def teleman_by_fresh_moduli(spec: str, d, theta, twist, expr: str) -> tuple[int, dict]:
+    """Exit code and document of ``teleman`` on a ``Moduli`` built from
+    ``spec`` and the integer vectors ``d``, ``theta`` and ``twist``, every
+    cache of the package empty."""
+    clear_package_caches()
+    try:
+        moduli = strata.Moduli(quiver.Quiver.from_spec(spec, "--quiver"), d, theta, twist)
+        e = parse_expr(expr)
+        rows = strata.teleman_certify(e, moduli)
+    except ValueError as exc:
+        return 2, {"error": str(exc)}
+    passed = all(row.passed for row in rows)
+    return 0 if passed else 1, {
+        "expression": str(e), "pass": passed,
+        "strata": [{"hn_type": [list(part) for part in row.hn_type], "eta": row.eta,
+                    "max_weight": row.max_weight, "margin": row.margin, "pass": row.passed}
+                   for row in rows]}
+
+
+@st.composite
+def teleman_setups(draw):
+    """A two-vertex moduli setup as ``teleman`` reads it: a quiver with 1 to
+    4 arrows 0 -> 1 in either spec form, d with coprime entries, theta a
+    multiple of (d2, -d1) or, rarely, off balance, and two or three distinct
+    twists, mostly with twist . d = -1, and an expression."""
+    m = draw(st.integers(1, 4))
+    spec = draw(st.sampled_from([f"kronecker:{m}",
+                                 json.dumps({"vertices": 2, "arrows": [[0, 1]] * m})]))
+    d = draw(st.tuples(st.integers(1, 4), st.integers(1, 5)).filter(lambda d: math.gcd(*d) == 1))
+    k, off = draw(st.integers(-2, 2)), draw(st.sampled_from((0,) * 9 + (1,)))
+    theta = (k * d[1] + off, -k * d[0])
+    base = next((x, y) for x in range(-6, 7) for y in range(-6, 7) if x * d[0] + y * d[1] == -1)
+    twist = st.builds(lambda j: (base[0] + j * d[1], base[1] - j * d[0]), st.integers(-2, 2))
+    twists = draw(st.lists(twist | st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=2, max_size=3, unique=True))
+    expr = draw(st.sampled_from(["U1", "U2", "sl(U1)", "tensor(dual(U1),U2)", "O(-3)",
+                                 "sym2(U2)", "twist(wedge2(U2),1)"]))
+    return spec, d, theta, twists, expr
+
+
+class TestModuliSetup:
+    @pytest.mark.parametrize("argv,error", REFUSED_SETUPS)
+    def test_refused_setup_is_refused_again(self, argv, error):
+        stdout = DIGIT_LIMIT_STDOUT if error is None else json.dumps(
+            {"error": error}, separators=(",", ":")) + "\n"
+        assert [main_output(argv) for _ in range(2)] == [(2, stdout)] * 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=teleman_setups())
+    @example(case=("kronecker:3", (2, 3), (3, -2), [(1, -1), (-2, 1)], "U1"))
+    def test_teleman_equals_a_fresh_moduli(self, case):
+        # twists of one quiver, d and theta alternate in one process, twice
+        spec, d, theta, twists, expr = case
+        expected = [teleman_by_fresh_moduli(spec, d, theta, twist, expr) for twist in twists]
+        clear_package_caches()
+        for twist, want in [*zip(twists, expected)] * 2:
+            code, out = main_output(["teleman", "--quiver", spec, f"--dim={vector_text(d)}",
+                                     f"--theta={vector_text(theta)}",
+                                     f"--twist={vector_text(twist)}", "--expr", expr])
+            assert (code, json.loads(out)) == want
+
+    def test_one_entry_per_flag_texts(self):
+        clear_package_caches()
+        argvs = [["hn-types"], ["teleman", "--expr", "U1"], ["teleman", "--expr", "U2"],
+                 ["teleman", "--twist=-2,1", "--expr", "U1"], ["hn-types", "--dim", "2,3"]]
+        for argv in argvs + argvs:
+            assert main_output(argv)[0] == 0
+        info = cli._moduli_setup.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (3, 3, 7)
 
 
 def _nested(depth: int) -> str:

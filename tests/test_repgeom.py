@@ -34,6 +34,8 @@ from oracles import (
 )
 from quivercert._linalg import echelon
 from quivercert.repgeom import (
+    QUAD_MONOMIALS,
+    VARS,
     LinearFormMatrix,
     commutes,
     is_stable,
@@ -333,6 +335,20 @@ class TestSl3Plane:
             (m1, _), (m2, _) = syzygies(random_stable_matrix(rng))
             assert sum(m1[i][i] for i in range(3)) == 0
             assert sum(m2[i][i] for i in range(3)) == 0
+
+    def test_every_unit_tensor_multiplies_to_its_monomial(self):
+        # entry 3 * qi + vi is QUAD_MONOMIALS[qi] (x) VARS[vi]; the cubic
+        # monomials in the order of tensor_to_cubic
+        cubics = ["xxx", "yyy", "zzz", "xxy", "xxz", "xyy", "yyz", "xzz", "yzz", "xyz"]
+        squares = {"x^2": "xx", "y^2": "yy", "z^2": "zz"}
+        for qi, name in enumerate(QUAD_MONOMIALS):
+            for vi, var in enumerate(VARS):
+                unit = [0] * 18
+                unit[3 * qi + vi] = 1
+                product = "".join(sorted(squares.get(name, name) + var))
+                assert tensor_to_cubic(tuple(unit)) == tuple(int(c == product) for c in cubics)
+                with pytest.raises(ValueError, match="outside the span"):
+                    to_sl3(tuple(unit))
 
     def test_outside_span_rejected(self):
         # x^2 (x) x multiplies to x^3, so it is not a kernel tensor

@@ -759,6 +759,7 @@ CACHES = {
     "quivercert.chow.ch_of": chow.MAX_CACHED_EXPRS,
     "quivercert.chow.chi_row": chow.MAX_CACHED_EXPRS,
     "quivercert.cli.build_parser": None,  # no arguments: one entry
+    "quivercert.cli._moduli_setup": quiver.MAX_CACHED_SETUPS,
     "quivercert.quiver._lattice": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.Moduli.kronecker23": None,  # no arguments: one entry
     "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,

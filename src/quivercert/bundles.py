@@ -250,8 +250,7 @@ class Character:
         return Character([{2 * w: m for w, m in x.items()} for x in self.maps], self.budget)
 
     def half(self):
-        return Character([{w: m // 2 for w, m in x.items() if m // 2} for x in self.maps],
-                         self.budget)
+        return Character([{w: m // 2 for w, m in x.items()} for x in self.maps], self.budget)
 
 
 class StratumWeights(namedtuple("StratumWeights", "u1 u2")):
@@ -405,7 +404,7 @@ def _expr(text: str, pos: int, level: int) -> tuple[BundleExpr, int, int]:
             raise ExprSyntaxError(f"{ident} takes one argument", pos)
         return BundleExpr(ident, tuple(args)), depth, i
     if ident == "twist":
-        if len(args) != 2 or not isinstance(args[1], int):
+        if len(args) != 2:
             raise ExprSyntaxError("twist takes an expression and an integer", pos)
         return twist(args[0], args[1]), depth, i
     if len(args) < 2:

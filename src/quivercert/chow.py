@@ -367,25 +367,25 @@ class RingInconsistencyError(ArithmeticError):
 
 
 @lru_cache(maxsize=1)
-def chi_form() -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """``(M, B, C)``, integers with B[a][b] / M the integral of dual(basis_a)
-    * basis_b * td(Y), so chi(E, F) = x B y / (M d e) for ch(E) = x / d and
-    ch(F) = y / e, and C the columns of B, which ``chi_row`` reads.  Row a
-    pairs dual(basis_a) * td(Y) with the basis."""
+def chi_form() -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(M, C)``, integers with C[b][a] / M the integral of dual(basis_a)
+    * basis_b * td(Y): C holds the columns of the form B = C^T, so chi(E, F)
+    = x B y / (M d e) for ch(E) = x / d and ch(F) = y / e, and ``chi_row``
+    reads C.  Row a of B pairs dual(basis_a) * td(Y) with the basis."""
     products = [ChowElement.basis(label).dual() * todd_y() for label in BASIS]
     m = lcm(*(z.den for z in products))
     rows = [[0] * len(BASIS) for _ in BASIS]
     for row, z in zip(rows, products):
         for i, j, c in _PAIRING:
             row[j] += z.nums[i] * c * (m // z.den)
-    return m, tuple(map(tuple, rows)), tuple(zip(*rows))
+    return m, tuple(zip(*rows))
 
 
 @lru_cache(maxsize=MAX_CACHED_EXPRS)
 def chi_row(e: BundleExpr) -> tuple[int, tuple[int, ...]]:
     """``(M * d, x B)`` for ch(e) = x / d: the left factor of every chi(e, -),
     whose right factor is ``ch_of`` of the other object itself."""
-    (m, _, columns), x = chi_form(), ch_of(e)
+    (m, columns), x = chi_form(), ch_of(e)
     return m * x.den, tuple(sum(map(mul, x.nums, column)) for column in columns)
 
 

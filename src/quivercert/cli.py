@@ -72,20 +72,20 @@ def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=MAX_CACHED_SETUPS)
 def _moduli_setup(quiver: str, dim: str, theta: str, twist: str | None = None):
     """The quiver, d and theta read from the texts of ``--quiver``, ``--dim``
-    and ``--theta``, or with the text of ``--twist`` their ``Moduli``: read
-    and checked once per texts, flag by flag in that order.  A refusal
-    raises on every call, since no exception is cached."""
+    and ``--theta`` with their ``hn_records``, or with the text of ``--twist``
+    their ``Moduli``: read and checked once per texts, flag by flag in that
+    order.  A refusal raises on every call, since no exception is cached."""
     q = Quiver.from_spec(quiver, "--quiver")
     d, theta = _parse_int_tuple(dim, "--dim"), _parse_int_tuple(theta, "--theta")
     if twist is None:
-        return q, d, theta
+        return q, d, theta, hn_records(q, d, theta)
     return Moduli(q, d, theta, _parse_int_tuple(twist, "--twist"))
 
 
 def _cmd_hn_types(args) -> tuple[dict, int]:
-    quiver, d, theta = _moduli_setup(args.quiver, args.dim, args.theta)
+    quiver, d, theta, records = _moduli_setup(args.quiver, args.dim, args.theta)
     rows = []
-    for parts, slopes, codim, s, threshold in hn_records(quiver, d, theta):
+    for parts, slopes, codim, s, threshold in records:
         row = {"parts": parts, "slopes": [render_ratio(*slope) for slope in slopes],
                "codim": codim, "semistable_stratum": s is None, "eta": threshold}
         if s is not None:

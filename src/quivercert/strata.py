@@ -13,8 +13,8 @@ margin = eta - max_weight >= 1.
 
 The record of each Harder-Narasimhan type (its parts, slopes and
 codimension, and the one-parameter subgroup and eta of its stratum) is
-built once per (quiver, d, theta) by ``hn_records``, which the strata of
-a ``Moduli`` and the ``hn-types`` command both read.
+built by ``hn_records``, which the strata of a ``Moduli`` and the
+``hn-types`` command both read, and each keeps what it reads.
 
 The weight ranges of an expression are weighed once per (expression,
 moduli) under a budget of their own, and cached with what they cost; a
@@ -37,7 +37,7 @@ from math import lcm
 from ._linalg import MAX_CACHED_SETUPS, _int_entries
 from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, characters,
                       charge_product)
-from .quiver import HNType, Quiver, _check_hn_input, enumerate_hn_types, reduced_slope
+from .quiver import HNType, Quiver, enumerate_hn_types, reduced_slope
 
 
 class OnePS(namedtuple("OnePS", "blocks")):
@@ -54,9 +54,6 @@ class OnePS(namedtuple("OnePS", "blocks")):
             if any(m <= 0 for _, m in vertex):
                 raise ValueError("block multiplicities must be positive")
         return super().__new__(cls, blocks)
-
-    def trace(self, i: int) -> int:
-        return sum(w * m for w, m in self.blocks[i])
 
 
 def one_ps_from_hn(tau: HNType, theta) -> OnePS:
@@ -91,17 +88,10 @@ def codim_and_eta(quiver: Quiver, s: OnePS) -> tuple[int, int]:
     return codim, eta
 
 
-def descent_shift(s: OnePS, twist) -> int:
-    """Additive weight twist making the universal bundles descend:
-    sum_j a_j * trace(lambda_j) for the twist vector a."""
-    if len(twist) != len(s.blocks):
-        raise ValueError("twist vector has wrong length")
-    return sum(a * s.trace(i) for i, a in enumerate(twist))
-
-
-def universal_weights(s: OnePS, shift: int) -> StratumWeights:
+def universal_weights(s: OnePS, twist) -> StratumWeights:
     """Weight multisets of the descended universal bundles U1 and U2, one
-    per vertex: raw block weights plus the descent shift of the twist.
+    per vertex: raw block weights plus the descent shift
+    sum_j a_j * trace(lambda_j) of the twist vector a.
 
     The twist must be unimodular against the dimension vector; with the
     additive shift convention used here the descended bundles have
@@ -109,13 +99,11 @@ def universal_weights(s: OnePS, shift: int) -> StratumWeights:
     that ``Moduli`` enforces, and which the working twist (1, -1)
     satisfies against (2, 3).
     """
-    out = []
-    for vertex in s.blocks:
-        ws: list[int] = []
-        for w, m in vertex:
-            ws.extend([w + shift] * m)
-        out.append(tuple(ws))
-    return StratumWeights(*out)
+    if len(twist) != len(s.blocks):
+        raise ValueError("twist vector has wrong length")
+    shift = sum(a * w * m for a, vertex in zip(twist, s.blocks) for w, m in vertex)
+    return StratumWeights(*(tuple(w + shift for w, m in vertex for _ in range(m))
+                            for vertex in s.blocks))
 
 
 class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
@@ -150,16 +138,7 @@ def hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
     Harder-Narasimhan type of (quiver, d, theta), in the enumeration order
     of the types: the parts, their reduced slopes ``(a, b)``, the
     codimension of the stratum, and its ``OnePS`` and threshold eta, both
-    None for the trivial type.  Built once per (quiver, d, theta).  The
-    input passes the gate of ``enumerate_hn_types`` before the cache is
-    read, so that no entry answers for input the gate refuses: (2.0, 3) ==
-    (2, 3) as a key."""
-    d, theta = _check_hn_input(quiver, d, theta)
-    return _hn_records(quiver, d, theta)
-
-
-@lru_cache(maxsize=MAX_CACHED_SETUPS)
-def _hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
+    None for the trivial type.  ``enumerate_hn_types`` checks the input."""
     records = []
     for tau in enumerate_hn_types(quiver, d, theta):
         s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
@@ -180,7 +159,7 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     bundles U1 and U2, so the quiver must have two vertices."""
     if moduli.quiver.vertex_count != 2:
         raise ValueError("bundle expressions assume a two-vertex quiver")
-    return tuple(StratumData(tau, threshold, universal_weights(s, descent_shift(s, moduli.twist)))
+    return tuple(StratumData(tau, threshold, universal_weights(s, moduli.twist))
                  for tau, _, _, s, threshold in hn_records(moduli.quiver, moduli.dim, moduli.theta)
                  if s is not None)
 
@@ -228,7 +207,7 @@ def _weigh(expr: BundleExpr, moduli: Moduli) -> tuple:
 StratumCheck = namedtuple("StratumCheck", "hn_type eta max_weight margin passed")
 
 
-def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> tuple[StratumCheck, ...]:
+def teleman_certify(expr: BundleExpr, moduli: Moduli) -> tuple[StratumCheck, ...]:
     """Vanishing certificate for the higher cohomology of a descended
     bundle, one row per unstable stratum: it passes when every row does,
     that is when every stratum weight is strictly below eta.
@@ -236,8 +215,6 @@ def teleman_certify(expr: BundleExpr, moduli: Moduli | None = None) -> tuple[Str
     A failed certificate is only "not certified"; the criterion is
     one-sided and says nothing about nonvanishing.
     """
-    if moduli is None:
-        moduli = Moduli.kronecker23()
     rows = []
     for s, r in zip(unstable_strata(moduli), weight_ranges(expr, moduli, WorkBudget())):
         # the zero bundle (no range) has no weights to bound: vacuously certified

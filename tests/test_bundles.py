@@ -38,7 +38,7 @@ from quivercert.bundles import (
     wedge2,
 )
 from quivercert.quiver import Quiver
-from quivercert.strata import Moduli, OnePS, descent_shift, universal_weights, unstable_strata
+from quivercert.strata import Moduli, OnePS, universal_weights, unstable_strata
 from test_cli import SAMPLES
 
 #: Tokens of the bundle-expression grammar, with words it refuses.
@@ -272,7 +272,7 @@ def _all_bases():
     and BASE."""
     moduli = Moduli.kronecker23()
     ones = OnePS(tuple(((1, n),) for n in moduli.dim))
-    central = universal_weights(ones, descent_shift(ones, moduli.twist))
+    central = universal_weights(ones, moduli.twist)
     return [s.weights for s in unstable_strata(moduli)] + [central, BASE]
 
 

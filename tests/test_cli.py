@@ -145,7 +145,7 @@ class TestHnTypes:
         argv = ["hn-types", "--quiver", json.dumps(q.to_json_dict()), "--dim",
                 ",".join(map(str, d)), "--theta", ",".join(map(str, theta))] + ["--pretty"] * pretty
         expected = cli_by_calls(argv)
-        for cached in (strata._hn_records, quiver._lattice):
+        for cached in (cli._moduli_setup, quiver._lattice):
             cached.cache_clear()
         cold = main_output(argv)
         assert cold == expected
@@ -169,10 +169,16 @@ class TestChi:
         assert code == 0
         assert doc["chi"] == 39
 
-    def test_bad_expression(self, capsys):
-        code, doc = run_cli(capsys, "chi", "--expr", "nope(U1)")
-        assert code == 2
-        assert "error" in doc
+    @pytest.mark.parametrize("expr,error", [
+        ("nope(U1)", "unknown identifier 'nope' (at position 0)"),
+        ("tensor(U1)", "tensor takes at least two arguments (at position 0)"),
+        ("sum(U1)", "sum takes at least two arguments (at position 0)"),
+        ("twist(U1)", "twist takes an expression and an integer (at position 0)"),
+        ("twist(U1,1,U2)", "twist takes an expression and an integer (at position 0)"),
+    ])
+    def test_bad_expression(self, capsys, expr, error):
+        assert main(["chi", "--expr", expr]) == 2
+        assert capsys.readouterr().out == json.dumps({"error": error}, separators=(",", ":")) + "\n"
 
 
 class TestCh:
@@ -995,9 +1001,15 @@ class TestDashDashValue:
 #: ``teleman`` is read from one cache per flag texts, which keeps no refusal.
 REFUSED_SETUPS = [
     pytest.param(["hn-types", "--quiver", "foo"], QUIVER_FORMS_ERROR, id="hn-types-quiver"),
+    pytest.param(["hn-types", "--quiver", "kronecker:0"], "arrow count must be positive",
+                 id="hn-types-no-arrows"),
+    pytest.param(["hn-types", "--quiver", '{"vertices":0,"arrows":[]}'],
+                 "vertex_count must be positive", id="hn-types-no-vertices"),
     pytest.param(["teleman", "--quiver", "kronecker:x", "--expr", "U1"], QUIVER_FORMS_ERROR,
                  id="teleman-quiver"),
     pytest.param(["hn-types", "--theta=1,-1"], "theta . d must be zero", id="hn-types-theta"),
+    pytest.param(["hn-types", "--dim=9,9"], f"subvector count above {MAX_SUBVECTORS}",
+                 id="hn-types-subvectors"),
     pytest.param(["teleman", "--theta=1,-1", "--expr", "U1"], "theta . d must be 0",
                  id="teleman-theta"),
     pytest.param(["teleman", "--twist=1,1", "--expr", "U1"], "twist . d must be -1 for descent",
@@ -1081,6 +1093,24 @@ class TestModuliSetup:
             assert main_output(argv)[0] == 0
         info = cli._moduli_setup.cache_info()
         assert (info.currsize, info.misses, info.hits) == (3, 3, 7)
+
+    def test_hn_types_reads_its_records_once_per_flag_texts(self, monkeypatch):
+        clear_package_caches()
+        calls = []
+
+        def counted(*setup):
+            calls.append(setup)
+            return strata.hn_records(*setup)
+
+        monkeypatch.setattr(cli, "hn_records", counted)
+        argvs = [["hn-types"], ["hn-types", "--dim", "2,3"], ["hn-types", "--dim=3,5", "--theta=5,-3"],
+                 ["hn-types", "--pretty"], ["hn-types", "--theta", "3,-2"], ["hn-types", "--dim=9,9"]]
+        expected = [cli_by_calls(argv) for argv in argvs]
+        assert [main_output(argv) for argv in argvs + argvs[::-1]] == expected + expected[::-1]
+        # one call per accepted flag texts; the gate refuses (9, 9) on each call
+        kronecker3 = quiver.Quiver.kronecker(3)
+        assert calls == [(kronecker3, (2, 3), (3, -2)), (kronecker3, (3, 5), (5, -3)),
+                         (kronecker3, (9, 9), (3, -2)), (kronecker3, (9, 9), (3, -2))]
 
 
 def _nested(depth: int) -> str:

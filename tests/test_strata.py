@@ -19,11 +19,9 @@ from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_
 from quivercert.cli import main
 from quivercert.strata import (
     Moduli,
-    _hn_records,
     _weigh,
     OnePS,
     codim_and_eta,
-    descent_shift,
     hn_records,
     one_ps_from_hn,
     teleman_certify,
@@ -108,16 +106,16 @@ def test_non_integer_input_is_refused(build):
 
 
 def test_no_fraction_on_the_strata_path(monkeypatch):
-    expected = unstable_strata(Y23), teleman_certify(sl(U1))
+    expected = unstable_strata(Y23), teleman_certify(sl(U1), Y23)
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction built on the strata path")
 
-    for cached in (_lattice, _hn_records, unstable_strata, _weigh):
+    for cached in (_lattice, unstable_strata, _weigh):
         cached.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", refuse)
     assert unstable_strata(Moduli.kronecker23()) == expected[0]
-    assert teleman_certify(sl(U1)) == expected[1]
+    assert teleman_certify(sl(U1), Y23) == expected[1]
 
 
 def records_by_calls(quiver, d, theta):
@@ -135,21 +133,21 @@ class TestHnRecords:
     @pytest.mark.parametrize("d,theta", [((2.0, 3), (3, -2)), ((2, 3), (3.0, -2)),
                                          ((2, 3), (3, -2.0))],
                              ids=["dim-float", "theta-float", "theta-last-float"])
-    def test_gate_comes_before_the_cache(self, d, theta):
-        # (2.0, 3) == (2, 3) and hash alike, so a lookup first would answer it
+    def test_non_integer_input_is_refused_after_the_integer_one(self, d, theta):
+        # (2.0, 3) == (2, 3) and hash alike: no cache may answer it
         hn_records(KRONECKER3, (2, 3), (3, -2))
         with pytest.raises(ValueError, match="non-integer"):
             hn_records(KRONECKER3, d, theta)
 
-    def test_list_input_shares_the_entry(self):
-        assert hn_records(KRONECKER3, [2, 3], [3, -2]) is hn_records(KRONECKER3, (2, 3), (3, -2))
+    def test_list_input_gives_the_tuple_input_s_records(self):
+        assert hn_records(KRONECKER3, [2, 3], [3, -2]) == hn_records(KRONECKER3, (2, 3), (3, -2))
 
     def test_caches_stay_within_their_bound(self):
         # more distinct theta than an entry bound: the least recently used go
         thetas = [(3 * k, -2 * k) for k in range(1, MAX_CACHED_SETUPS + 21)]
         first = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1))) for theta in thetas]
-        for cached in (_hn_records, unstable_strata):
-            assert 0 < cached.cache_info().currsize <= MAX_CACHED_SETUPS == cached.cache_info().maxsize
+        info = unstable_strata.cache_info()
+        assert 0 < info.currsize <= MAX_CACHED_SETUPS == info.maxsize
         again = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1)))
                  for theta in reversed(thetas)]
         assert again[::-1] == first
@@ -204,19 +202,19 @@ class TestUniversalWeights:
             assert type(s.weights) is StratumWeights and not hasattr(s.weights, "__dict__")
 
     def test_shift_values(self):
-        assert descent_shift(one_ps(((1, 1), (1, 2))), Y23.twist) == 2
-        assert descent_shift(one_ps(((2, 1), (0, 2))), Y23.twist) == 16
-        assert descent_shift(one_ps(((2, 0), (0, 3))), Y23.twist) == 12
+        for tau, shift in [(((1, 1), (1, 2)), 2), (((2, 1), (0, 2)), 16), (((2, 0), (0, 3)), 12)]:
+            s = one_ps(tau)
+            assert universal_weights(s, Y23.twist) == tuple(
+                tuple(w + shift for w, m in vertex for _ in range(m)) for vertex in s.blocks)
 
     def test_one_shift_per_stratum(self, monkeypatch):
         calls = []
 
         def counted(s, twist):
             calls.append(s)
-            return descent_shift(s, twist)
+            return universal_weights(s, twist)
 
-        monkeypatch.setattr("quivercert.strata.descent_shift", counted)
-        _hn_records.cache_clear()
+        monkeypatch.setattr("quivercert.strata.universal_weights", counted)
         unstable_strata.cache_clear()
         try:
             computed = unstable_strata(Y23)
@@ -226,13 +224,13 @@ class TestUniversalWeights:
         assert [one_ps(s.hn_type) for s in computed] == calls
 
     def test_twist_normalization_enforced(self):
-        # Moduli is the one place that checks it: universal_weights takes the
-        # shift that unstable_strata computes once per stratum
+        # Moduli is the one place that checks it: universal_weights checks
+        # only the twist's length
         with pytest.raises(ValueError, match="twist . d must be -1"):
             Moduli(KRONECKER3, (2, 3), (3, -2), (1, 1))
         s = one_ps_from_hn(((1, 1), (1, 2)), (3, -2))
         with pytest.raises(ValueError, match="twist vector has wrong length"):
-            descent_shift(s, (1, -1, 0))
+            universal_weights(s, (1, -1, 0))
 
     def test_moduli_validation(self):
         with pytest.raises(ValueError, match="theta . d"):
@@ -248,7 +246,7 @@ class TestUniversalWeights:
 
     def test_central_weight_nullity(self):
         ones = OnePS((((1, 2),), ((1, 3),)))
-        base = universal_weights(ones, descent_shift(ones, (1, -1)))
+        base = universal_weights(ones, (1, -1))
         assert all(w == 0 for vertex in base for w in vertex)
         rng = random.Random(7)
         for _ in range(25):
@@ -267,7 +265,7 @@ class TestUniversalWeights:
                 continue  # gcd(d) > 1: no twist descends
             twist = rng.choice(solutions)
             ones = OnePS(tuple(((1, n),) if n > 0 else () for n in d))
-            base = universal_weights(ones, descent_shift(ones, twist))
+            base = universal_weights(ones, twist)
             for leaf in (U1, U2, O(rng.randint(-20, 20))):
                 assert set(characters([base], leaf, WorkBudget()).maps[0]) <= {0}, (d, twist, leaf)
             checked += 1
@@ -279,7 +277,7 @@ class TestUniversalWeights:
                 scaled = OnePS(tuple(tuple((w * n, m) for w, m in vertex)
                                      for vertex in one_ps(s.hn_type).blocks))
                 assert codim_and_eta(KRONECKER3, scaled)[1] == n * s.eta
-                ws = universal_weights(scaled, descent_shift(scaled, Y23.twist))
+                ws = universal_weights(scaled, Y23.twist)
                 assert ws == tuple(
                     tuple(n * w for w in vertex) for vertex in s.weights
                 )

@@ -688,7 +688,7 @@ RECORD_BUILDERS = {
     "CollectionSpec": lambda: collection_variants()["sl_after_block0"],
     "PairStatus": lambda: verify_collection(standard_collection(), Y23).pairs[1][2],
     "StratumData": lambda: unstable_strata(Y23)[0],
-    "StratumCheck": lambda: teleman_certify(parse_expr("sl(U1)"))[0],
+    "StratumCheck": lambda: teleman_certify(parse_expr("sl(U1)"), Y23)[0],
     "VerificationMatrix": lambda: verify_collection(standard_collection(), Y23),
     "LinearFormMatrix": lambda: repgeom.parse_matrix("x,y,0;0,y,z"),
     # a quiver whose grouped arrows differ from its arrows in order and length
@@ -762,7 +762,6 @@ CACHES = {
     "quivercert.cli._moduli_setup": quiver.MAX_CACHED_SETUPS,
     "quivercert.quiver._lattice": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.Moduli.kronecker23": None,  # no arguments: one entry
-    "quivercert.strata._hn_records": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata.unstable_strata": quiver.MAX_CACHED_SETUPS,
     "quivercert.strata._weigh": bundles.MAX_CACHED_EXPRS,
     "quivercert.verify.standard_collection": 1,
@@ -788,7 +787,7 @@ def test_every_unbounded_cache_takes_no_arguments():
 
 def test_clearing_the_caches_empties_the_range_cache():
     clear_package_caches()
-    teleman_certify(parse_expr("twist(sl(U1),2)"))
+    teleman_certify(parse_expr("twist(sl(U1),2)"), Y23)
     assert strata._weigh.cache_info().currsize == 2
     clear_package_caches()
     assert strata._weigh.cache_info().currsize == 0

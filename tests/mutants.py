@@ -11,10 +11,11 @@ from any directory; it takes no options.  It copies the checkout (without
 pass there unmutated, then applies one mutant at a time to the copy's
 ``src/``, runs each named test file in one pytest child at a time, never
 more than one, and restores the module.  The kill matrix, killed or
-survived per (mutant, test file), goes to ``MUTANTS_50.json`` at the
-repository root, with the Python and hypothesis versions that drew the
-examples.  A mutant that no test file kills must be listed in
-``EQUIVALENT`` with the reason that no input tells it from the program.
+survived per (mutant, test file), goes to ``MUTANTS_51.json`` at the
+repository root, with the test that failed first in each killing file and
+the Python and hypothesis versions that drew the examples.  A mutant that
+no test file kills must be listed in ``EQUIVALENT`` with the reason that
+no input tells it from the program.
 
 Each child runs with a fixed hypothesis seed, and the example database that
 hypothesis leaves in the copy is deleted before the next mutant, so a run
@@ -38,7 +39,7 @@ from pathlib import Path
 import hypothesis
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "MUTANTS_50.json"
+OUTPUT = ROOT / "MUTANTS_51.json"
 
 #: pytest options of every child: stop at the first failure, a fixed
 #: hypothesis seed, and no cache written into the copy.
@@ -458,18 +459,21 @@ CATALOGUE = (
 EQUIVALENT: dict[str, str] = {}
 
 
-def _run_file(tree: Path, name: str) -> tuple[bool, str]:
-    """Whether ``tests/name`` passes in ``tree``, and the last line pytest
-    printed (or the timeout)."""
+def _run_file(tree: Path, name: str) -> tuple[bool, str, str | None]:
+    """Whether ``tests/name`` passes in ``tree``, the last line pytest
+    printed (or the timeout), and the id of the test that failed first."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", *PYTEST_ARGS, f"tests/{name}"],
                               cwd=tree, env=env, capture_output=True, text=True,
                               timeout=CHILD_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False, f"timeout after {CHILD_TIMEOUT_S} s"
+        return False, f"timeout after {CHILD_TIMEOUT_S} s", None
     lines = done.stdout.strip().splitlines() or [f"exit {done.returncode}"]
-    return done.returncode == 0, lines[-1]
+    # the short summary of -q names each failure "FAILED <id> - <message>"
+    failed = next((line[len("FAILED "):].split(" - ")[0] for line in lines
+                   if line.startswith("FAILED ")), None)
+    return done.returncode == 0, lines[-1], failed
 
 
 def main() -> int:
@@ -479,7 +483,7 @@ def main() -> int:
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "BENCH_*.json", "MUTANTS_*.json"))
         for name in files:
-            passed, last = _run_file(tree, name)
+            passed, last, _ = _run_file(tree, name)
             print(f"unmutated {name}: {last}", flush=True)
             if not passed:
                 print("the unmutated tests must pass first", file=sys.stderr)
@@ -493,17 +497,17 @@ def main() -> int:
                 print(f"{label}: old text occurs {text.count(old)} times", file=sys.stderr)
                 return 1
             path.write_text(text.replace(old, new), encoding="utf-8")
-            status = {}
+            status, first = {}, {}
             for name in names:
                 start = time.monotonic()
-                passed, last = _run_file(tree, name)
+                passed, last, first[name] = _run_file(tree, name)
                 status[name] = "survived" if passed else "killed"
                 print(f"{label} {name}: {status[name]} ({time.monotonic() - start:.1f} s; {last})",
                       flush=True)
             path.write_text(text, encoding="utf-8")
             killed = "killed" in status.values()
             rows.append({"label": label, "module": module, "old": old, "new": new,
-                         "files": status, "killed": killed,
+                         "files": status, "first_failures": first, "killed": killed,
                          "equivalent": None if killed else EQUIVALENT.get(label)})
     survivors = [row["label"] for row in rows if not row["killed"]]
     document = {

@@ -37,9 +37,9 @@ so each kept route names what it shares with ``src/quivercert``:
   ``strata.unstable_strata`` and the records of ``verify``.
 - Harder-Narasimhan types and strata: brute force over small finite fields
   and King's criterion on Schofield's general subrepresentations, which
-  share ``quiver.Quiver`` and ``quiver._check_hn_input``.
-  ``hn_table_with_generic`` reads ``quiver._lattice``, and the Fraction
-  slope routes read ``quiver.has_semistable``.
+  share ``quiver.Quiver`` and ``quiver._check_hn_input``.  The slopes,
+  one-parameter subgroups, codimensions and eta of the printed records are
+  re-derived by ``check_hn``, which imports nothing from the package.
 - Stability and syzygies: the Fraction parser and arithmetic, the gcd
   criterion ``is_stable_by_gcd`` and the row reduction ``sl3_by_dictionary``
   stand alone; ``pair_by_fractions`` and ``syzygy_tensors`` read
@@ -70,12 +70,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, inf, lcm, prod
+from math import factorial, gcd, lcm
 from operator import mul, sub
 from unittest import mock
 
 from hypothesis import strategies as st
 
+import check_hn
 import quivercert
 from quivercert import cli
 from quivercert._linalg import render_ratio
@@ -84,11 +85,11 @@ from quivercert.bundles import (_FUNCTIONS, _UNARY, MAX_DEPTH, O, U1, U2, Bundle
                                 direct_sum, dual, evaluate, sl, tensor, twist)
 from quivercert.chow import (_BASIS_MONOMIALS, _C1, _C2, _C3, _D2, _INDEX, BASIS, DEGREES,
                              ChowElement, ChowSyntaxError, RingInconsistencyError, ch_of)
-from quivercert.quiver import (MAX_SUBVECTORS, DimVector, HNType, Quiver, _check_hn_input,
-                               _lattice, enumerate_hn_types, has_semistable, reduced_slope)
+from quivercert.quiver import (DimVector, Quiver, _check_hn_input, enumerate_hn_types,
+                               has_semistable, reduced_slope)
 from quivercert.repgeom import (QUAD_MONOMIALS, VARS, LinearFormMatrix, _syzygy, is_stable, minors,
                                 syzygies)
-from quivercert.strata import (Moduli, OnePS, StratumCheck, one_ps_from_hn, unstable_strata,
+from quivercert.strata import (Moduli, StratumCheck, one_ps_from_hn, unstable_strata,
                                weight_ranges)
 from quivercert.verify import (EXCEPTIONAL, ORTHOGONAL, STRONG_EXT, UNDETERMINED, CollectionSpec,
                                PairStatus, VerificationMatrix)
@@ -128,87 +129,6 @@ def _subvectors(e):
     for f in itertools.product(*(range(x + 1) for x in e)):
         if any(f):
             yield f
-
-
-def arrow_counts(quiver: Quiver) -> tuple[tuple[int, int, int], ...]:
-    """The arrows of ``quiver`` grouped, as ``(i, j, m)`` for the m parallel
-    arrows i -> j, in the order of their first arrows: the cached grouping
-    that ``Quiver.groups`` replaced."""
-    return tuple((i, j, m) for (i, j), m in Counter(quiver.arrows).items())
-
-
-def _euler_form(arrows, d: DimVector, e: DimVector) -> int:
-    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j of two
-    checked dimension vectors, over the ``arrow_counts`` of a quiver."""
-    return sum(map(operator.mul, d, e)) - sum(m * d[i] * e[j] for i, j, m in arrows)
-
-
-def euler_form(quiver: Quiver, d, e) -> int:
-    """Euler form <d, e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j, with both
-    vectors checked: the entry that ``hn_stratum_codim`` called on every
-    pair of parts before it checked each part once."""
-    return _euler_form(arrow_counts(quiver), quiver.check_dim(d), quiver.check_dim(e))
-
-
-def hn_stratum_codim(quiver: Quiver, tau) -> int:
-    """Codimension of the stratum of a Harder-Narasimhan type:
-    -sum_{k<l} <d^k, d^l> = -sum_l <d^1 + ... + d^(l-1), d^l>, since the
-    Euler form is bilinear.  Each part is checked once.  The route by prefix
-    sums of the Euler form that ``strata.codim_and_eta`` replaced with a
-    count of negative directions."""
-    parts = [quiver.check_dim(p) for p in tau]
-    arrows = arrow_counts(quiver)
-    codim, before = 0, (0,) * quiver.vertex_count
-    for part in parts:
-        codim -= _euler_form(arrows, before, part)
-        before = tuple(map(operator.add, before, part))
-    return codim
-
-
-def hn_stratum_codim_by_pairs(quiver: Quiver, tau) -> int:
-    """-sum_{k<l} <d^k, d^l>, one checked Euler form per pair of parts: the
-    route that ``hn_stratum_codim`` replaced with prefix sums."""
-    parts = [quiver.check_dim(p) for p in tau]
-    return -sum(
-        euler_form(quiver, parts[k], parts[l])
-        for k in range(len(parts))
-        for l in range(k + 1, len(parts))
-    )
-
-
-def dim_vector(s: OnePS) -> tuple[int, ...]:
-    """The dimension vector of a one-parameter subgroup: the multiplicity
-    total per vertex."""
-    return tuple(sum(m for _, m in vertex) for vertex in s.blocks)
-
-
-def negative_directions(quiver: Quiver, s: OnePS):
-    """The strictly negative weight directions of the representation space
-    and of the gauge Lie algebra, as two lists of (weight, multiplicity),
-    one entry per group of parallel arrows."""
-
-    def directions(groups):
-        return [(wt - ws, ms * mt * m) for i, j, m in groups
-                for ws, ms in s.blocks[i] for wt, mt in s.blocks[j] if wt < ws]
-
-    return (directions(arrow_counts(quiver)),
-            directions((i, i, 1) for i in range(len(s.blocks))))
-
-
-def eta(quiver: Quiver, s: OnePS) -> int:
-    """Weight of det of the conormal bundle of the stratum: the negative
-    weight total inside the gauge group minus the one in the
-    representation space.  The route that ``strata.codim_and_eta`` folded
-    into one walk with the codimension."""
-    rep, gauge = negative_directions(quiver, s)
-    return sum(w * m for w, m in gauge) - sum(w * m for w, m in rep)
-
-
-def count_negative_directions(quiver: Quiver, s: OnePS) -> tuple[int, int]:
-    """Counts (not weight totals) of strictly negative weight directions in
-    the representation space and in the gauge Lie algebra."""
-    rep, gauge = negative_directions(quiver, s)
-    return sum(m for _, m in rep), sum(m for _, m in gauge)
 
 
 def symmetry_functor(e: BundleExpr) -> BundleExpr:
@@ -573,20 +493,6 @@ def slope(theta, e) -> Fraction:
     return Fraction(sum(t * x for t, x in zip(theta, e)), sum(e))
 
 
-def one_ps_by_fraction_slopes(tau: HNType, theta) -> OnePS:
-    """The one-parameter subgroup of a Harder-Narasimhan type from Fraction
-    slopes and the lcm of their denominators: the route that
-    ``strata.one_ps_from_hn`` replaced."""
-    slopes = [slope(theta, part) for part in tau]
-    scale = lcm(*(mu.denominator for mu in slopes)) if slopes else 1
-    weights = [int(mu * scale) for mu in slopes]
-    vertex_count = len(tau[0])
-    blocks = []
-    for i in range(vertex_count):
-        blocks.append(tuple((w, part[i]) for w, part in zip(weights, tau) if part[i] > 0))
-    return OnePS(tuple(blocks))
-
-
 # -- dense polynomials in one variable, coefficients ascending ------------------
 
 def poly_trim(p):
@@ -629,49 +535,6 @@ def q_binomial(n: int, k: int) -> tuple:
     if k in (0, n):
         return (1,)
     return poly_add(q_binomial(n - 1, k - 1), (0,) * k + q_binomial(n - 1, k))
-
-
-# -- the HN table that kept the first part of each generic type ---------------
-
-def hn_table_with_generic(quiver: Quiver, d: DimVector, theta: tuple) -> tuple:
-    """``(box, keys, semistable, firsts, generic, least)``: the table of
-    ``quiver._hn_table`` as it was before the argument of the ``quiver``
-    module docstring removed ``generic``, with that list and ``least``
-    returned too.  ``generic[x]`` is the key of the first part of the
-    generic type of h = ``box[x]`` (that of its dense stratum), and
-    ``least[x]`` the least key of a first part of any type.  (f, tau') is
-    the generic type of h, and h is not semistable, for the one first part
-    f whose generic rest tau' starts below the slope of f and with
-    <f, h - f> = 0.  With no such f, h is semistable, and its generic type
-    is (h)."""
-    box, pairs, columns, scaled = _lattice(d)
-    keys = [sum(map(operator.mul, theta, row)) for row in scaled]
-    flows = list(columns)  # the Euler rows by vertex j, over the box
-    for i, j, m in arrow_counts(quiver):
-        flows[j] = list(map(operator.sub, flows[j], map(m.__mul__, columns[i])))
-    rows = list(zip(*flows))
-    semistable = [False] * len(box)
-    generic = [-inf] * len(box)  # the key of the first part of the generic type
-    least = [-inf] * len(box)  # the least key of a first part
-    firsts = [((), ())] * len(box)
-    for x in range(1, len(box)):
-        parts, dense = [], None
-        for y in pairs[x]:
-            key = keys[y]
-            if semistable[y] and least[x - y] < key:
-                parts.append((key, y))
-                if generic[x - y] < key and not sum(map(operator.mul, rows[y], box[x - y])):
-                    dense = key
-        if dense is None:
-            semistable[x] = True
-            dense = keys[x]
-            parts.append((dense, x))
-        generic[x] = dense
-        parts.sort()
-        below, ys = zip(*parts)
-        firsts[x] = below, ys
-        least[x] = below[0]
-    return box, keys, semistable, firsts, generic, least
 
 
 # -- semistable existence from general subrepresentations ---------------------
@@ -832,25 +695,6 @@ def sst_count_by_fraction_slopes(quiver: Quiver, e: DimVector, theta: tuple) -> 
         if f != e:
             total = poly_sub(total, first_part(e, f))
     return total
-
-
-def is_hn_type_by_fraction_slopes(quiver: Quiver, d, theta, tau) -> bool:
-    """The defining conditions of a Harder-Narasimhan type, with Fraction
-    slopes and one ``has_semistable`` call per part: the route that
-    ``is_hn_type`` replaced, its subvector check written out."""
-    parts = [quiver.check_dim(p) for p in tau]
-    if not parts or any(not any(p) for p in parts):
-        return False
-    d = quiver.check_dim(d)
-    if prod(x + 1 for x in d) > MAX_SUBVECTORS:
-        raise ValueError(f"subvector count above {MAX_SUBVECTORS}")
-    total = tuple(sum(col) for col in zip(*parts))
-    if total != d:
-        return False
-    slopes = [slope(theta, p) for p in parts]
-    if any(a <= b for a, b in zip(slopes, slopes[1:])):
-        return False
-    return all(has_semistable(quiver, p, theta) for p in parts)
 
 
 # -- Todd class from Chern roots ----------------------------------------------
@@ -1292,7 +1136,8 @@ def localization_fixed_points() -> tuple:
                 for i, u in enumerate(first) for e in _UNITS if _plus(u, e) in second))
             dim = tuple(v1.count(u) for u in first) + tuple(v2.count(v) for v in second)
             theta = (3,) * len(first) + (-2,) * len(second)
-            if euler_form(quiver, dim, dim) == 1 and has_semistable(quiver, dim, theta):
+            euler = sum(x * x for x in dim) - sum(dim[i] * dim[j] for i, j in quiver.arrows)
+            if euler == 1 and has_semistable(quiver, dim, theta):
                 points.append((v1, v2))
     return tuple(points)
 
@@ -1908,27 +1753,24 @@ def syzygies_command_by_fractions(args) -> tuple[dict, int]:
 
 
 def hn_types_command_by_calls(args) -> tuple[dict, int]:
-    """The ``hn-types`` handler that rebuilt every row on each call through
-    the checking ``reduced_slope``, ``hn_stratum_codim``, ``one_ps_from_hn``
-    and ``eta``, each type and block copied into lists, before the rows
-    were read from ``strata.hn_records``."""
+    """The ``hn-types`` handler that rebuilt every row on each call, each
+    type and block copied into lists, before the rows were read from
+    ``strata.hn_records``: the slopes through the checking
+    ``reduced_slope``, the subgroup through ``one_ps_from_hn``, and the
+    codimension and eta from the outside checker ``check_hn``."""
     quiver = Quiver.from_spec(args.quiver, "--quiver")
     d = cli._parse_int_tuple(args.dim, "--dim")
     theta = cli._parse_int_tuple(args.theta, "--theta")
+    counts = Counter(quiver.arrows)
     rows = []
     for tau in enumerate_hn_types(quiver, d, theta):
-        row = {
-            "parts": [list(p) for p in tau],
-            "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
-            "codim": hn_stratum_codim(quiver, tau),
-            "semistable_stratum": len(tau) == 1,
-        }
+        blocks = one_ps_from_hn(tau, theta).blocks
+        codim, eta = check_hn.codim_and_eta(counts, blocks)
+        row = {"parts": [list(p) for p in tau], "codim": codim, "semistable_stratum": len(tau) == 1,
+               "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
+               "eta": None if len(tau) == 1 else eta}
         if len(tau) > 1:
-            s = one_ps_from_hn(tau, theta)
-            row["one_ps"] = [[list(block) for block in vertex] for vertex in s.blocks]
-            row["eta"] = eta(quiver, s)
-        else:
-            row["eta"] = None
+            row["one_ps"] = [[list(block) for block in vertex] for vertex in blocks]
         rows.append(row)
     return {"quiver": {"vertices": quiver.vertex_count, "arrows": [list(a) for a in quiver.arrows]},
             "dim": list(d), "theta": list(theta), "types": rows}, 0

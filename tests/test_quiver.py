@@ -16,21 +16,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from check_hn import codim_and_eta, one_ps
 from golden import HN_TYPES_23
 from oracles import (
     GF,
     KRONECKER3,
     all_reps,
-    euler_form,
     exists_semistable_brute,
     gl_order,
-    hn_stratum_codim,
-    hn_stratum_codim_by_pairs,
-    hn_table_with_generic,
     hn_type_brute,
     hn_types_by_subvectors,
     is_hn_type,
-    is_hn_type_by_fraction_slopes,
     is_semistable_brute,
     poly_mul,
     semistable_by_subrepresentations,
@@ -96,13 +92,12 @@ def benchmark_shapes(draw):
 
 
 @st.composite
-def hn_candidates(draw, balanced=False):
-    """``quiver_dim_theta`` with a candidate chain tau: parts that sum to d,
-    parts drawn below d, zero parts and parts of the wrong shape included,
-    or, for balanced theta, one of the enumerated types."""
-    quiver, d, theta = draw(quiver_dim_theta(balanced=balanced))
-    kinds = ["split", "random"] + ["enumerated"] * balanced
-    kind = draw(st.sampled_from(kinds))
+def hn_candidates(draw):
+    """``quiver_dim_theta`` with balanced theta and a candidate chain tau:
+    parts that sum to d, parts drawn below d, zero parts and parts of the
+    wrong shape included, or one of the enumerated types."""
+    quiver, d, theta = draw(quiver_dim_theta(balanced=True))
+    kind = draw(st.sampled_from(["split", "random", "enumerated"]))
     if kind == "enumerated":
         return quiver, d, theta, draw(st.sampled_from(enumerate_hn_types(quiver, d, theta)))
     if kind == "split":
@@ -201,9 +196,7 @@ class TestQuiver:
     @pytest.mark.parametrize("call,what", [
         (lambda: enumerate_hn_types(KRONECKER3, (1.7, 1), (1, -1)), "dimension vector"),
         (lambda: has_semistable(KRONECKER3, (1, 1), (0.9, -0.9)), "theta"),
-        (lambda: euler_form(KRONECKER3, (1.5, 1), (1, 1)), "dimension vector"),
         (lambda: is_hn_type(KRONECKER3, (2, 3), (3, -2), ((2, 3.0),)), "dimension vector"),
-        (lambda: hn_stratum_codim(KRONECKER3, ((0, 1), (2, 2.0))), "dimension vector"),
     ])
     def test_non_integer_entries_are_refused(self, call, what):
         # int() would truncate them to the nearest integer toward zero
@@ -235,36 +228,6 @@ class TestSlope:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="undefined slope"):
             reduced_slope((3, -2), (0, 0))
-
-
-class TestEulerForm:
-    def test_working_vector(self):
-        assert euler_form(KRONECKER3, (2, 3), (2, 3)) == -5
-        assert 1 - euler_form(KRONECKER3, (2, 3), (2, 3)) == 6  # dim Y
-
-    def test_simples(self):
-        assert euler_form(KRONECKER3, (1, 0), (0, 1)) == -3
-
-    def test_zero(self):
-        assert euler_form(KRONECKER3, (2, 3), (0, 0)) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            euler_form(KRONECKER3, (1, 2, 3), (2, 3))
-
-    @given(
-        st.tuples(st.integers(0, 5), st.integers(0, 5)),
-        st.tuples(st.integers(0, 5), st.integers(0, 5)),
-        st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    )
-    def test_bilinear(self, d, dprime, e):
-        total = tuple(a + b for a, b in zip(d, dprime))
-        assert euler_form(KRONECKER3, total, e) == euler_form(
-            KRONECKER3, d, e
-        ) + euler_form(KRONECKER3, dprime, e)
-        assert euler_form(A2, e, total) == euler_form(A2, e, d) + euler_form(
-            A2, e, dprime
-        )
 
 
 class TestHasSemistable:
@@ -514,16 +477,16 @@ def many_arrows_quiver_dim_theta(draw, balanced=False):
 
 class TestReplacedRoutes:
     """With the lattice cold and warm, the lattice equals the one enumerated
-    subvector by subvector, ``_lattice_by_enumeration``, and the table and
-    the walk equal the table they replaced, ``hn_table_with_generic``, and
-    the subvector walk over King's criterion, ``hn_types_by_subvectors``."""
+    subvector by subvector, ``_lattice_by_enumeration``, the table is the
+    same, and the walk equals the subvector walk over King's criterion,
+    ``hn_types_by_subvectors``."""
 
     @staticmethod
     def assert_equal_routes(quiver, d, theta):
         lattice = _lattice_by_enumeration(d)
         assert _cold_and_warm(lambda: _lattice(d)) == (lattice, lattice)
-        table = hn_table_with_generic(quiver, d, theta)[:4]
-        assert _cold_and_warm(lambda: _hn_table(quiver, d, theta)) == (table, table)
+        cold, warm = _cold_and_warm(lambda: _hn_table(quiver, d, theta))
+        assert cold == warm
         assert _lattice.cache_info().hits >= 1
         if sum(map(operator.mul, theta, d)) == 0:
             types = hn_types_by_subvectors(quiver, d, theta)
@@ -543,28 +506,6 @@ class TestReplacedRoutes:
     def test_wide_shapes(self, quiver, d, theta):
         assert _check_hn_input(quiver, d, theta)
         self.assert_equal_routes(quiver, d, theta)
-
-
-class TestDenseTypeStartsLowest:
-    """The argument of the ``quiver`` module docstring: the dense type of h
-    starts at the least slope of a first part of any type, so the table that
-    kept the first part of each dense (generic) type kept a copy of
-    ``least``, and the table without it equals it."""
-
-    @staticmethod
-    def assert_generic_is_least(quiver, d, theta):
-        box, keys, semistable, firsts, generic, least = hn_table_with_generic(quiver, d, theta)
-        assert generic == least
-        assert _hn_table(quiver, d, theta) == (box, keys, semistable, firsts)
-
-    @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
-    def test_wide_shapes(self, quiver, d, theta):
-        self.assert_generic_is_least(quiver, d, theta)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(gated_quiver_dim_theta(), many_arrows_quiver_dim_theta(), benchmark_shapes()))
-    def test_random_quivers(self, case):
-        self.assert_generic_is_least(*case)
 
 
 class TestGeneralSubrepresentations:
@@ -787,19 +728,7 @@ class TestEnumerateHnTypes:
         assert not [name for name in vars(_linalg) if name.startswith("poly_")]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(hn_candidates(), hn_candidates(balanced=True)))
-    def test_is_hn_type_equals_fraction_slope_oracle(self, case):
-        quiver, d, theta, tau = case
-        try:
-            expected = is_hn_type_by_fraction_slopes(quiver, d, theta, tau)
-        except ValueError:
-            with pytest.raises(ValueError):
-                is_hn_type(quiver, d, theta, tau)
-        else:
-            assert is_hn_type(quiver, d, theta, tau) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(hn_candidates(balanced=True))
+    @given(hn_candidates())
     def test_is_hn_type_holds_exactly_for_enumerated_types(self, case):
         quiver, d, theta, tau = case
         try:
@@ -815,30 +744,30 @@ class TestEnumerateHnTypes:
             with pytest.raises(ValueError, match="^theta has wrong length$"):
                 is_hn_type(KRONECKER3, (2, 3), (3, -2, 0), tau)
 
-    def test_defining_conditions(self):
-        # semistable parts of equal slope summing to d
-        assert not is_hn_type(KRONECKER3, (2, 2), (1, -1), ((1, 1), (1, 1)))
-        for tau in enumerate_hn_types(KRONECKER3, (2, 3), (3, -2)):
-            assert is_hn_type(KRONECKER3, (2, 3), (3, -2), tau)
-            slopes = [slope((3, -2), p) for p in tau]
-            assert all(a > b for a, b in zip(slopes, slopes[1:]))
-            assert tuple(map(sum, zip(*tau))) == (2, 3)
-
 
 class TestDenseStratum:
-    """Reineke's two facts on which the HN table rests, checked on the
-    enumerated types: every stratum has codimension at least 0, and the
-    representation space is irreducible, so exactly one type has
-    codimension 0, the trivial one exactly when d is semistable."""
+    """Reineke's two facts on which the HN table rests, checked with the
+    codimensions of the outside checker: every stratum has codimension at
+    least 0, and Rep(d) is irreducible, so exactly one type has codimension
+    0, the trivial one exactly when d is semistable; and, as the module
+    docstring argues, it starts at the least slope that starts any type."""
 
     @staticmethod
     def assert_one_dense_type(quiver, d, theta):
         types = enumerate_hn_types(quiver, d, theta)
-        codims = [hn_stratum_codim(quiver, tau) for tau in types]
+        codims = [codim_and_eta(Counter(quiver.arrows), one_ps(theta, tau))[0] for tau in types]
         assert min(codims) >= 0
         dense = [tau for tau, codim in zip(types, codims) if codim == 0]
         assert len(dense) == 1
         assert (dense == [(d,)]) == has_semistable(quiver, d, theta)
+        assert slope(theta, dense[0][0]) == min(slope(theta, tau[0]) for tau in types)
+
+    @classmethod
+    def assert_one_dense_type_below(cls, quiver, d, theta):
+        # at every nonzero h <= d, theta balanced on h
+        for h in itertools.islice(itertools.product(*(range(x + 1) for x in d)), 1, None):
+            dot = sum(map(operator.mul, theta, h))
+            cls.assert_one_dense_type(quiver, h, tuple(t * sum(h) - dot for t in theta))
 
     @pytest.mark.parametrize("d", LADDER)
     def test_ladder(self, d):
@@ -853,6 +782,15 @@ class TestDenseStratum:
     @given(many_arrows_quiver_dim_theta(balanced=True))
     def test_hundreds_of_arrows(self, case):
         self.assert_one_dense_type(*case)
+
+    @pytest.mark.parametrize("quiver,d,theta", WIDE_SHAPES, ids=WIDE_IDS)
+    def test_every_subvector_of_wide_shapes(self, quiver, d, theta):
+        self.assert_one_dense_type_below(quiver, d, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(gated_quiver_dim_theta(), many_arrows_quiver_dim_theta(), benchmark_shapes()))
+    def test_every_subvector_of_random_quivers(self, case):
+        self.assert_one_dense_type_below(*case)
 
 
 class TestSubvectorLimit:
@@ -890,34 +828,3 @@ class TestSubvectorLimit:
     def test_huge_entries_are_refused_at_once(self):
         with pytest.raises(ValueError, match="subvector count above"):
             enumerate_hn_types(KRONECKER3, (10 ** 100, 10 ** 100), (1, -1))
-
-
-class TestStratumCodim:
-    def test_rank_one_wall(self):
-        assert hn_stratum_codim(KRONECKER3, ((1, 1), (1, 2))) == 3
-
-    def test_open_stratum(self):
-        assert hn_stratum_codim(KRONECKER3, ((2, 3),)) == 0
-
-    def test_deepest(self):
-        assert hn_stratum_codim(KRONECKER3, ((2, 0), (0, 3))) == 18
-
-    @settings(max_examples=200, deadline=None)
-    @given(hn_candidates())
-    def test_equals_sum_over_pairs(self, case):
-        quiver, _, _, tau = case
-        try:
-            expected = hn_stratum_codim_by_pairs(quiver, tau)
-        except ValueError as error:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
-                hn_stratum_codim(quiver, tau)
-        else:
-            assert hn_stratum_codim(quiver, tau) == expected
-
-    def test_malformed_part_is_refused(self):
-        cases = [(((1, 0), (1, -1), (0, 2)), r"dimension vector \(1, -1\) has negative entries"),
-                 (((1, 0), (0, -1, 0)), r"dimension vector \(0, -1, 0\) has wrong length")]
-        for tau, message in cases:
-            for route in (hn_stratum_codim, hn_stratum_codim_by_pairs):
-                with pytest.raises(ValueError, match=f"^{message}$"):
-                    route(KRONECKER3, tau)

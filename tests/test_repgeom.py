@@ -255,6 +255,8 @@ class TestStability:
     @given(stability_cases())
     # each off-diagonal slot of its sl3 plane is nonzero in one of the two matrices
     @example((parse_matrix("x,y,z;y,z,x"), False))
+    # its first sl3 matrix, diag(-1, -1, 2) / 3, puts -1 at yz (x) x of its tensor
+    @example((parse_matrix("y,x,0;0,y,z"), False))
     def test_gcd_oracle_agreement(self, case):
         r, unstable = case
         stable = is_stable(r)

@@ -1,21 +1,27 @@
+import ast
 import json
+import operator
 import random
+import re
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from golden import STRATUM_TABLE
-from oracles import (KRONECKER3, count_negative_directions, dim_vector, eta, hn_stratum_codim,
-                     one_ps_by_fraction_slopes, random_expr, stratum_checks, weight_ranges_by_walk,
-                     weights_of)
+import check_hn
+from golden import HN_TYPES_23, STRATUM_TABLE
+from oracles import KRONECKER3, random_expr, stratum_checks, weight_ranges_by_walk, weights_of
+from test_cli import TESTS, TRANSCRIPT, main_output
 from test_quiver import many_arrows_quiver_dim_theta, quiver_dim_theta
 from test_verify import EXPRS
 from quivercert import bundles
 from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
                                 characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
-from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types, reduced_slope
+from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, reduced_slope
 from quivercert.cli import main
 from quivercert.strata import (
     Moduli,
@@ -32,6 +38,13 @@ from quivercert.strata import (
 from quivercert.verify import collection_variants, standard_collection
 
 Y23 = Moduli.kronecker23()
+
+HN_RECORDS = [r for r in TRANSCRIPT if r["argv"][0] in ("hn-types", "teleman")]
+
+
+def as_json(value):
+    """``value`` as it reads back from JSON: tuples become lists."""
+    return json.loads(json.dumps(value))
 
 
 def one_ps(tau):
@@ -61,26 +74,6 @@ class TestOnePS:
     def test_weights_strictly_decrease(self):
         with pytest.raises(ValueError):
             OnePS((((1, 1), (1, 2)), ()))
-
-    @pytest.mark.parametrize("d", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7)])
-    def test_equals_fraction_slope_oracle_on_the_ladder(self, d):
-        theta = (d[1], -d[0])
-        for tau in enumerate_hn_types(KRONECKER3, d, theta):
-            assert one_ps_from_hn(tau, theta).blocks == one_ps_by_fraction_slopes(tau, theta).blocks
-
-    @settings(max_examples=200, deadline=None)
-    @given(quiver_dim_theta(balanced=True))
-    def test_equals_fraction_slope_oracle(self, case):
-        quiver, d, theta = case
-        for tau in enumerate_hn_types(quiver, d, theta):
-            assert one_ps_from_hn(tau, theta).blocks == one_ps_by_fraction_slopes(tau, theta).blocks
-
-    @settings(max_examples=100, deadline=None)
-    @given(quiver_dim_theta(balanced=True))
-    def test_multiplicities_sum_to_the_dimension_vector(self, case):
-        quiver, d, theta = case
-        for tau in enumerate_hn_types(quiver, d, theta):
-            assert dim_vector(one_ps_from_hn(tau, theta)) == d
 
     @pytest.mark.parametrize("tau", [((2, 3), (0, 0)), ((0, 0), (2, 3)), ((1, 1), (1, 2, 0)),
                                      ((1, 1, 0), (1, 2))])
@@ -118,17 +111,6 @@ def test_no_fraction_on_the_strata_path(monkeypatch):
     assert teleman_certify(sl(U1), Y23) == expected[1]
 
 
-def records_by_calls(quiver, d, theta):
-    """The records of ``hn_records``, each field from its checking function,
-    the codimension and eta from the routes that ``codim_and_eta`` replaced."""
-    out = []
-    for tau in enumerate_hn_types(quiver, d, theta):
-        s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
-        out.append((tau, tuple(reduced_slope(theta, p) for p in tau),
-                    hn_stratum_codim(quiver, tau), s, None if s is None else eta(quiver, s)))
-    return tuple(out)
-
-
 class TestHnRecords:
     @pytest.mark.parametrize("d,theta", [((2.0, 3), (3, -2)), ((2, 3), (3.0, -2)),
                                          ((2, 3), (3, -2.0))],
@@ -151,15 +133,16 @@ class TestHnRecords:
         again = [unstable_strata(Moduli(KRONECKER3, (2, 3), theta, (1, -1)))
                  for theta in reversed(thetas)]
         assert again[::-1] == first
-        assert [hn_records(KRONECKER3, (2, 3), theta) for theta in thetas[:3]] == [
-            records_by_calls(KRONECKER3, (2, 3), theta) for theta in thetas[:3]]
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.one_of(quiver_dim_theta(balanced=True), many_arrows_quiver_dim_theta(balanced=True)))
-    def test_equal_the_replaced_codim_and_eta(self, case):
-        # one walk per stratum gives the codimension of the Euler form and
-        # the eta of the negative directions
-        assert hn_records(*case) == records_by_calls(*case)
+    def test_pass_the_outside_check(self, case):
+        # each slope, one-parameter subgroup, codim and eta that hn-types prints
+        quiver, d, theta = case
+        argv = ["hn-types", "--quiver", json.dumps(quiver.to_json_dict()),
+                "--dim=" + ",".join(map(str, d)), "--theta=" + ",".join(map(str, theta))]
+        code, out = main_output(argv)
+        assert check_hn.check_document(argv, json.loads(out), code) == "hn-types"
 
 
 class TestGoldenTable:
@@ -178,19 +161,108 @@ class TestGoldenTable:
     def test_eta_positive(self, strata):
         assert all(s.eta > 0 for s in strata.values())
 
-    def test_codim_equals_direction_count(self, strata):
-        for tau, s in strata.items():
-            neg_r, neg_g = count_negative_directions(KRONECKER3, one_ps(tau))
-            assert neg_r - neg_g == hn_stratum_codim(KRONECKER3, tau)
-            assert codim_and_eta(KRONECKER3, one_ps(tau)) == (neg_r - neg_g, s.eta)
+    def test_codim_spot_values(self):
+        codims = {parts: codim for parts, _, codim, _, _ in hn_records(*Y23[:3])}
+        assert (codims[((1, 1), (1, 2))], codims[((2, 3),)], codims[((2, 0), (0, 3))]) == (3, 0, 18)
 
-    def test_direction_counts_spot_values(self, strata):
-        assert count_negative_directions(
-            KRONECKER3, one_ps(((1, 1), (1, 2)))
-        ) == (6, 3)
-        assert count_negative_directions(
-            KRONECKER3, one_ps(((2, 0), (0, 3)))
-        ) == (18, 0)
+
+def assert_each_move_named(rows, where: str, check) -> Counter:
+    """``check`` refuses ``rows`` with any one integer in the JSON text of a
+    field moved by one, a slope's numerator or denominator included, or any
+    one flag flipped, and names the row and the field; returns the number
+    of moves per field."""
+    moved = Counter()
+    for k, row in enumerate(rows):
+        for field in {"slopes", "semistable_stratum", "one_ps", "codim", "eta", "margin",
+                      "pass"} & row.keys():
+            text = json.dumps(row[field])
+            for m in re.finditer(r"-?\d+|true|false", text):
+                flipped = {"true": ["false"], "false": ["true"]}.get(m[0])
+                for new in flipped or [str(int(m[0]) + step) for step in (-1, 1)]:
+                    copy = as_json(rows)
+                    copy[k][field] = json.loads(text[:m.start()] + new + text[m.end():])
+                    moved[field] += 1
+                    with pytest.raises(check_hn.Mismatch, match=rf"^{where}\[{k}\]\.{field}:"):
+                        check(copy)
+    return moved
+
+
+def seeded_calls(seed=51) -> list:
+    """Gated argv: ``hn-types`` on 2-3-vertex quivers (up to three parallel arrows,
+    zeros in d), on the ladder and on ``kronecker:10000`` (7, 7); ``teleman`` on the ladder."""
+    rng = random.Random(seed)
+    calls = [["hn-types", "--quiver", "kronecker:10000", "--dim", "7,7", "--theta", "7,-7"]]
+    for (a, b), twist in (((2, 3), "1,-1"), ((3, 4), "1,-1"), ((3, 5), "-2,1"), ((4, 5), "1,-1"),
+                          ((4, 7), "-2,1")):
+        setup = [f"--dim={a},{b}", f"--theta={b},{-a}"]
+        calls += [["hn-types", *setup]] + [["teleman", *setup, f"--twist={twist}", "--expr", e]
+                                           for e in ("U1", "sl(U2)", "O(-3)", "dual(U2)")]
+    while len(calls) < 340:
+        n = rng.randint(2, 3)
+        arrows = [[i, j] for i in range(n) for j in range(i + 1, n)
+                  for _ in range(rng.randint(0, 3))]
+        d, theta = [rng.randint(0, 3) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)]
+        dot = sum(map(operator.mul, theta, d))
+        calls.append(["hn-types", "--quiver", json.dumps({"vertices": n, "arrows": arrows}),
+                      "--dim=" + ",".join(map(str, d)),
+                      "--theta=" + ",".join(str(t * sum(d) - dot) for t in theta)])
+    return calls
+
+
+class TestOutsideChecker:
+    """``tests/check_hn.py`` re-derives every printed HN record from the
+    quiver, theta and the parts alone, and names the first field that does
+    not follow."""
+
+    def test_transcript_records_pass_and_each_moved_field_is_named(self):
+        for record in HN_RECORDS:
+            argv, code, doc = record["argv"], record["code"], json.loads(record["stdout"])
+            assert check_hn.check_document(argv, doc, code) == argv[0]
+            where = "types" if argv[0] == "hn-types" else "strata"
+            assert_each_move_named(doc[where], where, lambda rows: check_hn.check_document(
+                argv, {**doc, where: rows}, code))
+            if argv[0] == "teleman":
+                with pytest.raises(check_hn.Mismatch, match=r"^pass:"):
+                    check_hn.check_document(argv, {**doc, "pass": not doc["pass"]}, code)
+
+    def test_golden_tables_pass_and_each_moved_field_is_named(self):
+        # HN_TYPES_23, with the one_ps and eta of STRATUM_TABLE
+        rows = as_json([{"parts": tau, "semistable_stratum": len(tau) == 1,
+                         **{key: STRATUM_TABLE[tau][key] for key in ("one_ps", "eta")
+                            if tau in STRATUM_TABLE}} for tau in HN_TYPES_23])
+        quiver = as_json(KRONECKER3.to_json_dict())
+        check_hn.check_rows(quiver, [2, 3], [3, -2], rows, "types", full=False)
+        moved = assert_each_move_named(rows, "types", lambda copy: check_hn.check_rows(
+            quiver, [2, 3], [3, -2], copy, "types", full=False))
+        assert moved["eta"] == 2 * len(STRATUM_TABLE) and moved["one_ps"] >= 4 * len(STRATUM_TABLE)
+
+    def test_seeded_cli_documents_pass(self):
+        checked = Counter()
+        for argv in seeded_calls():
+            code, out = main_output(argv)
+            if code != 2:  # refused by the gate: nothing printed to check
+                checked[check_hn.check_document(argv, json.loads(out), code)] += 1
+        assert checked["hn-types"] >= 300 and checked["teleman"] == 20
+
+    def test_runs_as_a_script(self):
+        # -I: no PYTHONPATH, no script directory and no user site on sys.path
+        script = [sys.executable, "-I", str(TESTS / "check_hn.py")]
+        argv = ["hn-types", "--dim=3,5", "--theta", "5,-3"]
+        doc = json.loads(main_output(argv)[1])
+        for stdin, args, code in [(json.dumps(TRANSCRIPT), [], 0), (json.dumps(doc), argv, 0),
+                                  (json.dumps({**doc, "dim": [3, 4]}), argv, 1)]:
+            done = subprocess.run(script + args, input=stdin, capture_output=True, text=True)
+            assert done.returncode == code
+        assert done.stderr.startswith("hn-types --dim=3,5 --theta 5,-3: dim: printed [3, 4]")
+
+    def test_imports_the_standard_library_only(self):
+        for node in ast.walk(ast.parse((TESTS / "check_hn.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and node.module in sys.stdlib_module_names, node.module
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] in sys.stdlib_module_names for a in node.names)
+            assert getattr(node, "id", getattr(node, "attr", None)) not in (
+                "__import__", "import_module"), "an import at run time"
 
 
 class TestUniversalWeights:

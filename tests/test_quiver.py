@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from check_hn import codim_and_eta, one_ps
+from check_hn import Mismatch, check_rows, codim_and_eta, one_ps
 from golden import HN_TYPES_23
 from oracles import (
     GF,
@@ -92,12 +92,13 @@ def benchmark_shapes(draw):
 
 
 @st.composite
-def hn_candidates(draw):
-    """``quiver_dim_theta`` with balanced theta and a candidate chain tau:
-    parts that sum to d, parts drawn below d, zero parts and parts of the
-    wrong shape included, or one of the enumerated types."""
-    quiver, d, theta = draw(quiver_dim_theta(balanced=True))
-    kind = draw(st.sampled_from(["split", "random", "enumerated"]))
+def hn_candidates(draw, balanced=False):
+    """``quiver_dim_theta`` with a candidate chain tau: parts that sum to d,
+    parts drawn below d, zero parts and parts of the wrong shape included,
+    or, for balanced theta, one of the enumerated types."""
+    quiver, d, theta = draw(quiver_dim_theta(balanced=balanced))
+    kinds = ["split", "random"] + ["enumerated"] * balanced
+    kind = draw(st.sampled_from(kinds))
     if kind == "enumerated":
         return quiver, d, theta, draw(st.sampled_from(enumerate_hn_types(quiver, d, theta)))
     if kind == "split":
@@ -728,7 +729,29 @@ class TestEnumerateHnTypes:
         assert not [name for name in vars(_linalg) if name.startswith("poly_")]
 
     @settings(max_examples=200, deadline=None)
-    @given(hn_candidates())
+    @given(st.one_of(hn_candidates(), hn_candidates(balanced=True)))
+    def test_is_hn_type_equals_the_checker_conditions(self, case):
+        # nonzero parts that sum to d at strictly decreasing slopes, as the
+        # outside checker requires of a printed type, each part with a
+        # semistable representation
+        quiver, d, theta, tau = case
+        try:
+            check_rows(quiver.to_json_dict(), list(d), list(theta),
+                       [{"parts": [list(p) for p in tau]}], "types", full=False)
+        except Mismatch as exc:  # a chain's fault, or the one-dense-type rule
+            chain = not str(exc).startswith("types[0].parts")
+        else:
+            chain = True
+        if any(len(p) != len(d) or min(p, default=0) < 0 for p in tau):
+            assert not chain
+            with pytest.raises(ValueError, match="^dimension vector"):
+                is_hn_type(quiver, d, theta, tau)
+        else:
+            assert is_hn_type(quiver, d, theta, tau) == (
+                chain and all(has_semistable(quiver, p, theta) for p in tau))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hn_candidates(balanced=True))
     def test_is_hn_type_holds_exactly_for_enumerated_types(self, case):
         quiver, d, theta, tau = case
         try:
@@ -743,6 +766,15 @@ class TestEnumerateHnTypes:
         for tau in (((2, 3),), ((1, 0), (1, 1))):
             with pytest.raises(ValueError, match="^theta has wrong length$"):
                 is_hn_type(KRONECKER3, (2, 3), (3, -2, 0), tau)
+
+    def test_defining_conditions(self):
+        # semistable parts of equal slope summing to d
+        assert not is_hn_type(KRONECKER3, (2, 2), (1, -1), ((1, 1), (1, 1)))
+        for tau in enumerate_hn_types(KRONECKER3, (2, 3), (3, -2)):
+            assert is_hn_type(KRONECKER3, (2, 3), (3, -2), tau)
+            slopes = [slope((3, -2), p) for p in tau]
+            assert all(a > b for a, b in zip(slopes, slopes[1:]))
+            assert tuple(map(sum, zip(*tau))) == (2, 3)
 
 
 class TestDenseStratum:
@@ -828,3 +860,22 @@ class TestSubvectorLimit:
     def test_huge_entries_are_refused_at_once(self):
         with pytest.raises(ValueError, match="subvector count above"):
             enumerate_hn_types(KRONECKER3, (10 ** 100, 10 ** 100), (1, -1))
+
+
+class TestStratumCodim:
+    """The outside checker's codimension of a stratum of Y: the negative
+    weight directions of Rep(d) under its one-parameter subgroup, less
+    those of gl(d)."""
+
+    @staticmethod
+    def codim(tau):
+        return codim_and_eta(Counter(KRONECKER3.arrows), one_ps((3, -2), tau))[0]
+
+    def test_rank_one_wall(self):
+        assert self.codim(((1, 1), (1, 2))) == 3
+
+    def test_open_stratum(self):
+        assert self.codim(((2, 3),)) == 0
+
+    def test_deepest(self):
+        assert self.codim(((2, 0), (0, 3))) == 18

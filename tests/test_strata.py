@@ -9,19 +9,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import check_hn
 from golden import HN_TYPES_23, STRATUM_TABLE
 from oracles import KRONECKER3, random_expr, stratum_checks, weight_ranges_by_walk, weights_of
 from test_cli import TESTS, TRANSCRIPT, main_output
-from test_quiver import many_arrows_quiver_dim_theta, quiver_dim_theta
+from test_quiver import hn_candidates, many_arrows_quiver_dim_theta, quiver_dim_theta
 from test_verify import EXPRS
 from quivercert import bundles
 from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
                                 characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
-from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, reduced_slope
+from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types, reduced_slope
 from quivercert.cli import main
 from quivercert.strata import (
     Moduli,
@@ -74,6 +74,28 @@ class TestOnePS:
     def test_weights_strictly_decrease(self):
         with pytest.raises(ValueError):
             OnePS((((1, 1), (1, 2)), ()))
+
+    @pytest.mark.parametrize("d", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7)])
+    def test_equals_fraction_slope_oracle_on_the_ladder(self, d):
+        # the outside checker's one-PS, from Fraction slopes and their lcm
+        theta = (d[1], -d[0])
+        for tau in enumerate_hn_types(KRONECKER3, d, theta):
+            assert as_json(one_ps_from_hn(tau, theta).blocks) == check_hn.one_ps(theta, tau)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_equals_fraction_slope_oracle(self, case):
+        quiver, d, theta = case
+        for tau in enumerate_hn_types(quiver, d, theta):
+            assert as_json(one_ps_from_hn(tau, theta).blocks) == check_hn.one_ps(theta, tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_multiplicities_sum_to_the_dimension_vector(self, case):
+        quiver, d, theta = case
+        for tau in enumerate_hn_types(quiver, d, theta):
+            blocks = one_ps_from_hn(tau, theta).blocks
+            assert tuple(sum(m for _, m in vertex) for vertex in blocks) == d
 
     @pytest.mark.parametrize("tau", [((2, 3), (0, 0)), ((0, 0), (2, 3)), ((1, 1), (1, 2, 0)),
                                      ((1, 1, 0), (1, 2))])
@@ -165,6 +187,24 @@ class TestGoldenTable:
         codims = {parts: codim for parts, _, codim, _, _ in hn_records(*Y23[:3])}
         assert (codims[((1, 1), (1, 2))], codims[((2, 3),)], codims[((2, 0), (0, 3))]) == (3, 0, 18)
 
+    def test_codim_equals_direction_count(self, strata):
+        # the package's walk against the outside checker's, on every stratum of Y
+        codims = {parts: codim for parts, _, codim, _, _ in hn_records(*Y23[:3])}
+        arrows = Counter(KRONECKER3.arrows)
+        for tau, s in strata.items():
+            outside = check_hn.codim_and_eta(arrows, check_hn.one_ps(Y23.theta, tau))
+            assert codim_and_eta(KRONECKER3, one_ps(tau)) == outside == (codims[tau], s.eta)
+
+    def test_direction_counts_spot_values(self):
+        # with no arrows the checker's walk counts the gauge directions alone, negated
+        def counts(tau):
+            blocks = check_hn.one_ps(Y23.theta, tau)
+            gauge = -check_hn.codim_and_eta(Counter(), blocks)[0]
+            return check_hn.codim_and_eta(Counter(KRONECKER3.arrows), blocks)[0] + gauge, gauge
+
+        assert counts(((1, 1), (1, 2))) == (6, 3)
+        assert counts(((2, 0), (0, 3))) == (18, 0)
+
 
 def assert_each_move_named(rows, where: str, check) -> Counter:
     """``check`` refuses ``rows`` with any one integer in the JSON text of a
@@ -243,6 +283,28 @@ class TestOutsideChecker:
             if code != 2:  # refused by the gate: nothing printed to check
                 checked[check_hn.check_document(argv, json.loads(out), code)] += 1
         assert checked["hn-types"] >= 300 and checked["teleman"] == 20
+
+    @pytest.mark.parametrize("parts", [[[1, 0], [1, -1], [0, 4]], [[2, 0], [0, 3, 0]],
+                                       [[2, 3], [0, 0]], [[2, 3.0]], [[2, True], [0, 2]], []],
+                             ids=["negative", "wrong-length", "zero", "float", "flag", "empty"])
+    def test_malformed_part_is_refused(self, parts):
+        with pytest.raises(check_hn.Mismatch,
+                           match=r"^types\[0\]\.parts: not a list of nonzero dimension vectors$"):
+            check_hn.check_rows(as_json(KRONECKER3.to_json_dict()), [2, 3], [3, -2],
+                                [{"parts": parts}], "types")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(hn_candidates(), hn_candidates(balanced=True)))
+    def test_codim_and_eta_equal_the_package_s_on_any_chain(self, case):
+        # an HN type or not: any nonzero parts of strictly decreasing slope
+        quiver, d, theta, tau = case
+        assume(tau and all(len(p) == len(d) and min(p) >= 0 and any(p) for p in tau))
+        slopes = [Fraction(sum(map(operator.mul, theta, p)), sum(p)) for p in tau]
+        assume(all(a > b for a, b in zip(slopes, slopes[1:])))
+        blocks = check_hn.one_ps(theta, tau)
+        s = one_ps_from_hn(tau, theta)
+        assert as_json(s.blocks) == blocks
+        assert codim_and_eta(quiver, s) == check_hn.codim_and_eta(Counter(quiver.arrows), blocks)
 
     def test_runs_as_a_script(self):
         # -I: no PYTHONPATH, no script directory and no user site on sys.path

@@ -85,11 +85,11 @@ def _moduli_setup(quiver: str, dim: str, theta: str, twist: str | None = None):
 def _cmd_hn_types(args) -> tuple[dict, int]:
     quiver, d, theta, records = _moduli_setup(args.quiver, args.dim, args.theta)
     rows = []
-    for parts, slopes, codim, s, threshold in records:
+    for parts, slopes, codim, blocks, threshold in records:
         row = {"parts": parts, "slopes": [render_ratio(*slope) for slope in slopes],
-               "codim": codim, "semistable_stratum": s is None, "eta": threshold}
-        if s is not None:
-            row["one_ps"] = s.blocks
+               "codim": codim, "semistable_stratum": blocks is None, "eta": threshold}
+        if blocks is not None:
+            row["one_ps"] = blocks
         rows.append(row)
     return {"quiver": quiver.to_json_dict(), "dim": d, "theta": theta, "types": rows}, 0
 

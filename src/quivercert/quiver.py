@@ -179,19 +179,10 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows groups")):
         return e
 
 
-def reduced_slope(theta, e) -> tuple[int, int]:
-    """``_reduced_slope`` of a nonzero integer vector e, checked."""
-    e, theta = _int_entries(e, "dimension vector"), _int_entries(theta, "theta")
-    if len(theta) != len(e):
-        raise ValueError("length mismatch between theta and dimension vector")
-    if sum(e) == 0:
-        raise ValueError("undefined slope: zero dimension vector")
-    return _reduced_slope(theta, e)
-
-
-def _reduced_slope(theta, f) -> tuple[int, int]:
+def reduced_slope(theta, f) -> tuple[int, int]:
     """The slope (theta . f) / |f| of a nonzero f as a pair (a, b) of
-    coprime integers with b > 0, compared by cross-multiplying."""
+    coprime integers with b > 0, compared by cross-multiplying.  Unchecked:
+    it reads the parts of types that ``enumerate_hn_types`` gated."""
     a, b = sum(t * x for t, x in zip(theta, f)), sum(f)
     g = gcd(a, b)
     return a // g, b // g

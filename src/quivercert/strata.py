@@ -40,58 +40,44 @@ from .bundles import (MAX_CACHED_EXPRS, BundleExpr, StratumWeights, WorkBudget, 
 from .quiver import HNType, Quiver, enumerate_hn_types, reduced_slope
 
 
-class OnePS(namedtuple("OnePS", "blocks")):
-    """Per-vertex weight blocks ((weight, multiplicity), ...), weights
-    strictly decreasing within a vertex."""
-
-    __slots__ = ()
-
-    def __new__(cls, blocks):
-        for vertex in blocks:
-            ws = [w for w, _ in vertex]
-            if any(a <= b for a, b in zip(ws, ws[1:])):
-                raise ValueError("block weights must strictly decrease")
-            if any(m <= 0 for _, m in vertex):
-                raise ValueError("block multiplicities must be positive")
-        return super().__new__(cls, blocks)
-
-
-def one_ps_from_hn(tau: HNType, theta) -> OnePS:
-    """The stratum's one-parameter subgroup: weights N * slope(part), with
+def one_ps_from_hn(tau: HNType, slopes) -> tuple:
+    """The one-parameter subgroup of the stratum of tau, from the reduced
+    slopes of its parts: per vertex, the blocks ((weight, multiplicity), ...)
+    of the parts with a nonzero entry there, with weights N * slope(part),
     N the least positive integer clearing all slope denominators (no
-    further gcd reduction); multiplicities are the part dimensions."""
-    slopes = [reduced_slope(theta, part) for part in tau]
+    further gcd reduction), and multiplicities those entries.  The slopes
+    of a type strictly decrease, so the weights of each vertex do too."""
     scale = lcm(*(b for _, b in slopes))
     weights = [a * (scale // b) for a, b in slopes]
-    return OnePS(tuple(tuple((w, part[i]) for w, part in zip(weights, tau) if part[i] > 0)
-                       for i in range(len(tau[0]))))
+    return tuple(tuple((w, m) for w, m in zip(weights, column) if m > 0) for column in zip(*tau))
 
 
-def codim_and_eta(quiver: Quiver, s: OnePS) -> tuple[int, int]:
-    """The codimension and the threshold eta of the stratum of ``s``, from
-    one walk over the strictly negative weight directions of the
-    representation space, one entry per group of parallel arrows, and of
-    the gauge Lie algebra, entered as groups (i, i, -1).  A direction of
-    multiplicity n and weight w < 0 adds n to the codimension and n * |w|
-    to eta in the representation space, and subtracts both in the gauge
-    algebra: the codimension is dim Rep(d)_{<0} - dim gl(d)_{<0} (Reineke
-    2003), and eta, the weight of det of the conormal bundle, is the
-    negative weight total of the gauge algebra less that of the
-    representation space."""
+def codim_and_eta(quiver: Quiver, blocks) -> tuple[int, int]:
+    """The codimension and the threshold eta of the stratum of the
+    one-parameter subgroup ``blocks``, from one walk over the strictly
+    negative weight directions of the representation space, one entry per
+    group of parallel arrows, and of the gauge Lie algebra, entered as
+    groups (i, i, -1).  A direction of multiplicity n and weight w < 0 adds
+    n to the codimension and n * |w| to eta in the representation space,
+    and subtracts both in the gauge algebra: the codimension is
+    dim Rep(d)_{<0} - dim gl(d)_{<0} (Reineke 2003), and eta, the weight of
+    det of the conormal bundle, is the negative weight total of the gauge
+    algebra less that of the representation space."""
     codim = eta = 0
-    for i, j, m in quiver.groups + tuple((i, i, -1) for i in range(len(s.blocks))):
-        for ws, ms in s.blocks[i]:
-            for wt, mt in s.blocks[j]:
+    for i, j, m in quiver.groups + tuple((i, i, -1) for i in range(len(blocks))):
+        for ws, ms in blocks[i]:
+            for wt, mt in blocks[j]:
                 if wt < ws:
                     codim += m * ms * mt
                     eta += m * ms * mt * (ws - wt)
     return codim, eta
 
 
-def universal_weights(s: OnePS, twist) -> StratumWeights:
+def universal_weights(blocks, twist) -> StratumWeights:
     """Weight multisets of the descended universal bundles U1 and U2, one
     per vertex: raw block weights plus the descent shift
-    sum_j a_j * trace(lambda_j) of the twist vector a.
+    sum_j a_j * trace(lambda_j) of the twist vector a, which has one entry
+    per vertex, as ``Moduli`` checks.
 
     The twist must be unimodular against the dimension vector; with the
     additive shift convention used here the descended bundles have
@@ -99,11 +85,9 @@ def universal_weights(s: OnePS, twist) -> StratumWeights:
     that ``Moduli`` enforces, and which the working twist (1, -1)
     satisfies against (2, 3).
     """
-    if len(twist) != len(s.blocks):
-        raise ValueError("twist vector has wrong length")
-    shift = sum(a * w * m for a, vertex in zip(twist, s.blocks) for w, m in vertex)
+    shift = sum(a * w * m for a, vertex in zip(twist, blocks) for w, m in vertex)
     return StratumWeights(*(tuple(w + shift for w, m in vertex for _ in range(m))
-                            for vertex in s.blocks))
+                            for vertex in blocks))
 
 
 class Moduli(namedtuple("Moduli", "quiver dim theta twist")):
@@ -137,13 +121,15 @@ def hn_records(quiver: Quiver, d, theta) -> tuple[tuple, ...]:
     """One record ``(parts, slopes, codim, one_ps, eta)`` per
     Harder-Narasimhan type of (quiver, d, theta), in the enumeration order
     of the types: the parts, their reduced slopes ``(a, b)``, the
-    codimension of the stratum, and its ``OnePS`` and threshold eta, both
-    None for the trivial type.  ``enumerate_hn_types`` checks the input."""
+    codimension of the stratum, and the blocks of its one-parameter
+    subgroup and its threshold eta, both None for the trivial type.
+    ``enumerate_hn_types`` checks the input, the one check on this path."""
     records = []
     for tau in enumerate_hn_types(quiver, d, theta):
-        s = one_ps_from_hn(tau, theta) if len(tau) > 1 else None
-        codim, threshold = (0, None) if s is None else codim_and_eta(quiver, s)
-        records.append((tau, tuple(reduced_slope(theta, part) for part in tau), codim, s, threshold))
+        slopes = tuple(reduced_slope(theta, part) for part in tau)
+        blocks = one_ps_from_hn(tau, slopes) if len(tau) > 1 else None
+        codim, threshold = (0, None) if blocks is None else codim_and_eta(quiver, blocks)
+        records.append((tau, slopes, codim, blocks, threshold))
     return tuple(records)
 
 
@@ -159,9 +145,9 @@ def unstable_strata(moduli: Moduli) -> tuple[StratumData, ...]:
     bundles U1 and U2, so the quiver must have two vertices."""
     if moduli.quiver.vertex_count != 2:
         raise ValueError("bundle expressions assume a two-vertex quiver")
-    return tuple(StratumData(tau, threshold, universal_weights(s, moduli.twist))
-                 for tau, _, _, s, threshold in hn_records(moduli.quiver, moduli.dim, moduli.theta)
-                 if s is not None)
+    records = hn_records(moduli.quiver, moduli.dim, moduli.theta)
+    return tuple(StratumData(tau, threshold, universal_weights(blocks, moduli.twist))
+                 for tau, _, _, blocks, threshold in records if blocks is not None)
 
 
 def weight_ranges(expr: BundleExpr, moduli: Moduli,

@@ -11,7 +11,7 @@ from any directory; it takes no options.  It copies the checkout (without
 pass there unmutated, then applies one mutant at a time to the copy's
 ``src/``, runs each named test file in one pytest child at a time, never
 more than one, and restores the module.  The kill matrix, killed or
-survived per (mutant, test file), goes to ``MUTANTS_51.json`` at the
+survived per (mutant, test file), goes to ``MUTANTS_52.json`` at the
 repository root, with the test that failed first in each killing file and
 the Python and hypothesis versions that drew the examples.  A mutant that
 no test file kills must be listed in ``EQUIVALENT`` with the reason that
@@ -21,8 +21,8 @@ Each child runs with a fixed hypothesis seed, and the example database that
 hypothesis leaves in the copy is deleted before the next mutant, so a run
 over the same program and tests gives the same matrix.  The tier-1 test
 ``tests/test_mutants.py`` checks the catalogue against ``src/`` and the
-checked-in matrix; the full run stays out of tier-1 (about 12 minutes
-for 94 mutants on a 2-vCPU host).
+checked-in matrix; the full run stays out of tier-1 (about 19 minutes
+for 96 mutants on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from pathlib import Path
 import hypothesis
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "MUTANTS_51.json"
+OUTPUT = ROOT / "MUTANTS_52.json"
 
 #: pytest options of every child: stop at the first failure, a fixed
 #: hypothesis seed, and no cache written into the copy.
@@ -160,8 +160,8 @@ CATALOGUE = (
      "eta += ms * mt * (ws - wt)",
      "eta-without-group-multiplicity", STRATA_TESTS),
     ("strata.py",
-     "tuple((i, i, -1) for i in range(len(s.blocks)))",
-     "tuple((i, i, 1) for i in range(len(s.blocks)))",
+     "tuple((i, i, -1) for i in range(len(blocks)))",
+     "tuple((i, i, 1) for i in range(len(blocks)))",
      "gauge-directions-added", STRATA_TESTS),
     ("strata.py",
      "scale = lcm(*(b for _, b in slopes))",
@@ -171,10 +171,18 @@ CATALOGUE = (
      "weights = [a * (scale // b) for a, b in slopes]",
      "weights = [a for a, b in slopes]",
      "one-ps-weights-unscaled", STRATA_TESTS),
+    ("strata.py",
+     "for w, m in zip(weights, column) if m > 0)",
+     "for w, m in zip(weights, column))",
+     "one-ps-keeps-zero-multiplicities", STRATA_TESTS),
+    ("strata.py",
+     "blocks = one_ps_from_hn(tau, slopes) if",
+     "blocks = one_ps_from_hn(tau, slopes[::-1]) if",
+     "hn-records-slopes-reversed", STRATA_TESTS),
     # -- strata.py: descent, margins and the twist rule --------------------------
     ("strata.py",
-     "shift = sum(a * w * m for a, vertex in zip(twist, s.blocks) for w, m in vertex)",
-     "shift = -sum(a * w * m for a, vertex in zip(twist, s.blocks) for w, m in vertex)",
+     "shift = sum(a * w * m for a, vertex in zip(twist, blocks) for w, m in vertex)",
+     "shift = -sum(a * w * m for a, vertex in zip(twist, blocks) for w, m in vertex)",
      "descent-shift-sign", STRATA_TESTS),
     ("strata.py",
      "tuple(w + shift for w, m in vertex for _ in range(m))",

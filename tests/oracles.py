@@ -484,7 +484,7 @@ def hn_type_brute(field: GF, rep: BruteRep, theta):
 
 def slope(theta, e) -> Fraction:
     """The slope (theta . e) / sum(e) of a nonzero vector e as a Fraction,
-    computed without ``quiver._reduced_slope``."""
+    computed without ``quiver.reduced_slope``."""
     e = tuple(int(x) for x in e)
     if len(theta) != len(e):
         raise ValueError("length mismatch between theta and dimension vector")
@@ -1755,8 +1755,8 @@ def syzygies_command_by_fractions(args) -> tuple[dict, int]:
 def hn_types_command_by_calls(args) -> tuple[dict, int]:
     """The ``hn-types`` handler that rebuilt every row on each call, each
     type and block copied into lists, before the rows were read from
-    ``strata.hn_records``: the slopes through the checking
-    ``reduced_slope``, the subgroup through ``one_ps_from_hn``, and the
+    ``strata.hn_records``: the slopes through ``reduced_slope``, the
+    subgroup from them through ``one_ps_from_hn``, and the
     codimension and eta from the outside checker ``check_hn``."""
     quiver = Quiver.from_spec(args.quiver, "--quiver")
     d = cli._parse_int_tuple(args.dim, "--dim")
@@ -1764,10 +1764,11 @@ def hn_types_command_by_calls(args) -> tuple[dict, int]:
     counts = Counter(quiver.arrows)
     rows = []
     for tau in enumerate_hn_types(quiver, d, theta):
-        blocks = one_ps_from_hn(tau, theta).blocks
+        slopes = [reduced_slope(theta, p) for p in tau]
+        blocks = one_ps_from_hn(tau, slopes)
         codim, eta = check_hn.codim_and_eta(counts, blocks)
         row = {"parts": [list(p) for p in tau], "codim": codim, "semistable_stratum": len(tau) == 1,
-               "slopes": [render_ratio(*reduced_slope(theta, p)) for p in tau],
+               "slopes": [render_ratio(*slope) for slope in slopes],
                "eta": None if len(tau) == 1 else eta}
         if len(tau) > 1:
             row["one_ps"] = [[list(block) for block in vertex] for vertex in blocks]

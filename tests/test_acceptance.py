@@ -16,7 +16,7 @@ from oracles import (KRONECKER3, coefficient, coords_of, fraction_matrix, integr
                      random_stable_matrix, syzygy_tensors, tangent_chern)
 from quivercert.bundles import O, U1, U2, dual, parse_expr, sl, tensor, twist
 from quivercert.chow import BASIS, ChowElement, ch_of, chi, parse_chow_poly
-from quivercert.quiver import enumerate_hn_types
+from quivercert.quiver import enumerate_hn_types, reduced_slope
 from quivercert.repgeom import (
     commutes,
     is_stable,
@@ -70,7 +70,8 @@ def test_02_stratum_table_reproduction():
         assert set(strata) == set(STRATUM_TABLE)
         for tau, row in STRATUM_TABLE.items():
             s = strata[tau]
-            assert one_ps_from_hn(tau, Y23.theta).blocks == row["one_ps"], tau
+            slopes = [reduced_slope(Y23.theta, part) for part in tau]
+            assert one_ps_from_hn(tau, slopes) == row["one_ps"], tau
             assert s.weights[0] == row["u1"], tau
             assert s.weights[1] == row["u2"], tau
             assert sum(s.weights[0]) == row["det_u1"], tau

@@ -38,7 +38,7 @@ from quivercert.bundles import (
     wedge2,
 )
 from quivercert.quiver import Quiver
-from quivercert.strata import Moduli, OnePS, universal_weights, unstable_strata
+from quivercert.strata import Moduli, universal_weights, unstable_strata
 from test_cli import SAMPLES
 
 #: Tokens of the bundle-expression grammar, with words it refuses.
@@ -271,7 +271,7 @@ def _all_bases():
     """The base weights of every unstable stratum, of the central subgroup,
     and BASE."""
     moduli = Moduli.kronecker23()
-    ones = OnePS(tuple(((1, n),) for n in moduli.dim))
+    ones = tuple(((1, n),) for n in moduli.dim)
     central = universal_weights(ones, moduli.twist)
     return [s.weights for s in unstable_strata(moduli)] + [central, BASE]
 

@@ -26,7 +26,6 @@ from quivercert.cli import main
 from quivercert.strata import (
     Moduli,
     _weigh,
-    OnePS,
     codim_and_eta,
     hn_records,
     one_ps_from_hn,
@@ -47,9 +46,48 @@ def as_json(value):
     return json.loads(json.dumps(value))
 
 
+def blocks_of(tau, theta):
+    """The one-parameter subgroup of the stratum of tau, from its parts' slopes."""
+    return one_ps_from_hn(tau, tuple(reduced_slope(theta, part) for part in tau))
+
+
 def one_ps(tau):
     """The one-parameter subgroup of a stratum of Y."""
-    return one_ps_from_hn(tau, Y23.theta)
+    return blocks_of(tau, Y23.theta)
+
+
+@st.composite
+def with_vertices_where_d_is_zero(draw):
+    """``(small, big, at)``: a setup ``(quiver, d, theta)`` of
+    ``quiver_dim_theta`` and the same with 1-3 vertices added where d is 0,
+    at drawn positions and with any theta there.  Each added vertex is the
+    source or the target of all of its arrows, 0-2 to each old vertex, and
+    arrows run from added sources to added targets, so the quiver stays
+    acyclic.  ``at[v]`` is the index in ``big`` of vertex v of ``small``."""
+    quiver, d, theta = small = draw(quiver_dim_theta(balanced=True))
+    n, k = quiver.vertex_count, draw(st.integers(1, 3))
+    at = sorted(draw(st.permutations(range(n + k)))[:n])  # in order, as types sort by parts
+    added = [x for x in range(n + k) if x not in at]
+    sources = [draw(st.booleans()) for _ in added]
+    arrows = [(at[i], at[j]) for i, j in quiver.arrows]
+    for x, source in zip(added, sources):
+        for v in at:
+            arrows += [(x, v) if source else (v, x)] * draw(st.integers(0, 2))
+        if source:
+            arrows += [(x, y) for y, s in zip(added, sources) if not s] * draw(st.integers(0, 1))
+    big_d, big_theta = [0] * (n + k), [draw(st.integers(-3, 3)) for _ in range(n + k)]
+    for v, x in enumerate(at):
+        big_d[x], big_theta[x] = d[v], theta[v]
+    return small, (Quiver(n + k, arrows), tuple(big_d), tuple(big_theta)), tuple(at)
+
+
+#: The 3-Kronecker quiver at (7, 7) and the same with 198 vertices added where
+#: d is 0, four arrows touching them.
+KRONECKER_200 = (
+    (KRONECKER3, (7, 7), (7, -7)),
+    (Quiver(200, ((0, 1),) * 3 + ((1, 2), (0, 199), (150, 0), (2, 3))), (7, 7) + (0,) * 198,
+     (7, -7) + tuple(x % 5 - 2 for x in range(198))),
+    (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -59,61 +97,47 @@ def strata():
 
 class TestOnePS:
     def test_block_construction(self):
-        s = one_ps_from_hn(((1, 1), (1, 2)), (3, -2))
-        assert s.blocks == (((3, 1), (-2, 1)), ((3, 1), (-2, 2)))
+        s = blocks_of(((1, 1), (1, 2)), (3, -2))
+        assert s == (((3, 1), (-2, 1)), ((3, 1), (-2, 2)))
 
     def test_no_gcd_reduction(self):
         # slopes 4/3 and -2 clear to weights (4, -6), gcd 2 kept
-        s = one_ps_from_hn(((2, 1), (0, 2)), (3, -2))
-        assert s.blocks == (((4, 2),), ((4, 1), (-6, 2)))
+        s = blocks_of(((2, 1), (0, 2)), (3, -2))
+        assert s == (((4, 2),), ((4, 1), (-6, 2)))
 
     def test_trivial_type(self):
-        s = one_ps_from_hn(((2, 3),), (3, -2))
-        assert s.blocks == (((0, 2),), ((0, 3),))
-
-    def test_weights_strictly_decrease(self):
-        with pytest.raises(ValueError):
-            OnePS((((1, 1), (1, 2)), ()))
+        s = blocks_of(((2, 3),), (3, -2))
+        assert s == (((0, 2),), ((0, 3),))
 
     @pytest.mark.parametrize("d", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7)])
     def test_equals_fraction_slope_oracle_on_the_ladder(self, d):
         # the outside checker's one-PS, from Fraction slopes and their lcm
         theta = (d[1], -d[0])
         for tau in enumerate_hn_types(KRONECKER3, d, theta):
-            assert as_json(one_ps_from_hn(tau, theta).blocks) == check_hn.one_ps(theta, tau)
+            assert as_json(blocks_of(tau, theta)) == check_hn.one_ps(theta, tau)
 
     @settings(max_examples=200, deadline=None)
     @given(quiver_dim_theta(balanced=True))
     def test_equals_fraction_slope_oracle(self, case):
         quiver, d, theta = case
         for tau in enumerate_hn_types(quiver, d, theta):
-            assert as_json(one_ps_from_hn(tau, theta).blocks) == check_hn.one_ps(theta, tau)
+            assert as_json(blocks_of(tau, theta)) == check_hn.one_ps(theta, tau)
 
     @settings(max_examples=100, deadline=None)
     @given(quiver_dim_theta(balanced=True))
     def test_multiplicities_sum_to_the_dimension_vector(self, case):
         quiver, d, theta = case
         for tau in enumerate_hn_types(quiver, d, theta):
-            blocks = one_ps_from_hn(tau, theta).blocks
+            blocks = blocks_of(tau, theta)
             assert tuple(sum(m for _, m in vertex) for vertex in blocks) == d
-
-    @pytest.mark.parametrize("tau", [((2, 3), (0, 0)), ((0, 0), (2, 3)), ((1, 1), (1, 2, 0)),
-                                     ((1, 1, 0), (1, 2))])
-    def test_zero_or_misshapen_part_is_refused(self, tau):
-        with pytest.raises(ValueError):
-            one_ps_from_hn(tau, (3, -2))
 
 
 @pytest.mark.parametrize("build", [
     lambda: Quiver(2, ((0.5, 1),)),
-    lambda: reduced_slope((1, -1), (1.5, 1)),
-    lambda: reduced_slope((1.5, 1), (1, 1)),
     lambda: Moduli(KRONECKER3, (2, 3), (3.7, -2.2), (1, -1)),
     lambda: Moduli(KRONECKER3, (2, 3), (3, -2), (1.5, -1)),
     lambda: O(1.5),
-    lambda: one_ps_from_hn(((1.5, 1), (0.5, 2)), (3, -2)),
-], ids=["quiver-arrow", "slope-dim", "slope-theta", "moduli-theta", "moduli-twist", "O(n)",
-        "one-ps-part"])
+], ids=["quiver-arrow", "moduli-theta", "moduli-twist", "O(n)"])
 def test_non_integer_input_is_refused(build):
     # int() would truncate each of these to an integer and carry on
     with pytest.raises(ValueError, match="integer"):
@@ -166,6 +190,25 @@ class TestHnRecords:
         code, out = main_output(argv)
         assert check_hn.check_document(argv, json.loads(out), code) == "hn-types"
 
+    @settings(max_examples=200, deadline=None)
+    @given(with_vertices_where_d_is_zero())
+    @example(KRONECKER_200)
+    def test_vertices_where_d_is_zero_only_pad_the_records(self, case):
+        # each part zero-padded, and an empty block at each added vertex
+        small, big, at = case
+        size = big[0].vertex_count
+
+        def padded(entries, fill):
+            out = [fill] * size
+            for x, entry in zip(at, entries):
+                out[x] = entry
+            return tuple(out)
+
+        assert hn_records(*big) == tuple(
+            (tuple(padded(part, 0) for part in parts), slopes, codim,
+             None if blocks is None else padded(blocks, ()), eta)
+            for parts, slopes, codim, blocks, eta in hn_records(*small))
+
 
 class TestGoldenTable:
     def test_stratum_count(self, strata):
@@ -174,7 +217,7 @@ class TestGoldenTable:
     def test_cell_for_cell(self, strata):
         for tau, row in STRATUM_TABLE.items():
             s = strata[tau]
-            assert one_ps(tau).blocks == row["one_ps"], tau
+            assert one_ps(tau) == row["one_ps"], tau
             assert s.weights[0] == row["u1"], tau
             assert s.weights[1] == row["u2"], tau
             assert sum(s.weights[0]) == row["det_u1"], tau
@@ -302,8 +345,8 @@ class TestOutsideChecker:
         slopes = [Fraction(sum(map(operator.mul, theta, p)), sum(p)) for p in tau]
         assume(all(a > b for a, b in zip(slopes, slopes[1:])))
         blocks = check_hn.one_ps(theta, tau)
-        s = one_ps_from_hn(tau, theta)
-        assert as_json(s.blocks) == blocks
+        s = blocks_of(tau, theta)
+        assert as_json(s) == blocks
         assert codim_and_eta(quiver, s) == check_hn.codim_and_eta(Counter(quiver.arrows), blocks)
 
     def test_runs_as_a_script(self):
@@ -339,7 +382,7 @@ class TestUniversalWeights:
         for tau, shift in [(((1, 1), (1, 2)), 2), (((2, 1), (0, 2)), 16), (((2, 0), (0, 3)), 12)]:
             s = one_ps(tau)
             assert universal_weights(s, Y23.twist) == tuple(
-                tuple(w + shift for w, m in vertex for _ in range(m)) for vertex in s.blocks)
+                tuple(w + shift for w, m in vertex for _ in range(m)) for vertex in s)
 
     def test_one_shift_per_stratum(self, monkeypatch):
         calls = []
@@ -358,13 +401,11 @@ class TestUniversalWeights:
         assert [one_ps(s.hn_type) for s in computed] == calls
 
     def test_twist_normalization_enforced(self):
-        # Moduli is the one place that checks it: universal_weights checks
-        # only the twist's length
+        # Moduli is the one place that checks the twist: its normalization and its length
         with pytest.raises(ValueError, match="twist . d must be -1"):
             Moduli(KRONECKER3, (2, 3), (3, -2), (1, 1))
-        s = one_ps_from_hn(((1, 1), (1, 2)), (3, -2))
-        with pytest.raises(ValueError, match="twist vector has wrong length"):
-            universal_weights(s, (1, -1, 0))
+        with pytest.raises(ValueError, match="length mismatch"):
+            Moduli(KRONECKER3, (2, 3), (3, -2), (1, -1, 0))
 
     def test_moduli_validation(self):
         with pytest.raises(ValueError, match="theta . d"):
@@ -379,7 +420,7 @@ class TestUniversalWeights:
         assert Moduli.kronecker23() == Moduli(KRONECKER3, (2, 3), (3, -2), (1, -1))
 
     def test_central_weight_nullity(self):
-        ones = OnePS((((1, 2),), ((1, 3),)))
+        ones = (((1, 2),), ((1, 3),))
         base = universal_weights(ones, (1, -1))
         assert all(w == 0 for vertex in base for w in vertex)
         rng = random.Random(7)
@@ -398,7 +439,7 @@ class TestUniversalWeights:
             if not solutions:
                 continue  # gcd(d) > 1: no twist descends
             twist = rng.choice(solutions)
-            ones = OnePS(tuple(((1, n),) if n > 0 else () for n in d))
+            ones = tuple(((1, n),) if n > 0 else () for n in d)
             base = universal_weights(ones, twist)
             for leaf in (U1, U2, O(rng.randint(-20, 20))):
                 assert set(characters([base], leaf, WorkBudget()).maps[0]) <= {0}, (d, twist, leaf)
@@ -408,8 +449,7 @@ class TestUniversalWeights:
         rng = random.Random(11)
         for s in strata.values():
             for n in (2, 5):
-                scaled = OnePS(tuple(tuple((w * n, m) for w, m in vertex)
-                                     for vertex in one_ps(s.hn_type).blocks))
+                scaled = tuple(tuple((w * n, m) for w, m in vertex) for vertex in one_ps(s.hn_type))
                 assert codim_and_eta(KRONECKER3, scaled)[1] == n * s.eta
                 ws = universal_weights(scaled, Y23.twist)
                 assert ws == tuple(

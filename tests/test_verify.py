@@ -683,7 +683,6 @@ RECORD_BUILDERS = {
     "BundleExpr": lambda: parse_expr("sl(U1)"),
     "StratumWeights": lambda: unstable_strata(Y23)[0].weights,
     "Quiver": lambda: Y23.quiver,
-    "OnePS": lambda: strata.one_ps_from_hn(unstable_strata(Y23)[0].hn_type, Y23.theta),
     "Moduli": lambda: Y23,
     "CollectionSpec": lambda: collection_variants()["sl_after_block0"],
     "PairStatus": lambda: verify_collection(standard_collection(), Y23).pairs[1][2],
@@ -702,10 +701,10 @@ RECORD_NAMES = sorted(cls.__name__ for cls in RECORD_CLASSES)
 
 class TestRecordSemantics:
     def test_every_record_class_is_covered(self):
-        assert len(RECORD_CLASSES) == 11
+        assert len(RECORD_CLASSES) == 10
         assert {type(build()) for build in RECORD_BUILDERS.values()} == RECORD_CLASSES
         assert RECORD_CLASSES == {
-            BundleExpr, bundles.StratumWeights, Quiver, strata.OnePS, Moduli, CollectionSpec,
+            BundleExpr, bundles.StratumWeights, Quiver, Moduli, CollectionSpec,
             verify.PairStatus, strata.StratumData, strata.StratumCheck, verify.VerificationMatrix,
             repgeom.LinearFormMatrix}
         assert all(hasattr(cls, "_fields") for cls in RECORD_CLASSES)

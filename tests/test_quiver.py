@@ -226,6 +226,13 @@ class TestSlope:
     def test_single_vertex(self):
         assert reduced_slope((3, -2), (0, 1)) == (-2, 1)
 
+    def test_zero_vector_rejected(self):
+        # a zero vector has no slope: the gate refuses d = 0 before any slope
+        # is taken, and a type has no zero part
+        for gated in (has_semistable, enumerate_hn_types):
+            with pytest.raises(ValueError, match="dimension vector must be nonzero"):
+                gated(KRONECKER3, (0, 0), (3, -2))
+
 
 class TestHasSemistable:
     def test_working_vector(self):

@@ -21,7 +21,8 @@ from test_verify import EXPRS
 from quivercert import bundles
 from quivercert.bundles import (MAX_TERMS, MAX_WORK_TERMS, O, U1, U2, StratumWeights, WorkBudget,
                                 characters, direct_sum, dual, evaluate, sl, sym2, tensor, twist)
-from quivercert.quiver import MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types, reduced_slope
+from quivercert.quiver import (MAX_CACHED_SETUPS, Quiver, _lattice, enumerate_hn_types,
+                               has_semistable, reduced_slope)
 from quivercert.cli import main
 from quivercert.strata import (
     Moduli,
@@ -109,6 +110,17 @@ class TestOnePS:
         s = blocks_of(((2, 3),), (3, -2))
         assert s == (((0, 2),), ((0, 3),))
 
+    @settings(max_examples=100, deadline=None)
+    @given(quiver_dim_theta(balanced=True))
+    def test_weights_strictly_decrease(self, case):
+        # what no check on the record path enforces: the slopes of a type's
+        # parts strictly decrease and the build keeps only m > 0
+        quiver, d, theta = case
+        for tau in enumerate_hn_types(quiver, d, theta):
+            for vertex in blocks_of(tau, theta):
+                assert all(m > 0 for _, m in vertex), tau
+                assert all(a > b for (a, _), (b, _) in zip(vertex, vertex[1:])), tau
+
     @pytest.mark.parametrize("d", [(2, 3), (3, 4), (3, 5), (4, 5), (4, 7)])
     def test_equals_fraction_slope_oracle_on_the_ladder(self, d):
         # the outside checker's one-PS, from Fraction slopes and their lcm
@@ -131,13 +143,27 @@ class TestOnePS:
             blocks = blocks_of(tau, theta)
             assert tuple(sum(m for _, m in vertex) for vertex in blocks) == d
 
+    @pytest.mark.parametrize("tau", [((2, 3), (0, 0)), ((0, 0), (2, 3)), ((1, 1), (1, 2, 0)),
+                                     ((1, 1, 0), (1, 2))])
+    def test_zero_or_misshapen_part_is_refused(self, tau):
+        # one_ps_from_hn reads only enumerated types: the gate refuses such a
+        # part as a dimension vector, and no type of (2, 3) holds one
+        bad = next(part for part in tau if len(part) != 2 or not any(part))
+        with pytest.raises(ValueError, match="must be nonzero|has wrong length"):
+            has_semistable(KRONECKER3, bad, (3, -2))
+        assert tau not in enumerate_hn_types(KRONECKER3, (2, 3), (3, -2))
+
 
 @pytest.mark.parametrize("build", [
     lambda: Quiver(2, ((0.5, 1),)),
+    lambda: hn_records(KRONECKER3, (1.5, 1), (1, -1)),
+    lambda: hn_records(KRONECKER3, (1, 1), (1.5, -1.5)),
     lambda: Moduli(KRONECKER3, (2, 3), (3.7, -2.2), (1, -1)),
     lambda: Moduli(KRONECKER3, (2, 3), (3, -2), (1.5, -1)),
     lambda: O(1.5),
-], ids=["quiver-arrow", "moduli-theta", "moduli-twist", "O(n)"])
+    lambda: hn_records(KRONECKER3, (2, 2.5), (3, -2)),
+], ids=["quiver-arrow", "slope-dim", "slope-theta", "moduli-theta", "moduli-twist", "O(n)",
+        "one-ps-part"])
 def test_non_integer_input_is_refused(build):
     # int() would truncate each of these to an integer and carry on
     with pytest.raises(ValueError, match="integer"):
